@@ -33,8 +33,11 @@ TOUCHED_ELEMENT_WINDOW = 512
 # Callbacks supplied by the engine:
 #   feasible(constraint) -> bool         (quick path-constraint compatibility)
 #   solve_value(expr) -> int | None      (any feasible concrete value for expr)
+#   pinned_value(expr) -> int | None     (optional: expr's value when the path
+#                                         already determines it, else None)
 FeasibleFn = Callable[[Expr], bool]
 SolveValueFn = Callable[[Expr], "int | None"]
+PinnedValueFn = Callable[[Expr], "int | None"]
 
 
 @dataclass
@@ -74,6 +77,7 @@ class CacheModel:
         is_write: bool,
         feasible: FeasibleFn,
         solve_value: SolveValueFn,
+        pinned_value: PinnedValueFn | None = None,
     ) -> CacheAccessDecision:
         raise NotImplementedError
 
@@ -130,6 +134,7 @@ class NoCacheModel(CacheModel):
         is_write: bool,
         feasible: FeasibleFn,
         solve_value: SolveValueFn,
+        pinned_value: PinnedValueFn | None = None,
     ) -> CacheAccessDecision:
         self._stats.accesses += 1
         self._stats.hits += 1
@@ -218,13 +223,16 @@ class ContentionSetCacheModel(CacheModel):
         is_write: bool,
         feasible: FeasibleFn,
         solve_value: SolveValueFn,
+        pinned_value: PinnedValueFn | None = None,
     ) -> CacheAccessDecision:
         self._stats.accesses += 1
         if isinstance(index_expr, Const):
             index = index_expr.value
             constraint: Expr | None = None
         else:
-            index, constraint, targeted = self._concretize(region, index_expr, feasible, solve_value)
+            index, constraint, targeted = self._concretize(
+                region, index_expr, feasible, solve_value, pinned_value
+            )
             self._stats.concretizations += 1
             if targeted:
                 self._stats.contention_targeted += 1
@@ -261,9 +269,19 @@ class ContentionSetCacheModel(CacheModel):
         index_expr: Expr,
         feasible: FeasibleFn,
         solve_value: SolveValueFn,
+        pinned_value: PinnedValueFn | None,
     ) -> tuple[int, Expr | None, bool]:
         """Pick the worst compatible concrete index for a symbolic pointer."""
-        for candidate_index in self._candidate_indices(region):
+        candidates = self._candidate_indices(region)
+        pinned = pinned_value(index_expr) if pinned_value is not None else None
+        if pinned is not None:
+            # The path already fixes the pointer: the probe for ``pinned``
+            # would succeed and every other be refuted, so the loop's outcome
+            # is known without asking the solver.
+            if pinned in candidates:
+                return pinned, expr_eq(index_expr, Const(pinned)), True
+            candidates = []
+        for candidate_index in candidates:
             constraint = expr_eq(index_expr, Const(candidate_index))
             if feasible(constraint):
                 return candidate_index, constraint, True
@@ -384,6 +402,7 @@ class PartitionedCacheModel(CacheModel):
         is_write: bool,
         feasible: FeasibleFn,
         solve_value: SolveValueFn,
+        pinned_value: PinnedValueFn | None = None,
     ) -> CacheAccessDecision:
         try:
             slot, proxy = self._routes[region.name]
@@ -393,7 +412,7 @@ class PartitionedCacheModel(CacheModel):
                 "(partitioned cache model)"
             ) from None
         return self._submodels[slot].on_access(
-            proxy, index_expr, is_write, feasible, solve_value
+            proxy, index_expr, is_write, feasible, solve_value, pinned_value
         )
 
     @property

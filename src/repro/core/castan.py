@@ -44,7 +44,13 @@ from repro.cfg.costs import CostAnnotation, annotate_costs
 from repro.core.config import CastanConfig
 from repro.core.metrics import PathMetrics, metrics_from_state
 from repro.core.workload import make_packet_symbols, packets_from_model, symbol_defaults
-from repro.hashing.rainbow import RainbowTable, build_flow_rainbow_table
+from repro.hashing.functions import flow_hash16
+from repro.hashing.rainbow import (
+    RainbowTable,
+    build_flow_rainbow_table,
+    generic_key_sampler,
+    udp_flow_key_sampler,
+)
 from repro.net.packet import Packet
 from repro.net.pcap import write_pcap
 from repro.nf.base import NetworkFunction
@@ -56,7 +62,7 @@ from repro.symbex.solver import Model, Solver
 from repro.symbex.state import ExecutionState
 
 #: Process-global rainbow-table cache, keyed by the build parameters
-#: (tailored, chain_length, num_chains, seed).  Construction is
+#: (hash callable, tailored, chain_length, num_chains, seed).  Construction is
 #: deterministic in those parameters, so sharing across analyses cannot
 #: change any output.
 _RAINBOW_TABLE_CACHE: dict[tuple, RainbowTable] = {}
@@ -439,21 +445,25 @@ class Castan:
         of re-deriving the chains per analysis.
         """
         tables: dict[str, RainbowTable] = {}
-        for name in nf.hash_functions:
-            key = (
-                self.config.rainbow_tailored,
-                self.config.rainbow_chain_length,
-                self.config.rainbow_chains,
-                self.config.seed,
-            )
+        config = self.config
+        tailored = config.rainbow_tailored
+        settings = dict(
+            chain_length=config.rainbow_chain_length,
+            num_chains=config.rainbow_chains,
+            seed=config.seed,
+        )
+        for name, hash_fn in nf.hash_functions.items():
+            key = (hash_fn, tailored, *settings.values())
             table = _RAINBOW_TABLE_CACHE.get(key)
             if table is None:
-                table = build_flow_rainbow_table(
-                    tailored=self.config.rainbow_tailored,
-                    chain_length=self.config.rainbow_chain_length,
-                    num_chains=self.config.rainbow_chains,
-                    seed=self.config.seed,
-                )
+                if hash_fn is flow_hash16:
+                    table = build_flow_rainbow_table(tailored=tailored, **settings)
+                else:
+                    # Any other hash needs a table over *its* callable (a
+                    # flow_hash16 table would fail every havoc); only the
+                    # named flow builder persists to disk.
+                    sampler = udp_flow_key_sampler if tailored else generic_key_sampler
+                    table = RainbowTable(hash_fn=hash_fn, key_sampler=sampler, **settings)
                 _RAINBOW_TABLE_CACHE[key] = table
             tables[name] = table
         return tables

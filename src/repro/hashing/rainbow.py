@@ -15,8 +15,16 @@ are far more likely to survive the solver's compatibility check (§3.5).
 
 from __future__ import annotations
 
+import hashlib
+import logging
+import os
 import random
+import sys
+import threading
+import time
+from array import array
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Iterable
 
 from repro.hashing.functions import FLOW_HASH_BITS, flow_hash16, flow_hash16_column, lb_flow_key
@@ -24,9 +32,18 @@ from repro.hashing.functions import FLOW_HASH_BITS, flow_hash16, flow_hash16_col
 KeySampler = Callable[[int], int]
 HashFn = Callable[[int], int]
 
-#: Bound on the per-table reduction/tail memo dicts; when exceeded they are
-#: simply cleared (entries regenerate on demand).
+logger = logging.getLogger(__name__)
+
+#: Bound on the per-table tail memo dict; when exceeded it is simply cleared
+#: (entries regenerate on demand).
 _MEMO_LIMIT = 1 << 18
+
+#: Identity of the code that computes a flow table's key matrix.  Bump it
+#: whenever ``flow_hash16``, a key sampler, ``RainbowTable._reduce`` or the
+#: file layout changes: persisted matrices are only valid for the code that
+#: built them (``tests/test_hashing.py`` pins the default table's digest so a
+#: silent change fails tier-1).
+TABLE_CACHE_VERSION = "castan-rainbow-v1"
 
 
 @dataclass
@@ -40,6 +57,11 @@ class RainbowTableStats:
     chain_walks: int = 0
     false_alarms: int = 0
     inversions: int = 0
+    #: Provenance, not behaviour (never part of a digest): whether the key
+    #: matrix was ``"built"`` or ``"loaded"`` from the on-disk cache, and the
+    #: wall time constructing the table took either way.
+    source: str = "built"
+    build_seconds: float = 0.0
 
 
 class RainbowTable:
@@ -53,9 +75,13 @@ class RainbowTable:
         num_chains: int = 2048,
         hash_bits: int = FLOW_HASH_BITS,
         seed: int = 0xB0B,
+        keys: array | None = None,
     ) -> None:
+        """Build the table, or adopt ``keys`` — a chain-key matrix an earlier
+        build with these exact parameters produced (trusted, not re-derived)."""
         if chain_length < 2:
             raise ValueError("chain_length must be at least 2")
+        started = time.perf_counter()
         self.hash_fn = hash_fn
         self.key_sampler = key_sampler
         self.chain_length = chain_length
@@ -64,66 +90,64 @@ class RainbowTable:
         self.hash_mask = (1 << hash_bits) - 1
         self._seed = seed
         self.stats = RainbowTableStats(chains=num_chains, chain_length=chain_length)
-        # end hash -> list of chain start keys
-        self._chains: dict[int, list[int]] = {}
-        # Memo tables for the pure per-table computations below.  The key
-        # sampler is deterministic in its seed and the hash function is pure,
-        # so reductions, tail walks and chain prefixes can be cached without
-        # affecting results; only the stats counters in ``invert`` observe
+        # Memo for the pure tail walks of ``invert``: the key sampler is
+        # deterministic in its seed and the hash function is pure, so caching
+        # cannot affect results; only the stats counters in ``invert`` observe
         # how often the *logical* operations happen, and those stay put.
-        self._reduce_memo: dict[tuple[int, int], int] = {}
         self._tail_memo: dict[tuple[int, int], int] = {}
-        self._walk_memo: dict[int, list[int]] = {}
-        self._build()
+        # Every key of every chain, position-major: the key at ``position``
+        # of chain ``c`` is ``_keys[position * num_chains + c]``.
+        if keys is None:
+            keys = self._build_keys()
+        else:
+            self.stats.source = "loaded"
+        self._keys = keys
+        # end hash -> chains (row numbers, in chain order) ending there
+        self._chains: dict[int, list[int]] = {}
+        for chain, end_hash in enumerate(self._hash_column(keys[-num_chains:])):
+            self._chains.setdefault(end_hash, []).append(chain)
+        self.stats.distinct_endpoints = len(self._chains)
+        self.stats.build_seconds = time.perf_counter() - started
+        logger.info(
+            "rainbow table (%d chains x %d) %s in %.3f s",
+            num_chains, chain_length, self.stats.source, self.stats.build_seconds,
+        )
 
     # -- construction -----------------------------------------------------------
 
     def _reduce(self, hash_value: int, position: int) -> int:
         """Map a hash value (at chain position) back into the key space."""
-        memo_key = (hash_value, position)
-        key = self._reduce_memo.get(memo_key)
-        if key is None:
-            seed = (hash_value * 0x9E3779B97F4A7C15 + position * 0xBF58476D1CE4E5B9) & (
-                (1 << 64) - 1
-            )
-            key = self.key_sampler(seed)
-            if len(self._reduce_memo) >= _MEMO_LIMIT:
-                self._reduce_memo.clear()
-            self._reduce_memo[memo_key] = key
-        return key
+        seed = (hash_value * 0x9E3779B97F4A7C15 + position * 0xBF58476D1CE4E5B9) & ((1 << 64) - 1)
+        return self.key_sampler(seed)
 
-    def _build(self) -> None:
-        rng = random.Random(self._seed)
-        # One getrandbits draw per chain, in chain order — the same stream
-        # the per-chain loop below consumes (key samplers are deterministic
-        # in their seed, so hoisting the draws cannot change any key).
-        starts = [self.key_sampler(rng.getrandbits(64)) for _ in range(self.num_chains)]
+    def _hash_column(self, keys) -> list[int]:
+        """Masked hashes of a column of keys (one numpy pass for the flow hash)."""
+        mask = self.hash_mask
         if self.hash_fn is flow_hash16 and flow_hash16_column is not None:
-            # Chains advance in lockstep so each position's hashes run as one
-            # numpy column; reductions stay scalar (the sampler's Mersenne
-            # stream has no columnar form).  Chain-major and position-major
-            # walks call the same (hash, position) reductions, and the final
-            # endpoint inserts below replay chain order, so the table is
-            # identical to the per-chain build.
-            keys = starts
-            mask = self.hash_mask
-            hashes: list[int] = []
-            for position in range(self.chain_length):
-                hashes = [h & mask for h in flow_hash16_column(keys)]
-                if position < self.chain_length - 1:
-                    keys = [self._reduce(h, position) for h in hashes]
-            for start_key, hash_value in zip(starts, hashes):
-                self._chains.setdefault(hash_value, []).append(start_key)
-        else:
-            for start_key in starts:
-                key = start_key
-                hash_value = 0
-                for position in range(self.chain_length):
-                    hash_value = self.hash_fn(key) & self.hash_mask
-                    if position < self.chain_length - 1:
-                        key = self._reduce(hash_value, position)
-                self._chains.setdefault(hash_value, []).append(start_key)
-        self.stats.distinct_endpoints = len(self._chains)
+            return [h & mask for h in flow_hash16_column(keys)]
+        hash_fn = self.hash_fn
+        return [hash_fn(key) & mask for key in keys]
+
+    def _build_keys(self) -> array:
+        """Walk every chain, keeping each key (64-bit key spaces only).
+
+        Chains advance in lockstep, one position at a time, so each
+        position's hashes run as one column; reductions stay scalar (the
+        sampler's Mersenne stream has no columnar form).  Position-major and
+        chain-major walks call the same pure (hash, position) reductions, so
+        the matrix does not depend on the order.
+        """
+        rng = random.Random(self._seed)
+        column = [self.key_sampler(rng.getrandbits(64)) for _ in range(self.num_chains)]
+        keys = array("Q", column)
+        for position in range(self.chain_length - 1):
+            hashes = self._hash_column(column)
+            # Chains that merged at this position share one reduction (a
+            # quarter of the sampler calls at the default size).
+            reduced = {h: self._reduce(h, position) for h in set(hashes)}
+            column = [reduced[h] for h in hashes]
+            keys.extend(column)
+        return keys
 
     # -- inversion ---------------------------------------------------------------
 
@@ -137,12 +161,9 @@ class RainbowTable:
         # end of the chain backwards (cheapest first).
         for position in range(self.chain_length - 1, -1, -1):
             end_hash = self._tail(target_hash, position)
-            for start_key in self._chains.get(end_hash, ()):
+            for chain in self._chains.get(end_hash, ()):
                 self.stats.chain_walks += 1
-                key = self._walk_chain(start_key, position)
-                if key is None:
-                    self.stats.false_alarms += 1
-                    continue
+                key = self._walk_chain(chain, position)
                 if self.hash_fn(key) & self.hash_mask != target_hash:
                     self.stats.false_alarms += 1
                     continue
@@ -180,17 +201,9 @@ class RainbowTable:
                 memo[entry] = hash_value
         return hash_value
 
-    def _walk_chain(self, start_key: int, position: int) -> int | None:
-        """Return the key at ``position`` within the chain starting at ``start_key``."""
-        chain = self._walk_memo.get(start_key)
-        if chain is None:
-            if len(self._walk_memo) >= self.num_chains * 2:
-                self._walk_memo.clear()
-            chain = self._walk_memo.setdefault(start_key, [start_key])
-        while len(chain) <= position:
-            key = chain[-1]
-            chain.append(self._reduce(self.hash_fn(key) & self.hash_mask, len(chain) - 1))
-        return chain[position]
+    def _walk_chain(self, chain: int, position: int) -> int:
+        """Return the key at ``position`` of chain number ``chain``."""
+        return self._keys[position * self.num_chains + chain]
 
     # -- introspection ------------------------------------------------------------
 
@@ -240,13 +253,13 @@ def generic_key_sampler(seed: int) -> int:
     return seed & ((1 << 64) - 1)
 
 
-#: Reused generator for :func:`udp_flow_key_sampler`.  ``Random.seed(n)``
-#: resets the full Mersenne Twister state exactly like ``Random(n)`` does, so
-#: reusing one instance is draw-for-draw identical to constructing a fresh
-#: one — it just skips the per-call object allocation.  The sampler runs in
-#: the single-threaded symbex hot loop (shards are separate processes), so
-#: the shared instance is safe.
-_SAMPLER_RNG = random.Random()
+#: Reused generators for :func:`udp_flow_key_sampler`, one per thread (the
+#: service runs analyses in executor threads, and interleaved
+#: ``seed()``/``getrandbits()`` calls on one generator would corrupt keys).
+#: ``Random.seed(n)`` resets the full Mersenne Twister state exactly like
+#: ``Random(n)`` does, so reusing an instance is draw-for-draw identical to
+#: constructing a fresh one — it just skips the per-call object allocation.
+_SAMPLER_LOCAL = threading.local()
 
 _SERVICE_PORTS = (53, 80, 123, 443, 8080, 8443)
 
@@ -264,7 +277,10 @@ def udp_flow_key_sampler(seed: int) -> int:
     the value stream is bit-identical to the naive implementation —
     ``tests/test_hashing.py`` pins this equivalence against a reference.
     """
-    rng = _SAMPLER_RNG
+    try:
+        rng = _SAMPLER_LOCAL.rng
+    except AttributeError:
+        rng = _SAMPLER_LOCAL.rng = random.Random()
     rng.seed(seed)
     gb = rng.getrandbits
     src_ip = 0x0A000000 | gb(24)  # 10.0.0.0/8
@@ -280,22 +296,85 @@ def udp_flow_key_sampler(seed: int) -> int:
     return lb_flow_key(src_ip, src_port, _SERVICE_PORTS[c])
 
 
+def _cache_dir() -> Path:
+    """Where flow tables persist: ``$XDG_CACHE_HOME`` (or ``~/.cache``) ``/castan-repro``."""
+    return Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "castan-repro"
+
+
+def _cache_header(identity: str, payload: bytes) -> bytes:
+    """First line of a cache file: the build parameters and the payload's sha256."""
+    return f"{identity} {hashlib.sha256(payload).hexdigest()}\n".encode("ascii")
+
+
+def _load_keys(path: Path, identity: str, count: int) -> array | None:
+    """The key matrix persisted at ``path``, or None (absent, or failed validation)."""
+    try:
+        header, newline, payload = path.read_bytes().partition(b"\n")
+    except OSError:
+        return None  # not cached yet (or unreadable): build
+    if header + newline != _cache_header(identity, payload) or len(payload) != 8 * count:
+        logger.warning(
+            "rainbow table cache %s failed its checksum/size/parameter check; rebuilding", path
+        )
+        return None
+    keys = array("Q")
+    keys.frombytes(payload)
+    logger.info("rainbow table loaded from %s", path)
+    return keys
+
+
+def _store_keys(path: Path, identity: str, keys: array) -> None:
+    """Persist ``keys`` atomically (temp file + ``os.replace``; mkstemp files are 0600)."""
+    import tempfile  # only the one building run per machine pays this import
+
+    payload = keys.tobytes()
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, staged = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as out:
+                out.write(_cache_header(identity, payload) + payload)
+            os.replace(staged, path)
+        except BaseException:
+            os.unlink(staged)
+            raise
+    except OSError as error:
+        logger.warning(
+            "rainbow table cache %s is not writable (%s); table kept in memory only", path, error
+        )
+
+
 def build_flow_rainbow_table(
     tailored: bool = True,
     chain_length: int = 32,
     num_chains: int = 4096,
     seed: int = 0xB0B,
 ) -> RainbowTable:
-    """Build the rainbow table used for the NAT/LB flow hash."""
+    """The rainbow table used for the NAT/LB flow hash, built once per machine.
+
+    The chain-key matrix is a pure function of the parameters below and the
+    code named by :data:`TABLE_CACHE_VERSION`, so it persists under
+    :func:`_cache_dir` and later processes load it instead of re-deriving it.
+    """
     sampler = udp_flow_key_sampler if tailored else generic_key_sampler
-    return RainbowTable(
+    identity = (
+        f"{TABLE_CACHE_VERSION}:flow_hash16:{FLOW_HASH_BITS}:{sampler.__name__}"
+        f":{chain_length}:{num_chains}:{seed}:{sys.byteorder}"
+    )
+    path = _cache_dir() / f"{hashlib.sha256(identity.encode('ascii')).hexdigest()}.keys"
+    keys = _load_keys(path, identity, chain_length * num_chains)
+    table = RainbowTable(
         hash_fn=flow_hash16,
         key_sampler=sampler,
         chain_length=chain_length,
         num_chains=num_chains,
         hash_bits=FLOW_HASH_BITS,
         seed=seed,
+        keys=keys,
     )
+    if keys is None:
+        _store_keys(path, identity, table._keys)
+    return table
 
 
 def exhaustive_preimages(

@@ -549,14 +549,16 @@ class SymbolicEngine:
         return verdicts
 
     def _memory_query_fns(self, state: ExecutionState):
-        """The (feasible, solve_value) callbacks handed to the cache model.
+        """The (feasible, solve_value, pinned_value) callbacks of ``on_access``.
 
         Shared by both execution modes so the solver-fallback logic cannot
         drift between them.  ``feasible`` carries the concolic fast path: a
         shadow that satisfies the whole path and the probe constraint is a
         live witness, so the optimistic feasibility check cannot answer
         anything but True (a no-op for interp-mode states, whose
-        ``shadow_valid`` is never set).
+        ``shadow_valid`` is never set).  ``pinned_value`` (None without an
+        incremental context) lets the model skip probing a pointer the
+        path has already pinned.
         """
         context = state.solver_context
         solver = self.solver
@@ -580,7 +582,7 @@ class SymbolicEngine:
             }
             return evaluate(expr, assignment)
 
-        return feasible, solve_value
+        return feasible, solve_value, context.pinned_value if context is not None else None
 
     def _execute_memory_group(self, state: ExecutionState, plans) -> bool:
         """Replay a compiled run of memory accesses through the cache model.
@@ -591,7 +593,7 @@ class SymbolicEngine:
         earlier results.  Returns False when an access errored the state.
         """
         stats = self._stats
-        feasible, solve_value = self._memory_query_fns(state)
+        queries = self._memory_query_fns(state)
         apply_access = self._apply_access
 
         # A vector memory buffer left this run's access matrix row for us:
@@ -627,8 +629,7 @@ class SymbolicEngine:
                 read_value = None
             return apply_access(
                 state, model, plan.region, index_expr, plan.is_write,
-                read_value=read_value, dest=plan.dest,
-                feasible=feasible, solve_value=solve_value,
+                read_value=read_value, dest=plan.dest, queries=queries,
             )
 
         state.cache_model.on_access_batch(plans, execute_one, index_exprs=hints)
@@ -710,7 +711,6 @@ class SymbolicEngine:
     def _execute_memory(self, state: ExecutionState, instruction, is_write: bool) -> None:
         region = self.module.get_region(instruction.region)
         index_expr = self._operand(state, instruction.index)
-        feasible, solve_value = self._memory_query_fns(state)
         self._apply_access(
             state,
             state.cache_model,
@@ -719,8 +719,7 @@ class SymbolicEngine:
             is_write,
             read_value=(lambda: self._operand(state, instruction.value)) if is_write else None,
             dest=None if is_write else instruction.dest.name,
-            feasible=feasible,
-            solve_value=solve_value,
+            queries=self._memory_query_fns(state),
         )
 
     def _apply_access(
@@ -732,15 +731,15 @@ class SymbolicEngine:
         is_write: bool,
         read_value,
         dest: str | None,
-        feasible,
-        solve_value,
+        queries,
     ) -> bool:
         """One memory access: bounds check, cache decision, state effects.
 
         The single per-access body shared by the interpreter and the
         compiled memory steps (so the two modes cannot drift).  ``read_value``
         is called only after the cache decision, matching the interpreter's
-        operand-read order.  Returns False when the access errored the state.
+        operand-read order; ``queries`` is :meth:`_memory_query_fns`'s tuple.
+        Returns False when the access errored the state.
         """
         if index_expr.__class__ is Const and not (0 <= index_expr.value < region.length):
             state.status = StateStatus.ERROR
@@ -749,7 +748,7 @@ class SymbolicEngine:
                 f"(length {region.length})"
             )
             return False
-        decision = model.on_access(region, index_expr, is_write, feasible, solve_value)
+        decision = model.on_access(region, index_expr, is_write, *queries)
         if decision.constraint is not None:
             state.add_constraint(decision.constraint)
         state.current_cost += self.cycle_costs.memory_cost(decision.level)

@@ -39,7 +39,7 @@ import itertools
 from typing import Iterable
 
 from repro.symbex import expr as expr_module
-from repro.symbex.expr import Const, Expr, evaluate, reduce_expr
+from repro.symbex.expr import Const, Expr, evaluate, reduce_concrete, reduce_expr
 from repro.symbex.solver import Solver, SolverResult, _Domain
 
 #: Rounds cap for one incremental propagation wave; mirrors the cap in
@@ -497,6 +497,13 @@ class SolverContext:
             _CHECK_MEMO.clear()
         _CHECK_MEMO[key] = result
         return result
+
+    def pinned_value(self, expr: Expr) -> int | None:
+        """The value of ``expr`` if propagation has pinned every symbol it reads.
+
+        None on an ``unsat`` context, whose assignment proves nothing.
+        """
+        return None if self.unsat else reduce_concrete(expr, self._assignment)
 
     def assignment_of(self, name: str) -> int | None:
         """The pinned value of a symbol, if propagation fully determined it."""

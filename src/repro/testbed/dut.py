@@ -32,6 +32,8 @@ class TestbedConfig:
     throughput; it is calibrated so the NOP NF forwards ~3.45 Mpps.
     """
 
+    __test__ = False  # "Test*" by name only: keep pytest from collecting it
+
     hierarchy: HierarchyConfig = field(default_factory=HierarchyConfig)
     cycle_costs: CycleCosts = DEFAULT_CYCLE_COSTS
     wire_overhead_ns: float = 4280.0

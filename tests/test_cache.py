@@ -1,14 +1,23 @@
 """Tests for the cache substrate: set-associative caches, the simulated
 hierarchy, contention-set discovery and the symbex cache models."""
 
+import itertools
+
 import pytest
 
 from repro.cache.contention import ContentionSets, discover_contention_sets
 from repro.cache.hierarchy import HierarchyConfig, MemoryHierarchy
 from repro.cache.model import ContentionSetCacheModel, NoCacheModel
 from repro.cache.setassoc import SetAssociativeCache
+from repro.core.castan import Castan
+from repro.core.config import CastanConfig
+from repro.ir.instructions import BinOpKind
 from repro.ir.module import MemoryRegion
-from repro.symbex.expr import Const, Sym, evaluate
+from repro.nf.registry import get_nf
+from repro.service.store import canonical_result_digest
+from repro.symbex.expr import Const, Sym, evaluate, expr_eq, make_binop
+from repro.symbex.incremental import CONTEXT_STATS, SolverContext
+from repro.symbex.state import ExecutionState
 
 
 def tiny_hierarchy(**overrides) -> MemoryHierarchy:
@@ -278,6 +287,92 @@ class TestCacheModels:
         model.on_access(region, Const(0), False, lambda c: True, lambda e: 0)
         decision = model.on_access(region, symbol, False, lambda c: True, lambda e: 1)
         assert evaluate(decision.constraint, {"idx": decision.index}) == 1
+
+
+class TestPinnedPointerFastPath:
+    """A pointer the path already pins is concretized without the solver,
+    to exactly what probing every candidate would have chosen."""
+
+    TOUCHED = (13, 7, 21)
+
+    def _access(self, pins, *, fast: bool):
+        """One symbolic access on a path holding ``pins``; returns what it did."""
+        hierarchy = tiny_hierarchy()
+        region = MemoryRegion(name="buckets", length=64, element_size=8, base_address=1 << 30)
+        pool = [region.base_address + i * 64 for i in range(8)]
+        model = ContentionSetCacheModel(ContentionSets.from_oracle(hierarchy, pool))
+        for index in self.TOUCHED:  # too small for contention: these become the candidates
+            model.on_access(region, Const(index), False, lambda c: True, lambda e: index)
+        symbol = Sym("h", 16)
+        context = SolverContext()
+        for value in pins:
+            context.add(expr_eq(symbol, Const(value)))
+        probes = []
+
+        def feasible(constraint):
+            probes.append(constraint)
+            return context.feasible_with(constraint)
+
+        pointer = make_binop(BinOpKind.AND, symbol, Const(0xFFF))
+        decision = model.on_access(
+            region, pointer, False, feasible, context.solve_value,
+            context.pinned_value if fast else None,
+        )
+        return decision, vars(model.stats), len(probes), context
+
+    @pytest.mark.parametrize(
+        "pins, index, targeted",
+        [
+            ([7], 7, 1),  # pinned onto a candidate: that candidate wins
+            ([40], 40, 0),  # pinned elsewhere: every candidate loses, fall back to the value
+            ([1000], 63, 0),  # pinned out of range: the fallback clamps into the region
+        ],
+    )
+    def test_pinned_pointer_skips_probing(self, pins, index, targeted):
+        fast, fast_stats, fast_probes, _ = self._access(pins, fast=True)
+        loop, loop_stats, loop_probes, _ = self._access(pins, fast=False)
+        assert (fast, fast_stats) == (loop, loop_stats)
+        assert (fast.index, fast_stats["contention_targeted"]) == (index, targeted)
+        assert fast.constraint is expr_eq(make_binop(BinOpKind.AND, Sym("h", 16), Const(0xFFF)), Const(index))
+        assert fast_probes == 0 and loop_probes >= 1
+
+    def test_unpinned_and_unsat_paths_take_the_probe_loop(self):
+        for pins in ([], [1, 2]):  # nothing pinned / contradictory pins
+            fast, fast_stats, fast_probes, context = self._access(pins, fast=True)
+            loop, loop_stats, loop_probes, _ = self._access(pins, fast=False)
+            assert context.unsat == bool(pins)
+            assert context.pinned_value(Sym("h", 16)) is None
+            assert (fast, fast_stats, fast_probes) == (loop, loop_stats, loop_probes)
+            assert fast_probes >= 1
+        assert fast.index == 0  # unsat: no candidate is feasible and there is no value
+
+    @pytest.mark.parametrize("nf_name", ["nat-hash-ring", "policer-two-choice"])
+    def test_analysis_is_identical_with_probing_forced(self, nf_name, monkeypatch):
+        """Differential: the fast path changes no decision, constraint or count."""
+        config = CastanConfig(max_states=60, num_packets=5, deadline_seconds=None)
+        inner = ContentionSetCacheModel.on_access
+        runs = []
+        for forced in (False, True):
+            decisions = []
+
+            def recording(self, *args, _log=decisions):
+                decision = inner(self, *args)
+                _log.append((decision, vars(self.stats).copy()))
+                return decision
+
+            with monkeypatch.context() as patch:
+                patch.setattr(ContentionSetCacheModel, "on_access", recording)
+                # Havoc symbols are named after state ids: number both runs alike.
+                patch.setattr(ExecutionState, "_ids", itertools.count())
+                if forced:
+                    patch.setattr(SolverContext, "pinned_value", lambda self, expr: None)
+                queries = CONTEXT_STATS.queries
+                result = Castan(config).analyze(get_nf(nf_name))
+                runs.append((decisions, canonical_result_digest(result), CONTEXT_STATS.queries - queries))
+        (fast, fast_digest, fast_queries), (loop, loop_digest, loop_queries) = runs
+        assert fast == loop and fast_digest == loop_digest
+        assert any(decision.constraint is not None for decision, _ in fast)
+        assert fast_queries < loop_queries // 2  # most probes hit pinned pointers
 
 
 class TestWayPartitioning:

@@ -1,15 +1,22 @@
 """End-to-end tests of the CASTAN pipeline: analysis, workload synthesis,
 havoc reconciliation, pcap output and adversarial effect on the testbed."""
 
+import logging
+
 import pytest
 
+from repro.core import castan as castan_module
 from repro.core.castan import Castan
 from repro.core.config import CastanConfig
 from repro.core.workload import make_packet_symbols, packets_from_model, symbol_defaults
-from repro.hashing.functions import flow_hash16, lb_flow_key
+from repro.frontend.compiler import compile_nf
+from repro.hashing.functions import FLOW_HASH_DIALECT_SOURCE, flow_hash16, lb_flow_key
+from repro.ir.module import Module
 from repro.net.pcap import read_pcap
-from repro.nf.common import HASH_TABLE_BUCKETS, VIP_ADDRESS
+from repro.nf.base import NetworkFunction
+from repro.nf.common import HASH_TABLE_BUCKETS, VIP_ADDRESS, middlebox_packet_defaults
 from repro.nf.registry import get_nf
+from repro.service.store import canonical_result_digest
 from repro.symbex.solver import Model
 from repro.testbed.measure import measure_latency
 from repro.workloads.generators import make_castan_workload, make_unirand_castan_workload
@@ -130,6 +137,71 @@ class TestPipeline:
         instructions = [i for i in result.metrics.instructions_per_packet if i > 0]
         assert instructions
         assert max(instructions) <= 4 * min(instructions)
+
+
+TWEAKED_HASH_SOURCE = """
+def tweaked_hash16(key):
+    return flow_hash16(key ^ 0x5A5A5A5A)
+
+
+def process(src_ip, dst_ip, src_port, dst_port, protocol):
+    key = src_ip | (src_port << 32) | (dst_port << 48)
+    slot = castan_havoc(key, tweaked_hash16(key)) & 255
+    buckets[slot] = buckets[slot] + 1
+    return 1
+"""
+
+
+def tweaked_hash16(key: int) -> int:
+    return flow_hash16(key ^ 0x5A5A5A5A)
+
+
+class TestRainbowTablesPerNF:
+    def test_nf_with_its_own_hash_gets_a_table_for_that_hash(self, tmp_path, monkeypatch):
+        """A ``flow_hash16`` table for another hash fails every havoc, silently."""
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        module = Module("tweaked")
+        module.add_region("buckets", 256, 8)
+        compile_nf(module, FLOW_HASH_DIALECT_SOURCE + TWEAKED_HASH_SOURCE, entry="process")
+        nf = NetworkFunction(
+            name="tweaked",
+            module=module,
+            description="hash table indexed by a hash other than flow_hash16",
+            nf_class="lb",
+            data_structure="hash-table",
+            hash_functions={"tweaked_hash16": tweaked_hash16},
+            hash_output_bits={"tweaked_hash16": 16},
+            packet_defaults=middlebox_packet_defaults(),
+            castan_packet_count=4,
+        )
+        castan = Castan(
+            quick_config(num_packets=4, max_states=60, rainbow_chains=2048, rainbow_chain_length=24)
+        )
+        result = castan.analyze(nf)
+        assert result.havoc_outcome.reconciled and not result.havoc_outcome.failed
+        table = castan._rainbow_tables(nf)["tweaked_hash16"]
+        assert table.hash_fn is tweaked_hash16
+        assert table is Castan(castan.config)._rainbow_tables(nf)["tweaked_hash16"]  # per process
+        assert not list(tmp_path.iterdir())  # and never persisted
+
+    def test_corrupt_cache_file_never_changes_the_result(self, tmp_path, monkeypatch, caplog):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        config = quick_config(deadline_seconds=None, max_states=60, num_packets=5)
+        digests = []
+        for corrupt in (False, True, False):
+            monkeypatch.setattr(castan_module, "_RAINBOW_TABLE_CACHE", {})
+            if corrupt:
+                (cached,) = (tmp_path / "castan-repro").iterdir()
+                raw = bytearray(cached.read_bytes())
+                raw[len(raw) // 2] ^= 0xFF
+                cached.write_bytes(raw)
+            with caplog.at_level(logging.WARNING, logger="repro.hashing.rainbow"):
+                result = Castan(config).analyze(get_nf("nat-hash-table"))
+            assert ("failed its checksum" in caplog.text) == corrupt
+            caplog.clear()
+            digests.append(canonical_result_digest(result))
+        assert result.havoc_outcome.reconciled  # the table was really used
+        assert len(set(digests)) == 1
 
 
 class TestAdversarialEffect:

@@ -1,6 +1,12 @@
 """Tests for the flow hash, key packing and rainbow-table inversion."""
 
+import hashlib
+import logging
 import random
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +25,7 @@ from repro.hashing.functions import (
     nat_reverse_key,
 )
 from repro.hashing.rainbow import (
+    TABLE_CACHE_VERSION,
     BruteForceInverter,
     RainbowTable,
     build_flow_rainbow_table,
@@ -112,10 +119,37 @@ class TestTailoredSamplerStream:
             assert udp_flow_key_sampler(seed) == self._naive_reference(seed)
 
     def test_pure_function_of_seed(self):
-        # The shared module-level Random must not leak state across calls.
+        # The reused per-thread Random must not leak state across calls.
         first = udp_flow_key_sampler(99)
         udp_flow_key_sampler(12345)
         assert udp_flow_key_sampler(99) == first
+
+    def test_two_threads_never_corrupt_each_other(self):
+        """``/score`` runs analyses in executor threads: a generator shared
+        between them would interleave ``seed()`` and ``getrandbits()``."""
+        seeds = [random.Random(t).getrandbits(64) for t in range(2)]
+        expected = [self._naive_reference(seed) for seed in seeds]
+        mismatches: list[int] = []
+        start = threading.Barrier(2)
+
+        def hammer(slot: int) -> None:
+            start.wait(timeout=10)
+            for _ in range(20_000):
+                if udp_flow_key_sampler(seeds[slot]) != expected[slot]:
+                    mismatches.append(slot)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(slot,)) for slot in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not mismatches
 
 
 class TestRainbowTable:
@@ -160,14 +194,15 @@ class TestRainbowTable:
         """The columnar (position-major) build yields the identical table.
 
         Passing ``flow_hash16`` through a wrapper defeats the ``is`` check
-        in ``RainbowTable._build``, forcing the scalar per-chain loop — the
-        two construction orders must produce the same chains dict.
+        in ``RainbowTable._hash_column``, forcing one scalar hash call per
+        key — both must produce the same key matrix and chains dict.
         """
         kwargs = dict(
             key_sampler=udp_flow_key_sampler, chain_length=8, num_chains=300, seed=9
         )
         columnar = RainbowTable(hash_fn=flow_hash16, **kwargs)
         scalar = RainbowTable(hash_fn=lambda k: flow_hash16(k), **kwargs)
+        assert columnar._keys == scalar._keys
         assert columnar._chains == scalar._chains
         assert columnar.stats.distinct_endpoints == scalar.stats.distinct_endpoints
 
@@ -184,3 +219,118 @@ class TestRainbowTable:
         table = exhaustive_preimages(flow_hash16, keys)
         for hash_value, preimages in list(table.items())[:20]:
             assert all(flow_hash16(k) == hash_value for k in preimages)
+
+
+def _behaviour(table: RainbowTable, targets) -> tuple:
+    """Everything observable about a table: inversions and the counts they leave."""
+    found = [table.invert(target, limit=4) for target in targets]
+    stats = {k: v for k, v in vars(table.stats).items() if k not in ("source", "build_seconds")}
+    return found, stats
+
+
+class TestFlowTablePersistence:
+    """``build_flow_rainbow_table`` builds once per machine, then loads."""
+
+    SMALL = dict(chain_length=12, num_chains=400, seed=21)
+    LOGGER = "repro.hashing.rainbow"
+
+    @pytest.fixture
+    def cache_dir(self, tmp_path, monkeypatch) -> Path:
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        return tmp_path / "castan-repro"
+
+    @pytest.mark.parametrize("tailored", [True, False])
+    def test_loaded_table_equals_fresh_build(self, cache_dir, tailored):
+        built = build_flow_rainbow_table(tailored=tailored, **self.SMALL)
+        loaded = build_flow_rainbow_table(tailored=tailored, **self.SMALL)
+        assert (built.stats.source, loaded.stats.source) == ("built", "loaded")
+        assert loaded._keys == built._keys and loaded._chains == built._chains
+        rng = random.Random(8)
+        targets = [rng.getrandbits(FLOW_HASH_BITS) for _ in range(200)]
+        assert _behaviour(loaded, targets) == _behaviour(built, targets)
+        (cached,) = cache_dir.iterdir()
+        assert cached.stat().st_mode & 0o777 == 0o600
+
+    def test_arbitrary_callables_never_touch_disk(self, cache_dir):
+        RainbowTable(lambda k: flow_hash16(k), generic_key_sampler, chain_length=4, num_chains=16)
+        assert not cache_dir.exists()
+
+    @pytest.mark.parametrize("damage", ["truncate", "bitflip", "other-parameters", "empty"])
+    def test_invalid_file_warns_and_is_rebuilt(self, cache_dir, caplog, damage):
+        reference = build_flow_rainbow_table(**self.SMALL)
+        (cached,) = cache_dir.iterdir()
+        raw = cached.read_bytes()
+        if damage == "truncate":
+            cached.write_bytes(raw[: len(raw) // 2])
+        elif damage == "bitflip":
+            cached.write_bytes(raw[:-9] + bytes([raw[-9] ^ 0x10]) + raw[-8:])
+        elif damage == "empty":
+            cached.write_bytes(b"")
+        else:
+            # A self-consistent file of another table, under this table's name.
+            build_flow_rainbow_table(**{**self.SMALL, "seed": 22})
+            (other,) = (path for path in cache_dir.iterdir() if path != cached)
+            cached.write_bytes(other.read_bytes())
+        with caplog.at_level(logging.WARNING, logger=self.LOGGER):
+            rebuilt = build_flow_rainbow_table(**self.SMALL)
+        assert "failed its checksum/size/parameter check" in caplog.text
+        assert rebuilt.stats.source == "built" and rebuilt._keys == reference._keys
+        assert cached.read_bytes() == raw  # overwritten with the valid file
+        assert build_flow_rainbow_table(**self.SMALL).stats.source == "loaded"
+
+    def test_unwritable_cache_dir_warns_and_builds_in_memory(self, cache_dir, caplog):
+        # A plain file where the directory should be: unwritable for any uid.
+        cache_dir.write_text("in the way")
+        with caplog.at_level(logging.WARNING, logger=self.LOGGER):
+            table = build_flow_rainbow_table(**self.SMALL)
+        assert "is not writable" in caplog.text
+        assert table.stats.source == "built"
+        assert table._keys == RainbowTable(flow_hash16, udp_flow_key_sampler, **self.SMALL)._keys
+        assert cache_dir.read_text() == "in the way"
+
+    def test_build_and_load_are_logged(self, cache_dir, caplog):
+        with caplog.at_level(logging.INFO, logger=self.LOGGER):
+            build_flow_rainbow_table(**self.SMALL)
+            build_flow_rainbow_table(**self.SMALL)
+        messages = [record.getMessage() for record in caplog.records]
+        assert any(" built in " in message for message in messages)
+        assert any(f"loaded from {cache_dir}" in message for message in messages)
+
+    def test_two_processes_racing_on_a_cold_cache_both_succeed(self, cache_dir):
+        script = (
+            "import hashlib\n"
+            "from repro.hashing.rainbow import build_flow_rainbow_table\n"
+            f"table = build_flow_rainbow_table(**{self.SMALL!r})\n"
+            "print(hashlib.sha256(table._keys.tobytes()).hexdigest())\n"
+        )
+        racers = [
+            subprocess.Popen(
+                [sys.executable, "-c", script], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+            )
+            for _ in range(2)
+        ]
+        outputs = [racer.communicate(timeout=60) for racer in racers]
+        assert [racer.returncode for racer in racers] == [0, 0], outputs
+        loaded = build_flow_rainbow_table(**self.SMALL)
+        assert loaded.stats.source == "loaded"
+        digest = hashlib.sha256(loaded._keys.tobytes()).hexdigest()
+        assert [out.strip() for out, _ in outputs] == [digest, digest]
+        assert [path.suffix for path in cache_dir.iterdir()] == [".keys"]  # no staging leftovers
+
+    def test_default_table_digest_is_pinned(self):
+        """Persisted matrices outlive the code that built them.
+
+        If this fails, the sampler, the flow hash or the reduction changed:
+        bump ``TABLE_CACHE_VERSION`` (so stale files stop matching) and repin
+        both values here.
+        """
+        keys = RainbowTable(
+            flow_hash16, udp_flow_key_sampler, chain_length=32, num_chains=4096, seed=0xB0B
+        )._keys
+        if sys.byteorder == "big":
+            keys = keys[:]
+            keys.byteswap()
+        assert (TABLE_CACHE_VERSION, hashlib.sha256(keys.tobytes()).hexdigest()) == (
+            "castan-rainbow-v1",
+            "849d96b34b271715cd3daa71399ce117b8e98291fee2c7b8fc3b72fceda66553",
+        )
