@@ -1,20 +1,23 @@
 """Stream-scorer throughput benchmark (trajectory-keeping).
 
 Distills adversarial signatures from a smoke-scale ``nat-hash-table``
-analysis, then measures how fast the two scoring tiers turn synthetic
-in-class packets into verdict masks:
+analysis, then measures how fast packets become verdicts:
 
 * **vector** — :func:`repro.scoring.scorer.score_batch_columns` over
-  pre-materialized columnar batches (the line-rate tier; the acceptance
+  pre-materialized columnar batches (the kernel alone; the acceptance
   floor of 1M packets/sec applies here, machine-calibration-normalized);
 * **scalar** — :func:`repro.scoring.scorer.score_batch_fields` over a
   subsample (the reference tier; measured so a correctness-path regression
-  is visible too).
+  is visible too);
+* **pcap** — :func:`repro.scoring.jobs.run_score_job` from a capture file to
+  the summary, against a warm store, one pass in each of a few fresh
+  processes (best kept): the number a ``repro_score.py --pcap`` user gets.
 
-Batch generation is *outside* the timed region — the benchmark measures
-scoring, not ``random_flow_columns``.  Every run also asserts the two
-tiers byte-agree on the first batch, so the trajectory can never record a
-throughput number for a scorer that diverged from its reference.
+Batch generation and the pcap write are *outside* the timed regions — the
+benchmark measures scoring, not ``random_flow_columns`` or ``write_pcap``.
+Every run also asserts the two tiers byte-agree on the first batch, so the
+trajectory can never record a throughput number for a scorer that diverged
+from its reference.
 
 ``BENCH_scorer.json`` holds a trajectory (one entry per PR, appended)::
 
@@ -22,8 +25,8 @@ throughput number for a scorer that diverged from its reference.
         --out BENCH_scorer.json --label pr9-scorer
 
 Gate a change against the committed baseline (the ``scorer-smoke`` CI
-step; ratio vs the last entry plus an absolute packets/sec floor, both
-normalized by the machine-calibration score)::
+step; vector and pcap ratio vs the last entry plus an absolute vector
+packets/sec floor, all normalized by the machine-calibration score)::
 
     PYTHONPATH=src python benchmarks/bench_scorer.py \
         --check BENCH_scorer.json --min-ratio 0.6 --min-pps 1000000
@@ -38,7 +41,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
+import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -46,16 +52,20 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from bench_symbex_perf import calibrate_machine  # noqa: E402
-from repro.core.castan import Castan  # noqa: E402
 from repro.core.config import CastanConfig  # noqa: E402
+from repro.net.packet import Packet  # noqa: E402
+from repro.net.pcap import write_pcap  # noqa: E402
 from repro.nf.registry import get_nf  # noqa: E402
-from repro.scoring import distill_signatures  # noqa: E402
+from repro.scoring.jobs import obtain_result, obtain_signatures, run_score_job  # noqa: E402
 from repro.scoring.scorer import (  # noqa: E402
+    ScorerOptions,
     score_batch_columns,
     score_batch_fields,
     verdict_bytes,
 )
-from repro.scoring.stream import columns_to_fields, random_flow_columns  # noqa: E402
+from repro.scoring.signatures import FIELD_ORDER  # noqa: E402
+from repro.scoring.stream import random_flow_columns  # noqa: E402
+from repro.service.store import ResultStore  # noqa: E402
 from repro.symbex.expr import HAVE_NUMPY  # noqa: E402
 
 #: The NF whose signatures the benchmark scores against: the hash-table NAT
@@ -66,28 +76,54 @@ BENCH_NF = "nat-hash-table"
 
 _SCALE_STATES = {"smoke": 40, "quick": 120, "full": 400}
 
+#: Packets the analysis synthesizes; part of the store key the pcap children hit.
+ANALYSIS_PACKETS = 3
+
+#: Fresh processes the pcap block times one pass in (best kept).
+PCAP_CHILDREN = 3
+
+#: Scorer knobs of the pcap block, explicit so ``REPRO_SCORE_*`` never shape it.
+PCAP_OPTIONS = {"batch_size": 8192, "window_size": 65536, "top_k": 5}
+
 
 def _max_states() -> int:
     scale = os.environ.get("REPRO_EVAL_SCALE", "smoke").lower()
     return _SCALE_STATES.get(scale, _SCALE_STATES["smoke"])
 
 
-def prepare_signatures(max_states: int | None = None):
-    """Analyze the bench NF and distill its signatures (untimed setup)."""
-    nf = get_nf(BENCH_NF)
-    config = CastanConfig(
+def bench_config(max_states: int | None = None) -> CastanConfig:
+    return CastanConfig(
         max_states=max_states if max_states is not None else _max_states(),
         deadline_seconds=None,
         search_mode="beam",
     )
-    result = Castan(config).analyze(nf, num_packets=3)
-    signature_set = distill_signatures(nf, result, config=config)
+
+
+def prepare_signatures(max_states: int | None = None, store=None):
+    """Analyze the bench NF and distill its signatures (untimed setup).
+
+    With a ``store`` both land there, which is what makes a later
+    ``run_score_job`` against it pay for the traffic only.
+    """
+    nf = get_nf(BENCH_NF)
+    config = bench_config(max_states)
+    result = obtain_result(nf, config, ANALYSIS_PACKETS, store=store)
+    signature_set = obtain_signatures(nf, result, config, store=store)
     if not signature_set.signatures:
         raise RuntimeError(
             f"distillation produced no signatures for {BENCH_NF} "
             f"(max_states={config.max_states}); nothing to benchmark"
         )
     return nf, signature_set
+
+
+def columns_to_fields(columns) -> list[dict[str, int]]:
+    """Per-packet field dicts of one columnar batch (scalar-tier input)."""
+    return [dict(zip(FIELD_ORDER, flow)) for flow in _flows(columns)]
+
+
+def _flows(columns):
+    return zip(*(columns[name].tolist() for name in FIELD_ORDER))
 
 
 def bench_scorer(
@@ -100,8 +136,6 @@ def bench_scorer(
     """Time both tiers over a pre-materialized synthetic stream."""
     if not HAVE_NUMPY:
         raise RuntimeError("the vector tier needs numpy (the [vector] extra)")
-    import random
-
     rng = random.Random(0)
     batches = []
     remaining = packets
@@ -156,14 +190,77 @@ def bench_scorer(
     }
 
 
+def write_traffic(nf, signature_set, packets: int, path: Path) -> None:
+    """A seeded capture: in-class background plus 1 % signature-matching flows."""
+    rng = random.Random(0)
+    injected = max(1, packets // 100)
+    matching = [flow for s in signature_set for flow in s.priming_flows] or [(0,) * 5]
+    flows = list(_flows(random_flow_columns(nf, packets - injected, rng)))
+    flows += (matching * (injected // len(matching) + 1))[:injected]
+    rng.shuffle(flows)
+    write_pcap(path, (Packet(*flow) for flow in flows))
+
+
+def score_pcap_child(spec: dict) -> dict:
+    """One ``run_score_job`` pass, file to summary (runs in a fresh process)."""
+    store = ResultStore(spec["store"])
+    start = time.perf_counter()
+    summary = run_score_job(
+        BENCH_NF,
+        bench_config(spec["max_states"]),
+        {"pcap_path": spec["pcap"]},
+        num_packets=ANALYSIS_PACKETS,
+        store=store,
+        options=ScorerOptions(**PCAP_OPTIONS),
+    )
+    wall = time.perf_counter() - start
+    return {
+        "wall_seconds": wall,
+        **{key: summary[key] for key in ("packets", "matched", "frames_skipped")},
+    }
+
+
+def bench_pcap(signatures, nf, store, max_states: int, packets: int = 200_000) -> dict:
+    """Time ``run_score_job`` over a seeded pcap, one pass per fresh process.
+
+    ``store`` must already hold the analysis and ``signatures`` (see
+    :func:`prepare_signatures`), so a pass pays for the traffic only.
+    """
+    with tempfile.TemporaryDirectory(prefix="bench-scorer-pcap-") as scratch:
+        pcap = Path(scratch) / "traffic.pcap"
+        write_traffic(nf, signatures, packets, pcap)
+        spec = {"store": str(store.root), "pcap": str(pcap), "max_states": max_states}
+        command = [sys.executable, __file__, "--score-pcap-child", json.dumps(spec)]
+        passes = []
+        for _ in range(PCAP_CHILDREN):
+            done = subprocess.run(command, capture_output=True, text=True, check=True)
+            passes.append(json.loads(done.stdout.splitlines()[-1]))
+    best = min(passes, key=lambda one: one["wall_seconds"])
+    if any(one["packets"] != packets or one["matched"] != best["matched"] for one in passes):
+        raise RuntimeError(f"pcap passes disagree or lost packets: {passes}")
+    return {
+        "packets": packets,
+        "batch_size": PCAP_OPTIONS["batch_size"],
+        "wall_seconds": round(best["wall_seconds"], 4),
+        "packets_per_second": round(packets / best["wall_seconds"], 1),
+        "matched": best["matched"],
+        "frames_skipped": best["frames_skipped"],
+    }
+
+
 def run_benchmark(
     packets: int = 1_000_000,
     batch_size: int = 8192,
     max_states: int | None = None,
     label: str | None = None,
+    pcap_packets: int = 200_000,
 ) -> dict:
-    nf, signature_set = prepare_signatures(max_states)
-    record = bench_scorer(signature_set, nf, packets=packets, batch_size=batch_size)
+    max_states = bench_config(max_states).max_states  # the children need the resolved value
+    with tempfile.TemporaryDirectory(prefix="bench-scorer-") as scratch:
+        store = ResultStore(scratch)
+        nf, signature_set = prepare_signatures(max_states, store=store)
+        record = bench_scorer(signature_set, nf, packets=packets, batch_size=batch_size)
+        record["pcap"] = bench_pcap(signature_set, nf, store, max_states, pcap_packets)
     entry = {
         "label": label or "current",
         "nf": BENCH_NF,
@@ -177,7 +274,9 @@ def run_benchmark(
         f"({record['vector']['packets']} packets, "
         f"{record['vector']['wall_seconds']:.2f}s, "
         f"{record['vector']['matched']} matched), scalar "
-        f"{record['scalar']['packets_per_second']:,.0f} pkts/s"
+        f"{record['scalar']['packets_per_second']:,.0f} pkts/s, pcap file -> summary "
+        f"{record['pcap']['packets_per_second']:,.0f} pkts/s "
+        f"({record['pcap']['packets']} packets, {record['pcap']['wall_seconds']:.2f}s)"
     )
     return entry
 
@@ -204,11 +303,11 @@ def check_against_baseline(
 ) -> int:
     """Gate ``entry`` on the committed trajectory.
 
-    Two conditions, both machine-calibration-normalized so the gate
-    measures the code rather than the runner hardware:
+    Machine-calibration-normalized, so the gate measures the code rather
+    than the runner hardware:
 
-    * **ratio** — vector packets/sec must stay within ``min_ratio`` of the
-      last committed entry;
+    * **ratio** — vector *and* pcap (file → summary) packets/sec must each
+      stay within ``min_ratio`` of the last committed entry;
     * **floor** — vector packets/sec must clear ``min_pps`` outright
       (scaled to the baseline machine when both calibrations are present).
     """
@@ -217,8 +316,6 @@ def check_against_baseline(
         print(f"{path} has no trajectory entries; nothing to compare against")
         return 1
     baseline = data["trajectory"][-1]
-    base_pps = baseline["vector"]["packets_per_second"]
-    current_pps = entry["vector"]["packets_per_second"]
     base_cal = baseline.get("machine_calibration")
     current_cal = entry.get("machine_calibration")
     scale = 1.0
@@ -229,28 +326,31 @@ def check_against_baseline(
             f"normalised by machine calibration {current_cal:.0f} vs "
             f"baseline {base_cal:.0f} it/s"
         )
-    normalized_pps = current_pps * scale
-    ratio = normalized_pps / base_pps if base_pps else float("inf")
-    print(
-        f"vector tier: baseline {base_pps:,.0f} pkts/s "
-        f"({baseline.get('label')}), current {current_pps:,.0f} pkts/s "
-        f"-> {normalized_pps:,.0f} normalized ({note}); "
-        f"ratio {ratio:.2f} (floor {min_ratio:.2f}), "
-        f"absolute floor {min_pps:,.0f} pkts/s"
-    )
     status = 0
-    if ratio < min_ratio:
+    for block, floor in (("vector", min_pps), ("pcap", 0.0)):
+        base_pps = baseline[block]["packets_per_second"]
+        current_pps = entry[block]["packets_per_second"]
+        normalized_pps = current_pps * scale
+        ratio = normalized_pps / base_pps if base_pps else float("inf")
         print(
-            f"PERF REGRESSION: scorer throughput dropped more than "
-            f"{(1 - min_ratio) * 100:.0f}% below the committed baseline"
+            f"{block}: baseline {base_pps:,.0f} pkts/s "
+            f"({baseline.get('label')}), current {current_pps:,.0f} pkts/s "
+            f"-> {normalized_pps:,.0f} normalized ({note}); "
+            f"ratio {ratio:.2f} (floor {min_ratio:.2f})"
+            + (f", absolute floor {floor:,.0f} pkts/s" if floor else "")
         )
-        status = 1
-    if normalized_pps < min_pps:
-        print(
-            f"PERF FLOOR MISS: {normalized_pps:,.0f} normalized pkts/s is "
-            f"below the {min_pps:,.0f} line-rate floor"
-        )
-        status = 1
+        if ratio < min_ratio:
+            print(
+                f"PERF REGRESSION: {block} throughput dropped more than "
+                f"{(1 - min_ratio) * 100:.0f}% below the committed baseline"
+            )
+            status = 1
+        if normalized_pps < floor:
+            print(
+                f"PERF FLOOR MISS: {block} {normalized_pps:,.0f} normalized pkts/s is "
+                f"below the {floor:,.0f} floor"
+            )
+            status = 1
     if status == 0:
         print("scorer perf gate passed")
     return status
@@ -265,11 +365,12 @@ def test_scorer_bench_smoke():
 
     if not HAVE_NUMPY:
         pytest.skip("vector tier needs numpy")
-    nf, signature_set = prepare_signatures(max_states=40)
-    record = bench_scorer(signature_set, nf, packets=50_000, batch_size=8192)
+    record = run_benchmark(packets=50_000, max_states=40, pcap_packets=20_000)
     assert record["signatures"] > 0
     assert record["vector"]["packets_per_second"] > 0
     assert record["verdicts_byte_identical"]
+    assert record["pcap"]["packets_per_second"] > 0
+    assert record["pcap"]["matched"] > 0 and record["pcap"]["frames_skipped"] == 0
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -282,6 +383,11 @@ def main(argv: list[str] | None = None) -> int:
         help="synthetic packets to score through the vector tier",
     )
     parser.add_argument("--batch", type=int, default=8192, help="columnar batch size")
+    parser.add_argument(
+        "--pcap-packets", type=int, default=200_000,
+        help="packets of the capture scored file -> summary",
+    )
+    parser.add_argument("--score-pcap-child", default=None, help=argparse.SUPPRESS)
     parser.add_argument(
         "--max-states", type=int, default=None, help="analysis exploration budget"
     )
@@ -302,12 +408,16 @@ def main(argv: list[str] | None = None) -> int:
         help="absolute vector-tier packets/sec floor (default 1M)",
     )
     args = parser.parse_args(argv)
+    if args.score_pcap_child:
+        print(json.dumps(score_pcap_child(json.loads(args.score_pcap_child))))
+        return 0
 
     entry = run_benchmark(
         packets=args.packets,
         batch_size=args.batch,
         max_states=args.max_states,
         label=args.label,
+        pcap_packets=args.pcap_packets,
     )
     status = 0
     if args.check:

@@ -3,7 +3,10 @@
 CASTAN emits adversarial workloads as pcap files that MoonGen replays; this
 module implements the classic pcap container (magic 0xA1B2C3D4, microsecond
 timestamps, LINKTYPE_ETHERNET) so generated workloads round-trip through a
-format any standard tool (tcpdump, Wireshark, MoonGen) can consume.
+format any standard tool (tcpdump, Wireshark, MoonGen) can consume.  The
+reader also takes the nanosecond variant (magic 0xA1B23C4D) current tcpdump
+writes.  It has one container parser, :meth:`PcapReader.chunks`; per-record
+iteration and the columnar frame parser (:mod:`repro.net.columns`) sit on it.
 """
 
 from __future__ import annotations
@@ -17,13 +20,20 @@ from typing import BinaryIO, Iterable, Iterator
 from repro.net.packet import Packet, PacketParseError, parse_packet
 
 PCAP_MAGIC = 0xA1B2C3D4
-PCAP_MAGIC_SWAPPED = 0xD4C3B2A1
+PCAP_MAGIC_NANO = 0xA1B23C4D
 PCAP_VERSION_MAJOR = 2
 PCAP_VERSION_MINOR = 4
 LINKTYPE_ETHERNET = 1
 
 _GLOBAL_HEADER = struct.Struct("<IHHiIII")
 _RECORD_HEADER = struct.Struct("<IIII")
+
+#: Magic -> sub-second units per second; read byte-swapped, a big-endian capture.
+_MAGICS = {PCAP_MAGIC: 1e6, PCAP_MAGIC_NANO: 1e9}
+
+#: Bytes the record walker reads at a time: with ``MAX_RECORD_BYTES`` it caps
+#: the reader's memory whatever the capture's size.
+CHUNK_BYTES = 1 << 20
 
 #: Link types this reader knows how to hand to the packet parser.  Anything
 #: else (LINKTYPE_RAW, 802.11, ...) would silently misparse every frame, so
@@ -112,7 +122,7 @@ class PcapWriter:
 
 
 class PcapReader:
-    """Iterate over records of a classic pcap file (either byte order)."""
+    """Read a classic pcap file: either byte order, micro- or nanoseconds."""
 
     def __init__(self, source: str | Path | BinaryIO) -> None:
         if isinstance(source, (str, Path)):
@@ -124,12 +134,10 @@ class PcapReader:
         header = self._stream.read(_GLOBAL_HEADER.size)
         if len(header) < _GLOBAL_HEADER.size:
             raise PcapFormatError("truncated pcap global header")
-        magic_le = struct.unpack("<I", header[:4])[0]
-        if magic_le == PCAP_MAGIC:
-            self._endian = "<"
-        elif magic_le == PCAP_MAGIC_SWAPPED:
-            self._endian = ">"
-        else:
+        magic_le, magic_be = (int.from_bytes(header[:4], order) for order in ("little", "big"))
+        self._endian = "<" if magic_le in _MAGICS else ">"
+        self._subsecond = _MAGICS.get(magic_le) or _MAGICS.get(magic_be)
+        if not self._subsecond:
             raise PcapFormatError(f"bad pcap magic 0x{magic_le:08x}")
         fields = struct.unpack(self._endian + "IHHiIII", header)
         self.snaplen = fields[5]
@@ -140,28 +148,59 @@ class PcapReader:
                 f"(supported: {sorted(SUPPORTED_LINKTYPES)})"
             )
 
-    def __iter__(self) -> Iterator[PcapRecord]:
-        record = struct.Struct(self._endian + "IIII")
+    def chunks(self) -> Iterator[tuple[bytes, list[int], list[int]]]:
+        """Walk the records: ``(buffer, offsets, lengths)`` per bounded read.
+
+        ``buffer[offsets[i] : offsets[i] + lengths[i]]`` is the *i*-th frame
+        of the chunk and its record header the 16 bytes before it.  A record
+        that straddles a read is carried into the next buffer, so a buffer
+        never exceeds ``CHUNK_BYTES`` plus one record.  Records before a
+        malformed one are handed out before the error is raised.
+        """
+        header_size = _RECORD_HEADER.size
+        captured_len = struct.Struct(self._endian + "8xI").unpack_from
+        pending = b""
         while True:
-            header = self._stream.read(record.size)
-            if not header:
+            data = self._stream.read(CHUNK_BYTES)
+            buffer = pending + data
+            offsets, lengths, error = [], [], None
+            position, end = 0, len(buffer)
+            while position + header_size <= end:
+                (length,) = captured_len(buffer, position)
+                if length > MAX_RECORD_BYTES:
+                    error = f"implausible pcap record length {length} (limit {MAX_RECORD_BYTES})"
+                    break
+                start = position + header_size
+                if start + length > end:
+                    break
+                offsets.append(start)
+                lengths.append(length)
+                position = start + length
+            if offsets:
+                yield buffer, offsets, lengths
+            pending = buffer[position:]
+            if error is None and not data and pending:
+                have = len(pending)  # a whole header means the walk above read its ``length``
+                error = (
+                    f"truncated pcap record header ({have} of {header_size} bytes)"
+                    if have < header_size
+                    else f"truncated pcap record data ({have - header_size} of {length} bytes)"
+                )
+            if error is not None:
+                raise PcapFormatError(error)
+            if not data:
                 return
-            if len(header) < record.size:
-                raise PcapFormatError(
-                    f"truncated pcap record header ({len(header)} of {record.size} bytes)"
+
+    def __iter__(self) -> Iterator[PcapRecord]:
+        header_size = _RECORD_HEADER.size
+        stamp = struct.Struct(self._endian + "II").unpack_from
+        for buffer, offsets, lengths in self.chunks():
+            for offset, length in zip(offsets, lengths):
+                seconds, fraction = stamp(buffer, offset - header_size)
+                yield PcapRecord(
+                    timestamp=seconds + fraction / self._subsecond,
+                    data=buffer[offset : offset + length],
                 )
-            seconds, microseconds, captured_len, _original_len = record.unpack(header)
-            if captured_len > MAX_RECORD_BYTES:
-                raise PcapFormatError(
-                    f"implausible pcap record length {captured_len} "
-                    f"(limit {MAX_RECORD_BYTES})"
-                )
-            data = self._stream.read(captured_len)
-            if len(data) < captured_len:
-                raise PcapFormatError(
-                    f"truncated pcap record data ({len(data)} of {captured_len} bytes)"
-                )
-            yield PcapRecord(timestamp=seconds + microseconds / 1e6, data=data)
 
     def close(self) -> None:
         if self._owns_stream:

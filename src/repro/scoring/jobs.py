@@ -10,7 +10,8 @@ One entry point shared by the service's ``POST /score`` executor and the
    in the store's signature shelf under the set's own content address;
 3. **stream** — score the requested traffic (an uploaded pcap or a
    synthetic in-class stream) in batches, emitting one event per completed
-   window plus a terminal summary.
+   window plus a terminal summary (``frames_skipped``: frames of a capture
+   the parser dropped as not IPv4 or truncated).
 
 ``emit(kind, payload)`` receives ``("signatures", ...)`` once, then
 ``("window", ...)`` per window; the returned summary carries lifetime
@@ -21,6 +22,8 @@ stops within one batch of traffic.
 from __future__ import annotations
 
 import io
+import logging
+from collections import Counter
 
 from repro.core.castan import Castan, CastanResult
 from repro.core.config import CastanConfig
@@ -29,13 +32,15 @@ from repro.nf.registry import get_nf
 from repro.scoring.distill import DistillReport, distill_signatures
 from repro.scoring.scorer import ScorerOptions, StreamScorer
 from repro.scoring.signatures import SignatureSet
-from repro.scoring.stream import (
+from repro.scoring.stream import (  # bench/ wraps the first three as names of this module
     fields_to_columns,
     iter_pcap_batches,
     packets_to_fields,
     synthetic_batches,
 )
 from repro.symbex.expr import HAVE_NUMPY
+
+logger = logging.getLogger("repro.scoring")
 
 
 def obtain_result(
@@ -81,17 +86,28 @@ def obtain_signatures(
     return signature_set
 
 
-def _traffic_batches(nf: NetworkFunction, traffic: dict, options: ScorerOptions):
-    """Batches for one traffic spec: ``pcap_bytes``/``pcap_path`` or ``synthetic``."""
+def _traffic_batches(
+    nf: NetworkFunction, traffic: dict, options: ScorerOptions, counters: Counter
+):
+    """Batches for one traffic spec: ``pcap_bytes``/``pcap_path`` or ``synthetic``.
+
+    Columns with numpy, per-packet field dicts without; ``counters`` takes the
+    number of frames the pcap parser dropped.
+    """
     if "pcap_bytes" in traffic or "pcap_path" in traffic:
         source = (
             io.BytesIO(traffic["pcap_bytes"])
             if "pcap_bytes" in traffic
             else traffic["pcap_path"]
         )
-        for packets in iter_pcap_batches(source, options.batch_size):
-            fields = packets_to_fields(packets)
-            yield fields_to_columns(fields) if HAVE_NUMPY else fields
+        batches = iter_pcap_batches(
+            source, options.batch_size, columnar=HAVE_NUMPY, counters=counters
+        )
+        if HAVE_NUMPY:
+            yield from batches
+        else:
+            for packets in batches:
+                yield packets_to_fields(packets)
         return
     if "synthetic" in traffic:
         count = int(traffic["synthetic"])
@@ -149,7 +165,8 @@ def run_score_job(
         top_k=options.top_k,
     )
     cancelled = False
-    for batch in _traffic_batches(nf, traffic, options):
+    counters: Counter = Counter()
+    for batch in _traffic_batches(nf, traffic, options, counters):
         if should_cancel is not None and should_cancel():
             cancelled = True
             break
@@ -161,6 +178,9 @@ def run_score_job(
             emit("window", trailing.to_dict())
 
     summary = scorer.summary()
+    skipped = summary["frames_skipped"] = counters["frames_skipped"]
+    if skipped:
+        logger.info("%s: skipped %d frame(s) that are not IPv4 or are truncated", nf.name, skipped)
     summary["nf"] = nf.name
     summary["cancelled"] = cancelled
     summary["signature_store_key"] = signature_set.store_key()

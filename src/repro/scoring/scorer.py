@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import os
 import struct
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.scoring.signatures import AdversarialSignature
-from repro.scoring.stream import FIELD_ORDER, batch_flows
+from repro.scoring.signatures import FIELD_ORDER, AdversarialSignature
 from repro.symbex.expr import HAVE_NUMPY, column_evaluator, dag_evaluator
 
 if HAVE_NUMPY:
@@ -152,9 +152,10 @@ class StreamScorer:
     Feed batches in either representation (columnar dict of uint64 arrays,
     or a list of per-packet field dicts); each :meth:`feed` returns the
     windows that *completed* inside that batch, and :meth:`finish` flushes
-    the final partial window.  All counters are derived purely from the
-    verdict masks, so scalar- and vector-fed scorers of the same packets
-    report identical windows.
+    the final partial window.  Either tier reduces its batch to the matched
+    rows and hands them to the one accounting routine (:meth:`ingest`), so
+    scalar- and vector-fed scorers of the same packets report identical
+    windows.
     """
 
     def __init__(
@@ -187,32 +188,42 @@ class StreamScorer:
         """Score one batch; returns the windows completed by it."""
         if isinstance(batch, list):
             masks = score_batch_fields(self.signatures, batch)
-        else:
-            masks = score_batch_columns(self.signatures, batch)
-        return self.ingest(masks, batch_flows(batch))
+            rows = [row for row, mask in enumerate(masks) if mask]
+            flows = [tuple(batch[row][name] for name in FIELD_ORDER) for row in rows]
+            return self.ingest(len(masks), rows, [masks[row] for row in rows], flows)
+        masks = score_batch_columns(self.signatures, batch)
+        rows = _np.flatnonzero(masks)
+        flows = list(zip(*(batch[name][rows].tolist() for name in FIELD_ORDER)))
+        return self.ingest(len(masks), rows.tolist(), masks[rows].tolist(), flows)
 
-    def ingest(self, masks, flows) -> list[ScoreWindow]:
-        """Account one batch's verdict masks against the window state.
+    def ingest(self, size: int, rows: list, masks: list, flows: list) -> list[ScoreWindow]:
+        """Account one batch of ``size`` packets, given only its matched rows.
 
-        ``masks`` is whatever tier produced it (list or numpy array);
-        ``flows`` the parallel 5-tuples.  Window boundaries may fall inside
-        the batch — packets are attributed to windows in stream order.
+        ``rows`` are the ascending batch indices of the packets with a
+        non-zero verdict, ``masks`` and ``flows`` their verdict masks and
+        5-tuples.  The batch is cut at window boundaries by arithmetic — a
+        batch may close several windows or none — and each window takes the
+        matched rows that fall inside it, so the cost follows the matched
+        packets, not the traffic.
         """
         completed: list[ScoreWindow] = []
-        for mask, flow in zip(masks, flows):
-            mask = int(mask)
-            self.total_packets += 1
-            self._window_packets += 1
-            if mask:
-                self.total_matched += 1
-                self._window_matched += 1
-                self._window_offenders[flow] += 1
-                bits = mask
-                while bits:
-                    bit = (bits & -bits).bit_length() - 1
-                    self.total_hits[bit] += 1
-                    self._window_hits[bit] += 1
-                    bits &= bits - 1
+        self.total_packets += size
+        self.total_matched += len(rows)
+        done = first = 0  # packets / matched rows already attributed
+        while done < size:
+            take = min(self.window_size - self._window_packets, size - done)
+            done += take
+            self._window_packets += take
+            last = bisect_left(rows, done, first)
+            self._window_matched += last - first
+            self._window_offenders.update(flows[first:last])
+            for mask, count in Counter(masks[first:last]).items():
+                while mask:
+                    bit = (mask & -mask).bit_length() - 1
+                    self.total_hits[bit] += count
+                    self._window_hits[bit] += count
+                    mask &= mask - 1
+            first = last
             if self._window_packets >= self.window_size:
                 completed.append(self._close_window())
         return completed

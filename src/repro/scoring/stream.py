@@ -5,17 +5,20 @@ one ``uint64`` array per packet field, the layout
 :func:`~repro.symbex.expr.column_evaluator` executes predicates over
 directly — and without numpy it degrades to a list of per-packet field
 dicts for the scalar reference path.  Both representations carry exactly
-the five canonical fields of :data:`~repro.scoring.signatures.FIELD_ORDER`,
-so converting between them (:func:`columns_to_fields` /
-:func:`fields_to_columns`) is lossless and order-preserving.
+the five canonical fields of :data:`~repro.scoring.signatures.FIELD_ORDER`.
+A pcap reaches the vector tier without a per-packet object in between:
+:func:`iter_pcap_batches` in columnar mode parses the capture's bytes straight
+into the columns.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from pathlib import Path
 from typing import BinaryIO, Iterator
 
+from repro.net.columns import parse_frame_columns
 from repro.net.packet import Packet, PacketParseError
 from repro.net.pcap import PcapReader
 from repro.nf.base import NetworkFunction
@@ -28,20 +31,9 @@ else:  # pragma: no cover - numpy ships with the [vector] extra
     _np = None
 
 
-def packet_fields(packet: Packet) -> dict[str, int]:
-    """The five canonical field values of one packet."""
-    return {
-        "src_ip": packet.src_ip,
-        "dst_ip": packet.dst_ip,
-        "src_port": packet.src_port,
-        "dst_port": packet.dst_port,
-        "protocol": packet.protocol,
-    }
-
-
 def packets_to_fields(packets: list[Packet]) -> list[dict[str, int]]:
     """Scalar batch representation: one field dict per packet."""
-    return [packet_fields(packet) for packet in packets]
+    return [dict(zip(FIELD_ORDER, packet.flow_tuple)) for packet in packets]
 
 
 def fields_to_columns(fields: list[dict[str, int]]):
@@ -54,47 +46,56 @@ def fields_to_columns(fields: list[dict[str, int]]):
     }
 
 
-def columns_to_fields(columns) -> list[dict[str, int]]:
-    """Back from columns to per-packet field dicts (for the scalar path)."""
-    size = len(columns[FIELD_ORDER[0]])
-    return [
-        {name: int(columns[name][row]) for name in FIELD_ORDER} for row in range(size)
-    ]
-
-
-def batch_flows(batch) -> list[tuple[int, int, int, int, int]]:
-    """The 5-tuples of one batch (either representation), in packet order."""
-    if isinstance(batch, list):
-        return [tuple(f[name] for name in FIELD_ORDER) for f in batch]
-    size = len(batch[FIELD_ORDER[0]])
-    return [
-        tuple(int(batch[name][row]) for name in FIELD_ORDER) for row in range(size)
-    ]
-
-
 def iter_pcap_batches(
-    source: str | Path | BinaryIO, batch_size: int
-) -> Iterator[list[Packet]]:
-    """Parseable packets of a pcap capture, in batches of ``batch_size``.
+    source: str | Path | BinaryIO,
+    batch_size: int,
+    columnar: bool = False,
+    counters: Counter | None = None,
+) -> Iterator:
+    """Parseable packets of a pcap capture, in batches of exactly ``batch_size``.
 
-    Unparseable frames are skipped (the NFs drop non-IPv4 traffic the same
-    way); malformed *containers* still raise
-    :class:`~repro.net.pcap.PcapFormatError` from the reader.
+    A batch is a ``list[Packet]``, or with ``columnar=True`` (needs numpy) the
+    dict of ``uint64`` field columns, parsed straight from the capture's
+    bytes.  Unparseable frames are skipped (the NFs drop non-IPv4 traffic the
+    same way) and counted into ``counters["frames_skipped"]``; malformed
+    *containers* still raise :class:`~repro.net.pcap.PcapFormatError`.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be positive, got {batch_size}")
-    batch: list[Packet] = []
+    if columnar and _np is None:
+        raise RuntimeError("columnar pcap batches require numpy (the [vector] extra)")
+    if counters is None:
+        counters = Counter()
     with PcapReader(source) as reader:
+        if columnar:
+            yield from _column_batches(reader, batch_size, counters)
+            return
+        batch: list[Packet] = []
         for record in reader:
             try:
                 batch.append(record.to_packet())
             except PacketParseError:
+                counters["frames_skipped"] += 1
                 continue
             if len(batch) >= batch_size:
                 yield batch
                 batch = []
     if batch:
         yield batch
+
+
+def _column_batches(reader: PcapReader, batch_size: int, counters: Counter) -> Iterator[dict]:
+    """Re-cut the reader's chunks into column batches of ``batch_size`` rows."""
+    rows = _np.empty((len(FIELD_ORDER), 0), dtype=_np.uint64)
+    for buffer, offsets, lengths in reader.chunks():
+        parsed, skipped = parse_frame_columns(buffer, offsets, lengths)
+        counters["frames_skipped"] += skipped
+        rows = _np.concatenate([rows, parsed], axis=1)
+        while rows.shape[1] >= batch_size:
+            yield dict(zip(FIELD_ORDER, rows[:, :batch_size]))
+            rows = rows[:, batch_size:]
+    if rows.shape[1]:
+        yield dict(zip(FIELD_ORDER, rows))
 
 
 def random_flow_columns(nf: NetworkFunction, size: int, rng: random.Random):

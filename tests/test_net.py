@@ -1,12 +1,15 @@
 """Tests for the packet substrate: headers, checksums, flows, pcap I/O."""
 
 import io
+import struct
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.checksum import internet_checksum, verify_checksum
+from repro.net.columns import parse_frame_columns
 from repro.net.flows import Flow, FlowKey, unique_flows
 from repro.net.packet import (
     IPProtocol,
@@ -18,6 +21,9 @@ from repro.net.packet import (
     parse_packet,
 )
 from repro.net.pcap import (
+    MAX_RECORD_BYTES,
+    PCAP_MAGIC,
+    PCAP_MAGIC_NANO,
     PcapFormatError,
     PcapReader,
     PcapWriter,
@@ -25,6 +31,9 @@ from repro.net.pcap import (
     read_pcap,
     write_pcap,
 )
+from repro.scoring.signatures import FIELD_ORDER
+from repro.scoring.stream import iter_pcap_batches
+from repro.symbex.expr import HAVE_NUMPY
 
 
 class TestChecksum:
@@ -210,3 +219,227 @@ class TestPcap:
         assert len(read_pcap(path)) == 1
         with pytest.raises(PacketParseError):
             read_pcap(path, strict=True)
+
+
+def capture(frames, endian="<", magic=PCAP_MAGIC, stamps=None) -> bytes:
+    """A pcap blob of raw frames with every header field in ``endian`` order."""
+    blob = struct.pack(endian + "IHHiIII", magic, 2, 4, 0, 0, 65535, 1)
+    for index, frame in enumerate(frames):
+        seconds, fraction = stamps[index] if stamps else (index, 0)
+        blob += struct.pack(endian + "IIII", seconds, fraction, len(frame), len(frame)) + frame
+    return blob
+
+
+def raw_frame(ether_type=0x0800, ihl=5, protocol=17, src=1, dst=2, l4=b"") -> bytes:
+    """An Ethernet frame whose IPv4 header claims ``ihl`` words (options zeroed)."""
+    ip = bytearray(max(ihl, 5) * 4)
+    ip[0] = 0x40 | ihl
+    ip[9] = protocol
+    ip[12:16] = src.to_bytes(4, "big")
+    ip[16:20] = dst.to_bytes(4, "big")
+    return b"\x02" * 12 + ether_type.to_bytes(2, "big") + bytes(ip) + l4
+
+
+class TestPcapVariants:
+    """Nanosecond and big-endian captures, and reads that split records."""
+
+    @pytest.mark.parametrize("endian", ["<", ">"])
+    def test_nanosecond_magic_is_accepted_and_scales_timestamps(self, endian):
+        frames = [make_udp_packet(1, 2, 3, 4).to_bytes(), make_tcp_packet(5, 6, 7, 8).to_bytes()]
+        blob = capture(frames, endian, PCAP_MAGIC_NANO, stamps=[(1, 500_000_000), (2, 1)])
+        records = list(PcapReader(io.BytesIO(blob)))
+        assert [record.data for record in records] == frames
+        assert [record.timestamp for record in records] == [1.5, 2 + 1e-9]
+        # The same sub-second field under the microsecond magic is 1000x larger.
+        micro = list(PcapReader(io.BytesIO(capture(frames, endian, stamps=[(1, 500_000), (2, 1)]))))
+        assert [record.timestamp for record in micro] == [1.5, 2 + 1e-6]
+
+    def test_big_endian_capture_reads_like_little_endian(self):
+        frames = [make_udp_packet(i, i + 1, 1000 + i, 80).to_bytes() for i in range(5)]
+        big = list(PcapReader(io.BytesIO(capture(frames, ">"))))
+        little = list(PcapReader(io.BytesIO(capture(frames, "<"))))
+        assert big == little and [record.data for record in big] == frames
+
+    @pytest.mark.parametrize("chunk", [1, 7, 16, 17, 58, 59, 200])
+    def test_records_straddling_a_chunk_boundary(self, monkeypatch, chunk):
+        frames = [make_udp_packet(i, 2, 3, 4, payload=b"x" * (i % 5)).to_bytes() for i in range(9)]
+        frames.insert(4, b"")  # a zero-length record is a record all the same
+        blob = capture(frames)
+        whole = list(PcapReader(io.BytesIO(blob)))
+        monkeypatch.setattr("repro.net.pcap.CHUNK_BYTES", chunk)
+        assert list(PcapReader(io.BytesIO(blob))) == whole
+        assert [record.data for record in whole] == frames
+        # Every frame is handed out exactly once, whatever the cut.
+        cut = [
+            buffer[offset : offset + length]
+            for buffer, offsets, lengths in PcapReader(io.BytesIO(blob)).chunks()
+            for offset, length in zip(offsets, lengths)
+        ]
+        assert cut == frames
+
+    def test_records_before_a_malformed_one_are_delivered(self):
+        blob = capture([make_udp_packet(1, 2, 3, 4).to_bytes()] * 3) + b"\x00" * 7
+        seen = []
+        with pytest.raises(PcapFormatError, match="truncated pcap record header"):
+            for record in PcapReader(io.BytesIO(blob)):
+                seen.append(record)
+        assert len(seen) == 3
+
+
+# -- columnar ingest -------------------------------------------------------------------
+
+
+def reference_rows(frames):
+    """``parse_packet`` over every frame: kept five-tuples and the skip count."""
+    rows, skipped = [], 0
+    for frame in frames:
+        try:
+            rows.append(parse_packet(frame).flow_tuple)
+        except PacketParseError:
+            skipped += 1
+    return rows, skipped
+
+
+def columnar_rows(blob, batch_size=4):
+    """The columnar ingest over a whole capture: five-tuples and the skip count."""
+    counters = Counter()
+    rows = []
+    for batch in iter_pcap_batches(io.BytesIO(blob), batch_size, columnar=True, counters=counters):
+        assert all(str(column.dtype) == "uint64" for column in batch.values())
+        rows += zip(*(batch[name].tolist() for name in FIELD_ORDER))
+    return rows, counters["frames_skipped"]
+
+
+# Lengths around every boundary the parser tests: EtherType, the 34-byte
+# minimum, the end of the IPv4 header, and the UDP/TCP port thresholds.
+_l4 = st.builds(
+    lambda ports, filler, size: (ports + filler * 40)[:size],
+    ports=st.binary(min_size=4, max_size=4),
+    filler=st.binary(min_size=1, max_size=1),
+    size=st.sampled_from([0, 3, 4, 7, 8, 9, 19, 20, 21]) | st.integers(0, 44),
+)
+_frames = st.builds(
+    raw_frame,
+    ether_type=st.sampled_from([0x0800] * 6 + [0x86DD, 0x0806, 0x8100, 0x0801]),
+    ihl=st.sampled_from([5] * 6 + list(range(16))),
+    protocol=st.sampled_from([1, 6, 6, 17, 17, 47, 255]),
+    src=st.integers(0, 2**32 - 1),
+    dst=st.integers(0, 2**32 - 1),
+    l4=_l4,
+).flatmap(
+    lambda frame: st.one_of(
+        st.just(frame),
+        st.just(frame),
+        st.integers(0, len(frame)).map(lambda cut: frame[:cut]),
+        st.sampled_from([12, 13, 14, 15, 33, 34, 35]).map(lambda cut: frame[:cut]),
+        st.sampled_from([-21, -20, -13, -9, -8, -1]).map(lambda cut: frame[:cut]),
+    )
+)
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="the columnar parser needs numpy")
+class TestColumnarIngest:
+    @given(frames=st.lists(_frames, max_size=12))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_parser_equals_parse_packet_row_for_row(self, frames):
+        (chunk,) = list(PcapReader(io.BytesIO(capture(frames))).chunks()) or [(b"", [], [])]
+        columns, skipped = parse_frame_columns(*chunk)
+        rows, reference_skipped = reference_rows(frames)
+        assert list(zip(*columns.tolist())) == rows
+        assert skipped == reference_skipped
+        assert str(columns.dtype) == "uint64" and columns.shape == (5, len(rows))
+
+    def test_known_frames(self):
+        udp = make_udp_packet(0x0A000001, 0x0A000002, 1234, 80, payload=b"hello")
+        tcp = make_tcp_packet(0xC0A80001, 0xFFFFFFFF, 65535, 1)
+        ports = (4321).to_bytes(2, "big") + (53).to_bytes(2, "big")
+        frames = [
+            udp.to_bytes(),
+            raw_frame(ether_type=0x86DD, l4=b"\x00" * 40),  # IPv6
+            raw_frame(ether_type=0x8100, l4=b"\x00" * 40),  # VLAN tag
+            tcp.to_bytes(),
+            udp.to_bytes()[:20],  # truncated below the minimum
+            raw_frame(ihl=4, l4=b"\x00" * 20),  # IHL below 5
+            raw_frame(ihl=15, l4=b"\x00" * 8)[:60],  # options run past the frame
+            raw_frame(ihl=7, protocol=17, src=9, dst=8, l4=ports + b"\x00" * 4),  # IP options
+            raw_frame(protocol=17, src=7, dst=6, l4=ports + b"\x00" * 3),  # UDP, 7 L4 bytes
+            raw_frame(protocol=6, src=5, dst=4, l4=ports + b"\x00" * 15),  # TCP, 19 L4 bytes
+            raw_frame(protocol=1, src=3, dst=2, l4=ports + b"\x00" * 20),  # ICMP
+        ]
+        rows, skipped = columnar_rows(capture(frames))
+        assert (rows, skipped) == reference_rows(frames)
+        assert skipped == 5
+        assert rows == [
+            udp.flow_tuple,
+            tcp.flow_tuple,
+            (9, 8, 4321, 53, 17),
+            (7, 6, 0, 0, 17),
+            (5, 4, 0, 0, 6),
+            (3, 2, 0, 0, 1),
+        ]
+
+    @pytest.mark.parametrize("chunk", [1, 16, 59, 333, 1 << 20])
+    @pytest.mark.parametrize("endian", ["<", ">"])
+    def test_batches_are_exact_whatever_the_chunking(self, monkeypatch, chunk, endian):
+        packets = [make_udp_packet(i, i + 1, 1000 + i, 80) for i in range(23)]
+        frames = [packet.to_bytes() for packet in packets]
+        frames[5:5] = [b"\xff" * 40, b""]  # skipped frames do not count towards a batch
+        monkeypatch.setattr("repro.net.pcap.CHUNK_BYTES", chunk)
+        blob = capture(frames, endian)
+        batches = list(iter_pcap_batches(io.BytesIO(blob), 5, columnar=True))
+        assert [len(batch["src_ip"]) for batch in batches] == [5, 5, 5, 5, 3]
+        rows, skipped = columnar_rows(blob, batch_size=5)
+        assert rows == [packet.flow_tuple for packet in packets] and skipped == 2
+        # The per-packet mode cuts the same batches and counts the same skips.
+        counters = Counter()
+        scalar = list(iter_pcap_batches(io.BytesIO(blob), 5, counters=counters))
+        assert [[p.flow_tuple for p in batch] for batch in scalar] == [
+            rows[start : start + 5] for start in range(0, 23, 5)
+        ]
+        assert counters["frames_skipped"] == 2
+
+    def test_empty_and_all_skipped_captures_yield_no_batch(self):
+        assert list(iter_pcap_batches(io.BytesIO(capture([])), 4, columnar=True)) == []
+        rows, skipped = columnar_rows(capture([b"\xff" * 60] * 3))
+        assert (rows, skipped) == ([], 3)
+
+    # The malformed-container cases of ``TestPcap``, through the columnar mode.
+
+    @staticmethod
+    def drain(blob):
+        return list(iter_pcap_batches(io.BytesIO(blob), 4, columnar=True))
+
+    def test_rejects_bad_magic_and_truncated_global_header(self):
+        with pytest.raises(PcapFormatError, match="bad pcap magic"):
+            self.drain(b"\x00" * 32)
+        with pytest.raises(PcapFormatError, match="truncated pcap global header"):
+            self.drain(b"\x01\x02")
+
+    def test_rejects_unsupported_linktype(self):
+        with pytest.raises(PcapFormatError, match="link type 101"):
+            self.drain(struct.pack("<IHHiIII", PCAP_MAGIC, 2, 4, 0, 0, 65535, 101))
+        with pytest.raises(PcapFormatError, match="link type 105"):
+            self.drain(struct.pack(">IHHiIII", PCAP_MAGIC, 2, 4, 0, 0, 65535, 105))
+
+    @pytest.mark.parametrize("endian", ["<", ">"])
+    def test_rejects_truncated_record_header(self, endian):
+        blob = capture([make_udp_packet(1, 2, 3, 4).to_bytes()], endian) + b"\x00" * 7
+        with pytest.raises(PcapFormatError, match=r"record header \(7 of 16"):
+            self.drain(blob)
+
+    @pytest.mark.parametrize("endian", ["<", ">"])
+    def test_rejects_truncated_record_data(self, endian):
+        blob = capture([make_udp_packet(1, 2, 3, 4).to_bytes()], endian)
+        with pytest.raises(PcapFormatError, match=r"truncated pcap record data \(37 of 42"):
+            self.drain(blob[:-5])
+
+    @pytest.mark.parametrize("endian", ["<", ">"])
+    def test_rejects_implausible_record_length(self, endian):
+        bogus = struct.pack(endian + "IIII", 0, 0, MAX_RECORD_BYTES + 1, MAX_RECORD_BYTES + 1)
+        with pytest.raises(PcapFormatError, match="implausible pcap record length"):
+            self.drain(capture([], endian) + bogus)
+        # The bound itself is a legal record.
+        frame = make_udp_packet(1, 2, 3, 4, payload=b"\x00" * (MAX_RECORD_BYTES - 42)).to_bytes()
+        assert len(frame) == MAX_RECORD_BYTES
+        (batch,) = self.drain(capture([frame], endian))
+        assert batch["src_port"].tolist() == [3]

@@ -18,8 +18,11 @@ Three gates, mirroring the layer's three claims:
 
 from __future__ import annotations
 
+import io
 import json
+import logging
 import random
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -31,7 +34,7 @@ from repro.core.config import CastanConfig
 from repro.hashing.functions import flow_hash16
 from repro.ir.instructions import CmpKind
 from repro.net.packet import make_udp_packet
-from repro.net.pcap import packets_to_pcap_bytes
+from repro.net.pcap import PcapWriter, packets_to_pcap_bytes
 from repro.nf.registry import get_nf
 from repro.scoring import (
     AdversarialSignature,
@@ -43,7 +46,9 @@ from repro.scoring import (
     verdict_bytes,
 )
 from repro.scoring.distill import _mine_matching_columns
+from repro.scoring.jobs import obtain_result, obtain_signatures, run_score_job
 from repro.scoring.replay import PrimedReplay, flow_fields
+from repro.scoring.scorer import ScorerOptions
 from repro.scoring.signatures import (
     FIELD_ORDER,
     field_sym,
@@ -56,6 +61,7 @@ from repro.scoring.stream import (
     packets_to_fields,
     random_flow_fields,
 )
+from repro.service.store import ResultStore
 from repro.symbex.expr import (
     HAVE_NUMPY,
     Const,
@@ -84,12 +90,18 @@ def distilled(request):
 
 
 @pytest.fixture(scope="module")
-def nat_distilled():
+def nat_store(tmp_path_factory):
+    """A result store that :func:`nat_distilled` warms for ``run_score_job``."""
+    return ResultStore(tmp_path_factory.mktemp("score-store"))
+
+
+@pytest.fixture(scope="module")
+def nat_distilled(nat_store):
     """The NAT's signatures (includes the unrolled-hash predicate)."""
     nf = get_nf("nat-hash-table")
     config = CastanConfig(**SMOKE)
-    result = Castan(config).analyze(nf, num_packets=3)
-    signature_set = distill_signatures(nf, result, config=config)
+    result = obtain_result(nf, config, 3, store=nat_store)
+    signature_set = obtain_signatures(nf, result, config, store=nat_store)
     assert signature_set.signatures, "smoke NAT run must distill signatures"
     return nf, signature_set
 
@@ -312,8 +324,6 @@ class TestTierIdentity:
         packets = [make_udp_packet(*flow[:4]) for flow in flows]
         blob = packets_to_pcap_bytes(packets)
 
-        import io
-
         total_matched = 0
         for batch in iter_pcap_batches(io.BytesIO(blob), batch_size=7):
             fields = packets_to_fields(batch)
@@ -354,6 +364,242 @@ class TestTierIdentity:
         assert vector_windows == scalar_windows
         assert vector_summary == scalar_summary
         assert scalar_summary["matched"] > 0
+
+
+# -- ingest and window accounting ----------------------------------------------
+
+
+def _port_signatures(count: int) -> list[AdversarialSignature]:
+    """``count`` signatures: bit *i* is ``dst_port == i + 1``, the last ``protocol == 17``."""
+    predicates = [
+        make_cmp(CmpKind.EQ, field_sym("dst_port"), Const(bit + 1)) for bit in range(count - 1)
+    ] + [make_cmp(CmpKind.EQ, field_sym("protocol"), Const(17))]
+    return [
+        AdversarialSignature(
+            nf_name="x", kind="field-cluster", label=f"s{bit}", predicate=predicate,
+            threshold_cycles=1,
+        )
+        for bit, predicate in enumerate(predicates)
+    ]
+
+
+def _naive_account(masks, flows, window_size, top_k):
+    """Per-packet window accounting, written out the slow way (the oracle)."""
+    windows, width = [], max([mask.bit_length() for mask in masks] + [0])
+    for start in range(0, len(masks), window_size):
+        chunk = list(zip(masks[start : start + window_size], flows[start:]))
+        offenders = Counter(flow for mask, flow in chunk if mask)
+        windows.append(
+            {
+                "window": len(windows),
+                "start_packet": start,
+                "packets": len(chunk),
+                "matched": sum(1 for mask, _ in chunk if mask),
+                "signature_hits": [
+                    sum(mask >> bit & 1 for mask, _ in chunk) for bit in range(width)
+                ],
+                "top_offenders": [
+                    {"flow": list(flow), "hits": hits}
+                    for flow, hits in sorted(offenders.items(), key=lambda i: (-i[1], i[0]))
+                ][:top_k],
+            }
+        )
+    return windows
+
+
+def _stream(signatures, batches, window_size, top_k=3):
+    scorer = StreamScorer(signatures, window_size=window_size, top_k=top_k)
+    windows = [window for batch in batches for window in scorer.feed(batch)]
+    trailing = scorer.finish()
+    return [w.to_dict() for w in windows + ([trailing] if trailing else [])], scorer.summary()
+
+
+def _batches(fields, batch_size):
+    return [fields[start : start + batch_size] for start in range(0, len(fields), batch_size)]
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="vector tier needs numpy")
+class TestWindowAccounting:
+    """Both tiers against a per-packet oracle: they share ``ingest``, so
+    agreeing with each other alone would prove nothing about it."""
+
+    @pytest.mark.parametrize(
+        "batch_size, window_size",
+        [
+            (16, 3),  # one batch closes several windows
+            (8, 16),  # a boundary exactly at a batch edge
+            (8, 8),
+            (5, 7),  # boundaries inside batches, ragged tail
+            (64, 1),
+            (7, 1000),  # one trailing window
+        ],
+    )
+    def test_windows_equal_the_per_packet_oracle(self, batch_size, window_size):
+        signatures = _port_signatures(64)
+        rng = random.Random(batch_size * 1000 + window_size)
+        fields = [
+            {
+                "src_ip": rng.randrange(4),
+                "dst_ip": 7,
+                "src_port": 9,
+                "dst_port": rng.choice([0, 1, 2, 2, 63, 64, 500]),
+                "protocol": rng.choice([6, 6, 6, 17]),
+            }
+            for _ in range(50)
+        ]
+        # An all-miss batch in the middle of the stream.
+        for row in range(batch_size, min(2 * batch_size, len(fields))):
+            fields[row].update(dst_port=0, protocol=6)
+        masks = score_batch_fields(signatures, fields)
+        assert any(mask >> 63 for mask in masks)  # bit 63 of a 64-signature set
+        assert any(mask & (mask - 1) for mask in masks)  # masks with several bits
+        oracle = _naive_account(masks, [_flow_of(f) for f in fields], window_size, 3)
+        for window in oracle:
+            window["signature_hits"] += [0] * (64 - len(window["signature_hits"]))
+
+        scalar_windows, scalar_summary = _stream(
+            signatures, _batches(fields, batch_size), window_size
+        )
+        vector_windows, vector_summary = _stream(
+            signatures, map(fields_to_columns, _batches(fields, batch_size)), window_size
+        )
+        assert scalar_windows == oracle
+        assert vector_windows == oracle
+        assert vector_summary == scalar_summary
+        assert scalar_summary["packets"] == 50
+        assert scalar_summary["matched"] == sum(1 for mask in masks if mask)
+        assert [s["hits"] for s in scalar_summary["signatures"]] == [
+            sum(mask >> bit & 1 for mask in masks) for bit in range(64)
+        ]
+
+    def test_all_miss_and_empty_batches_only_move_the_packet_count(self):
+        signatures = _port_signatures(2)
+        miss = [{"src_ip": 1, "dst_ip": 2, "src_port": 3, "dst_port": 9, "protocol": 6}] * 10
+        for to_batch in (list, fields_to_columns):
+            scorer = StreamScorer(signatures, window_size=4, top_k=3)
+            assert scorer.feed(to_batch([])) == []
+            windows = scorer.feed(to_batch(miss))
+            assert [(w.start_packet, w.packets, w.matched) for w in windows] == [
+                (0, 4, 0), (4, 4, 0),
+            ]
+            assert all(w.top_offenders == [] and w.signature_hits == [0, 0] for w in windows)
+            assert scorer.summary()["packets"] == 10 and scorer.summary()["matched"] == 0
+
+
+def _mixed_capture(signature_set, nf):
+    """Frames of every kind the parser distinguishes, matching flows among them."""
+    rng = random.Random(5)
+    flows = [f for s in signature_set for f in s.priming_flows[:12]]
+    flows += [_flow_of(f) for f in random_flow_fields(nf, 40, rng)]
+    rng.shuffle(flows)
+    frames = [make_udp_packet(*flow[:4]).to_bytes() for flow in flows]
+    plain = frames[0]
+    odd = [
+        plain[:12] + b"\x86\xdd" + plain[14:],  # IPv6
+        plain[:12] + b"\x81\x00" + plain[14:],  # VLAN tag
+        plain[:30],  # truncated inside the IPv4 header
+        plain[:14] + b"\x46" + plain[15:34] + b"\x01" * 4 + plain[34:],  # IP options
+        plain[:38],  # UDP with 4 L4 bytes: kept, zero ports
+        b"",
+    ]
+    for position, frame in zip((3, 9, 17, 26, 33, 41), odd):
+        frames.insert(position, frame)
+    writer = PcapWriter(blob := io.BytesIO())
+    for frame in frames:
+        writer.write_frame(frame)
+    return blob.getvalue(), len(frames)
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="vector tier needs numpy")
+class TestColumnarPipeline:
+    def test_columnar_ingest_equals_the_per_packet_pipeline(self, nat_distilled):
+        from repro.scoring.scorer import score_batch_columns
+
+        nf, signature_set = nat_distilled
+        signatures = signature_set.signatures
+        blob, frames = _mixed_capture(signature_set, nf)
+        old = [packets_to_fields(b) for b in iter_pcap_batches(io.BytesIO(blob), 7)]
+        new = list(iter_pcap_batches(io.BytesIO(blob), 7, columnar=True))
+        assert len(old) == len(new) and sum(map(len, old)) == frames - 4
+        masks, flows = [], []
+        for fields, columns in zip(old, new):
+            reference = fields_to_columns(fields)
+            assert all((columns[name] == reference[name]).all() for name in FIELD_ORDER)
+            assert all(columns[name].dtype == reference[name].dtype for name in FIELD_ORDER)
+            scalar = score_batch_fields(signatures, fields)
+            assert verdict_bytes(score_batch_columns(signatures, columns)) == verdict_bytes(scalar)
+            masks += scalar
+            flows += map(_flow_of, fields)
+        assert sum(1 for mask in masks if mask) >= 5
+
+        oracle = _naive_account(masks, flows, 10, 3)
+        width = len(signatures)
+        for window in oracle:
+            window["signature_hits"] += [0] * (width - len(window["signature_hits"]))
+        scalar_windows, scalar_summary = _stream(signatures, old, 10)
+        vector_windows, vector_summary = _stream(signatures, new, 10)
+        assert scalar_windows == oracle and vector_windows == oracle
+        assert vector_summary == scalar_summary
+
+    def _job(self, nat_store, traffic, **kwargs):
+        events = []
+        summary = run_score_job(
+            "nat-hash-table",
+            CastanConfig(**SMOKE),
+            traffic,
+            num_packets=3,
+            store=nat_store,
+            options=ScorerOptions(batch_size=16, window_size=10, top_k=3),
+            emit=lambda kind, payload: events.append((kind, payload)),
+            **kwargs,
+        )
+        return summary, [payload for kind, payload in events if kind == "window"]
+
+    def test_score_job_tiers_agree_and_report_skipped_frames(
+        self, nat_distilled, nat_store, monkeypatch, caplog
+    ):
+        nf, signature_set = nat_distilled
+        blob, frames = _mixed_capture(signature_set, nf)
+        with caplog.at_level(logging.INFO, logger="repro.scoring"):
+            vector_summary, vector_windows = self._job(nat_store, {"pcap_bytes": blob})
+        assert vector_summary["frames_skipped"] == 4
+        assert vector_summary["packets"] == frames - 4
+        assert vector_summary["matched"] >= 5
+        (record,) = [r for r in caplog.records if r.name == "repro.scoring"]
+        assert record.levelno == logging.INFO and "skipped 4 frame(s)" in record.getMessage()
+
+        monkeypatch.setattr("repro.scoring.jobs.HAVE_NUMPY", False)  # the scalar tier
+        scalar_summary, scalar_windows = self._job(nat_store, {"pcap_bytes": blob})
+        assert scalar_summary == vector_summary
+        assert scalar_windows == vector_windows and len(vector_windows) >= 5
+
+    def test_capture_without_ipv4_says_why_it_scored_nothing(
+        self, nat_distilled, nat_store, tmp_path, caplog
+    ):
+        frame = make_udp_packet(1, 2, 3, 4).to_bytes()
+        with PcapWriter(path := tmp_path / "v6.pcap") as writer:
+            for _ in range(5):
+                writer.write_frame(frame[:12] + b"\x86\xdd" + frame[14:])
+        with caplog.at_level(logging.INFO, logger="repro.scoring"):
+            summary, windows = self._job(nat_store, {"pcap_path": str(path)})
+            clean, _ = self._job(nat_store, {"synthetic": 20})
+        assert (summary["packets"], summary["frames_skipped"], windows) == (0, 5, [])
+        assert clean["frames_skipped"] == 0 and clean["packets"] == 20
+        assert len([r for r in caplog.records if r.name == "repro.scoring"]) == 1
+
+    def test_cancellation_is_honoured_within_one_batch(self, nat_distilled, nat_store):
+        packets = [make_udp_packet(i, 2, 3, 4) for i in range(100)]
+        polls = []
+
+        def should_cancel():
+            polls.append(None)
+            return len(polls) > 2
+
+        summary, windows = self._job(
+            nat_store, {"pcap_bytes": packets_to_pcap_bytes(packets)}, should_cancel=should_cancel
+        )
+        assert summary["cancelled"] and summary["packets"] == 32  # two batches of 16
+        assert [w["packets"] for w in windows] == [10, 10, 10]  # no trailing flush
 
 
 # -- scorer plumbing -----------------------------------------------------------

@@ -257,6 +257,39 @@ def test_score_submission_validation_is_eager(server):
     assert err.value.status == 400
 
 
+def test_score_accepts_a_nanosecond_pcap_and_reports_skipped_frames(server, tmp_path):
+    """A capture as current tcpdump writes it scores; dropped frames are counted."""
+    import io
+    import struct
+
+    from repro.net.packet import make_udp_packet
+    from repro.net.pcap import PCAP_MAGIC_NANO, PcapWriter
+
+    writer = PcapWriter(buffer := io.BytesIO())
+    for index in range(50):
+        writer.write_packet(make_udp_packet(index, 2, 3, 4))
+    writer.write_frame(b"\x33" * 60)  # not IPv4
+    blob = buffer.getvalue()
+    path = tmp_path / "nano.pcap"
+    path.write_bytes(struct.pack("<I", PCAP_MAGIC_NANO) + blob[4:])
+
+    job = server.client.score(
+        NF, {"pcap_path": str(path)}, config=SMOKE_CONFIG, num_packets=SMOKE_PACKETS
+    )
+    final = list(server.client.stream(job["job_id"]))[-1]["job"]
+    assert final["state"] == "done", final.get("error")
+    assert final["result"]["packets"] == 50
+    assert final["result"]["frames_skipped"] == 1
+
+    # A magic no pcap flavour uses still fails the job, with the reader's reason.
+    path.write_bytes(struct.pack("<I", 0xA1B2C3D5) + blob[4:])
+    job = server.client.score(
+        NF, {"pcap_path": str(path)}, config=SMOKE_CONFIG, num_packets=SMOKE_PACKETS
+    )
+    final = list(server.client.stream(job["job_id"]))[-1]["job"]
+    assert final["state"] == "failed" and "bad pcap magic 0xa1b2c3d5" in final["error"]
+
+
 # -- client transport errors --------------------------------------------------
 
 

@@ -78,6 +78,8 @@ def _print_window(window: dict) -> None:
 def _print_summary(summary: dict) -> None:
     print(f"total: {summary['packets']} packets, {summary['matched']} matched, "
           f"{summary['windows']} window(s)")
+    if summary["frames_skipped"]:
+        print(f"  skipped {summary['frames_skipped']} frame(s): not IPv4, or truncated")
     for signature in summary["signatures"]:
         print(f"  {signature['hits']:>8}  {signature['label']}")
 
