@@ -33,6 +33,7 @@ True
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -58,7 +59,7 @@ from repro.symbex.batch import run_beam_search
 from repro.symbex.engine import SymbexStats, SymbolicEngine
 from repro.symbex.havoc import ReconciliationOutcome, reconcile_havocs
 from repro.symbex.searcher import make_searcher
-from repro.symbex.solver import Model, Solver
+from repro.symbex.solver import Model, Solver, SolverResult
 from repro.symbex.state import ExecutionState
 
 #: Process-global rainbow-table cache, keyed by the build parameters
@@ -66,6 +67,8 @@ from repro.symbex.state import ExecutionState
 #: deterministic in those parameters, so sharing across analyses cannot
 #: change any output.
 _RAINBOW_TABLE_CACHE: dict[tuple, RainbowTable] = {}
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -82,6 +85,9 @@ class CastanResult:
     best_state_cost: int = 0
     havoc_outcome: ReconciliationOutcome | None = None
     solver_status: str = ""
+    #: Why the selected state's path constraint was not solved (the solver's
+    #: reason for a non-``sat`` status); the packets are then defaults only.
+    unsolved_reason: str = ""
     contention_sets_used: int = 0
     search_mode: str = "monolithic"
     search_rounds: int = 0
@@ -102,12 +108,18 @@ class CastanResult:
         return write_pcap(path, self.packets)
 
     def summary(self) -> str:
-        return (
+        text = (
             f"CASTAN[{self.nf_name}]: {self.packet_count} packets in {self.unique_flows} flows, "
             f"estimated cost {self.best_state_cost} cycles, "
             f"analysis {self.analysis_seconds:.2f}s, "
             f"{self.states_explored} states explored"
         )
+        if self.unsolved_reason:
+            text += (
+                f"; path constraint NOT solved ({self.solver_status}: {self.unsolved_reason}), "
+                "packets are defaults only"
+            )
+        return text
 
 
 class Castan:
@@ -179,7 +191,7 @@ class Castan:
                 notes="no state survived exploration",
             )
 
-        model, solver_status, havoc_outcome = self._solve_state(nf, best, solver, defaults)
+        model, solved, havoc_outcome = self._solve_state(nf, best, solver, defaults)
         packets = packets_from_model(packet_sets, model, nf.packet_defaults)
         packets = packets[: best.packets_processed] or packets[:1]
 
@@ -194,7 +206,8 @@ class Castan:
             forks=stats.forks,
             best_state_cost=best.current_cost,
             havoc_outcome=havoc_outcome,
-            solver_status=solver_status,
+            solver_status=solved.status,
+            unsolved_reason="" if solved.is_sat else solved.reason,
             contention_sets_used=contention_sets.set_count if contention_sets else 0,
             search_mode=config.search_mode,
             search_rounds=len(stats.rounds),
@@ -413,12 +426,18 @@ class Castan:
         state: ExecutionState,
         solver: Solver,
         defaults: dict[str, int],
-    ) -> tuple[Model, str, ReconciliationOutcome | None]:
+    ) -> tuple[Model, SolverResult, ReconciliationOutcome | None]:
         """Solve the selected state's path constraint and reconcile havocs."""
         result = solver.check(state.constraints, defaults=defaults)
         if not result.is_sat:
-            # Fall back to defaults-only packets; keep the status for the report.
-            return Model(values=dict(defaults)), result.status, None
+            logger.warning(
+                "%s: path constraint of the selected state not solved (%s: %s); "
+                "emitting defaults-only packets",
+                nf.name,
+                result.status,
+                result.reason,
+            )
+            return Model(values=dict(defaults)), result, None
         model = result.model
         havoc_outcome: ReconciliationOutcome | None = None
         if state.havoc_records and nf.hash_functions:
@@ -434,7 +453,7 @@ class Castan:
                 max_candidates_per_havoc=self.config.max_candidates_per_havoc,
             )
             model = havoc_outcome.model
-        return model, result.status, havoc_outcome
+        return model, result, havoc_outcome
 
     def _rainbow_tables(self, nf: NetworkFunction) -> dict[str, RainbowTable]:
         """One (cached) rainbow table per hash function the NF uses.

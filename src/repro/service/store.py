@@ -102,6 +102,7 @@ def result_summary(result: CastanResult) -> dict:
         "search_mode": result.search_mode,
         "search_rounds": result.search_rounds,
         "solver_status": result.solver_status,
+        "unsolved_reason": result.unsolved_reason,
         "workload_digest": workload_digest(result.packets),
         "result_digest": canonical_result_digest(result),
     }

@@ -40,11 +40,7 @@ from typing import Iterable
 
 from repro.symbex import expr as expr_module
 from repro.symbex.expr import Const, Expr, evaluate, reduce_concrete, reduce_expr
-from repro.symbex.solver import Solver, SolverResult, _Domain
-
-#: Rounds cap for one incremental propagation wave; mirrors the cap in
-#: ``Solver._propagate`` so both paths reach the same bounded fixpoint.
-_MAX_ROUNDS = 32
+from repro.symbex.solver import Solver, SolverResult, _Domain, _TrackedDomains
 
 #: Bound on the shared feasibility/value memo tables; when exceeded the
 #: tables are simply cleared (queries regenerate cheaply).
@@ -63,7 +59,12 @@ class _ContextStats:
     verdict came from one columnar numpy pass instead of a scalar
     evaluation.  ``wave_replays`` and ``check_memo_hits`` count committed
     propagation waves / full model searches answered by replaying recorded
-    work (see ``_ADD_PLAN_MEMO`` / ``_CHECK_MEMO``).
+    work (see ``_ADD_PLAN_MEMO`` / ``_CHECK_MEMO``).  ``wave_visits`` counts
+    constraints a propagation wave actually re-reduced and re-propagated,
+    ``wave_skips`` those it carried over untouched (see
+    ``SolverContext._propagate_wave``); ``order_unsat_proofs`` counts
+    ``Solver.check`` calls ended by an ordering contradiction
+    (:mod:`repro.symbex.order`) instead of a search.
     """
 
     __slots__ = (
@@ -78,23 +79,17 @@ class _ContextStats:
         "column_branch_resolutions",
         "wave_replays",
         "check_memo_hits",
+        "wave_visits",
+        "wave_skips",
+        "order_unsat_proofs",
     )
 
     def __init__(self) -> None:
         self.reset()
 
     def reset(self) -> None:
-        self.queries = 0
-        self.memo_hits = 0
-        self.adds = 0
-        self.forks = 0
-        self.slow_path_checks = 0
-        self.fast_path_values = 0
-        self.group_queries = 0
-        self.group_dedup_hits = 0
-        self.column_branch_resolutions = 0
-        self.wave_replays = 0
-        self.check_memo_hits = 0
+        for name in self.__slots__:
+            setattr(self, name, 0)
 
     def as_dict(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in self.__slots__}
@@ -119,17 +114,20 @@ _VALUE_MEMO: dict[tuple, "int | None"] = {}
 
 #: Recorded propagation waves: (fingerprint, id(reduced extra)) -> the
 #: committed-state delta a successful wave produced (new assignment entries,
-#: post-wave domain objects for every touched symbol, and the post-wave
-#: pending list).  ``feasible_with`` records the plan while answering a
-#: query on scratch domains; ``add`` replays it when the *same* constraint
-#: is then committed on a context with the *same* fingerprint, skipping the
-#: whole wave.  Forked siblings that split the same way share one plan —
-#: this is the "batch fork bookkeeping" half of cross-lane solver batching.
+#: post-wave domain objects for every touched symbol, the post-wave pending
+#: list, and whether the wave converged).  ``feasible_with`` records the plan
+#: while answering a query on scratch domains; ``add`` replays it when the
+#: *same* constraint is then committed on a context with the *same*
+#: fingerprint, skipping the whole wave.  Forked siblings that split the same
+#: way share one plan — this is the "batch fork bookkeeping" half of
+#: cross-lane solver batching.
 #: Sound because waves are deterministic functions of (fingerprint-identified
 #: committed state, reduced constraint): the recorded delta is byte-for-byte
 #: what the replayed wave would have computed.  Replayed domain objects are
 #: installed unowned (copy-on-write), so sharing them across contexts is safe.
-_ADD_PLAN_MEMO: dict[tuple[int, int], tuple[dict[str, int], dict[str, _Domain], tuple[Expr, ...]]] = {}
+_ADD_PLAN_MEMO: dict[
+    tuple[int, int], tuple[dict[str, int], dict[str, _Domain], tuple[Expr, ...], bool]
+] = {}
 
 #: Full model searches memoised by (solver uid, fingerprint, defaults):
 #: ``Solver.check`` is a pure deterministic function of its constraint list,
@@ -168,52 +166,30 @@ def clear_incremental_caches() -> None:
 expr_module.register_cache_clear_hook(clear_incremental_caches)
 
 
-class _CowDomains:
-    """Copy-on-write view over a domains dict.
+class _CowDomains(_TrackedDomains):
+    """Copy-on-write :class:`~repro.symbex.solver._TrackedDomains`.
 
     ``Solver._propagate_one`` mutates any domain it looks up through
-    ``_domain_for``; this wrapper clones a domain on first access unless the
-    context already owns it, and records pre-access signatures so a
-    propagation round can tell whether anything *really* changed (the raw
-    propagator is optimistic and reports "changed" for no-op updates, which
-    would otherwise spin every wave to the rounds cap).
+    ``_domain_for``; this view clones a domain on first access unless the
+    context already owns it.
     """
 
-    __slots__ = ("base", "owned", "pre_signatures")
+    __slots__ = ("owned",)
 
     def __init__(self, base: dict[str, _Domain], owned: set[str]) -> None:
-        self.base = base
+        super().__init__(base)
         self.owned = owned
-        self.pre_signatures: dict[str, tuple] = {}
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.base
 
     def __getitem__(self, name: str) -> _Domain:
-        domain = self.base[name]
-        if name not in self.pre_signatures:
-            self.pre_signatures[name] = domain.signature()
+        domain = super().__getitem__(name)
         if name not in self.owned:
-            domain = domain.clone()
-            self.base[name] = domain
+            domain = self.base[name] = domain.clone()
             self.owned.add(name)
         return domain
 
     def __setitem__(self, name: str, domain: _Domain) -> None:
-        if name not in self.pre_signatures:
-            self.pre_signatures[name] = None  # newly created: counts as change
-        self.base[name] = domain
+        super().__setitem__(name, domain)
         self.owned.add(name)
-
-    def changed_names(self) -> list[str]:
-        return [
-            name
-            for name, pre in self.pre_signatures.items()
-            if pre is None or self.base[name].signature() != pre
-        ]
-
-    def reset_round(self) -> None:
-        self.pre_signatures = {}
 
 
 class _ConstraintChain:
@@ -250,6 +226,7 @@ class SolverContext:
         "_local",
         "_materialized",
         "_set_id",
+        "_converged",
         "unsat",
     )
 
@@ -263,6 +240,9 @@ class SolverContext:
         self._local: list[Expr] = []
         self._materialized: list[Expr] | None = []
         self._set_id = 0
+        # Whether the last committed wave left through a no-change round, so
+        # ``_pending`` is a fixpoint the next wave may carry over untouched.
+        self._converged = True
         self.unsat = False
 
     # -- lifecycle -------------------------------------------------------------
@@ -284,6 +264,7 @@ class SolverContext:
         child._local = []
         child._materialized = None
         child._set_id = self._set_id
+        child._converged = self._converged
         child.unsat = self.unsat
         return child
 
@@ -303,6 +284,7 @@ class SolverContext:
             "assignment": dict(self._assignment),
             "domains": dict(self._domains),
             "pending": list(self._pending),
+            "converged": self._converged,
             "unsat": self.unsat,
         }
 
@@ -325,6 +307,7 @@ class SolverContext:
         for constraint in constraints:
             set_id = _extend_set_id(set_id, constraint)
         self._set_id = set_id
+        self._converged = payload["converged"]
         self.unsat = payload["unsat"]
 
     # -- constraint log --------------------------------------------------------
@@ -380,7 +363,7 @@ class SolverContext:
         scratch_domains = _CowDomains(dict(self._domains), set())
         scratch_pending = list(self._pending)
         promoted: list[str] = []
-        verdict = self._propagate_wave(
+        verdict, converged = self._propagate_wave(
             scratch_assignment, scratch_domains, scratch_pending, [extra], promoted
         )
         if len(_FEASIBLE_MEMO) >= _MEMO_LIMIT:
@@ -399,6 +382,7 @@ class SolverContext:
                 {name: scratch_assignment[name] for name in promoted},
                 {name: scratch_domains.base[name] for name in scratch_domains.owned},
                 tuple(scratch_pending),
+                converged,
             )
         return verdict
 
@@ -426,7 +410,7 @@ class SolverContext:
             # A feasibility query already ran this exact wave on an identical
             # committed state; replay its recorded delta instead of
             # re-propagating.  Domains install unowned (shared CoW).
-            assignment_delta, domain_delta, pending_after = plan
+            assignment_delta, domain_delta, pending_after, self._converged = plan
             self._assignment.update(assignment_delta)
             for name, domain in domain_delta.items():
                 self._domains[name] = domain
@@ -435,7 +419,10 @@ class SolverContext:
             CONTEXT_STATS.wave_replays += 1
             return
         cow = _CowDomains(self._domains, self._owned)
-        if not self._propagate_wave(self._assignment, cow, self._pending, [reduced]):
+        feasible, self._converged = self._propagate_wave(
+            self._assignment, cow, self._pending, [reduced]
+        )
+        if not feasible:
             self.unsat = True
 
     def solve_value(self, expr: Expr, defaults: dict[str, int] | None = None) -> int | None:
@@ -522,64 +509,29 @@ class SolverContext:
         pending: list[Expr],
         new_constraints: Iterable[Expr],
         promoted: list[str] | None = None,
-    ) -> bool:
-        """Run constraint propagation to a (bounded) fixpoint.
+    ) -> tuple[bool, bool]:
+        """Propagate ``new_constraints`` against this context's fixpoint.
 
-        ``pending`` is updated in place to the new unresolved set.  Returns
-        False when a definite contradiction is found.  Mirrors
-        ``Solver._propagate`` but wakes up only on *real* domain change, so
-        an already-stable fixpoint costs one pass over the new constraints.
-        When ``promoted`` is given, names newly pinned into ``assignment``
-        are appended to it (wave recording for ``_ADD_PLAN_MEMO``).
+        ``assignment`` / ``domains`` / ``pending`` are the committed state or
+        a scratch copy of it.  Returns ``(feasible, converged)`` and updates
+        ``pending`` in place to the new unresolved set.  When the wave that
+        produced the committed ``pending`` converged, only the new
+        constraints and whatever they wake are visited (see
+        ``Solver._propagate_rounds``); after a wave that left through the
+        rounds cap ``pending`` is not a proven fixpoint, so nothing is
+        carried over and everything is visited.  ``promoted`` collects newly
+        pinned names (wave recording for ``_ADD_PLAN_MEMO``).
         """
-        solver = self.solver
         queue = list(pending)
+        first = len(queue) if self._converged else 0
         queue.extend(new_constraints)
-        # Round-0 fixpoint skip: every constraint in ``pending`` was processed
-        # in the previous wave's final no-change round against these exact
-        # domains and this exact assignment, so re-propagating it is a proven
-        # no-op (same reduction -> same plan -> same domain content, and it
-        # cannot be unsat or the previous wave would have failed).  Skipping
-        # the propagator for those entries changes nothing observable; only
-        # the new constraints do real work in round 0.  The skip is guarded
-        # on the reduction being the identical node: anything else falls
-        # through to the full path.
-        stable_prefix = len(pending)
-        for _round in range(_MAX_ROUNDS):
-            domains.reset_round()
-            changed = False
-            unresolved: list[Expr] = []
-            for index, constraint in enumerate(queue):
-                reduced = reduce_expr(constraint, assignment)
-                if isinstance(reduced, Const):
-                    if reduced.value == 0:
-                        return False
-                    changed = True  # constraint fully resolved: may unblock others
-                    continue
-                if index < stable_prefix and reduced is constraint:
-                    unresolved.append(reduced)
-                    continue
-                outcome = solver._propagate_one(reduced, assignment, domains)
-                if outcome == "unsat":
-                    return False
-                unresolved.append(reduced)
-            # Promote domains that became fully known to concrete assignments.
-            for name in domains.changed_names():
-                changed = True
-                domain = domains.base[name]
-                if name not in assignment and domain.fully_known:
-                    value = domain.value
-                    if value in domain.exclusions or not (domain.lo <= value <= domain.hi):
-                        return False
-                    assignment[name] = value
-                    if promoted is not None:
-                        promoted.append(name)
-            queue = unresolved
-            stable_prefix = 0
-            if not changed:
-                break
-        pending[:] = queue
-        return True
+        outcome = self.solver._propagate_rounds(queue, first, assignment, domains, promoted)
+        CONTEXT_STATS.wave_visits += domains.visits
+        CONTEXT_STATS.wave_skips += domains.skips
+        if outcome is None:
+            return False, False
+        pending[:], converged = outcome
+        return True, converged
 
 
 def replay_context(solver: Solver, constraints: Iterable[Expr]) -> SolverContext:

@@ -45,6 +45,7 @@ from repro.symbex.expr import (
     symbols_of,
 )
 from repro.symbex.expr import _np as _NP  # None without the [vector] extra
+from repro.symbex.order import OrderGraph
 
 MACHINE_MASK = (1 << 64) - 1
 
@@ -62,6 +63,9 @@ _POSSIBLE_BITS_MEMO: dict[Expr, "int | None"] = {}
 _PROPAGATE_PLAN_MEMO: dict[Expr, tuple] = {}
 
 _ANALYSIS_MEMO_LIMIT = 1 << 17
+
+#: Rounds cap for one propagation pass (``Solver._propagate_rounds``).
+_MAX_ROUNDS = 32
 
 
 def _clear_analysis_memos() -> None:
@@ -210,25 +214,29 @@ class _Domain:
 
 
 class _TrackedDomains:
-    """Signature-tracking view over a domains dict for ``_propagate``.
+    """Signature-tracking view over a domains dict for one propagation pass.
 
     ``_propagate_one`` optimistically reports progress whenever a pattern
     matches, even when the domain write was a no-op; taken at face value
-    that spins ``_propagate`` to its rounds cap on every query.  This view
-    records each domain's signature on first access per round so the loop
-    can wake up only on *real* change — the same trick
-    ``incremental._CowDomains`` uses, minus the copy-on-write (monolithic
-    solving owns its domains).  A round with no signature change, no new
-    domain and no assignment promotion is a proven fixpoint: every later
-    round would re-reduce the same constraints against the same domains and
-    repeat the same idempotent writes.
+    that spins propagation to its rounds cap on every query.  This view
+    records each domain's signature on first access per round so
+    ``Solver._propagate_rounds`` can tell which symbols *really* changed —
+    a newly created domain counts as changed — and wake only the
+    constraints that mention them.  A round with no signature change is a
+    proven fixpoint: every later round would re-reduce the same constraints
+    against the same domains and repeat the same idempotent writes.
+
+    ``visits`` / ``skips`` count the constraints the pass re-propagated /
+    carried over untouched (read by ``incremental.SolverContext``).
     """
 
-    __slots__ = ("base", "pre_signatures")
+    __slots__ = ("base", "pre_signatures", "visits", "skips")
 
     def __init__(self, base: dict[str, _Domain]) -> None:
         self.base = base
         self.pre_signatures: dict[str, "tuple | None"] = {}
+        self.visits = 0
+        self.skips = 0
 
     def __contains__(self, name: str) -> bool:
         return name in self.base
@@ -244,12 +252,13 @@ class _TrackedDomains:
             self.pre_signatures[name] = None  # newly created: counts as change
         self.base[name] = domain
 
-    def round_changed(self) -> bool:
+    def changed_names(self) -> list[str]:
         base = self.base
-        return any(
-            pre is None or base[name].signature() != pre
+        return [
+            name
             for name, pre in self.pre_signatures.items()
-        )
+            if pre is None or base[name].signature() != pre
+        ]
 
     def reset_round(self) -> None:
         self.pre_signatures = {}
@@ -298,9 +307,12 @@ class Solver:
         assignment: dict[str, int] = {}
         domains = {s.name: _Domain(s) for s in symbols.values()}
 
-        status, remaining = self._propagate(constraints, assignment, domains)
-        if status == "unsat":
+        remaining = self._propagate(constraints, assignment, domains)
+        if remaining is None:
             return SolverResult(status="unsat", reason="propagation found a contradiction")
+        contradiction = self._ordering_contradiction(remaining)
+        if contradiction is not None:
+            return SolverResult(status="unsat", reason=f"ordering contradiction: {contradiction}")
 
         rng = random.Random(self._seed)
         # Default field values are tried first during backtracking: workloads
@@ -351,8 +363,37 @@ class Solver:
         symbols = self._collect_symbols(constraints)
         assignment: dict[str, int] = {}
         domains = {s.name: _Domain(s) for s in symbols.values()}
-        status, _remaining = self._propagate(constraints, assignment, domains)
-        return status != "unsat"
+        return self._propagate(constraints, assignment, domains) is not None
+
+    @staticmethod
+    def _ordering_contradiction(constraints: list[Expr]) -> str | None:
+        """Why the two-sided comparisons among ``constraints`` admit no model.
+
+        Propagation cannot see a comparison with symbols on both sides, and
+        the search cannot *refute* anything; this closes the gap for paths
+        whose comparisons contradict each other (tree traversals that take
+        opposite sides of one node).  None when the order graph admits them
+        — which proves nothing, so the caller goes on to search.
+        """
+        graph = OrderGraph()
+        compared = 0
+        for constraint in constraints:
+            if (
+                isinstance(constraint, CmpExpr)
+                and not isinstance(constraint.lhs, Const)
+                and not isinstance(constraint.rhs, Const)
+            ):
+                compared += 1
+                if not graph.insert(constraint.pred, constraint.lhs, constraint.rhs):
+                    # Imported here: the stats surface lives a layer above.
+                    from repro.symbex.incremental import CONTEXT_STATS
+
+                    CONTEXT_STATS.order_unsat_proofs += 1
+                    return (
+                        f"{constraint} contradicts the ordering implied by "
+                        f"{compared - 1} earlier two-sided comparison(s)"
+                    )
+        return None
 
     # -- propagation ---------------------------------------------------------
 
@@ -368,35 +409,90 @@ class Solver:
         constraints: list[Expr],
         assignment: dict[str, int],
         domains: dict[str, _Domain],
-    ) -> tuple[str, list[Expr]]:
-        """Fixed-point propagation; returns (status, unresolved constraints)."""
-        pending = list(constraints)
-        tracked = _TrackedDomains(domains)
-        for _round in range(32):
-            tracked.reset_round()
-            changed = False
-            unresolved: list[Expr] = []
-            for constraint in pending:
-                reduced = reduce_expr(constraint, assignment)
-                if isinstance(reduced, Const):
-                    if reduced.value == 0:
-                        return "unsat", []
-                    continue
-                if self._propagate_one(reduced, assignment, tracked) == "unsat":
-                    return "unsat", []
-                unresolved.append(reduced)
-            # Promote fully-known domains to assignments.
-            for name, domain in domains.items():
-                if name not in assignment and domain.fully_known:
-                    value = domain.value
-                    if value in domain.exclusions or not (domain.lo <= value <= domain.hi):
-                        return "unsat", []
-                    assignment[name] = value
-                    changed = True
-            pending = unresolved
-            if not changed and not tracked.round_changed():
-                break
-        return "ok", pending
+    ) -> list[Expr] | None:
+        """From-scratch propagation: the unresolved constraints, None if unsat."""
+        outcome = self._propagate_rounds(
+            list(constraints), 0, assignment, _TrackedDomains(domains)
+        )
+        return None if outcome is None else outcome[0]
+
+    def _propagate_rounds(
+        self,
+        queue: list[Expr],
+        first: int,
+        assignment: dict[str, int],
+        domains: _TrackedDomains,
+        promoted: list[str] | None = None,
+    ) -> tuple[list[Expr], bool] | None:
+        """Constraint propagation to a (bounded) fixpoint, O(what changed).
+
+        Returns ``(unresolved, converged)`` — the constraints still open,
+        each reduced under ``assignment``, and whether the pass ended in a
+        no-change round rather than at the rounds cap — or None on a
+        definite contradiction.  Names newly pinned into ``assignment`` are
+        appended to ``promoted`` when given.
+
+        - *Round 0* visits ``queue[first:]`` only.  The caller vouches that
+          ``queue[:first]`` is a fixpoint: already reduced under
+          ``assignment`` and already propagated into these exact domains
+          (what a converged earlier pass leaves), so re-propagating it is a
+          proven no-op.
+        - *Rounds >= 1* wake — re-reduce and re-propagate — only the
+          constraints that mention a symbol whose domain signature really
+          changed in the previous round (promotions need no rule of their
+          own: only a changed domain can become fully known).  Any other
+          constraint reads no input that moved since it last ran and its
+          propagator is idempotent, so it keeps its place untouched.  The
+          pass ends when a round wakes nothing.
+
+        Propagation is a monotone fixpoint computation, so this schedule
+        reaches the same verdict, assignment, domain contents and
+        unresolved list as visiting every constraint in every round
+        (``tests/test_incremental.py`` holds it to that reference); it only
+        touches — and, under a copy-on-write view, clones — far fewer
+        domains.
+        """
+        woken: set[str] | None = None  # None in round 0: visit queue[first:]
+        visits = 0
+        skips = first
+        try:
+            for _round in range(_MAX_ROUNDS):
+                domains.reset_round()
+                unresolved = queue[:first]
+                for constraint in queue[first:] if first else queue:
+                    if woken is not None and woken.isdisjoint(constraint.symbol_names):
+                        skips += 1
+                        unresolved.append(constraint)
+                        continue
+                    visits += 1
+                    reduced = reduce_expr(constraint, assignment)
+                    if isinstance(reduced, Const):
+                        if reduced.value == 0:
+                            return None
+                        continue
+                    if self._propagate_one(reduced, assignment, domains) == "unsat":
+                        return None
+                    unresolved.append(reduced)
+                queue = unresolved
+                first = 0
+                # Promote domains that became fully known to concrete assignments.
+                changed = domains.changed_names()
+                woken = set(changed)
+                for name in changed:
+                    domain = domains.base[name]
+                    if name not in assignment and domain.fully_known:
+                        value = domain.value
+                        if value in domain.exclusions or not (domain.lo <= value <= domain.hi):
+                            return None
+                        assignment[name] = value
+                        if promoted is not None:
+                            promoted.append(name)
+                if not changed:
+                    break
+            return queue, not woken
+        finally:
+            domains.visits += visits
+            domains.skips += skips
 
     def _propagate_one(
         self, constraint: Expr, assignment: dict[str, int], domains: dict[str, _Domain]

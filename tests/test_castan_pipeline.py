@@ -1,6 +1,7 @@
 """End-to-end tests of the CASTAN pipeline: analysis, workload synthesis,
 havoc reconciliation, pcap output and adversarial effect on the testbed."""
 
+import dataclasses
 import logging
 
 import pytest
@@ -16,7 +17,8 @@ from repro.net.pcap import read_pcap
 from repro.nf.base import NetworkFunction
 from repro.nf.common import HASH_TABLE_BUCKETS, VIP_ADDRESS, middlebox_packet_defaults
 from repro.nf.registry import get_nf
-from repro.service.store import canonical_result_digest
+from repro.service.store import canonical_result_digest, result_summary
+from repro.symbex.incremental import CONTEXT_STATS, clear_incremental_caches
 from repro.symbex.solver import Model
 from repro.testbed.measure import measure_latency
 from repro.workloads.generators import make_castan_workload, make_unirand_castan_workload
@@ -137,6 +139,57 @@ class TestPipeline:
         instructions = [i for i in result.metrics.instructions_per_packet if i > 0]
         assert instructions
         assert max(instructions) <= 4 * min(instructions)
+
+
+class TestUnsolvedPathsAreReported:
+    """A final solve that is not ``sat`` is loud, and costs what it should."""
+
+    DETERMINISTIC = dict(max_states=200, deadline_seconds=None)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["lb-unbalanced-tree", "lb-red-black-tree", "nat-unbalanced-tree", "nat-red-black-tree"],
+    )
+    def test_contradictory_tree_path_is_proven_unsat_and_reported(self, name, caplog):
+        # The selected tree paths order one pair of keys both ways (bst_find
+        # and bst_insert of one packet take opposite sides), so the honest
+        # status is unsat — by an ordering proof, not an exhausted search.
+        CONTEXT_STATS.reset()
+        with caplog.at_level(logging.WARNING, logger="repro.core.castan"):
+            result = Castan(CastanConfig(**self.DETERMINISTIC)).analyze(get_nf(name))
+        assert result.solver_status == "unsat"
+        assert result.unsolved_reason.startswith("ordering contradiction: ")
+        assert CONTEXT_STATS.order_unsat_proofs >= 1
+        (record,) = caplog.records
+        message = record.getMessage()
+        assert name in message and "unsat" in message and result.unsolved_reason in message
+        assert "emitting defaults-only packets" in message
+        assert result.unsolved_reason in result.summary()
+        assert result_summary(result)["unsolved_reason"] == result.unsolved_reason
+        # The reason explains the status; it is not part of the result's identity.
+        solved_elsewhere = dataclasses.replace(result, unsolved_reason="")
+        assert canonical_result_digest(solved_elsewhere) == canonical_result_digest(result)
+
+    def test_a_solved_path_reports_no_reason(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="repro.core.castan"):
+            result = Castan(CastanConfig(**self.DETERMINISTIC)).analyze(get_nf("lpm-patricia"))
+        assert result.solver_status == "sat" and result.unsolved_reason == ""
+        assert not caplog.records
+        assert "NOT solved" not in result.summary()
+
+    @pytest.mark.parametrize("name", ["lb-red-black-tree", "nat-hash-ring"])
+    def test_propagation_waves_visit_what_changed_not_the_whole_path(self, name):
+        # A count, not a timing: per feasibility query or committed
+        # constraint a wave re-propagates the new constraint plus whatever
+        # it wakes.  Visiting the whole pending list in round 0 alone, as the
+        # waves once did, reads 22 and 13 here.
+        clear_incremental_caches()  # an earlier analysis' memos would answer everything
+        CONTEXT_STATS.reset()
+        Castan(CastanConfig(**self.DETERMINISTIC)).analyze(get_nf(name))
+        waves = CONTEXT_STATS.queries + CONTEXT_STATS.adds
+        assert waves > 500
+        assert CONTEXT_STATS.wave_visits / waves < 1.5
+        assert CONTEXT_STATS.wave_skips > 10 * CONTEXT_STATS.wave_visits
 
 
 TWEAKED_HASH_SOURCE = """

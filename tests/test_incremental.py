@@ -7,14 +7,19 @@ produce.  Streams come from real engine runs and from a seeded random
 generator, so both realistic and adversarial shapes are covered.
 """
 
+import pickle
 import random
 
 import pytest
 
 from repro.cache.model import NoCacheModel
+from repro.core.castan import Castan
+from repro.core.config import CastanConfig
 from repro.frontend.compiler import compile_nf
 from repro.ir.instructions import BinOpKind, CmpKind
 from repro.ir.module import Module
+from repro.nf.registry import available_nfs, get_nf
+from repro.symbex import solver as solver_module
 from repro.symbex.engine import SymbolicEngine
 from repro.symbex.expr import (
     Const,
@@ -25,6 +30,7 @@ from repro.symbex.expr import (
     expr_not,
     make_binop,
     make_cmp,
+    reduce_expr,
     symbols_of,
 )
 from repro.symbex.incremental import (
@@ -338,3 +344,168 @@ def process(src_ip, dst_ip, src_port, dst_port, protocol):
         actions = sorted(state.packet_actions[0].value for state in stats.completed_states)
         assert actions == [1, 11]
         assert all(state.status is StateStatus.COMPLETED for state in stats.completed_states)
+
+
+# -- O(delta) propagation waves vs the full-pass loop they replaced -----------------
+
+
+def reference_propagate_wave(self, assignment, domains, pending, new_constraints, promoted=None):
+    """The full-pass wave loop, kept verbatim as the reference schedule.
+
+    Every round re-reduces and re-propagates the whole queue (round 0 skips
+    the propagator, not the reduction, for the stable prefix).
+    """
+    solver = self.solver
+    queue = list(pending)
+    queue.extend(new_constraints)
+    stable_prefix = len(pending)
+    for _round in range(32):
+        domains.reset_round()
+        changed = False
+        unresolved = []
+        for index, constraint in enumerate(queue):
+            reduced = reduce_expr(constraint, assignment)
+            if isinstance(reduced, Const):
+                if reduced.value == 0:
+                    return False
+                changed = True  # constraint fully resolved: may unblock others
+                continue
+            if index < stable_prefix and reduced is constraint:
+                unresolved.append(reduced)
+                continue
+            outcome = solver._propagate_one(reduced, assignment, domains)
+            if outcome == "unsat":
+                return False
+            unresolved.append(reduced)
+        # Promote domains that became fully known to concrete assignments.
+        for name in domains.changed_names():
+            changed = True
+            domain = domains.base[name]
+            if name not in assignment and domain.fully_known:
+                value = domain.value
+                if value in domain.exclusions or not (domain.lo <= value <= domain.hi):
+                    return False
+                assignment[name] = value
+                if promoted is not None:
+                    promoted.append(name)
+        queue = unresolved
+        stable_prefix = 0
+        if not changed:
+            break
+    pending[:] = queue
+    return True
+
+
+def reference_wave_adapter(*args):
+    """The reference loop in today's return shape (it has no notion of convergence)."""
+    return reference_propagate_wave(*args), True
+
+
+def record_solver_ops(nf_name):
+    """Every fork / feasible_with / add one smoke-scale analysis issues, in order."""
+    ops = []
+    index_of = {}
+    alive = []  # recorded contexts stay referenced, so ids are never reused
+
+    def index(context):
+        if id(context) not in index_of:
+            index_of[id(context)] = len(alive)
+            alive.append(context)
+        return index_of[id(context)]
+
+    originals = {name: getattr(SolverContext, name) for name in ("fork", "feasible_with", "add")}
+
+    def fork(self):
+        child = originals["fork"](self)
+        ops.append(("fork", index(self), index(child)))
+        return child
+
+    def feasible_with(self, extra):
+        ops.append(("feasible_with", index(self), extra))
+        return originals["feasible_with"](self, extra)
+
+    def add(self, constraint):
+        ops.append(("add", index(self), constraint))
+        return originals["add"](self, constraint)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name, wrapper in (("fork", fork), ("feasible_with", feasible_with), ("add", add)):
+            patch.setattr(SolverContext, name, wrapper)
+        Castan(CastanConfig(max_states=40, deadline_seconds=None)).analyze(get_nf(nf_name))
+    return ops
+
+
+def replay_solver_ops(ops):
+    """Replay ``ops`` on fresh contexts; everything observable after each one."""
+    clear_incremental_caches()
+    solver = Solver()
+    contexts = {}
+    observed = []
+    for kind, index, argument in ops:
+        if kind == "fork":
+            contexts[argument] = contexts.setdefault(index, SolverContext(solver)).fork()
+            continue
+        context = contexts.setdefault(index, SolverContext(solver))
+        replays = CONTEXT_STATS.wave_replays
+        verdict = getattr(context, kind)(argument)
+        observed.append(
+            (
+                verdict,
+                context.unsat,
+                CONTEXT_STATS.wave_replays - replays,
+                sorted(context._assignment.items()),
+                sorted((name, domain.signature()) for name, domain in context._domains.items()),
+                [id(constraint) for constraint in context._pending],
+            )
+        )
+    return observed
+
+
+class TestWaveSchedule:
+    @pytest.mark.parametrize("nf_name", available_nfs())
+    def test_engine_streams_match_the_full_pass_reference(self, nf_name):
+        ops = record_solver_ops(nf_name)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(SolverContext, "_propagate_wave", reference_wave_adapter)
+            expected = replay_solver_ops(ops)
+        assert replay_solver_ops(ops) == expected
+
+    def capped_context(self, stream):
+        """``stream`` committed with the last wave cut off after one round."""
+        context = replay_context(Solver(), stream[:-1])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver_module, "_MAX_ROUNDS", 1)
+            context.add(stream[-1])
+        assert not context.unsat and not context._converged
+        return context
+
+    @pytest.mark.parametrize(
+        "carry", [lambda c: c, SolverContext.fork, lambda c: pickle.loads(pickle.dumps(c))]
+    )
+    def test_nothing_is_stable_after_a_wave_that_hit_the_rounds_cap(self, carry):
+        x, y, z, w = Sym("x", 8), Sym("y", 8), Sym("z", 8), Sym("w", 8)
+        nibble = make_binop(BinOpKind.AND, make_binop(BinOpKind.LSHR, x, Const(4)), Const(0xF))
+        two_sided = make_cmp(CmpKind.ULT, z, w)  # propagates nothing itself
+
+        # The capped wave pins x's high nibble in its only round, so the
+        # pending disequality on that nibble is never re-checked: the next
+        # wave must not take it for part of a fixpoint.
+        stream = [expr_ne(nibble, Const(3)), expr_eq(nibble, Const(3))]
+        assert replay_context(Solver(), stream).unsat
+        context = carry(self.capped_context(stream))
+        assert not context.feasible_with(two_sided)
+        context.add(two_sided)
+        assert context.unsat
+
+        # Same for a pending constraint the capped wave left unreduced.
+        stream = [expr_eq(make_binop(BinOpKind.XOR, x, y), Const(5)), expr_eq(x, Const(3))]
+        context = carry(self.capped_context(stream))
+        assert context.feasible_with(two_sided)
+        context.add(two_sided)
+        scratch = replay_context(Solver(), stream + [two_sided])
+        assert context._converged
+        assert context._assignment == scratch._assignment == {"x": 3, "y": 6}
+        assert context._pending == scratch._pending == [two_sided]
+        assert {name: d.signature() for name, d in context._domains.items()} == {
+            name: d.signature() for name, d in scratch._domains.items()
+        }
