@@ -160,6 +160,39 @@ class NoCacheModel(CacheModel):
         return self._stats
 
 
+class RegionSlotIndex:
+    """Which lines of each contention set lie inside each region.
+
+    ``(line, element index)`` per in-region address of a set, in the set's
+    address order.  The answer is static for one ``ContentionSets`` and one
+    region layout, so a model and all its clones share one index by reference
+    and each list is derived once per analysis.
+    """
+
+    def __init__(self, contention_sets: ContentionSets) -> None:
+        self._contention_sets = contention_sets
+        self._slots: dict[tuple, list[tuple[int, int]]] = {}
+        self.builds = 0
+        self.reuses = 0
+
+    def slots(self, region: MemoryRegion, set_id: int) -> list[tuple[int, int]]:
+        # Keyed by the layout, not only the name: a partitioned model's proxy
+        # regions share their names with the chain's regions at other bases.
+        key = (set_id, region.name, region.base_address, region.length, region.element_size)
+        found = self._slots.get(key)
+        if found is not None:
+            self.reuses += 1
+            return found
+        self.builds += 1
+        line_size = self._contention_sets.line_size
+        found = self._slots[key] = [
+            (address // line_size, region.index_of(address))
+            for address in self._contention_sets.addresses_in_set(set_id)
+            if region.contains_address(address)
+        ]
+        return found
+
+
 class ContentionSetCacheModel(CacheModel):
     """CASTAN's contention-set cache model.
 
@@ -176,8 +209,10 @@ class ContentionSetCacheModel(CacheModel):
         contention_sets: ContentionSets,
         l1_window: int = 8,
         max_candidates: int = 32,
+        slot_index: RegionSlotIndex | None = None,
     ) -> None:
         self.contention_sets = contention_sets
+        self.slot_index = slot_index or RegionSlotIndex(contention_sets)
         self.associativity = contention_sets.associativity
         self.line_size = contention_sets.line_size
         self.max_candidates = max_candidates
@@ -199,7 +234,10 @@ class ContentionSetCacheModel(CacheModel):
 
     def clone(self) -> "ContentionSetCacheModel":
         other = ContentionSetCacheModel(
-            self.contention_sets, l1_window=self.l1_window, max_candidates=self.max_candidates
+            self.contention_sets,
+            l1_window=self.l1_window,
+            max_candidates=self.max_candidates,
+            slot_index=self.slot_index,
         )
         other._resident = {k: OrderedDict(v) for k, v in self._resident.items()}
         other._touched_lines = set(self._touched_lines)
@@ -305,17 +343,14 @@ class ContentionSetCacheModel(CacheModel):
             reverse=True,
         )
         candidates: list[int] = []
+        touched_lines = self._touched_lines
         for set_id, resident in ranked:
             if not resident:
                 continue
-            for address in self.contention_sets.addresses_in_set(set_id):
-                if not region.contains_address(address):
+            for line, index in self.slot_index.slots(region, set_id):
+                if line in touched_lines:
                     continue
-                if self._line_of(address) in self._touched_lines:
-                    continue
-                index = region.index_of(address)
-                if 0 <= index < region.length:
-                    candidates.append(index)
+                candidates.append(index)
                 if len(candidates) >= self.max_candidates:
                     return candidates
         # No contention to be had (e.g. the region fits in L3): the next

@@ -33,8 +33,11 @@ True
 
 from __future__ import annotations
 
+import gc
 import logging
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -69,6 +72,40 @@ from repro.symbex.state import ExecutionState
 _RAINBOW_TABLE_CACHE: dict[tuple, RainbowTable] = {}
 
 logger = logging.getLogger(__name__)
+
+# Automatic cyclic collection is a process-wide switch, so the pause that
+# `Castan.analyze` runs under is counted process-wide: the first analysis in
+# turns it off, the last one out restores what it found.
+_GC_PAUSE_LOCK = threading.Lock()
+_gc_pause_depth = 0
+_gc_enabled_before_pause = False
+
+
+@contextmanager
+def _cyclic_gc_paused():
+    """Run the body without automatic cyclic garbage collection.
+
+    An analysis allocates reference-counted garbage (expressions, domains,
+    dead states) next to a long-lived acyclic frontier; CPython's full
+    collections traverse all of it — some 110 000 tracked objects, 60–100 ms
+    a sweep, two or three sweeps per cold analysis — to reclaim about 2 %.
+    Reference counting still frees everything else at once, so peak RSS does
+    not move (``docs/ARCHITECTURE.md`` §6 has the numbers).  Re-entrant and
+    thread-safe; a caller who already disabled collection stays disabled.
+    """
+    global _gc_pause_depth, _gc_enabled_before_pause
+    with _GC_PAUSE_LOCK:
+        if _gc_pause_depth == 0:
+            _gc_enabled_before_pause = gc.isenabled()
+            gc.disable()
+        _gc_pause_depth += 1
+    try:
+        yield
+    finally:
+        with _GC_PAUSE_LOCK:
+            _gc_pause_depth -= 1
+            if _gc_pause_depth == 0 and _gc_enabled_before_pause:
+                gc.enable()
 
 
 @dataclass
@@ -146,6 +183,10 @@ class Castan:
         least one round before the result.  The callback must not mutate
         its argument; it cannot influence the search.
         """
+        with _cyclic_gc_paused():
+            return self._analyze(nf, num_packets, on_round)
+
+    def _analyze(self, nf: NetworkFunction, num_packets: int | None, on_round) -> CastanResult:
         config = self.config
         start = time.monotonic()
         # `is None`, not truthiness: an explicit num_packets=0 must not be

@@ -9,6 +9,8 @@ expects; ``tests/test_hashing.py`` asserts the equivalence.
 
 from __future__ import annotations
 
+from array import array
+
 MASK32 = 0xFFFFFFFF
 MASK64 = (1 << 64) - 1
 
@@ -40,10 +42,11 @@ if _np is None:
     flow_hash16_column = None
 else:
 
-    def flow_hash16_column(keys) -> list[int]:
+    def flow_hash16_column(keys) -> array:
         """Columnar :func:`flow_hash16` over a sequence of 64-bit keys.
 
-        Value-identical to ``[flow_hash16(k) for k in keys]``: the mixing
+        An ``array('Q')`` equal to ``[flow_hash16(k) for k in keys]``
+        element for element (and iterating as Python ints): the mixing
         runs in uint64 with an explicit 32-bit mask after every step, so no
         intermediate can overflow and every operation matches the scalar
         arithmetic bit for bit (``tests/test_hashing.py`` pins this).
@@ -59,7 +62,7 @@ else:
         h = (h + ((h << _np.uint64(3)) & m32)) & m32
         h = h ^ (h >> _np.uint64(11))
         h = (h + ((h << _np.uint64(15)) & m32)) & m32
-        return [int(v) for v in ((h ^ (h >> _np.uint64(16))) & _np.uint64(FLOW_HASH_MASK))]
+        return array("Q", ((h ^ (h >> _np.uint64(16))) & _np.uint64(FLOW_HASH_MASK)).tobytes())
 
 
 # The same function written in the restricted-Python NF dialect.  NF sources

@@ -1,16 +1,18 @@
-"""Rainbow tables for inverting NF hash functions (§3.5).
+"""Preimage tables for inverting NF hash functions (§3.5).
 
-A rainbow table trades memory for inversion time: chains of alternating
-hash and *reduction* steps are precomputed, storing only each chain's start
-key and final hash.  To invert a target hash value, the lookup re-applies
-the tail of every possible chain position, finds chains whose stored end
-matches, and walks those chains from the start to recover candidate keys.
-
+The keys of a table are *generated* the way a rainbow table generates them:
+chains of alternating hash and *reduction* steps from random start keys.
 The reduction function maps a hash value (plus the chain position, to avoid
 chain merges) back into the *key space*.  CASTAN exploits this degree of
 freedom for "custom-tailored" tables: by sampling keys that already satisfy
 packet constraints (e.g. UDP only, ports in range), the recovered preimages
 are far more likely to survive the solver's compatibility check (§3.5).
+
+A classic rainbow table keeps only each chain's start key and end hash and
+pays for that at lookup time (tail walks, false alarms).  This table keeps
+every chain key (1 MiB at the default size), so a lookup is exact: the
+stored keys whose hash equals the target, visited in the order a chain
+lookup would reach them.
 """
 
 from __future__ import annotations
@@ -23,20 +25,23 @@ import sys
 import threading
 import time
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable
 
-from repro.hashing.functions import FLOW_HASH_BITS, flow_hash16, flow_hash16_column, lb_flow_key
+from repro.hashing.functions import (
+    FLOW_HASH_BITS,
+    FLOW_HASH_MASK,
+    flow_hash16,
+    flow_hash16_column,
+    lb_flow_key,
+)
 
 KeySampler = Callable[[int], int]
 HashFn = Callable[[int], int]
 
 logger = logging.getLogger(__name__)
-
-#: Bound on the per-table tail memo dict; when exceeded it is simply cleared
-#: (entries regenerate on demand).
-_MEMO_LIMIT = 1 << 18
 
 #: Identity of the code that computes a flow table's key matrix.  Bump it
 #: whenever ``flow_hash16``, a key sampler, ``RainbowTable._reduce`` or the
@@ -52,10 +57,12 @@ class RainbowTableStats:
 
     chains: int = 0
     chain_length: int = 0
-    distinct_endpoints: int = 0
     lookups: int = 0
+    #: Stored keys a lookup examined; each is a true preimage of its target.
     chain_walks: int = 0
+    #: Always 0 (lookups are exact); kept because the benchmark reads it by name.
     false_alarms: int = 0
+    #: Distinct keys returned (``chain_walks`` minus repeats of a merged chain).
     inversions: int = 0
     #: Provenance, not behaviour (never part of a digest): whether the key
     #: matrix was ``"built"`` or ``"loaded"`` from the on-disk cache, and the
@@ -65,7 +72,7 @@ class RainbowTableStats:
 
 
 class RainbowTable:
-    """A classic rainbow table over an integer key space."""
+    """An exact preimage table over rainbow-chain keys of an integer key space."""
 
     def __init__(
         self,
@@ -90,11 +97,6 @@ class RainbowTable:
         self.hash_mask = (1 << hash_bits) - 1
         self._seed = seed
         self.stats = RainbowTableStats(chains=num_chains, chain_length=chain_length)
-        # Memo for the pure tail walks of ``invert``: the key sampler is
-        # deterministic in its seed and the hash function is pure, so caching
-        # cannot affect results; only the stats counters in ``invert`` observe
-        # how often the *logical* operations happen, and those stay put.
-        self._tail_memo: dict[tuple[int, int], int] = {}
         # Every key of every chain, position-major: the key at ``position``
         # of chain ``c`` is ``_keys[position * num_chains + c]``.
         if keys is None:
@@ -102,15 +104,16 @@ class RainbowTable:
         else:
             self.stats.source = "loaded"
         self._keys = keys
-        # end hash -> chains (row numbers, in chain order) ending there
-        self._chains: dict[int, list[int]] = {}
-        for chain, end_hash in enumerate(self._hash_column(keys[-num_chains:])):
-            self._chains.setdefault(end_hash, []).append(chain)
-        self.stats.distinct_endpoints = len(self._chains)
+        # (hashes, keys) sorted by hash, derived on the first lookup: an
+        # analysis without havocs never hashes the matrix.
+        self._preimages: tuple[array, array] | None = None
         self.stats.build_seconds = time.perf_counter() - started
         logger.info(
             "rainbow table (%d chains x %d) %s in %.3f s",
-            num_chains, chain_length, self.stats.source, self.stats.build_seconds,
+            num_chains,
+            chain_length,
+            self.stats.source,
+            self.stats.build_seconds,
         )
 
     # -- construction -----------------------------------------------------------
@@ -120,13 +123,16 @@ class RainbowTable:
         seed = (hash_value * 0x9E3779B97F4A7C15 + position * 0xBF58476D1CE4E5B9) & ((1 << 64) - 1)
         return self.key_sampler(seed)
 
-    def _hash_column(self, keys) -> list[int]:
+    def _hash_column(self, keys) -> array:
         """Masked hashes of a column of keys (one numpy pass for the flow hash)."""
         mask = self.hash_mask
         if self.hash_fn is flow_hash16 and flow_hash16_column is not None:
-            return [h & mask for h in flow_hash16_column(keys)]
+            hashes = flow_hash16_column(keys)
+            if mask & FLOW_HASH_MASK == FLOW_HASH_MASK:
+                return hashes
+            return array("Q", [h & mask for h in hashes])
         hash_fn = self.hash_fn
-        return [hash_fn(key) & mask for key in keys]
+        return array("Q", [hash_fn(key) & mask for key in keys])
 
     def _build_keys(self) -> array:
         """Walk every chain, keeping each key (64-bit key spaces only).
@@ -152,58 +158,53 @@ class RainbowTable:
     # -- inversion ---------------------------------------------------------------
 
     def invert(self, target_hash: int, limit: int = 8) -> list[int]:
-        """Candidate keys ``k`` with ``hash_fn(k) == target_hash``."""
+        """Up to ``limit`` distinct stored keys ``k`` with ``hash_fn(k) == target_hash``.
+
+        Keys come in the order a chain lookup reaches them: chain position
+        descending (cheapest tail first), then chain number ascending.
+        """
         target_hash &= self.hash_mask
         self.stats.lookups += 1
-        found: list[int] = []
-        seen: set[int] = set()
-        # Try every possible position of the target within a chain, from the
-        # end of the chain backwards (cheapest first).
-        for position in range(self.chain_length - 1, -1, -1):
-            end_hash = self._tail(target_hash, position)
-            for chain in self._chains.get(end_hash, ()):
-                self.stats.chain_walks += 1
-                key = self._walk_chain(chain, position)
-                if self.hash_fn(key) & self.hash_mask != target_hash:
-                    self.stats.false_alarms += 1
-                    continue
-                if key not in seen:
-                    seen.add(key)
-                    found.append(key)
-                    self.stats.inversions += 1
-                    if len(found) >= limit:
-                        return found
-        return found
+        if self._preimages is None:
+            # Two threads racing here build equal tuples; either may win.
+            self._preimages = self._sorted_preimages()
+        hashes, keys = self._preimages
+        first = bisect_left(hashes, target_hash)
+        found: dict[int, None] = {}
+        for key in keys[first : bisect_right(hashes, target_hash, first)]:
+            self.stats.chain_walks += 1
+            if key not in found:  # merged chains store a key more than once
+                found[key] = None
+                self.stats.inversions += 1
+                if len(found) >= limit:
+                    break
+        return list(found)
 
-    def _tail(self, hash_value: int, position: int) -> int:
-        """End-of-chain hash reached from ``hash_value`` at ``position``.
+    def _sorted_preimages(self) -> tuple[array, array]:
+        """Every stored key with its masked hash, as two columns sorted by hash.
 
-        Tail walks recompute suffixes of real chains, so lookups against
-        repeated or colliding targets revisit the same (hash, position)
-        states constantly; memoising the suffix result collapses the
-        classic O(chain_length²) lookup loop to its distinct prefix.
+        Both sorts are stable over the lookup order, so keys of equal hash
+        stay in it.  Without numpy the hashes are one scalar loop (about
+        0.5 s at the default size, once per table).
         """
-        memo = self._tail_memo
-        stack: list[tuple[int, int]] = []
-        last = self.chain_length - 1
-        while position < last:
-            cached = memo.get((hash_value, position))
-            if cached is not None:
-                hash_value = cached
-                break
-            stack.append((hash_value, position))
-            hash_value = self.hash_fn(self._reduce(hash_value, position)) & self.hash_mask
-            position += 1
-        if stack:
-            if len(memo) >= _MEMO_LIMIT:
-                memo.clear()
-            for entry in stack:
-                memo[entry] = hash_value
-        return hash_value
+        chains = self.num_chains
+        keys = array("Q")
+        for position in range(self.chain_length - 1, -1, -1):
+            keys.extend(self._keys[position * chains : (position + 1) * chains])
+        hashes = self._hash_column(keys)
+        if flow_hash16_column is not None:
+            # numpy is importable whenever the columnar hash is; its stable
+            # radix sort orders the default table in 2 ms, ``sorted`` in 40.
+            import numpy as np
 
-    def _walk_chain(self, chain: int, position: int) -> int:
-        """Return the key at ``position`` of chain number ``chain``."""
-        return self._keys[position * self.num_chains + chain]
+            narrow = np.min_scalar_type(self.hash_mask)
+            order = np.argsort(np.frombuffer(hashes, dtype=np.uint64).astype(narrow), kind="stable")
+            return tuple(
+                array("Q", np.frombuffer(column, dtype=np.uint64)[order].tobytes())
+                for column in (hashes, keys)
+            )
+        order = sorted(range(len(keys)), key=hashes.__getitem__)
+        return tuple(array("Q", map(column.__getitem__, order)) for column in (hashes, keys))
 
     # -- introspection ------------------------------------------------------------
 
@@ -226,12 +227,16 @@ class BruteForceInverter:
     benchmark.
     """
 
-    def __init__(self, hash_fn: HashFn, key_sampler: KeySampler, hash_bits: int = FLOW_HASH_BITS) -> None:
+    def __init__(
+        self, hash_fn: HashFn, key_sampler: KeySampler, hash_bits: int = FLOW_HASH_BITS
+    ) -> None:
         self.hash_fn = hash_fn
         self.key_sampler = key_sampler
         self.hash_mask = (1 << hash_bits) - 1
 
-    def invert(self, target_hash: int, limit: int = 8, budget: int = 200_000, seed: int = 11) -> list[int]:
+    def invert(
+        self, target_hash: int, limit: int = 8, budget: int = 200_000, seed: int = 11
+    ) -> list[int]:
         target_hash &= self.hash_mask
         rng = random.Random(seed ^ target_hash)
         found: list[int] = []

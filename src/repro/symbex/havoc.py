@@ -209,10 +209,14 @@ def reconcile_havocs(
         if not reconciled:
             outcome.failed.append(record)
 
-    # Keep the model consistent with any constraints pinned along the way.
-    final = solver.check(working_constraints, defaults=defaults)
-    if final.is_sat:
-        outcome.model = final.model
+    if not outcome.reconciled:
+        # Nothing was pinned, and where ``model`` came from is the caller's
+        # business: re-derive it from the constraints.  (After an accepted
+        # trial ``outcome.model`` already is the solver's model of exactly
+        # ``working_constraints`` — ``Solver.check`` is a pure function.)
+        final = solver.check(working_constraints, defaults=defaults)
+        if final.is_sat:
+            outcome.model = final.model
     return outcome
 
 

@@ -938,9 +938,12 @@ class Solver:
         # Index constraints by mentioned symbol: assigning one symbol can
         # only change the reduction of constraints that mention it, so each
         # backtracking node re-checks O(relevant) constraints, not O(all).
-        by_symbol = {
-            name: [c for c in unresolved if name in c.symbol_names] for name in unassigned
-        }
+        by_symbol: dict[str, list[Expr]] = {name: [] for name in unassigned}
+        for constraint in unresolved:
+            for name in constraint.symbol_names:
+                bucket = by_symbol.get(name)
+                if bucket is not None:
+                    bucket.append(constraint)
         budget = [self.search_budget]
         return self._backtrack(
             unassigned, 0, unresolved, by_symbol, assignment, domains, rng, budget, extra_candidates

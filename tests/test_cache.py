@@ -2,18 +2,19 @@
 hierarchy, contention-set discovery and the symbex cache models."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
 from repro.cache.contention import ContentionSets, discover_contention_sets
 from repro.cache.hierarchy import HierarchyConfig, MemoryHierarchy
-from repro.cache.model import ContentionSetCacheModel, NoCacheModel
+from repro.cache.model import ContentionSetCacheModel, NoCacheModel, RegionSlotIndex
 from repro.cache.setassoc import SetAssociativeCache
 from repro.core.castan import Castan
 from repro.core.config import CastanConfig
 from repro.ir.instructions import BinOpKind
 from repro.ir.module import MemoryRegion
-from repro.nf.registry import get_nf
+from repro.nf.registry import EVALUATION_NF_NAMES, get_nf
 from repro.service.store import canonical_result_digest
 from repro.symbex.expr import Const, Sym, evaluate, expr_eq, make_binop
 from repro.symbex.incremental import CONTEXT_STATS, SolverContext
@@ -373,6 +374,114 @@ class TestPinnedPointerFastPath:
         assert fast == loop and fast_digest == loop_digest
         assert any(decision.constraint is not None for decision, _ in fast)
         assert fast_queries < loop_queries // 2  # most probes hit pinned pointers
+
+
+def _candidate_indices_rescanning(model: ContentionSetCacheModel, region: MemoryRegion) -> list[int]:
+    """``_candidate_indices`` as it was before the shared slot lists, verbatim:
+    every call re-derives which addresses of each set lie inside the region."""
+    self = model
+    ranked = sorted(
+        self._resident.items(),
+        key=lambda item: len(item[1]),
+        reverse=True,
+    )
+    candidates: list[int] = []
+    for set_id, resident in ranked:
+        if not resident:
+            continue
+        for address in self.contention_sets.addresses_in_set(set_id):
+            if not region.contains_address(address):
+                continue
+            if self._line_of(address) in self._touched_lines:
+                continue
+            index = region.index_of(address)
+            if 0 <= index < region.length:
+                candidates.append(index)
+            if len(candidates) >= self.max_candidates:
+                return candidates
+    touched = self._touched_elements.get(region.name, [])
+    for index in reversed(touched):
+        if index not in candidates:
+            candidates.append(index)
+        if len(candidates) >= self.max_candidates:
+            break
+    return candidates
+
+
+class TestRegionSlotIndex:
+    """The in-region lines of a contention set are derived once per
+    (region, set) and shared by every clone; candidates do not change."""
+
+    SMOKE = dict(max_states=60, num_packets=5, deadline_seconds=None)
+    CASES = [(name, "shared") for name in EVALUATION_NF_NAMES] + [
+        ("chain-gateway", "partitioned"),
+        ("chain-edge", "partitioned"),
+    ]
+
+    @pytest.mark.parametrize("nf_name, partition", CASES)
+    def test_candidates_equal_the_rescanning_loop(self, nf_name, partition, monkeypatch):
+        """On every model state a smoke-scale analysis consults."""
+        inner = ContentionSetCacheModel._candidate_indices
+        indexes: dict[int, RegionSlotIndex] = {}
+
+        def checking(model, region):
+            candidates = inner(model, region)
+            assert candidates == _candidate_indices_rescanning(model, region)
+            indexes[id(model.slot_index)] = model.slot_index
+            return candidates
+
+        monkeypatch.setattr(ContentionSetCacheModel, "_candidate_indices", checking)
+        config = CastanConfig(cache_partition=partition, **self.SMOKE)
+        Castan(config).analyze(get_nf(nf_name))
+        # One index per contention-set model of the analysis, however often
+        # the search cloned it.
+        stages = len(get_nf(nf_name).chain_stages) if partition == "partitioned" else 1
+        assert len(indexes) <= stages
+
+    def test_contains_address_runs_once_per_region_set_and_address(self, monkeypatch):
+        """nat-hash-ring at 200 states: ~110 calls per symbolic access before."""
+        inner = MemoryRegion.contains_address
+        seen = Counter()
+
+        def counting(region, address):
+            seen[region.name, region.base_address, address] += 1
+            return inner(region, address)
+
+        monkeypatch.setattr(MemoryRegion, "contains_address", counting)
+        models = []
+        build = Castan._build_cache_model
+
+        def recording_build(castan, nf):
+            models.append(build(castan, nf))
+            return models[-1]
+
+        monkeypatch.setattr(Castan, "_build_cache_model", recording_build)
+        Castan(CastanConfig(max_states=200, deadline_seconds=None)).analyze(get_nf("nat-hash-ring"))
+        (model, _), = models
+        assert seen and max(seen.values()) == 1
+        index = model.slot_index
+        assert index.builds >= 1 and index.reuses > 10 * index.builds
+        assert sum(seen.values()) == sum(
+            len(model.contention_sets.addresses_in_set(key[0])) for key in index._slots
+        )
+
+    def test_clones_share_the_index_and_proxy_regions_do_not_collide(self):
+        pool = [(1 << 30) + i * 64 for i in range(2048)]
+        model = ContentionSetCacheModel(ContentionSets.from_oracle(tiny_hierarchy(), pool))
+        assert model.clone().clone().slot_index is model.slot_index
+        region = MemoryRegion(name="tbl", length=4096, element_size=64, base_address=1 << 30)
+        moved = MemoryRegion(name="tbl", length=4096, element_size=64, base_address=(1 << 30) + 4096)
+        index = model.slot_index
+        set_id = model.contention_sets.set_id_of(pool[0])
+        here = index.slots(region, set_id)
+        there = index.slots(moved, set_id)
+        assert (index.builds, index.reuses) == (2, 0)
+        assert index.slots(region, set_id) is here
+        assert (index.builds, index.reuses) == (2, 1)
+        addresses = model.contention_sets.addresses_in_set(set_id)
+        assert here == [(a // 64, region.index_of(a)) for a in addresses if region.contains_address(a)]
+        assert there == [(a // 64, moved.index_of(a)) for a in addresses if moved.contains_address(a)]
+        assert here != there
 
 
 class TestWayPartitioning:

@@ -2,7 +2,9 @@
 havoc reconciliation, pcap output and adversarial effect on the testbed."""
 
 import dataclasses
+import gc
 import logging
+import threading
 
 import pytest
 
@@ -18,8 +20,17 @@ from repro.nf.base import NetworkFunction
 from repro.nf.common import HASH_TABLE_BUCKETS, VIP_ADDRESS, middlebox_packet_defaults
 from repro.nf.registry import get_nf
 from repro.service.store import canonical_result_digest, result_summary
-from repro.symbex.incremental import CONTEXT_STATS, clear_incremental_caches
-from repro.symbex.solver import Model
+from repro.hashing.rainbow import RainbowTable
+from repro.symbex.engine import SymbolicEngine
+from repro.symbex.expr import Const, expr_eq, reduce_expr
+from repro.symbex.havoc import (
+    _PIN_CONFLICT,
+    ReconciliationOutcome,
+    _decompose_key_pin,
+    reconcile_havocs,
+)
+from repro.symbex.incremental import CONTEXT_STATS, clear_incremental_caches, replay_context
+from repro.symbex.solver import Model, Solver
 from repro.testbed.measure import measure_latency
 from repro.workloads.generators import make_castan_workload, make_unirand_castan_workload
 
@@ -255,6 +266,246 @@ class TestRainbowTablesPerNF:
             digests.append(canonical_result_digest(result))
         assert result.havoc_outcome.reconciled  # the table was really used
         assert len(set(digests)) == 1
+
+
+def _reconcile_havocs_with_trailing_check(
+    records, constraints, model, solver, rainbow_tables, hash_functions,
+    defaults=None, max_candidates_per_havoc=16,
+):
+    """``reconcile_havocs`` as it was when it always re-solved at the end, verbatim."""
+    outcome = ReconciliationOutcome(model=model.copy())
+    working_constraints = list(constraints)
+    context = replay_context(solver, working_constraints)
+    pinned: dict[str, int] = dict(context.pinned_assignment())
+
+    for record in records:
+        table = rainbow_tables.get(record.hash_function)
+        hash_fn = hash_functions.get(record.hash_function)
+        if table is None or hash_fn is None:
+            outcome.failed.append(record)
+            continue
+
+        desired_hash = outcome.model.get(record.symbol.name, 0)
+        candidate_keys = list(table.invert(desired_hash, limit=max_candidates_per_havoc))
+        reconciled = False
+        for candidate_key in candidate_keys:
+            outcome.attempts += 1
+            actual_hash = hash_fn(candidate_key)
+            if actual_hash != desired_hash:
+                continue
+            fields = _decompose_key_pin(record.key_expr, candidate_key)
+            if fields is _PIN_CONFLICT:
+                continue
+            if isinstance(fields, dict):
+                if any(pinned.get(name, value) != value for name, value in fields.items()):
+                    continue
+                trial_assignment = dict(pinned)
+                trial_assignment.update(fields)
+                trial_assignment[record.symbol.name] = desired_hash
+                if any(
+                    isinstance(r, Const) and r.value == 0
+                    for r in (
+                        reduce_expr(c, trial_assignment) for c in working_constraints
+                    )
+                ):
+                    continue
+            trial_constraints = working_constraints + [
+                expr_eq(record.key_expr, Const(candidate_key)),
+                expr_eq(record.symbol, Const(desired_hash)),
+            ]
+            result = solver.check(trial_constraints, defaults=defaults)
+            if result.is_sat:
+                working_constraints = trial_constraints
+                outcome.model = result.model
+                outcome.reconciled.append(record)
+                reconciled = True
+                context.add(trial_constraints[-2])
+                context.add(trial_constraints[-1])
+                pinned.update(context.pinned_assignment())
+                if isinstance(fields, dict):
+                    pinned.update(fields)
+                pinned[record.symbol.name] = desired_hash
+                break
+        if not reconciled:
+            outcome.failed.append(record)
+
+    final = solver.check(working_constraints, defaults=defaults)
+    if final.is_sat:
+        outcome.model = final.model
+    return outcome
+
+
+HAVOC_NFS = (
+    "lb-hash-table", "lb-hash-ring", "nat-hash-table", "nat-hash-ring",
+    "policer-two-choice", "dedup-bloom", "chain-gateway", "chain-edge",
+)
+
+
+class TestReconciliationReusesTheLastAcceptedModel:
+    """After an accepted trial the trailing ``Solver.check`` re-solved the
+    very list that trial solved; reusing its model changes nothing."""
+
+    @pytest.mark.parametrize("nf_name", HAVOC_NFS)
+    def test_same_outcome_one_model_search_fewer(self, nf_name, monkeypatch):
+        checks = []
+        inner_check = Solver.check
+
+        def counting_check(solver, *args, **kwargs):
+            checks.append(1)
+            return inner_check(solver, *args, **kwargs)
+
+        compared = []
+
+        def both(**kwargs):
+            before = len(checks)
+            expected = _reconcile_havocs_with_trailing_check(**kwargs)
+            reference_checks = len(checks) - before
+            outcome = reconcile_havocs(**kwargs)
+            assert outcome.model.values == expected.model.values
+            assert outcome.reconciled == expected.reconciled and outcome.failed == expected.failed
+            assert outcome.attempts == expected.attempts
+            saved = reference_checks - (len(checks) - before - reference_checks)
+            assert saved == (1 if outcome.reconciled else 0)
+            compared.append(outcome)
+            return outcome
+
+        monkeypatch.setattr(Solver, "check", counting_check)
+        monkeypatch.setattr(castan_module, "reconcile_havocs", both)
+        config = quick_config(deadline_seconds=None, max_states=60, num_packets=5)
+        result = Castan(config).analyze(get_nf(nf_name))
+        assert compared == [result.havoc_outcome] and result.havoc_outcome.total
+
+
+class TestLookupCounters:
+    def test_every_stored_key_a_lookup_examines_is_a_true_preimage(self, monkeypatch):
+        """nat-hash-ring at 200 states: no false alarms, by construction."""
+        monkeypatch.setattr(castan_module, "_RAINBOW_TABLE_CACHE", {})
+        examined = []
+        inner = RainbowTable.invert
+
+        def recording(table, target_hash, limit=8):
+            before = table.stats.chain_walks
+            keys = inner(table, target_hash, limit)
+            assert all(table.hash_fn(key) & table.hash_mask == target_hash for key in keys)
+            examined.append(table.stats.chain_walks - before)
+            assert len(keys) <= examined[-1]
+            return keys
+
+        monkeypatch.setattr(RainbowTable, "invert", recording)
+        castan = Castan(quick_config(deadline_seconds=None, max_states=200, num_packets=None))
+        nf = get_nf("nat-hash-ring")
+        result = castan.analyze(nf)
+        (table,) = castan._rainbow_tables(nf).values()
+        assert table.stats.lookups == len(examined) == result.havoc_outcome.total > 0
+        assert table.stats.false_alarms == 0
+        assert table.stats.chain_walks == sum(examined) > 0
+
+
+class TestCyclicGcPause:
+    """``Castan.analyze`` pauses automatic cyclic collection and restores it."""
+
+    CONFIG = dict(deadline_seconds=None, max_states=40, num_packets=2)
+
+    @pytest.fixture(autouse=True)
+    def gc_enabled(self):
+        assert gc.isenabled()
+        yield
+        gc.enable()
+
+    @staticmethod
+    def _analyze(on_round=None, **overrides):
+        config = CastanConfig(**{**TestCyclicGcPause.CONFIG, **overrides})
+        return Castan(config).analyze(get_nf("lpm-patricia"), on_round=on_round)
+
+    @pytest.mark.parametrize("search_mode", ["monolithic", "beam"])
+    def test_paused_inside_enabled_after(self, search_mode):
+        inside = []
+        self._analyze(lambda stats: inside.append(gc.isenabled()), search_mode=search_mode)
+        assert inside and not any(inside)
+        assert gc.isenabled()
+
+    def test_nested_analyses_restore_once_at_the_outermost_exit(self):
+        seen = []
+
+        def nested(stats):
+            if not seen:
+                seen.append("inner")
+                self._analyze()
+                seen.append(gc.isenabled())  # the inner exit must not re-enable
+
+        self._analyze(nested)
+        assert seen == ["inner", False] and gc.isenabled()
+
+    def test_an_engine_that_raises_restores_collection(self, monkeypatch):
+        def explode(*args, **kwargs):
+            assert not gc.isenabled()
+            raise RuntimeError("engine failed")
+
+        monkeypatch.setattr(SymbolicEngine, "run", explode)
+        with pytest.raises(RuntimeError, match="engine failed"):
+            self._analyze()
+        assert gc.isenabled()
+
+    def test_a_caller_with_collection_off_stays_off(self):
+        gc.disable()
+        self._analyze()
+        assert not gc.isenabled()
+
+    def test_two_overlapping_threads_restore_after_the_last_one(self):
+        """The first thread to finish must leave collection paused for the other."""
+        both_inside = threading.Barrier(2)
+        first_done = threading.Event()
+        observed: dict[str, bool] = {}
+        failures: list[Exception] = []
+
+        def run(name: str) -> None:
+            def on_round(stats):
+                if name not in observed:
+                    observed[name] = True
+                    both_inside.wait(timeout=30)
+                    if name == "second":
+                        assert first_done.wait(timeout=30)
+                        observed["paused while first is gone"] = not gc.isenabled()
+
+            try:
+                self._analyze(on_round)
+            except Exception as error:  # reported by the assertion below
+                failures.append(error)
+            if name == "first":
+                first_done.set()
+
+        threads = [threading.Thread(target=run, args=(name,)) for name in ("first", "second")]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads) and not failures
+        assert observed.get("paused while first is gone") is True
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("nf_name", ["nat-hash-ring", "lb-red-black-tree", "chain-edge"])
+    def test_the_analysis_heap_has_almost_no_cycles(self, nf_name):
+        """What makes the pause safe: unreachable cycles are a per-analysis
+        constant (the ICFG and cost annotation) plus a few objects per explored
+        state (self-referencing local closures in the solver), so leaving them
+        to the next collection after the analysis does not grow peak memory."""
+
+        def unreachable_after(max_states: int) -> tuple[int, int]:
+            nf = get_nf(nf_name)
+            gc.collect()
+            gc.disable()
+            try:
+                result = Castan(
+                    CastanConfig(deadline_seconds=None, max_states=max_states, num_packets=5)
+                ).analyze(nf)
+                return gc.collect(), result.states_explored
+            finally:
+                gc.enable()
+
+        small, small_states = unreachable_after(60)
+        large, large_states = unreachable_after(300)
+        assert small < 1500
+        assert large - small < 4 * max(large_states - small_states, 1)
 
 
 class TestAdversarialEffect:

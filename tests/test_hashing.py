@@ -28,6 +28,7 @@ from repro.hashing.rainbow import (
     TABLE_CACHE_VERSION,
     BruteForceInverter,
     RainbowTable,
+    RainbowTableStats,
     build_flow_rainbow_table,
     exhaustive_preimages,
     generic_key_sampler,
@@ -80,7 +81,7 @@ class TestFlowHashColumn:
             pytest.skip("numpy not installed (the [vector] extra)")
         rng = random.Random(17)
         keys = [0, 1, 2**64 - 1, 0xDEADBEEF] + [rng.getrandbits(64) for _ in range(2000)]
-        assert flow_hash16_column(keys) == [flow_hash16(k) for k in keys]
+        assert list(flow_hash16_column(keys)) == [flow_hash16(k) for k in keys]
 
     def test_column_returns_python_ints(self):
         if flow_hash16_column is None:
@@ -91,7 +92,7 @@ class TestFlowHashColumn:
     def test_empty_column(self):
         if flow_hash16_column is None:
             pytest.skip("numpy not installed (the [vector] extra)")
-        assert flow_hash16_column([]) == []
+        assert list(flow_hash16_column([])) == []
 
 
 class TestTailoredSamplerStream:
@@ -195,7 +196,7 @@ class TestRainbowTable:
 
         Passing ``flow_hash16`` through a wrapper defeats the ``is`` check
         in ``RainbowTable._hash_column``, forcing one scalar hash call per
-        key — both must produce the same key matrix and chains dict.
+        key — both must produce the same key matrix and the same hash column.
         """
         kwargs = dict(
             key_sampler=udp_flow_key_sampler, chain_length=8, num_chains=300, seed=9
@@ -203,8 +204,8 @@ class TestRainbowTable:
         columnar = RainbowTable(hash_fn=flow_hash16, **kwargs)
         scalar = RainbowTable(hash_fn=lambda k: flow_hash16(k), **kwargs)
         assert columnar._keys == scalar._keys
-        assert columnar._chains == scalar._chains
-        assert columnar.stats.distinct_endpoints == scalar.stats.distinct_endpoints
+        assert columnar._hash_column(columnar._keys) == scalar._hash_column(scalar._keys)
+        assert columnar._sorted_preimages() == scalar._sorted_preimages()
 
     def test_brute_force_inverter(self):
         inverter = BruteForceInverter(flow_hash16, udp_flow_key_sampler)
@@ -219,6 +220,130 @@ class TestRainbowTable:
         table = exhaustive_preimages(flow_hash16, keys)
         for hash_value, preimages in list(table.items())[:20]:
             assert all(flow_hash16(k) == hash_value for k in preimages)
+
+
+class _ChainWalkLookup:
+    """The lookup this table had before it became an exact preimage lookup.
+
+    ``invert``, ``_tail`` and ``_walk_chain`` are the previous revision's,
+    verbatim, over the table's own key matrix: walk the target's tail from
+    every chain position to a stored end hash, then test the key at that
+    position of every chain ending there.  The reference the exact lookup
+    must equal — same keys, same order, same truncation.
+    """
+
+    _MEMO_LIMIT = 1 << 20  # the one edit: large enough that the exhaustive case never clears it
+
+    def __init__(self, table: RainbowTable) -> None:
+        self.hash_fn = table.hash_fn
+        self.hash_mask = table.hash_mask
+        self.chain_length = table.chain_length
+        self.num_chains = table.num_chains
+        self._reduce = table._reduce
+        self._keys = table._keys
+        self.stats = RainbowTableStats()
+        self._tail_memo: dict[tuple[int, int], int] = {}
+        self._chains: dict[int, list[int]] = {}
+        for chain, key in enumerate(self._keys[-self.num_chains :]):
+            self._chains.setdefault(self.hash_fn(key) & self.hash_mask, []).append(chain)
+
+    def invert(self, target_hash: int, limit: int = 8) -> list[int]:
+        target_hash &= self.hash_mask
+        self.stats.lookups += 1
+        found: list[int] = []
+        seen: set[int] = set()
+        for position in range(self.chain_length - 1, -1, -1):
+            end_hash = self._tail(target_hash, position)
+            for chain in self._chains.get(end_hash, ()):
+                self.stats.chain_walks += 1
+                key = self._walk_chain(chain, position)
+                if self.hash_fn(key) & self.hash_mask != target_hash:
+                    self.stats.false_alarms += 1
+                    continue
+                if key not in seen:
+                    seen.add(key)
+                    found.append(key)
+                    self.stats.inversions += 1
+                    if len(found) >= limit:
+                        return found
+        return found
+
+    def _tail(self, hash_value: int, position: int) -> int:
+        memo = self._tail_memo
+        stack: list[tuple[int, int]] = []
+        last = self.chain_length - 1
+        while position < last:
+            cached = memo.get((hash_value, position))
+            if cached is not None:
+                hash_value = cached
+                break
+            stack.append((hash_value, position))
+            hash_value = self.hash_fn(self._reduce(hash_value, position)) & self.hash_mask
+            position += 1
+        if stack:
+            if len(memo) >= self._MEMO_LIMIT:
+                memo.clear()
+            for entry in stack:
+                memo[entry] = hash_value
+        return hash_value
+
+    def _walk_chain(self, chain: int, position: int) -> int:
+        return self._keys[position * self.num_chains + chain]
+
+
+class TestExactLookupEqualsChainWalk:
+    """``RainbowTable.invert`` against :class:`_ChainWalkLookup` on the same matrix."""
+
+    LIMITS = (1, 4, 16)
+
+    @staticmethod
+    def _case(chain_length: int, num_chains: int, seed: int, targets: list[int]):
+        table = RainbowTable(
+            flow_hash16, udp_flow_key_sampler, chain_length=chain_length,
+            num_chains=num_chains, seed=seed,
+        )
+        reference = _ChainWalkLookup(table)
+        expected = [reference.invert(t, limit) for t in targets for limit in TestExactLookupEqualsChainWalk.LIMITS]
+        return table, targets, expected, reference.stats
+
+    @pytest.fixture(scope="class")
+    def sampled(self):
+        """A 1500 x 24 tailored table over 2 000 seeded targets."""
+        rng = random.Random(41)
+        return self._case(24, 1500, 5, [rng.getrandbits(FLOW_HASH_BITS) for _ in range(2000)])
+
+    @pytest.fixture(scope="class")
+    def exhaustive(self):
+        """A 300 x 8 table over every 16-bit target."""
+        return self._case(8, 300, 9, list(range(1 << FLOW_HASH_BITS)))
+
+    @pytest.mark.parametrize("case", ["sampled", "exhaustive"])
+    @pytest.mark.parametrize("variant", ["numpy", "no-numpy", "callable"])
+    def test_same_candidates_same_order_same_truncation(self, request, monkeypatch, case, variant):
+        built, targets, expected, reference_stats = request.getfixturevalue(case)
+        if variant == "numpy" and flow_hash16_column is None:
+            pytest.skip("numpy not installed (the [vector] extra)")
+        if variant == "no-numpy":
+            monkeypatch.setattr("repro.hashing.rainbow.flow_hash16_column", None)
+        table = RainbowTable(
+            (lambda k: flow_hash16(k)) if variant == "callable" else flow_hash16,
+            udp_flow_key_sampler,
+            chain_length=built.chain_length,
+            num_chains=built.num_chains,
+            keys=built._keys,
+        )
+        assert [table.invert(t, limit) for t in targets for limit in self.LIMITS] == expected
+        stats = table.stats
+        assert (stats.lookups, stats.inversions) == (reference_stats.lookups, reference_stats.inversions)
+        # What is left of a chain walk: the stored keys that were true hits.
+        assert stats.false_alarms == 0
+        assert stats.chain_walks == reference_stats.chain_walks - reference_stats.false_alarms
+
+    def test_table_without_lookups_never_hashes_its_matrix(self):
+        table = RainbowTable(flow_hash16, udp_flow_key_sampler, chain_length=4, num_chains=16)
+        assert table._preimages is None
+        table.invert(7)
+        assert table._preimages is not None
 
 
 def _behaviour(table: RainbowTable, targets) -> tuple:
@@ -244,7 +369,8 @@ class TestFlowTablePersistence:
         built = build_flow_rainbow_table(tailored=tailored, **self.SMALL)
         loaded = build_flow_rainbow_table(tailored=tailored, **self.SMALL)
         assert (built.stats.source, loaded.stats.source) == ("built", "loaded")
-        assert loaded._keys == built._keys and loaded._chains == built._chains
+        assert loaded._keys == built._keys
+        assert loaded._hash_column(loaded._keys) == built._hash_column(built._keys)
         rng = random.Random(8)
         targets = [rng.getrandbits(FLOW_HASH_BITS) for _ in range(200)]
         assert _behaviour(loaded, targets) == _behaviour(built, targets)
