@@ -39,6 +39,16 @@ def _canonical_value(value):
     raise TypeError(f"config value {value!r} is not canonicalizable")
 
 
+def hash_canonical_config(canonical: dict) -> str:
+    """:meth:`CastanConfig.content_hash` of a config already in canonical form.
+
+    For callers that need both the canonical dict and its hash (a service
+    submission) and should canonicalise once.
+    """
+    payload = json.dumps([CONFIG_HASH_VERSION, canonical], sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
 @dataclass
 class CastanConfig:
     """Knobs of the analysis (§3, §4).
@@ -149,12 +159,7 @@ class CastanConfig:
         repoint stored results; ``tests/test_config_hash.py`` pins a golden
         hash against exactly that.
         """
-        payload = json.dumps(
-            [CONFIG_HASH_VERSION, self.to_canonical_dict()],
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return hash_canonical_config(self.to_canonical_dict())
 
     @classmethod
     def from_dict(cls, data: dict) -> "CastanConfig":

@@ -34,11 +34,19 @@ and chain parse errors name the offending stage:
 Traceback (most recent call last):
     ...
 KeyError: "chain stage 2 ('fw-contrack') in 'chain:router,fw-contrack' is not a registered NF; did you mean 'fw-conntrack'?"
+
+``nf_identity(spec)`` is what addresses a stored result — the fingerprint
+and the per-NF packet count — compiled once per process and spec:
+
+>>> from repro.nf.registry import nf_identity
+>>> nf_identity("lpm-patricia") == (get_nf("lpm-patricia").fingerprint(), 8)
+True
 """
 
 from __future__ import annotations
 
 import difflib
+import functools
 from typing import Callable
 
 from repro.nf.base import NetworkFunction
@@ -71,9 +79,7 @@ _BUILDERS: dict[str, Callable[[], NetworkFunction]] = {
     "policer-two-choice": build_policer,
     "dedup-bloom": build_dedup,
     "dpi-trie": build_dpi,
-    "chain-gateway": lambda: build_chain(
-        PRESET_CHAINS["chain-gateway"], name="chain-gateway"
-    ),
+    "chain-gateway": lambda: build_chain(PRESET_CHAINS["chain-gateway"], name="chain-gateway"),
     "chain-edge": lambda: build_chain(PRESET_CHAINS["chain-edge"], name="chain-edge"),
 }
 
@@ -106,3 +112,18 @@ def get_nf(name: str) -> NetworkFunction:
             message = f"unknown NF {name!r}; available: {', '.join(NF_NAMES)}"
         raise KeyError(message) from None
     return builder()
+
+
+@functools.lru_cache(maxsize=256)
+def nf_identity(spec: str) -> tuple[str, int]:
+    """``(fingerprint, castan_packet_count)`` of ``get_nf(spec)``, memoised.
+
+    A spec names a fixed builder, so its identity cannot change within a
+    process; compiling the NF to learn it again on every store lookup was
+    most of what a service cache hit cost.  The memo is bounded because
+    ``chain:`` specs are client-supplied; unknown specs raise
+    :func:`get_nf`'s ``KeyError`` and are not cached.  ``cache_info()`` is
+    served by ``GET /healthz``.
+    """
+    nf = get_nf(spec)
+    return nf.fingerprint(), nf.castan_packet_count

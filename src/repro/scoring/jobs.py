@@ -27,6 +27,7 @@ from collections import Counter
 
 from repro.core.castan import Castan, CastanResult
 from repro.core.config import CastanConfig
+from repro.net.pcap import PcapReader
 from repro.nf.base import NetworkFunction
 from repro.nf.registry import get_nf
 from repro.scoring.distill import DistillReport, distill_signatures
@@ -57,7 +58,7 @@ def obtain_result(
             return entry[0]
     result = Castan(config).analyze(nf, num_packets=num_packets)
     if store is not None:
-        store.put(store.key_for(nf, config, num_packets), result)
+        store.put(key, result)
     return result
 
 
@@ -84,6 +85,25 @@ def obtain_signatures(
     if store is not None:
         store.put_signatures(signature_set)
     return signature_set
+
+
+def check_pcap_container(traffic: dict) -> None:
+    """Raise ``ValueError`` unless a pcap traffic spec opens as a capture.
+
+    Reads only the 24-byte global header (magic, truncation, link type —
+    the reader's ``PcapFormatError``), so a submission boundary can refuse a
+    file that is not a pcap at all without parsing it; a malformed *record*
+    still surfaces while streaming.  Synthetic traffic has no container.
+    """
+    if "pcap_bytes" in traffic:
+        PcapReader(io.BytesIO(traffic["pcap_bytes"]))
+    elif "pcap_path" in traffic:
+        try:
+            stream = open(traffic["pcap_path"], "rb")
+        except OSError as exc:
+            raise ValueError(f"cannot read pcap_path: {exc}") from None
+        with stream:
+            PcapReader(stream)
 
 
 def _traffic_batches(

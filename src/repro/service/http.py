@@ -6,7 +6,8 @@ is all the job API needs and keeps the repo dependency-free.
 
 Endpoints (all JSON unless noted)::
 
-    GET  /healthz                  liveness + job-state counts + store size
+    GET  /healthz                  liveness + job-state counts + store size +
+                                   nf_identity memo {"hits", "misses", "size"}
     POST /jobs                     submit {"nf": ...} or {"nfs": [...]},
                                    optional "config" overrides, "num_packets"
     POST /score                    submit a score job: {"nf": ..., "traffic":
@@ -15,7 +16,8 @@ Endpoints (all JSON unless noted)::
                                    "num_packets", "options" (scorer knobs);
                                    windows stream via /jobs/<id>/stream
     GET  /jobs                     every job, in submission order
-    GET  /jobs/<id>                one job
+    GET  /jobs/<id>                one job (404 "expired" once it has left the
+                                   bounded job table, see MAX_TERMINAL_JOBS)
     POST /jobs/<id>/cancel         request cancellation
     GET  /jobs/<id>/stream         NDJSON event stream: full history replayed,
                                    then live "status"/"round" events, closed
@@ -40,6 +42,7 @@ import binascii
 import json
 import pickle
 
+from repro.nf.registry import nf_identity
 from repro.service.server import SynthesisService
 
 #: Hard ceiling on request-body size (jobs are a few hundred bytes of JSON).
@@ -123,9 +126,9 @@ async def _read_request(reader: asyncio.StreamReader) -> tuple[str, str, dict]:
 
 def _get_job(service: SynthesisService, job_id: str):
     try:
-        return service.jobs[job_id]
-    except KeyError:
-        raise HttpError(404, f"unknown job {job_id!r}") from None
+        return service.lookup(job_id)
+    except KeyError as exc:  # "unknown job ..." or "job ... expired: ..."
+        raise HttpError(404, exc.args[0]) from None
 
 
 async def _stream_job(
@@ -133,10 +136,10 @@ async def _stream_job(
 ) -> None:
     """NDJSON event stream: replayed history, then live events, then EOF."""
     _get_job(service, job_id)
-    writer.write(_response_head(200, "application/x-ndjson", None))
-    await writer.drain()
-    queue = service.subscribe(job_id)
+    queue = service.subscribe(job_id)  # before the first await: the job cannot expire in between
     try:
+        writer.write(_response_head(200, "application/x-ndjson", None))
+        await writer.drain()
         while True:
             event = await queue.get()
             writer.write((json.dumps(event, sort_keys=True) + "\n").encode())
@@ -215,10 +218,16 @@ async def _route(
     parts = [part for part in path.split("/") if part]
 
     if method == "GET" and parts == ["healthz"]:
+        memo = nf_identity.cache_info()  # the pay-or-go counter of the hit path's memo
         await _send_json(
             writer,
             200,
-            {"ok": True, "jobs": service.counts(), "store_entries": len(service.store)},
+            {
+                "ok": True,
+                "jobs": service.counts(),
+                "store_entries": len(service.store),
+                "nf_identity": {"hits": memo.hits, "misses": memo.misses, "size": memo.currsize},
+            },
         )
     elif parts == ["jobs"]:
         if method == "POST":

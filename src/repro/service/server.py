@@ -5,9 +5,11 @@ long-running analysis service:
 
 * **submission** validates the job eagerly (unknown NF names and typoed
   config knobs fail the submit, not the worker), computes its content
-  address, and either short-circuits to the store (**cache hit**: the job
-  is born ``done`` with the persisted result and perf record, no worker
-  ever starts) or enqueues it;
+  address — the NF half from the per-process
+  :func:`~repro.nf.registry.nf_identity` memo, the config half from one
+  canonicalisation and one hash — and either short-circuits to the store
+  (**cache hit**: the job is born ``done`` with the persisted result and
+  perf record, no worker ever starts and no NF is compiled) or enqueues it;
 * **scheduling** is a fixed set of asyncio consumer tasks
   (``max_concurrent_jobs``) pulling from one queue — submission order in,
   bounded concurrency out;
@@ -27,6 +29,11 @@ long-running analysis service:
   exactly what makes the *next* submission of the same ``(nf, config)``
   free.
 
+The job table is bounded: the newest :data:`MAX_TERMINAL_JOBS` finished
+jobs stay resolvable, older ones are dropped with their event history (a
+resubmission loop of cache hits must not grow the server), and jobs that
+are queued or running are never dropped.
+
 The service core is HTTP-agnostic; :mod:`repro.service.http` exposes it
 over REST and :mod:`repro.service.client` is the matching stdlib client.
 """
@@ -34,14 +41,13 @@ over REST and :mod:`repro.service.client` is the matching stdlib client.
 from __future__ import annotations
 
 import asyncio
-import itertools
 import time
 
-from repro.core.config import CastanConfig
-from repro.nf.registry import get_nf
+from repro.core.config import CastanConfig, hash_canonical_config
+from repro.nf.registry import nf_identity
 from repro.parallel.lease import WorkerLease
 from repro.parallel.pool import make_context
-from repro.scoring.jobs import run_score_job
+from repro.scoring.jobs import check_pcap_container, run_score_job
 from repro.scoring.scorer import ScorerOptions
 from repro.service.jobs import (
     CANCELLED,
@@ -52,11 +58,17 @@ from repro.service.jobs import (
     SCORE,
     JobRecord,
 )
-from repro.service.store import ResultStore, perf_record, result_summary
+from repro.service.store import ResultStore, perf_record, result_address, result_summary
 from repro.service.worker import run_job_worker
 
 #: Sentinel returned by the queue-poll helper when no event arrived.
 _NO_EVENT = object()
+
+#: How many finished (done / failed / cancelled) jobs the job table keeps.
+#: Past it the oldest-finished job is forgotten — record, event history and
+#: subscriber set — and ``GET /jobs/<id>`` answers 404 "expired".  The stored
+#: result is untouched: resubmitting is a cache hit under a new job id.
+MAX_TERMINAL_JOBS = 1024
 
 
 class SynthesisService:
@@ -80,7 +92,9 @@ class SynthesisService:
         self.max_attempts = max(1, max_attempts)
         self.poll_interval = poll_interval
         self.jobs: dict[str, JobRecord] = {}
-        self._job_ids = itertools.count(1)
+        self._submitted = 0
+        # Ids of terminal jobs, oldest-finished first (a dict as ordered set).
+        self._terminal: dict[str, None] = {}
         self._queue: asyncio.Queue[str] = asyncio.Queue()
         self._events: dict[str, list[dict]] = {}
         self._subscribers: dict[str, set[asyncio.Queue]] = {}
@@ -114,6 +128,36 @@ class SynthesisService:
 
     # -- submission / inspection ----------------------------------------------
 
+    def _new_job(
+        self, nf_spec: str, config_overrides: dict | None, num_packets: int | None, **fields
+    ) -> JobRecord:
+        """Validate, address and table one submission.
+
+        Raises ``ValueError`` for unknown config fields and ``KeyError``
+        (with suggestions) for unknown NF specs.  The address equals
+        ``store.key_for(get_nf(nf_spec), config, num_packets)`` at the cost
+        of a memo lookup, one config canonicalisation and one config hash.
+        """
+        config = CastanConfig.from_dict(config_overrides or {})
+        fingerprint, default_packets = nf_identity(nf_spec)
+        canonical = config.to_canonical_dict()
+        config_hash = hash_canonical_config(canonical)
+        resolved = num_packets if num_packets is not None else config.packets_for(default_packets)
+        self._submitted += 1
+        job = JobRecord(
+            job_id=f"job-{self._submitted:04d}",
+            nf_spec=nf_spec,
+            config=canonical,
+            num_packets=num_packets,
+            cache_key=result_address(config_hash, fingerprint, resolved),
+            config_hash=config_hash,
+            nf_fingerprint=fingerprint,
+            **fields,
+        )
+        self.jobs[job.job_id] = job
+        self._events[job.job_id] = []
+        return job
+
     def submit(
         self,
         nf_spec: str,
@@ -126,23 +170,8 @@ class SynthesisService:
         unknown config fields — submission is the validation boundary, so
         a worker never starts on a job that cannot run.
         """
-        config = CastanConfig.from_dict(config_overrides or {})
-        nf = get_nf(nf_spec)  # KeyError (with suggestions) on unknown specs
-        cache_key = self.store.key_for(nf, config, num_packets)
-        job = JobRecord(
-            job_id=f"job-{next(self._job_ids):04d}",
-            nf_spec=nf_spec,
-            config=config.to_canonical_dict(),
-            num_packets=num_packets,
-            cache_key=cache_key,
-            config_hash=config.content_hash(),
-            nf_fingerprint=nf.fingerprint(),
-            max_attempts=self.max_attempts,
-        )
-        self.jobs[job.job_id] = job
-        self._events[job.job_id] = []
-
-        meta = self.store.get_meta(cache_key)
+        job = self._new_job(nf_spec, config_overrides, num_packets, max_attempts=self.max_attempts)
+        meta = self.store.get_meta(job.cache_key)
         if meta is not None:
             # The content address already has a result: serve it without
             # running anything.  This is the acceptance criterion of the
@@ -174,33 +203,28 @@ class SynthesisService:
         submission: scoring the *traffic* is the work.  The expensive
         halves — the analysis result and the distilled signature set — are
         still store-first inside the executor, so repeat scores of the same
-        ``(nf, config)`` reuse both and pay only for streaming.
+        ``(nf, config)`` reuse both and pay only for streaming.  A capture
+        whose pcap global header is unreadable fails the submit
+        (``PcapFormatError``, a ``ValueError``), not the job.
         """
-        config = CastanConfig.from_dict(config_overrides or {})
-        nf = get_nf(nf_spec)
         traffic = dict(traffic or {})
         if not any(k in traffic for k in ("pcap_bytes", "pcap_path", "synthetic")):
             raise ValueError(
                 "score traffic needs 'pcap_bytes', 'pcap_path' or 'synthetic' "
                 f"(got keys {sorted(traffic)})"
             )
+        check_pcap_container(traffic)
         if scorer_options:
             ScorerOptions(**scorer_options)  # typoed knobs fail the submit
-        job = JobRecord(
-            job_id=f"job-{next(self._job_ids):04d}",
-            nf_spec=nf_spec,
-            config=config.to_canonical_dict(),
-            num_packets=num_packets,
-            cache_key=self.store.key_for(nf, config, num_packets),
-            config_hash=config.content_hash(),
-            nf_fingerprint=nf.fingerprint(),
+        job = self._new_job(
+            nf_spec,
+            config_overrides,
+            num_packets,
             kind=SCORE,
             traffic=traffic,
             scorer_options=dict(scorer_options or {}),
             max_attempts=1,  # scoring is store-backed: a retry re-pays nothing
         )
-        self.jobs[job.job_id] = job
-        self._events[job.job_id] = []
         self._publish_status(job)
         self._queue.put_nowait(job.job_id)
         return job
@@ -208,7 +232,7 @@ class SynthesisService:
     def cancel(self, job_id: str) -> JobRecord:
         """Request cancellation; queued jobs die immediately, running ones
         are revoked by their drain loop at the next poll tick."""
-        job = self.jobs[job_id]
+        job = self.lookup(job_id)
         if job.is_terminal:
             return job
         job.cancel_requested = True
@@ -220,6 +244,19 @@ class SynthesisService:
             self._publish_status(job)
             self._publish_end(job)
         return job
+
+    def lookup(self, job_id: str) -> JobRecord:
+        """The tabled job, or ``KeyError`` saying whether it expired or never was."""
+        job = self.jobs.get(job_id)
+        if job is not None:
+            return job
+        number = job_id[4:] if job_id.startswith("job-") else ""
+        if number.isdigit() and 1 <= int(number) <= self._submitted:
+            raise KeyError(
+                f"job {job_id!r} expired: the server keeps the newest "
+                f"{MAX_TERMINAL_JOBS} finished jobs (resubmit to get its result)"
+            )
+        raise KeyError(f"unknown job {job_id!r}")
 
     def job_list(self) -> list[JobRecord]:
         return list(self.jobs.values())
@@ -267,15 +304,24 @@ class SynthesisService:
         )
 
     def _publish_end(self, job: JobRecord) -> None:
+        """Publish the terminal event, then enforce the job-table bound."""
         self._publish(job.job_id, {"event": "end", "job": job.to_dict()})
+        self._terminal[job.job_id] = None
+        while len(self._terminal) > MAX_TERMINAL_JOBS:
+            expired = next(iter(self._terminal))
+            del self._terminal[expired]
+            del self.jobs[expired]
+            del self._events[expired]
+            # A subscriber of a finished job already holds its whole history.
+            self._subscribers.pop(expired, None)
 
     # -- scheduling / execution -----------------------------------------------
 
     async def _scheduler(self) -> None:
         while True:
             job_id = await self._queue.get()
-            job = self.jobs[job_id]
-            if job.cancel_requested or job.is_terminal:
+            job = self.jobs.get(job_id)  # cancelled while queued, then expired
+            if job is None or job.cancel_requested or job.is_terminal:
                 continue
             try:
                 if job.kind == SCORE:

@@ -49,10 +49,15 @@ from repro.nf.base import NetworkFunction
 STORE_VERSION = "castan-result-v1"
 
 
+def result_address(config_hash: str, nf_fingerprint: str, num_packets: int | None) -> str:
+    """The content address of one analysis, from its config's content hash."""
+    payload = f"{STORE_VERSION}:{config_hash}:{nf_fingerprint}:{num_packets}"
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
 def result_key(config: CastanConfig, nf_fingerprint: str, num_packets: int | None) -> str:
     """The content address of one analysis."""
-    payload = f"{STORE_VERSION}:{config.content_hash()}:{nf_fingerprint}:{num_packets}"
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return result_address(config.content_hash(), nf_fingerprint, num_packets)
 
 
 def canonical_result_digest(result: CastanResult) -> str:

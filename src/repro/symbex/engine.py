@@ -82,9 +82,7 @@ def _drain_best_pending(searcher: Searcher, limit: int | None) -> list[Execution
     equal (packets_processed, current_cost), so the state ``best_state()``
     picks is unchanged whenever the report set was not truncated.
     """
-    drained: list[ExecutionState] = []
-    while not searcher.empty:
-        drained.append(searcher.pop())
+    drained = searcher.drain()
     if limit is not None and len(drained) > limit:
         drained.sort(key=lambda s: (s.packets_processed, s.current_cost), reverse=True)
         del drained[limit:]
@@ -276,6 +274,7 @@ class SymbolicEngine:
             state.status = StateStatus.COMPLETED
             return state
         self._start_packet(state, packet_index=0)
+        self._update_priority(state)
         return state
 
     def _start_packet(self, state: ExecutionState, packet_index: int) -> None:
@@ -300,6 +299,7 @@ class SymbolicEngine:
         """Resume a state paused at a packet boundary into its next packet."""
         state.resume_round()
         self._start_packet(state, state.packets_processed)
+        self._update_priority(state)
 
     # -- main loop ----------------------------------------------------------------
 
@@ -320,6 +320,13 @@ class SymbolicEngine:
         ``stop_at_packet`` parks states at that packet boundary instead of
         letting them continue — together they make runs resumable, which is
         what the per-packet beam scheduler builds on.
+
+        Seeding costs O(seeds) however often a frontier is carried between
+        runs: a state's ``priority`` is refreshed by whoever last changed
+        what it is computed from (this loop after stepping it,
+        :meth:`resume_state`, :meth:`make_initial_state`), so a pending seed
+        still carries the value it was queued under and goes back in by one
+        bulk ``extend``.
         """
         stats = SymbexStats()
         self._stats = stats
@@ -339,8 +346,7 @@ class SymbolicEngine:
         for state in initial_states:
             if state.status is StateStatus.PAUSED:
                 self.resume_state(state)
-            self._update_priority(state)
-            searcher.add(state)
+        searcher.extend(initial_states)
         vex = self._vex
         if vex is not None:
             # Vector tier: group the seed frontier up front (beam rounds
@@ -936,10 +942,8 @@ class SymbolicEngine:
             # §3.4: at a loop head, prefer the one-more-iteration state and
             # queue the exit state for later exploration.
             state.preferred_loop_iteration = True
-            self._update_priority(child)
             collected.append(child)
             return False
-        self._update_priority(child)
         collected.append(child)
         return True
 

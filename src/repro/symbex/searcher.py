@@ -29,6 +29,18 @@ class Searcher:
     def __len__(self) -> int:
         raise NotImplementedError
 
+    def extend(self, states) -> None:
+        """Add ``states`` in order: the pool ends up as after ``add`` on each."""
+        for state in states:
+            self.add(state)
+
+    def drain(self) -> list[ExecutionState]:
+        """Empty the pool, returning its states in the order ``pop`` would."""
+        drained = []
+        while len(self):
+            drained.append(self.pop())
+        return drained
+
     def iter_states(self):
         """Read-only view of every pending state, in no particular order.
 
@@ -64,16 +76,32 @@ class CastanSearcher(Searcher):
         self._counter = itertools.count()
         self.loop_iteration_bonus = loop_iteration_bonus
 
-    def add(self, state: ExecutionState) -> None:
+    def _entry(self, state: ExecutionState) -> tuple[int, int, ExecutionState]:
         priority = state.priority
         if state.preferred_loop_iteration:
             priority += self.loop_iteration_bonus
         # Python's heapq is a min-heap: negate priority; negate the counter
-        # so that, on ties, the most recently added state pops first.
-        heapq.heappush(self._heap, (-priority, -next(self._counter), state))
+        # so that, on ties, the most recently added state pops first.  The
+        # counter is unique, so entries are totally ordered without ever
+        # comparing states, and pop order is the sorted order of the entries
+        # however the heap was built.
+        return (-priority, -next(self._counter), state)
+
+    def add(self, state: ExecutionState) -> None:
+        heapq.heappush(self._heap, self._entry(state))
 
     def pop(self) -> ExecutionState:
         return heapq.heappop(self._heap)[2]
+
+    def extend(self, states) -> None:
+        self._heap.extend(map(self._entry, states))
+        heapq.heapify(self._heap)
+
+    def drain(self) -> list[ExecutionState]:
+        self._heap.sort()
+        drained = [entry[2] for entry in self._heap]
+        self._heap.clear()
+        return drained
 
     def __len__(self) -> int:
         return len(self._heap)

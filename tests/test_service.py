@@ -141,6 +141,7 @@ def server(tmp_path_factory):
 def test_health(server):
     health = server.client.health()
     assert health["ok"] is True
+    assert set(health["nf_identity"]) == {"hits", "misses", "size"}
 
 
 def test_submit_stream_and_cache_hit_identity(server):
@@ -188,6 +189,33 @@ def test_submission_validation_is_eager(server):
     with pytest.raises(ServiceError) as err:
         server.client.job("job-9999")
     assert err.value.status == 404
+
+
+def test_expired_jobs_answer_404_and_the_store_still_hits(server, monkeypatch):
+    """Past the retention bound a finished job's id is gone — record, stream
+    and all — while its stored result keeps serving resubmissions."""
+    import repro.service.server as server_module
+
+    first = server.client.submit(NF, config=SMOKE_CONFIG, num_packets=SMOKE_PACKETS)
+    server.client.wait(first["job_id"], timeout=120)
+    monkeypatch.setattr(server_module, "MAX_TERMINAL_JOBS", 3)
+    hits = [
+        server.client.submit(NF, config=SMOKE_CONFIG, num_packets=SMOKE_PACKETS)
+        for _ in range(4)
+    ]
+    assert all(hit["cached"] for hit in hits)
+    for call in (server.client.job, server.client.cancel, server.client.result_meta):
+        with pytest.raises(ServiceError) as err:
+            call(first["job_id"])
+        assert err.value.status == 404 and "expired" in err.value.message
+    with pytest.raises(ServiceError) as err:
+        list(server.client.stream(first["job_id"]))
+    assert err.value.status == 404 and "expired" in err.value.message
+    with pytest.raises(ServiceError) as err:
+        server.client.job("job-9999")
+    assert err.value.status == 404 and "unknown job" in err.value.message
+    assert server.client.job(hits[-1]["job_id"])["state"] == "done"
+    assert len(server.client.jobs()) == 3
 
 
 def test_cancel_settles_a_queued_job(server):
@@ -281,13 +309,33 @@ def test_score_accepts_a_nanosecond_pcap_and_reports_skipped_frames(server, tmp_
     assert final["result"]["packets"] == 50
     assert final["result"]["frames_skipped"] == 1
 
-    # A magic no pcap flavour uses still fails the job, with the reader's reason.
-    path.write_bytes(struct.pack("<I", 0xA1B2C3D5) + blob[4:])
-    job = server.client.score(
-        NF, {"pcap_path": str(path)}, config=SMOKE_CONFIG, num_packets=SMOKE_PACKETS
-    )
-    final = list(server.client.stream(job["job_id"]))[-1]["job"]
-    assert final["state"] == "failed" and "bad pcap magic 0xa1b2c3d5" in final["error"]
+
+def test_score_rejects_an_unreadable_pcap_container_at_submit(server, tmp_path):
+    """Bad magic or a short global header is a 400 with the reader's reason,
+    not a job that fails later — uploaded (``pcap_b64``) or server-side path."""
+    import struct
+
+    from repro.net.packet import make_udp_packet
+    from repro.net.pcap import packets_to_pcap_bytes
+
+    blob = packets_to_pcap_bytes([make_udp_packet(1, 2, 3, 4)])
+    jobs_before = len(server.client.jobs())
+    path = tmp_path / "broken.pcap"
+    for broken, reason in (
+        (struct.pack("<I", 0xA1B2C3D5) + blob[4:], "bad pcap magic 0xa1b2c3d5"),
+        (blob[:20], "truncated pcap global header"),
+    ):
+        path.write_bytes(broken)
+        with pytest.raises(ServiceError) as err:
+            server.client.score(NF, {"pcap_path": str(path)}, config=SMOKE_CONFIG)  # uploads
+        assert err.value.status == 400 and reason in err.value.message
+        with pytest.raises(ValueError, match=reason):
+            server.service.submit_score(NF, SMOKE_CONFIG, traffic={"pcap_path": str(path)})
+    with pytest.raises(ValueError, match="cannot read pcap_path"):
+        server.service.submit_score(
+            NF, SMOKE_CONFIG, traffic={"pcap_path": str(tmp_path / "missing.pcap")}
+        )
+    assert len(server.client.jobs()) == jobs_before  # nothing was tabled
 
 
 # -- client transport errors --------------------------------------------------

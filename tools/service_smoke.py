@@ -7,8 +7,11 @@ store, then drives the real REST API through :class:`ServiceClient`:
 1. submit one NF at smoke scale and follow its stream — assert per-round
    ``RoundStats`` events arrive before the terminal ``end``;
 2. resubmit the identical job — assert it is served as a cache hit from the
-   content-addressed store, with a byte-identical canonical result digest;
-3. fetch the stored perf record and print a one-line verdict.
+   content-addressed store, with a byte-identical canonical result digest,
+   and that ``/healthz`` shows the NF identity memo paying (the NF was
+   compiled for its address once, the resubmission was a memo hit);
+3. fetch the stored perf record and print a one-line verdict with the hit
+   latency measured here.
 
 Exits non-zero on any failed assertion.  Run it locally with::
 
@@ -87,11 +90,19 @@ def main() -> int:
             check(final.get("state") == "done", "job finished in state 'done'")
             digest = final["result"]["result_digest"]
 
+            hit_start = time.perf_counter()
             again = client.submit(NF, config=CONFIG, num_packets=NUM_PACKETS)
+            hit_ms = (time.perf_counter() - hit_start) * 1e3
             check(bool(again["cached"]), "second submission is a cache hit")
             check(again["state"] == "done", "cache hit is born terminal")
             cached_digest = again["result"]["result_digest"]
             check(cached_digest == digest, "cached result digest matches the fresh run")
+
+            memo = client.health()["nf_identity"]
+            check(
+                memo["misses"] == 1 and memo["hits"] >= 1,
+                f"NF identity memo: 1 compile, {memo['hits']} hit(s) ({memo})",
+            )
 
             meta = client.result_meta(again["job_id"])
             perf = meta["perf"]
@@ -100,7 +111,8 @@ def main() -> int:
 
             print(
                 f"service-smoke PASSED: {NF} x{NUM_PACKETS} packets, {rounds} rounds, "
-                f"{perf['states_per_sec']:.0f} states/s, digest {digest[:16]}…"
+                f"{perf['states_per_sec']:.0f} states/s, cache hit in {hit_ms:.2f} ms, "
+                f"digest {digest[:16]}…"
             )
         finally:
             process.terminate()
