@@ -39,32 +39,17 @@ SMOKE_MAX_STATES = 60
 SMOKE_NUM_PACKETS = 5
 
 
-def smoke_config(exec_mode: str = "compiled", branch_batching: bool = True) -> CastanConfig:
+def smoke_config() -> CastanConfig:
     return CastanConfig(
         max_states=SMOKE_MAX_STATES,
         num_packets=SMOKE_NUM_PACKETS,
         deadline_seconds=None,
-        exec_mode=exec_mode,
-        branch_batching=branch_batching,
     )
 
 
-def compute_report(
-    nfs: tuple[str, ...] = EVALUATION_NFS,
-    workers: int = 0,
-    exec_mode: str = "compiled",
-    branch_batching: bool = True,
-) -> dict:
-    """Digest (and cost) of the smoke-scale workload for every NF.
-
-    ``exec_mode`` selects the engine tier; every tier must reproduce the
-    same digests, so the baseline check doubles as the cross-tier identity
-    gate (the config block deliberately omits the mode — and omits
-    ``branch_batching``, which must be output-invariant the same way).
-    """
-    runner = PortfolioRunner(
-        config=smoke_config(exec_mode, branch_batching), workers=workers
-    )
+def compute_report(nfs: tuple[str, ...] = EVALUATION_NFS, workers: int = 0) -> dict:
+    """Digest (and cost) of the smoke-scale workload for every NF."""
+    runner = PortfolioRunner(config=smoke_config(), workers=workers)
     results = runner.run_map(nfs)
     digests = {name: workload_digest(result.packets) for name, result in results.items()}
     best_costs = {name: result.best_state_cost for name, result in results.items()}
@@ -119,27 +104,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workers", type=int, default=0, help="portfolio worker processes")
     parser.add_argument("--out", default=None, help="write the JSON report to this path")
     parser.add_argument("--check", default=None, help="compare against this baseline JSON")
-    parser.add_argument(
-        "--exec-mode",
-        default="compiled",
-        choices=("compiled", "interp", "vector"),
-        help="engine tier to run (all tiers must match the same baseline)",
-    )
-    parser.add_argument(
-        "--branch-batching",
-        default="on",
-        choices=("on", "off"),
-        help="vector-tier group branch resolution (both settings must match "
-        "the same baseline)",
-    )
     args = parser.parse_args(argv)
 
-    report = compute_report(
-        tuple(args.nfs),
-        workers=args.workers,
-        exec_mode=args.exec_mode,
-        branch_batching=args.branch_batching == "on",
-    )
+    report = compute_report(tuple(args.nfs), workers=args.workers)
     for name in args.nfs:
         print(f"{name:>20}: {report['digests'][name]}  cost={report['best_costs'][name]}")
     if args.out:

@@ -49,9 +49,7 @@ import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from bench_symbex_perf import calibrate_machine  # noqa: E402
 from repro.core.config import CastanConfig  # noqa: E402
 from repro.net.packet import Packet  # noqa: E402
 from repro.net.pcap import write_pcap  # noqa: E402
@@ -84,6 +82,32 @@ PCAP_CHILDREN = 3
 
 #: Scorer knobs of the pcap block, explicit so ``REPRO_SCORE_*`` never shape it.
 PCAP_OPTIONS = {"batch_size": 8192, "window_size": 65536, "top_k": 5}
+
+
+#: Iterations of the fixed calibration loop (arithmetic + dict writes).
+_CALIBRATION_ITERS = 60_000
+
+
+def calibrate_machine(rounds: int = 5) -> float:
+    """Machine-speed score: iterations/sec of a fixed pure-Python loop.
+
+    Stored with every trajectory entry so the gate can normalise packets/sec
+    across machines (a CI runner is gated on *code* speed, not on being
+    slower hardware than the machine that committed the baseline).
+    Best-of-``rounds`` to shrug off scheduler noise.
+    """
+    best = 0.0
+    for _ in range(rounds):
+        sink: dict[int, int] = {}
+        acc = 0
+        start = time.perf_counter()
+        for i in range(_CALIBRATION_ITERS):
+            acc = (acc + i * 17) & 0xFFFFFFFF
+            sink[i & 255] = acc
+        elapsed = time.perf_counter() - start
+        if elapsed > 0:
+            best = max(best, _CALIBRATION_ITERS / elapsed)
+    return round(best, 1)
 
 
 def _max_states() -> int:

@@ -19,7 +19,7 @@ Two implementations are provided:
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.cache.contention import ContentionSets
@@ -80,36 +80,6 @@ class CacheModel:
         pinned_value: PinnedValueFn | None = None,
     ) -> CacheAccessDecision:
         raise NotImplementedError
-
-    def on_access_batch(self, plans, execute_one, index_exprs=None) -> None:
-        """Replay a straight-line run of memory accesses in order.
-
-        The block-compiled engine groups consecutive loads/stores of a
-        basic block into one call here instead of one :meth:`on_access`
-        call per access.  ``execute_one(model, plan)`` resolves the next
-        access's operands (later accesses may read registers written by
-        earlier ones, so resolution must happen sequentially), routes it
-        through :meth:`on_access`, applies the decision's state effects,
-        and returns False to abort the run (e.g. an out-of-bounds access
-        errored the state).  Decisions and model-state updates are
-        identical to per-access interpretation by construction.
-
-        ``index_exprs``, when given, is one row of a vectorized frontier
-        access matrix: a pre-resolved index expression per plan (``None``
-        for accesses whose index depends on an earlier load of the run —
-        those still resolve sequentially).  It is forwarded to
-        ``execute_one(model, plan, index_expr)`` purely to skip redundant
-        register reads; models that reorder or batch their bookkeeping may
-        also inspect the row directly.
-        """
-        if index_exprs is None:
-            for plan in plans:
-                if not execute_one(self, plan):
-                    return
-        else:
-            for plan, index_expr in zip(plans, index_exprs):
-                if not execute_one(self, plan, index_expr):
-                    return
 
     @property
     def stats(self) -> CacheModelStats:

@@ -9,11 +9,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the [vector] extra
-    _np = None
-
 
 class SetAssociativeCache:
     """An ``associativity``-way cache of ``num_sets`` sets with LRU eviction."""
@@ -41,45 +36,6 @@ class SetAssociativeCache:
 
     def set_index_of(self, address: int) -> int:
         return self.line_of(address) % self.num_sets
-
-    def lines_of(self, addresses):
-        """Line numbers of an address column (one numpy divide when available)."""
-        if _np is not None:
-            return (_np.asarray(addresses, dtype=_np.int64) // self.line_size).tolist()
-        return [address // self.line_size for address in addresses]
-
-    def set_indices_of(self, addresses):
-        """Set indices of an address column (columnar when numpy is available)."""
-        if _np is not None:
-            lines = _np.asarray(addresses, dtype=_np.int64) // self.line_size
-            return (lines % self.num_sets).tolist()
-        return [self.set_index_of(address) for address in addresses]
-
-    def access_batch(self, addresses) -> list[bool]:
-        """Access a column of addresses in order; one hit/miss flag each.
-
-        Line and set computations are columnar; the LRU updates themselves
-        stay sequential because each access's outcome depends on every
-        earlier one.  Equivalent to ``[self.access(a) for a in addresses]``.
-        """
-        lines = self.lines_of(addresses)
-        indices = self.set_indices_of(addresses)
-        results: list[bool] = []
-        sets = self._sets
-        for line, index in zip(lines, indices):
-            ways = sets[index]
-            if line in ways:
-                ways.move_to_end(line)
-                self.hits += 1
-                results.append(True)
-                continue
-            self.misses += 1
-            if len(ways) >= self.associativity:
-                ways.popitem(last=False)
-                self.evictions += 1
-            ways[line] = True
-            results.append(False)
-        return results
 
     def access(self, address: int, set_index: int | None = None) -> bool:
         """Access ``address``; returns True on hit, False on miss (and fills)."""

@@ -213,9 +213,7 @@ class Castan:
             defaults=defaults,
             hash_output_bits=nf.hash_output_bits,
             max_loop_iterations=config.max_loop_iterations,
-            exec_mode=config.exec_mode,
             stage_entries=nf.stage_entries or None,
-            branch_batching=config.branch_batching,
         )
         stats = self._run_search(engine, on_round=on_round)
 

@@ -14,7 +14,7 @@ from repro.perf.cycles import CycleCosts, DEFAULT_CYCLE_COSTS
 #: whenever the canonical form below changes meaning (a field is renamed,
 #: a default's semantics change), so stored service results keyed by the
 #: old form can never be served for the new one.
-CONFIG_HASH_VERSION = "castan-config-v2"
+CONFIG_HASH_VERSION = "castan-config-v3"
 
 
 def _canonical_value(value):
@@ -91,20 +91,6 @@ class CastanConfig:
     workers: int = 0
     # Number of shards a strike chunk is striped over (None = beam_width).
     strike_shards: int | None = None
-    # Engine execution mode: "compiled" (default) runs block-compiled steps
-    # with the concolic fast path (repro.symbex.blockc); "interp" is the
-    # reference per-instruction interpreter; "vector" adds columnar
-    # many-states frontier stepping (repro.symbex.vexec) on top of the
-    # compiled tier, degrading to it when numpy is missing.  Outputs are
-    # byte-identical in all modes — "interp" is the semantic baseline.
-    exec_mode: str = "compiled"
-    # Group-level branch resolution in the vector tier: branch conditions of
-    # a lane group get their shadow verdicts from one columnar lockstep pass
-    # and their feasibility queries deduped across (constraint-chain
-    # fingerprint, constraint) classes.  Outputs are byte-identical either
-    # way (the off switch exists for A/B digest checks); ignored outside
-    # exec_mode="vector".
-    branch_batching: bool = True
     # Searcher: "castan", "dfs", "bfs" or "random" (ablation).
     searcher: str = "castan"
     # Cache model: "contention" (default), "none" (ablation).

@@ -75,12 +75,6 @@ class EvalSettings:
     # per-packet round scheduler; see repro.symbex.batch.
     castan_search_mode: str = "monolithic"
     castan_beam_width: int = 3
-    # Engine execution mode: "compiled" (block-compiled + concolic fast
-    # path, the default) or "interp" (reference interpreter).
-    castan_exec_mode: str = "compiled"
-    # Vector-tier group branch resolution (REPRO_BRANCH_BATCHING=0 disables
-    # it for A/B digest checks; outputs are byte-identical either way).
-    castan_branch_batching: bool = True
     # Worker processes for the CASTAN portfolio (0/1 = sequential).
     workers: int = 0
     replay_packets: int = 1200
@@ -93,29 +87,7 @@ class EvalSettings:
     def from_environment(cls) -> "EvalSettings":
         scale = os.environ.get("REPRO_EVAL_SCALE", "quick").lower()
         search_mode = os.environ.get("REPRO_SEARCH_MODE", "monolithic").lower()
-        exec_mode = os.environ.get("REPRO_EXEC_MODE", "compiled").lower()
         workers_raw = os.environ.get("REPRO_WORKERS", "0")
-        batching_raw = os.environ.get("REPRO_BRANCH_BATCHING", "1").lower()
-        if batching_raw in ("1", "true", "on", "yes"):
-            branch_batching = True
-        elif batching_raw in ("0", "false", "off", "no"):
-            branch_batching = False
-        else:
-            warnings.warn(
-                f"unrecognized REPRO_BRANCH_BATCHING={batching_raw!r}; falling "
-                "back to enabled (options: 0, 1)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            branch_batching = True
-        if exec_mode not in ("compiled", "interp", "vector"):
-            warnings.warn(
-                f"unrecognized REPRO_EXEC_MODE={exec_mode!r}; falling back to "
-                "'compiled' (options: compiled, interp, vector)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            exec_mode = "compiled"
         try:
             workers = max(0, int(workers_raw))
         except ValueError:
@@ -140,8 +112,6 @@ class EvalSettings:
                 castan_deadline_seconds=120.0,
                 castan_num_packets=None,  # per-NF paper-sized packet counts
                 castan_search_mode=search_mode,
-                castan_exec_mode=exec_mode,
-                castan_branch_batching=branch_batching,
                 workers=workers,
                 replay_packets=6000,
                 zipfian_packets=8000,
@@ -155,8 +125,6 @@ class EvalSettings:
                 castan_deadline_seconds=4.0,
                 castan_num_packets=5,
                 castan_search_mode=search_mode,
-                castan_exec_mode=exec_mode,
-                castan_branch_batching=branch_batching,
                 workers=workers,
                 replay_packets=300,
                 zipfian_packets=400,
@@ -166,8 +134,6 @@ class EvalSettings:
             )
         return cls(
             castan_search_mode=search_mode,
-            castan_exec_mode=exec_mode,
-            castan_branch_batching=branch_batching,
             workers=workers,
         )
 
@@ -189,8 +155,6 @@ def _castan_config() -> CastanConfig:
         num_packets=SETTINGS.castan_num_packets,
         search_mode=SETTINGS.castan_search_mode,
         beam_width=SETTINGS.castan_beam_width,
-        exec_mode=SETTINGS.castan_exec_mode,
-        branch_batching=SETTINGS.castan_branch_batching,
         parallel_mode="portfolio" if SETTINGS.workers > 1 else "off",
         workers=SETTINGS.workers,
     )

@@ -6,7 +6,7 @@ analysis service (ROADMAP item 1):
 * :mod:`repro.service.store` — results keyed by
   ``sha256(config.content_hash() : nf.fingerprint() : num_packets)``; an
   unchanged resubmission is a cache hit served from disk, with the original
-  run's ``BENCH_symbex.json``-style perf record riding along;
+  run's perf record (wall seconds, states/sec, rounds) riding along;
 * :mod:`repro.service.server` — the asyncio job core: bounded-concurrency
   scheduling, per-job worker processes under heartbeat
   :class:`~repro.parallel.lease.WorkerLease` supervision, per-job timeout,

@@ -283,7 +283,13 @@ class SynthesisService:
         return queue
 
     def unsubscribe(self, job_id: str, queue: asyncio.Queue) -> None:
-        self._subscribers.get(job_id, set()).discard(queue)
+        queues = self._subscribers.get(job_id)
+        if queues is None:
+            return
+        queues.discard(queue)
+        if not queues:
+            # A job keeps no empty subscriber set once its last stream closes.
+            del self._subscribers[job_id]
 
     def _publish(self, job_id: str, event: dict) -> None:
         self._events[job_id].append(event)

@@ -1,9 +1,8 @@
 """Content-addressed persistence of CASTAN results (the service's cache).
 
 An analysis is a pure function of ``(NF, CastanConfig, num_packets)``: the
-engine is deterministic, parallel schedules are worker-count-invariant
-(PR 3) and every exec tier is byte-identical (PR 5/6).  That makes results
-*content-addressable*: the store keys each :class:`~repro.core.castan.CastanResult`
+engine is deterministic and parallel schedules are worker-count-invariant.
+That makes results *content-addressable*: the store keys each :class:`~repro.core.castan.CastanResult`
 by a SHA-256 over :meth:`CastanConfig.content_hash()
 <repro.core.config.CastanConfig.content_hash>`, the
 :meth:`NetworkFunction.fingerprint()
@@ -15,12 +14,12 @@ metadata or any config knob produces a different address.
 On disk, each entry is a directory named by its key::
 
     <root>/<key[:2]>/<key>/result.pkl   # the pickled CastanResult
-    <root>/<key[:2]>/<key>/meta.json    # summary + BENCH_symbex-style perf record
+    <root>/<key[:2]>/<key>/meta.json    # summary + perf record
 
-``meta.json`` carries the per-job perf record (states/sec, wall seconds,
-rounds) in the same shape as a ``BENCH_symbex.json`` trajectory entry, so a
+``meta.json`` carries the per-job perf record (:func:`perf_record`: label,
+NF, states explored, wall seconds, states/sec, best cost, rounds), so a
 served cache hit returns the measured performance of the original run for
-free instead of re-measuring in CI.
+free instead of re-measuring.
 
 Identity is compared through :func:`canonical_result_digest`, which hashes
 every deterministic field of a result and deliberately excludes wall-clock
@@ -114,7 +113,7 @@ def result_summary(result: CastanResult) -> dict:
 
 
 def perf_record(result: CastanResult, label: str = "service") -> dict:
-    """A ``BENCH_symbex.json``-trajectory-style perf record for one job."""
+    """The perf record of one job: wall seconds, states/sec, cost, rounds."""
     wall = result.analysis_seconds
     return {
         "label": label,

@@ -19,7 +19,6 @@ __all__ = [
     "BreadthFirstSearcher",
     "CastanSearcher",
     "CmpExpr",
-    "CompiledBlock",
     "Const",
     "DepthFirstSearcher",
     "ExecutionState",
@@ -32,7 +31,6 @@ __all__ = [
     "RoundStats",
     "Searcher",
     "SelectExpr",
-    "ShadowAssignment",
     "Solver",
     "SolverResult",
     "StateStatus",
@@ -40,7 +38,6 @@ __all__ = [
     "SymbexStats",
     "SymbolicEngine",
     "compiled_evaluator",
-    "compiled_module",
     "evaluate",
     "expr_and",
     "expr_eq",
@@ -71,14 +68,11 @@ _EXPORTS = {
     "reduce_expr": (".expr", "reduce_expr"),
     "simplify": (".expr", "simplify"),
     "symbols_of": (".expr", "symbols_of"),
-    "CompiledBlock": (".blockc", "CompiledBlock"),
-    "compiled_module": (".blockc", "compiled_module"),
     "Model": (".solver", "Model"),
     "Solver": (".solver", "Solver"),
     "SolverResult": (".solver", "SolverResult"),
     "ExecutionState": (".state", "ExecutionState"),
     "Frame": (".state", "Frame"),
-    "ShadowAssignment": (".state", "ShadowAssignment"),
     "StateStatus": (".state", "StateStatus"),
     "SymbexStats": (".engine", "SymbexStats"),
     "SymbolicEngine": (".engine", "SymbolicEngine"),

@@ -33,14 +33,6 @@ The scheduler degrades gracefully: ``beam_width <= 0`` falls back to the
 monolithic single-call search, and a priming round whose budget was too
 small to finish its packet simply carries its best mid-packet states
 forward, to be parked at the next boundary they reach.
-
-Round seeds are also where ``exec_mode="vector"`` gets its best grouping:
-every seed of a round is parked at the same packet boundary, so the
-vectorized frontier tier (:mod:`repro.symbex.vexec`) groups the whole beam
-at run start and steps it columnar until paths diverge.  Shard workers
-drop any buffered group step when states are pickled across the process
-boundary and simply regroup on arrival — worker count still never changes
-the synthesized workload.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.cfg.costs import CostAnnotation
 from repro.ir.instructions import (
@@ -33,39 +34,23 @@ from repro.ir.instructions import (
 from repro.ir.module import BasicBlock, Module
 from repro.ir.values import Constant, Register, Value
 from repro.perf.cycles import CycleCosts, DEFAULT_CYCLE_COSTS
-from repro.symbex.blockc import compiled_module
 from repro.symbex.expr import (
     Const,
     Expr,
     Sym,
-    compiled_evaluator,
     evaluate,
-    expr_eq,
     expr_ne,
     expr_not,
-    lockstep_evaluate,
     make_binop,
     make_cmp,
     make_select,
     symbols_of,
 )
 from repro.symbex.havoc import HavocRecord
-from repro.symbex.incremental import CONTEXT_STATS, SolverContext
+from repro.symbex.incremental import SolverContext
 from repro.symbex.searcher import Searcher
 from repro.symbex.solver import Solver
-from repro.symbex.state import ExecutionState, Frame, ShadowAssignment, StateStatus
-
-#: Engine execution modes: "compiled" runs block-compiled steps with the
-#: concolic fast path; "interp" is the reference per-instruction
-#: interpreter; "vector" adds columnar many-states stepping on top of the
-#: compiled tier (degrading to it when numpy is unavailable).  Outputs are
-#: byte-identical across all three.
-EXEC_MODES = ("compiled", "interp", "vector")
-
-#: Bound on the run-wide shadow-evaluation memo (cleared when exceeded).
-_SHADOW_MEMO_LIMIT = 1 << 16
-
-from typing import TYPE_CHECKING
+from repro.symbex.state import ExecutionState, Frame, StateStatus
 
 if TYPE_CHECKING:  # pragma: no cover - avoid a package-level import cycle
     from repro.cache.model import CacheModel
@@ -104,13 +89,6 @@ class SymbexStats:
     forks: int = 0
     infeasible_states: int = 0
     error_states: int = 0
-    # Group branch resolution (vector tier, branch_batching): distinct
-    # feasibility classes queried, class-verdict fan-outs saved, and branch
-    # conditions whose shadow verdict came from a columnar lockstep pass.
-    # Always zero in interp/compiled mode and with batching off.
-    group_queries: int = 0
-    group_dedup_hits: int = 0
-    column_branch_resolutions: int = 0
     completed_states: list[ExecutionState] = field(default_factory=list)
     pending_states: list[ExecutionState] = field(default_factory=list)
     paused_states: list[ExecutionState] = field(default_factory=list)
@@ -133,9 +111,6 @@ class SymbexStats:
         self.forks += round_stats.forks
         self.infeasible_states += round_stats.infeasible_states
         self.error_states += round_stats.error_states
-        self.group_queries += round_stats.group_queries
-        self.group_dedup_hits += round_stats.group_dedup_hits
-        self.column_branch_resolutions += round_stats.column_branch_resolutions
         self.completed_states.extend(round_stats.completed_states)
 
 
@@ -154,9 +129,7 @@ class SymbolicEngine:
         defaults: dict[str, int] | None = None,
         hash_output_bits: dict[str, int] | None = None,
         max_loop_iterations: int = 256,
-        exec_mode: str = "compiled",
         stage_entries: dict[str, str] | None = None,
-        branch_batching: bool = True,
     ) -> None:
         self.module = module
         self.entry = entry
@@ -179,13 +152,6 @@ class SymbolicEngine:
         self.hash_output_bits = dict(hash_output_bits or {})
         self.max_loop_iterations = max_loop_iterations
 
-        if exec_mode not in EXEC_MODES:
-            raise ValueError(f"unknown exec_mode {exec_mode!r}; options: {EXEC_MODES}")
-        self.exec_mode = exec_mode
-        # Vector tier only: group-level branch resolution (columnar shadow
-        # verdicts + feasibility dedup).  Off switch for A/B digest checks.
-        self.branch_batching = bool(branch_batching)
-
         self._entry_function = module.get_function(entry)
         if packet_args and len(self._entry_function.params) != len(packet_args[0]):
             raise ValueError("packet argument count does not match entry parameters")
@@ -198,64 +164,6 @@ class SymbolicEngine:
         # When set, states crossing this packet boundary pause instead of
         # starting the next packet (per-packet beam rounds).
         self._pause_at_packet: int | None = None
-        self._attach_exec_mode()
-
-    def _attach_exec_mode(self) -> None:
-        """Build (or rebuild, after unpickling) the per-mode machinery.
-
-        Compiled blocks come from the process-local cache in
-        :mod:`repro.symbex.blockc`; the concolic shadow seeds from the
-        per-symbol packet defaults.  Neither is ever pickled.
-        """
-        if self.exec_mode in ("compiled", "vector"):
-            self._compiled_blocks = compiled_module(self.module, self.cycle_costs)
-            self._shadow: ShadowAssignment | None = ShadowAssignment(self.defaults)
-        else:
-            self._compiled_blocks = None
-            self._shadow = None
-        self._vex = None
-        if self.exec_mode == "vector":
-            from repro.symbex import vexec
-
-            if vexec.numpy_available():
-                self._vex = vexec.VectorExecutor(
-                    self._blocks,
-                    self.module,
-                    self.cycle_costs,
-                    engine=self,
-                    branch_batching=self.branch_batching,
-                )
-            else:
-                # Graceful degradation: identical outputs on the compiled
-                # tier, just without the many-states grouping.
-                vexec.warn_numpy_missing()
-        # Access-matrix handoff from a vector memory buffer to the next
-        # compiled memory step of the same state (see execute_until_fork).
-        self._mem_hints: tuple | None = None
-        # Group-resolved branch verdicts handed off by an applied vector
-        # buffer: (state, cond, (feasible_true, feasible_false)), consumed
-        # at most once by _execute_branch for exactly that state and cond.
-        self._branch_hints: tuple | None = None
-        # expr -> bool under the run-wide concolic shadow.  Valid because
-        # the shadow is seeded once from the packet defaults and never
-        # mutated (states only flip their own shadow_valid bit).
-        self._shadow_eval_memo: dict[Expr, bool] = {}
-
-    def __getstate__(self) -> dict:
-        # Compiled steps are closures (unpicklable by design); shard workers
-        # recompile from their own unpickled module on load.
-        state = dict(self.__dict__)
-        state["_compiled_blocks"] = None
-        state["_shadow"] = None
-        state["_vex"] = None
-        state["_mem_hints"] = None
-        state["_branch_hints"] = None
-        state["_shadow_eval_memo"] = {}
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._attach_exec_mode()
 
     # -- state construction ------------------------------------------------------
 
@@ -265,10 +173,6 @@ class SymbolicEngine:
             num_packets=len(self.packet_args),
             solver_context=SolverContext(self.solver),
         )
-        if self._shadow is not None:
-            # Concolic shadow: trivially valid while the path is unconstrained.
-            state.shadow = self._shadow
-            state.shadow_valid = True
         if not self.packet_args:
             # An explicit zero-packet run: nothing to execute.
             state.status = StateStatus.COMPLETED
@@ -332,27 +236,12 @@ class SymbolicEngine:
         self._stats = stats
         self._pause_at_packet = stop_at_packet
         start = time.monotonic()
-        # Group-resolution counters live on the process-global CONTEXT_STATS
-        # (they are bumped from the vector executor); snapshot so this run's
-        # delta lands in its own SymbexStats.
-        group_base = (
-            CONTEXT_STATS.group_queries,
-            CONTEXT_STATS.group_dedup_hits,
-            CONTEXT_STATS.column_branch_resolutions,
-        )
-
         if initial_states is None:
             initial_states = [self.make_initial_state()]
         for state in initial_states:
             if state.status is StateStatus.PAUSED:
                 self.resume_state(state)
         searcher.extend(initial_states)
-        vex = self._vex
-        if vex is not None:
-            # Vector tier: group the seed frontier up front (beam rounds
-            # seed many states parked at the same packet boundary)...
-            vex.build_buffers(searcher.iter_states())
-
         try:
             while not searcher.empty:
                 if max_states is not None and stats.states_explored >= max_states:
@@ -360,11 +249,6 @@ class SymbolicEngine:
                 if deadline_seconds is not None and time.monotonic() - start > deadline_seconds:
                     break
                 state = searcher.pop()
-                if vex is not None:
-                    # ...and rescan for peers whenever an ungrouped state
-                    # pops (a monolithic run grows its frontier mid-flight,
-                    # so this is where most groups form).
-                    vex.regroup(state, searcher)
                 stats.states_explored += 1
                 for outcome in self.execute_until_fork(state, max_instructions_per_state):
                     if outcome.status is StateStatus.RUNNING:
@@ -391,11 +275,6 @@ class SymbolicEngine:
             stats.pending_states = _drain_best_pending(searcher, max_pending_report)
         finally:
             stats.wall_time_seconds = time.monotonic() - start
-            stats.group_queries = CONTEXT_STATS.group_queries - group_base[0]
-            stats.group_dedup_hits = CONTEXT_STATS.group_dedup_hits - group_base[1]
-            stats.column_branch_resolutions = (
-                CONTEXT_STATS.column_branch_resolutions - group_base[2]
-            )
             self._stats = None
             self._pause_at_packet = None
         return stats
@@ -409,33 +288,9 @@ class SymbolicEngine:
 
         Returns every state that needs classification by the caller: the
         (possibly paused) state itself plus any children created at forks.
-        Dispatches to the block-compiled driver or the reference
-        interpreter according to ``exec_mode``; both produce identical
-        states, counters and fork order.  In vector mode a deferred group
-        step buffered on the state is applied (or peeled) first, then the
-        compiled driver continues mid-budget as if it had run that step
-        itself.
         """
-        vex = self._vex
-        if vex is not None:
-            self._mem_hints = None
-            self._branch_hints = None
-            executed, mem_row = vex.apply(self, state, max_instructions)
-            if mem_row is not None:
-                self._mem_hints = (state, mem_row)
-            return self._execute_until_fork_compiled(state, max_instructions, executed)
-        if self._compiled_blocks is not None:
-            return self._execute_until_fork_compiled(state, max_instructions)
-        return self._interpret(state, [], 0, max_instructions)
-
-    def _interpret(
-        self,
-        state: ExecutionState,
-        collected: list[ExecutionState],
-        executed: int,
-        max_instructions: int,
-    ) -> list[ExecutionState]:
-        """The reference per-instruction loop (also the compiled tail path)."""
+        collected: list[ExecutionState] = []
+        executed = 0
         while state.status is StateStatus.RUNNING:
             if executed >= max_instructions:
                 state.status = StateStatus.ERROR
@@ -460,118 +315,16 @@ class SymbolicEngine:
         collected.append(state)
         return collected
 
-    def _execute_until_fork_compiled(
-        self, state: ExecutionState, max_instructions: int, executed: int = 0
-    ) -> list[ExecutionState]:
-        """Step compiled blocks until the state forks, completes, or errors.
-
-        The instruction budget is checked against each step's instruction
-        count *before* the step runs; a step that would cross the limit
-        hands the state to the reference interpreter loop, which exhausts
-        the budget at exactly the instruction the interpreter would.
-        ``executed`` pre-charges instructions an applied vector buffer
-        already consumed, keeping the budget exact.
-        """
-        collected: list[ExecutionState] = []
-        compiled = self._compiled_blocks
-        while state.status is StateStatus.RUNNING:
-            frame = state._frames[-1]
-            block = compiled.get((frame.function, frame.block))
-            pos = block.resume.get(frame.index) if block is not None else None
-            if pos is None:
-                # Unknown block or a resume point the compiler did not emit:
-                # the interpreter handles both with reference semantics.
-                return self._interpret(state, collected, executed, max_instructions)
-            steps = block.steps
-            while True:
-                n, fn = steps[pos]
-                if executed >= max_instructions or executed + n > max_instructions:
-                    return self._interpret(state, collected, executed, max_instructions)
-                executed += n
-                code = fn(self, state, collected)
-                if code == 0:
-                    pos += 1
-                    continue
-                break
-            if code == 2:
-                break
-        collected.append(state)
-        return collected
-
-    def _shadow_eval(self, expr: Expr) -> bool:
-        """Whether ``expr`` holds under the run-wide concolic shadow (memoized).
-
-        Sound as a cache because every state's shadow is the same shared
-        (or content-equal, after unpickling) assignment and it is never
-        mutated; interning makes the expression itself the key.
-        """
-        memo = self._shadow_eval_memo
-        result = memo.get(expr)
-        if result is None:
-            ev = expr._evaluator
-            if ev is None:
-                ev = compiled_evaluator(expr)
-            if len(memo) >= _SHADOW_MEMO_LIMIT:
-                memo.clear()
-            result = bool(ev(self._shadow))
-            memo[expr] = result
-        return result
-
-    def _shadow_eval_group(self, conds: list[Expr]) -> dict[Expr, bool]:
-        """Shadow verdicts for a whole group of branch conditions at once.
-
-        Cache-consistent with :meth:`_shadow_eval`: memo hits are reused,
-        misses are evaluated as one lockstep columnar pass over the shared
-        shadow (exact by construction, see
-        :func:`repro.symbex.expr.lockstep_evaluate`) and inserted into the
-        same memo; conditions whose shapes diverge fall back to the scalar
-        path one by one.
-        """
-        memo = self._shadow_eval_memo
-        verdicts: dict[Expr, bool] = {}
-        missing: list[Expr] = []
-        for cond in conds:
-            if cond in verdicts:
-                continue
-            cached = memo.get(cond)
-            if cached is not None:
-                verdicts[cond] = cached
-            else:
-                verdicts[cond] = False  # placeholder: dedupes repeats below
-                missing.append(cond)
-        if len(missing) >= 2:
-            values = lockstep_evaluate(missing, self._shadow)
-            if values is not None:
-                CONTEXT_STATS.column_branch_resolutions += len(missing)
-                for cond, value in zip(missing, values):
-                    result = bool(value)
-                    if len(memo) >= _SHADOW_MEMO_LIMIT:
-                        memo.clear()
-                    memo[cond] = result
-                    verdicts[cond] = result
-                missing = []
-        for cond in missing:
-            verdicts[cond] = self._shadow_eval(cond)
-        return verdicts
-
     def _memory_query_fns(self, state: ExecutionState):
         """The (feasible, solve_value, pinned_value) callbacks of ``on_access``.
 
-        Shared by both execution modes so the solver-fallback logic cannot
-        drift between them.  ``feasible`` carries the concolic fast path: a
-        shadow that satisfies the whole path and the probe constraint is a
-        live witness, so the optimistic feasibility check cannot answer
-        anything but True (a no-op for interp-mode states, whose
-        ``shadow_valid`` is never set).  ``pinned_value`` (None without an
-        incremental context) lets the model skip probing a pointer the
-        path has already pinned.
+        ``pinned_value`` (None without an incremental context) lets the
+        model skip probing a pointer the path has already pinned.
         """
         context = state.solver_context
         solver = self.solver
 
         def feasible(constraint: Expr) -> bool:
-            if state.shadow_valid and self._shadow_eval(constraint):
-                return True
             if context is not None:
                 return context.feasible_with(constraint)
             return solver.quick_feasible(state.constraints + [constraint])
@@ -589,57 +342,6 @@ class SymbolicEngine:
             return evaluate(expr, assignment)
 
         return feasible, solve_value, context.pinned_value if context is not None else None
-
-    def _execute_memory_group(self, state: ExecutionState, plans) -> bool:
-        """Replay a compiled run of memory accesses through the cache model.
-
-        One ``on_access_batch`` call covers the whole run; per-access state
-        effects (constraints, cycle charges, level counts, register/memory
-        writes) are applied between accesses so later index operands see
-        earlier results.  Returns False when an access errored the state.
-        """
-        stats = self._stats
-        queries = self._memory_query_fns(state)
-        apply_access = self._apply_access
-
-        # A vector memory buffer left this run's access matrix row for us:
-        # pre-resolved index expressions, exact because the buffer's key was
-        # validated against the state's position (registers are unchanged
-        # since grouping) and non-prefetchable slots are None.
-        hints = None
-        pending = self._mem_hints
-        if pending is not None and pending[0] is state:
-            self._mem_hints = None
-            if len(pending[1]) == len(plans):
-                hints = pending[1]
-
-        def execute_one(model, plan, index_expr=None) -> bool:
-            state.instructions_retired += 1
-            if stats is not None:
-                stats.instructions_executed += 1
-            if index_expr is None:
-                regs = state._frames[-1].registers
-                index_expr = (
-                    regs[plan.index_reg] if plan.index_reg is not None else plan.index_const
-                )
-            if plan.is_write:
-                if plan.value_reg is not None:
-                    # Re-read the register file at call time: an earlier load
-                    # in this run may have swapped the CoW dict.
-                    def read_value(_r=plan.value_reg):
-                        return state._frames[-1].registers[_r]
-                else:
-                    def read_value(_v=plan.value_const):
-                        return _v
-            else:
-                read_value = None
-            return apply_access(
-                state, model, plan.region, index_expr, plan.is_write,
-                read_value=read_value, dest=plan.dest, queries=queries,
-            )
-
-        state.cache_model.on_access_batch(plans, execute_one, index_exprs=hints)
-        return state.status is StateStatus.RUNNING
 
     # -- instruction dispatch ----------------------------------------------------------
 
@@ -685,11 +387,11 @@ class SymbolicEngine:
             frame.index += 1
             return
         if isinstance(instruction, Load):
-            self._execute_memory(state, instruction, is_write=False)
+            self._apply_access(state, instruction, is_write=False)
             frame.index += 1
             return
         if isinstance(instruction, Store):
-            self._execute_memory(state, instruction, is_write=True)
+            self._apply_access(state, instruction, is_write=True)
             frame.index += 1
             return
         if isinstance(instruction, Call):
@@ -714,60 +416,37 @@ class SymbolicEngine:
         state.status = StateStatus.ERROR
         state.error_message = f"unknown instruction {instruction!r}"
 
-    def _execute_memory(self, state: ExecutionState, instruction, is_write: bool) -> None:
+    def _apply_access(self, state: ExecutionState, instruction, is_write: bool) -> None:
+        """One load or store: bounds check, cache decision, state effects.
+
+        A store's value operand is read only after the cache decision has
+        committed its constraint.
+        """
         region = self.module.get_region(instruction.region)
         index_expr = self._operand(state, instruction.index)
-        self._apply_access(
-            state,
-            state.cache_model,
-            region,
-            index_expr,
-            is_write,
-            read_value=(lambda: self._operand(state, instruction.value)) if is_write else None,
-            dest=None if is_write else instruction.dest.name,
-            queries=self._memory_query_fns(state),
-        )
-
-    def _apply_access(
-        self,
-        state: ExecutionState,
-        model,
-        region,
-        index_expr: Expr,
-        is_write: bool,
-        read_value,
-        dest: str | None,
-        queries,
-    ) -> bool:
-        """One memory access: bounds check, cache decision, state effects.
-
-        The single per-access body shared by the interpreter and the
-        compiled memory steps (so the two modes cannot drift).  ``read_value``
-        is called only after the cache decision, matching the interpreter's
-        operand-read order; ``queries`` is :meth:`_memory_query_fns`'s tuple.
-        Returns False when the access errored the state.
-        """
         if index_expr.__class__ is Const and not (0 <= index_expr.value < region.length):
             state.status = StateStatus.ERROR
             state.error_message = (
                 f"out-of-bounds access to @{region.name}[{index_expr.value}] "
                 f"(length {region.length})"
             )
-            return False
-        decision = model.on_access(region, index_expr, is_write, *queries)
+            return
+        decision = state.cache_model.on_access(
+            region, index_expr, is_write, *self._memory_query_fns(state)
+        )
         if decision.constraint is not None:
             state.add_constraint(decision.constraint)
         state.current_cost += self.cycle_costs.memory_cost(decision.level)
         state.level_counts[decision.level] = state.level_counts.get(decision.level, 0) + 1
         if is_write:
-            state.write_memory(region.name, decision.index, read_value())
+            value = self._operand(state, instruction.value)
+            state.write_memory(region.name, decision.index, value)
             state.stores += 1
         else:
             default = region.initial.get(decision.index, 0)
             value = state.read_memory(region.name, decision.index, default=default)
-            state.write_register(dest, value)
+            state.write_register(instruction.dest.name, value)
             state.loads += 1
-        return True
 
     def _execute_call(self, state: ExecutionState, instruction: Call) -> None:
         callee = self.module.get_function(instruction.callee)
@@ -866,41 +545,13 @@ class SymbolicEngine:
         false_constraint = expr_not(true_constraint)
         context = state.solver_context
 
-        verdicts = None
-        hint = self._branch_hints
-        if hint is not None and hint[0] is state:
-            # Group branch resolution (vector tier): the verdict pair was
-            # computed for this exact state when its group buffered, and the
-            # constraint chain cannot have changed since (the state was
-            # parked).  Consumed at most once, and only when it describes
-            # exactly this condition.
-            self._branch_hints = None
-            if hint[1] is cond:
-                verdicts = hint[2]
-
-        if verdicts is not None:
-            feasible_true, feasible_false = verdicts
+        if context is not None:
+            feasible_true = context.feasible_with(true_constraint)
+            feasible_false = context.feasible_with(false_constraint)
         else:
-
-            def query(constraint: Expr) -> bool:
-                if context is not None:
-                    return context.feasible_with(constraint)
-                return self.solver.quick_feasible(state.constraints + [constraint])
-
-            if state.shadow_valid:
-                # Concolic fast path: the shadow satisfies the whole path, so
-                # whichever side it takes is satisfiable — and the optimistic
-                # feasibility check returns True on every satisfiable side.
-                # Only the other side needs a solver query.
-                if self._shadow_eval(cond):
-                    feasible_true = True
-                    feasible_false = query(false_constraint)
-                else:
-                    feasible_false = True
-                    feasible_true = query(true_constraint)
-            else:
-                feasible_true = query(true_constraint)
-                feasible_false = query(false_constraint)
+            constraints = state.constraints
+            feasible_true = self.solver.quick_feasible(constraints + [true_constraint])
+            feasible_false = self.solver.quick_feasible(constraints + [false_constraint])
 
         is_loop_head = frame.block.startswith(_LOOP_HEAD_PREFIXES)
         if is_loop_head:

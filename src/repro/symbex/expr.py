@@ -21,8 +21,8 @@ Two concrete-execution fast paths are built on top of the interning:
 
 * every node lazily caches a **compiled evaluator** (a closure tree built
   once per interned node) so repeated concrete evaluation — the solver's
-  backtracking consistency checks, the engine's concolic shadow — costs
-  plain integer operations instead of tree substitution;
+  backtracking consistency checks, :func:`evaluate` — costs plain integer
+  operations instead of tree substitution;
 * :func:`reduce_expr` is an exact, memoised equivalent of
   ``simplify(substitute(expr, assignment))``: fully-covered expressions go
   through the compiled evaluator without interning any intermediate node,
@@ -895,14 +895,13 @@ def expr_depth(expr: Expr) -> int:
 
 # -- columnar (many-lanes) evaluation ------------------------------------------------
 #
-# The vectorized frontier tier (repro.symbex.vexec) and the solver's
-# candidate screen evaluate the *same* expression under many assignments at
-# once: one column per symbol, one lane per frontier state (or per candidate
-# value).  The per-op implementations below mirror BINOP_FUNCS / CMP_FUNCS
-# exactly on uint64 columns — wrap-around ADD/SUB/MUL, shifts >= 64 yielding
-# 0, total division (x/0 = MACHINE_MASK, x%0 = x) and 0/1 comparisons — so a
-# columnar evaluation of lane i always equals the scalar evaluation under
-# that lane's assignment.
+# The solver's candidate screen and the scoring layer evaluate the *same*
+# expression under many assignments at once: one column per symbol, one lane
+# per candidate value (or per packet).  The per-op implementations below
+# mirror BINOP_FUNCS / CMP_FUNCS exactly on uint64 columns — wrap-around
+# ADD/SUB/MUL, shifts >= 64 yielding 0, total division (x/0 = MACHINE_MASK,
+# x%0 = x) and 0/1 comparisons — so a columnar evaluation of lane i always
+# equals the scalar evaluation under that lane's assignment.
 
 try:  # numpy is the optional [vector] extra; every columnar path is gated.
     import numpy as _np
@@ -1086,88 +1085,6 @@ def column_evaluator(expr: Expr):
         ev = _build_column_evaluator(expr)
         _COLUMN_EVALUATORS[expr] = ev
     return ev
-
-
-def lockstep_evaluate(exprs: "list[Expr]", assignment) -> "list[int] | None":
-    """Values of many structurally parallel expressions under ONE assignment.
-
-    The dual of :func:`column_evaluator` (one expression, many assignments):
-    here many expressions are evaluated under one shared assignment.  The
-    vector tier resolves a group's branch conditions this way — lanes parked
-    at the same program point built their conditions through the same
-    instruction run, so the expression *shapes* match and only the leaves
-    differ.  Positions are walked in lockstep: one uint64 column per node
-    position (lane ``i`` holds expression ``i``'s value at that position),
-    leaves gathered across the group, operators applied once per position
-    through the exact vectorized tables.  A memo keyed on the node tuple
-    makes DAG sharing cost one evaluation per unique position, and an
-    all-identical position short-circuits to one scalar evaluation.
-
-    Returns ``[evaluate(e, assignment) for e in exprs]``, or ``None`` when
-    numpy is missing, the shapes diverge, or a symbol is unassigned —
-    callers fall back to scalar evaluation; this function never guesses.
-    """
-    if not HAVE_NUMPY or not exprs:
-        return None
-    np = _np
-    count = len(exprs)
-    memo: dict[tuple, object] = {}
-
-    def column(nodes: tuple):
-        cached = memo.get(nodes)
-        if cached is not None:
-            return cached
-        first = nodes[0]
-        kind = first.__class__
-        if all(node is first for node in nodes):
-            result = np.full(count, np.uint64(evaluate(first, assignment)), dtype=np.uint64)
-        elif any(node.__class__ is not kind for node in nodes):
-            return None
-        elif kind is Const:
-            result = np.array([node.value for node in nodes], dtype=np.uint64)
-        elif kind is Sym:
-            result = np.array(
-                [assignment[node.name] & node.mask for node in nodes], dtype=np.uint64
-            )
-        elif kind is BinExpr:
-            op = first.op
-            if any(node.op is not op for node in nodes):
-                return None
-            lhs = column(tuple(node.lhs for node in nodes))
-            rhs = column(tuple(node.rhs for node in nodes))
-            if lhs is None or rhs is None:
-                return None
-            result = VEC_BINOP_FUNCS[op](lhs, rhs)
-        elif kind is CmpExpr:
-            pred = first.pred
-            if any(node.pred is not pred for node in nodes):
-                return None
-            lhs = column(tuple(node.lhs for node in nodes))
-            rhs = column(tuple(node.rhs for node in nodes))
-            if lhs is None or rhs is None:
-                return None
-            result = VEC_CMP_FUNCS[pred](lhs, rhs)
-        elif kind is SelectExpr:
-            cond = column(tuple(node.cond for node in nodes))
-            if_true = column(tuple(node.if_true for node in nodes))
-            if_false = column(tuple(node.if_false for node in nodes))
-            if cond is None or if_true is None or if_false is None:
-                return None
-            # Both sides are total functions, so evaluating them lanewise and
-            # merging is value-identical to the scalar short-circuit.
-            result = np.where(np.not_equal(cond, np.uint64(0)), if_true, if_false)
-        else:
-            return None
-        memo[nodes] = result
-        return result
-
-    try:
-        out = column(tuple(exprs))
-    except (KeyError, RecursionError):
-        return None
-    if out is None:
-        return None
-    return [int(value) for value in out]
 
 
 _DAG_EVALUATORS: dict[Expr, object] = {}

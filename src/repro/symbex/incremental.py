@@ -50,16 +50,9 @@ _MEMO_LIMIT = 1 << 17
 class _ContextStats:
     """Process-global counters for benchmarks and regression tracking.
 
-    The group counters surface the vector tier's cross-lane solver batching
-    (``repro.symbex.vexec``): ``group_queries`` counts distinct
-    (fingerprint, extra) feasibility classes answered at group time,
-    ``group_dedup_hits`` counts member lanes whose verdict was fanned out
-    from a class representative without a query of their own, and
-    ``column_branch_resolutions`` counts lanes whose concolic branch
-    verdict came from one columnar numpy pass instead of a scalar
-    evaluation.  ``wave_replays`` and ``check_memo_hits`` count committed
-    propagation waves / full model searches answered by replaying recorded
-    work (see ``_ADD_PLAN_MEMO`` / ``_CHECK_MEMO``).  ``wave_visits`` counts
+    ``wave_replays`` and ``check_memo_hits`` count committed propagation
+    waves / full model searches answered by replaying recorded work (see
+    ``_ADD_PLAN_MEMO`` / ``_CHECK_MEMO``).  ``wave_visits`` counts
     constraints a propagation wave actually re-reduced and re-propagated,
     ``wave_skips`` those it carried over untouched (see
     ``SolverContext._propagate_wave``); ``order_unsat_proofs`` counts
@@ -74,9 +67,6 @@ class _ContextStats:
         "forks",
         "slow_path_checks",
         "fast_path_values",
-        "group_queries",
-        "group_dedup_hits",
-        "column_branch_resolutions",
         "wave_replays",
         "check_memo_hits",
         "wave_visits",

@@ -41,16 +41,6 @@ class Searcher:
             drained.append(self.pop())
         return drained
 
-    def iter_states(self):
-        """Read-only view of every pending state, in no particular order.
-
-        The vectorized frontier tier scans this at pop time to find peers
-        parked at the same program point; enumeration must not disturb the
-        pop order.  Searchers that cannot enumerate cheaply may return an
-        empty iterable — grouping is an optimisation, never a requirement.
-        """
-        return ()
-
     @property
     def empty(self) -> bool:
         return len(self) == 0
@@ -106,9 +96,6 @@ class CastanSearcher(Searcher):
     def __len__(self) -> int:
         return len(self._heap)
 
-    def iter_states(self):
-        return [entry[2] for entry in self._heap]
-
 
 class DepthFirstSearcher(Searcher):
     """LIFO exploration (KLEE's DFS) — ablation baseline."""
@@ -125,9 +112,6 @@ class DepthFirstSearcher(Searcher):
     def __len__(self) -> int:
         return len(self._stack)
 
-    def iter_states(self):
-        return list(self._stack)
-
 
 class BreadthFirstSearcher(Searcher):
     """FIFO exploration — ablation baseline."""
@@ -143,9 +127,6 @@ class BreadthFirstSearcher(Searcher):
 
     def __len__(self) -> int:
         return len(self._queue)
-
-    def iter_states(self):
-        return list(self._queue)
 
 
 class RandomSearcher(Searcher):
@@ -165,9 +146,6 @@ class RandomSearcher(Searcher):
 
     def __len__(self) -> int:
         return len(self._states)
-
-    def iter_states(self):
-        return list(self._states)
 
 
 SEARCHERS = {

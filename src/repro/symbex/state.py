@@ -21,22 +21,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.symbex.expr import Const, Expr, compiled_evaluator
+from repro.symbex.expr import Const, Expr
 from repro.symbex.havoc import HavocRecord
-
-
-class ShadowAssignment(dict):
-    """Concrete shadow values for the concolic fast path.
-
-    Maps symbol names to the concrete values of the packet under
-    construction (the per-symbol defaults); symbols it has never seen —
-    e.g. fresh havoc outputs — read as 0, mirroring the solver's own
-    ``defaults.get(name, 0)`` fallback.  Shared read-only by every state of
-    one engine run.
-    """
-
-    def __missing__(self, key: str) -> int:
-        return 0
 
 if TYPE_CHECKING:  # pragma: no cover - avoid a package-level import cycle
     from repro.cache.model import CacheModel
@@ -154,19 +140,6 @@ class ExecutionState:
 
         self._fresh_symbol_counter = 0
 
-        # Concolic shadow (compiled exec mode): a shared concrete assignment
-        # seeded from the packet defaults, plus a per-state validity flag
-        # that survives only while the shadow satisfies every committed
-        # constraint.  While valid, branch feasibility on the side the
-        # shadow takes needs no solver query at all.
-        self.shadow: "ShadowAssignment | None" = None
-        self.shadow_valid = False
-
-        # Vectorized frontier tier (exec_mode="vector"): the deferred group
-        # step buffered for this state, applied when the searcher pops it.
-        # Never forked, never pickled — a fork or shard hop simply regroups.
-        self.vex_buffer: "tuple | None" = None
-
         # Round bookkeeping for the per-packet beam scheduler: the cost this
         # state carried into the current round, so per-round gains can be
         # reported without re-walking the metric history.
@@ -217,23 +190,11 @@ class ExecutionState:
         child.havoc_records = list(self.havoc_records)
         child.packet_actions = list(self.packet_actions)
         child._fresh_symbol_counter = self._fresh_symbol_counter
-        child.shadow = self.shadow
-        child.shadow_valid = self.shadow_valid
-        child.vex_buffer = None
         child.round_cost_baseline = self.round_cost_baseline
         child.stage_costs = dict(self.stage_costs)
         child.active_stage = self.active_stage
         child.stage_cost_base = self.stage_cost_base
         return child
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        # A deferred group step must never cross a process boundary: the
-        # receiving engine regroups from scratch (apply-time key validation
-        # would catch a stale buffer anyway, but dropping it keeps shard
-        # pickles free of plan objects entirely).
-        state["vex_buffer"] = None
-        return state
 
     # -- round (packet-boundary) carry-over -----------------------------------
 
@@ -343,15 +304,6 @@ class ExecutionState:
     def add_constraint(self, constraint: Expr) -> None:
         if isinstance(constraint, Const):
             return
-        if self.shadow_valid:
-            # Keep the concolic shadow honest: it stays usable only while it
-            # satisfies every committed constraint.  Invalidation is one-way
-            # (no repair), so this is a single concrete evaluation per add.
-            ev = constraint._evaluator
-            if ev is None:
-                ev = compiled_evaluator(constraint)
-            if not ev(self.shadow):
-                self.shadow_valid = False
         if self.solver_context is not None:
             self.solver_context.add(constraint)
         else:

@@ -93,7 +93,6 @@ class _ParentLoops(Searcher):
         self.engine = engine
         self.add = inner.add
         self.pop = inner.pop
-        self.iter_states = inner.iter_states
 
     def __len__(self) -> int:
         return len(self.inner)

@@ -79,28 +79,6 @@ class TestSetAssociativeCache:
         with pytest.raises(ValueError):
             SetAssociativeCache(**bad)
 
-    def test_access_batch_matches_sequential_access(self):
-        """The columnar batch must be flag-for-flag identical to a loop."""
-        import random
-
-        rng = random.Random(31)
-        # Addresses cluster in a few sets so the batch hits, misses, evicts
-        # and revisits lines already touched earlier in the same batch.
-        addresses = [rng.randrange(0, 4096) for _ in range(500)]
-        batched = SetAssociativeCache(num_sets=4, associativity=2)
-        sequential = SetAssociativeCache(num_sets=4, associativity=2)
-        flags = batched.access_batch(addresses)
-        assert flags == [sequential.access(a) for a in addresses]
-        assert (batched.hits, batched.misses, batched.evictions) == (
-            sequential.hits, sequential.misses, sequential.evictions
-        )
-        assert batched._sets == sequential._sets  # identical LRU order
-
-    def test_access_batch_empty(self):
-        cache = SetAssociativeCache(num_sets=4, associativity=2)
-        assert cache.access_batch([]) == []
-        assert cache.hits == 0 and cache.misses == 0
-
 
 class TestHierarchy:
     def test_levels_progression(self):

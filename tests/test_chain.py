@@ -23,8 +23,6 @@ from repro.perf.interpreter import ConcreteInterpreter
 
 SMOKE = dict(max_states=60, num_packets=5, deadline_seconds=None)
 
-_MODES = ("interp", "compiled", "vector")
-
 GATEWAY_LABELS = ["lpm-dpdk", "fw-conntrack", "nat-hash-table"]
 
 
@@ -188,11 +186,10 @@ class TestChainAnalysis:
 
 
 class TestChainWorkerIdentity:
-    """workers=0 vs workers=2 byte-identity for a chain, in every exec mode
-    and both parallel modes (shards and portfolio)."""
+    """workers=0 vs workers=2 byte-identity for a chain in both parallel
+    modes (shards and portfolio)."""
 
-    @pytest.mark.parametrize("mode", _MODES)
-    def test_sharded_beam_identity(self, mode):
+    def test_sharded_beam_identity(self):
         digests = {}
         for workers in (0, 2):
             config = CastanConfig(
@@ -202,7 +199,6 @@ class TestChainWorkerIdentity:
                 search_mode="beam",
                 parallel_mode="shards",
                 workers=workers,
-                exec_mode=mode,
             )
             result = Castan(config).analyze(get_nf("chain-gateway"))
             digests[workers] = (

@@ -22,7 +22,7 @@ from repro.core.config import CONFIG_HASH_VERSION, CastanConfig
 #: fails after an intentional change to CastanConfig (new field, changed
 #: default, different canonical form), bump CONFIG_HASH_VERSION and repin —
 #: old stored service results must not be addressable by the new form.
-GOLDEN_DEFAULT_HASH = "cf55986c9c6dd6ddd41381ee1008ee99e37cbd3941b265589075f90e46477c93"
+GOLDEN_DEFAULT_HASH = "6c0b59c4ead68b14938d9450fa3ea9048ae29b95e7b278d1f4eb04e38903269d"
 
 
 def _mutated(value):
@@ -117,11 +117,14 @@ def test_from_dict_is_key_order_invariant():
 
 
 def test_from_dict_rejects_unknown_knobs():
-    with pytest.raises(ValueError, match="max_statez"):
-        CastanConfig.from_dict({"max_statez": 40})
-    # the error names the known fields so a typo is self-correcting
-    with pytest.raises(ValueError, match="max_states"):
-        CastanConfig.from_dict({"max_statez": 40})
+    # A typo, and a knob that no longer exists: a stale client must fail
+    # its submission, not get a silently different run.
+    for key, value in (("max_statez", 40), ("exec_mode", "compiled")):
+        with pytest.raises(ValueError, match=key):
+            CastanConfig.from_dict({key: value})
+        # the error names the known fields so a typo is self-correcting
+        with pytest.raises(ValueError, match="max_states"):
+            CastanConfig.from_dict({key: value})
 
 
 def test_partial_from_dict_overrides_on_defaults():
@@ -133,4 +136,4 @@ def test_partial_from_dict_overrides_on_defaults():
 
 def test_version_tag_is_part_of_the_hash():
     """The golden hash covers the version tag (bumping it must repoint keys)."""
-    assert CONFIG_HASH_VERSION == "castan-config-v2"
+    assert CONFIG_HASH_VERSION == "castan-config-v3"

@@ -1,5 +1,7 @@
 """Tests for symbolic expressions and the constraint solver."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from repro.symbex.expr import (
     CmpExpr,
     Const,
     Sym,
+    compiled_evaluator,
     evaluate,
     expr_eq,
     expr_ne,
@@ -17,6 +20,8 @@ from repro.symbex.expr import (
     make_binop,
     make_cmp,
     make_select,
+    reduce_concrete,
+    reduce_expr,
     simplify,
     substitute,
     symbols_of,
@@ -220,3 +225,64 @@ class TestSolver:
         model = self.solver.check([expr_eq(expr, Const(target))])
         assert model.is_sat
         assert model.model["x"] >> shift == target
+
+
+class TestExprFastPathInvariants:
+    def test_cached_hash_and_slots(self):
+        expr = make_binop(BinOpKind.ADD, Sym("h.x", bits=16), Const(3))
+        assert hash(expr) == expr._hash
+        for node in (expr, Const(3), Sym("h.x", bits=16)):
+            assert not hasattr(node, "__dict__")  # __slots__ everywhere
+        # Interning: structural equality is identity.
+        assert make_binop(BinOpKind.ADD, Sym("h.x", bits=16), Const(3)) is expr
+        assert isinstance(expr, BinExpr)
+
+    def test_pickle_reduce_roundtrip_reinterns(self):
+        expr = make_select(
+            make_cmp(CmpKind.ULT, Sym("p.s", bits=16), Const(99)),
+            make_binop(BinOpKind.XOR, Sym("p.s", bits=16), Const(0x5A)),
+            Const(1),
+        )
+        assert pickle.loads(pickle.dumps(expr)) is expr
+
+    def test_reduce_expr_matches_slow_form(self):
+        x, y, z = Sym("rx", bits=16), Sym("ry", bits=32), Sym("rz", bits=8)
+        exprs = [
+            make_binop(BinOpKind.ADD, make_binop(BinOpKind.MUL, x, Const(3)), y),
+            make_cmp(CmpKind.ULT, make_binop(BinOpKind.XOR, x, z), Const(77)),
+            make_binop(BinOpKind.AND, y, make_binop(BinOpKind.SHL, z, Const(4))),
+            make_cmp(
+                CmpKind.EQ,
+                make_binop(BinOpKind.OR, x, make_binop(BinOpKind.SHL, y, Const(16))),
+                Const(0x1234_0042),
+            ),
+        ]
+        assignments = [
+            {},
+            {"rx": 5},
+            {"rx": 5, "ry": 1 << 20},
+            {"rx": 5, "ry": 1 << 20, "rz": 9},
+            {"ry": 0},
+            {"rz": 255},
+        ]
+        for expr in exprs:
+            for assignment in assignments:
+                slow = simplify(substitute(expr, assignment))
+                assert reduce_expr(expr, assignment) is slow
+                concrete = reduce_concrete(expr, assignment)
+                if concrete is not None:
+                    assert Const(concrete) is slow
+
+    def test_deep_expression_falls_back_to_closure_evaluator(self):
+        from repro.symbex.expr import _CODEGEN_MAX_EXPANDED, _expanded_size
+
+        # A doubling DAG: shared subtree referenced twice per level would
+        # explode codegen source; the expanded-size guard must route it to
+        # closure trees.  (Evaluation itself is still exponential in the
+        # DAG depth — same as evaluate() — so keep the tower small.)
+        node = Sym("deep", bits=16)
+        for _ in range(20):
+            node = BinExpr(BinOpKind.ADD, node, node)
+        assert _expanded_size(node) > _CODEGEN_MAX_EXPANDED
+        ev = compiled_evaluator(node)
+        assert ev({"deep": 1}) == 1 << 20

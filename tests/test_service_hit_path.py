@@ -127,3 +127,15 @@ def test_a_resubmission_loop_cannot_grow_the_job_table(warm_store):
     assert live.state == "cancelled"
     assert len(service.jobs) == bound
     assert service.lookup(live.job_id) is live
+
+
+def test_unsubscribing_the_last_stream_drops_the_subscriber_set(warm_store):
+    service = SynthesisService(warm_store)
+    job = service.submit(NF, SMOKE_CONFIG, 3)
+    first, second = service.subscribe(job.job_id), service.subscribe(job.job_id)
+    service.unsubscribe(job.job_id, first)
+    assert service._subscribers[job.job_id] == {second}
+    service.unsubscribe(job.job_id, second)
+    assert job.job_id not in service._subscribers
+    service.unsubscribe(job.job_id, second)  # a repeated close is harmless
+    assert job.job_id not in service._subscribers

@@ -1,11 +1,17 @@
 """Tests for the symbolic execution engine, searchers, costs and havocs."""
 
+import hashlib
+import itertools
+import pickle
+
 import pytest
 
 from repro.cfg.costs import annotate_costs, render_annotated_cfg
 from repro.cfg.icfg import build_icfg
+from repro.core.workload import make_packet_symbols, symbol_defaults
 from repro.frontend.compiler import compile_nf
 from repro.ir.module import Module
+from repro.nf.registry import NF_NAMES, get_nf
 from repro.symbex.engine import SymbolicEngine
 from repro.symbex.expr import Const, Sym
 from repro.symbex.searcher import (
@@ -16,7 +22,7 @@ from repro.symbex.searcher import (
     make_searcher,
 )
 from repro.symbex.solver import Solver
-from repro.symbex.state import StateStatus
+from repro.symbex.state import ExecutionState, StateStatus
 
 
 def make_module(source, regions=None):
@@ -274,3 +280,153 @@ def process(src_ip, dst_ip, src_port, dst_port, protocol):
         engine = SymbolicEngine(module, "process", [packet_symbols()])
         stats = engine.run(CastanSearcher(), max_states=10)
         assert stats.error_states == 1
+
+
+def _evaluation_engine(nf_name, num_packets=2):
+    nf = get_nf(nf_name)
+    packet_sets = make_packet_symbols(num_packets)
+    return SymbolicEngine(
+        module=nf.module,
+        entry=nf.entry,
+        packet_args=[ps.args for ps in packet_sets],
+        defaults=symbol_defaults(packet_sets, nf.packet_defaults),
+        hash_output_bits=nf.hash_output_bits,
+    )
+
+
+def _run_from_sid_zero(engine, **kwargs):
+    # Rebase the process-global state-id counter (as the shard runner does)
+    # so sids — and therefore fresh havoc-symbol names — are reproducible.
+    ExecutionState._ids = itertools.count(0)
+    return engine.run(CastanSearcher(), max_states=40, **kwargs)
+
+
+class TestEngineBudgetAndPickle:
+    @pytest.mark.parametrize(
+        "budget,error_states,instructions",
+        [(1, 1, 1), (3, 1, 3), (7, 1, 7), (19, 2, 57)],
+    )
+    def test_instruction_budget_errors_at_the_pinned_instruction(
+        self, budget, error_states, instructions
+    ):
+        stats = _run_from_sid_zero(
+            _evaluation_engine("lpm-patricia"), max_instructions_per_state=budget
+        )
+        assert stats.error_states == error_states
+        assert stats.instructions_executed == instructions
+
+    @pytest.mark.parametrize("nf_name", NF_NAMES)
+    def test_engine_pickle_roundtrip_runs_identically(self, nf_name):
+        engine = _evaluation_engine(nf_name)
+        clone = pickle.loads(pickle.dumps(engine))
+        a = _run_from_sid_zero(engine)
+        b = _run_from_sid_zero(clone)
+        assert a.states_explored > 0
+        assert (a.states_explored, a.instructions_executed, a.forks) == (
+            b.states_explored,
+            b.instructions_executed,
+            b.forks,
+        )
+        assert [s.current_cost for s in a.completed_states] == [
+            s.current_cost for s in b.completed_states
+        ]
+
+
+def _short_digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+def _sid_costs(states):
+    return _short_digest([(s.sid, s.current_cost) for s in states])
+
+
+#: Per NF, a 2-packet run at ``max_states=40`` from sid 0: states explored,
+#: instructions, forks, infeasible and error states, then digests of the
+#: completed and pending ``(sid, cost)`` lists.  Recorded from the reference
+#: interpreter when the compiled and vectorized tiers, which agreed with it
+#: on every row, were deleted.
+ENGINE_PINS = {
+    "nop": (1, 2, 0, 0, 0, "00ce6357cff8c292", "4f53cda18c2baa0c"),
+    "lpm-patricia": (40, 839, 22, 0, 0, "2acd7b30b435a9ea", "cdda69730bc237b3"),
+    "lpm-direct": (1, 8, 0, 0, 0, "fbfb1194b6149e78", "4f53cda18c2baa0c"),
+    "lpm-dpdk": (1, 30, 0, 0, 0, "f83457210899b751", "4f53cda18c2baa0c"),
+    "nat-hash-table": (40, 605, 21, 0, 0, "4eef74315007293e", "d4b49f6115f1314c"),
+    "nat-hash-ring": (40, 594, 22, 0, 0, "ec042c9e8ccdb888", "f7fcee9abd78602e"),
+    "nat-red-black-tree": (40, 566, 22, 0, 0, "1c7f027744bee1bc", "c6c5f3f22967e682"),
+    "nat-unbalanced-tree": (40, 610, 22, 0, 0, "4468d6c6eb0d51a1", "b1c50cfe5b5d3580"),
+    "lb-hash-table": (40, 401, 21, 0, 0, "05f423733c571aa2", "e81d1aeeedb420c5"),
+    "lb-hash-ring": (40, 286, 21, 0, 0, "b75964898f792dcf", "b79922fded2eb7f9"),
+    "lb-red-black-tree": (40, 539, 21, 0, 0, "4e3a4daf31bd13fd", "ad6f996895f21da9"),
+    "lb-unbalanced-tree": (40, 498, 21, 0, 0, "b7926f8e189e400d", "b5671f033e10743d"),
+    "fw-conntrack": (40, 466, 21, 0, 0, "4f3bfaa33f0ae7b3", "f72de09149bdaee6"),
+    "policer-two-choice": (40, 374, 21, 0, 0, "5ce98a02c194d1b4", "6cdca921863da4a2"),
+    "dedup-bloom": (25, 352, 12, 0, 0, "bda460bbbbdc9729", "4f53cda18c2baa0c"),
+    "dpi-trie": (40, 1009, 23, 0, 0, "b6625a3194e9b01e", "e39db7340540bb4b"),
+    "chain-gateway": (40, 1016, 23, 0, 0, "e9cbbe5c73e9826f", "456ad362f0d2f64f"),
+    "chain-edge": (40, 1204, 23, 0, 0, "b795bb1f187a6fc3", "4ac1da2d4332f9c0"),
+}
+
+#: Per NF, a 3-packet beam-style resume: the first run (``max_states=8``)
+#: parks states at packet 1, the second (``max_states=12``, sids from 1000)
+#: resumes them to packet 2.  States and instructions of each run, then a
+#: digest of the second run's paused ``(sid, cost)`` list.  Same provenance
+#: as :data:`ENGINE_PINS`.
+RESUME_PINS = {
+    "nop": (1, 1, 1, 1, "00ce6357cff8c292"),
+    "lpm-patricia": (8, 160, 12, 253, "e834e95fde670fbe"),
+    "lpm-direct": (1, 4, 1, 4, "fbfb1194b6149e78"),
+    "lpm-dpdk": (1, 15, 1, 15, "f83457210899b751"),
+    "nat-hash-table": (8, 82, 12, 116, "ac4303c3144fb918"),
+    "nat-hash-ring": (8, 109, 12, 115, "a890b3bd1b3f59a3"),
+    "nat-red-black-tree": (8, 88, 12, 85, "531d7b762be7d314"),
+    "nat-unbalanced-tree": (8, 79, 12, 87, "a25914a0f36421dd"),
+    "lb-hash-table": (8, 56, 12, 99, "c28254a99b6a1770"),
+    "lb-hash-ring": (8, 51, 12, 90, "782751c614584756"),
+    "lb-red-black-tree": (8, 70, 12, 90, "2ba2c6366fbcd834"),
+    "lb-unbalanced-tree": (8, 60, 12, 97, "c70093aa6ffe9d84"),
+    "fw-conntrack": (8, 75, 12, 128, "c699830f56cb4ad6"),
+    "policer-two-choice": (8, 56, 12, 117, "d4f852d2f1c68f82"),
+    "dedup-bloom": (5, 69, 12, 112, "37e3c32032df7241"),
+    "dpi-trie": (8, 205, 12, 374, "9552ed0e3470b27e"),
+    "chain-gateway": (8, 281, 12, 243, "2feae665fdfbf91a"),
+    "chain-edge": (8, 373, 12, 180, "ce33b4d08d0ebe50"),
+}
+
+
+class TestEnginePins:
+    """The one engine reproduces the reference interpreter on every NF."""
+
+    def test_pins_cover_every_registered_nf(self):
+        assert set(ENGINE_PINS) == set(NF_NAMES)
+        assert set(RESUME_PINS) == set(NF_NAMES)
+
+    @pytest.mark.parametrize("nf_name", NF_NAMES)
+    def test_run_statistics_match_the_pins(self, nf_name):
+        stats = _run_from_sid_zero(_evaluation_engine(nf_name))
+        assert (
+            stats.states_explored,
+            stats.instructions_executed,
+            stats.forks,
+            stats.infeasible_states,
+            stats.error_states,
+            _sid_costs(stats.completed_states),
+            _sid_costs(stats.pending_states),
+        ) == ENGINE_PINS[nf_name]
+
+    @pytest.mark.parametrize("nf_name", NF_NAMES)
+    def test_paused_states_resume_at_the_pinned_point(self, nf_name):
+        engine = _evaluation_engine(nf_name, num_packets=3)
+        ExecutionState._ids = itertools.count(0)
+        first = engine.run(CastanSearcher(), max_states=8, stop_at_packet=1)
+        seeds = first.paused_states + first.pending_states
+        ExecutionState._ids = itertools.count(1000)
+        second = engine.run(
+            CastanSearcher(), max_states=12, initial_states=seeds, stop_at_packet=2
+        )
+        assert (
+            first.states_explored,
+            first.instructions_executed,
+            second.states_explored,
+            second.instructions_executed,
+            _sid_costs(second.paused_states),
+        ) == RESUME_PINS[nf_name]
