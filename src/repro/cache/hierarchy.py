@@ -19,7 +19,7 @@ simulates that structure at configurable (scaled-down) sizes:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.cache.setassoc import SetAssociativeCache
 from repro.perf.cycles import CycleCosts, DEFAULT_CYCLE_COSTS
@@ -171,6 +171,27 @@ class MemoryHierarchy:
             for _ in range(cfg.l3_slices)
         ]
         self.stats = HierarchyStats()
+
+    def snapshot(self) -> tuple:
+        """Capture resident lines, LRU order, statistics and the page mapping.
+
+        Costs what is resident, not the hierarchy's geometry: the config,
+        slice masks and page keys are immutable and shared, not copied.
+        """
+        caches = [cache.snapshot() for cache in (self._l1, self._l2, *self._l3)]
+        stats = replace(self.stats, by_level=dict(self.stats.by_level))
+        return self._process_seed, self._page_keys, caches, stats
+
+    def restore(self, snapshot: tuple) -> None:
+        """Return to a :meth:`snapshot` capture, in place.
+
+        The hierarchy object and its ``stats`` object stay the ones callers
+        hold; only their contents change.
+        """
+        self._process_seed, self._page_keys, caches, stats = snapshot
+        for cache, state in zip((self._l1, self._l2, *self._l3), caches):
+            cache.restore(state)
+        vars(self.stats).update(vars(stats), by_level=dict(stats.by_level))
 
     # -- address translation ----------------------------------------------------
 

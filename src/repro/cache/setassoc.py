@@ -21,8 +21,10 @@ class SetAssociativeCache:
         self.num_sets = num_sets
         self.associativity = associativity
         self.line_size = line_size
-        # set index -> OrderedDict of line address -> True (MRU at the end)
-        self._sets: list[OrderedDict[int, bool]] = [OrderedDict() for _ in range(num_sets)]
+        # set index -> OrderedDict of line address -> True (MRU at the end);
+        # only sets that hold a line have an entry, so copying the cache
+        # costs what is resident, not ``num_sets``.
+        self._sets: dict[int, OrderedDict[int, bool]] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -41,8 +43,10 @@ class SetAssociativeCache:
         """Access ``address``; returns True on hit, False on miss (and fills)."""
         line = self.line_of(address)
         index = self.set_index_of(address) if set_index is None else set_index % self.num_sets
-        ways = self._sets[index]
-        if line in ways:
+        ways = self._sets.get(index)
+        if ways is None:
+            ways = self._sets[index] = OrderedDict()
+        elif line in ways:
             ways.move_to_end(line)
             self.hits += 1
             return True
@@ -57,28 +61,38 @@ class SetAssociativeCache:
         """True when ``address`` is currently cached (no LRU update)."""
         line = self.line_of(address)
         index = self.set_index_of(address) if set_index is None else set_index % self.num_sets
-        return line in self._sets[index]
+        ways = self._sets.get(index)
+        return ways is not None and line in ways
 
     def flush(self) -> None:
         """Empty the cache and reset statistics."""
-        for ways in self._sets:
-            ways.clear()
+        self._sets = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
     def occupancy(self) -> int:
         """Number of lines currently resident."""
-        return sum(len(ways) for ways in self._sets)
+        return sum(len(ways) for ways in self._sets.values())
 
     def clone(self) -> "SetAssociativeCache":
         """Deep copy including resident lines and statistics."""
         other = SetAssociativeCache(self.num_sets, self.associativity, self.line_size)
-        other._sets = [OrderedDict(ways) for ways in self._sets]
+        other._sets = {index: OrderedDict(ways) for index, ways in self._sets.items()}
         other.hits = self.hits
         other.misses = self.misses
         other.evictions = self.evictions
         return other
+
+    def snapshot(self) -> tuple:
+        """Resident lines in LRU order plus statistics, for :meth:`restore`."""
+        sets = {index: tuple(ways) for index, ways in self._sets.items()}
+        return sets, self.hits, self.misses, self.evictions
+
+    def restore(self, snapshot: tuple) -> None:
+        """Return to a :meth:`snapshot` capture (reusable any number of times)."""
+        sets, self.hits, self.misses, self.evictions = snapshot
+        self._sets = {index: OrderedDict.fromkeys(lines, True) for index, lines in sets.items()}
 
     def way_partition(self, ways: int) -> "SetAssociativeCache":
         """A fresh cache representing a ``ways``-way partition of this one.
@@ -89,7 +103,5 @@ class SetAssociativeCache:
         carried over — a new tenant starts cold).
         """
         if not (0 < ways <= self.associativity):
-            raise ValueError(
-                f"way partition must use 1..{self.associativity} ways, got {ways}"
-            )
+            raise ValueError(f"way partition must use 1..{self.associativity} ways, got {ways}")
         return SetAssociativeCache(self.num_sets, ways, self.line_size)

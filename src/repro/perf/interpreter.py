@@ -10,7 +10,9 @@ in production builds: the hash function is simply called.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.ir.instructions import (
@@ -21,6 +23,7 @@ from repro.ir.instructions import (
     CmpKind,
     Compare,
     Havoc,
+    Instruction,
     Jump,
     Load,
     Return,
@@ -28,13 +31,36 @@ from repro.ir.instructions import (
     Store,
     Unreachable,
 )
-from repro.ir.module import Module
+from repro.ir.module import MemoryRegion, Module
 from repro.ir.values import Constant, Register, Value
 from repro.net.packet import Packet
 from repro.perf.counters import PacketCounters
 from repro.perf.cycles import CycleCosts, DEFAULT_CYCLE_COSTS
 
 MACHINE_MASK = (1 << 64) - 1
+
+# Opcodes of the decoded form.
+_BINOP, _BRANCH, _LOAD, _JUMP, _SELECT, _STORE, _CALL, _RETURN, _UNREACHABLE, _FALL_OFF = range(10)
+
+_BINOPS = {
+    BinOpKind.ADD: lambda lhs, rhs: (lhs + rhs) & MACHINE_MASK,
+    BinOpKind.SUB: lambda lhs, rhs: (lhs - rhs) & MACHINE_MASK,
+    BinOpKind.MUL: lambda lhs, rhs: (lhs * rhs) & MACHINE_MASK,
+    BinOpKind.UDIV: lambda lhs, rhs: (lhs // rhs) & MACHINE_MASK if rhs else MACHINE_MASK,
+    BinOpKind.UREM: lambda lhs, rhs: (lhs % rhs) & MACHINE_MASK if rhs else lhs,
+    BinOpKind.AND: operator.and_,
+    BinOpKind.OR: operator.or_,
+    BinOpKind.XOR: operator.xor,
+    BinOpKind.SHL: lambda lhs, rhs: (lhs << rhs) & MACHINE_MASK if rhs < 64 else 0,
+    BinOpKind.LSHR: lambda lhs, rhs: lhs >> rhs if rhs < 64 else 0,
+    # Comparisons share the binary-op form: the result is 0 or 1.
+    CmpKind.EQ: lambda lhs, rhs: 1 if lhs == rhs else 0,
+    CmpKind.NE: lambda lhs, rhs: 1 if lhs != rhs else 0,
+    CmpKind.ULT: lambda lhs, rhs: 1 if lhs < rhs else 0,
+    CmpKind.ULE: lambda lhs, rhs: 1 if lhs <= rhs else 0,
+    CmpKind.UGT: lambda lhs, rhs: 1 if lhs > rhs else 0,
+    CmpKind.UGE: lambda lhs, rhs: 1 if lhs >= rhs else 0,
+}
 
 
 class ExecutionError(RuntimeError):
@@ -56,8 +82,29 @@ class ExecutionResult:
         return len(self.per_packet)
 
 
+class _Code(NamedTuple):
+    """One decoded function: per-block lists of instruction tuples."""
+
+    name: str
+    params: list[str]
+    blocks: list[list[tuple]]
+
+
 class ConcreteInterpreter:
-    """Executes an NFIL module packet-by-packet on the simulated hierarchy."""
+    """Executes an NFIL module packet-by-packet on the simulated hierarchy.
+
+    On first use the module is decoded once: every instruction becomes a
+    tuple of an integer opcode, its operands as ``(is_register, register
+    name or constant)`` pairs, branch targets as block indices, memory
+    regions and callees already resolved, and its fixed cycle cost.  Each
+    block ends in a sentinel that reports falling off its end.
+
+    NF memory holds only the cells written since boot (unwritten cells read
+    their region's initial value).  :meth:`snapshot_state` and
+    :meth:`restore_state` therefore copy what the NF wrote plus the lines
+    resident in the hierarchy, and restore the hierarchy *in place*: a
+    hierarchy the caller passed in stays the one being used.
+    """
 
     def __init__(
         self,
@@ -73,23 +120,18 @@ class ConcreteInterpreter:
         self.cycle_costs = cycle_costs
         self.max_instructions_per_packet = max_instructions_per_packet
         self._entry_function = module.get_function(entry)
-        self._blocks = {
-            name: {block.name: block for block in function.blocks}
-            for name, function in module.functions.items()
+        self._level_costs = {
+            level: cycle_costs.memory_cost(level) for level in MemoryHierarchy.LEVELS
         }
-        # Persistent NF state: region -> {index: value}; unset cells read
-        # their declared initial value (default 0).
-        self._memory: dict[str, dict[int, int]] = {
-            name: dict(region.initial) for name, region in module.regions.items()
-        }
+        self._code: dict[str, _Code] | None = None
+        # Persistent NF state: region -> {index: value} of the written cells.
+        self._memory: dict[str, dict[int, int]] = {name: {} for name in module.regions}
 
     # -- state management ------------------------------------------------------
 
     def reset(self) -> None:
         """Reset NF state and cold-start the caches (fresh DUT boot)."""
-        self._memory = {
-            name: dict(region.initial) for name, region in self.module.regions.items()
-        }
+        self._memory = {name: {} for name in self.module.regions}
         self.hierarchy.reset_caches()
 
     def snapshot_state(self) -> object:
@@ -99,17 +141,14 @@ class ConcreteInterpreter:
         workload once and then measure many independent probe packets from
         the identical primed state.
         """
-        import copy
-
-        return (copy.deepcopy(self._memory), copy.deepcopy(self.hierarchy))
+        memory = {name: dict(cells) for name, cells in self._memory.items()}
+        return memory, self.hierarchy.snapshot()
 
     def restore_state(self, snapshot: object) -> None:
         """Restore a :meth:`snapshot_state` capture (reusable any number of times)."""
-        import copy
-
         memory, hierarchy = snapshot
-        self._memory = copy.deepcopy(memory)
-        self.hierarchy = copy.deepcopy(hierarchy)
+        self._memory = {name: dict(cells) for name, cells in memory.items()}
+        self.hierarchy.restore(hierarchy)
 
     def read_region(self, region_name: str, index: int) -> int:
         """Inspect NF state (tests and examples)."""
@@ -134,133 +173,199 @@ class ConcreteInterpreter:
         """Call the entry function with raw integer arguments."""
         params = self._entry_function.params
         if len(args) != len(params):
-            raise ExecutionError(
-                f"entry {self.entry!r} takes {len(params)} args, got {len(args)}"
-            )
+            raise ExecutionError(f"entry {self.entry!r} takes {len(params)} args, got {len(args)}")
         counters = PacketCounters()
-        value = self._run_function(self.entry, list(args), counters, depth=0)
+        value = self._run_function(self._decoded(self.entry), args, counters, depth=0)
         counters.action = value
         return counters
 
     def call_function(self, name: str, args: list[int]) -> int:
         """Call an arbitrary module function concretely (no counters kept)."""
-        return self._run_function(name, list(args), PacketCounters(), depth=0)
+        return self._run_function(self._decoded(name), args, PacketCounters(), depth=0)
+
+    # -- decoding -------------------------------------------------------------------
+
+    def _decoded(self, name: str) -> _Code:
+        if self._code is None:
+            self._code = self._decode_module()
+        if name not in self._code:
+            raise KeyError(f"module {self.module.name!r} has no function {name!r}")
+        return self._code[name]
+
+    def _decode_module(self) -> dict[str, _Code]:
+        """Decode every function; a call holds its callee's :class:`_Code`."""
+        functions = self.module.functions
+        codes = {name: _Code(name, list(f.params), []) for name, f in functions.items()}
+        for name, function in functions.items():
+            block_index = {block.name: index for index, block in enumerate(function.blocks)}
+            for block in function.blocks:
+                decoded = [self._decode(ins, block_index, codes) for ins in block.instructions]
+                decoded.append((_FALL_OFF, block.name))
+                codes[name].blocks.append(decoded)
+        return codes
+
+    def _decode(
+        self, instruction: Instruction, block_index: dict[str, int], codes: dict[str, _Code]
+    ) -> tuple:
+        costs = self.cycle_costs
+        if isinstance(instruction, (BinaryOp, Compare)):
+            kind = instruction.op if isinstance(instruction, BinaryOp) else instruction.pred
+            return (
+                _BINOP,
+                instruction.dest.name,
+                _BINOPS[kind],
+                *_operand(instruction.lhs),
+                *_operand(instruction.rhs),
+                costs.instruction_cost(instruction),
+            )
+        if isinstance(instruction, Select):
+            return (
+                _SELECT,
+                instruction.dest.name,
+                *_operand(instruction.cond),
+                *_operand(instruction.if_true),
+                *_operand(instruction.if_false),
+                costs.select,
+            )
+        if isinstance(instruction, Load):
+            region = self.module.get_region(instruction.region)
+            return (_LOAD, instruction.dest.name, *_operand(instruction.index), region)
+        if isinstance(instruction, Store):
+            region = self.module.get_region(instruction.region)
+            return (_STORE, *_operand(instruction.index), region, *_operand(instruction.value))
+        if isinstance(instruction, (Call, Havoc)):
+            # Production semantics: a havoc just calls the annotated hash function.
+            is_call = isinstance(instruction, Call)
+            callee = instruction.callee if is_call else instruction.hash_function
+            if callee not in codes:
+                raise KeyError(f"module {self.module.name!r} has no function {callee!r}")
+            dest = None if instruction.dest is None else instruction.dest.name
+            args = tuple(_operand(arg) for arg in instruction.args)
+            return (_CALL, dest, codes[callee], args, costs.call_overhead)
+        if isinstance(instruction, Jump):
+            return (_JUMP, block_index[instruction.target], costs.jump)
+        if isinstance(instruction, Branch):
+            return (
+                _BRANCH,
+                *_operand(instruction.cond),
+                block_index[instruction.if_true],
+                block_index[instruction.if_false],
+                costs.branch,
+            )
+        if isinstance(instruction, Return):
+            value = (False, 0) if instruction.value is None else _operand(instruction.value)
+            return (_RETURN, *value, costs.return_cost)
+        if isinstance(instruction, Unreachable):
+            return (_UNREACHABLE,)
+        raise ExecutionError(f"unknown instruction {instruction!r}")
 
     # -- interpreter core -----------------------------------------------------------
 
-    def _run_function(self, name: str, args: list[int], counters: PacketCounters, depth: int) -> int:
+    def _run_function(
+        self, code: _Code, args: list[int], counters: PacketCounters, depth: int
+    ) -> int:
         if depth > 64:
             raise ExecutionError("call depth limit exceeded")
-        function = self.module.get_function(name)
-        registers: dict[str, int] = {
-            param: arg & MACHINE_MASK for param, arg in zip(function.params, args)
-        }
-        blocks = self._blocks[name]
-        block = function.entry_block
+        name, params, blocks = code
+        registers = {param: arg & MACHINE_MASK for param, arg in zip(params, args)}
+        memory = self._memory
+        budget = self.max_instructions_per_packet
+        block = blocks[0]
         index = 0
         executed = 0
-
-        def operand(value: Value) -> int:
-            if isinstance(value, Constant):
-                return value.value
-            if isinstance(value, Register):
-                try:
-                    return registers[value.name]
-                except KeyError:
-                    raise ExecutionError(
-                        f"read of undefined register %{value.name} in {name}"
-                    ) from None
-            raise ExecutionError(f"unsupported operand {value!r}")
-
-        while True:
-            if index >= len(block.instructions):
-                raise ExecutionError(f"fell off the end of block {block.name!r} in {name}")
-            executed += 1
-            if executed > self.max_instructions_per_packet:
-                raise ExecutionError(f"instruction budget exceeded in {name}")
-            instruction = block.instructions[index]
-            counters.instructions += 1
-
-            if isinstance(instruction, BinaryOp):
-                result = self._binop(instruction.op, operand(instruction.lhs), operand(instruction.rhs))
-                registers[instruction.dest.name] = result
-                counters.cycles += self.cycle_costs.instruction_cost(instruction)
-                index += 1
-            elif isinstance(instruction, Compare):
-                result = self._cmp(instruction.pred, operand(instruction.lhs), operand(instruction.rhs))
-                registers[instruction.dest.name] = result
-                counters.cycles += self.cycle_costs.compare
-                index += 1
-            elif isinstance(instruction, Select):
-                cond = operand(instruction.cond)
-                registers[instruction.dest.name] = (
-                    operand(instruction.if_true) if cond else operand(instruction.if_false)
-                )
-                counters.cycles += self.cycle_costs.select
-                index += 1
-            elif isinstance(instruction, Load):
-                region = self.module.get_region(instruction.region)
-                element = operand(instruction.index)
-                self._check_bounds(region.name, element, region.length)
-                level = self._access(region.address_of(element), counters, is_write=False)
-                counters.loads += 1
-                counters.cycles += self.cycle_costs.memory_cost(level)
-                registers[instruction.dest.name] = self._memory[region.name].get(
-                    element, region.initial.get(element, 0)
-                )
-                index += 1
-            elif isinstance(instruction, Store):
-                region = self.module.get_region(instruction.region)
-                element = operand(instruction.index)
-                self._check_bounds(region.name, element, region.length)
-                level = self._access(region.address_of(element), counters, is_write=True)
-                counters.stores += 1
-                counters.cycles += self.cycle_costs.memory_cost(level)
-                self._memory[region.name][element] = operand(instruction.value) & MACHINE_MASK
-                index += 1
-            elif isinstance(instruction, Call):
-                counters.cycles += self.cycle_costs.call_overhead
-                value = self._run_function(
-                    instruction.callee, [operand(a) for a in instruction.args], counters, depth + 1
-                )
-                if instruction.dest is not None:
-                    registers[instruction.dest.name] = value
-                index += 1
-            elif isinstance(instruction, Havoc):
-                # Production semantics: just call the annotated hash function.
-                counters.cycles += self.cycle_costs.call_overhead
-                value = self._run_function(
-                    instruction.hash_function, [operand(a) for a in instruction.args], counters, depth + 1
-                )
-                registers[instruction.dest.name] = value
-                index += 1
-            elif isinstance(instruction, Jump):
-                counters.cycles += self.cycle_costs.jump
-                block = blocks[instruction.target]
-                index = 0
-            elif isinstance(instruction, Branch):
-                counters.cycles += self.cycle_costs.branch
-                target = instruction.if_true if operand(instruction.cond) else instruction.if_false
-                block = blocks[target]
-                index = 0
-            elif isinstance(instruction, Return):
-                counters.cycles += self.cycle_costs.return_cost
-                return operand(instruction.value) if instruction.value is not None else 0
-            elif isinstance(instruction, Unreachable):
-                raise ExecutionError(f"reached unreachable in {name}")
-            else:
-                raise ExecutionError(f"unknown instruction {instruction!r}")
+        cycles = 0
+        # Decoding resolved every block, region and callee, so a KeyError in
+        # this loop can only be a read of a register nothing has written.
+        try:
+            while True:
+                instruction = block[index]
+                op = instruction[0]
+                executed += 1
+                if executed > budget:
+                    if op == _FALL_OFF:
+                        raise ExecutionError(
+                            f"fell off the end of block {instruction[1]!r} in {name}"
+                        )
+                    raise ExecutionError(f"instruction budget exceeded in {name}")
+                if op == _BINOP:
+                    _, dest, apply, lhs_reg, lhs, rhs_reg, rhs, cost = instruction
+                    registers[dest] = apply(
+                        registers[lhs] if lhs_reg else lhs, registers[rhs] if rhs_reg else rhs
+                    )
+                    cycles += cost
+                    index += 1
+                elif op == _BRANCH:
+                    _, cond_reg, cond, if_true, if_false, cost = instruction
+                    cycles += cost
+                    block = blocks[if_true if (registers[cond] if cond_reg else cond) else if_false]
+                    index = 0
+                elif op == _LOAD:
+                    _, dest, element_reg, element, region = instruction
+                    if element_reg:
+                        element = registers[element]
+                    cycles += self._access(region, element, counters)
+                    counters.loads += 1
+                    value = memory[region.name].get(element)
+                    registers[dest] = region.initial.get(element, 0) if value is None else value
+                    index += 1
+                elif op == _JUMP:
+                    _, target, cost = instruction
+                    cycles += cost
+                    block = blocks[target]
+                    index = 0
+                elif op == _SELECT:
+                    _, dest, cond_reg, cond, yes_reg, yes, no_reg, no, cost = instruction
+                    if registers[cond] if cond_reg else cond:
+                        registers[dest] = registers[yes] if yes_reg else yes
+                    else:
+                        registers[dest] = registers[no] if no_reg else no
+                    cycles += cost
+                    index += 1
+                elif op == _STORE:
+                    _, element_reg, element, region, value_reg, value = instruction
+                    if element_reg:
+                        element = registers[element]
+                    cycles += self._access(region, element, counters, is_write=True)
+                    counters.stores += 1
+                    if value_reg:
+                        value = registers[value]
+                    memory[region.name][element] = value & MACHINE_MASK
+                    index += 1
+                elif op == _CALL:
+                    _, dest, callee, operands, cost = instruction
+                    cycles += cost
+                    value = self._run_function(
+                        callee,
+                        [registers[arg] if is_reg else arg for is_reg, arg in operands],
+                        counters,
+                        depth + 1,
+                    )
+                    if dest is not None:
+                        registers[dest] = value
+                    index += 1
+                elif op == _RETURN:
+                    _, value_reg, value, cost = instruction
+                    counters.instructions += executed
+                    counters.cycles += cycles + cost
+                    return registers[value] if value_reg else value
+                elif op == _UNREACHABLE:
+                    raise ExecutionError(f"reached unreachable in {name}")
+                else:
+                    raise ExecutionError(f"fell off the end of block {instruction[1]!r} in {name}")
+        except KeyError as exc:
+            raise ExecutionError(f"read of undefined register %{exc.args[0]} in {name}") from None
 
     # -- helpers ------------------------------------------------------------------------
 
-    def _check_bounds(self, region_name: str, index: int, length: int) -> None:
-        if not (0 <= index < length):
+    def _access(
+        self, region: MemoryRegion, element: int, counters: PacketCounters, is_write: bool = False
+    ) -> int:
+        """Bounds-check one element access, run it on the hierarchy, return its cycles."""
+        if not (0 <= element < region.length):
             raise ExecutionError(
-                f"out-of-bounds access to @{region_name}[{index}] (length {length})"
+                f"out-of-bounds access to @{region.name}[{element}] (length {region.length})"
             )
-
-    def _access(self, address: int, counters: PacketCounters, is_write: bool) -> str:
-        level = self.hierarchy.access(address, is_write=is_write)
+        level = self.hierarchy.access(region.address_of(element), is_write=is_write)
         if level == "L1":
             counters.l1_hits += 1
         elif level == "L2":
@@ -269,44 +374,13 @@ class ConcreteInterpreter:
             counters.l3_hits += 1
         else:
             counters.l3_misses += 1
-        return level
+        return self._level_costs[level]
 
-    @staticmethod
-    def _binop(op: BinOpKind, lhs: int, rhs: int) -> int:
-        if op is BinOpKind.ADD:
-            return (lhs + rhs) & MACHINE_MASK
-        if op is BinOpKind.SUB:
-            return (lhs - rhs) & MACHINE_MASK
-        if op is BinOpKind.MUL:
-            return (lhs * rhs) & MACHINE_MASK
-        if op is BinOpKind.UDIV:
-            return (lhs // rhs) & MACHINE_MASK if rhs else MACHINE_MASK
-        if op is BinOpKind.UREM:
-            return (lhs % rhs) & MACHINE_MASK if rhs else lhs
-        if op is BinOpKind.AND:
-            return lhs & rhs
-        if op is BinOpKind.OR:
-            return lhs | rhs
-        if op is BinOpKind.XOR:
-            return lhs ^ rhs
-        if op is BinOpKind.SHL:
-            return (lhs << rhs) & MACHINE_MASK if rhs < 64 else 0
-        if op is BinOpKind.LSHR:
-            return lhs >> rhs if rhs < 64 else 0
-        raise ExecutionError(f"unknown binary op {op}")
 
-    @staticmethod
-    def _cmp(pred: CmpKind, lhs: int, rhs: int) -> int:
-        if pred is CmpKind.EQ:
-            return int(lhs == rhs)
-        if pred is CmpKind.NE:
-            return int(lhs != rhs)
-        if pred is CmpKind.ULT:
-            return int(lhs < rhs)
-        if pred is CmpKind.ULE:
-            return int(lhs <= rhs)
-        if pred is CmpKind.UGT:
-            return int(lhs > rhs)
-        if pred is CmpKind.UGE:
-            return int(lhs >= rhs)
-        raise ExecutionError(f"unknown comparison {pred}")
+def _operand(value: Value) -> tuple[bool, str | int]:
+    """``(True, register name)`` or ``(False, constant)`` for one operand."""
+    if isinstance(value, Constant):
+        return False, value.value
+    if isinstance(value, Register):
+        return True, value.name
+    raise ExecutionError(f"unsupported operand {value!r}")

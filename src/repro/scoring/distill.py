@@ -17,7 +17,8 @@ recognise *more* traffic like the synthesized worst case:
    across most of the workload (the clustered destinations that walk a
    deep LPM/tree path, the sources mapping to one contention set).
 
-Every candidate is then **calibrated by replay** (:mod:`.replay`): the NF
+Every candidate is then **calibrated by replay** (:mod:`.replay`) on the
+analysis machine (``config.hierarchy`` and ``config.cycle_costs``): the NF
 is primed with the synthesized workload, fresh matching probes are
 synthesized — inverting the hash via the rainbow table and handing the
 key-packing tree to the solver, exactly the trees the solver already
@@ -35,6 +36,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 
+from repro.cache.hierarchy import MemoryHierarchy
 from repro.core.castan import Castan, CastanResult
 from repro.core.config import CastanConfig
 from repro.hashing.functions import FLOW_HASH_MASK
@@ -114,6 +116,9 @@ class DistillReport:
     dropped_no_probes: int = 0
     dropped_no_background: int = 0
     dropped_unseparated: int = 0
+    # Packets replayed to prime calibration states, and probe packets measured.
+    primed_packets: int = 0
+    probe_packets: int = 0
     notes: list[str] = dataclass_field(default_factory=list)
 
 
@@ -504,6 +509,10 @@ def distill_signatures(
     exactly the attack the signature claims to recognise.  The amplified
     flow list is recorded as the signature's ``priming_flows``, so the
     published claim is self-contained.
+
+    The analysis workload is replayed once per call: each candidate starts
+    from that primed snapshot and adds only its own amplification flows
+    (``report.primed_packets`` / ``report.probe_packets`` count the replay).
     """
     config = config or CastanConfig()
     report = report if report is not None else DistillReport()
@@ -519,6 +528,9 @@ def distill_signatures(
 
     signatures: list[AdversarialSignature] = []
     seen_predicates: set[Expr] = set()
+    # The analysis workload, primed once (for the first candidate that gets
+    # as far as replay); each candidate extends its snapshot with its flows.
+    primed: PrimedReplay | None = None
     for candidate in candidates:
         if candidate.predicate in seen_predicates:
             continue
@@ -548,9 +560,19 @@ def distill_signatures(
             report.dropped_no_background += 1
             report.notes.append(f"no background probes: {candidate.label}")
             continue
-        replay = PrimedReplay(nf, priming)
+        if primed is None:
+            primed = PrimedReplay(
+                nf,
+                workload,
+                hierarchy=MemoryHierarchy(config.hierarchy, cycle_costs=config.cycle_costs),
+                cycle_costs=config.cycle_costs,
+            )
+            report.primed_packets += len(workload)
+        replay = primed.extended(extra)
+        report.primed_packets += len(extra)
         match_costs = replay.probe_costs(probes)
         background_costs = replay.probe_costs(background)
+        report.probe_packets += len(probes) + len(background)
         min_match = min(match_costs)
         max_background = max(background_costs)
         if min_match < max_background * 1.1 + 2:

@@ -166,6 +166,9 @@ def run_score_job(
             "count": len(signature_set),
             "store_key": signature_set.store_key(),
             "content_hash": signature_set.content_hash(),
+            # Replay calibration work; both 0 when the signature shelf hit.
+            "primed_packets": report.primed_packets,
+            "probe_packets": report.probe_packets,
             "signatures": [
                 {
                     "kind": s.kind,

@@ -6,7 +6,10 @@ expensive and a fresh background packet is not.  :class:`PrimedReplay`
 measures exactly that, on the same concrete interpreter + simulated memory
 hierarchy the testbed uses: prime once, snapshot the NF memory and cache
 state, then restore the snapshot before every probe so each measurement is
-independent of probe order.
+independent of probe order.  A restore copies only what the NF wrote and
+the lines resident in the hierarchy, so a probe costs about what it
+touches; :meth:`PrimedReplay.extended` primes further on top of a snapshot
+instead of replaying the shared prefix again.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from repro.cache.hierarchy import MemoryHierarchy
 from repro.net.flows import FlowKey
 from repro.net.packet import Packet
 from repro.nf.base import NetworkFunction
+from repro.perf.cycles import CycleCosts, DEFAULT_CYCLE_COSTS
 from repro.perf.interpreter import ConcreteInterpreter
 
 Flow = tuple[int, int, int, int, int]
@@ -61,14 +65,37 @@ class PrimedReplay:
         nf: NetworkFunction,
         priming_flows: list[Flow],
         hierarchy: MemoryHierarchy | None = None,
+        cycle_costs: CycleCosts = DEFAULT_CYCLE_COSTS,
     ) -> None:
         self.nf = nf
         self.interpreter = ConcreteInterpreter(
-            nf.module, nf.entry, hierarchy=hierarchy or MemoryHierarchy()
+            nf.module,
+            nf.entry,
+            hierarchy=hierarchy or MemoryHierarchy(cycle_costs=cycle_costs),
+            cycle_costs=cycle_costs,
         )
-        for flow in priming_flows:
+        self.priming_flows: list[Flow] = []
+        self._prime(priming_flows)
+
+    def _prime(self, flows: list[Flow]) -> None:
+        for flow in flows:
             self.interpreter.process_packet(flow_packet(flow))
+        self.priming_flows += flows
         self._snapshot = self.interpreter.snapshot_state()
+
+    def extended(self, flows: list[Flow]) -> "PrimedReplay":
+        """A replay primed with this one's flows followed by ``flows``.
+
+        The state equals a fresh replay primed with the concatenation, but
+        only ``flows`` are processed.  Both replays share one interpreter and
+        stay usable: each restores its own snapshot before every probe.
+        """
+        other = object.__new__(PrimedReplay)
+        other.nf, other.interpreter = self.nf, self.interpreter
+        other.priming_flows = list(self.priming_flows)
+        self.interpreter.restore_state(self._snapshot)
+        other._prime(flows)
+        return other
 
     def probe_cost(self, flow: Flow | FlowKey | Packet) -> int:
         """Reference cycles for one probe packet against the primed state."""

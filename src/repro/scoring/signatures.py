@@ -53,8 +53,9 @@ from repro.symbex.expr import (
 
 #: Version tag mixed into every signature content hash (store discipline:
 #: bump on any change to the canonical form, so old persisted signatures
-#: miss instead of being misread).
-SIGNATURE_VERSION = "castan-signature-v1"
+#: miss instead of being misread).  v2: thresholds are calibrated on the
+#: analysis config's hierarchy and cycle costs, not the default machine.
+SIGNATURE_VERSION = "castan-signature-v2"
 
 #: The canonical per-packet field symbols every signature predicate is
 #: expressed over (single-packet namespace; the engine's ``pktN.*`` symbols

@@ -2,7 +2,8 @@
 hierarchy, contention-set discovery and the symbex cache models."""
 
 import itertools
-from collections import Counter
+import random
+from collections import Counter, OrderedDict
 
 import pytest
 
@@ -80,6 +81,88 @@ class TestSetAssociativeCache:
             SetAssociativeCache(**bad)
 
 
+class _ListOfSetsCache:
+    """Reference LRU cache: one ``OrderedDict`` per set, all ``num_sets`` allocated."""
+
+    def __init__(self, num_sets: int, associativity: int, line_size: int = 64) -> None:
+        self.num_sets, self.associativity, self.line_size = num_sets, associativity, line_size
+        self.sets = [OrderedDict() for _ in range(num_sets)]
+
+    def _locate(self, address, set_index):
+        line = address // self.line_size
+        index = line % self.num_sets if set_index is None else set_index % self.num_sets
+        return line, self.sets[index]
+
+    def access(self, address: int, set_index: int | None = None) -> bool:
+        line, ways = self._locate(address, set_index)
+        if line in ways:
+            ways.move_to_end(line)
+            return True
+        if len(ways) >= self.associativity:
+            ways.popitem(last=False)
+        ways[line] = True
+        return False
+
+    def contains(self, address: int, set_index: int | None = None) -> bool:
+        line, ways = self._locate(address, set_index)
+        return line in ways
+
+    def occupancy(self) -> int:
+        return sum(len(ways) for ways in self.sets)
+
+    def clone(self) -> "_ListOfSetsCache":
+        other = _ListOfSetsCache(self.num_sets, self.associativity, self.line_size)
+        other.sets = [OrderedDict(ways) for ways in self.sets]
+        return other
+
+
+class TestSparseSetsMatchReference:
+    """The cache keeps only non-empty sets; it must behave like the full list."""
+
+    @staticmethod
+    def _stream(seed: int, length: int = 3000):
+        rng = random.Random(seed)
+        hot = [rng.randrange(1 << 20) for _ in range(40)]
+        for _ in range(length):
+            address = rng.choice(hot) if rng.random() < 0.6 else rng.randrange(1 << 20)
+            set_index = rng.randrange(1 << 12) if rng.random() < 0.3 else None
+            yield address, set_index
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("geometry", [(1, 4), (8, 2), (64, 8), (13, 3)])
+    def test_same_hits_occupancy_membership_and_clones(self, seed, geometry):
+        num_sets, ways = geometry
+        cache = SetAssociativeCache(num_sets, ways)
+        reference = _ListOfSetsCache(num_sets, ways)
+        verdicts, expected = [], []
+        for step, (address, set_index) in enumerate(self._stream(seed)):
+            verdicts.append(cache.access(address, set_index))
+            expected.append(reference.access(address, set_index))
+            if step % 250 == 0:
+                assert cache.occupancy() == reference.occupancy()
+                probe = address + 64 * (step % 5)
+                assert cache.contains(probe) == reference.contains(probe)
+                assert cache.contains(probe, step) == reference.contains(probe, step)
+            if step == 1500:
+                cache, reference = cache.clone(), reference.clone()
+        assert verdicts == expected
+        assert cache.occupancy() == reference.occupancy()
+        assert (cache.hits, cache.misses) == (expected.count(True), expected.count(False))
+
+    def test_snapshot_restore_round_trip(self):
+        cache = SetAssociativeCache(16, 2)
+        stream = list(self._stream(7, 400))
+        for address, set_index in stream[:200]:
+            cache.access(address, set_index)
+        snapshot = cache.snapshot()
+        first = [cache.access(address, set_index) for address, set_index in stream[200:]]
+        counts = (cache.hits, cache.misses, cache.evictions, cache.occupancy())
+        for _ in range(2):  # a snapshot is reusable
+            cache.restore(snapshot)
+            assert [cache.access(a, s) for a, s in stream[200:]] == first
+            assert (cache.hits, cache.misses, cache.evictions, cache.occupancy()) == counts
+
+
 class TestHierarchy:
     def test_levels_progression(self):
         hierarchy = tiny_hierarchy()
@@ -107,6 +190,24 @@ class TestHierarchy:
         first = hierarchy.virtual_to_physical(vaddr)
         hierarchy.new_process_run(99)
         assert hierarchy.virtual_to_physical(vaddr) != first
+
+    def test_snapshot_restores_levels_and_stats_in_place(self):
+        hierarchy = tiny_hierarchy()
+        rng = random.Random(3)
+        addresses = [rng.randrange(1 << 22) for _ in range(300)]
+        for address in addresses[:150]:
+            hierarchy.access(address)
+        snapshot = hierarchy.snapshot()
+        levels = [hierarchy.access(address) for address in addresses[150:]]
+        stats = hierarchy.stats
+        after = (stats.accesses, stats.l1_hits, stats.l2_hits, stats.l3_hits, stats.dram_accesses)
+        hierarchy.new_process_run(7)  # a different page mapping, cold caches
+        stats = hierarchy.stats
+        hierarchy.restore(snapshot)
+        assert hierarchy.stats is stats and stats.accesses == 150
+        assert [hierarchy.access(address) for address in addresses[150:]] == levels
+        assert (stats.accesses, stats.l1_hits, stats.l2_hits, stats.l3_hits,
+                stats.dram_accesses) == after
 
     def test_access_cycles_match_levels(self):
         hierarchy = tiny_hierarchy()

@@ -18,6 +18,7 @@ Three gates, mirroring the layer's three claims:
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import logging
@@ -29,6 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache.hierarchy import MemoryHierarchy
 from repro.core.castan import Castan
 from repro.core.config import CastanConfig
 from repro.hashing.functions import flow_hash16
@@ -36,8 +38,11 @@ from repro.ir.instructions import CmpKind
 from repro.net.packet import make_udp_packet
 from repro.net.pcap import PcapWriter, packets_to_pcap_bytes
 from repro.nf.registry import get_nf
+from repro.perf.cycles import CycleCosts
+from repro.perf.interpreter import ConcreteInterpreter
 from repro.scoring import (
     AdversarialSignature,
+    DistillReport,
     SignatureSet,
     StreamScorer,
     distill_signatures,
@@ -47,7 +52,7 @@ from repro.scoring import (
 )
 from repro.scoring.distill import _mine_matching_columns
 from repro.scoring.jobs import obtain_result, obtain_signatures, run_score_job
-from repro.scoring.replay import PrimedReplay, flow_fields
+from repro.scoring.replay import PrimedReplay, flow_fields, flow_packet
 from repro.scoring.scorer import ScorerOptions
 from repro.scoring.signatures import (
     FIELD_ORDER,
@@ -274,6 +279,72 @@ def test_thresholds_separate_calibration_costs(distilled):
         assert signature.baseline_cycles < signature.threshold_cycles
         assert signature.threshold_cycles <= signature.matching_cycles
         assert signature.priming_flows  # the claim is about a primed NF
+
+
+#: (sha256 of the canonical payload without its version tags, signature
+#: count) per soundness NF, recorded while every candidate still primed its
+#: own fresh NF.  Calibration that primes once and restores snapshots must
+#: publish the very same signatures.
+SIGNATURE_PAYLOAD_PINS = {
+    "nat-hash-table": ("729f8f2b9e20d99a93031978b936393c6b0b87ed7d8243179890e3da12413d03", 1),
+    "lb-hash-ring": ("86d4deb8b53178523d921f2cd41ef023b6d1c723a263149ad45cd7ac396305e8", 1),
+    "lpm-patricia": ("f2c6b3aeace1949f9b798e5fc6d29a03f644b6fb3895ac640da0981d240e58ac", 1),
+}
+
+
+def _payload_digest(signature_set: SignatureSet) -> tuple[str, int]:
+    data = signature_set.to_dict()
+    del data["version"]
+    for entry in data["signatures"]:
+        del entry["version"]
+    blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest(), len(data["signatures"])
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="the pins were mined with the columnar miner")
+def test_distilled_payloads_match_pins(distilled):
+    nf, _config, _result, signature_set = distilled
+    assert _payload_digest(signature_set) == SIGNATURE_PAYLOAD_PINS[nf.name]
+
+
+def _fresh_cost(nf, priming, probe, config: CastanConfig) -> int:
+    """One probe's cycles on a new DUT of ``config``'s machine, primed from boot."""
+    interpreter = ConcreteInterpreter(
+        nf.module,
+        nf.entry,
+        hierarchy=MemoryHierarchy(config.hierarchy, cycle_costs=config.cycle_costs),
+        cycle_costs=config.cycle_costs,
+    )
+    for flow in priming:
+        interpreter.process_packet(flow_packet(flow))
+    return interpreter.process_packet(flow_packet(probe)).cycles
+
+
+def test_calibration_runs_on_the_analysis_machine(monkeypatch):
+    # (On this table the NAT's bucket signature no longer separates from
+    # background traffic, so it is dropped; the ring's arc signature holds.)
+    nf = get_nf("lb-hash-ring")
+    config = CastanConfig(**SMOKE, cycle_costs=CycleCosts(dram=400))
+    result = Castan(config).analyze(nf, num_packets=3)
+    calls = []
+    probe_costs = PrimedReplay.probe_costs
+
+    def recording(self, flows):
+        calls.append((list(self.priming_flows), list(flows)))
+        return probe_costs(self, flows)
+
+    monkeypatch.setattr(PrimedReplay, "probe_costs", recording)
+    report = DistillReport()
+    signature_set = distill_signatures(nf, result, config=config, report=report)
+    assert signature_set.signatures
+    assert report.probe_packets == sum(len(flows) for _, flows in calls)
+    for signature in signature_set:
+        # A candidate's first measurement is its matching probes.
+        probes = next(flows for priming, flows in calls if priming == signature.priming_flows)
+        costs = [_fresh_cost(nf, signature.priming_flows, probe, config) for probe in probes]
+        assert min(costs) == signature.matching_cycles
+        default = [_fresh_cost(nf, signature.priming_flows, p, CastanConfig()) for p in probes]
+        assert min(default) < signature.matching_cycles  # the table really mattered
 
 
 # -- tier identity (differential) ---------------------------------------------
@@ -586,6 +657,31 @@ class TestColumnarPipeline:
         assert (summary["packets"], summary["frames_skipped"], windows) == (0, 5, [])
         assert clean["frames_skipped"] == 0 and clean["packets"] == 20
         assert len([r for r in caplog.records if r.name == "repro.scoring"]) == 1
+
+    def test_signatures_event_reports_the_replay_work(self, nat_distilled, nat_store):
+        def signatures_event(store):
+            events = []
+            run_score_job(
+                "nat-hash-table",
+                CastanConfig(**SMOKE),
+                {"synthetic": 10},
+                num_packets=3,
+                store=store,
+                emit=lambda kind, payload: events.append((kind, payload)),
+            )
+            return next(payload for kind, payload in events if kind == "signatures")
+
+        distilled = signatures_event(None)
+        # The 3-packet workload is primed once, then each replayed candidate
+        # adds its own amplification flows on top of that snapshot.
+        assert distilled["probe_packets"] > 0
+        assert all(
+            3 < signature["priming_flows"] <= distilled["primed_packets"]
+            for signature in distilled["signatures"]
+        )
+        shelf_hit = signatures_event(nat_store)
+        assert (shelf_hit["primed_packets"], shelf_hit["probe_packets"]) == (0, 0)
+        assert shelf_hit["content_hash"] == distilled["content_hash"]
 
     def test_cancellation_is_honoured_within_one_batch(self, nat_distilled, nat_store):
         packets = [make_udp_packet(i, 2, 3, 4) for i in range(100)]
