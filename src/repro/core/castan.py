@@ -466,8 +466,11 @@ class Castan:
         solver: Solver,
         defaults: dict[str, int],
     ) -> tuple[Model, SolverResult, ReconciliationOutcome | None]:
-        """Solve the selected state's path constraint and reconcile havocs."""
-        result = solver.check(state.constraints, defaults=defaults)
+        """Solve the selected state's path constraint and reconcile havocs.
+
+        The solve resumes from the state's own propagation fixpoint.
+        """
+        result = solver.check(state.constraints, defaults=defaults, context=state.solver_context)
         if not result.is_sat:
             logger.warning(
                 "%s: path constraint of the selected state not solved (%s: %s); "

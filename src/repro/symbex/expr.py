@@ -334,10 +334,10 @@ def _apply_cmp(pred: CmpKind, lhs: int, rhs: int) -> int:
     raise ValueError(f"unknown comparison {pred}")
 
 
-#: Per-operator concrete implementations, used by the compiled evaluators and
-#: the block compiler's constant short-circuits so neither pays the
-#: ``_apply_binop`` if-chain per operation.  Semantics match ``_apply_binop``
-#: / ``_apply_cmp`` exactly (64-bit unsigned, total on division by zero).
+#: Per-operator concrete implementations, used by the compiled and DAG
+#: evaluators so neither pays the ``_apply_binop`` if-chain per operation.
+#: Semantics match ``_apply_binop`` / ``_apply_cmp`` exactly (64-bit
+#: unsigned, total on division by zero).
 BINOP_FUNCS: dict[BinOpKind, "object"] = {
     BinOpKind.ADD: lambda x, y: (x + y) & MACHINE_MASK,
     BinOpKind.SUB: lambda x, y: (x - y) & MACHINE_MASK,
@@ -361,108 +361,8 @@ CMP_FUNCS: dict[CmpKind, "object"] = {
 }
 
 
-#: Trees deeper than this are compiled as closure trees instead of source
-#: code, keeping clear of the bytecode compiler's nesting limits.
-_CODEGEN_MAX_DEPTH = 48
-
-#: Codegen inlines shared subtrees at every reference, so a DAG can expand
-#: exponentially; expressions whose *expanded* size exceeds this bound fall
-#: back to closure trees (which share compiled children).
-_CODEGEN_MAX_EXPANDED = 3000
-
-_EXPANDED_SIZE_MEMO: dict[Expr, int] = {}
-
-
-def _expanded_size(expr: Expr) -> int:
-    """Duplication-aware node count, saturating above the codegen bound."""
-    cached = _EXPANDED_SIZE_MEMO.get(expr)
-    if cached is not None:
-        return cached
-    kind = type(expr)
-    if kind is Const or kind is Sym:
-        size = 1
-    elif kind is SelectExpr:
-        size = 1 + _expanded_size(expr.cond) + _expanded_size(expr.if_true) + _expanded_size(
-            expr.if_false
-        )
-    else:
-        size = 1 + _expanded_size(expr.lhs) + _expanded_size(expr.rhs)
-    if size > _CODEGEN_MAX_EXPANDED:
-        size = _CODEGEN_MAX_EXPANDED + 1  # saturate: exact count is irrelevant
-    _EXPANDED_SIZE_MEMO[expr] = size
-    return size
-
-_CMP_SOURCE = {
-    CmpKind.EQ: "==",
-    CmpKind.NE: "!=",
-    CmpKind.ULT: "<",
-    CmpKind.ULE: "<=",
-    CmpKind.UGT: ">",
-    CmpKind.UGE: ">=",
-}
-
-#: Globals for generated evaluator code: total-division/shift helpers.
-_CODEGEN_GLOBALS = {
-    "__builtins__": {},
-    "_udiv": BINOP_FUNCS[BinOpKind.UDIV],
-    "_urem": BINOP_FUNCS[BinOpKind.UREM],
-    "_shl": BINOP_FUNCS[BinOpKind.SHL],
-    "_lshr": BINOP_FUNCS[BinOpKind.LSHR],
-}
-
-_BINOP_SOURCE_SIMPLE = {
-    BinOpKind.ADD: "(({l} + {r}) & 18446744073709551615)",
-    BinOpKind.SUB: "(({l} - {r}) & 18446744073709551615)",
-    BinOpKind.MUL: "(({l} * {r}) & 18446744073709551615)",
-    BinOpKind.AND: "({l} & {r})",
-    BinOpKind.OR: "({l} | {r})",
-    BinOpKind.XOR: "({l} ^ {r})",
-}
-
-_BINOP_SOURCE_HELPER = {
-    BinOpKind.UDIV: "_udiv",
-    BinOpKind.UREM: "_urem",
-    BinOpKind.SHL: "_shl",
-    BinOpKind.LSHR: "_lshr",
-}
-
-
-def _emit_source(expr: Expr) -> str:
-    """Python source computing ``expr``'s value from the assignment dict ``a``."""
-    kind = type(expr)
-    if kind is Const:
-        return repr(expr.value)
-    if kind is Sym:
-        return f"(a[{expr.name!r}] & {expr.mask})"
-    if kind is BinExpr:
-        lhs = _emit_source(expr.lhs)
-        rhs = _emit_source(expr.rhs)
-        op = expr.op
-        template = _BINOP_SOURCE_SIMPLE.get(op)
-        if template is not None:
-            return template.format(l=lhs, r=rhs)
-        # Constant shifts (the overwhelmingly common case) inline; symbolic
-        # shift amounts and division go through the total helper functions.
-        if type(expr.rhs) is Const and expr.rhs.value < MACHINE_BITS:
-            if op is BinOpKind.SHL:
-                return f"(({lhs} << {expr.rhs.value}) & {MACHINE_MASK})"
-            if op is BinOpKind.LSHR:
-                return f"({lhs} >> {expr.rhs.value})"
-        return f"{_BINOP_SOURCE_HELPER[op]}({lhs}, {rhs})"
-    if kind is CmpExpr:
-        return f"(1 if {_emit_source(expr.lhs)} {_CMP_SOURCE[expr.pred]} {_emit_source(expr.rhs)} else 0)"
-    if kind is SelectExpr:
-        # Conditional expression: only the taken branch evaluates, exactly
-        # like evaluate()/substitute().
-        return (
-            f"({_emit_source(expr.if_true)} if {_emit_source(expr.cond)}"
-            f" else {_emit_source(expr.if_false)})"
-        )
-    raise TypeError(f"cannot evaluate {expr!r}")
-
-
 def _closure_evaluator(expr: Expr):
-    """Closure-tree evaluator (fallback for trees too deep to codegen)."""
+    """A closure calling the children's cached evaluators."""
     kind = type(expr)
     if kind is BinExpr:
         lf = compiled_evaluator(expr.lhs)
@@ -491,68 +391,13 @@ def compiled_evaluator(expr: Expr):
     that want missing symbols to read 0 pass a ``__missing__``-style dict),
     and only the taken branch of a select is evaluated.
 
-    Shallow trees compile to a single generated Python function (one call
-    per evaluation); deep trees fall back to a closure tree (one call per
-    node), which has no nesting limit.
+    It is a closure tree: a node's closure calls its children's cached
+    closures, so a subtree shared by many constraints compiles once.
     """
     ev = expr._evaluator
     if ev is None:
-        if expr.depth <= _CODEGEN_MAX_DEPTH and _expanded_size(expr) <= _CODEGEN_MAX_EXPANDED:
-            try:
-                ev = eval(f"lambda a: {_emit_source(expr)}", dict(_CODEGEN_GLOBALS))
-            except (SyntaxError, MemoryError, RecursionError):  # pragma: no cover
-                ev = _closure_evaluator(expr)
-        else:
-            ev = _closure_evaluator(expr)
-        expr._evaluator = ev
+        ev = expr._evaluator = _closure_evaluator(expr)
     return ev
-
-
-def _interpret(expr: Expr, a: dict) -> int:
-    """One-shot tree-walk evaluation (no caching, no codegen).
-
-    Value-identical to ``compiled_evaluator(expr)(a)``: symbols read
-    ``a[name] & mask``, binops/compares apply ``BINOP_FUNCS``/``CMP_FUNCS``
-    (the same tables codegen templates encode), and only the taken branch
-    of a select evaluates.  Used for expressions seen fully-assigned for
-    the first time, where a ~40µs codegen compile for a single evaluation
-    is the dominant cost; nodes that already own an evaluator use it.
-    """
-    kind = type(expr)
-    if kind is Const:
-        return expr.value
-    if kind is Sym:
-        return a[expr.name] & expr.mask
-    ev = expr._evaluator
-    if ev is not None:
-        return ev(a)
-    if kind is BinExpr:
-        return BINOP_FUNCS[expr.op](_interpret(expr.lhs, a), _interpret(expr.rhs, a))
-    if kind is CmpExpr:
-        return CMP_FUNCS[expr.pred](_interpret(expr.lhs, a), _interpret(expr.rhs, a))
-    if kind is SelectExpr:
-        if _interpret(expr.cond, a):
-            return _interpret(expr.if_true, a)
-        return _interpret(expr.if_false, a)
-    raise TypeError(f"cannot evaluate {expr!r}")
-
-
-#: Fully-assigned expressions evaluated exactly once so far: the second
-#: sighting pays for a compiled evaluator, the first walks the tree.
-_EVAL_ONCE_LIMIT = 1 << 17
-_EVAL_ONCE: set[Expr] = set()
-
-
-def _eval_fully_assigned(expr: Expr, assignment: dict[str, int]) -> int:
-    ev = expr._evaluator
-    if ev is not None:
-        return ev(assignment)
-    if expr in _EVAL_ONCE:
-        return compiled_evaluator(expr)(assignment)
-    if len(_EVAL_ONCE) >= _EVAL_ONCE_LIMIT:
-        _EVAL_ONCE.clear()
-    _EVAL_ONCE.add(expr)
-    return _interpret(expr, assignment)
 
 
 #: Bound on the reduction memo; when exceeded the table is cleared (entries
@@ -589,7 +434,7 @@ def reduce_expr(expr: Expr, assignment: dict[str, int]) -> Expr:
     if not hit:
         return simplify(expr)
     if not missing:
-        return Const(_eval_fully_assigned(expr, assignment))
+        return Const((expr._evaluator or compiled_evaluator(expr))(assignment))
     sorted_names = _SORTED_NAMES.get(expr)
     if sorted_names is None:
         sorted_names = tuple(sorted(names))
@@ -625,7 +470,7 @@ def reduce_concrete(expr: Expr, assignment: dict[str, int]) -> int | None:
     if not hit:
         return None
     if not missing:
-        return _eval_fully_assigned(expr, assignment)
+        return (expr._evaluator or compiled_evaluator(expr))(assignment)
     reduced = reduce_expr(expr, assignment)
     if reduced.__class__ is Const:
         return reduced.value
@@ -636,8 +481,6 @@ def _clear_reduction_caches() -> None:
     _REDUCE_MEMO.clear()
     _SORTED_NAMES.clear()
     _SUBSTITUTE_MEMO.clear()
-    _EXPANDED_SIZE_MEMO.clear()
-    _EVAL_ONCE.clear()
 
 
 # The reduction memo keys on interned nodes; it must not outlive them.
@@ -819,10 +662,7 @@ def evaluate(expr: Expr, assignment: dict[str, int]) -> int:
     Runs through the node's compiled evaluator, so repeated evaluation of
     the same (interned) expression is pure integer work.
     """
-    ev = expr._evaluator
-    if ev is None:
-        ev = compiled_evaluator(expr)
-    return ev(assignment)
+    return (expr._evaluator or compiled_evaluator(expr))(assignment)
 
 
 #: Subtrees at least this deep get their substitutions memoised; shallower
@@ -895,9 +735,8 @@ def expr_depth(expr: Expr) -> int:
 
 # -- columnar (many-lanes) evaluation ------------------------------------------------
 #
-# The solver's candidate screen and the scoring layer evaluate the *same*
-# expression under many assignments at once: one column per symbol, one lane
-# per candidate value (or per packet).  The per-op implementations below
+# The scoring layer evaluates the *same* expression under many assignments
+# at once: one column per symbol, one lane per packet.  The per-op implementations below
 # mirror BINOP_FUNCS / CMP_FUNCS exactly on uint64 columns — wrap-around
 # ADD/SUB/MUL, shifts >= 64 yielding 0, total division (x/0 = MACHINE_MASK,
 # x%0 = x) and 0/1 comparisons — so a columnar evaluation of lane i always

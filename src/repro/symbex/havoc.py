@@ -143,15 +143,17 @@ def reconcile_havocs(
     the paper.
     """
     outcome = ReconciliationOutcome(model=model.copy())
-    working_constraints = list(constraints)
-    # Candidate pretest state: the incremental context's propagated fixpoint
-    # pins symbols the path constraints fully determine, and ``pinned``
-    # accumulates the field values implied by accepted key pins (which plain
-    # propagation cannot extract from a packed equality).  Both are *implied*
-    # facts, so any candidate contradicting them is definitely infeasible —
-    # the full check below would come back non-sat — and can be skipped
-    # without changing which candidate gets accepted or what model it yields.
-    context = replay_context(solver, working_constraints)
+    # The reconciliation context holds the path plus every accepted pin.  A
+    # trial forks it, commits its two pins (O(delta) propagation) and
+    # searches from the fork's fixpoint; an accepted fork becomes the
+    # context.  Candidate pretests read the same fixpoint: it pins symbols
+    # the constraints fully determine, and ``pinned`` adds the field values
+    # implied by accepted key pins (which plain propagation cannot extract
+    # from a packed equality).  Both are *implied* facts, so any candidate
+    # contradicting them is definitely infeasible — the trial check would
+    # come back non-sat — and can be skipped without changing which
+    # candidate gets accepted or what model it yields.
+    context = replay_context(solver, constraints)
     pinned: dict[str, int] = dict(context.pinned_assignment())
 
     for record in records:
@@ -185,22 +187,19 @@ def reconcile_havocs(
                 if any(
                     isinstance(r, Const) and r.value == 0
                     for r in (
-                        reduce_expr(c, trial_assignment) for c in working_constraints
+                        reduce_expr(c, trial_assignment) for c in context.constraints()
                     )
                 ):
                     continue
-            trial_constraints = working_constraints + [
-                expr_eq(record.key_expr, Const(candidate_key)),
-                expr_eq(record.symbol, Const(desired_hash)),
-            ]
-            result = solver.check(trial_constraints, defaults=defaults)
+            trial = context.fork()
+            trial.add(expr_eq(record.key_expr, Const(candidate_key)))
+            trial.add(expr_eq(record.symbol, Const(desired_hash)))
+            result = trial.check(defaults=defaults)
             if result.is_sat:
-                working_constraints = trial_constraints
+                context = trial
                 outcome.model = result.model
                 outcome.reconciled.append(record)
                 reconciled = True
-                context.add(trial_constraints[-2])
-                context.add(trial_constraints[-1])
                 pinned.update(context.pinned_assignment())
                 if isinstance(fields, dict):
                     pinned.update(fields)
@@ -213,8 +212,8 @@ def reconcile_havocs(
         # Nothing was pinned, and where ``model`` came from is the caller's
         # business: re-derive it from the constraints.  (After an accepted
         # trial ``outcome.model`` already is the solver's model of exactly
-        # ``working_constraints`` — ``Solver.check`` is a pure function.)
-        final = solver.check(working_constraints, defaults=defaults)
+        # the context's constraints — the search is a pure function.)
+        final = context.check(defaults=defaults)
         if final.is_sat:
             outcome.model = final.model
     return outcome

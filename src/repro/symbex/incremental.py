@@ -19,9 +19,9 @@ constraints) *incrementally* as constraints are added along the path.
   O(delta).
 - :meth:`SolverContext.solve_value` returns a concrete value for an
   expression: directly from the fixpoint assignment when every symbol is
-  pinned, otherwise through the full :class:`~repro.symbex.solver.Solver`
-  (kept as the slow-path oracle so models are identical to monolithic
-  solving).
+  pinned, otherwise through :meth:`SolverContext.check`, the full
+  :class:`~repro.symbex.solver.Solver` search resumed from the context's
+  fixpoint (models are identical to monolithic solving).
 - :meth:`SolverContext.fork` is O(current delta): domains are shared
   copy-on-write with the child, the constraint log becomes a persistent
   parent-linked chain, and the feasibility memo carries over through the
@@ -40,7 +40,13 @@ from typing import Iterable
 
 from repro.symbex import expr as expr_module
 from repro.symbex.expr import Const, Expr, evaluate, reduce_concrete, reduce_expr
-from repro.symbex.solver import Solver, SolverResult, _Domain, _TrackedDomains
+from repro.symbex.solver import (
+    PROPAGATION_UNSAT,
+    Solver,
+    SolverResult,
+    _Domain,
+    _TrackedDomains,
+)
 
 #: Bound on the shared feasibility/value memo tables; when exceeded the
 #: tables are simply cleared (queries regenerate cheaply).
@@ -420,9 +426,10 @@ class SolverContext:
 
         Fast path: when propagation has already pinned every symbol of
         ``expr``, the value follows directly from the fixpoint assignment.
-        Slow path: delegate to the monolithic ``Solver.check`` oracle over
-        the full constraint list (so values match non-incremental solving
-        exactly, including the deterministic search fallback).
+        Slow path: a full model search (:meth:`check`), whose model equals
+        the monolithic ``Solver.check`` over the full constraint list (so
+        values match non-incremental solving exactly, including the
+        deterministic search fallback).
         """
         if self.unsat:
             return None
@@ -431,9 +438,9 @@ class SolverContext:
             CONTEXT_STATS.fast_path_values += 1
             return reduced.value
         # Values depend on the solver's budget/seed (its process-unique uid)
-        # and on the supplied defaults (hashed by content, so two calls with
+        # and on the supplied defaults (keyed by content, so two calls with
         # different defaults never share an entry).
-        defaults_key = hash(frozenset(defaults.items())) if defaults else None
+        defaults_key = frozenset(defaults.items()) if defaults else None
         key = (self.solver.uid, self._set_id, id(reduced), defaults_key)
         if key in _VALUE_MEMO:
             CONTEXT_STATS.memo_hits += 1
@@ -455,13 +462,15 @@ class SolverContext:
     def check(self, defaults: dict[str, int] | None = None) -> SolverResult:
         """Full model search over the committed constraints (slow path).
 
-        Memoised per (solver uid, fingerprint, defaults): one state
-        concretising several expressions — or forked siblings sharing a
-        fingerprint — run the underlying search once.  The shared result is
-        read-only by contract.
+        The search starts from this context's propagation fixpoint (see
+        ``Solver.check``'s ``context``), so it costs the search, not another
+        pass over the whole path.  Memoised per (solver uid, fingerprint,
+        defaults): one state concretising several expressions — or forked
+        siblings sharing a fingerprint — run the underlying search once.  The
+        shared result is read-only by contract.
         """
         if self.unsat:
-            return SolverResult(status="unsat", reason="incremental propagation found a contradiction")
+            return SolverResult(status="unsat", reason=PROPAGATION_UNSAT)
         defaults_key = frozenset(defaults.items()) if defaults else None
         key = (self.solver.uid, self._set_id, defaults_key)
         cached = _CHECK_MEMO.get(key)
@@ -469,11 +478,23 @@ class SolverContext:
             CONTEXT_STATS.check_memo_hits += 1
             return cached
         CONTEXT_STATS.slow_path_checks += 1
-        result = self.solver.check(self.constraints(), defaults=defaults)
+        result = self.solver.check(self.constraints(), defaults=defaults, context=self)
         if len(_CHECK_MEMO) >= _MEMO_LIMIT:
             _CHECK_MEMO.clear()
         _CHECK_MEMO[key] = result
         return result
+
+    def fixpoint(self) -> tuple[dict[str, int], dict[str, _Domain], list[Expr]] | None:
+        """The propagated state a model search can resume from, or None.
+
+        Copies of the assignment, the domains dict and the pending list; the
+        domain objects themselves are shared and must not be written.  None
+        on an ``unsat`` context and after a wave that hit the rounds cap,
+        whose pending list is not a proven fixpoint.
+        """
+        if self.unsat or not self._converged:
+            return None
+        return dict(self._assignment), dict(self._domains), list(self._pending)
 
     def pinned_value(self, expr: Expr) -> int | None:
         """The value of ``expr`` if propagation has pinned every symbol it reads.

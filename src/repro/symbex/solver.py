@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.ir.instructions import BinOpKind, CmpKind
 from repro.symbex.expr import (
@@ -36,7 +37,6 @@ from repro.symbex.expr import (
     Expr,
     SelectExpr,
     Sym,
-    column_evaluator,
     evaluate,
     reduce_concrete,
     reduce_expr,
@@ -44,10 +44,16 @@ from repro.symbex.expr import (
     simplify,
     symbols_of,
 )
-from repro.symbex.expr import _np as _NP  # None without the [vector] extra
 from repro.symbex.order import OrderGraph
 
+if TYPE_CHECKING:  # pragma: no cover - incremental imports this module
+    from repro.symbex.incremental import SolverContext
+
 MACHINE_MASK = (1 << 64) - 1
+
+#: ``SolverResult.reason`` of a propagation contradiction, from scratch or
+#: from a context's fixpoint alike.
+PROPAGATION_UNSAT = "propagation found a contradiction"
 
 #: Memos for the pure per-node constraint analyses (pattern matching,
 #: algebraic inversion, disjoint-field decomposition, possible-bit bounds).
@@ -293,23 +299,40 @@ class Solver:
         self,
         constraints: list[Expr],
         defaults: dict[str, int] | None = None,
-        extra_candidates: dict[str, list[int]] | None = None,
+        context: "SolverContext | None" = None,
     ) -> SolverResult:
         """Find a model satisfying all ``constraints``.
 
         ``defaults`` supplies values for symbols left unconstrained (so that
-        synthesized packets get sensible field values); ``extra_candidates``
-        lets callers suggest values to try first for specific symbols (used
-        by rainbow-table reconciliation).
+        synthesized packets get sensible field values).
+
+        ``context``, when given, is a :class:`SolverContext` whose committed
+        constraints are exactly ``constraints``.  Its propagation fixpoint
+        stands in for the from-scratch propagation pass: the wake-rule waves
+        reach the fixpoint that pass reaches, so the status, reason and model
+        are the same, without re-propagating the whole path.  An ``unsat``
+        context answers ``unsat``; a context whose last wave hit the rounds
+        cap holds no proven fixpoint and is propagated from scratch.
         """
+        if context is not None and context.unsat:
+            return SolverResult(status="unsat", reason=PROPAGATION_UNSAT)
         constraints = [simplify(c) for c in constraints]
         symbols = self._collect_symbols(constraints)
-        assignment: dict[str, int] = {}
-        domains = {s.name: _Domain(s) for s in symbols.values()}
+        fixpoint = context.fixpoint() if context is not None else None
+        if fixpoint is not None:
+            assignment, domains, remaining = fixpoint
+            for name, symbol in symbols.items():
+                if name not in domains:
+                    domains[name] = _Domain(symbol)
+        else:
+            assignment = {}
+            domains = {s.name: _Domain(s) for s in symbols.values()}
+            remaining = self._propagate(constraints, assignment, domains)
+            if remaining is None:
+                return SolverResult(status="unsat", reason=PROPAGATION_UNSAT)
 
-        remaining = self._propagate(constraints, assignment, domains)
-        if remaining is None:
-            return SolverResult(status="unsat", reason="propagation found a contradiction")
+        # From here on ``domains`` is only read (a context's fixpoint shares
+        # its domain objects); the search extends ``assignment``.
         contradiction = self._ordering_contradiction(remaining)
         if contradiction is not None:
             return SolverResult(status="unsat", reason=f"ordering contradiction: {contradiction}")
@@ -319,13 +342,8 @@ class Solver:
         # synthesized from weakly-constrained paths then look like realistic
         # packets instead of zero-filled ones, and monotone default keys often
         # satisfy tree-ordering constraints directly.
-        merged_candidates: dict[str, list[int]] = {
-            name: [value] for name, value in (defaults or {}).items()
-        }
-        for name, values in (extra_candidates or {}).items():
-            merged_candidates.setdefault(name, [])
-            merged_candidates[name] = list(values) + merged_candidates[name]
-        ok = self._search(remaining, assignment, domains, rng, merged_candidates)
+        preferred = {name: [value] for name, value in (defaults or {}).items()}
+        ok = self._search(remaining, assignment, domains, rng, preferred)
         if not ok:
             # The search is incomplete; report unknown rather than unsat
             # unless propagation alone already proved a contradiction.
@@ -753,16 +771,18 @@ class Solver:
             BinOpKind.ADD,
         ):
             return None
+        # Left-to-right leaves of the same-operator subtree.  An explicit
+        # stack, not a recursive local closure: a closure that calls itself
+        # is a reference cycle, garbage only the cyclic collector frees.
         parts: list[Expr] = []
-
-        def flatten(node: Expr) -> None:
+        stack = [expr]
+        while stack:
+            node = stack.pop()
             if isinstance(node, BinExpr) and node.op is expr.op:
-                flatten(node.lhs)
-                flatten(node.rhs)
+                stack.append(node.rhs)
+                stack.append(node.lhs)
             else:
                 parts.append(node)
-
-        flatten(expr)
         if len(parts) < 2:
             return None
         masks: list[int] = []
@@ -825,24 +845,25 @@ class Solver:
         symbol = next(iter(symbols_of(expr)))
         return symbol, value
 
-    def _count_symbol_occurrences(self, expr: Expr) -> dict[str, int]:
-        counts: dict[str, int] = {}
+    @staticmethod
+    def _count_symbol_occurrences(expr: Expr) -> dict[str, int]:
+        """Symbol name -> occurrences in the tree, in left-to-right order.
 
-        def walk(node: Expr) -> None:
+        An explicit stack, like ``_decompose_disjoint_uncached``'s flatten.
+        """
+        counts: dict[str, int] = {}
+        stack = [expr]
+        while stack:
+            node = stack.pop()
             if isinstance(node, Sym):
                 counts[node.name] = counts.get(node.name, 0) + 1
-            elif isinstance(node, BinExpr):
-                walk(node.lhs)
-                walk(node.rhs)
-            elif isinstance(node, CmpExpr):
-                walk(node.lhs)
-                walk(node.rhs)
+            elif isinstance(node, (BinExpr, CmpExpr)):
+                stack.append(node.rhs)
+                stack.append(node.lhs)
             elif isinstance(node, SelectExpr):
-                walk(node.cond)
-                walk(node.if_true)
-                walk(node.if_false)
-
-        walk(expr)
+                stack.append(node.if_false)
+                stack.append(node.if_true)
+                stack.append(node.cond)
         return counts
 
     def _invert_rec(self, expr: Expr, target: int) -> int | None:
@@ -915,7 +936,7 @@ class Solver:
         assignment: dict[str, int],
         domains: dict[str, _Domain],
         rng: random.Random,
-        extra_candidates: dict[str, list[int]],
+        preferred: dict[str, list[int]],
     ) -> bool:
         unresolved = [reduce_expr(c, assignment) for c in constraints]
         unresolved = [c for c in unresolved if not (isinstance(c, Const) and c.value)]
@@ -946,7 +967,7 @@ class Solver:
                     bucket.append(constraint)
         budget = [self.search_budget]
         return self._backtrack(
-            unassigned, 0, unresolved, by_symbol, assignment, domains, rng, budget, extra_candidates
+            unassigned, 0, unresolved, by_symbol, assignment, domains, rng, budget, preferred
         )
 
     def _backtrack(
@@ -959,7 +980,7 @@ class Solver:
         domains: dict[str, _Domain],
         rng: random.Random,
         budget: list[int],
-        extra_candidates: dict[str, list[int]],
+        preferred: dict[str, list[int]],
     ) -> bool:
         if budget[0] <= 0:
             return False
@@ -977,10 +998,10 @@ class Solver:
             # Symbol disappeared after substitution; skip it.
             return self._backtrack(
                 order, position + 1, constraints, by_symbol, assignment, domains, rng, budget,
-                extra_candidates,
+                preferred,
             )
         relevant = by_symbol.get(name, [])
-        candidates = list(extra_candidates.get(name, []))
+        candidates = list(preferred.get(name, []))
         candidates += self._suggest_from_constraints(name, relevant, assignment)
 
         # De-duplicate and apply the domain filters up front (pure and
@@ -1015,64 +1036,16 @@ class Solver:
         if not filtered:
             return False
 
-        # Residual candidate screen (columnar): a relevant constraint whose
-        # other symbols are all assigned reduces — under the assignment
-        # *without* ``name`` — to a residual over {name} alone.  Its value at
-        # ``{name: candidate}`` equals ``reduce_concrete`` under the
-        # candidate-extended assignment (reduction is exact, and a fully
-        # covered reduction always collapses to the evaluator's value), so
-        # the per-candidate verdicts can be computed for the whole column in
-        # a handful of numpy ops instead of one full-expression evaluation
-        # per candidate.  ``_consistent`` is pure, so checking the ready
-        # constraints ahead of the rest cannot change which candidate
-        # ultimately recurses.  Without numpy the original scalar path runs.
-        screen = None
-        const_fail = False
-        general = relevant
-        if _NP is not None and relevant:
-            ready: list[Expr] = []
-            general = []
-            for c in relevant:
-                for n in c.symbol_names:
-                    if n != name and n not in assignment:
-                        general.append(c)
-                        break
-                else:
-                    ready.append(c)
-            if ready:
-                residuals: list[Expr] = []
-                for c in ready:
-                    r = reduce_expr(c, assignment)
-                    if r.__class__ is Const:
-                        if r.value == 0:
-                            # Fails for every candidate; candidates still
-                            # charge budget below, exactly as before.
-                            const_fail = True
-                            residuals = []
-                            break
-                    else:
-                        residuals.append(r)
-                if residuals:
-                    column = {name: _NP.array(filtered, dtype=_NP.uint64)}
-                    ok = column_evaluator(residuals[0])(column) != 0
-                    for r in residuals[1:]:
-                        ok &= column_evaluator(r)(column) != 0
-                    screen = ok
-
-        for i, candidate in enumerate(filtered):
+        for candidate in filtered:
             budget[0] -= 1
             if budget[0] <= 0:
                 return False
-            if const_fail:
-                continue
-            if screen is not None and not screen[i]:
-                continue
             assignment[name] = candidate
             # Only constraints mentioning ``name`` can have changed their
             # reduction; everything else was vetted at an earlier level.
-            if self._consistent(general, assignment) and self._backtrack(
+            if self._consistent(relevant, assignment) and self._backtrack(
                 order, position + 1, constraints, by_symbol, assignment, domains, rng, budget,
-                extra_candidates,
+                preferred,
             ):
                 return True
             del assignment[name]

@@ -376,6 +376,145 @@ class TestReconciliationReusesTheLastAcceptedModel:
         assert compared == [result.havoc_outcome] and result.havoc_outcome.total
 
 
+def _reconcile_havocs_with_from_scratch_checks(
+    records, constraints, model, solver, rainbow_tables, hash_functions,
+    defaults=None, max_candidates_per_havoc=16,
+):
+    """``reconcile_havocs`` as it was when every trial was a from-scratch
+    ``Solver.check`` over the whole path, verbatim."""
+    outcome = ReconciliationOutcome(model=model.copy())
+    working_constraints = list(constraints)
+    context = replay_context(solver, working_constraints)
+    pinned: dict[str, int] = dict(context.pinned_assignment())
+
+    for record in records:
+        table = rainbow_tables.get(record.hash_function)
+        hash_fn = hash_functions.get(record.hash_function)
+        if table is None or hash_fn is None:
+            outcome.failed.append(record)
+            continue
+
+        desired_hash = outcome.model.get(record.symbol.name, 0)
+        candidate_keys = list(table.invert(desired_hash, limit=max_candidates_per_havoc))
+        reconciled = False
+        for candidate_key in candidate_keys:
+            outcome.attempts += 1
+            actual_hash = hash_fn(candidate_key)
+            if actual_hash != desired_hash:
+                continue
+            fields = _decompose_key_pin(record.key_expr, candidate_key)
+            if fields is _PIN_CONFLICT:
+                continue
+            if isinstance(fields, dict):
+                if any(pinned.get(name, value) != value for name, value in fields.items()):
+                    continue
+                trial_assignment = dict(pinned)
+                trial_assignment.update(fields)
+                trial_assignment[record.symbol.name] = desired_hash
+                if any(
+                    isinstance(r, Const) and r.value == 0
+                    for r in (
+                        reduce_expr(c, trial_assignment) for c in working_constraints
+                    )
+                ):
+                    continue
+            trial_constraints = working_constraints + [
+                expr_eq(record.key_expr, Const(candidate_key)),
+                expr_eq(record.symbol, Const(desired_hash)),
+            ]
+            result = solver.check(trial_constraints, defaults=defaults)
+            if result.is_sat:
+                working_constraints = trial_constraints
+                outcome.model = result.model
+                outcome.reconciled.append(record)
+                reconciled = True
+                context.add(trial_constraints[-2])
+                context.add(trial_constraints[-1])
+                pinned.update(context.pinned_assignment())
+                if isinstance(fields, dict):
+                    pinned.update(fields)
+                pinned[record.symbol.name] = desired_hash
+                break
+        if not reconciled:
+            outcome.failed.append(record)
+
+    if not outcome.reconciled:
+        final = solver.check(working_constraints, defaults=defaults)
+        if final.is_sat:
+            outcome.model = final.model
+    return outcome
+
+
+class TestReconciliationTrialsForkTheContext:
+    """Trials on forked contexts accept what from-scratch trials accepted."""
+
+    @pytest.mark.parametrize("nf_name", HAVOC_NFS)
+    def test_same_outcome_as_from_scratch_trials(self, nf_name, monkeypatch):
+        compared = []
+
+        def both(**kwargs):
+            expected = _reconcile_havocs_with_from_scratch_checks(**kwargs)
+            outcome = reconcile_havocs(**kwargs)
+            assert outcome.model.values == expected.model.values
+            assert outcome.reconciled == expected.reconciled and outcome.failed == expected.failed
+            assert outcome.attempts == expected.attempts
+            compared.append(outcome)
+            return outcome
+
+        monkeypatch.setattr(castan_module, "reconcile_havocs", both)
+        config = quick_config(deadline_seconds=None, max_states=60, num_packets=5)
+        result = Castan(config).analyze(get_nf(nf_name))
+        assert compared == [result.havoc_outcome] and result.havoc_outcome.total
+
+
+class TestResumedModelChecks:
+    """Every check that starts from a context's fixpoint — each reconciliation
+    trial, the final solve, the search's slow-path values — returns what a
+    from-scratch ``Solver.check`` over the same constraints returns."""
+
+    @pytest.mark.parametrize("nf_name", HAVOC_NFS)
+    def test_resumed_checks_equal_from_scratch_checks(self, nf_name, monkeypatch):
+        inner_check = Solver.check
+        phase = ["search"]
+        resumed: dict[str, int] = {}
+
+        def compared_check(solver, constraints, defaults=None, context=None):
+            result = inner_check(solver, constraints, defaults=defaults, context=context)
+            if context is not None:
+                assert list(constraints) == context.constraints()
+                scratch = inner_check(solver, constraints, defaults=defaults)
+                assert (result.status, result.reason) == (scratch.status, scratch.reason)
+                assert (result.model and result.model.values) == (
+                    scratch.model and scratch.model.values
+                )
+                if context.fixpoint() is not None:
+                    resumed[phase[0]] = resumed.get(phase[0], 0) + 1
+            return result
+
+        def in_phase(name, call):
+            def wrapper(*args, **kwargs):
+                outer, phase[0] = phase[0], name
+                try:
+                    return call(*args, **kwargs)
+                finally:
+                    phase[0] = outer
+
+            return wrapper
+
+        monkeypatch.setattr(Solver, "check", compared_check)
+        monkeypatch.setattr(Castan, "_solve_state", in_phase("final", Castan._solve_state))
+        monkeypatch.setattr(
+            castan_module, "reconcile_havocs", in_phase("reconcile", reconcile_havocs)
+        )
+        clear_incremental_caches()  # every memoised result is computed, and compared, here
+        config = quick_config(deadline_seconds=None, max_states=60, num_packets=5)
+        result = Castan(config).analyze(get_nf(nf_name))
+        assert result.havoc_outcome.total
+        # The final solve resumed, and so did every accepted trial.
+        assert resumed["final"] == 1
+        assert resumed.get("reconcile", 0) >= len(result.havoc_outcome.reconciled)
+
+
 class TestLookupCounters:
     def test_every_stored_key_a_lookup_examines_is_a_true_preimage(self, monkeypatch):
         """nat-hash-ring at 200 states: no false alarms, by construction."""
@@ -486,26 +625,27 @@ class TestCyclicGcPause:
     @pytest.mark.parametrize("nf_name", ["nat-hash-ring", "lb-red-black-tree", "chain-edge"])
     def test_the_analysis_heap_has_almost_no_cycles(self, nf_name):
         """What makes the pause safe: unreachable cycles are a per-analysis
-        constant (the ICFG and cost annotation) plus a few objects per explored
-        state (self-referencing local closures in the solver), so leaving them
-        to the next collection after the analysis does not grow peak memory."""
+        constant (the ICFG and cost annotation), none per explored state, so
+        leaving them to the next collection after the analysis does not grow
+        peak memory.  Measured on nat-hash-ring: 274 objects at 60 and at 300
+        states (the solver's self-calling local closures once added ~2.4 per
+        state on hash NFs)."""
 
-        def unreachable_after(max_states: int) -> tuple[int, int]:
+        def unreachable_after(max_states: int) -> int:
             nf = get_nf(nf_name)
             gc.collect()
             gc.disable()
             try:
-                result = Castan(
+                Castan(
                     CastanConfig(deadline_seconds=None, max_states=max_states, num_packets=5)
                 ).analyze(nf)
-                return gc.collect(), result.states_explored
+                return gc.collect()
             finally:
                 gc.enable()
 
-        small, small_states = unreachable_after(60)
-        large, large_states = unreachable_after(300)
+        small = unreachable_after(60)
         assert small < 1500
-        assert large - small < 4 * max(large_states - small_states, 1)
+        assert unreachable_after(300) <= small
 
 
 class TestAdversarialEffect:

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from repro.ir.instructions import BinOpKind, CmpKind
 from repro.symbex.expr import (
+    BINOP_FUNCS,
     BinExpr,
     CmpExpr,
     Const,
+    SelectExpr,
     Sym,
     compiled_evaluator,
     evaluate,
@@ -273,16 +275,257 @@ class TestExprFastPathInvariants:
                 if concrete is not None:
                     assert Const(concrete) is slow
 
-    def test_deep_expression_falls_back_to_closure_evaluator(self):
-        from repro.symbex.expr import _CODEGEN_MAX_EXPANDED, _expanded_size
 
-        # A doubling DAG: shared subtree referenced twice per level would
-        # explode codegen source; the expanded-size guard must route it to
-        # closure trees.  (Evaluation itself is still exponential in the
-        # DAG depth — same as evaluate() — so keep the tower small.)
-        node = Sym("deep", bits=16)
-        for _ in range(20):
-            node = BinExpr(BinOpKind.ADD, node, node)
-        assert _expanded_size(node) > _CODEGEN_MAX_EXPANDED
-        ev = compiled_evaluator(node)
-        assert ev({"deep": 1}) == 1 << 20
+# -- the generated-source evaluator the closure trees replaced, kept verbatim ------
+
+MACHINE_MASK = (1 << 64) - 1
+
+_CMP_SOURCE = {
+    CmpKind.EQ: "==",
+    CmpKind.NE: "!=",
+    CmpKind.ULT: "<",
+    CmpKind.ULE: "<=",
+    CmpKind.UGT: ">",
+    CmpKind.UGE: ">=",
+}
+
+_CODEGEN_GLOBALS = {
+    "__builtins__": {},
+    "_udiv": BINOP_FUNCS[BinOpKind.UDIV],
+    "_urem": BINOP_FUNCS[BinOpKind.UREM],
+    "_shl": BINOP_FUNCS[BinOpKind.SHL],
+    "_lshr": BINOP_FUNCS[BinOpKind.LSHR],
+}
+
+_BINOP_SOURCE_SIMPLE = {
+    BinOpKind.ADD: "(({l} + {r}) & 18446744073709551615)",
+    BinOpKind.SUB: "(({l} - {r}) & 18446744073709551615)",
+    BinOpKind.MUL: "(({l} * {r}) & 18446744073709551615)",
+    BinOpKind.AND: "({l} & {r})",
+    BinOpKind.OR: "({l} | {r})",
+    BinOpKind.XOR: "({l} ^ {r})",
+}
+
+_BINOP_SOURCE_HELPER = {
+    BinOpKind.UDIV: "_udiv",
+    BinOpKind.UREM: "_urem",
+    BinOpKind.SHL: "_shl",
+    BinOpKind.LSHR: "_lshr",
+}
+
+
+def _emit_source(expr):
+    """Python source computing ``expr``'s value from the assignment dict ``a``."""
+    kind = type(expr)
+    if kind is Const:
+        return repr(expr.value)
+    if kind is Sym:
+        return f"(a[{expr.name!r}] & {expr.mask})"
+    if kind is BinExpr:
+        lhs = _emit_source(expr.lhs)
+        rhs = _emit_source(expr.rhs)
+        op = expr.op
+        template = _BINOP_SOURCE_SIMPLE.get(op)
+        if template is not None:
+            return template.format(l=lhs, r=rhs)
+        if type(expr.rhs) is Const and expr.rhs.value < 64:
+            if op is BinOpKind.SHL:
+                return f"(({lhs} << {expr.rhs.value}) & {MACHINE_MASK})"
+            if op is BinOpKind.LSHR:
+                return f"({lhs} >> {expr.rhs.value})"
+        return f"{_BINOP_SOURCE_HELPER[op]}({lhs}, {rhs})"
+    if kind is CmpExpr:
+        return f"(1 if {_emit_source(expr.lhs)} {_CMP_SOURCE[expr.pred]} {_emit_source(expr.rhs)} else 0)"
+    if kind is SelectExpr:
+        return (
+            f"({_emit_source(expr.if_true)} if {_emit_source(expr.cond)}"
+            f" else {_emit_source(expr.if_false)})"
+        )
+    raise TypeError(f"cannot evaluate {expr!r}")
+
+
+def codegen_reference(expr):
+    return eval(f"lambda a: {_emit_source(expr)}", dict(_CODEGEN_GLOBALS))
+
+
+#: The reference compiled trees up to this depth and expanded size only.
+CODEGEN_MAX_DEPTH = 48
+CODEGEN_MAX_EXPANDED = 3000
+
+EVAL_SYMBOLS = (Sym("ev.a", 8), Sym("ev.b", 16), Sym("ev.c", 32), Sym("ev.d", 64))
+EDGE_CONSTANTS = (0, 1, 63, 64, 65, 200, MACHINE_MASK)
+
+
+@st.composite
+def expression_dags(draw):
+    """Raw (unsimplified) nodes, each child drawn from all earlier nodes.
+
+    Drawing children from the whole prefix shares subtrees (a DAG), and
+    preferring the newest nodes builds depth.  Expanded size is tracked so
+    the tree-walking evaluators stay cheap.
+    """
+    nodes = list(EVAL_SYMBOLS) + [Const(v) for v in EDGE_CONSTANTS]
+    sizes = [1] * len(nodes)
+
+    def child():
+        recent = draw(st.booleans())
+        low = max(0, len(nodes) - 3) if recent else 0
+        return draw(st.integers(low, len(nodes) - 1))
+
+    for _ in range(draw(st.integers(1, 40))):
+        kind = draw(st.sampled_from(("bin", "bin", "cmp", "select")))
+        picks = [child() for _ in range(3 if kind == "select" else 2)]
+        size = 1 + sum(sizes[i] for i in picks)
+        if size > CODEGEN_MAX_EXPANDED:
+            picks = [len(EVAL_SYMBOLS) + draw(st.integers(0, len(EDGE_CONSTANTS) - 1))] * len(picks)
+            size = 1 + len(picks)
+        args = [nodes[i] for i in picks]
+        if kind == "bin":
+            node = BinExpr(draw(st.sampled_from(list(BinOpKind))), *args)
+        elif kind == "cmp":
+            node = CmpExpr(draw(st.sampled_from(list(CmpKind))), *args)
+        else:
+            node = SelectExpr(*args)
+        if node.depth > CODEGEN_MAX_DEPTH:
+            break
+        nodes.append(node)
+        sizes.append(size)
+    return nodes[-1]
+
+
+class TestClosureEvaluator:
+    """The node-cached closure trees against the generated-source evaluator."""
+
+    @given(
+        expression_dags(),
+        st.lists(st.integers(0, MACHINE_MASK), min_size=4, max_size=4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_codegen_reference(self, expr, values):
+        assignment = {s.name: v for s, v in zip(EVAL_SYMBOLS, values)}
+        assert compiled_evaluator(expr)(assignment) == codegen_reference(expr)(assignment)
+        assert evaluate(expr, assignment) == codegen_reference(expr)(assignment)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            # Division and remainder by zero, by a constant and a symbol.
+            lambda a, b: BinExpr(BinOpKind.UDIV, a, Const(0)),
+            lambda a, b: BinExpr(BinOpKind.UREM, a, Const(0)),
+            lambda a, b: BinExpr(BinOpKind.UDIV, a, b),
+            lambda a, b: BinExpr(BinOpKind.UREM, a, b),
+            # Shifts by 64 and more, constant and symbolic.
+            lambda a, b: BinExpr(BinOpKind.SHL, a, Const(64)),
+            lambda a, b: BinExpr(BinOpKind.LSHR, a, Const(65)),
+            lambda a, b: BinExpr(BinOpKind.SHL, a, b),
+            lambda a, b: BinExpr(BinOpKind.LSHR, a, b),
+            # Wrap-around arithmetic.
+            lambda a, b: BinExpr(BinOpKind.SUB, b, a),
+            lambda a, b: BinExpr(BinOpKind.MUL, a, Const(MACHINE_MASK)),
+            # Selects on a comparison and on a raw value.
+            lambda a, b: SelectExpr(CmpExpr(CmpKind.ULT, a, b), a, b),
+            lambda a, b: SelectExpr(a, BinExpr(BinOpKind.UDIV, b, a), Const(7)),
+        ],
+    )
+    @pytest.mark.parametrize("a,b", [(0, 0), (0, 5), (7, 0), (3, 64), (MACHINE_MASK, 70)])
+    def test_edge_semantics_match_the_codegen_reference(self, build, a, b):
+        expr = build(Sym("ev.x", 64), Sym("ev.y", 64))
+        assignment = {"ev.x": a, "ev.y": b}
+        assert compiled_evaluator(expr)(assignment) == codegen_reference(expr)(assignment)
+
+    def test_deep_and_shared_trees_match_the_codegen_reference(self):
+        x, y = Sym("ev.x", 64), Sym("ev.y", 16)
+        chain = x
+        for level in range(CODEGEN_MAX_DEPTH - 1):
+            op = (BinOpKind.ADD, BinOpKind.XOR, BinOpKind.MUL, BinOpKind.LSHR)[level % 4]
+            chain = BinExpr(op, chain, y if level % 3 else Const(level + 3))
+        tower = y
+        for _ in range(10):  # each level references the one below twice
+            tower = BinExpr(BinOpKind.ADD, tower, tower)
+        for expr in (chain, tower):
+            for assignment in ({"ev.x": 3, "ev.y": 5}, {"ev.x": MACHINE_MASK, "ev.y": 0}):
+                assert compiled_evaluator(expr)(assignment) == codegen_reference(expr)(assignment)
+        # Beyond what the reference would compile, shared children still
+        # evaluate through their own cached closures.
+        for _ in range(10):
+            tower = BinExpr(BinOpKind.ADD, tower, tower)
+        assert compiled_evaluator(tower)({"ev.y": 1}) == 1 << 20
+
+
+# -- explicit-stack walks vs the recursive closures they replaced -----------------
+
+
+def recursive_symbol_occurrences(expr):
+    counts = {}
+
+    def walk(node):
+        if isinstance(node, Sym):
+            counts[node.name] = counts.get(node.name, 0) + 1
+        elif isinstance(node, BinExpr):
+            walk(node.lhs)
+            walk(node.rhs)
+        elif isinstance(node, CmpExpr):
+            walk(node.lhs)
+            walk(node.rhs)
+        elif isinstance(node, SelectExpr):
+            walk(node.cond)
+            walk(node.if_true)
+            walk(node.if_false)
+
+    walk(expr)
+    return counts
+
+
+def recursive_flatten(expr):
+    parts = []
+
+    def flatten(node):
+        if isinstance(node, BinExpr) and node.op is expr.op:
+            flatten(node.lhs)
+            flatten(node.rhs)
+        else:
+            parts.append(node)
+
+    flatten(expr)
+    return parts
+
+
+class TestExplicitStackWalks:
+    @given(expression_dags())
+    @settings(max_examples=100, deadline=None)
+    def test_symbol_occurrences_match_the_recursive_walk(self, expr):
+        counts = Solver._count_symbol_occurrences(expr)
+        expected = recursive_symbol_occurrences(expr)
+        assert list(counts.items()) == list(expected.items())
+
+    @given(st.data(), st.sampled_from((BinOpKind.OR, BinOpKind.XOR, BinOpKind.ADD)))
+    @settings(max_examples=200, deadline=None)
+    def test_disjoint_decomposition_matches_the_recursive_flatten(self, data, op):
+        # Disjoint fields in a random order and a random bracketing, some
+        # masked (a part of another operator stays one part).
+        widths = data.draw(st.lists(st.integers(1, 12), min_size=2, max_size=5))
+        leaves, offset, reachable = [], 0, 0
+        for index, width in enumerate(widths):
+            leaf = Sym(f"ev.f{index}", width)
+            bits = (1 << width) - 1
+            if data.draw(st.booleans()):
+                bits -= 1
+                leaf = BinExpr(BinOpKind.AND, leaf, Const(bits))
+            reachable |= bits << offset
+            if offset:
+                leaf = BinExpr(BinOpKind.SHL, leaf, Const(offset))
+            leaves.append(leaf)
+            offset += width
+        leaves = data.draw(st.permutations(leaves))
+
+        def bracket(items):
+            if len(items) == 1:
+                return items[0]
+            split = data.draw(st.integers(1, len(items) - 1))
+            return BinExpr(op, bracket(items[:split]), bracket(items[split:]))
+
+        root = bracket(leaves)
+        target = data.draw(st.integers(0, (1 << offset) - 1)) & reachable
+        decomposed = Solver()._decompose_disjoint_uncached(root, target)
+        assert decomposed is not None
+        assert [part for part, _ in decomposed] == recursive_flatten(root) == leaves

@@ -11,6 +11,8 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache.model import NoCacheModel
 from repro.core.castan import Castan
@@ -243,6 +245,17 @@ class TestSolverContext:
         assert context.solve_value(x, defaults={"x": 5}) == 5
         assert context.solve_value(x, defaults={"x": 7}) == 7
         assert context.solve_value(x) == 0
+
+    def test_value_memo_keys_defaults_by_content_not_by_hash(self, monkeypatch):
+        # Regression: two different defaults whose hashes collide must not
+        # share a memoised value.
+        from repro.symbex import incremental
+
+        monkeypatch.setattr(incremental, "hash", lambda value: 0, raising=False)
+        context = SolverContext(Solver())
+        x = Sym("x", 8)
+        assert context.solve_value(x, defaults={"x": 5}) == 5
+        assert context.solve_value(x, defaults={"x": 7}) == 7
 
     def test_clearing_expression_caches_clears_identity_keyed_memos(self):
         # Regression: the memo tables key on id() of interned expressions,
@@ -509,3 +522,97 @@ class TestWaveSchedule:
         assert {name: d.signature() for name, d in context._domains.items()} == {
             name: d.signature() for name, d in scratch._domains.items()
         }
+
+
+# -- model checks resumed from a context's fixpoint ---------------------------------
+
+
+def assert_resumed_check_matches(context, defaults=None):
+    """``Solver.check`` from ``context``'s fixpoint equals the from-scratch check."""
+    constraints = context.constraints()
+    resumed = Solver().check(constraints, defaults=defaults, context=context)
+    scratch = Solver().check(constraints, defaults=defaults)
+    assert (resumed.status, resumed.reason) == (scratch.status, scratch.reason)
+    assert (resumed.model and resumed.model.values) == (scratch.model and scratch.model.values)
+    return resumed
+
+
+class TestResumedChecks:
+    SYMBOLS = TestDifferentialRandomStreams.SYMBOLS
+
+    def random_constraint(self, rng):
+        """The random stream shapes plus two-symbol ones the search must solve."""
+        x, y = rng.sample(self.SYMBOLS, 2)
+        shape = rng.randrange(9)
+        if shape == 6:  # two-sided comparison: the order graph's input
+            return make_cmp(rng.choice(list(CmpKind)), x, y)
+        if shape == 7:  # two-symbol equality the propagation cannot split
+            return expr_eq(make_binop(BinOpKind.XOR, x, y), Const(rng.randrange(256)))
+        if shape == 8:  # low byte of a sum
+            total = make_binop(BinOpKind.AND, make_binop(BinOpKind.ADD, x, y), Const(0xFF))
+            return expr_eq(total, Const(rng.randrange(256)))
+        return TestDifferentialRandomStreams.random_constraint(self, rng)
+
+    def context_for(self, seed, length, capped, cyclic=False):
+        """A context over one random stream; ``capped`` cuts its last wave short.
+
+        ``cyclic`` starts the stream with comparisons that order three
+        symbols in a cycle, which only the order graph refutes.
+        """
+        rng = random.Random(seed)
+        x, y, z = self.SYMBOLS[:3]
+        stream = []
+        if cyclic:
+            stream = [make_cmp(CmpKind.ULT, x, y), make_cmp(CmpKind.ULT, y, z)]
+            stream.append(make_cmp(CmpKind.ULE, z, x))
+        stream += [self.random_constraint(rng) for _ in range(length)]
+        context = replay_context(Solver(), stream[:-1])
+        with pytest.MonkeyPatch.context() as patch:
+            if capped:
+                patch.setattr(solver_module, "_MAX_ROUNDS", 1)
+            context.add(stream[-1])
+        defaults = {s.name: rng.randrange(s.mask + 1) for s in self.SYMBOLS if rng.random() < 0.5}
+        return context, defaults
+
+    @given(st.integers(0, 2**32), st.integers(1, 14), st.booleans(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_random_streams_resume_to_the_from_scratch_result(self, seed, length, capped, cyclic):
+        context, defaults = self.context_for(seed, length, capped, cyclic)
+        assert_resumed_check_matches(context, defaults)
+
+    def test_the_property_covers_every_kind_of_context(self):
+        kinds = set()
+        for seed in range(400):
+            context, defaults = self.context_for(
+                seed, 1 + seed % 13, capped=seed % 2 == 1, cyclic=seed % 3 == 0
+            )
+            result = assert_resumed_check_matches(context, defaults)
+            if context.unsat:
+                kinds.add("unsat context")
+            elif context.fixpoint() is None:
+                kinds.add("rounds cap")
+            else:
+                kinds.add(f"resumed {result.status}")
+                if result.reason.startswith("ordering contradiction"):
+                    kinds.add("resumed order proof")
+        assert kinds >= {
+            "unsat context",
+            "rounds cap",
+            "resumed sat",
+            "resumed unsat",
+            "resumed order proof",
+        }, kinds
+
+    @pytest.mark.parametrize("nf_name", ["nat-hash-ring", "lb-red-black-tree", "chain-edge"])
+    def test_engine_streams_resume_to_the_from_scratch_result(self, nf_name):
+        ops = record_solver_ops(nf_name)
+        clear_incremental_caches()
+        solver = Solver()
+        contexts = {}
+        for kind, index, argument in ops:
+            if kind == "fork":
+                contexts[argument] = contexts.setdefault(index, SolverContext(solver)).fork()
+            elif kind == "add":
+                contexts.setdefault(index, SolverContext(solver)).add(argument)
+        for context in contexts.values():
+            assert_resumed_check_matches(context)
