@@ -1,12 +1,11 @@
-"""Parallel portfolio / sharded-beam speedup and output-identity benchmark.
+"""Parallel portfolio speedup and output-identity benchmark.
 
 Measures two things for the process-parallel subsystem (``repro.parallel``):
 
 * **speedup** — wall-clock of the 17-NF evaluation portfolio run
-  sequentially vs. fanned out over ``--workers`` processes, and of the
-  sharded beam search at ``workers=0`` vs. ``workers=N`` on a few NFs;
-* **identity** — the parallel runs must synthesize byte-identical workloads
-  (and reach equal best-state costs) to their sequential references.  The
+  sequentially vs. fanned out over ``--workers`` processes;
+* **identity** — the parallel run must synthesize byte-identical workloads
+  (and reach equal best-state costs) to its sequential reference.  The
   process exits non-zero on any mismatch, which is what lets CI use this
   benchmark as a regression gate.
 
@@ -33,17 +32,14 @@ import sys
 import time
 from pathlib import Path
 
-from repro.core.castan import Castan, CastanResult
+from repro.core.castan import CastanResult
 from repro.core.config import CastanConfig
 from repro.core.workload import workload_digest
 from repro.eval.experiments import EVALUATION_NFS
-from repro.nf.registry import get_nf
 from repro.parallel.portfolio import PortfolioRunner
 
 _SCALE_STATES = {"smoke": 60, "quick": 250, "full": 2500}
 DEFAULT_WORKERS = 4
-#: NFs used for the (more expensive) sharded-beam comparison.
-SHARD_NFS = ("lpm-patricia", "nat-hash-table", "lb-red-black-tree")
 
 
 def _max_states() -> int:
@@ -88,59 +84,10 @@ def bench_portfolio(nfs: tuple[str, ...], max_states: int, workers: int) -> dict
     }
 
 
-def bench_shards(nfs: tuple[str, ...], max_states: int, workers: int) -> dict:
-    """Serial vs. parallel sharded beam search per NF: speedup + identity."""
-    records = []
-    wall_serial_total = 0.0
-    wall_parallel_total = 0.0
-    for name in nfs:
-
-        def analyze(worker_count: int) -> tuple[CastanResult, float]:
-            config = CastanConfig(
-                max_states=max_states,
-                deadline_seconds=None,
-                search_mode="beam",
-                parallel_mode="shards",
-                workers=worker_count,
-            )
-            start = time.perf_counter()
-            result = Castan(config).analyze(get_nf(name))
-            return result, time.perf_counter() - start
-
-        serial, wall_serial = analyze(0)
-        parallel, wall_parallel = analyze(workers)
-        wall_serial_total += wall_serial
-        wall_parallel_total += wall_parallel
-        records.append(
-            {
-                "nf": name,
-                "digest": _digest(serial),
-                "best_state_cost": serial.best_state_cost,
-                "states_explored": serial.states_explored,
-                "search_rounds": serial.search_rounds,
-                "wall_serial_seconds": round(wall_serial, 4),
-                "wall_parallel_seconds": round(wall_parallel, 4),
-                "identical": _digest(serial) == _digest(parallel)
-                and serial.best_state_cost == parallel.best_state_cost,
-            }
-        )
-    return {
-        "workers": workers,
-        "wall_serial_seconds": round(wall_serial_total, 4),
-        "wall_parallel_seconds": round(wall_parallel_total, 4),
-        "speedup": (
-            round(wall_serial_total / wall_parallel_total, 3) if wall_parallel_total else None
-        ),
-        "identical": all(record["identical"] for record in records),
-        "nfs": records,
-    }
-
-
 def run_benchmark(
     nfs: tuple[str, ...] = EVALUATION_NFS,
     max_states: int | None = None,
     workers: int = DEFAULT_WORKERS,
-    shard_nfs: tuple[str, ...] = SHARD_NFS,
 ) -> dict:
     max_states = max_states if max_states is not None else _max_states()
 
@@ -152,22 +99,13 @@ def run_benchmark(
         f"({portfolio['speedup']}x), identical={portfolio['identical']}"
     )
 
-    shards = bench_shards(shard_nfs, max_states, workers)
-    print(
-        f"shards ({len(shard_nfs)} NFs, workers={workers}): "
-        f"{shards['wall_serial_seconds']:.2f}s serial -> "
-        f"{shards['wall_parallel_seconds']:.2f}s parallel "
-        f"({shards['speedup']}x), identical={shards['identical']}"
-    )
-
     return {
         "benchmark": "bench_parallel",
         "scale": os.environ.get("REPRO_EVAL_SCALE", "quick").lower(),
         "max_states": max_states,
         "cpu_count": os.cpu_count(),
         "portfolio": portfolio,
-        "shards": shards,
-        "identical": portfolio["identical"] and shards["identical"],
+        "identical": portfolio["identical"],
     }
 
 
@@ -180,7 +118,6 @@ def test_parallel_bench_smoke():
         nfs=("lpm-patricia", "nat-hash-table"),
         max_states=40,
         workers=2,
-        shard_nfs=("lpm-patricia",),
     )
     assert report["identical"]
 
@@ -191,17 +128,12 @@ def test_parallel_bench_smoke():
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--nfs", nargs="*", default=list(EVALUATION_NFS), help="NF names to run")
-    parser.add_argument(
-        "--shard-nfs", nargs="*", default=list(SHARD_NFS), help="NFs for the shard comparison"
-    )
     parser.add_argument("--max-states", type=int, default=None, help="override exploration budget")
     parser.add_argument("--workers", type=int, default=DEFAULT_WORKERS, help="worker processes")
     parser.add_argument("--out", default=None, help="write the JSON report to this path")
     args = parser.parse_args(argv)
 
-    report = run_benchmark(
-        tuple(args.nfs), args.max_states, args.workers, tuple(args.shard_nfs)
-    )
+    report = run_benchmark(tuple(args.nfs), args.max_states, args.workers)
     if args.out:
         Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
         print(f"wrote {args.out}")

@@ -117,21 +117,23 @@ class InterproceduralCFG:
         traversal.
         """
         order: list[str] = []
-        state: dict[str, int] = {}  # 0 = visiting, 1 = done
-
-        def visit(name: str, stack: tuple[str, ...]) -> None:
-            if state.get(name) == 1:
-                return
-            if state.get(name) == 0:
-                cycle = " -> ".join(stack + (name,))
+        done: set[str] = set()
+        # Depth-first with an explicit stack: ``path`` holds the functions
+        # being visited, ``callees`` the unvisited callees of each.
+        path = [entry]
+        callees = [iter(sorted(self.call_graph.get(entry, ())))]
+        while path:
+            callee = next(callees[-1], None)
+            if callee is None:
+                callees.pop()
+                done.add(path[-1])
+                order.append(path.pop())
+            elif callee in path:
+                cycle = " -> ".join(path + [callee])
                 raise ValueError(f"recursive call cycle in NF: {cycle}")
-            state[name] = 0
-            for callee in sorted(self.call_graph.get(name, ())):
-                visit(callee, stack + (name,))
-            state[name] = 1
-            order.append(name)
-
-        visit(entry, ())
+            elif callee not in done:
+                path.append(callee)
+                callees.append(iter(sorted(self.call_graph.get(callee, ()))))
         return order
 
     @property

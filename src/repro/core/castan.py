@@ -128,8 +128,6 @@ class CastanResult:
     contention_sets_used: int = 0
     search_mode: str = "monolithic"
     search_rounds: int = 0
-    parallel_mode: str = "off"
-    workers: int = 0
     notes: str = ""
 
     @property
@@ -176,11 +174,11 @@ class Castan:
         """Synthesize an adversarial workload for ``nf``.
 
         ``on_round`` is an optional observation-only progress callback
-        (``RoundStats -> None``): beam and sharded-beam searches call it
-        after every round, and a monolithic search calls it once with a
-        single summarising pseudo-round (phase ``"monolithic"``), so a
-        caller streaming progress — the synthesis service — always sees at
-        least one round before the result.  The callback must not mutate
+        (``RoundStats -> None``): a beam search calls it after every round
+        and a monolithic search calls it once with a single summarising
+        pseudo-round (phase ``"monolithic"``), so a caller streaming
+        progress — the synthesis service — always sees at least one round
+        before the result.  The callback must not mutate
         its argument; it cannot influence the search.
         """
         with _cyclic_gc_paused():
@@ -225,8 +223,6 @@ class Castan:
                 states_explored=stats.states_explored,
                 search_mode=config.search_mode,
                 search_rounds=len(stats.rounds),
-                parallel_mode=config.parallel_mode,
-                workers=config.workers,
                 notes="no state survived exploration",
             )
 
@@ -250,53 +246,21 @@ class Castan:
             contention_sets_used=contention_sets.set_count if contention_sets else 0,
             search_mode=config.search_mode,
             search_rounds=len(stats.rounds),
-            parallel_mode=config.parallel_mode,
-            workers=config.workers,
         )
         return result
 
     # -- pipeline stages -----------------------------------------------------------
 
     def _run_search(self, engine: SymbolicEngine, on_round=None) -> SymbexStats:
-        """Dispatch to the monolithic, beam, or sharded-beam search."""
+        """Dispatch to the beam or the monolithic search."""
         config = self.config
         if config.search_mode not in ("monolithic", "beam"):
             raise ValueError(
                 f"unknown search_mode {config.search_mode!r}; options: monolithic, beam"
             )
-        if config.parallel_mode not in ("off", "portfolio", "shards"):
-            raise ValueError(
-                f"unknown parallel_mode {config.parallel_mode!r}; "
-                "options: off, portfolio, shards"
-            )
 
         def searcher_factory():
             return make_searcher(config.searcher, seed=config.seed)
-
-        if config.parallel_mode == "shards":
-            if config.search_mode != "beam" or config.beam_width <= 0:
-                raise ValueError(
-                    "parallel_mode='shards' decomposes the beam scheduler's rounds; "
-                    "it requires search_mode='beam' with beam_width > 0"
-                )
-            # Imported here: repro.parallel.portfolio imports this module.
-            from repro.parallel.shards import run_sharded_beam_search
-
-            return run_sharded_beam_search(
-                engine,
-                searcher_name=config.searcher,
-                searcher_seed=config.seed,
-                beam_width=config.beam_width,
-                workers=config.workers,
-                max_states=config.max_states,
-                deadline_seconds=config.deadline_seconds,
-                max_instructions_per_state=config.max_instructions_per_state,
-                round_max_states=config.round_max_states,
-                round_deadline_seconds=config.round_deadline_seconds,
-                strike_chunk_states=config.strike_chunk_states,
-                strike_shards=config.strike_shards,
-                on_round=on_round,
-            )
 
         if config.search_mode == "beam" and config.beam_width > 0:
             return run_beam_search(
@@ -307,7 +271,6 @@ class Castan:
                 deadline_seconds=config.deadline_seconds,
                 max_instructions_per_state=config.max_instructions_per_state,
                 round_max_states=config.round_max_states,
-                round_deadline_seconds=config.round_deadline_seconds,
                 strike_chunk_states=config.strike_chunk_states,
                 on_round=on_round,
             )

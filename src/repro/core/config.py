@@ -14,7 +14,7 @@ from repro.perf.cycles import CycleCosts, DEFAULT_CYCLE_COSTS
 #: whenever the canonical form below changes meaning (a field is renamed,
 #: a default's semantics change), so stored service results keyed by the
 #: old form can never be served for the new one.
-CONFIG_HASH_VERSION = "castan-config-v3"
+CONFIG_HASH_VERSION = "castan-config-v4"
 
 
 def _canonical_value(value):
@@ -53,6 +53,9 @@ def hash_canonical_config(canonical: dict) -> str:
 class CastanConfig:
     """Knobs of the analysis (§3, §4).
 
+    Every field can change the output: the config is the content address of
+    a stored result, so how a run executes (e.g. the worker count of a
+    :class:`~repro.parallel.portfolio.PortfolioRunner`) is not part of it.
     The defaults are sized so that a full analysis of any evaluation NF
     finishes in seconds on a laptop; the paper's runs take minutes to hours
     on the real KLEE-based prototype (Table 4).
@@ -76,21 +79,9 @@ class CastanConfig:
     beam_width: int = 3
     # Pop budget of one priming round (None = beam_width + 1) and chunk
     # size of the final strike round, which gets the whole remaining
-    # max_states budget; round_deadline_seconds caps any single round.
+    # max_states budget.
     round_max_states: int | None = None
-    round_deadline_seconds: float | None = None
     strike_chunk_states: int = 32
-    # Parallel execution (repro.parallel).  "off" runs everything in-process;
-    # "portfolio" marks a config whose multi-NF suite should fan out over
-    # worker processes (consumed by PortfolioRunner, a no-op for a single
-    # analyze() call); "shards" runs the beam scheduler's rounds as hermetic
-    # shards that execute on up to `workers` processes (requires
-    # search_mode="beam").  The shard schedule never depends on `workers`,
-    # so changing the worker count never changes the synthesized workload.
-    parallel_mode: str = "off"
-    workers: int = 0
-    # Number of shards a strike chunk is striped over (None = beam_width).
-    strike_shards: int | None = None
     # Searcher: "castan", "dfs", "bfs" or "random" (ablation).
     searcher: str = "castan"
     # Cache model: "contention" (default), "none" (ablation).

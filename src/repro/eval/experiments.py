@@ -155,8 +155,6 @@ def _castan_config() -> CastanConfig:
         num_packets=SETTINGS.castan_num_packets,
         search_mode=SETTINGS.castan_search_mode,
         beam_width=SETTINGS.castan_beam_width,
-        parallel_mode="portfolio" if SETTINGS.workers > 1 else "off",
-        workers=SETTINGS.workers,
     )
 
 

@@ -1,26 +1,14 @@
-"""Process-parallel analysis orchestration (portfolio fan-out + beam shards).
+"""Process-parallel analysis orchestration.
 
-Two independent axes of parallelism, selected by
-:attr:`repro.core.config.CastanConfig.parallel_mode`:
+:class:`~repro.parallel.portfolio.PortfolioRunner` fans a *set of NFs* (the
+17-NF evaluation suite) out over worker processes, one full ``Castan``
+analysis per task, and merges the results back in input order.  Per-NF
+analyses are deterministic and independent, so the merged output is
+byte-identical to a sequential run.  The worker count is an argument of the
+runner, never a field of the :class:`~repro.core.config.CastanConfig` it
+ships to its workers.
 
-* ``"portfolio"`` — :class:`~repro.parallel.portfolio.PortfolioRunner` fans a
-  *set of NFs* (the 17-NF evaluation suite) out over worker
-  processes, one full ``Castan`` analysis per task, and merges the results
-  back in registry order.  Per-NF analyses are deterministic and
-  independent, so the merged output is byte-identical to a sequential run.
-* ``"shards"`` — :func:`~repro.parallel.shards.run_sharded_beam_search`
-  parallelises *within* one NF: every beam branch of a priming round and
-  every strike-round chunk is a hermetic, independently-seeded engine call
-  that can execute in a worker process.  The shard schedule depends only on
-  the configuration (never on ``workers``), so a run with ``workers=4`` is
-  byte-identical to the same run with ``workers=0``.
-
-States travel between processes through the compact pickle path added to
-:class:`~repro.symbex.state.ExecutionState` /
-:class:`~repro.symbex.incremental.SolverContext` (expressions re-interned,
-constraint chains re-fingerprinted on load).
-
-A third, service-shaped piece lives in :mod:`repro.parallel.lease`: the
+A service-shaped piece lives in :mod:`repro.parallel.lease`: the
 :class:`~repro.parallel.lease.WorkerLease` heartbeat/budget supervision the
 synthesis service (:mod:`repro.service`) wraps around each per-job worker
 process.
@@ -29,7 +17,6 @@ process.
 from repro.parallel.lease import WorkerLease
 from repro.parallel.pool import make_context, make_pool
 from repro.parallel.portfolio import PortfolioRunner, analyze_one_nf
-from repro.parallel.shards import run_sharded_beam_search
 
 __all__ = [
     "PortfolioRunner",
@@ -37,5 +24,4 @@ __all__ = [
     "analyze_one_nf",
     "make_context",
     "make_pool",
-    "run_sharded_beam_search",
 ]

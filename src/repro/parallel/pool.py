@@ -8,8 +8,9 @@ from concurrent.futures import ProcessPoolExecutor
 #: Start-method preference: ``fork`` keeps worker start-up cheap and lets
 #: workers inherit the parent's interned-expression and memo tables (both
 #: are pure caches, so inheriting them is sound and saves re-derivation);
-#: platforms without ``fork`` fall back to ``spawn``, where the compact
-#: pickle path rebuilds everything on load.
+#: platforms without ``fork`` fall back to ``spawn``.  Either way a task
+#: ships only an NF name and a config, and a result's expressions re-intern
+#: when it is unpickled.
 _START_METHODS = ("fork", "spawn")
 
 
@@ -26,13 +27,6 @@ def make_context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context()
 
 
-def make_pool(workers: int) -> ProcessPoolExecutor | None:
-    """A process pool with ``workers`` workers, or ``None`` for ``workers<=1``.
-
-    ``None`` signals the caller to execute its task list serially in-process
-    through the *same* task functions, which is what keeps serial and
-    parallel runs byte-identical.
-    """
-    if workers <= 1:
-        return None
+def make_pool(workers: int) -> ProcessPoolExecutor:
+    """A process pool with ``workers`` workers, started the preferred way."""
     return ProcessPoolExecutor(max_workers=workers, mp_context=make_context())

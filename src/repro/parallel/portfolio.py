@@ -15,7 +15,6 @@ sequential digests).
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Sequence
 
 from repro.core.castan import Castan, CastanResult
@@ -75,22 +74,10 @@ class PortfolioRunner:
         self.workers = workers
         self.num_packets = num_packets
 
-    def worker_config(self) -> CastanConfig:
-        """The per-NF config shipped to workers.
-
-        ``parallel_mode="portfolio"`` is this runner's own directive, not the
-        per-analysis engine's: it is normalised to ``"off"`` so workers never
-        try to fan out again.  An explicit ``"shards"`` mode is left intact
-        (hierarchical parallelism, if a caller really asks for it).
-        """
-        if self.config.parallel_mode == "portfolio":
-            return replace(self.config, parallel_mode="off", workers=0)
-        return self.config
-
     def run(self, names: Sequence[str]) -> list[CastanResult]:
         """Analyse every NF in ``names``; results come back in input order."""
         names = list(names)
-        config = self.worker_config()
+        config = self.config
         if self.workers <= 1 or len(names) <= 1:
             return [analyze_one_nf(name, config, self.num_packets) for name in names]
         pool = make_pool(min(self.workers, len(names)))

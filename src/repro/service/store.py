@@ -1,9 +1,10 @@
 """Content-addressed persistence of CASTAN results (the service's cache).
 
 An analysis is a pure function of ``(NF, CastanConfig, num_packets)``: the
-engine is deterministic and parallel schedules are worker-count-invariant.
-That makes results *content-addressable*: the store keys each :class:`~repro.core.castan.CastanResult`
-by a SHA-256 over :meth:`CastanConfig.content_hash()
+engine is deterministic, and how a run executes (in-process, in a service
+worker, in a portfolio pool) is not part of the config.  That makes results
+*content-addressable*: the store keys each
+:class:`~repro.core.castan.CastanResult` by a SHA-256 over :meth:`CastanConfig.content_hash()
 <repro.core.config.CastanConfig.content_hash>`, the
 :meth:`NetworkFunction.fingerprint()
 <repro.nf.base.NetworkFunction.fingerprint>` of the NF it analyzed, and the
@@ -23,9 +24,7 @@ free instead of re-measuring.
 
 Identity is compared through :func:`canonical_result_digest`, which hashes
 every deterministic field of a result and deliberately excludes wall-clock
-(``analysis_seconds``) and scheduling provenance (``parallel_mode`` /
-``workers``) — the fields the PR 3 identity guarantee says may differ while
-the analysis is "the same".
+(``analysis_seconds``), which may differ while the analysis is "the same".
 """
 
 from __future__ import annotations
@@ -64,8 +63,8 @@ def canonical_result_digest(result: CastanResult) -> str:
 
     Two runs of the same ``(NF, config, num_packets)`` must produce equal
     digests (the cache-hit identity test in ``tests/test_service.py`` holds
-    the store to exactly that); timing and worker provenance are excluded
-    because they legitimately differ between byte-identical analyses.
+    the store to exactly that); timing is excluded because it legitimately
+    differs between byte-identical analyses.
     """
     havoc = result.havoc_outcome
     payload = {

@@ -83,7 +83,6 @@ def run_beam_search(
     deadline_seconds: float | None = None,
     max_instructions_per_state: int = 100_000,
     round_max_states: int | None = None,
-    round_deadline_seconds: float | None = None,
     strike_chunk_states: int = 32,
     max_pending_report: int | None = 512,
     on_round: Callable[[RoundStats], None] | None = None,
@@ -92,8 +91,8 @@ def run_beam_search(
 
     ``max_states`` and ``deadline_seconds`` are *global* budgets shared by
     all rounds; ``round_max_states`` caps one priming round (default
-    ``beam_width + 1`` pops) and ``round_deadline_seconds`` caps any single
-    engine call.  Each round needs a fresh searcher, hence the factory.
+    ``beam_width + 1`` pops).  Each round needs a fresh searcher, hence the
+    factory.
     Returns an aggregate :class:`SymbexStats` whose ``rounds`` list holds
     one :class:`RoundStats` per engine call and whose paused/pending states
     are the final frontier.
@@ -126,11 +125,8 @@ def run_beam_search(
 
     def call_deadline() -> float | None:
         if deadline_seconds is None:
-            return round_deadline_seconds
-        left = deadline_seconds - (time.monotonic() - start)
-        if round_deadline_seconds is None:
-            return left
-        return min(round_deadline_seconds, left)
+            return None
+        return deadline_seconds - (time.monotonic() - start)
 
     def out_of_budget() -> bool:
         remaining = remaining_budget()

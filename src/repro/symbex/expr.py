@@ -52,9 +52,10 @@ class Expr:
 
     Pickling goes through each subclass's ``__reduce__``, which rebuilds the
     node via the interning constructor: a round-trip within one process
-    returns the *same* interned object, and a cross-process round-trip (the
-    parallel shard workers) re-interns the whole tree so identity equality
-    holds in the destination process too.
+    returns the *same* interned object, and a cross-process round-trip (a
+    result's havoc records loaded from the store or a worker's result queue)
+    re-interns the whole tree so identity equality holds in the destination
+    process too.
     """
 
     __slots__ = ("symbols", "symbol_names", "depth", "_simplified", "_hash", "_evaluator")

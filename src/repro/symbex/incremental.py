@@ -264,48 +264,6 @@ class SolverContext:
         child.unsat = self.unsat
         return child
 
-    # -- serialization ---------------------------------------------------------
-
-    def __getstate__(self) -> dict:
-        """Compact pickle payload (parallel shard workers).
-
-        Only the propagation fixpoint and the materialized constraint list
-        travel: the parent-linked chain is flattened, and the process-local
-        fingerprint (``_set_id``) and ownership markers are dropped — both
-        are rebuilt on load.
-        """
-        return {
-            "solver": self.solver,
-            "constraints": list(self.constraints()),
-            "assignment": dict(self._assignment),
-            "domains": dict(self._domains),
-            "pending": list(self._pending),
-            "converged": self._converged,
-            "unsat": self.unsat,
-        }
-
-    def __setstate__(self, payload: dict) -> None:
-        self.solver = payload["solver"]
-        self._assignment = dict(payload["assignment"])
-        self._domains = dict(payload["domains"])
-        # Domain objects may be shared with sibling contexts pickled in the
-        # same payload (copy-on-write forks): treat everything as shared and
-        # let the next write clone.
-        self._owned = set()
-        self._pending = list(payload["pending"])
-        constraints = list(payload["constraints"])
-        self._chain = None
-        self._local = constraints
-        self._materialized = list(constraints)
-        # Re-fingerprint the constraint chain against this process's
-        # interning tables so memoised verdicts stay keyed consistently.
-        set_id = 0
-        for constraint in constraints:
-            set_id = _extend_set_id(set_id, constraint)
-        self._set_id = set_id
-        self._converged = payload["converged"]
-        self.unsat = payload["unsat"]
-
     # -- constraint log --------------------------------------------------------
 
     def constraints(self) -> list[Expr]:

@@ -282,17 +282,6 @@ class Solver:
         # recycled after garbage collection.
         self.uid = next(Solver._uids)
 
-    def __getstate__(self) -> dict:
-        # ``uid`` is process-local: a pickled solver loaded into another
-        # process must not collide with uids already handed out there.
-        state = dict(self.__dict__)
-        del state["uid"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self.uid = next(Solver._uids)
-
     # -- public API ----------------------------------------------------------
 
     def check(

@@ -186,27 +186,7 @@ class TestChainAnalysis:
 
 
 class TestChainWorkerIdentity:
-    """workers=0 vs workers=2 byte-identity for a chain in both parallel
-    modes (shards and portfolio)."""
-
-    def test_sharded_beam_identity(self):
-        digests = {}
-        for workers in (0, 2):
-            config = CastanConfig(
-                max_states=40,
-                num_packets=3,
-                deadline_seconds=None,
-                search_mode="beam",
-                parallel_mode="shards",
-                workers=workers,
-            )
-            result = Castan(config).analyze(get_nf("chain-gateway"))
-            digests[workers] = (
-                workload_digest(result.packets),
-                result.best_state_cost,
-                result.metrics.stage_cycles,
-            )
-        assert digests[0] == digests[2]
+    """workers=0 vs workers=2 portfolio byte-identity for a chain."""
 
     def test_portfolio_identity(self):
         config = CastanConfig(max_states=40, num_packets=3, deadline_seconds=None)

@@ -1,0 +1,47 @@
+"""Tests for the README knob check of ``tools/check_docs.py``."""
+
+from __future__ import annotations
+
+import dataclasses
+import importlib.util
+from pathlib import Path
+
+from repro.core.config import CastanConfig
+
+REPO = Path(__file__).resolve().parent.parent
+
+_spec = importlib.util.spec_from_file_location("check_docs", REPO / "tools" / "check_docs.py")
+check_docs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(check_docs)
+
+
+def _readme(rows: list[str]) -> str:
+    env_vars = " ".join(f"`{var}`" for var in sorted(check_docs.source_env_vars()))
+    return "\n".join(
+        [
+            f"Environment: {env_vars}",
+            "",
+            "### `CastanConfig` fields",
+            "",
+            "| Field | Default | Effect |",
+            "| --- | --- | --- |",
+            *rows,
+            "",
+            "## Benchmarks",
+            "",
+            "| `not_a_knob` | lives in another table |",
+        ]
+    )
+
+
+def test_the_readme_table_matches_the_dataclass():
+    assert check_docs.check_knobs((REPO / "README.md").read_text()) == []
+
+
+def test_a_stale_table_row_is_one_problem_naming_it():
+    rows = [f"| `{field.name}` | x | y |" for field in dataclasses.fields(CastanConfig)]
+    assert check_docs.check_knobs(_readme(rows)) == []
+    rows.insert(5, "| `strike_shards` | `None` | a deleted knob |")
+    problems = check_docs.check_knobs(_readme(rows))
+    assert len(problems) == 1
+    assert "'strike_shards'" in problems[0]

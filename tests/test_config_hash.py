@@ -22,7 +22,7 @@ from repro.core.config import CONFIG_HASH_VERSION, CastanConfig
 #: fails after an intentional change to CastanConfig (new field, changed
 #: default, different canonical form), bump CONFIG_HASH_VERSION and repin —
 #: old stored service results must not be addressable by the new form.
-GOLDEN_DEFAULT_HASH = "6c0b59c4ead68b14938d9450fa3ea9048ae29b95e7b278d1f4eb04e38903269d"
+GOLDEN_DEFAULT_HASH = "d0974fa8ccbe11f361dc9f485c90cf46f0a82d05581ef15ea8178295cf86fe5b"
 
 
 def _mutated(value):
@@ -117,9 +117,16 @@ def test_from_dict_is_key_order_invariant():
 
 
 def test_from_dict_rejects_unknown_knobs():
-    # A typo, and a knob that no longer exists: a stale client must fail
-    # its submission, not get a silently different run.
-    for key, value in (("max_statez", 40), ("exec_mode", "compiled")):
+    # A typo, and knobs that no longer exist: a stale client must fail its
+    # submission, not get a silently different run.
+    removed = (
+        ("exec_mode", "compiled"),
+        ("workers", 2),
+        ("parallel_mode", "shards"),
+        ("strike_shards", 4),
+        ("round_deadline_seconds", 1.0),
+    )
+    for key, value in (("max_statez", 40), *removed):
         with pytest.raises(ValueError, match=key):
             CastanConfig.from_dict({key: value})
         # the error names the known fields so a typo is self-correcting
@@ -136,4 +143,4 @@ def test_partial_from_dict_overrides_on_defaults():
 
 def test_version_tag_is_part_of_the_hash():
     """The golden hash covers the version tag (bumping it must repoint keys)."""
-    assert CONFIG_HASH_VERSION == "castan-config-v3"
+    assert CONFIG_HASH_VERSION == "castan-config-v4"

@@ -1,13 +1,11 @@
 """Tests for the process-parallel subsystem (repro.parallel).
 
-Covers the three guarantees the parallel layer makes:
+Covers the two guarantees the parallel layer makes:
 
-* the compact pickle path round-trips expressions, solver contexts and
-  execution states (memo/fingerprint tables rebuilt, copy-on-write overlays
-  intact);
+* a pickled expression (a result's havoc records travel that way) loads back
+  as the same interned node;
 * the portfolio runner produces byte-identical workloads and equal
-  best-state costs to a sequential run;
-* the sharded beam search is invariant under the worker count.
+  best-state costs to a sequential run.
 """
 
 from __future__ import annotations
@@ -16,17 +14,11 @@ import pickle
 
 import pytest
 
-from repro.core.castan import Castan
 from repro.core.config import CastanConfig
-from repro.core.workload import make_packet_symbols, symbol_defaults, workload_digest
+from repro.core.workload import workload_digest
 from repro.ir.instructions import BinOpKind, CmpKind
-from repro.nf.registry import get_nf
 from repro.parallel.portfolio import PortfolioRunner
-from repro.symbex.engine import SymbolicEngine
-from repro.symbex.expr import Const, Sym, expr_eq, make_binop, make_cmp
-from repro.symbex.incremental import SolverContext
-from repro.symbex.searcher import make_searcher
-from repro.symbex.solver import Solver
+from repro.symbex.expr import Const, Sym, make_binop, make_cmp
 
 DIFFERENTIAL_NFS = (
     "lpm-patricia",
@@ -43,32 +35,6 @@ def _digest(result) -> str:
     return workload_digest(result.packets)
 
 
-def _make_engine(nf_name: str, num_packets: int = 3):
-    config = CastanConfig(max_states=40, deadline_seconds=None)
-    nf = get_nf(nf_name)
-    castan = Castan(config)
-    annotation = castan._annotate(nf)
-    cache_model, _ = castan._build_cache_model(nf)
-    solver = Solver(search_budget=config.solver_budget, seed=config.seed)
-    packet_sets = make_packet_symbols(num_packets)
-    defaults = symbol_defaults(packet_sets, nf.packet_defaults)
-    engine = SymbolicEngine(
-        module=nf.module,
-        entry=nf.entry,
-        packet_args=[ps.args for ps in packet_sets],
-        annotation=annotation,
-        cache_model=cache_model,
-        solver=solver,
-        cycle_costs=config.cycle_costs,
-        defaults=defaults,
-        hash_output_bits=nf.hash_output_bits,
-    )
-    return engine, defaults
-
-
-# -- pickle round-trips --------------------------------------------------------
-
-
 def test_expr_pickle_reinterns():
     """A pickled expression loads back as the *same* interned node."""
     expr = make_cmp(
@@ -77,91 +43,6 @@ def test_expr_pickle_reinterns():
         Const(1000),
     )
     assert pickle.loads(pickle.dumps(expr)) is expr
-
-
-def test_solver_context_pickle_roundtrip():
-    """Constraints, fixpoint and query results survive the pickle path."""
-    solver = Solver(search_budget=500, seed=7)
-    context = SolverContext(solver)
-    context.add(make_cmp(CmpKind.ULT, Sym("a", 16), Const(100)))
-    context.add(expr_eq(Sym("b", 8), Const(3)))
-    child = context.fork()
-    child.add(expr_eq(Sym("a", 16), Const(5)))
-
-    loaded_solver, loaded, loaded_child = pickle.loads(pickle.dumps((solver, context, child)))
-
-    # Shared references are preserved within one payload.
-    assert loaded.solver is loaded_solver and loaded_child.solver is loaded_solver
-    # The constraint chain is flattened but identical (re-interned exprs).
-    assert loaded.constraints() == context.constraints()
-    assert loaded_child.constraints() == child.constraints()
-    # The propagation fixpoint carried over.
-    assert loaded_child.assignment_of("a") == 5
-    assert loaded.assignment_of("b") == 3
-    # Queries against the re-fingerprinted chain agree with the originals.
-    probe = expr_eq(Sym("a", 16), Const(200))
-    assert loaded.feasible_with(probe) == context.feasible_with(probe) is False
-    assert loaded.solve_value(Sym("a", 16)) == context.solve_value(Sym("a", 16))
-    assert not loaded.unsat and not loaded_child.unsat
-
-
-def test_solver_context_pickle_cow_isolation():
-    """Siblings loaded from one payload keep copy-on-write isolation."""
-    context = SolverContext(Solver())
-    context.add(make_cmp(CmpKind.ULT, Sym("x", 16), Const(50)))
-    sibling_a = context.fork()
-    sibling_b = context.fork()
-
-    loaded_a, loaded_b = pickle.loads(pickle.dumps((sibling_a, sibling_b)))
-    # Tightening one loaded sibling must not leak into the other.
-    loaded_a.add(expr_eq(Sym("x", 16), Const(7)))
-    assert loaded_a.assignment_of("x") == 7
-    assert loaded_b.assignment_of("x") is None
-    assert loaded_b.feasible_with(expr_eq(Sym("x", 16), Const(9)))
-    assert not loaded_a.feasible_with(expr_eq(Sym("x", 16), Const(9)))
-
-
-def test_execution_state_pickle_roundtrip_and_resume():
-    """A paused state resumes identically after a pickle round-trip."""
-    engine, _ = _make_engine("lpm-patricia")
-    stats = engine.run(
-        make_searcher("castan"),
-        max_states=8,
-        stop_at_packet=1,
-        max_pending_report=None,
-    )
-    frontier = stats.paused_states + stats.pending_states
-    assert frontier, "expected a non-empty frontier at the packet boundary"
-
-    loaded_engine, loaded_frontier = pickle.loads(pickle.dumps((engine, frontier)))
-    for original, loaded in zip(frontier, loaded_frontier):
-        assert loaded.sid == original.sid
-        assert loaded.current_cost == original.current_cost
-        assert loaded.packets_processed == original.packets_processed
-        assert loaded.constraints == original.constraints
-        # Memory overlays (the NF state carried across packets) are intact.
-        assert {
-            region: dict(cells) for region, cells in loaded.memory.items()
-        } == {region: dict(cells) for region, cells in original.memory.items()}
-
-    continued = engine.run(
-        make_searcher("castan"),
-        max_states=10,
-        initial_states=frontier,
-        max_pending_report=None,
-    )
-    loaded_continued = loaded_engine.run(
-        make_searcher("castan"),
-        max_states=10,
-        initial_states=loaded_frontier,
-        max_pending_report=None,
-    )
-    key = lambda s: (s.sid, s.packets_processed, s.current_cost)
-    assert sorted(key(s) for s in continued.completed_states) == sorted(
-        key(s) for s in loaded_continued.completed_states
-    )
-    assert continued.states_explored == loaded_continued.states_explored
-    assert continued.forks == loaded_continued.forks
 
 
 # -- differential: parallel vs sequential --------------------------------------
@@ -182,41 +63,3 @@ def test_portfolio_merges_in_input_order():
     config = CastanConfig(max_states=30, deadline_seconds=None, num_packets=3)
     results = PortfolioRunner(config=config, workers=2).run(DIFFERENTIAL_NFS)
     assert tuple(result.nf_name for result in results) == DIFFERENTIAL_NFS
-
-
-@pytest.mark.parametrize("nf_name", DIFFERENTIAL_NFS)
-def test_sharded_beam_matches_serial(nf_name):
-    """The sharded beam search is invariant under the worker count."""
-
-    def analyze(workers):
-        config = CastanConfig(
-            max_states=40,
-            deadline_seconds=None,
-            num_packets=4,
-            search_mode="beam",
-            parallel_mode="shards",
-            workers=workers,
-        )
-        return Castan(config).analyze(get_nf(nf_name))
-
-    serial = analyze(0)
-    parallel = analyze(2)
-    assert _digest(parallel) == _digest(serial)
-    assert parallel.best_state_cost == serial.best_state_cost
-    assert parallel.states_explored == serial.states_explored
-    assert parallel.search_rounds == serial.search_rounds
-
-
-# -- configuration validation --------------------------------------------------
-
-
-def test_unknown_parallel_mode_rejected():
-    config = CastanConfig(parallel_mode="threads")
-    with pytest.raises(ValueError, match="parallel_mode"):
-        Castan(config).analyze(get_nf("nop"))
-
-
-def test_shards_require_beam_search():
-    config = CastanConfig(parallel_mode="shards", search_mode="monolithic")
-    with pytest.raises(ValueError, match="shards"):
-        Castan(config).analyze(get_nf("nop"))

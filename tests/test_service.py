@@ -186,6 +186,12 @@ def test_submission_validation_is_eager(server):
     assert err.value.status == 400
     assert "max_statez" in err.value.message
 
+    # a removed execution knob is an unknown field, not a silently ignored one
+    with pytest.raises(ServiceError) as err:
+        server.client.submit(NF, config={"workers": 2})
+    assert err.value.status == 400
+    assert "'workers'" in err.value.message
+
     with pytest.raises(ServiceError) as err:
         server.client.job("job-9999")
     assert err.value.status == 404

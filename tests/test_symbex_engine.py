@@ -7,7 +7,7 @@ import pickle
 import pytest
 
 from repro.cfg.costs import annotate_costs, render_annotated_cfg
-from repro.cfg.icfg import build_icfg
+from repro.cfg.icfg import InterproceduralCFG, build_icfg
 from repro.core.workload import make_packet_symbols, symbol_defaults
 from repro.frontend.compiler import compile_nf
 from repro.ir.module import Module
@@ -57,6 +57,27 @@ def process(src_ip, dst_ip, src_port, dst_port, protocol):
 """
 
 
+def _recursive_topological_order(icfg, entry):
+    """The recursive form ``callees_in_topological_order`` had (the reference)."""
+    order = []
+    state = {}  # 0 = visiting, 1 = done
+
+    def visit(name, stack):
+        if state.get(name) == 1:
+            return
+        if state.get(name) == 0:
+            cycle = " -> ".join(stack + (name,))
+            raise ValueError(f"recursive call cycle in NF: {cycle}")
+        state[name] = 0
+        for callee in sorted(icfg.call_graph.get(name, ())):
+            visit(callee, stack + (name,))
+        state[name] = 1
+        order.append(name)
+
+    visit(entry, ())
+    return order
+
+
 class TestICFGAndCosts:
     def test_icfg_nodes_and_call_graph(self):
         module = make_module(
@@ -68,6 +89,31 @@ class TestICFGAndCosts:
         assert icfg.total_nodes == module.instruction_count
         assert icfg.call_graph["process"] == {"helper"}
         assert icfg.callees_in_topological_order("process") == ["helper", "process"]
+
+    @pytest.mark.parametrize("nf_name", NF_NAMES)
+    def test_topological_order_matches_the_recursive_reference(self, nf_name):
+        icfg = build_icfg(get_nf(nf_name).module)
+        for entry in icfg.call_graph:
+            assert icfg.callees_in_topological_order(entry) == _recursive_topological_order(
+                icfg, entry
+            )
+
+    @pytest.mark.parametrize(
+        "call_graph,entry,cycle",
+        [
+            ({"a": {"b"}, "b": {"a"}}, "a", "a -> b -> a"),
+            ({"e": {"a", "z"}, "a": {"b"}, "b": {"a"}, "z": set()}, "e", "e -> a -> b -> a"),
+        ],
+    )
+    def test_mutual_recursion_names_the_cycle(self, call_graph, entry, cycle):
+        icfg = InterproceduralCFG(module=Module("cyclic"), call_graph=call_graph)
+        message = f"recursive call cycle in NF: {cycle}"
+        with pytest.raises(ValueError) as reference:
+            _recursive_topological_order(icfg, entry)
+        assert str(reference.value) == message
+        with pytest.raises(ValueError) as raised:
+            icfg.callees_in_topological_order(entry)
+        assert str(raised.value) == message
 
     def test_costs_descend_toward_return(self):
         module = make_module(BRANCHY_SOURCE, regions={"table": (8, 8, {})})
@@ -295,8 +341,8 @@ def _evaluation_engine(nf_name, num_packets=2):
 
 
 def _run_from_sid_zero(engine, **kwargs):
-    # Rebase the process-global state-id counter (as the shard runner does)
-    # so sids — and therefore fresh havoc-symbol names — are reproducible.
+    # Rebase the process-global state-id counter so sids — and therefore
+    # fresh havoc-symbol names — are reproducible.
     ExecutionState._ids = itertools.count(0)
     return engine.run(CastanSearcher(), max_states=40, **kwargs)
 

@@ -15,7 +15,9 @@ Four classes of rot are caught:
 4. **Knob staleness** — every ``CastanConfig`` field and every
    ``REPRO_*`` environment variable read anywhere under ``src/`` must
    appear (backticked) in the README's knob tables, so adding a knob
-   without documenting it fails CI.
+   without documenting it fails CI; and every row of the README's
+   ``CastanConfig`` field table must name a live field, so deleting one
+   without its row fails too.
 
 Run it from the repo root::
 
@@ -104,18 +106,33 @@ def source_env_vars() -> set[str]:
     return found
 
 
+#: The README section holding the ``CastanConfig`` field table, up to the
+#: next heading, and the backticked first-column name of each of its rows.
+CONFIG_TABLE_SECTION = re.compile(r"^### `?CastanConfig`? fields$(.*?)(?=^#|\Z)", re.M | re.S)
+TABLE_ROW_NAME = re.compile(r"^\| `([^`]+)` \|", re.M)
+
+
 def check_knobs(readme: str) -> list[str]:
-    """Every config field and REPRO_* env var must be documented (backticked)."""
+    """Every config field and REPRO_* env var must be documented (backticked),
+    and every row of the ``CastanConfig`` field table must be a live field."""
     import dataclasses
 
     from repro.core.config import CastanConfig
 
     problems = []
-    for field in dataclasses.fields(CastanConfig):
-        if f"`{field.name}`" not in readme:
-            problems.append(
-                f"README.md: CastanConfig field {field.name!r} missing from the knob table"
-            )
+    fields = [field.name for field in dataclasses.fields(CastanConfig)]
+    for name in fields:
+        if f"`{name}`" not in readme:
+            problems.append(f"README.md: CastanConfig field {name!r} missing from the knob table")
+    section = CONFIG_TABLE_SECTION.search(readme)
+    if section is None:
+        problems.append("README.md: no '### `CastanConfig` fields' table")
+    else:
+        for name in TABLE_ROW_NAME.findall(section.group(1)):
+            if name not in fields:
+                problems.append(
+                    f"README.md: knob table lists {name!r}, which is not a CastanConfig field"
+                )
     for var in sorted(source_env_vars()):
         if f"`{var}`" not in readme:
             problems.append(
