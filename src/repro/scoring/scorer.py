@@ -2,11 +2,12 @@
 
 Per packet the scorer produces a **verdict mask**: a 64-bit word whose bit
 *i* is set iff the packet matches signature *i*.  Two execution tiers
-produce it, mirroring the engine's interp/compiled/vector discipline:
+produce it, both running one evaluation schedule per predicate (each unique
+DAG node once):
 
 * the **scalar reference** (:func:`score_batch_fields`) evaluates each
-  predicate per packet through the DAG-aware scalar evaluator — the tier
-  that defines correctness and runs without numpy;
+  predicate per packet through :func:`~repro.symbex.expr.dag_evaluator` —
+  the tier that defines correctness and runs without numpy;
 * the **vectorized tier** (:func:`score_batch_columns`) evaluates each
   predicate once over columnar field arrays via
   :func:`~repro.symbex.expr.column_evaluator` and packs the verdict bits

@@ -34,6 +34,7 @@ Two concrete-execution fast paths are built on top of the interning:
 from __future__ import annotations
 
 from repro.ir.instructions import BinOpKind, CmpKind
+from repro.symbex.memo import BoundedMemo, clear_memos
 
 MACHINE_BITS = 64
 MACHINE_MASK = (1 << MACHINE_BITS) - 1
@@ -260,26 +261,14 @@ TRUE = Const(1)
 FALSE = Const(0)
 
 
-#: Callbacks invoked by :func:`clear_expression_caches`.  Caches elsewhere
-#: that key on expression identity (e.g. the incremental solver's memo and
-#: fingerprint tables) register here so they cannot outlive the interned
-#: expressions their keys refer to.
-_CACHE_CLEAR_HOOKS: list = []
-
-
-def register_cache_clear_hook(hook) -> None:
-    """Register a callable to run whenever expression caches are cleared."""
-    _CACHE_CLEAR_HOOKS.append(hook)
-
-
 def clear_expression_caches() -> None:
     """Drop all interned expressions (for long-running drivers and tests).
 
     Existing expression objects stay valid; new structurally-equal nodes
     created afterwards will no longer be pointer-equal to old ones, so only
-    call this between independent analyses.  Identity-keyed caches that
-    registered via :func:`register_cache_clear_hook` are cleared too, so
-    recycled object ids cannot resurrect stale entries.
+    call this between independent analyses.  Every memo of the layer
+    (:mod:`repro.symbex.memo`) is emptied too: they key on interned nodes or
+    their ids, so recycled object ids cannot resurrect stale entries.
     """
     for cls in (Const, Sym, BinExpr, CmpExpr, SelectExpr):
         cls._intern.clear()
@@ -287,8 +276,7 @@ def clear_expression_caches() -> None:
     # against TRUE/FALSE still hold after a clear.
     Const._intern[FALSE.value] = FALSE
     Const._intern[TRUE.value] = TRUE
-    for hook in _CACHE_CLEAR_HOOKS:
-        hook()
+    clear_memos()
 
 
 def const(value: int) -> Const:
@@ -401,13 +389,11 @@ def compiled_evaluator(expr: Expr):
     return ev
 
 
-#: Bound on the reduction memo; when exceeded the table is cleared (entries
-#: regenerate on demand, sharing is the only thing lost).
-_REDUCE_MEMO_LIMIT = 1 << 17
-
-_REDUCE_MEMO: dict[tuple, Expr] = {}
-#: Per-node sorted symbol names, so reduction memo keys are cheap to build.
-_SORTED_NAMES: dict[Expr, tuple[str, ...]] = {}
+#: Partial reductions, keyed on (node, the assignment's values for the
+#: node's ``symbol_names`` in that frozenset's iteration order).  The
+#: frozenset belongs to the interned node, so its order is fixed for the
+#: node's lifetime and the projection is a consistent key.
+_REDUCE_MEMO = BoundedMemo("reduce")
 
 
 def reduce_expr(expr: Expr, assignment: dict[str, int]) -> Expr:
@@ -436,17 +422,10 @@ def reduce_expr(expr: Expr, assignment: dict[str, int]) -> Expr:
         return simplify(expr)
     if not missing:
         return Const((expr._evaluator or compiled_evaluator(expr))(assignment))
-    sorted_names = _SORTED_NAMES.get(expr)
-    if sorted_names is None:
-        sorted_names = tuple(sorted(names))
-        _SORTED_NAMES[expr] = sorted_names
-    key = (expr, tuple(assignment.get(name) for name in sorted_names))
+    key = (expr, tuple(map(assignment.get, names)))
     reduced = _REDUCE_MEMO.get(key)
     if reduced is None:
-        reduced = simplify(substitute(expr, assignment))
-        if len(_REDUCE_MEMO) >= _REDUCE_MEMO_LIMIT:
-            _REDUCE_MEMO.clear()
-        _REDUCE_MEMO[key] = reduced
+        reduced = _REDUCE_MEMO[key] = simplify(substitute(expr, assignment))
     return reduced
 
 
@@ -476,16 +455,6 @@ def reduce_concrete(expr: Expr, assignment: dict[str, int]) -> int | None:
     if reduced.__class__ is Const:
         return reduced.value
     return None
-
-
-def _clear_reduction_caches() -> None:
-    _REDUCE_MEMO.clear()
-    _SORTED_NAMES.clear()
-    _SUBSTITUTE_MEMO.clear()
-
-
-# The reduction memo keys on interned nodes; it must not outlive them.
-register_cache_clear_hook(_clear_reduction_caches)
 
 
 def make_binop(op: BinOpKind, lhs: Expr, rhs: Expr) -> Expr:
@@ -670,7 +639,8 @@ def evaluate(expr: Expr, assignment: dict[str, int]) -> int:
 #: ones are cheaper to recompute than to key.
 _SUBSTITUTE_MEMO_MIN_DEPTH = 4
 
-_SUBSTITUTE_MEMO: dict[tuple, Expr] = {}
+#: Deep substitutions, keyed like ``_REDUCE_MEMO``.
+_SUBSTITUTE_MEMO = BoundedMemo("substitute")
 
 
 def substitute(expr: Expr, assignment: dict[str, int]) -> Expr:
@@ -698,11 +668,7 @@ def substitute(expr: Expr, assignment: dict[str, int]) -> Expr:
         return expr
     key = None
     if expr.depth >= _SUBSTITUTE_MEMO_MIN_DEPTH:
-        sorted_names = _SORTED_NAMES.get(expr)
-        if sorted_names is None:
-            sorted_names = tuple(sorted(names))
-            _SORTED_NAMES[expr] = sorted_names
-        key = (expr, tuple(assignment.get(name) for name in sorted_names))
+        key = (expr, tuple(map(assignment.get, names)))
         cached = _SUBSTITUTE_MEMO.get(key)
         if cached is not None:
             return cached
@@ -723,8 +689,6 @@ def substitute(expr: Expr, assignment: dict[str, int]) -> Expr:
     else:
         raise TypeError(f"cannot substitute into {expr!r}")
     if key is not None:
-        if len(_SUBSTITUTE_MEMO) >= _REDUCE_MEMO_LIMIT:
-            _SUBSTITUTE_MEMO.clear()
         _SUBSTITUTE_MEMO[key] = result
     return result
 
@@ -809,32 +773,13 @@ def _vec_tables():
 #: numpy-ufunc twins of BINOP_FUNCS / CMP_FUNCS (None without numpy).
 VEC_BINOP_FUNCS, VEC_CMP_FUNCS = _vec_tables() if HAVE_NUMPY else (None, None)
 
-_COLUMN_EVALUATORS: dict[Expr, object] = {}
 
+def _postorder(expr: Expr) -> list[Expr]:
+    """The unique nodes of ``expr``'s DAG, children before parents.
 
-def _clear_column_evaluators() -> None:
-    _COLUMN_EVALUATORS.clear()
-
-
-register_cache_clear_hook(_clear_column_evaluators)
-
-
-def _build_column_evaluator(expr: Expr):
-    """Compile ``expr`` into a columnar evaluation *schedule*.
-
-    Interned expressions are DAGs, not trees: a hash unrolled symbolically
-    references each round's partial state several times, so a naive
-    closure-per-node evaluator re-derives shared subtrees once per
-    *reference* — exponential work on exactly the expressions the scoring
-    layer cares about.  Instead, walk the DAG once in topological order and
-    emit one step per unique node; evaluation runs the schedule into a slot
-    array, so every node is computed exactly once per call.
+    Iterative (no recursion limit on deep hash chains); interning makes
+    identity the same as structural equality, so each node appears once.
     """
-    np = _np
-    zero = np.uint64(0)
-
-    # Iterative postorder over unique nodes (interning makes identity the
-    # same as structural equality).
     order: list[Expr] = []
     seen: set[int] = set()
     stack: list[tuple[Expr, bool]] = [(expr, False)]
@@ -855,29 +800,38 @@ def _build_column_evaluator(expr: Expr):
             stack.append((node.cond, False))
             stack.append((node.if_true, False))
             stack.append((node.if_false, False))
+    return order
 
+
+def _dag_schedule(expr: Expr, binops: dict, cmps: dict, word, sym_mask) -> list[tuple]:
+    """``expr`` as an evaluation *schedule*: one step per unique DAG node.
+
+    Interned expressions are DAGs, not trees: a hash unrolled symbolically
+    references each round's partial state several times, so a per-reference
+    walk re-derives shared subtrees once per *reference* — exponential work
+    on exactly the expressions the scoring layer cares about.  A runner
+    executes the steps in order into a slot array, so every node is computed
+    exactly once per call, and the last slot is the result.
+
+    Step encodings: ``(0, word(value))`` for a constant, ``(1, name,
+    sym_mask(sym))`` for a symbol, ``(2, fn, lhs, rhs)`` for a binary
+    operation or comparison (``fn`` from ``binops`` / ``cmps``) and ``(3,
+    cond, if_true, if_false)`` for a select, with operands as slot indices.
+    """
+    order = _postorder(expr)
     slot_of = {id(node): slot for slot, node in enumerate(order)}
-    # Step encodings: (0, const) | (1, name, mask|None) | (2, fn, l, r)
-    # for bin/cmp | (3, cond, if_true, if_false) for select.
     steps: list[tuple] = []
     for node in order:
         kind = node.__class__
         if kind is Const:
-            steps.append((0, np.uint64(node.value)))
+            steps.append((0, word(node.value)))
         elif kind is Sym:
-            mask = None if node.bits == MACHINE_BITS else np.uint64(node.mask)
-            steps.append((1, node.name, mask))
+            steps.append((1, node.name, sym_mask(node)))
         elif kind is BinExpr:
-            steps.append(
-                (2, VEC_BINOP_FUNCS[node.op], slot_of[id(node.lhs)], slot_of[id(node.rhs)])
-            )
+            steps.append((2, binops[node.op], slot_of[id(node.lhs)], slot_of[id(node.rhs)]))
         elif kind is CmpExpr:
-            steps.append(
-                (2, VEC_CMP_FUNCS[node.pred], slot_of[id(node.lhs)], slot_of[id(node.rhs)])
-            )
+            steps.append((2, cmps[node.pred], slot_of[id(node.lhs)], slot_of[id(node.rhs)]))
         elif kind is SelectExpr:
-            # Both branches are evaluated (they are total functions, so this
-            # is value-identical to the scalar short-circuit), merged lanewise.
             steps.append(
                 (
                     3,
@@ -887,9 +841,39 @@ def _build_column_evaluator(expr: Expr):
                 )
             )
         else:
-            raise TypeError(f"cannot build a column evaluator for {node!r}")
+            raise TypeError(f"cannot evaluate {node!r}")
+    return steps
 
-    def ev(columns, _steps=steps, _np=np, _zero=zero):
+
+_COLUMN_EVALUATORS = BoundedMemo("column_evaluators")
+
+
+def column_evaluator(expr: Expr):
+    """A callable mapping ``{symbol name: uint64 column}`` to a result column.
+
+    Lane ``i`` of the result equals ``evaluate(expr, {n: int(col[n][i])})``
+    for every expression: the per-op kernels replicate the exact 64-bit
+    semantics of :data:`BINOP_FUNCS` / :data:`CMP_FUNCS`, and a select
+    evaluates both branches (they are total functions) and merges them
+    lanewise.  Runs :func:`_dag_schedule`, so each unique node is computed
+    once.  Evaluators are cached per interned node.  Returns ``None`` when
+    numpy is unavailable.
+    """
+    if not HAVE_NUMPY:
+        return None
+    ev = _COLUMN_EVALUATORS.get(expr)
+    if ev is not None:
+        return ev
+    np = _np
+    steps = _dag_schedule(
+        expr,
+        VEC_BINOP_FUNCS,
+        VEC_CMP_FUNCS,
+        np.uint64,
+        lambda sym: None if sym.bits == MACHINE_BITS else np.uint64(sym.mask),
+    )
+
+    def ev(columns, _steps=steps, _np=np, _zero=np.uint64(0)):
         slots = [None] * len(_steps)
         for index, step in enumerate(_steps):
             tag = step[0]
@@ -906,35 +890,11 @@ def _build_column_evaluator(expr: Expr):
                 )
         return slots[-1]
 
+    _COLUMN_EVALUATORS[expr] = ev
     return ev
 
 
-def column_evaluator(expr: Expr):
-    """A callable mapping ``{symbol name: uint64 column}`` to a result column.
-
-    Lane ``i`` of the result equals ``evaluate(expr, {n: int(col[n][i])})``
-    for every expression: the per-op kernels replicate the exact 64-bit
-    semantics of :data:`BINOP_FUNCS` / :data:`CMP_FUNCS`.  Evaluators are
-    cached per interned node (cleared with the expression caches).  Returns
-    ``None`` when numpy is unavailable.
-    """
-    if not HAVE_NUMPY:
-        return None
-    ev = _COLUMN_EVALUATORS.get(expr)
-    if ev is None:
-        ev = _build_column_evaluator(expr)
-        _COLUMN_EVALUATORS[expr] = ev
-    return ev
-
-
-_DAG_EVALUATORS: dict[Expr, object] = {}
-
-
-def _clear_dag_evaluators() -> None:
-    _DAG_EVALUATORS.clear()
-
-
-register_cache_clear_hook(_clear_dag_evaluators)
+_DAG_EVALUATORS = BoundedMemo("dag_evaluators")
 
 
 def dag_evaluator(expr: Expr):
@@ -948,62 +908,12 @@ def dag_evaluator(expr: Expr):
     evaluating both branches of a select instead of only the taken one
     cannot change the result — but runs in time linear in the number of
     *unique* nodes.  Needs no numpy; this is the scalar reference path of
-    the scoring layer.
+    the scoring layer, the same schedule as :func:`column_evaluator`.
     """
     ev = _DAG_EVALUATORS.get(expr)
     if ev is not None:
         return ev
-
-    order: list[Expr] = []
-    seen: set[int] = set()
-    stack: list[tuple[Expr, bool]] = [(expr, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        kind = node.__class__
-        if kind is BinExpr or kind is CmpExpr:
-            stack.append((node.lhs, False))
-            stack.append((node.rhs, False))
-        elif kind is SelectExpr:
-            stack.append((node.cond, False))
-            stack.append((node.if_true, False))
-            stack.append((node.if_false, False))
-
-    slot_of = {id(node): slot for slot, node in enumerate(order)}
-    # Step encodings mirror _build_column_evaluator: (0, const) |
-    # (1, name, mask) | (2, fn, l, r) for bin/cmp | (3, cond, t, f).
-    steps: list[tuple] = []
-    for node in order:
-        kind = node.__class__
-        if kind is Const:
-            steps.append((0, node.value))
-        elif kind is Sym:
-            steps.append((1, node.name, node.mask))
-        elif kind is BinExpr:
-            steps.append(
-                (2, BINOP_FUNCS[node.op], slot_of[id(node.lhs)], slot_of[id(node.rhs)])
-            )
-        elif kind is CmpExpr:
-            steps.append(
-                (2, CMP_FUNCS[node.pred], slot_of[id(node.lhs)], slot_of[id(node.rhs)])
-            )
-        elif kind is SelectExpr:
-            steps.append(
-                (
-                    3,
-                    slot_of[id(node.cond)],
-                    slot_of[id(node.if_true)],
-                    slot_of[id(node.if_false)],
-                )
-            )
-        else:
-            raise TypeError(f"cannot evaluate {node!r}")
+    steps = _dag_schedule(expr, BINOP_FUNCS, CMP_FUNCS, int, lambda sym: sym.mask)
 
     def ev(assignment, _steps=steps):
         slots = [0] * len(_steps)
@@ -1056,23 +966,8 @@ def expr_to_dict(expr: Expr) -> dict:
     """
     nodes: list[dict] = []
     index: dict[int, int] = {}
-    stack: list[tuple[Expr, bool]] = [(expr, False)]
-    while stack:
-        node, expanded = stack.pop()
-        key = id(node)
-        if key in index:
-            continue
+    for node in _postorder(expr):
         kind = type(node)
-        if not expanded:
-            stack.append((node, True))
-            if kind is BinExpr or kind is CmpExpr:
-                stack.append((node.lhs, False))
-                stack.append((node.rhs, False))
-            elif kind is SelectExpr:
-                stack.append((node.cond, False))
-                stack.append((node.if_true, False))
-                stack.append((node.if_false, False))
-            continue
         if kind is Const:
             entry = {"k": "const", "v": node.value}
         elif kind is Sym:
@@ -1100,7 +995,7 @@ def expr_to_dict(expr: Expr) -> dict:
             }
         else:
             raise TypeError(f"cannot serialize {node!r}")
-        index[key] = len(nodes)
+        index[id(node)] = len(nodes)
         nodes.append(entry)
     return {"k": EXPR_DICT_FORMAT, "nodes": nodes, "root": index[id(expr)]}
 

@@ -38,8 +38,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
-from repro.symbex import expr as expr_module
 from repro.symbex.expr import Const, Expr, evaluate, reduce_concrete, reduce_expr
+from repro.symbex.memo import MEMOS, BoundedMemo, clear_memos
 from repro.symbex.solver import (
     PROPAGATION_UNSAT,
     Solver,
@@ -48,33 +48,28 @@ from repro.symbex.solver import (
     _TrackedDomains,
 )
 
-#: Bound on the shared feasibility/value memo tables; when exceeded the
-#: tables are simply cleared (queries regenerate cheaply).
-_MEMO_LIMIT = 1 << 17
-
 
 class _ContextStats:
     """Process-global counters for benchmarks and regression tracking.
 
-    ``wave_replays`` and ``check_memo_hits`` count committed propagation
-    waves / full model searches answered by replaying recorded work (see
-    ``_ADD_PLAN_MEMO`` / ``_CHECK_MEMO``).  ``wave_visits`` counts
-    constraints a propagation wave actually re-reduced and re-propagated,
-    ``wave_skips`` those it carried over untouched (see
+    ``memo_hits`` counts feasibility queries answered by ``_FEASIBLE_MEMO``
+    and ``wave_replays`` committed propagation waves replayed from
+    ``_ADD_PLAN_MEMO``: both are those memos' hit counters.  ``wave_visits``
+    counts constraints a propagation wave actually re-reduced and
+    re-propagated, ``wave_skips`` those it carried over untouched (see
     ``SolverContext._propagate_wave``); ``order_unsat_proofs`` counts
     ``Solver.check`` calls ended by an ordering contradiction
-    (:mod:`repro.symbex.order`) instead of a search.
+    (:mod:`repro.symbex.order`) instead of a search.  :meth:`as_dict` adds
+    every memo's ``{name}_hits`` / ``_misses`` / ``_clears``, and
+    :meth:`reset` zeroes those too.
     """
 
     __slots__ = (
         "queries",
-        "memo_hits",
         "adds",
         "forks",
         "slow_path_checks",
         "fast_path_values",
-        "wave_replays",
-        "check_memo_hits",
         "wave_visits",
         "wave_skips",
         "order_unsat_proofs",
@@ -86,9 +81,24 @@ class _ContextStats:
     def reset(self) -> None:
         for name in self.__slots__:
             setattr(self, name, 0)
+        for memo in MEMOS:
+            memo.reset_counters()
+
+    @property
+    def memo_hits(self) -> int:
+        return _FEASIBLE_MEMO.hits
+
+    @property
+    def wave_replays(self) -> int:
+        return _ADD_PLAN_MEMO.hits
 
     def as_dict(self) -> dict[str, int]:
-        return {name: getattr(self, name) for name in self.__slots__}
+        out = {name: getattr(self, name) for name in self.__slots__}
+        out["memo_hits"] = self.memo_hits
+        out["wave_replays"] = self.wave_replays
+        for memo in MEMOS:
+            out.update(memo.counters())
+        return out
 
 
 CONTEXT_STATS = _ContextStats()
@@ -102,11 +112,14 @@ CONTEXT_STATS = _ContextStats()
 # constraints in the same order — e.g. forked siblings before they diverge —
 # share a fingerprint and therefore share memoised query verdicts.
 
-_SET_IDS: dict[tuple[int, int], int] = {}
+_SET_IDS = BoundedMemo("set_ids")
 _set_id_counter = itertools.count(1)
 
-_FEASIBLE_MEMO: dict[tuple[int, int], bool] = {}
-_VALUE_MEMO: dict[tuple, "int | None"] = {}
+#: Feasibility verdicts, keyed on (fingerprint, id(extra constraint)) for the
+#: raw and for the reduced constraint.  Within one cold analysis no two
+#: contexts ask one question under one fingerprint; what it answers is a
+#: re-analysis of the same NF in the same process.
+_FEASIBLE_MEMO = BoundedMemo("feasible")
 
 #: Recorded propagation waves: (fingerprint, id(reduced extra)) -> the
 #: committed-state delta a successful wave produced (new assignment entries,
@@ -121,45 +134,22 @@ _VALUE_MEMO: dict[tuple, "int | None"] = {}
 #: committed state, reduced constraint): the recorded delta is byte-for-byte
 #: what the replayed wave would have computed.  Replayed domain objects are
 #: installed unowned (copy-on-write), so sharing them across contexts is safe.
-_ADD_PLAN_MEMO: dict[
-    tuple[int, int], tuple[dict[str, int], dict[str, _Domain], tuple[Expr, ...], bool]
-] = {}
-
-#: Full model searches memoised by (solver uid, fingerprint, defaults):
-#: ``Solver.check`` is a pure deterministic function of its constraint list,
-#: defaults and the solver's own (budget, seed) — captured by ``uid`` — so
-#: two contexts with the same fingerprint get the identical SolverResult.
-#: Results are shared; callers must treat them as read-only (they do).
-_CHECK_MEMO: dict[tuple, SolverResult] = {}
+_ADD_PLAN_MEMO = BoundedMemo("add_plan")
 
 
 def _extend_set_id(parent: int, constraint: Expr) -> int:
     key = (parent, id(constraint))
     set_id = _SET_IDS.get(key)
     if set_id is None:
-        # Bound the table like the memo tables: clearing only costs future
-        # sharing (the id counter never restarts, so previously handed-out
-        # fingerprints stay unique and cached query verdicts stay valid).
-        if len(_SET_IDS) >= _MEMO_LIMIT:
-            _SET_IDS.clear()
-        set_id = next(_set_id_counter)
-        _SET_IDS[key] = set_id
+        # The id counter never restarts, so a self-clear of the table only
+        # costs future sharing: handed-out fingerprints stay unique and
+        # memoised verdicts stay valid.
+        set_id = _SET_IDS[key] = next(_set_id_counter)
     return set_id
 
 
-def clear_incremental_caches() -> None:
-    """Drop the shared fingerprint and memo tables (tests, long drivers)."""
-    _SET_IDS.clear()
-    _FEASIBLE_MEMO.clear()
-    _VALUE_MEMO.clear()
-    _ADD_PLAN_MEMO.clear()
-    _CHECK_MEMO.clear()
-
-
-# The fingerprint/memo tables key on id() of interned expressions, so they
-# must not survive the intern tables: if the interned objects are released,
-# a recycled id could resurrect a stale entry for a different constraint.
-expr_module.register_cache_clear_hook(clear_incremental_caches)
+#: Empty every memo of the symbolic layer (tests, warm-process measurements).
+clear_incremental_caches = clear_memos
 
 
 class _CowDomains(_TrackedDomains):
@@ -300,7 +290,6 @@ class SolverContext:
         raw_key = (self._set_id, id(extra))
         cached = _FEASIBLE_MEMO.get(raw_key)
         if cached is not None:
-            CONTEXT_STATS.memo_hits += 1
             return cached
         extra = reduce_expr(extra, self._assignment)
         if isinstance(extra, Const):
@@ -308,9 +297,6 @@ class SolverContext:
         key = (self._set_id, id(extra))
         cached = _FEASIBLE_MEMO.get(key)
         if cached is not None:
-            CONTEXT_STATS.memo_hits += 1
-            if len(_FEASIBLE_MEMO) >= _MEMO_LIMIT:
-                _FEASIBLE_MEMO.clear()
             _FEASIBLE_MEMO[raw_key] = cached
             return cached
         scratch_assignment = dict(self._assignment)
@@ -320,8 +306,6 @@ class SolverContext:
         verdict, converged = self._propagate_wave(
             scratch_assignment, scratch_domains, scratch_pending, [extra], promoted
         )
-        if len(_FEASIBLE_MEMO) >= _MEMO_LIMIT:
-            _FEASIBLE_MEMO.clear()
         _FEASIBLE_MEMO[key] = verdict
         _FEASIBLE_MEMO[raw_key] = verdict
         if verdict:
@@ -330,8 +314,6 @@ class SolverContext:
             # The scratch CoW view started with nothing owned, so every
             # domain the wave touched was cloned into scratch — those clones
             # belong exclusively to this record once scratch is discarded.
-            if len(_ADD_PLAN_MEMO) >= _MEMO_LIMIT:
-                _ADD_PLAN_MEMO.clear()
             _ADD_PLAN_MEMO[key] = (
                 {name: scratch_assignment[name] for name in promoted},
                 {name: scratch_domains.base[name] for name in scratch_domains.owned},
@@ -370,7 +352,6 @@ class SolverContext:
                 self._domains[name] = domain
                 self._owned.discard(name)
             self._pending[:] = pending_after
-            CONTEXT_STATS.wave_replays += 1
             return
         cow = _CowDomains(self._domains, self._owned)
         feasible, self._converged = self._propagate_wave(
@@ -395,52 +376,26 @@ class SolverContext:
         if isinstance(reduced, Const):
             CONTEXT_STATS.fast_path_values += 1
             return reduced.value
-        # Values depend on the solver's budget/seed (its process-unique uid)
-        # and on the supplied defaults (keyed by content, so two calls with
-        # different defaults never share an entry).
-        defaults_key = frozenset(defaults.items()) if defaults else None
-        key = (self.solver.uid, self._set_id, id(reduced), defaults_key)
-        if key in _VALUE_MEMO:
-            CONTEXT_STATS.memo_hits += 1
-            return _VALUE_MEMO[key]
         result = self.check(defaults=defaults)
         if not result.is_sat:
-            value: int | None = None
-        else:
-            assignment = {
-                symbol.name: result.model.get(symbol.name, (defaults or {}).get(symbol.name, 0))
-                for symbol in reduced.symbols
-            }
-            value = evaluate(reduced, assignment)
-        if len(_VALUE_MEMO) >= _MEMO_LIMIT:
-            _VALUE_MEMO.clear()
-        _VALUE_MEMO[key] = value
-        return value
+            return None
+        assignment = {
+            symbol.name: result.model.get(symbol.name, (defaults or {}).get(symbol.name, 0))
+            for symbol in reduced.symbols
+        }
+        return evaluate(reduced, assignment)
 
     def check(self, defaults: dict[str, int] | None = None) -> SolverResult:
         """Full model search over the committed constraints (slow path).
 
         The search starts from this context's propagation fixpoint (see
         ``Solver.check``'s ``context``), so it costs the search, not another
-        pass over the whole path.  Memoised per (solver uid, fingerprint,
-        defaults): one state concretising several expressions — or forked
-        siblings sharing a fingerprint — run the underlying search once.  The
-        shared result is read-only by contract.
+        pass over the whole path.
         """
         if self.unsat:
             return SolverResult(status="unsat", reason=PROPAGATION_UNSAT)
-        defaults_key = frozenset(defaults.items()) if defaults else None
-        key = (self.solver.uid, self._set_id, defaults_key)
-        cached = _CHECK_MEMO.get(key)
-        if cached is not None:
-            CONTEXT_STATS.check_memo_hits += 1
-            return cached
         CONTEXT_STATS.slow_path_checks += 1
-        result = self.solver.check(self.constraints(), defaults=defaults, context=self)
-        if len(_CHECK_MEMO) >= _MEMO_LIMIT:
-            _CHECK_MEMO.clear()
-        _CHECK_MEMO[key] = result
-        return result
+        return self.solver.check(self.constraints(), defaults=defaults, context=self)
 
     def fixpoint(self) -> tuple[dict[str, int], dict[str, _Domain], list[Expr]] | None:
         """The propagated state a model search can resume from, or None.

@@ -24,7 +24,6 @@ It works in three phases:
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -40,10 +39,10 @@ from repro.symbex.expr import (
     evaluate,
     reduce_concrete,
     reduce_expr,
-    register_cache_clear_hook,
     simplify,
     symbols_of,
 )
+from repro.symbex.memo import MISSING, BoundedMemo
 from repro.symbex.order import OrderGraph
 
 if TYPE_CHECKING:  # pragma: no cover - incremental imports this module
@@ -55,34 +54,16 @@ MACHINE_MASK = (1 << 64) - 1
 #: from a context's fixpoint alike.
 PROPAGATION_UNSAT = "propagation found a contradiction"
 
-#: Memos for the pure per-node constraint analyses (pattern matching,
-#: algebraic inversion, disjoint-field decomposition, possible-bit bounds).
-#: Propagation re-runs these on the same interned nodes thousands of times
-#: per analysis; all of them are pure functions of their (interned)
-#: arguments.  They key on expression identity, so they must not survive an
-#: intern-table clear.
-_MASKED_SHIFT_MEMO: dict[Expr, "tuple[Sym, int, int] | None"] = {}
-_INVERT_MEMO: dict[tuple, "tuple[Sym, int] | None"] = {}
-_DECOMPOSE_MEMO: dict[tuple, "list[tuple[Expr, int]] | None"] = {}
-_POSSIBLE_BITS_MEMO: dict[Expr, "int | None"] = {}
-#: Compiled propagation plans (see ``Solver._propagate_one``).
-_PROPAGATE_PLAN_MEMO: dict[Expr, tuple] = {}
-
-_ANALYSIS_MEMO_LIMIT = 1 << 17
+#: Compiled propagation plans (see ``Solver._propagate_one``), keyed on the
+#: interned constraint.  The pattern analyses a plan is compiled from run
+#: only on a miss here, so they are not memoised themselves.
+_PROPAGATE_PLAN_MEMO = BoundedMemo("propagate_plan")
+#: Algebraic inversions, keyed on (node, target): propagation and the
+#: search's candidate generation both ask for them.
+_INVERT_MEMO = BoundedMemo("invert")
 
 #: Rounds cap for one propagation pass (``Solver._propagate_rounds``).
 _MAX_ROUNDS = 32
-
-
-def _clear_analysis_memos() -> None:
-    _MASKED_SHIFT_MEMO.clear()
-    _INVERT_MEMO.clear()
-    _DECOMPOSE_MEMO.clear()
-    _POSSIBLE_BITS_MEMO.clear()
-    _PROPAGATE_PLAN_MEMO.clear()
-
-
-register_cache_clear_hook(_clear_analysis_memos)
 
 
 @dataclass
@@ -273,14 +254,9 @@ class _TrackedDomains:
 class Solver:
     """Bit-vector constraint solver (see module docstring)."""
 
-    _uids = itertools.count(1)
-
     def __init__(self, search_budget: int = 6000, seed: int = 0xCA57A) -> None:
         self.search_budget = search_budget
         self._seed = seed
-        # Process-unique id for memo keys: unlike ``id(self)`` it is never
-        # recycled after garbage collection.
-        self.uid = next(Solver._uids)
 
     # -- public API ----------------------------------------------------------
 
@@ -514,13 +490,9 @@ class Solver:
         first access as potential change, so even a touch on an unsat path
         is observable in the propagation round count.
         """
-        try:
-            plan = _PROPAGATE_PLAN_MEMO[constraint]
-        except KeyError:
-            plan = self._compile_propagation(constraint)
-            if len(_PROPAGATE_PLAN_MEMO) >= _ANALYSIS_MEMO_LIMIT:
-                _PROPAGATE_PLAN_MEMO.clear()
-            _PROPAGATE_PLAN_MEMO[constraint] = plan
+        plan = _PROPAGATE_PLAN_MEMO.get(constraint)
+        if plan is None:
+            plan = _PROPAGATE_PLAN_MEMO[constraint] = self._compile_propagation(constraint)
         return self._apply_propagation(plan, domains)
 
     def _compile_propagation(self, constraint: Expr) -> tuple:
@@ -649,16 +621,7 @@ class Solver:
 
     @staticmethod
     def _match_masked_shift(expr: Expr) -> tuple[Sym, int, int] | None:
-        """Match ``(sym >> shift) & mask`` (shift and/or mask optional).
-
-        The match is a pure function of the (interned) node, so results are
-        memoised process-wide — propagation re-examines the same constraint
-        shapes thousands of times per analysis.
-        """
-        try:
-            return _MASKED_SHIFT_MEMO[expr]
-        except KeyError:
-            pass
+        """Match ``(sym >> shift) & mask`` (shift and/or mask optional)."""
         shift = 0
         mask = MACHINE_MASK
         node = expr
@@ -670,32 +633,15 @@ class Solver:
             node = node.lhs
         if isinstance(node, Sym):
             mask &= node.mask >> shift
-            matched = (node, shift, mask)
-        else:
-            matched = None
-        if len(_MASKED_SHIFT_MEMO) >= _ANALYSIS_MEMO_LIMIT:
-            _MASKED_SHIFT_MEMO.clear()
-        _MASKED_SHIFT_MEMO[expr] = matched
-        return matched
+            return node, shift, mask
+        return None
 
     def _possible_bits(self, expr: Expr) -> int | None:
         """Upper bound on which bits of ``expr`` can ever be non-zero.
 
         Returns ``None`` when no useful bound can be computed (e.g. for
         subtraction or division, whose results can spill into any bit).
-        Memoised per interned node.
         """
-        try:
-            return _POSSIBLE_BITS_MEMO[expr]
-        except KeyError:
-            pass
-        bits = self._possible_bits_uncached(expr)
-        if len(_POSSIBLE_BITS_MEMO) >= _ANALYSIS_MEMO_LIMIT:
-            _POSSIBLE_BITS_MEMO.clear()
-        _POSSIBLE_BITS_MEMO[expr] = bits
-        return bits
-
-    def _possible_bits_uncached(self, expr: Expr) -> int | None:
         if isinstance(expr, Const):
             return expr.value
         if isinstance(expr, Sym):
@@ -740,20 +686,7 @@ class Solver:
         Applies when ``expr`` is an OR/XOR/ADD combination of sub-expressions
         whose possible bit masks are pairwise disjoint — the shape produced
         by packing flow keys as ``field_a | (field_b << k) | ...``.
-        Memoised per (node, target); callers must not mutate the result.
         """
-        key = (expr, target)
-        try:
-            return _DECOMPOSE_MEMO[key]
-        except KeyError:
-            pass
-        decomposed = self._decompose_disjoint_uncached(expr, target)
-        if len(_DECOMPOSE_MEMO) >= _ANALYSIS_MEMO_LIMIT:
-            _DECOMPOSE_MEMO.clear()
-        _DECOMPOSE_MEMO[key] = decomposed
-        return decomposed
-
-    def _decompose_disjoint_uncached(self, expr: Expr, target: int) -> list[tuple[Expr, int]] | None:
         if not isinstance(expr, BinExpr) or expr.op not in (
             BinOpKind.OR,
             BinOpKind.XOR,
@@ -814,14 +747,9 @@ class Solver:
         solution is out of width).  Memoised per (node, target).
         """
         key = (expr, target)
-        try:
-            return _INVERT_MEMO[key]
-        except KeyError:
-            pass
-        inverted = self._invert_raw_uncached(expr, target)
-        if len(_INVERT_MEMO) >= _ANALYSIS_MEMO_LIMIT:
-            _INVERT_MEMO.clear()
-        _INVERT_MEMO[key] = inverted
+        inverted = _INVERT_MEMO.get(key, MISSING)
+        if inverted is MISSING:
+            inverted = _INVERT_MEMO[key] = self._invert_raw_uncached(expr, target)
         return inverted
 
     def _invert_raw_uncached(self, expr: Expr, target: int) -> tuple[Sym, int] | None:
@@ -838,7 +766,7 @@ class Solver:
     def _count_symbol_occurrences(expr: Expr) -> dict[str, int]:
         """Symbol name -> occurrences in the tree, in left-to-right order.
 
-        An explicit stack, like ``_decompose_disjoint_uncached``'s flatten.
+        An explicit stack, like ``_decompose_disjoint``'s flatten.
         """
         counts: dict[str, int] = {}
         stack = [expr]

@@ -526,6 +526,6 @@ class TestExplicitStackWalks:
 
         root = bracket(leaves)
         target = data.draw(st.integers(0, (1 << offset) - 1)) & reachable
-        decomposed = Solver()._decompose_disjoint_uncached(root, target)
+        decomposed = Solver()._decompose_disjoint(root, target)
         assert decomposed is not None
         assert [part for part, _ in decomposed] == recursive_flatten(root) == leaves

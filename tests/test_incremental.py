@@ -257,16 +257,51 @@ class TestSolverContext:
         assert context.solve_value(x, defaults={"x": 7}) == 7
 
     def test_clearing_expression_caches_clears_identity_keyed_memos(self):
-        # Regression: the memo tables key on id() of interned expressions,
-        # so dropping the intern tables must drop the memos with them.
-        from repro.symbex.expr import clear_expression_caches
+        # Regression: the memo tables key on interned expressions or their
+        # id(), so dropping the intern tables must drop every memo with them.
+        from repro.symbex.expr import clear_expression_caches, dag_evaluator
         from repro.symbex.incremental import _FEASIBLE_MEMO, _SET_IDS
+        from repro.symbex.memo import MEMOS
 
-        context = replay_context(Solver(), [expr_eq(Sym("x", 32), Const(1))])
-        context.feasible_with(expr_ne(Sym("x", 32), Const(2)))
+        x, y = Sym("x", 32), Sym("y", 32)
+        context = replay_context(Solver(), [expr_eq(x, Const(1))])
+        context.feasible_with(expr_ne(x, Const(2)))
+        reduce_expr(make_cmp(CmpKind.ULT, make_binop(BinOpKind.ADD, x, y), Const(9)), {"x": 1})
+        dag_evaluator(make_binop(BinOpKind.XOR, x, y))
         assert _FEASIBLE_MEMO and _SET_IDS
+        assert len(MEMOS) == 9
         clear_expression_caches()
-        assert not _FEASIBLE_MEMO and not _SET_IDS
+        assert [memo.name for memo in MEMOS if memo] == []
+
+    def test_context_stats_keep_the_keys_bench_reads(self):
+        # bench/ derives solver_memo_hit_share and wave_replay_share from
+        # these keys and subtracts every key of two snapshots.
+        from repro.symbex.memo import MEMOS
+
+        clear_incremental_caches()
+        CONTEXT_STATS.reset()
+        x = Sym("x", 32)
+        parent = replay_context(Solver(), [make_cmp(CmpKind.ULT, x, Const(10))])
+        left, right = parent.fork(), parent.fork()
+        probe = expr_eq(x, Const(3))
+        assert left.feasible_with(probe) and right.feasible_with(probe)
+        right.add(probe)
+        stats = CONTEXT_STATS.as_dict()
+        bench_keys = ("memo_hits", "queries", "slow_path_checks", "wave_replays", "adds")
+        assert {key: stats[key] for key in bench_keys} == {
+            "memo_hits": 1,
+            "queries": 2,
+            "slow_path_checks": 0,
+            "wave_replays": 1,
+            "adds": 2,
+        }
+        assert stats["feasible_hits"] == stats["memo_hits"]
+        assert stats["add_plan_hits"] == stats["wave_replays"]
+        memo_keys = {f"{memo.name}_{n}" for memo in MEMOS for n in ("hits", "misses", "clears")}
+        assert memo_keys <= stats.keys()
+        assert all(type(value) is int for value in stats.values())
+        CONTEXT_STATS.reset()
+        assert set(CONTEXT_STATS.as_dict().values()) == {0}
 
     def test_engine_routes_queries_through_context(self):
         module = make_module(
