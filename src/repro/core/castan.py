@@ -128,6 +128,10 @@ class CastanResult:
     contention_sets_used: int = 0
     search_mode: str = "monolithic"
     search_rounds: int = 0
+    #: Why the search ended (``SymbexStats.stop_reason``) and the state
+    #: budget it ran under; neither is part of the result's digest.
+    stop_reason: str = ""
+    state_budget: int | None = None
     notes: str = ""
 
     @property
@@ -147,8 +151,12 @@ class CastanResult:
             f"CASTAN[{self.nf_name}]: {self.packet_count} packets in {self.unique_flows} flows, "
             f"estimated cost {self.best_state_cost} cycles, "
             f"analysis {self.analysis_seconds:.2f}s, "
-            f"{self.states_explored} states explored"
         )
+        if self.stop_reason:
+            budget = "" if self.state_budget is None else f" of {self.state_budget}"
+            text += f"{self.stop_reason} at {self.states_explored}{budget} states"
+        else:
+            text += f"{self.states_explored} states explored"
         if self.unsolved_reason:
             text += (
                 f"; path constraint NOT solved ({self.solver_status}: {self.unsolved_reason}), "
@@ -223,6 +231,8 @@ class Castan:
                 states_explored=stats.states_explored,
                 search_mode=config.search_mode,
                 search_rounds=len(stats.rounds),
+                stop_reason=stats.stop_reason,
+                state_budget=config.max_states,
                 notes="no state survived exploration",
             )
 
@@ -246,13 +256,20 @@ class Castan:
             contention_sets_used=contention_sets.set_count if contention_sets else 0,
             search_mode=config.search_mode,
             search_rounds=len(stats.rounds),
+            stop_reason=stats.stop_reason,
+            state_budget=config.max_states,
         )
         return result
 
     # -- pipeline stages -----------------------------------------------------------
 
     def _run_search(self, engine: SymbolicEngine, on_round=None) -> SymbexStats:
-        """Dispatch to the beam or the monolithic search."""
+        """Dispatch to the beam or the monolithic search.
+
+        Both stop once a chunk of ``strike_chunk_states`` pops completes
+        paths without beating the best one: the beam on its strike round,
+        the monolithic search over its whole run.
+        """
         config = self.config
         if config.search_mode not in ("monolithic", "beam"):
             raise ValueError(
@@ -279,6 +296,7 @@ class Castan:
             max_states=config.max_states,
             deadline_seconds=config.deadline_seconds,
             max_instructions_per_state=config.max_instructions_per_state,
+            converge_chunk=config.strike_chunk_states,
         )
         if on_round is not None:
             # One summarising pseudo-round, so progress subscribers see the

@@ -14,7 +14,7 @@ from repro.perf.cycles import CycleCosts, DEFAULT_CYCLE_COSTS
 #: whenever the canonical form below changes meaning (a field is renamed,
 #: a default's semantics change), so stored service results keyed by the
 #: old form can never be served for the new one.
-CONFIG_HASH_VERSION = "castan-config-v4"
+CONFIG_HASH_VERSION = "castan-config-v5"
 
 
 def _canonical_value(value):
@@ -77,10 +77,11 @@ class CastanConfig:
     # rounds only need to carry a few diverse lineages forward.
     search_mode: str = "monolithic"
     beam_width: int = 3
-    # Pop budget of one priming round (None = beam_width + 1) and chunk
-    # size of the final strike round, which gets the whole remaining
-    # max_states budget.
+    # Pop budget of one priming round (None = beam_width + 1).
     round_max_states: int | None = None
+    # Convergence chunk of both searches (the beam's final strike round and
+    # the monolithic search): a chunk of this many pops that completes
+    # paths without beating the best one ends the search.
     strike_chunk_states: int = 32
     # Searcher: "castan", "dfs", "bfs" or "random" (ablation).
     searcher: str = "castan"
@@ -113,6 +114,13 @@ class CastanConfig:
     # Solver search budget (backtracking nodes).
     solver_budget: int = 8000
     seed: int = 0xCA57A
+
+    def __post_init__(self) -> None:
+        if self.strike_chunk_states < 1:
+            # A chunk of no pops never spends the budget: the search spins.
+            raise ValueError(
+                f"strike_chunk_states must be >= 1, got {self.strike_chunk_states!r}"
+            )
 
     # -- canonical form and content addressing --------------------------------
 

@@ -18,9 +18,9 @@ On disk, each entry is a directory named by its key::
     <root>/<key[:2]>/<key>/meta.json    # summary + perf record
 
 ``meta.json`` carries the per-job perf record (:func:`perf_record`: label,
-NF, states explored, wall seconds, states/sec, best cost, rounds), so a
-served cache hit returns the measured performance of the original run for
-free instead of re-measuring.
+NF, states explored, wall seconds, states/sec, best cost, rounds, stop
+reason), so a served cache hit returns the measured performance of the
+original run for free instead of re-measuring.
 
 Identity is compared through :func:`canonical_result_digest`, which hashes
 every deterministic field of a result and deliberately excludes wall-clock
@@ -64,7 +64,9 @@ def canonical_result_digest(result: CastanResult) -> str:
     Two runs of the same ``(NF, config, num_packets)`` must produce equal
     digests (the cache-hit identity test in ``tests/test_service.py`` holds
     the store to exactly that); timing is excluded because it legitimately
-    differs between byte-identical analyses.
+    differs between byte-identical analyses.  Why the search stopped
+    (``stop_reason``) is left out too: it explains ``states_explored``,
+    which is already covered.
     """
     havoc = result.havoc_outcome
     payload = {
@@ -104,6 +106,7 @@ def result_summary(result: CastanResult) -> dict:
         "states_explored": result.states_explored,
         "search_mode": result.search_mode,
         "search_rounds": result.search_rounds,
+        "stop_reason": result.stop_reason,
         "solver_status": result.solver_status,
         "unsolved_reason": result.unsolved_reason,
         "workload_digest": workload_digest(result.packets),
@@ -122,6 +125,7 @@ def perf_record(result: CastanResult, label: str = "service") -> dict:
         "states_per_sec": round(result.states_explored / wall, 3) if wall > 0 else None,
         "best_state_cost": result.best_state_cost,
         "search_rounds": result.search_rounds,
+        "stop_reason": result.stop_reason,
     }
 
 

@@ -128,12 +128,13 @@ def run_beam_search(
             return None
         return deadline_seconds - (time.monotonic() - start)
 
-    def out_of_budget() -> bool:
+    def out_of_budget() -> str:
+        """``"budget"`` or ``"deadline"`` once either is spent, else ``""``."""
         remaining = remaining_budget()
         if remaining is not None and remaining <= 0:
-            return True
+            return "budget"
         deadline = call_deadline()
-        return deadline is not None and deadline <= 0
+        return "deadline" if deadline is not None and deadline <= 0 else ""
 
     def run_round(seeds, stop_at_packet, budget_cap, phase) -> SymbexStats:
         nonlocal best
@@ -194,21 +195,25 @@ def run_beam_search(
         seeds = select_beam(frontier, beam_width)
 
     # -- strike round: the whole remaining budget on the final packet ---------
+    total.stop_reason = "drained"
     if frontier:
         chunk_seeds = seeds
-        while not out_of_budget():
+        while not (reason := out_of_budget()):
             before = best
             last_stats = run_round(chunk_seeds, num_packets, strike_chunk_states, "strike")
             frontier = last_stats.paused_states + last_stats.pending_states
             if not frontier:
+                reason = "drained"
                 break
             if last_stats.completed_states and best is before:
                 # Paths are completing but none beats the best seen: the
                 # strike has converged; spend no more of the budget.
+                reason = "converged"
                 break
             # Chunks carry the *whole* frontier: the strike is a focused,
             # monolithic-style search over the primed final packet.
             chunk_seeds = frontier
+        total.stop_reason = reason
 
     if last_stats is not None:
         total.paused_states = list(last_stats.paused_states)

@@ -82,6 +82,9 @@ class SymbexStats:
     per-packet beam run (``repro.symbex.batch``) additionally fills
     ``paused_states`` (frontier states parked at a packet boundary) and
     ``rounds`` (one :class:`~repro.symbex.batch.RoundStats` per round).
+    ``stop_reason`` says why the search ended: ``"budget"`` (``max_states``
+    popped), ``"deadline"``, ``"converged"`` (a chunk completed paths
+    without beating the best) or ``"drained"`` (nothing left to explore).
     """
 
     states_explored: int = 0
@@ -94,6 +97,7 @@ class SymbexStats:
     paused_states: list[ExecutionState] = field(default_factory=list)
     rounds: list = field(default_factory=list)
     wall_time_seconds: float = 0.0
+    stop_reason: str = ""
 
     def best_state(self) -> ExecutionState | None:
         """The highest-cost state, preferring states that finished all packets."""
@@ -216,8 +220,10 @@ class SymbolicEngine:
         max_pending_report: int | None = 512,
         initial_states: list[ExecutionState] | None = None,
         stop_at_packet: int | None = None,
+        converge_chunk: int | None = None,
     ) -> SymbexStats:
-        """Explore paths until the searcher drains or a budget is exhausted.
+        """Explore paths until the searcher drains, a budget is exhausted or
+        the search converges.
 
         ``initial_states`` seeds the searcher instead of a fresh initial
         state (paused seeds are resumed into their next packet), and
@@ -231,6 +237,12 @@ class SymbolicEngine:
         :meth:`resume_state`, :meth:`make_initial_state`), so a pending seed
         still carries the value it was queued under and goes back in by one
         bulk ``extend``.
+
+        ``converge_chunk`` turns on the convergence stop of the beam strike
+        round: after every ``converge_chunk`` pops, the search ends if that
+        chunk completed at least one path and none of them beat the best
+        completed cost so far.  The max-cost searcher completes its most
+        expensive paths first, so what follows is near-duplicates.
         """
         stats = SymbexStats()
         self._stats = stats
@@ -242,11 +254,25 @@ class SymbolicEngine:
             if state.status is StateStatus.PAUSED:
                 self.resume_state(state)
         searcher.extend(initial_states)
+        # Best completed cost so far, and its value and the completed-path
+        # count when the current convergence chunk began.
+        best_cost = chunk_best = None
+        chunk_completed = 0
+        stats.stop_reason = "drained"
         try:
             while not searcher.empty:
-                if max_states is not None and stats.states_explored >= max_states:
+                explored = stats.states_explored
+                if converge_chunk is not None and explored and explored % converge_chunk == 0:
+                    completed = len(stats.completed_states)
+                    if completed > chunk_completed and best_cost == chunk_best:
+                        stats.stop_reason = "converged"
+                        break
+                    chunk_best, chunk_completed = best_cost, completed
+                if max_states is not None and explored >= max_states:
+                    stats.stop_reason = "budget"
                     break
                 if deadline_seconds is not None and time.monotonic() - start > deadline_seconds:
+                    stats.stop_reason = "deadline"
                     break
                 state = searcher.pop()
                 stats.states_explored += 1
@@ -256,6 +282,8 @@ class SymbolicEngine:
                         searcher.add(outcome)
                     elif outcome.status is StateStatus.COMPLETED:
                         stats.completed_states.append(outcome)
+                        if best_cost is None or outcome.current_cost > best_cost:
+                            best_cost = outcome.current_cost
                     elif outcome.status is StateStatus.PAUSED:
                         # Refresh the priority so beam selection can compare
                         # boundary states against mid-packet pending ones.

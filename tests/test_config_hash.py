@@ -22,7 +22,7 @@ from repro.core.config import CONFIG_HASH_VERSION, CastanConfig
 #: fails after an intentional change to CastanConfig (new field, changed
 #: default, different canonical form), bump CONFIG_HASH_VERSION and repin —
 #: old stored service results must not be addressable by the new form.
-GOLDEN_DEFAULT_HASH = "d0974fa8ccbe11f361dc9f485c90cf46f0a82d05581ef15ea8178295cf86fe5b"
+GOLDEN_DEFAULT_HASH = "0871cdd5e822f13426cfabeb01aeff7e465010792d500f174bfc16db7be44619"
 
 
 def _mutated(value):
@@ -141,6 +141,23 @@ def test_partial_from_dict_overrides_on_defaults():
     assert config.search_mode == CastanConfig().search_mode
 
 
-def test_version_tag_is_part_of_the_hash():
-    """The golden hash covers the version tag (bumping it must repoint keys)."""
-    assert CONFIG_HASH_VERSION == "castan-config-v4"
+def test_version_tag_is_part_of_the_hash(monkeypatch):
+    """The golden hash covers the version tag (bumping it must repoint keys).
+
+    v5 is the monolithic search's convergence stop: the same config gives a
+    different result on four NFs, so no v4 entry may answer for it.
+    """
+    assert CONFIG_HASH_VERSION == "castan-config-v5"
+    import repro.core.config as config_module
+
+    monkeypatch.setattr(config_module, "CONFIG_HASH_VERSION", "castan-config-v4")
+    assert CastanConfig().content_hash() != GOLDEN_DEFAULT_HASH
+
+
+@pytest.mark.parametrize("chunk", [0, -1])
+def test_a_strike_chunk_below_one_is_rejected(chunk):
+    # A chunk of no pops never spends the state budget: the search would spin.
+    with pytest.raises(ValueError, match="strike_chunk_states"):
+        CastanConfig(strike_chunk_states=chunk)
+    with pytest.raises(ValueError, match="strike_chunk_states"):
+        CastanConfig.from_dict({"search_mode": "beam", "strike_chunk_states": chunk})

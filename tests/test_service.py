@@ -156,6 +156,8 @@ def test_submit_stream_and_cache_hit_identity(server):
     final = events[-1]["job"]
     assert final["state"] == "done"
     assert final["attempts"] == 1
+    # the end event says why the search stopped: 40 states of beam ran out
+    assert final["result"]["stop_reason"] == final["perf"]["stop_reason"] == "budget"
 
     # an unchanged resubmission is served from the store, born terminal
     again = server.client.submit(NF, config=SMOKE_CONFIG, num_packets=SMOKE_PACKETS)
@@ -191,6 +193,12 @@ def test_submission_validation_is_eager(server):
         server.client.submit(NF, config={"workers": 2})
     assert err.value.status == 400
     assert "'workers'" in err.value.message
+
+    # a strike chunk of no pops would spin the search until its deadline
+    with pytest.raises(ServiceError) as err:
+        server.client.submit(NF, config={**SMOKE_CONFIG, "strike_chunk_states": 0})
+    assert err.value.status == 400
+    assert "strike_chunk_states" in err.value.message
 
     with pytest.raises(ServiceError) as err:
         server.client.job("job-9999")
