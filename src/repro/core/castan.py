@@ -157,6 +157,12 @@ class CastanResult:
             text += f"{self.stop_reason} at {self.states_explored}{budget} states"
         else:
             text += f"{self.states_explored} states explored"
+        havoc = self.havoc_outcome
+        if havoc is not None:
+            text += (
+                f"; havocs reconciled {len(havoc.reconciled)}/{havoc.total} "
+                f"({havoc.witnessed} by witness, {havoc.searched} searched)"
+            )
         if self.unsolved_reason:
             text += (
                 f"; path constraint NOT solved ({self.solver_status}: {self.unsolved_reason}), "

@@ -19,8 +19,9 @@ On disk, each entry is a directory named by its key::
 
 ``meta.json`` carries the per-job perf record (:func:`perf_record`: label,
 NF, states explored, wall seconds, states/sec, best cost, rounds, stop
-reason), so a served cache hit returns the measured performance of the
-original run for free instead of re-measuring.
+reason, havocs proved by witness and by search), so a served cache hit
+returns the measured performance of the original run for free instead of
+re-measuring.
 
 Identity is compared through :func:`canonical_result_digest`, which hashes
 every deterministic field of a result and deliberately excludes wall-clock
@@ -66,7 +67,8 @@ def canonical_result_digest(result: CastanResult) -> str:
     the store to exactly that); timing is excluded because it legitimately
     differs between byte-identical analyses.  Why the search stopped
     (``stop_reason``) is left out too: it explains ``states_explored``,
-    which is already covered.
+    which is already covered; so is how each reconciled havoc was proved
+    (witness or search), which cannot change what was reconciled.
     """
     havoc = result.havoc_outcome
     payload = {
@@ -92,6 +94,15 @@ def canonical_result_digest(result: CastanResult) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _reconciliation_counts(result: CastanResult) -> dict:
+    """How many havocs a witness proved and how many a model search proved."""
+    havoc = result.havoc_outcome
+    return {
+        "havocs_witnessed": havoc.witnessed if havoc else 0,
+        "havocs_searched": havoc.searched if havoc else 0,
+    }
+
+
 def result_summary(result: CastanResult) -> dict:
     """JSON-safe summary of a result (what the job endpoints return)."""
     return {
@@ -111,11 +122,13 @@ def result_summary(result: CastanResult) -> dict:
         "unsolved_reason": result.unsolved_reason,
         "workload_digest": workload_digest(result.packets),
         "result_digest": canonical_result_digest(result),
+        **_reconciliation_counts(result),
     }
 
 
 def perf_record(result: CastanResult, label: str = "service") -> dict:
-    """The perf record of one job: wall seconds, states/sec, cost, rounds."""
+    """The perf record of one job: wall seconds, states/sec, cost, rounds,
+    and how its reconciled havocs were proved."""
     wall = result.analysis_seconds
     return {
         "label": label,
@@ -126,6 +139,7 @@ def perf_record(result: CastanResult, label: str = "service") -> dict:
         "best_state_cost": result.best_state_cost,
         "search_rounds": result.search_rounds,
         "stop_reason": result.stop_reason,
+        **_reconciliation_counts(result),
     }
 
 

@@ -9,8 +9,18 @@ replaced its output.  After the highest-cost state is selected and solved,
 1. take the hash value the solver chose for the havoc symbol;
 2. invert it with a rainbow table (brute-force augmented) to get candidate
    keys;
-3. ask the solver whether a candidate key is compatible with the packet
-   constraints; if so, pin the key and the (now genuine) hash value.
+3. ask whether a candidate key is compatible with the packet constraints;
+   if so, pin the key and the (now genuine) hash value.
+
+Step 3 is usually answered by a *witness*, not a model search.  The model
+held during reconciliation satisfies every committed constraint (checked
+once on entry).  When the key packs disjoint fields, the candidate fixes
+those fields and the havoc symbol; the current model with just those values
+substituted is the witness.  Only constraints that read a symbol whose value
+changed can have changed truth value, so evaluating those (and the two
+pins) proves the trial satisfiable and yields its model.  When the witness
+fails, the key does not decompose, or the entry check failed, the trial
+runs the full model search from its context's fixpoint instead.
 
 Havocs that cannot be reconciled are reported as such — the workload is
 still emitted (with the unconstrained hash value), matching the paper's
@@ -19,15 +29,19 @@ partially-reconciled NAT results.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.symbex.expr import BinExpr, BinOpKind, Const, Expr, Sym, evaluate, expr_eq, reduce_expr
 from repro.symbex.incremental import replay_context
+from repro.symbex.solver import Model
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.hashing.rainbow import RainbowTable
-    from repro.symbex.solver import Model, Solver
+    from repro.symbex.solver import Solver
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -49,12 +63,18 @@ class HavocRecord:
 
 @dataclass
 class ReconciliationOutcome:
-    """Result of reconciling the havocs of one selected path."""
+    """Result of reconciling the havocs of one selected path.
+
+    Each reconciled havoc was proved by a witness (``witnessed``) or by a
+    model search (``searched``); the two add up to ``len(reconciled)``.
+    """
 
     model: "Model"
     reconciled: list[HavocRecord] = field(default_factory=list)
     failed: list[HavocRecord] = field(default_factory=list)
     attempts: int = 0
+    witnessed: int = 0
+    searched: int = 0
 
     @property
     def total(self) -> int:
@@ -122,6 +142,46 @@ def _decompose_key_pin(key_expr: Expr, value: int) -> "dict[str, int] | None | o
     return fields
 
 
+def _satisfies(constraints: Iterable[Expr], values: dict[str, int]) -> bool:
+    """Whether ``values`` assigns every symbol read and makes each constraint true."""
+    try:
+        return all(evaluate(c, values) for c in constraints)
+    except KeyError:
+        return False
+
+
+def _index_readers(readers: dict[str, list[Expr]], constraints: Iterable[Expr]) -> None:
+    """Append each constraint to ``readers[name]`` for every symbol it reads."""
+    for constraint in constraints:
+        for name in constraint.symbol_names:
+            readers.setdefault(name, []).append(constraint)
+
+
+def _reading(readers: dict[str, list[Expr]], names: Iterable[str]) -> list[Expr]:
+    """The indexed constraints that read any of ``names`` (with repeats)."""
+    return [constraint for name in names for constraint in readers.get(name, ())]
+
+
+def _witness(
+    values: dict[str, int],
+    updates: dict[str, int],
+    pins: list[Expr],
+    readers: dict[str, list[Expr]],
+) -> dict[str, int] | None:
+    """``values`` with ``updates`` applied, if that satisfies the trial.
+
+    ``values`` must satisfy every constraint indexed in ``readers``.  The
+    updated assignment then satisfies them all exactly when it satisfies
+    the ones reading a changed symbol; with ``pins`` true as well it is a
+    model of the trial.  None when any of those evaluates false.
+    """
+    changed = [name for name, value in updates.items() if values.get(name) != value]
+    witness = {**values, **updates}
+    if _satisfies(pins, witness) and _satisfies(_reading(readers, changed), witness):
+        return witness
+    return None
+
+
 def reconcile_havocs(
     records: list[HavocRecord],
     constraints: list[Expr],
@@ -134,27 +194,41 @@ def reconcile_havocs(
 ) -> ReconciliationOutcome:
     """Reconcile every havoc in ``records`` against the path constraints.
 
-    ``rainbow_tables`` maps hash-function name to the table used for
-    inversion; ``hash_functions`` maps the same names to concrete Python
-    implementations used to re-verify candidate keys.  Reconciliation is
-    incremental: constraints pinned for earlier havocs stay in force while
-    later ones are reconciled, so related keys (e.g. the NAT's two entries
-    per flow) are handled consistently — and may legitimately fail, as in
-    the paper.
+    ``model`` must be the solver's model of ``constraints`` (what
+    ``Castan._solve_state`` passes): it seeds the witnesses, and it is
+    returned unchanged when nothing is reconciled.  ``rainbow_tables`` maps
+    hash-function name to the table used for inversion; ``hash_functions``
+    maps the same names to concrete Python implementations used to
+    re-verify candidate keys.  Reconciliation is incremental: constraints
+    pinned for earlier havocs stay in force while later ones are
+    reconciled, so related keys (e.g. the NAT's two entries per flow) are
+    handled consistently — and may legitimately fail, as in the paper.
     """
     outcome = ReconciliationOutcome(model=model.copy())
     # The reconciliation context holds the path plus every accepted pin.  A
-    # trial forks it, commits its two pins (O(delta) propagation) and
-    # searches from the fork's fixpoint; an accepted fork becomes the
-    # context.  Candidate pretests read the same fixpoint: it pins symbols
-    # the constraints fully determine, and ``pinned`` adds the field values
-    # implied by accepted key pins (which plain propagation cannot extract
-    # from a packed equality).  Both are *implied* facts, so any candidate
-    # contradicting them is definitely infeasible — the trial check would
-    # come back non-sat — and can be skipped without changing which
-    # candidate gets accepted or what model it yields.
+    # trial forks it and commits its two pins (O(delta) propagation); an
+    # accepted fork becomes the context.  Candidate pretests read the same
+    # fixpoint: it pins symbols the constraints fully determine, and
+    # ``pinned`` adds the field values implied by accepted key pins (which
+    # plain propagation cannot extract from a packed equality).  Both are
+    # *implied* facts, so any candidate contradicting them is definitely
+    # infeasible — the trial check would come back non-sat — and can be
+    # skipped without changing which candidate gets accepted.
     context = replay_context(solver, constraints)
     pinned: dict[str, int] = dict(context.pinned_assignment())
+    # ``outcome.model`` satisfies every committed constraint; ``readers``
+    # indexes those constraints by the symbols they read.  Together they
+    # let a witness prove a trial, and let the pretest reduce only the
+    # constraints that read a trial's new symbols (every other constraint
+    # reduces under ``pinned`` alone, which the model extends).
+    readers: dict[str, list[Expr]] = {}
+    _index_readers(readers, context.constraints())
+    witnesses = _satisfies(context.constraints(), outcome.model.values)
+    if not witnesses:
+        logger.warning(
+            "caller's model violates the path constraints; "
+            "every reconciliation trial runs a model search"
+        )
 
     for record in records:
         table = rainbow_tables.get(record.hash_function)
@@ -176,46 +250,55 @@ def reconcile_havocs(
             if fields is _PIN_CONFLICT:
                 # The pin alone is unsatisfiable; the solver would agree.
                 continue
+            updates = None
             if isinstance(fields, dict):
                 if any(pinned.get(name, value) != value for name, value in fields.items()):
                     continue  # contradicts an implied pin: definitely infeasible
+                updates = dict(fields)
+                updates[record.symbol.name] = desired_hash
                 trial_assignment = dict(pinned)
-                trial_assignment.update(fields)
-                trial_assignment[record.symbol.name] = desired_hash
+                trial_assignment.update(updates)
                 # A constraint that reduces to literal false under the implied
                 # assignment is violated in every model of the trial set.
+                pretested = (
+                    _reading(readers, [name for name in updates if name not in pinned])
+                    if witnesses
+                    else context.constraints()
+                )
                 if any(
                     isinstance(r, Const) and r.value == 0
-                    for r in (
-                        reduce_expr(c, trial_assignment) for c in context.constraints()
-                    )
+                    for r in (reduce_expr(c, trial_assignment) for c in pretested)
                 ):
                     continue
+            pins = [
+                expr_eq(record.key_expr, Const(candidate_key)),
+                expr_eq(record.symbol, Const(desired_hash)),
+            ]
             trial = context.fork()
-            trial.add(expr_eq(record.key_expr, Const(candidate_key)))
-            trial.add(expr_eq(record.symbol, Const(desired_hash)))
-            result = trial.check(defaults=defaults)
-            if result.is_sat:
-                context = trial
+            for pin in pins:
+                trial.add(pin)
+            witness = None
+            if witnesses and updates is not None and not trial.unsat:
+                witness = _witness(outcome.model.values, updates, pins, readers)
+            if witness is not None:
+                outcome.model = Model(values=witness)
+                outcome.witnessed += 1
+            else:
+                result = trial.check(defaults=defaults)
+                if not result.is_sat:
+                    continue
                 outcome.model = result.model
-                outcome.reconciled.append(record)
-                reconciled = True
-                pinned.update(context.pinned_assignment())
-                if isinstance(fields, dict):
-                    pinned.update(fields)
-                pinned[record.symbol.name] = desired_hash
-                break
+                outcome.searched += 1
+            context = trial
+            _index_readers(readers, pins)
+            outcome.reconciled.append(record)
+            reconciled = True
+            pinned.update(context.pinned_assignment())
+            if updates is not None:
+                pinned.update(updates)
+            break
         if not reconciled:
             outcome.failed.append(record)
-
-    if not outcome.reconciled:
-        # Nothing was pinned, and where ``model`` came from is the caller's
-        # business: re-derive it from the constraints.  (After an accepted
-        # trial ``outcome.model`` already is the solver's model of exactly
-        # the context's constraints — the search is a pure function.)
-        final = context.check(defaults=defaults)
-        if final.is_sat:
-            outcome.model = final.model
     return outcome
 
 

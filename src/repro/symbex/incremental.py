@@ -459,7 +459,11 @@ class SolverContext:
 
 
 def replay_context(solver: Solver, constraints: Iterable[Expr]) -> SolverContext:
-    """Build a context by adding ``constraints`` in order (test helper)."""
+    """Build a context by adding ``constraints`` in order.
+
+    Havoc reconciliation starts from one (``reconcile_havocs``); tests use
+    it to replay recorded constraint streams.
+    """
     context = SolverContext(solver)
     for constraint in constraints:
         context.add(constraint)

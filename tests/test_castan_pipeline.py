@@ -19,12 +19,24 @@ from repro.net.pcap import read_pcap
 from repro.nf.base import NetworkFunction
 from repro.nf.common import HASH_TABLE_BUCKETS, VIP_ADDRESS, middlebox_packet_defaults
 from repro.nf.registry import get_nf
-from repro.service.store import canonical_result_digest, result_summary
+from repro.service.store import canonical_result_digest, perf_record, result_summary
 from repro.hashing.rainbow import RainbowTable
 from repro.symbex.engine import SymbolicEngine
-from repro.symbex.expr import Const, expr_eq, reduce_expr
+from repro.symbex import havoc as havoc_module
+from repro.symbex.expr import (
+    BinOpKind,
+    CmpKind,
+    Const,
+    Sym,
+    evaluate,
+    expr_eq,
+    make_binop,
+    make_cmp,
+    reduce_expr,
+)
 from repro.symbex.havoc import (
     _PIN_CONFLICT,
+    HavocRecord,
     ReconciliationOutcome,
     _decompose_key_pin,
     reconcile_havocs,
@@ -268,112 +280,10 @@ class TestRainbowTablesPerNF:
         assert len(set(digests)) == 1
 
 
-def _reconcile_havocs_with_trailing_check(
-    records, constraints, model, solver, rainbow_tables, hash_functions,
-    defaults=None, max_candidates_per_havoc=16,
-):
-    """``reconcile_havocs`` as it was when it always re-solved at the end, verbatim."""
-    outcome = ReconciliationOutcome(model=model.copy())
-    working_constraints = list(constraints)
-    context = replay_context(solver, working_constraints)
-    pinned: dict[str, int] = dict(context.pinned_assignment())
-
-    for record in records:
-        table = rainbow_tables.get(record.hash_function)
-        hash_fn = hash_functions.get(record.hash_function)
-        if table is None or hash_fn is None:
-            outcome.failed.append(record)
-            continue
-
-        desired_hash = outcome.model.get(record.symbol.name, 0)
-        candidate_keys = list(table.invert(desired_hash, limit=max_candidates_per_havoc))
-        reconciled = False
-        for candidate_key in candidate_keys:
-            outcome.attempts += 1
-            actual_hash = hash_fn(candidate_key)
-            if actual_hash != desired_hash:
-                continue
-            fields = _decompose_key_pin(record.key_expr, candidate_key)
-            if fields is _PIN_CONFLICT:
-                continue
-            if isinstance(fields, dict):
-                if any(pinned.get(name, value) != value for name, value in fields.items()):
-                    continue
-                trial_assignment = dict(pinned)
-                trial_assignment.update(fields)
-                trial_assignment[record.symbol.name] = desired_hash
-                if any(
-                    isinstance(r, Const) and r.value == 0
-                    for r in (
-                        reduce_expr(c, trial_assignment) for c in working_constraints
-                    )
-                ):
-                    continue
-            trial_constraints = working_constraints + [
-                expr_eq(record.key_expr, Const(candidate_key)),
-                expr_eq(record.symbol, Const(desired_hash)),
-            ]
-            result = solver.check(trial_constraints, defaults=defaults)
-            if result.is_sat:
-                working_constraints = trial_constraints
-                outcome.model = result.model
-                outcome.reconciled.append(record)
-                reconciled = True
-                context.add(trial_constraints[-2])
-                context.add(trial_constraints[-1])
-                pinned.update(context.pinned_assignment())
-                if isinstance(fields, dict):
-                    pinned.update(fields)
-                pinned[record.symbol.name] = desired_hash
-                break
-        if not reconciled:
-            outcome.failed.append(record)
-
-    final = solver.check(working_constraints, defaults=defaults)
-    if final.is_sat:
-        outcome.model = final.model
-    return outcome
-
-
 HAVOC_NFS = (
     "lb-hash-table", "lb-hash-ring", "nat-hash-table", "nat-hash-ring",
     "policer-two-choice", "dedup-bloom", "chain-gateway", "chain-edge",
 )
-
-
-class TestReconciliationReusesTheLastAcceptedModel:
-    """After an accepted trial the trailing ``Solver.check`` re-solved the
-    very list that trial solved; reusing its model changes nothing."""
-
-    @pytest.mark.parametrize("nf_name", HAVOC_NFS)
-    def test_same_outcome_one_model_search_fewer(self, nf_name, monkeypatch):
-        checks = []
-        inner_check = Solver.check
-
-        def counting_check(solver, *args, **kwargs):
-            checks.append(1)
-            return inner_check(solver, *args, **kwargs)
-
-        compared = []
-
-        def both(**kwargs):
-            before = len(checks)
-            expected = _reconcile_havocs_with_trailing_check(**kwargs)
-            reference_checks = len(checks) - before
-            outcome = reconcile_havocs(**kwargs)
-            assert outcome.model.values == expected.model.values
-            assert outcome.reconciled == expected.reconciled and outcome.failed == expected.failed
-            assert outcome.attempts == expected.attempts
-            saved = reference_checks - (len(checks) - before - reference_checks)
-            assert saved == (1 if outcome.reconciled else 0)
-            compared.append(outcome)
-            return outcome
-
-        monkeypatch.setattr(Solver, "check", counting_check)
-        monkeypatch.setattr(castan_module, "reconcile_havocs", both)
-        config = quick_config(deadline_seconds=None, max_states=60, num_packets=5)
-        result = Castan(config).analyze(get_nf(nf_name))
-        assert compared == [result.havoc_outcome] and result.havoc_outcome.total
 
 
 def _reconcile_havocs_with_from_scratch_checks(
@@ -468,9 +378,10 @@ class TestReconciliationTrialsForkTheContext:
 
 
 class TestResumedModelChecks:
-    """Every check that starts from a context's fixpoint — each reconciliation
-    trial, the final solve, the search's slow-path values — returns what a
-    from-scratch ``Solver.check`` over the same constraints returns."""
+    """Every check that starts from a context's fixpoint — the final solve,
+    the search's slow-path values, a reconciliation trial no witness proves —
+    returns what a from-scratch ``Solver.check`` over the same constraints
+    returns."""
 
     @pytest.mark.parametrize("nf_name", HAVOC_NFS)
     def test_resumed_checks_equal_from_scratch_checks(self, nf_name, monkeypatch):
@@ -509,10 +420,105 @@ class TestResumedModelChecks:
         clear_incremental_caches()  # every memoised result is computed, and compared, here
         config = quick_config(deadline_seconds=None, max_states=60, num_packets=5)
         result = Castan(config).analyze(get_nf(nf_name))
-        assert result.havoc_outcome.total
-        # The final solve resumed, and so did every accepted trial.
+        outcome = result.havoc_outcome
+        assert outcome.total
+        # The final solve resumed; every accepted trial was proved by its
+        # witness, so reconciliation searched nothing.
         assert resumed["final"] == 1
-        assert resumed.get("reconcile", 0) >= len(result.havoc_outcome.reconciled)
+        assert outcome.witnessed == len(outcome.reconciled)
+        assert outcome.searched == 0
+
+
+#: The havoc NFs that reconcile at least one havoc at smoke scale.
+RECONCILING_NFS = (
+    "lb-hash-table", "lb-hash-ring", "nat-hash-table", "nat-hash-ring", "policer-two-choice",
+)
+
+A16, B16, H8 = Sym("a", 16), Sym("b", 16), Sym("h", 8)
+
+
+class _OneCandidateTable:
+    """Inverts the toy hash ``key & 0xFF`` to the single key ``0x100 | value``."""
+
+    def invert(self, target_hash, limit=8):
+        return [0x100 | target_hash]
+
+
+def _toy_reconcile(key_expr, model=None):
+    """Reconcile one havoc ``h = key & 0xFF`` on the path ``a < 0x200, h == 0x23``."""
+    solver = Solver()
+    constraints = [make_cmp(CmpKind.ULT, A16, Const(0x200)), expr_eq(H8, Const(0x23))]
+    if model is None:
+        model = solver.check(constraints).model
+    record = HavocRecord(symbol=H8, key_expr=key_expr, hash_function="toy")
+    outcome = reconcile_havocs(
+        records=[record],
+        constraints=constraints,
+        model=model,
+        solver=solver,
+        rainbow_tables={"toy": _OneCandidateTable()},
+        hash_functions={"toy": lambda key: key & 0xFF},
+    )
+    assert outcome.reconciled == [record]
+    assert evaluate(key_expr, outcome.model.values) == 0x123
+    assert all(evaluate(c, outcome.model.values) for c in constraints)
+    return outcome
+
+
+class TestWitnessedTrials:
+    """An accepted trial is proved by the current model with the candidate's
+    key fields and hash value substituted; a model search is the fallback."""
+
+    @pytest.mark.parametrize("nf_name", RECONCILING_NFS)
+    def test_a_failed_witness_falls_back_to_the_search(self, nf_name, monkeypatch):
+        compared = []
+
+        def both(**kwargs):
+            expected = reconcile_havocs(**kwargs)
+            with monkeypatch.context() as patch:
+                patch.setattr(havoc_module, "_witness", lambda *args: None)
+                outcome = reconcile_havocs(**kwargs)
+            assert outcome.model.values == expected.model.values
+            assert outcome.reconciled == expected.reconciled and outcome.failed == expected.failed
+            assert outcome.attempts == expected.attempts
+            assert (outcome.witnessed, outcome.searched) == (0, len(outcome.reconciled))
+            compared.append(outcome)
+            return outcome
+
+        monkeypatch.setattr(castan_module, "reconcile_havocs", both)
+        config = quick_config(deadline_seconds=None, max_states=60, num_packets=5)
+        result = Castan(config).analyze(get_nf(nf_name))
+        assert compared == [result.havoc_outcome] and result.havoc_outcome.reconciled
+
+    def test_a_disjoint_field_key_is_witnessed(self):
+        key = make_binop(BinOpKind.OR, A16, make_binop(BinOpKind.SHL, B16, Const(16)))
+        outcome = _toy_reconcile(key)
+        assert (outcome.witnessed, outcome.searched) == (1, 0)
+
+    def test_a_key_that_does_not_decompose_is_searched(self):
+        assert _decompose_key_pin(make_binop(BinOpKind.ADD, A16, B16), 0x123) is None
+        outcome = _toy_reconcile(make_binop(BinOpKind.ADD, A16, B16))
+        assert (outcome.witnessed, outcome.searched) == (0, 1)
+
+    def test_the_counts_reach_the_summaries_but_not_the_digest(self):
+        config = quick_config(deadline_seconds=None, max_states=60, num_packets=5)
+        result = Castan(config).analyze(get_nf("lb-hash-table"))
+        havoc = result.havoc_outcome
+        assert (havoc.witnessed, havoc.searched) == (3, 0)
+        assert f"havocs reconciled 3/{havoc.total} (3 by witness, 0 searched)" in result.summary()
+        for record in (result_summary(result), perf_record(result)):
+            assert (record["havocs_witnessed"], record["havocs_searched"]) == (3, 0)
+        digest = canonical_result_digest(result)
+        havoc.witnessed, havoc.searched = 0, 3
+        assert canonical_result_digest(result) == digest
+
+    def test_a_caller_model_that_violates_the_path_turns_witnesses_off(self, caplog):
+        key = make_binop(BinOpKind.OR, A16, make_binop(BinOpKind.SHL, B16, Const(16)))
+        violating = Model(values={"a": 0x300, "h": 0x23})  # breaks a < 0x200
+        with caplog.at_level(logging.WARNING, logger="repro.symbex.havoc"):
+            outcome = _toy_reconcile(key, model=violating)
+        assert (outcome.witnessed, outcome.searched) == (0, 1)
+        assert "violates the path constraints" in caplog.text
 
 
 class TestLookupCounters:

@@ -158,6 +158,9 @@ def test_submit_stream_and_cache_hit_identity(server):
     assert final["attempts"] == 1
     # the end event says why the search stopped: 40 states of beam ran out
     assert final["result"]["stop_reason"] == final["perf"]["stop_reason"] == "budget"
+    # ... and how its reconciled havocs were proved
+    for record in (final["result"], final["perf"]):
+        assert {"havocs_witnessed", "havocs_searched"} <= set(record)
 
     # an unchanged resubmission is served from the store, born terminal
     again = server.client.submit(NF, config=SMOKE_CONFIG, num_packets=SMOKE_PACKETS)

@@ -11,9 +11,12 @@ Manual workload where the NF has one::
     PYTHONPATH=src python tools/quality_table.py --nfs lb-hash-table dpi-trie --max-states 2000
     PYTHONPATH=src python tools/quality_table.py --search-mode beam --json quality.json
 
-Columns: states explored, why the search stopped, solver status, predicted
-cost, median replayed cycles per packet of CASTAN / UniRand / Manual, then
-CASTAN ÷ UniRand and CASTAN ÷ Manual.
+Columns: states explored, why the search stopped, solver status, havocs
+reconciled / havocs on the selected path, predicted cost, median replayed
+cycles per packet of CASTAN / UniRand / Manual, then CASTAN ÷ UniRand and
+CASTAN ÷ Manual.  ``--json`` rows also carry ``witnessed`` / ``searched``:
+how many reconciled havocs a witness model proved, and how many a model
+search proved.  NFs without havocs show ``-`` (``null`` in the JSON).
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ COLUMNS = (
     ("states", "states", "d"),
     ("stop", "stop", "s"),
     ("status", "solver", "s"),
+    ("reconciled", "reconciled", "s"),
     ("predicted", "predicted", "d"),
     ("castan", "CASTAN", ".0f"),
     ("unirand", "UniRand", ".0f"),
@@ -63,11 +67,15 @@ def quality_row(name: str, config: CastanConfig) -> dict:
     unirand = _median_cycles(nf, make_unirand_castan_workload(nf, len(result.packets)))
     manual_workload = make_manual_workload(nf)
     manual = None if manual_workload is None else _median_cycles(nf, manual_workload)
+    havoc = result.havoc_outcome
     return {
         "nf": name,
         "states": result.states_explored,
         "stop": result.stop_reason,
         "status": result.solver_status,
+        "reconciled": None if havoc is None else f"{len(havoc.reconciled)}/{havoc.total}",
+        "witnessed": None if havoc is None else havoc.witnessed,
+        "searched": None if havoc is None else havoc.searched,
         "predicted": result.best_state_cost,
         "castan": castan,
         "unirand": unirand,
