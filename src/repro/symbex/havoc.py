@@ -17,10 +17,11 @@ held during reconciliation satisfies every committed constraint (checked
 once on entry).  When the key packs disjoint fields, the candidate fixes
 those fields and the havoc symbol; the current model with just those values
 substituted is the witness.  Only constraints that read a symbol whose value
-changed can have changed truth value, so evaluating those (and the two
-pins) proves the trial satisfiable and yields its model.  When the witness
-fails, the key does not decompose, or the entry check failed, the trial
-runs the full model search from its context's fixpoint instead.
+changed can have changed truth value, so evaluating those (found through a
+symbol → constraints index) and the two pins proves the trial satisfiable
+and yields its model.  When the witness fails, the key does not decompose,
+or the entry check failed, the trial runs the full model search from its
+context's fixpoint instead.
 
 Havocs that cannot be reconciled are reported as such — the workload is
 still emitted (with the unconstrained hash value), matching the paper's
@@ -168,13 +169,9 @@ def _witness(
     pins: list[Expr],
     readers: dict[str, list[Expr]],
 ) -> dict[str, int] | None:
-    """``values`` with ``updates`` applied, if that satisfies the trial.
-
-    ``values`` must satisfy every constraint indexed in ``readers``.  The
-    updated assignment then satisfies them all exactly when it satisfies
-    the ones reading a changed symbol; with ``pins`` true as well it is a
-    model of the trial.  None when any of those evaluates false.
-    """
+    """``values`` with ``updates`` applied if ``pins`` and the indexed
+    constraints reading a changed symbol hold there, else None.  ``values``
+    must satisfy every constraint indexed in ``readers``."""
     changed = [name for name, value in updates.items() if values.get(name) != value]
     witness = {**values, **updates}
     if _satisfies(pins, witness) and _satisfies(_reading(readers, changed), witness):
@@ -196,7 +193,9 @@ def reconcile_havocs(
 
     ``model`` must be the solver's model of ``constraints`` (what
     ``Castan._solve_state`` passes): it seeds the witnesses, and it is
-    returned unchanged when nothing is reconciled.  ``rainbow_tables`` maps
+    returned unchanged when nothing is reconciled.  A model that violates
+    ``constraints`` is logged, turns the witnesses off, and is replaced by
+    the solver's model when nothing is reconciled.  ``rainbow_tables`` maps
     hash-function name to the table used for inversion; ``hash_functions``
     maps the same names to concrete Python implementations used to
     re-verify candidate keys.  Reconciliation is incremental: constraints
@@ -214,20 +213,22 @@ def reconcile_havocs(
     # *implied* facts, so any candidate contradicting them is definitely
     # infeasible — the trial check would come back non-sat — and can be
     # skipped without changing which candidate gets accepted.
+    #
+    # ``readers`` indexes the committed constraints by the symbols they read.
+    # The pretest reduces only those reading a trial's new symbols: any
+    # other constraint reduces the same under ``pinned`` alone, which could
+    # make it false only if the context were unsat, and then the trial check
+    # fails anyway.  ``witnesses`` is the entry check the witnesses rely on
+    # (module docstring): the held model satisfies every committed constraint.
     context = replay_context(solver, constraints)
     pinned: dict[str, int] = dict(context.pinned_assignment())
-    # ``outcome.model`` satisfies every committed constraint; ``readers``
-    # indexes those constraints by the symbols they read.  Together they
-    # let a witness prove a trial, and let the pretest reduce only the
-    # constraints that read a trial's new symbols (every other constraint
-    # reduces under ``pinned`` alone, which the model extends).
     readers: dict[str, list[Expr]] = {}
     _index_readers(readers, context.constraints())
     witnesses = _satisfies(context.constraints(), outcome.model.values)
     if not witnesses:
         logger.warning(
-            "caller's model violates the path constraints; "
-            "every reconciliation trial runs a model search"
+            "caller's model violates the path constraints; every reconciliation "
+            "trial runs a model search, and the model is re-solved if none is accepted"
         )
 
     for record in records:
@@ -260,11 +261,7 @@ def reconcile_havocs(
                 trial_assignment.update(updates)
                 # A constraint that reduces to literal false under the implied
                 # assignment is violated in every model of the trial set.
-                pretested = (
-                    _reading(readers, [name for name in updates if name not in pinned])
-                    if witnesses
-                    else context.constraints()
-                )
+                pretested = _reading(readers, [name for name in updates if name not in pinned])
                 if any(
                     isinstance(r, Const) and r.value == 0
                     for r in (reduce_expr(c, trial_assignment) for c in pretested)
@@ -299,6 +296,11 @@ def reconcile_havocs(
             break
         if not reconciled:
             outcome.failed.append(record)
+    if not witnesses and not outcome.reconciled:
+        # Never hand back the caller's broken model: solve the path instead.
+        final = context.check(defaults=defaults)
+        if final.is_sat:
+            outcome.model = final.model
     return outcome
 
 

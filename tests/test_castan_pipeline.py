@@ -520,6 +520,24 @@ class TestWitnessedTrials:
         assert (outcome.witnessed, outcome.searched) == (0, 1)
         assert "violates the path constraints" in caplog.text
 
+    @pytest.mark.parametrize("values", [None, {"a": 0x300, "h": 0x23}])
+    def test_with_nothing_reconciled_the_model_is_the_solvers(self, values):
+        """A solver model comes back unchanged; a violating one is re-solved."""
+        solver = Solver()
+        constraints = [make_cmp(CmpKind.ULT, A16, Const(0x200)), expr_eq(H8, Const(0x23))]
+        solved = solver.check(constraints).model
+        record = HavocRecord(symbol=H8, key_expr=A16, hash_function="toy")
+        outcome = reconcile_havocs(
+            records=[record],
+            constraints=constraints,
+            model=Model(values=values) if values else solved,
+            solver=solver,
+            rainbow_tables={},
+            hash_functions={},
+        )
+        assert outcome.failed == [record] and not outcome.reconciled
+        assert outcome.model.values == solved.values
+
 
 class TestLookupCounters:
     def test_every_stored_key_a_lookup_examines_is_a_true_preimage(self, monkeypatch):

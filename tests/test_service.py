@@ -158,9 +158,6 @@ def test_submit_stream_and_cache_hit_identity(server):
     assert final["attempts"] == 1
     # the end event says why the search stopped: 40 states of beam ran out
     assert final["result"]["stop_reason"] == final["perf"]["stop_reason"] == "budget"
-    # ... and how its reconciled havocs were proved
-    for record in (final["result"], final["perf"]):
-        assert {"havocs_witnessed", "havocs_searched"} <= set(record)
 
     # an unchanged resubmission is served from the store, born terminal
     again = server.client.submit(NF, config=SMOKE_CONFIG, num_packets=SMOKE_PACKETS)
@@ -179,6 +176,22 @@ def test_submit_stream_and_cache_hit_identity(server):
     replay = [event["event"] for event in server.client.stream(job["job_id"])]
     assert replay[-1] == "end"
     assert replay.count("round") == kinds.count("round")
+
+
+def test_end_event_reports_how_the_havocs_were_proved(server):
+    """A hash NF's end event counts witnessed and searched reconciliations."""
+    nf = "nat-hash-ring"
+    job = server.client.submit(nf, config=SMOKE_CONFIG, num_packets=SMOKE_PACKETS)
+    final = list(server.client.stream(job["job_id"]))[-1]["job"]
+    assert final["state"] == "done"
+    havoc = analyze_one_nf(nf, smoke_config(), num_packets=SMOKE_PACKETS).havoc_outcome
+    assert havoc.witnessed + havoc.searched == len(havoc.reconciled) > 0
+    for key, count in (("havocs_witnessed", havoc.witnessed), ("havocs_searched", havoc.searched)):
+        assert final["result"][key] == final["perf"][key] == count
+    assert (
+        f"havocs reconciled {len(havoc.reconciled)}/{havoc.total} "
+        f"({havoc.witnessed} by witness, {havoc.searched} searched)"
+    ) in final["result"]["summary"]
 
 
 def test_submission_validation_is_eager(server):
