@@ -198,23 +198,33 @@ class ContentionSetCacheModel(CacheModel):
         # bounded window), used to steer pointers onto already-populated
         # state when no cache contention is achievable.
         self._touched_elements: dict[str, deque[int]] = {}
+        # The LRUs and deques of the two dicts above are shared with clones.
+        # These are the set ids and region names whose value this model
+        # created or copied since its last clone(), and may write in place.
+        self._owned_sets: set[int] = set()
+        self._owned_regions: set[str] = set()
         self._stats = CacheModelStats()
 
     # -- lifecycle -----------------------------------------------------------
 
     def clone(self) -> "ContentionSetCacheModel":
+        """A copy-on-write copy: O(sets and regions), not O(their contents).
+
+        The residency and touched-element containers stay shared; each
+        side copies one set's LRU or one region's deque on its first write.
+        """
         other = ContentionSetCacheModel(
             self.contention_sets,
             l1_window=self.l1_window,
             max_candidates=self.max_candidates,
             slot_index=self.slot_index,
         )
-        other._resident = {k: OrderedDict(v) for k, v in self._resident.items()}
+        other._resident = dict(self._resident)
         other._touched_lines = set(self._touched_lines)
         other._recent_lines = OrderedDict(self._recent_lines)
-        other._touched_elements = {
-            k: deque(v, maxlen=TOUCHED_ELEMENT_WINDOW) for k, v in self._touched_elements.items()
-        }
+        other._touched_elements = dict(self._touched_elements)
+        self._owned_sets = set()
+        self._owned_regions = set()
         other._stats = CacheModelStats(**vars(self._stats))
         return other
 
@@ -245,10 +255,12 @@ class ContentionSetCacheModel(CacheModel):
             if targeted:
                 self._stats.contention_targeted += 1
         address = region.address_of(index)
-        touched = self._touched_elements.setdefault(
-            region.name, deque(maxlen=TOUCHED_ELEMENT_WINDOW)
-        )
+        touched = self._touched_elements.get(region.name)
         if not touched or touched[-1] != index:
+            if region.name not in self._owned_regions:
+                touched = deque(touched or (), maxlen=TOUCHED_ELEMENT_WINDOW)
+                self._touched_elements[region.name] = touched
+                self._owned_regions.add(region.name)
             touched.append(index)  # the deque's maxlen trims the oldest entry
         level, evicted = self._charge(address)
         if level in ("L1", "L3"):
@@ -352,7 +364,11 @@ class ContentionSetCacheModel(CacheModel):
             # the first time, an L3 hit afterwards.
             level = "L3" if line in self._touched_lines else "DRAM"
         else:
-            resident = self._resident.setdefault(set_id, OrderedDict())
+            resident = self._resident.get(set_id)
+            if resident is None or set_id not in self._owned_sets:
+                # First write since the last clone: a hit reorders the LRU too.
+                resident = self._resident[set_id] = OrderedDict(resident or ())
+                self._owned_sets.add(set_id)
             if line in resident:
                 resident.move_to_end(line)
                 level = "L3"

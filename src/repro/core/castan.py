@@ -132,6 +132,12 @@ class CastanResult:
     #: budget it ran under; neither is part of the result's digest.
     stop_reason: str = ""
     state_budget: int | None = None
+    #: Search states that died, as ``(function, count)`` pairs, most first:
+    #: infeasible ones (both sides of a branch contradicted the path) and
+    #: error ones (``SymbexStats.infeasible_by_function`` /
+    #: ``errors_by_function``).  Not part of the result's digest.
+    infeasible_by_function: tuple[tuple[str, int], ...] = ()
+    errors_by_function: tuple[tuple[str, int], ...] = ()
     notes: str = ""
 
     @property
@@ -163,12 +169,27 @@ class CastanResult:
                 f"; havocs reconciled {len(havoc.reconciled)}/{havoc.total} "
                 f"({havoc.witnessed} by witness, {havoc.searched} searched)"
             )
+        for kind, counts in (
+            ("infeasible", self.infeasible_by_function),
+            ("error", self.errors_by_function),
+        ):
+            if counts:
+                where = ", ".join(f"{name} {count}" for name, count in counts)
+                text += f"; {sum(count for _, count in counts)} {kind} states ({where})"
         if self.unsolved_reason:
             text += (
                 f"; path constraint NOT solved ({self.solver_status}: {self.unsolved_reason}), "
                 "packets are defaults only"
             )
         return text
+
+
+def _dead_states(stats: SymbexStats) -> dict[str, tuple[tuple[str, int], ...]]:
+    """``CastanResult``'s dead-state fields from the search's counters."""
+    return {
+        "infeasible_by_function": tuple(stats.infeasible_by_function.most_common()),
+        "errors_by_function": tuple(stats.errors_by_function.most_common()),
+    }
 
 
 class Castan:
@@ -239,6 +260,7 @@ class Castan:
                 search_rounds=len(stats.rounds),
                 stop_reason=stats.stop_reason,
                 state_budget=config.max_states,
+                **_dead_states(stats),
                 notes="no state survived exploration",
             )
 
@@ -264,6 +286,7 @@ class Castan:
             search_rounds=len(stats.rounds),
             stop_reason=stats.stop_reason,
             state_budget=config.max_states,
+            **_dead_states(stats),
         )
         return result
 

@@ -68,7 +68,8 @@ def canonical_result_digest(result: CastanResult) -> str:
     differs between byte-identical analyses.  Why the search stopped
     (``stop_reason``) is left out too: it explains ``states_explored``,
     which is already covered; so is how each reconciled havoc was proved
-    (witness or search), which cannot change what was reconciled.
+    (witness or search), which cannot change what was reconciled, and where
+    the search's dead states died, which is diagnosis of the search.
     """
     havoc = result.havoc_outcome
     payload = {
@@ -103,6 +104,14 @@ def _reconciliation_counts(result: CastanResult) -> dict:
     }
 
 
+def _dead_state_counts(result: CastanResult) -> dict:
+    """Where the search's infeasible and error states died, by function."""
+    return {
+        "infeasible_by_function": dict(result.infeasible_by_function),
+        "errors_by_function": dict(result.errors_by_function),
+    }
+
+
 def result_summary(result: CastanResult) -> dict:
     """JSON-safe summary of a result (what the job endpoints return)."""
     return {
@@ -123,12 +132,13 @@ def result_summary(result: CastanResult) -> dict:
         "workload_digest": workload_digest(result.packets),
         "result_digest": canonical_result_digest(result),
         **_reconciliation_counts(result),
+        **_dead_state_counts(result),
     }
 
 
 def perf_record(result: CastanResult, label: str = "service") -> dict:
     """The perf record of one job: wall seconds, states/sec, cost, rounds,
-    and how its reconciled havocs were proved."""
+    how its reconciled havocs were proved and where its dead states died."""
     wall = result.analysis_seconds
     return {
         "label": label,
@@ -140,6 +150,7 @@ def perf_record(result: CastanResult, label: str = "service") -> dict:
         "search_rounds": result.search_rounds,
         "stop_reason": result.stop_reason,
         **_reconciliation_counts(result),
+        **_dead_state_counts(result),
     }
 
 

@@ -13,6 +13,7 @@ current + potential cost (§3.3–3.4).
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -85,6 +86,9 @@ class SymbexStats:
     ``stop_reason`` says why the search ended: ``"budget"`` (``max_states``
     popped), ``"deadline"``, ``"converged"`` (a chunk completed paths
     without beating the best) or ``"drained"`` (nothing left to explore).
+    ``infeasible_by_function`` / ``errors_by_function`` split
+    ``infeasible_states`` / ``error_states`` by the function each state died
+    in (its innermost frame's).
     """
 
     states_explored: int = 0
@@ -92,6 +96,8 @@ class SymbexStats:
     forks: int = 0
     infeasible_states: int = 0
     error_states: int = 0
+    infeasible_by_function: Counter[str] = field(default_factory=Counter)
+    errors_by_function: Counter[str] = field(default_factory=Counter)
     completed_states: list[ExecutionState] = field(default_factory=list)
     pending_states: list[ExecutionState] = field(default_factory=list)
     paused_states: list[ExecutionState] = field(default_factory=list)
@@ -115,6 +121,8 @@ class SymbexStats:
         self.forks += round_stats.forks
         self.infeasible_states += round_stats.infeasible_states
         self.error_states += round_stats.error_states
+        self.infeasible_by_function.update(round_stats.infeasible_by_function)
+        self.errors_by_function.update(round_stats.errors_by_function)
         self.completed_states.extend(round_stats.completed_states)
 
 
@@ -291,8 +299,10 @@ class SymbolicEngine:
                         stats.paused_states.append(outcome)
                     elif outcome.status is StateStatus.INFEASIBLE:
                         stats.infeasible_states += 1
+                        stats.infeasible_by_function[outcome.frames[-1].function] += 1
                     else:
                         stats.error_states += 1
+                        stats.errors_by_function[outcome.frames[-1].function] += 1
 
             # Whatever is still pending is reported so the caller can fall
             # back to the highest-cost partial state (the paper halts on a

@@ -15,6 +15,8 @@ constraints) *incrementally* as constraints are added along the path.
   against the cached fixpoint (scratch copy-on-write domains, committed
   state untouched), memoised on (constraint-set fingerprint, extra
   constraint) so forked siblings probing the same candidates share verdicts.
+  A *propagation-blind* constraint, whose wave on a converged fixpoint is a
+  proven no-op, is answered without the scratch copies at all.
 - :meth:`SolverContext.add` commits a constraint, advancing the fixpoint in
   O(delta).
 - :meth:`SolverContext.solve_value` returns a concrete value for an
@@ -57,7 +59,11 @@ class _ContextStats:
     ``_ADD_PLAN_MEMO``: both are those memos' hit counters.  ``wave_visits``
     counts constraints a propagation wave actually re-reduced and
     re-propagated, ``wave_skips`` those it carried over untouched (see
-    ``SolverContext._propagate_wave``); ``order_unsat_proofs`` counts
+    ``SolverContext._propagate_wave``).  ``blind_queries`` / ``blind_adds``
+    count queries and commits of propagation-blind constraints answered
+    without a wave (``SolverContext._blind``); each still counts as the one
+    visit and ``len(pending)`` skips its wave would have made.
+    ``order_unsat_proofs`` counts
     ``Solver.check`` calls ended by an ordering contradiction
     (:mod:`repro.symbex.order`) instead of a search.  :meth:`as_dict` adds
     every memo's ``{name}_hits`` / ``_misses`` / ``_clears``, and
@@ -72,6 +78,8 @@ class _ContextStats:
         "fast_path_values",
         "wave_visits",
         "wave_skips",
+        "blind_queries",
+        "blind_adds",
         "order_unsat_proofs",
     )
 
@@ -277,8 +285,11 @@ class SolverContext:
 
         Same contract as ``Solver.quick_feasible`` on the full list: False
         only on a definite contradiction, True otherwise (optimistically).
-        Costs O(delta): only the new constraint and whatever it wakes up are
-        propagated, against scratch copy-on-write domains.
+        Only the new constraint and whatever it wakes up are propagated,
+        against scratch copy-on-write domains; setting those up (copies of
+        the assignment, domains and pending list) still costs O(path).  A
+        propagation-blind constraint (``_blind``) skips all of it and costs
+        O(1).
         """
         CONTEXT_STATS.queries += 1
         if self.unsat:
@@ -299,6 +310,10 @@ class SolverContext:
         if cached is not None:
             _FEASIBLE_MEMO[raw_key] = cached
             return cached
+        if self._blind(extra):
+            CONTEXT_STATS.blind_queries += 1
+            _FEASIBLE_MEMO[key] = _FEASIBLE_MEMO[raw_key] = True
+            return True
         scratch_assignment = dict(self._assignment)
         scratch_domains = _CowDomains(dict(self._domains), set())
         scratch_pending = list(self._pending)
@@ -340,6 +355,10 @@ class SolverContext:
         if isinstance(reduced, Const):
             if reduced.value == 0:
                 self.unsat = True
+            return
+        if self._blind(reduced):
+            CONTEXT_STATS.blind_adds += 1
+            self._pending.append(reduced)
             return
         plan = _ADD_PLAN_MEMO.get((pre_set_id, id(reduced)))
         if plan is not None:
@@ -425,6 +444,27 @@ class SolverContext:
         return self._assignment
 
     # -- propagation core ------------------------------------------------------
+
+    def _blind(self, reduced: Expr) -> bool:
+        """Whether the wave for ``reduced`` is a proven no-op on this context.
+
+        A constraint whose compiled propagation plan is ``("none", None)`` —
+        a two-sided comparison such as ``key(pkt1) ult key(pkt0)``, or no
+        comparison at all — gives propagation nothing to work with.  On a
+        converged fixpoint its wave visits it alone (``reduced`` is already
+        its own reduction), touches no domain, and ends converged with
+        ``pending + [reduced]``: always feasible, and nothing to record or
+        replay.  The check counts the visit and skips that wave would have.
+        A context whose last wave hit the rounds cap takes the full wave.
+        """
+        if not self._converged:
+            return False
+        plan = self.solver._propagation_plan(reduced)
+        if plan[0] != "none" or plan[1] is not None:
+            return False
+        CONTEXT_STATS.wave_visits += 1
+        CONTEXT_STATS.wave_skips += len(self._pending)
+        return True
 
     def _propagate_wave(
         self,

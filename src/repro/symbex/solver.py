@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from repro.ir.instructions import BinOpKind, CmpKind
 from repro.symbex.expr import (
@@ -441,14 +441,22 @@ class Solver:
         try:
             for _round in range(_MAX_ROUNDS):
                 domains.reset_round()
-                unresolved = queue[:first]
-                for constraint in queue[first:] if first else queue:
-                    if woken is not None and woken.isdisjoint(constraint.symbol_names):
-                        skips += 1
-                        unresolved.append(constraint)
-                        continue
+                if woken is None:
+                    visit: Iterable[int] = range(first, len(queue))
+                else:
+                    # One comprehension finds the woken constraints; the
+                    # runs between them are carried over by slice.
+                    disjoint = woken.isdisjoint
+                    visit = [i for i, c in enumerate(queue) if not disjoint(c.symbol_names)]
+                    skips += len(queue) - len(visit)
+                unresolved: list[Expr] = []
+                carried = 0  # queue[carried:index] is carried over untouched
+                for index in visit:
+                    if index > carried:
+                        unresolved += queue[carried:index]
+                    carried = index + 1
                     visits += 1
-                    reduced = reduce_expr(constraint, assignment)
+                    reduced = reduce_expr(queue[index], assignment)
                     if isinstance(reduced, Const):
                         if reduced.value == 0:
                             return None
@@ -456,8 +464,8 @@ class Solver:
                     if self._propagate_one(reduced, assignment, domains) == "unsat":
                         return None
                     unresolved.append(reduced)
+                unresolved += queue[carried:]
                 queue = unresolved
-                first = 0
                 # Promote domains that became fully known to concrete assignments.
                 changed = domains.changed_names()
                 woken = set(changed)
@@ -490,10 +498,14 @@ class Solver:
         first access as potential change, so even a touch on an unsat path
         is observable in the propagation round count.
         """
+        return self._apply_propagation(self._propagation_plan(constraint), domains)
+
+    def _propagation_plan(self, constraint: Expr) -> tuple:
+        """The compiled plan ``_propagate_one`` replays for ``constraint``."""
         plan = _PROPAGATE_PLAN_MEMO.get(constraint)
         if plan is None:
             plan = _PROPAGATE_PLAN_MEMO[constraint] = self._compile_propagation(constraint)
-        return self._apply_propagation(plan, domains)
+        return plan
 
     def _compile_propagation(self, constraint: Expr) -> tuple:
         if not isinstance(constraint, CmpExpr):

@@ -3,13 +3,20 @@ hierarchy, contention-set discovery and the symbex cache models."""
 
 import itertools
 import random
-from collections import Counter, OrderedDict
+from collections import Counter, OrderedDict, deque
 
 import pytest
 
 from repro.cache.contention import ContentionSets, discover_contention_sets
 from repro.cache.hierarchy import HierarchyConfig, MemoryHierarchy
-from repro.cache.model import ContentionSetCacheModel, NoCacheModel, RegionSlotIndex
+from repro.cache.model import (
+    TOUCHED_ELEMENT_WINDOW,
+    CacheModelStats,
+    ContentionSetCacheModel,
+    NoCacheModel,
+    PartitionedCacheModel,
+    RegionSlotIndex,
+)
 from repro.cache.setassoc import SetAssociativeCache
 from repro.core.castan import Castan
 from repro.core.config import CastanConfig
@@ -359,6 +366,19 @@ class TestCacheModels:
         clone = model.clone()
         clone.on_access(region, Const(9), False, lambda c: True, lambda e: 9)
         assert clone.stats.accesses == model.stats.accesses + 1
+        model.on_access(region, Const(17), False, lambda c: True, lambda e: 17)
+        assert list(clone._touched_elements[region.name]) == [3, 9]
+        assert list(model._touched_elements[region.name]) == [3, 17]
+
+        def lines(cache_model):
+            return {line for lru in cache_model._resident.values() for line in lru}
+
+        def line(index):
+            return region.address_of(index) // model.line_size
+
+        assert lines(clone) == clone._touched_lines == {line(3), line(9)}
+        assert lines(model) == model._touched_lines == {line(3), line(17)}
+        assert (clone.stats.misses, model.stats.misses) == (2, 2)
 
     def test_constraint_is_consistent_with_index(self):
         model = self._contention_model()
@@ -367,6 +387,131 @@ class TestCacheModels:
         model.on_access(region, Const(0), False, lambda c: True, lambda e: 0)
         decision = model.on_access(region, symbol, False, lambda c: True, lambda e: 1)
         assert evaluate(decision.constraint, {"idx": decision.index}) == 1
+
+
+def _deep_clone(model):
+    """The copying ``clone`` that copy-on-write replaced: the reference."""
+    if isinstance(model, PartitionedCacheModel):
+        return PartitionedCacheModel(
+            [_deep_clone(submodel) for submodel in model._submodels], model._routes
+        )
+    other = ContentionSetCacheModel(
+        model.contention_sets,
+        l1_window=model.l1_window,
+        max_candidates=model.max_candidates,
+        slot_index=model.slot_index,
+    )
+    other._resident = {k: OrderedDict(v) for k, v in model._resident.items()}
+    other._owned_sets = set(other._resident)
+    other._touched_lines = set(model._touched_lines)
+    other._recent_lines = OrderedDict(model._recent_lines)
+    other._touched_elements = {
+        k: deque(v, maxlen=TOUCHED_ELEMENT_WINDOW) for k, v in model._touched_elements.items()
+    }
+    other._owned_regions = set(other._touched_elements)
+    other._stats = CacheModelStats(**vars(model._stats))
+    return other
+
+
+def _model_state(model):
+    """Everything a later access decision reads, plus what reports show."""
+    if isinstance(model, PartitionedCacheModel):
+        return [_model_state(submodel) for submodel in model._submodels]
+    return (
+        model.resident_summary(),
+        {set_id: list(lru) for set_id, lru in model._resident.items()},
+        {name: list(touched) for name, touched in model._touched_elements.items()},
+        sorted(model._touched_lines),
+        list(model._recent_lines),
+        vars(model.stats),
+    )
+
+
+class TestCopyOnWriteClones:
+    """``clone()`` shares residency and touched elements until written.
+
+    Random access streams fork models at random points and keep writing
+    both sides; every decision and every model's state must equal a run in
+    which each clone deep-copies.
+    """
+
+    @staticmethod
+    def _contention_world():
+        region = TestCacheModels()._region()
+        small = MemoryRegion(name="small", length=64, element_size=8, base_address=1 << 32)
+        model = TestCacheModels()._contention_model()
+        model.l1_window = 2  # so that repeats reach the LRU as hits
+        return model, [region, small]
+
+    @staticmethod
+    def _partitioned_world():
+        chain = get_nf("chain-gateway")
+        model, _ = Castan(CastanConfig(cache_partition="partitioned"))._build_cache_model(chain)
+        regions = [
+            chain.module.get_region(name)
+            for stage in chain.chain_stages
+            for name in stage.contention_regions
+        ]
+        return model, regions
+
+    def _run(self, seed, world, clone):
+        rng = random.Random(seed)
+        model, regions = world()
+        models = [model]
+        observed = []
+        for step in range(rng.randrange(20, 120)):
+            target = rng.randrange(len(models))
+            if rng.random() < 0.15:
+                models.append(clone(models[target]))
+                continue
+            region = rng.choice(regions)
+            if rng.random() < 0.5:
+                # Few distinct indices, so that lines repeat, hit and evict.
+                index_expr = Const(rng.choice(range(0, region.length, max(1, region.length // 24))))
+            else:
+                index_expr = Sym(f"idx{step}", 32)
+            accept_probe = rng.randrange(4)
+            probes = itertools.count()
+            fallback = rng.randrange(region.length)
+            decision = models[target].on_access(
+                region,
+                index_expr,
+                False,
+                lambda constraint: next(probes) == accept_probe,
+                lambda expr: fallback,
+            )
+            observed.append(
+                (
+                    target,
+                    decision.index,
+                    decision.level,
+                    decision.caused_eviction,
+                    None if decision.constraint is None else repr(decision.constraint),
+                )
+            )
+        return observed, [_model_state(m) for m in models]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_contention_model_clones_match_deep_copies(self, seed):
+        world = self._contention_world
+        assert self._run(seed, world, lambda m: m.clone()) == self._run(seed, world, _deep_clone)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_partitioned_model_clones_match_deep_copies(self, seed):
+        world = self._partitioned_world
+        assert self._run(seed, world, lambda m: m.clone()) == self._run(seed, world, _deep_clone)
+
+    def test_the_streams_reorder_and_evict_shared_sets(self):
+        # The property only means something if clones really hit (an LRU
+        # reorder) and evict in sets they share with their parent.
+        levels = Counter()
+        for seed in range(40):
+            observed, _ = self._run(seed, self._contention_world, lambda m: m.clone())
+            for target, _, level, evicted, _ in observed:
+                if target:
+                    levels[level] += 1
+                    levels["evicted"] += evicted
+        assert min(levels["L3"], levels["DRAM"], levels["evicted"]) > 20, levels
 
 
 class TestPinnedPointerFastPath:

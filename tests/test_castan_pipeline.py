@@ -213,6 +213,63 @@ class TestUnsolvedPathsAreReported:
         assert waves > 500
         assert CONTEXT_STATS.wave_visits / waves < 1.5
         assert CONTEXT_STATS.wave_skips > 10 * CONTEXT_STATS.wave_visits
+        if name == "lb-red-black-tree":
+            # Most tree queries are two-sided key comparisons, which no wave
+            # can propagate: the blind path answers them without one.
+            assert CONTEXT_STATS.blind_queries >= 0.5 * CONTEXT_STATS.queries
+            assert CONTEXT_STATS.blind_adds >= 0.5 * CONTEXT_STATS.adds
+
+    @pytest.mark.parametrize("search_mode", ["monolithic", "beam"])
+    def test_dead_states_reach_the_summaries_but_not_the_digest(self, search_mode):
+        # Port 7 indexes past the table inside lookup (an error state).  A
+        # protocol above 200 stores to the clamped index 3, which contradicts
+        # the path, so classify's branch has no feasible side (infeasible).
+        module = Module("dying")
+        module.add_region("table", 4, 8)
+        compile_nf(
+            module,
+            """
+def lookup(i):
+    return table[i]
+
+
+def classify(x):
+    if x == 1:
+        return 1
+    return 0
+
+
+def process(src_ip, dst_ip, src_port, dst_port, protocol):
+    if dst_port == 7:
+        return lookup(100)
+    if protocol > 200:
+        table[protocol] = 1
+        return classify(src_ip)
+    return 0
+""",
+            entry="process",
+        )
+        nf = NetworkFunction(
+            name="dying",
+            module=module,
+            description="states that die in helper functions",
+            packet_defaults=middlebox_packet_defaults(),
+            castan_packet_count=2,
+        )
+        config = CastanConfig(search_mode=search_mode, **self.DETERMINISTIC)
+        result = Castan(config).analyze(nf)
+        ((where, infeasible),) = result.infeasible_by_function
+        ((error_where, errors),) = result.errors_by_function
+        assert (where, error_where) == ("classify", "lookup")
+        assert f"{infeasible} infeasible states (classify {infeasible})" in result.summary()
+        assert f"{errors} error states (lookup {errors})" in result.summary()
+        for record in (result_summary(result), perf_record(result)):
+            assert record["infeasible_by_function"] == {"classify": infeasible}
+            assert record["errors_by_function"] == {"lookup": errors}
+        digest = canonical_result_digest(result)
+        healthy = dataclasses.replace(result, infeasible_by_function=(), errors_by_function=())
+        assert canonical_result_digest(healthy) == digest
+        assert "states (" not in healthy.summary()
 
 
 TWEAKED_HASH_SOURCE = """

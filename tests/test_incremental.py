@@ -482,8 +482,24 @@ def record_solver_ops(nf_name):
     return ops
 
 
+def observe_context(context):
+    """Everything a later wave or model search reads from ``context``: the
+    fixpoint triple (assignment, domain signatures, pending order), whether
+    it converged, and whether it is unsat."""
+    return (
+        context.unsat,
+        context._converged,
+        sorted(context._assignment.items()),
+        sorted((name, domain.signature()) for name, domain in context._domains.items()),
+        [id(constraint) for constraint in context._pending],
+    )
+
+
 def replay_solver_ops(ops):
-    """Replay ``ops`` on fresh contexts; everything observable after each one."""
+    """Replay ``ops`` on fresh contexts; everything observable after each one.
+
+    Each observation is ``(verdict, wave replays, *observe_context(...))``.
+    """
     clear_incremental_caches()
     solver = Solver()
     contexts = {}
@@ -496,14 +512,7 @@ def replay_solver_ops(ops):
         replays = CONTEXT_STATS.wave_replays
         verdict = getattr(context, kind)(argument)
         observed.append(
-            (
-                verdict,
-                context.unsat,
-                CONTEXT_STATS.wave_replays - replays,
-                sorted(context._assignment.items()),
-                sorted((name, domain.signature()) for name, domain in context._domains.items()),
-                [id(constraint) for constraint in context._pending],
-            )
+            (verdict, CONTEXT_STATS.wave_replays - replays, *observe_context(context))
         )
     return observed
 
@@ -554,6 +563,124 @@ class TestWaveSchedule:
         assert {name: d.signature() for name, d in context._domains.items()} == {
             name: d.signature() for name, d in scratch._domains.items()
         }
+
+
+# -- the blind path: constraints no wave can propagate --------------------------------
+
+
+def no_blind_path(self, reduced):
+    return False
+
+
+class TestBlindPath:
+    """Queries and commits of propagation-blind constraints skip the wave.
+
+    The fast path must be output-identical to the wave it stands in for:
+    the same verdicts, fixpoints and convergence, on random and engine
+    streams, with the fast path on and off.
+    """
+
+    SYMBOLS = TestDifferentialRandomStreams.SYMBOLS
+
+    def random_ops(self, seed):
+        """A random op stream over a few forked contexts.
+
+        ``("add_capped", ...)`` commits with the rounds cap cut to one, so
+        later ops also run on contexts whose pending list is no fixpoint.
+        """
+        rng = random.Random(seed)
+        ops = []
+        live = [0]
+        for _ in range(rng.randrange(4, 28)):
+            index = rng.choice(live)
+            constraint = TestResumedChecks.random_constraint(self, rng)
+            roll = rng.random()
+            if roll < 0.15:
+                ops.append(("fork", index, len(live)))
+                live.append(len(live))
+            elif roll < 0.55:
+                ops.append(("feasible_with", index, constraint))
+                ops.append(("feasible_with", index, expr_not(constraint)))
+            elif roll < 0.65:
+                ops.append(("add_capped", index, constraint))
+            else:
+                ops.append(("add", index, constraint))
+        return ops
+
+    def replay(self, ops, blind=True):
+        """Observations after every op, and the blind/query counters per op."""
+        clear_incremental_caches()
+        contexts = {}
+        observed = []
+        with pytest.MonkeyPatch.context() as patch:
+            if not blind:
+                patch.setattr(SolverContext, "_blind", no_blind_path)
+            for kind, index, argument in ops:
+                context = contexts.setdefault(index, SolverContext(Solver()))
+                if kind == "fork":
+                    contexts[argument] = context.fork()
+                    continue
+                before = CONTEXT_STATS.as_dict()
+                with pytest.MonkeyPatch.context() as cap:
+                    if kind == "add_capped":
+                        cap.setattr(solver_module, "_MAX_ROUNDS", 1)
+                        kind = "add"
+                    verdict = getattr(context, kind)(argument)
+                delta = {k: v - before[k] for k, v in CONTEXT_STATS.as_dict().items()}
+                observed.append((kind, verdict, *observe_context(context), delta))
+        return observed
+
+    def assert_blind_path_is_invisible(self, ops):
+        with_path, without = self.replay(ops), self.replay(ops, blind=False)
+        assert [obs[:-1] for obs in with_path] == [obs[:-1] for obs in without]
+        for (kind, *_, delta), (*_, reference) in zip(with_path, without):
+            if kind == "feasible_with":
+                # A blind query counts what its wave would have visited.
+                assert delta["wave_visits"] == reference["wave_visits"]
+                assert delta["wave_skips"] == reference["wave_skips"]
+        return with_path
+
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=200, deadline=None)
+    def test_random_streams_match_the_wave(self, seed):
+        self.assert_blind_path_is_invisible(self.random_ops(seed))
+
+    def test_the_random_streams_reach_blind_and_capped_contexts(self):
+        fired = {"blind_queries": 0, "blind_adds": 0, "queries on capped contexts": 0}
+        for seed in range(200):
+            for kind, _, _, converged, *_, delta in self.assert_blind_path_is_invisible(
+                self.random_ops(seed)
+            ):
+                fired["blind_queries"] += delta["blind_queries"]
+                fired["blind_adds"] += delta["blind_adds"]
+                fired["queries on capped contexts"] += kind == "feasible_with" and not converged
+        assert min(fired.values()) > 10, fired
+
+    @pytest.mark.parametrize("nf_name", available_nfs())
+    def test_engine_streams_match_the_wave(self, nf_name):
+        ops = record_solver_ops(nf_name)
+        observed = self.assert_blind_path_is_invisible(ops)
+        if nf_name.endswith("-tree"):
+            assert sum(delta["blind_queries"] for *_, delta in observed) > 0
+
+    def test_a_context_capped_at_its_rounds_limit_takes_the_full_wave(self):
+        x, y, z, w = Sym("x", 8), Sym("y", 8), Sym("z", 8), Sym("w", 8)
+        two_sided = make_cmp(CmpKind.ULT, z, w)
+        capped = TestWaveSchedule().capped_context(
+            [expr_eq(make_binop(BinOpKind.XOR, x, y), Const(5)), expr_eq(x, Const(3))]
+        )
+        CONTEXT_STATS.reset()
+        assert capped.feasible_with(two_sided)
+        capped.add(two_sided)
+        # Nothing was stable, so the wave re-visited the pending list too.
+        assert CONTEXT_STATS.blind_queries == CONTEXT_STATS.blind_adds == 0
+        assert CONTEXT_STATS.wave_visits > 1
+        assert capped._converged and capped._pending == [two_sided]
+        # The full wave reached a fixpoint, so the next blind query skips it.
+        visits, skips = CONTEXT_STATS.wave_visits, CONTEXT_STATS.wave_skips
+        assert capped.feasible_with(expr_ne(z, w))
+        assert CONTEXT_STATS.blind_queries == 1
+        assert (CONTEXT_STATS.wave_visits, CONTEXT_STATS.wave_skips) == (visits + 1, skips + 1)
 
 
 # -- model checks resumed from a context's fixpoint ---------------------------------
