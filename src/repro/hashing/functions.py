@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from array import array
 
+from repro.symbex.expr import HAVE_NUMPY, load_numpy
+
 MASK32 = 0xFFFFFFFF
 MASK64 = (1 << 64) - 1
 
@@ -33,12 +35,7 @@ def flow_hash16(key: int) -> int:
     return (h ^ (h >> 16)) & FLOW_HASH_MASK
 
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the [vector] extra
-    _np = None
-
-if _np is None:
+if not HAVE_NUMPY:  # pragma: no cover - exercised via tests/test_imports.py
     flow_hash16_column = None
 else:
 
@@ -49,20 +46,25 @@ else:
         element for element (and iterating as Python ints): the mixing
         runs in uint64 with an explicit 32-bit mask after every step, so no
         intermediate can overflow and every operation matches the scalar
-        arithmetic bit for bit (``tests/test_hashing.py`` pins this).
+        arithmetic bit for bit (``tests/test_hashing.py`` pins this).  numpy
+        is imported by the first call; if it then fails to import, the
+        scalar hash computes the same column.
         """
-        key = _np.asarray(keys, dtype=_np.uint64)
-        m32 = _np.uint64(MASK32)
-        h = _np.zeros(len(key), dtype=_np.uint64)
+        np = load_numpy()
+        if np is None:  # pragma: no cover - exercised via tests/test_imports.py
+            return array("Q", map(flow_hash16, keys))
+        key = np.asarray(keys, dtype=np.uint64)
+        m32 = np.uint64(MASK32)
+        h = np.zeros(len(key), dtype=np.uint64)
         for byte_index in range(8):
-            byte = (key >> _np.uint64(byte_index * 8)) & _np.uint64(0xFF)
+            byte = (key >> np.uint64(byte_index * 8)) & np.uint64(0xFF)
             h = (h + byte) & m32
-            h = (h + ((h << _np.uint64(10)) & m32)) & m32
-            h = h ^ (h >> _np.uint64(6))
-        h = (h + ((h << _np.uint64(3)) & m32)) & m32
-        h = h ^ (h >> _np.uint64(11))
-        h = (h + ((h << _np.uint64(15)) & m32)) & m32
-        return array("Q", ((h ^ (h >> _np.uint64(16))) & _np.uint64(FLOW_HASH_MASK)).tobytes())
+            h = (h + ((h << np.uint64(10)) & m32)) & m32
+            h = h ^ (h >> np.uint64(6))
+        h = (h + ((h << np.uint64(3)) & m32)) & m32
+        h = h ^ (h >> np.uint64(11))
+        h = (h + ((h << np.uint64(15)) & m32)) & m32
+        return array("Q", ((h ^ (h >> np.uint64(16))) & np.uint64(FLOW_HASH_MASK)).tobytes())
 
 
 # The same function written in the restricted-Python NF dialect.  NF sources

@@ -12,7 +12,8 @@ A classic rainbow table keeps only each chain's start key and end hash and
 pays for that at lookup time (tail walks, false alarms).  This table keeps
 every chain key (1 MiB at the default size), so a lookup is exact: the
 stored keys whose hash equals the target, visited in the order a chain
-lookup would reach them.
+lookup would reach them.  The flow table persists its keys together with
+that lookup index, so a process that loads it hashes and sorts nothing.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from repro.hashing.functions import (
     flow_hash16_column,
     lb_flow_key,
 )
+from repro.symbex.expr import load_numpy
 
 KeySampler = Callable[[int], int]
 HashFn = Callable[[int], int]
@@ -44,11 +46,11 @@ HashFn = Callable[[int], int]
 logger = logging.getLogger(__name__)
 
 #: Identity of the code that computes a flow table's key matrix.  Bump it
-#: whenever ``flow_hash16``, a key sampler, ``RainbowTable._reduce`` or the
-#: file layout changes: persisted matrices are only valid for the code that
-#: built them (``tests/test_hashing.py`` pins the default table's digest so a
-#: silent change fails tier-1).
-TABLE_CACHE_VERSION = "castan-rainbow-v1"
+#: whenever ``flow_hash16``, a key sampler, ``RainbowTable._reduce``, the
+#: lookup index or the file layout changes: persisted tables are only valid
+#: for the code that built them (``tests/test_hashing.py`` pins the default
+#: table's digests so a silent change fails tier-1).
+TABLE_CACHE_VERSION = "castan-rainbow-v2"
 
 
 @dataclass
@@ -83,9 +85,11 @@ class RainbowTable:
         hash_bits: int = FLOW_HASH_BITS,
         seed: int = 0xB0B,
         keys: array | None = None,
+        preimages: tuple[array, array] | None = None,
     ) -> None:
         """Build the table, or adopt ``keys`` — a chain-key matrix an earlier
-        build with these exact parameters produced (trusted, not re-derived)."""
+        build with these exact parameters produced — and ``preimages``, that
+        build's :meth:`_sorted_preimages` (both trusted, not re-derived)."""
         if chain_length < 2:
             raise ValueError("chain_length must be at least 2")
         started = time.perf_counter()
@@ -104,9 +108,9 @@ class RainbowTable:
         else:
             self.stats.source = "loaded"
         self._keys = keys
-        # (hashes, keys) sorted by hash, derived on the first lookup: an
-        # analysis without havocs never hashes the matrix.
-        self._preimages: tuple[array, array] | None = None
+        # (hashes, keys) sorted by hash; unless adopted, derived on the first
+        # lookup: an analysis without havocs never hashes the matrix.
+        self._preimages = preimages
         self.stats.build_seconds = time.perf_counter() - started
         logger.info(
             "rainbow table (%d chains x %d) %s in %.3f s",
@@ -192,11 +196,10 @@ class RainbowTable:
         for position in range(self.chain_length - 1, -1, -1):
             keys.extend(self._keys[position * chains : (position + 1) * chains])
         hashes = self._hash_column(keys)
-        if flow_hash16_column is not None:
-            # numpy is importable whenever the columnar hash is; its stable
-            # radix sort orders the default table in 2 ms, ``sorted`` in 40.
-            import numpy as np
-
+        np = load_numpy()
+        if np is not None:
+            # numpy's stable radix sort orders the default table in 2 ms,
+            # ``sorted`` in 40.
             narrow = np.min_scalar_type(self.hash_mask)
             order = np.argsort(np.frombuffer(hashes, dtype=np.uint64).astype(narrow), kind="stable")
             return tuple(
@@ -311,28 +314,33 @@ def _cache_header(identity: str, payload: bytes) -> bytes:
     return f"{identity} {hashlib.sha256(payload).hexdigest()}\n".encode("ascii")
 
 
-def _load_keys(path: Path, identity: str, count: int) -> array | None:
-    """The key matrix persisted at ``path``, or None (absent, or failed validation)."""
+def _load_keys(path: Path, identity: str, count: int) -> tuple[array, array, array] | None:
+    """The ``(keys, hashes, sorted keys)`` columns persisted at ``path``, or None.
+
+    None when the file is absent or fails validation.  Each column holds
+    ``count`` native-endian u64 words: the position-major key matrix, then
+    the hash-sorted lookup index of :meth:`RainbowTable._sorted_preimages`.
+    """
     try:
         header, newline, payload = path.read_bytes().partition(b"\n")
     except OSError:
         return None  # not cached yet (or unreadable): build
-    if header + newline != _cache_header(identity, payload) or len(payload) != 8 * count:
+    if header + newline != _cache_header(identity, payload) or len(payload) != 3 * 8 * count:
         logger.warning(
             "rainbow table cache %s failed its checksum/size/parameter check; rebuilding", path
         )
         return None
-    keys = array("Q")
-    keys.frombytes(payload)
+    words = array("Q")
+    words.frombytes(payload)
     logger.info("rainbow table loaded from %s", path)
-    return keys
+    return words[:count], words[count : 2 * count], words[2 * count :]
 
 
-def _store_keys(path: Path, identity: str, keys: array) -> None:
-    """Persist ``keys`` atomically (temp file + ``os.replace``; mkstemp files are 0600)."""
+def _store_keys(path: Path, identity: str, columns: Iterable[array]) -> None:
+    """Persist ``columns`` atomically (temp file + ``os.replace``; mkstemp files are 0600)."""
     import tempfile  # only the one building run per machine pays this import
 
-    payload = keys.tobytes()
+    payload = b"".join(column.tobytes() for column in columns)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, staged = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
@@ -357,9 +365,10 @@ def build_flow_rainbow_table(
 ) -> RainbowTable:
     """The rainbow table used for the NAT/LB flow hash, built once per machine.
 
-    The chain-key matrix is a pure function of the parameters below and the
-    code named by :data:`TABLE_CACHE_VERSION`, so it persists under
-    :func:`_cache_dir` and later processes load it instead of re-deriving it.
+    The chain-key matrix and its lookup index are pure functions of the
+    parameters below and the code named by :data:`TABLE_CACHE_VERSION`, so
+    they persist under :func:`_cache_dir` and later processes load them
+    instead of re-deriving them.
     """
     sampler = udp_flow_key_sampler if tailored else generic_key_sampler
     identity = (
@@ -367,7 +376,8 @@ def build_flow_rainbow_table(
         f":{chain_length}:{num_chains}:{seed}:{sys.byteorder}"
     )
     path = _cache_dir() / f"{hashlib.sha256(identity.encode('ascii')).hexdigest()}.keys"
-    keys = _load_keys(path, identity, chain_length * num_chains)
+    count = chain_length * num_chains
+    keys, hashes, sorted_keys = _load_keys(path, identity, count) or (None,) * 3
     table = RainbowTable(
         hash_fn=flow_hash16,
         key_sampler=sampler,
@@ -376,9 +386,11 @@ def build_flow_rainbow_table(
         hash_bits=FLOW_HASH_BITS,
         seed=seed,
         keys=keys,
+        preimages=None if keys is None else (hashes, sorted_keys),
     )
     if keys is None:
-        _store_keys(path, identity, table._keys)
+        table._preimages = table._sorted_preimages()
+        _store_keys(path, identity, (table._keys, *table._preimages))
     return table
 
 

@@ -33,12 +33,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.scoring.signatures import FIELD_ORDER, AdversarialSignature
-from repro.symbex.expr import HAVE_NUMPY, column_evaluator, dag_evaluator
+from repro.symbex.expr import column_evaluator, dag_evaluator, load_numpy
 
-if HAVE_NUMPY:
-    import numpy as _np
-else:  # pragma: no cover - numpy ships with the [vector] extra
-    _np = None
+_np = load_numpy()  # eager: a scoring process pays the import in set-up
 
 #: A verdict mask is one 64-bit word, so a scorer carries at most 64
 #: signatures (far above anything the distiller emits per NF).

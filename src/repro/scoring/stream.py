@@ -23,12 +23,9 @@ from repro.net.packet import Packet, PacketParseError
 from repro.net.pcap import PcapReader
 from repro.nf.base import NetworkFunction
 from repro.scoring.signatures import FIELD_ORDER
-from repro.symbex.expr import HAVE_NUMPY
+from repro.symbex.expr import load_numpy
 
-if HAVE_NUMPY:
-    import numpy as _np
-else:  # pragma: no cover - numpy ships with the [vector] extra
-    _np = None
+_np = load_numpy()  # eager: a scoring process pays the import in set-up
 
 
 def packets_to_fields(packets: list[Packet]) -> list[dict[str, int]]:

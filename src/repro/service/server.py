@@ -47,8 +47,6 @@ from repro.core.config import CastanConfig, hash_canonical_config
 from repro.nf.registry import nf_identity
 from repro.parallel.lease import WorkerLease
 from repro.parallel.pool import make_context
-from repro.scoring.jobs import check_pcap_container, run_score_job
-from repro.scoring.scorer import ScorerOptions
 from repro.service.jobs import (
     CANCELLED,
     DONE,
@@ -205,8 +203,13 @@ class SynthesisService:
         still store-first inside the executor, so repeat scores of the same
         ``(nf, config)`` reuse both and pay only for streaming.  A capture
         whose pcap global header is unreadable fails the submit
-        (``PcapFormatError``, a ``ValueError``), not the job.
+        (``PcapFormatError``, a ``ValueError``), not the job.  The scorer
+        (and numpy with it) is imported by a server's first score job, so
+        analysis-only servers and their workers never load it.
         """
+        from repro.scoring.jobs import check_pcap_container
+        from repro.scoring.scorer import ScorerOptions
+
         traffic = dict(traffic or {})
         if not any(k in traffic for k in ("pcap_bytes", "pcap_path", "synthetic")):
             raise ValueError(
@@ -455,6 +458,9 @@ class SynthesisService:
         loop free while ``emit`` fans ``signatures``/``window`` events into
         the job's NDJSON stream via ``call_soon_threadsafe``.
         """
+        from repro.scoring.jobs import run_score_job
+        from repro.scoring.scorer import ScorerOptions
+
         loop = asyncio.get_running_loop()
         job.attempts += 1
         job.state = RUNNING

@@ -33,6 +33,8 @@ Two concrete-execution fast paths are built on top of the interning:
 
 from __future__ import annotations
 
+import importlib.util
+
 from repro.ir.instructions import BinOpKind, CmpKind
 from repro.symbex.memo import BoundedMemo, clear_memos
 
@@ -707,16 +709,34 @@ def expr_depth(expr: Expr) -> int:
 # x%0 = x) and 0/1 comparisons — so a columnar evaluation of lane i always
 # equals the scalar evaluation under that lane's assignment.
 
-try:  # numpy is the optional [vector] extra; every columnar path is gated.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the degradation tests
-    _np = None
+# numpy is the optional [vector] extra and only the scoring layer needs it:
+# HAVE_NUMPY ("numpy is importable") is read from the module spec, and numpy
+# itself loads on the first columnar call, so the symbolic pipeline never
+# pays its import.
+HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
+_np = None
 
-HAVE_NUMPY = _np is not None
+
+def load_numpy():
+    """The numpy module, imported on first use; ``None`` without numpy.
+
+    A numpy that is found but fails to import turns :data:`HAVE_NUMPY`
+    False, so every columnar path degrades to its scalar reference exactly
+    as when numpy is missing (``tests/test_imports.py`` runs the pipeline
+    both ways and compares its output).
+    """
+    global HAVE_NUMPY, _np
+    if _np is None and HAVE_NUMPY:
+        try:
+            import numpy
+        except ImportError:  # pragma: no cover - exercised via tests/test_imports.py
+            HAVE_NUMPY = False
+        else:
+            _np = numpy
+    return _np
 
 
-def _vec_tables():
-    np = _np
+def _vec_tables(np):
     u64 = np.uint64
     zero = u64(0)
     mask = u64(MACHINE_MASK)
@@ -770,8 +790,9 @@ def _vec_tables():
     return binop, cmp
 
 
-#: numpy-ufunc twins of BINOP_FUNCS / CMP_FUNCS (None without numpy).
-VEC_BINOP_FUNCS, VEC_CMP_FUNCS = _vec_tables() if HAVE_NUMPY else (None, None)
+#: numpy-ufunc twins of BINOP_FUNCS / CMP_FUNCS, built by the first
+#: :func:`column_evaluator` call (None until then, and without numpy).
+VEC_BINOP_FUNCS = VEC_CMP_FUNCS = None
 
 
 def _postorder(expr: Expr) -> list[Expr]:
@@ -859,12 +880,15 @@ def column_evaluator(expr: Expr):
     once.  Evaluators are cached per interned node.  Returns ``None`` when
     numpy is unavailable.
     """
-    if not HAVE_NUMPY:
-        return None
+    global VEC_BINOP_FUNCS, VEC_CMP_FUNCS
     ev = _COLUMN_EVALUATORS.get(expr)
     if ev is not None:
         return ev
-    np = _np
+    np = load_numpy()
+    if np is None:
+        return None
+    if VEC_BINOP_FUNCS is None:
+        VEC_BINOP_FUNCS, VEC_CMP_FUNCS = _vec_tables(np)
     steps = _dag_schedule(
         expr,
         VEC_BINOP_FUNCS,

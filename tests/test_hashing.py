@@ -346,6 +346,10 @@ class TestExactLookupEqualsChainWalk:
         assert table._preimages is not None
 
 
+def _forbidden(*args, **kwargs):
+    raise AssertionError("a loaded flow table must not re-derive its index")
+
+
 def _behaviour(table: RainbowTable, targets) -> tuple:
     """Everything observable about a table: inversions and the counts they leave."""
     found = [table.invert(target, limit=4) for target in targets]
@@ -377,19 +381,41 @@ class TestFlowTablePersistence:
         (cached,) = cache_dir.iterdir()
         assert cached.stat().st_mode & 0o777 == 0o600
 
+    @pytest.mark.parametrize("tailored", [True, False])
+    def test_loaded_index_equals_a_fresh_derivation(self, cache_dir, tailored, monkeypatch):
+        build_flow_rainbow_table(tailored=tailored, **self.SMALL)
+        # A loaded table adopts the persisted index: it hashes and sorts nothing.
+        with monkeypatch.context() as patch:
+            for name in ("_hash_column", "_sorted_preimages"):
+                patch.setattr(RainbowTable, name, _forbidden)
+            loaded = build_flow_rainbow_table(tailored=tailored, **self.SMALL)
+            loaded.invert(7)
+        assert loaded.stats.source == "loaded"
+        assert loaded._preimages == loaded._sorted_preimages()
+        sampler = udp_flow_key_sampler if tailored else generic_key_sampler
+        fresh = RainbowTable(flow_hash16, sampler, **self.SMALL)
+        assert loaded._preimages == fresh._sorted_preimages()
+
     def test_arbitrary_callables_never_touch_disk(self, cache_dir):
         RainbowTable(lambda k: flow_hash16(k), generic_key_sampler, chain_length=4, num_chains=16)
         assert not cache_dir.exists()
 
-    @pytest.mark.parametrize("damage", ["truncate", "bitflip", "other-parameters", "empty"])
+    @pytest.mark.parametrize(
+        "damage",
+        ["truncate", "bitflip", "matrix-bitflip", "hash-bitflip", "other-parameters", "empty"],
+    )
     def test_invalid_file_warns_and_is_rebuilt(self, cache_dir, caplog, damage):
         reference = build_flow_rainbow_table(**self.SMALL)
         (cached,) = cache_dir.iterdir()
         raw = cached.read_bytes()
+        # Payload columns: key matrix, index hashes, index keys ("bitflip"
+        # hits the last index key, "hash-bitflip" an index hash).
+        column = 8 * self.SMALL["chain_length"] * self.SMALL["num_chains"]
+        at = {"bitflip": -9, "matrix-bitflip": -3 * column, "hash-bitflip": -column - 8}.get(damage)
         if damage == "truncate":
             cached.write_bytes(raw[: len(raw) // 2])
-        elif damage == "bitflip":
-            cached.write_bytes(raw[:-9] + bytes([raw[-9] ^ 0x10]) + raw[-8:])
+        elif at is not None:
+            cached.write_bytes(raw[:at] + bytes([raw[at] ^ 0x10]) + raw[at + 1 :])
         elif damage == "empty":
             cached.write_bytes(b"")
         else:
@@ -401,6 +427,7 @@ class TestFlowTablePersistence:
             rebuilt = build_flow_rainbow_table(**self.SMALL)
         assert "failed its checksum/size/parameter check" in caplog.text
         assert rebuilt.stats.source == "built" and rebuilt._keys == reference._keys
+        assert rebuilt._preimages == reference._preimages
         assert cached.read_bytes() == raw  # overwritten with the valid file
         assert build_flow_rainbow_table(**self.SMALL).stats.source == "loaded"
 
@@ -444,19 +471,31 @@ class TestFlowTablePersistence:
         assert [path.suffix for path in cache_dir.iterdir()] == [".keys"]  # no staging leftovers
 
     def test_default_table_digest_is_pinned(self):
-        """Persisted matrices outlive the code that built them.
+        """Persisted tables outlive the code that built them.
 
-        If this fails, the sampler, the flow hash or the reduction changed:
-        bump ``TABLE_CACHE_VERSION`` (so stale files stop matching) and repin
-        both values here.
+        If this fails, the sampler, the flow hash, the reduction or the
+        lookup index changed: bump ``TABLE_CACHE_VERSION`` (so stale files
+        stop matching) and repin the values here.
         """
-        keys = RainbowTable(
+        table = RainbowTable(
             flow_hash16, udp_flow_key_sampler, chain_length=32, num_chains=4096, seed=0xB0B
-        )._keys
-        if sys.byteorder == "big":
-            keys = keys[:]
-            keys.byteswap()
-        assert (TABLE_CACHE_VERSION, hashlib.sha256(keys.tobytes()).hexdigest()) == (
-            "castan-rainbow-v1",
+        )
+
+        def digest(*columns):
+            payload = hashlib.sha256()
+            for column in columns:
+                if sys.byteorder == "big":
+                    column = column[:]
+                    column.byteswap()
+                payload.update(column.tobytes())
+            return payload.hexdigest()
+
+        assert (
+            TABLE_CACHE_VERSION,
+            digest(table._keys),
+            digest(*table._sorted_preimages()),
+        ) == (
+            "castan-rainbow-v2",
             "849d96b34b271715cd3daa71399ce117b8e98291fee2c7b8fc3b72fceda66553",
+            "3a4a24676bdb02adf559724cb7734d2717ee3d9387555e40953e292fcf4fb58d",
         )

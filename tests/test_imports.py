@@ -1,0 +1,135 @@
+"""Import hygiene: only a process that scores pays for numpy.
+
+The symbolic pipeline, the flow rainbow table (once on disk) and the job
+server start without numpy; the scorer imports it eagerly.  With numpy
+blocked, every columnar path degrades to its scalar reference with
+identical output.  Each check runs in a fresh interpreter (the suite's own
+process has long imported everything), sharing the session's
+``XDG_CACHE_HOME`` so the persisted rainbow table is the suite's.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.core.castan import Castan
+from repro.core.config import CastanConfig
+from repro.hashing.functions import flow_hash16
+from repro.hashing.rainbow import RainbowTable, build_flow_rainbow_table, udp_flow_key_sampler
+from repro.nf.registry import get_nf
+from repro.service.store import canonical_result_digest
+from repro.symbex.expr import HAVE_NUMPY
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: Prints, as JSON, whether numpy or any ``repro.scoring`` module is loaded.
+REPORT = (
+    "import json, sys\n"
+    "print(json.dumps({'numpy': 'numpy' in sys.modules,"
+    " 'scoring': sorted(m for m in sys.modules if m.startswith('repro.scoring'))}))\n"
+)
+
+ANALYZE = (
+    "from repro.core.castan import Castan\n"
+    "from repro.core.config import CastanConfig\n"
+    "from repro.nf.registry import get_nf\n"
+    "result = Castan(CastanConfig(max_states=60, deadline_seconds=None))"
+    ".analyze(get_nf('lb-hash-table'))\n"
+)
+
+
+def _run(script: str) -> dict:
+    """Run ``script`` in a fresh interpreter; its last stdout line, as JSON."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+NO_SCORER = {"numpy": False, "scoring": []}
+
+
+def test_pipeline_import_and_nf_build_load_no_numpy():
+    script = (
+        "import repro.core.castan, repro.nf.registry\n"
+        "repro.nf.registry.get_nf('lb-hash-table')\n"
+        "repro.nf.registry.get_nf('lb-red-black-tree')\n"
+    )
+    assert _run(script + REPORT) == NO_SCORER
+
+
+def test_hash_nf_analysis_with_the_table_on_disk_loads_no_numpy():
+    _run(ANALYZE + REPORT)  # the first run on a cold cache builds the table
+    assert _run(ANALYZE + REPORT) == NO_SCORER
+
+
+def test_server_boot_loads_no_numpy():
+    assert _run("import repro.service.__main__\n" + REPORT) == NO_SCORER
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed (the [vector] extra)")
+def test_the_scorer_imports_numpy_eagerly():
+    # A score job pays the import in set-up, not inside the timed pass.
+    report = _run("import repro.scoring.jobs\n" + REPORT)
+    assert report["numpy"] and "repro.scoring.jobs" in report["scoring"]
+
+
+@pytest.mark.parametrize("numpy_state", ["missing", "broken"])
+def test_unimportable_numpy_degrades_to_identical_output(numpy_state, tmp_path):
+    """Scalar paths throughout, the same inversions, the same result digest.
+
+    ``missing``: ``import numpy`` finds ``None`` in ``sys.modules``.
+    ``broken``: numpy is found, but its package raises on import.
+    """
+    if numpy_state == "missing":
+        block = "sys.modules['numpy'] = None\n"
+    else:
+        (tmp_path / "numpy").mkdir()
+        (tmp_path / "numpy" / "__init__.py").write_text("raise ImportError('wrong interpreter')\n")
+        block = f"sys.path.insert(0, {str(tmp_path)!r})\n"
+    config = CastanConfig(max_states=60, deadline_seconds=None)
+    expected_digest = canonical_result_digest(Castan(config).analyze(get_nf("lb-hash-table")))
+    table = build_flow_rainbow_table()  # on disk from here on
+    targets = list(range(0, 1 << 16, 997))
+    small = RainbowTable(flow_hash16, udp_flow_key_sampler, chain_length=6, num_chains=300)
+    script = (
+        "import json, sys\n"
+        + block
+        + "from repro.hashing import functions, rainbow\n"
+        "from repro.service.store import canonical_result_digest\n"
+        "from repro.symbex import expr\n"
+        + ANALYZE
+        + "table = rainbow.build_flow_rainbow_table()\n"
+        "small = rainbow.RainbowTable(functions.flow_hash16, rainbow.udp_flow_key_sampler,"
+        " chain_length=6, num_chains=300)\n"
+        "column_hash = functions.flow_hash16_column\n"
+        "report = {\n"
+        "    'column_hash': column_hash and list(column_hash([1, 2, 3])),\n"
+        "    'column_evaluator': expr.column_evaluator(expr.Sym('x', 16)),\n"
+        "    'table_source': table.stats.source,\n"
+        f"    'inversions': [table.invert(t) for t in {targets!r}],\n"
+        "    'small_index': [list(column) for column in small._sorted_preimages()],\n"
+        "    'digest': canonical_result_digest(result),\n"
+        "}\n"
+        "from repro.scoring import jobs\n"
+        "report['have_numpy'] = [expr.HAVE_NUMPY, jobs.HAVE_NUMPY]\n"
+        "print(json.dumps(report))\n"
+    )
+    assert _run(script) == {
+        # Only a numpy that is found gets the columnar hash, which then
+        # computes the column with the scalar hash.
+        "column_hash": None if numpy_state == "missing" else [flow_hash16(k) for k in (1, 2, 3)],
+        "column_evaluator": None,
+        "table_source": "loaded",
+        "inversions": [table.invert(target) for target in targets],
+        "small_index": [list(column) for column in small._sorted_preimages()],
+        "digest": expected_digest,
+        "have_numpy": [False, False],
+    }
