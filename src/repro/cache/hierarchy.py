@@ -68,24 +68,6 @@ class HierarchyConfig:
     def l3_associativity(self) -> int:
         return self.l3_ways
 
-    def way_partitioned(self, ways: int) -> "HierarchyConfig":
-        """Geometry of a ``ways``-way L3 partition of this hierarchy.
-
-        Way partitioning keeps the set structure (``l3_sets_per_slice`` and
-        the slice count are unchanged) and hands one tenant a subset of the
-        ways in every set, so the partition's capacity shrinks
-        proportionally.  L1/L2 are private per-core caches and stay intact.
-        """
-        if not (0 < ways <= self.l3_ways):
-            raise ValueError(f"way partition must use 1..{self.l3_ways} ways, got {ways}")
-        import dataclasses
-
-        return dataclasses.replace(
-            self,
-            l3_size=self.l3_size * ways // self.l3_ways,
-            l3_ways=ways,
-        )
-
     def describe_bit_layout(self) -> str:
         """Render the Fig. 1 style bit layout of the simulated hierarchy."""
         offset_bits = self.line_size.bit_length() - 1

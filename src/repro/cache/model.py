@@ -146,8 +146,8 @@ class RegionSlotIndex:
         self.reuses = 0
 
     def slots(self, region: MemoryRegion, set_id: int) -> list[tuple[int, int]]:
-        # Keyed by the layout, not only the name: a partitioned model's proxy
-        # regions share their names with the chain's regions at other bases.
+        # Keyed by the layout, not only the name: a region that shares its
+        # name with another at a different base never reads the other's slots.
         key = (set_id, region.name, region.base_address, region.length, region.element_size)
         found = self._slots.get(key)
         if found is not None:
@@ -389,66 +389,3 @@ class ContentionSetCacheModel(CacheModel):
     def resident_summary(self) -> dict[int, int]:
         """Contention-set id -> number of resident lines (for debugging)."""
         return {set_id: len(lines) for set_id, lines in self._resident.items() if lines}
-
-
-class PartitionedCacheModel(CacheModel):
-    """Per-stage cache slices for chain NFs (``cache_partition="partitioned"``).
-
-    Routes every access to the submodel of the region's owning stage,
-    through a proxy region whose base address is the stage's *standalone*
-    layout (the chain's per-stage address-plane offset subtracted).  Each
-    stage therefore receives bit-for-bit the decisions its standalone
-    analysis would produce — no cross-stage contention, as if the hierarchy
-    were way/set-partitioned between the stages.
-    """
-
-    def __init__(
-        self,
-        submodels: list[CacheModel],
-        routes: dict[str, tuple[int, MemoryRegion]],
-    ) -> None:
-        self._submodels = submodels
-        # region name -> (submodel slot, proxy region on the standalone layout)
-        self._routes = routes
-
-    def clone(self) -> "PartitionedCacheModel":
-        return PartitionedCacheModel(
-            [submodel.clone() for submodel in self._submodels], self._routes
-        )
-
-    def on_access(
-        self,
-        region: MemoryRegion,
-        index_expr: Expr,
-        is_write: bool,
-        feasible: FeasibleFn,
-        solve_value: SolveValueFn,
-        pinned_value: PinnedValueFn | None = None,
-    ) -> CacheAccessDecision:
-        try:
-            slot, proxy = self._routes[region.name]
-        except KeyError:
-            raise KeyError(
-                f"region {region.name!r} is not assigned to any chain stage "
-                "(partitioned cache model)"
-            ) from None
-        return self._submodels[slot].on_access(
-            proxy, index_expr, is_write, feasible, solve_value, pinned_value
-        )
-
-    @property
-    def stats(self) -> CacheModelStats:
-        total = CacheModelStats()
-        for submodel in self._submodels:
-            sub = submodel.stats
-            total.accesses += sub.accesses
-            total.hits += sub.hits
-            total.misses += sub.misses
-            total.evictions += sub.evictions
-            total.concretizations += sub.concretizations
-            total.contention_targeted += sub.contention_targeted
-        return total
-
-    def stage_stats(self) -> list[CacheModelStats]:
-        """Per-stage counters, in chain stage order."""
-        return [submodel.stats for submodel in self._submodels]

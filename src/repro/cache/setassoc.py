@@ -93,15 +93,3 @@ class SetAssociativeCache:
         """Return to a :meth:`snapshot` capture (reusable any number of times)."""
         sets, self.hits, self.misses, self.evictions = snapshot
         self._sets = {index: OrderedDict.fromkeys(lines, True) for index, lines in sets.items()}
-
-    def way_partition(self, ways: int) -> "SetAssociativeCache":
-        """A fresh cache representing a ``ways``-way partition of this one.
-
-        Way partitioning (Intel CAT-style) reserves a subset of the ways in
-        every set for one tenant: same set count, same indexing, reduced
-        associativity.  Returns an empty partition (no resident lines are
-        carried over — a new tenant starts cold).
-        """
-        if not (0 < ways <= self.associativity):
-            raise ValueError(f"way partition must use 1..{self.associativity} ways, got {ways}")
-        return SetAssociativeCache(self.num_sets, ways, self.line_size)

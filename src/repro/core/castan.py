@@ -366,15 +366,8 @@ class Castan:
     def _build_cache_model(self, nf: NetworkFunction) -> tuple[CacheModel, ContentionSets | None]:
         """Build the cache model over the NF's large memory regions."""
         config = self.config
-        if config.cache_partition not in ("shared", "partitioned"):
-            raise ValueError(
-                f"unknown cache_partition {config.cache_partition!r}; "
-                "options: shared, partitioned"
-            )
         if config.cache_model == "none" or not nf.contention_regions:
             return NoCacheModel(), None
-        if config.cache_partition == "partitioned" and nf.is_chain:
-            return self._build_partitioned_cache_model(nf), None
 
         hierarchy = MemoryHierarchy(config.hierarchy, cycle_costs=config.cycle_costs)
         addresses = self._candidate_addresses(nf, hierarchy)
@@ -398,54 +391,10 @@ class Castan:
             )
         return ContentionSets.from_oracle(hierarchy, addresses)
 
-    def _build_partitioned_cache_model(self, nf: NetworkFunction) -> CacheModel:
-        """Per-stage cache slices for a chain NF.
-
-        Every stage gets its own full-geometry hierarchy and contention
-        sets, built over the stage's *standalone* region layout (chain base
-        minus the stage's address plane offset).  A stage therefore sees
-        bit-for-bit the cache decisions it would see analysed alone —
-        modelling way/set-partitioned slices with no cross-stage contention.
-        """
-        from repro.cache.model import PartitionedCacheModel
-        from repro.ir.module import MemoryRegion
-
-        config = self.config
-        submodels: list[CacheModel] = []
-        routes: dict[str, tuple[int, MemoryRegion]] = {}
-        for slot, stage in enumerate(nf.chain_stages):
-            proxies: dict[str, MemoryRegion] = {}
-            for region_name in stage.region_names:
-                region = nf.module.get_region(region_name)
-                proxies[region_name] = MemoryRegion(
-                    name=region_name,
-                    length=region.length,
-                    element_size=region.element_size,
-                    initial=region.initial,
-                    base_address=region.base_address - stage.address_offset,
-                )
-            submodel: CacheModel = NoCacheModel()
-            if stage.contention_regions:
-                hierarchy = MemoryHierarchy(config.hierarchy, cycle_costs=config.cycle_costs)
-                addresses = self._sample_region_addresses(
-                    [proxies[name] for name in stage.contention_regions], hierarchy
-                )
-                if addresses:
-                    submodel = ContentionSetCacheModel(
-                        self._contention_sets(hierarchy, addresses)
-                    )
-            submodels.append(submodel)
-            for region_name, proxy in proxies.items():
-                routes[region_name] = (slot, proxy)
-        return PartitionedCacheModel(submodels, routes)
-
     def _candidate_addresses(self, nf: NetworkFunction, hierarchy: MemoryHierarchy) -> list[int]:
         """Sample line-aligned candidate addresses inside the NF's big regions."""
-        regions = [nf.module.get_region(name) for name in nf.contention_regions]
-        return self._sample_region_addresses(regions, hierarchy)
-
-    def _sample_region_addresses(self, regions, hierarchy: MemoryHierarchy) -> list[int]:
         config = self.config
+        regions = [nf.module.get_region(name) for name in nf.contention_regions]
         line = hierarchy.config.line_size
         addresses: list[int] = []
         if config.contention_source == "probing":

@@ -14,7 +14,7 @@ from repro.perf.cycles import CycleCosts, DEFAULT_CYCLE_COSTS
 #: whenever the canonical form below changes meaning (a field is renamed,
 #: a default's semantics change), so stored service results keyed by the
 #: old form can never be served for the new one.
-CONFIG_HASH_VERSION = "castan-config-v5"
+CONFIG_HASH_VERSION = "castan-config-v6"
 
 
 def _canonical_value(value):
@@ -87,11 +87,6 @@ class CastanConfig:
     searcher: str = "castan"
     # Cache model: "contention" (default), "none" (ablation).
     cache_model: str = "contention"
-    # Hierarchy sharing for chain NFs: "shared" (default) runs every stage
-    # against one cache hierarchy (stages contend in L1/L2/L3, the deployed
-    # single-core picture); "partitioned" gives each stage its own slice so
-    # it sees exactly the cache behaviour of its standalone analysis.
-    cache_partition: str = "shared"
     # Where contention sets come from: "oracle" uses the hierarchy's
     # ground-truth slice/set mapping (equivalent to exhaustive probing, fast);
     # "probing" runs the §3.2 discovery for real over a sampled address pool.

@@ -80,8 +80,8 @@ def workload_digest(packets: Sequence[Packet]) -> str:
     """SHA-256 over the concatenated on-wire bytes of a workload.
 
     This is *the* definition of "byte-identical" used by the parallel
-    identity checks (``benchmarks/bench_parallel.py``, ``tests``) and the
-    ``bench-regression`` CI digest gate (``benchmarks/bench_digests.py``).
+    identity checks (``tests/test_parallel.py``) and the per-NF output pins
+    (``tests/test_engine_pins.py``).
     """
     payload = b"".join(packet.to_bytes() for packet in packets)
     return hashlib.sha256(payload).hexdigest()

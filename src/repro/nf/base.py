@@ -28,11 +28,8 @@ class ChainStageInfo:
     """One stage of a composed NF chain (see :mod:`repro.nf.chain`).
 
     Records how the stage's standalone module was embedded into the merged
-    chain module: the symbol prefix applied to its functions/regions, the
-    virtual-address offset applied to its region bases, and which of the
-    (prefixed) regions carry cache contention.  The cache layer uses
-    ``address_offset`` to map chain addresses back onto the standalone
-    layout when the hierarchy is partitioned per stage.
+    chain module: the symbol prefix applied to its functions/regions and
+    the virtual-address offset applied to its region bases.
     """
 
     label: str
@@ -40,8 +37,6 @@ class ChainStageInfo:
     prefix: str
     entry: str  # prefixed entry function name inside the chain module
     address_offset: int
-    region_names: list[str] = field(default_factory=list)
-    contention_regions: list[str] = field(default_factory=list)
     nf_class: str = "misc"
 
 

@@ -19,9 +19,7 @@ Chains are addressed through the registry:
   preset chains that also sit in ``EVALUATION_NFS``.
 
 The merged NF records a :class:`~repro.nf.base.ChainStageInfo` per stage,
-which the symbex engine uses for per-stage cost attribution and the cache
-layer uses to partition the hierarchy per stage (``CastanConfig
-.cache_partition="partitioned"``).
+which the symbex engine uses for per-stage cost attribution.
 """
 
 from __future__ import annotations
@@ -189,8 +187,7 @@ def build_chain(spec: str, name: str | None = None) -> NetworkFunction:
             hash_functions[prefix + hash_name] = fn
         for hash_name, bits in nf.hash_output_bits.items():
             hash_output_bits[prefix + hash_name] = bits
-        prefixed_contention = [prefix + r for r in nf.contention_regions]
-        contention_regions.extend(prefixed_contention)
+        contention_regions.extend(prefix + r for r in nf.contention_regions)
         for hint, value in nf.workload_hints.items():
             merged_hints.setdefault(hint, value)
         packet_count = max(packet_count, nf.castan_packet_count)
@@ -201,8 +198,6 @@ def build_chain(spec: str, name: str | None = None) -> NetworkFunction:
                 prefix=prefix,
                 entry=prefix + nf.entry,
                 address_offset=offset,
-                region_names=list(nf.module.regions),
-                contention_regions=prefixed_contention,
                 nf_class=nf.nf_class,
             )
         )

@@ -8,9 +8,9 @@ suite out over a :class:`~concurrent.futures.ProcessPoolExecutor` and
 collects results *by NF name*, returning them in the order the names were
 given — registry order for the evaluation suite — regardless of worker
 completion order.  Workload bytes and best-state costs are identical to a
-sequential run of the same configuration (``benchmarks/bench_parallel.py``
-checks this on every run, and the ``bench-regression`` CI job pins the
-sequential digests).
+sequential run of the same configuration (``tests/test_parallel.py``
+checks this, and ``tests/test_engine_pins.py`` pins the sequential
+digests).
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ from repro.cache.model import (
     CacheModelStats,
     ContentionSetCacheModel,
     NoCacheModel,
-    PartitionedCacheModel,
     RegionSlotIndex,
 )
 from repro.cache.setassoc import SetAssociativeCache
@@ -391,10 +390,6 @@ class TestCacheModels:
 
 def _deep_clone(model):
     """The copying ``clone`` that copy-on-write replaced: the reference."""
-    if isinstance(model, PartitionedCacheModel):
-        return PartitionedCacheModel(
-            [_deep_clone(submodel) for submodel in model._submodels], model._routes
-        )
     other = ContentionSetCacheModel(
         model.contention_sets,
         l1_window=model.l1_window,
@@ -415,8 +410,6 @@ def _deep_clone(model):
 
 def _model_state(model):
     """Everything a later access decision reads, plus what reports show."""
-    if isinstance(model, PartitionedCacheModel):
-        return [_model_state(submodel) for submodel in model._submodels]
     return (
         model.resident_summary(),
         {set_id: list(lru) for set_id, lru in model._resident.items()},
@@ -442,17 +435,6 @@ class TestCopyOnWriteClones:
         model = TestCacheModels()._contention_model()
         model.l1_window = 2  # so that repeats reach the LRU as hits
         return model, [region, small]
-
-    @staticmethod
-    def _partitioned_world():
-        chain = get_nf("chain-gateway")
-        model, _ = Castan(CastanConfig(cache_partition="partitioned"))._build_cache_model(chain)
-        regions = [
-            chain.module.get_region(name)
-            for stage in chain.chain_stages
-            for name in stage.contention_regions
-        ]
-        return model, regions
 
     def _run(self, seed, world, clone):
         rng = random.Random(seed)
@@ -494,11 +476,6 @@ class TestCopyOnWriteClones:
     @pytest.mark.parametrize("seed", range(40))
     def test_contention_model_clones_match_deep_copies(self, seed):
         world = self._contention_world
-        assert self._run(seed, world, lambda m: m.clone()) == self._run(seed, world, _deep_clone)
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_partitioned_model_clones_match_deep_copies(self, seed):
-        world = self._partitioned_world
         assert self._run(seed, world, lambda m: m.clone()) == self._run(seed, world, _deep_clone)
 
     def test_the_streams_reorder_and_evict_shared_sets(self):
@@ -637,13 +614,9 @@ class TestRegionSlotIndex:
     (region, set) and shared by every clone; candidates do not change."""
 
     SMOKE = dict(max_states=60, num_packets=5, deadline_seconds=None)
-    CASES = [(name, "shared") for name in EVALUATION_NF_NAMES] + [
-        ("chain-gateway", "partitioned"),
-        ("chain-edge", "partitioned"),
-    ]
 
-    @pytest.mark.parametrize("nf_name, partition", CASES)
-    def test_candidates_equal_the_rescanning_loop(self, nf_name, partition, monkeypatch):
+    @pytest.mark.parametrize("nf_name", EVALUATION_NF_NAMES)
+    def test_candidates_equal_the_rescanning_loop(self, nf_name, monkeypatch):
         """On every model state a smoke-scale analysis consults."""
         inner = ContentionSetCacheModel._candidate_indices
         indexes: dict[int, RegionSlotIndex] = {}
@@ -655,12 +628,10 @@ class TestRegionSlotIndex:
             return candidates
 
         monkeypatch.setattr(ContentionSetCacheModel, "_candidate_indices", checking)
-        config = CastanConfig(cache_partition=partition, **self.SMOKE)
-        Castan(config).analyze(get_nf(nf_name))
-        # One index per contention-set model of the analysis, however often
+        Castan(CastanConfig(**self.SMOKE)).analyze(get_nf(nf_name))
+        # One index for the analysis' contention-set model, however often
         # the search cloned it.
-        stages = len(get_nf(nf_name).chain_stages) if partition == "partitioned" else 1
-        assert len(indexes) <= stages
+        assert len(indexes) <= 1
 
     def test_contains_address_runs_once_per_region_set_and_address(self, monkeypatch):
         """nat-hash-ring at 200 states: ~110 calls per symbolic access before."""
@@ -689,7 +660,7 @@ class TestRegionSlotIndex:
             len(model.contention_sets.addresses_in_set(key[0])) for key in index._slots
         )
 
-    def test_clones_share_the_index_and_proxy_regions_do_not_collide(self):
+    def test_clones_share_the_index_and_same_named_regions_do_not_collide(self):
         pool = [(1 << 30) + i * 64 for i in range(2048)]
         model = ContentionSetCacheModel(ContentionSets.from_oracle(tiny_hierarchy(), pool))
         assert model.clone().clone().slot_index is model.slot_index
@@ -706,175 +677,3 @@ class TestRegionSlotIndex:
         assert here == [(a // 64, region.index_of(a)) for a in addresses if region.contains_address(a)]
         assert there == [(a // 64, moved.index_of(a)) for a in addresses if moved.contains_address(a)]
         assert here != there
-
-
-class TestWayPartitioning:
-    """Way-partition helpers: same set structure, reduced associativity."""
-
-    def test_way_partition_geometry_and_cold_start(self):
-        cache = SetAssociativeCache(num_sets=8, associativity=4, line_size=64)
-        cache.access(0)
-        part = cache.way_partition(2)
-        assert (part.num_sets, part.associativity, part.line_size) == (8, 2, 64)
-        assert part.occupancy() == 0  # a new tenant starts cold
-
-    def test_way_partition_same_sets_fewer_ways(self):
-        cache = SetAssociativeCache(num_sets=8, associativity=4, line_size=64)
-        part = cache.way_partition(2)
-        # Three distinct lines of one set fit the 4-way cache but overflow
-        # the 2-way partition — same indexing, smaller per-set capacity.
-        stride = 8 * 64
-        for address in (0, stride, 2 * stride):
-            cache.access(address)
-            part.access(address)
-        assert cache.access(0) is True
-        assert part.access(0) is False
-
-    @pytest.mark.parametrize("ways", [0, 5, -1])
-    def test_way_partition_rejects_bad_ways(self, ways):
-        with pytest.raises(ValueError):
-            SetAssociativeCache(num_sets=8, associativity=4).way_partition(ways)
-
-    def test_hierarchy_way_partitioned_keeps_set_structure(self):
-        config = tiny_hierarchy().config
-        half = config.way_partitioned(2)
-        assert half.l3_ways == 2
-        assert half.l3_size == config.l3_size // 2
-        assert half.l3_sets_per_slice == config.l3_sets_per_slice
-        assert half.l3_slices == config.l3_slices
-        assert (half.l1_size, half.l2_size) == (config.l1_size, config.l2_size)
-        MemoryHierarchy(half)  # the partitioned geometry is still valid
-
-    @pytest.mark.parametrize("ways", [0, 5])
-    def test_hierarchy_way_partitioned_rejects_bad_ways(self, ways):
-        with pytest.raises(ValueError):
-            tiny_hierarchy().config.way_partitioned(ways)
-
-
-class TestPartitionedCacheModel:
-    """``cache_partition="partitioned"``: each chain stage's cache slice
-    must reproduce the stage's *standalone* access decisions bit-exactly,
-    no matter how the stages' accesses interleave through the chain."""
-
-    @staticmethod
-    def _partitioned_model(castan, chain):
-        from repro.cache.model import PartitionedCacheModel
-
-        model, contention_sets = castan._build_cache_model(chain)
-        assert contention_sets is None
-        assert isinstance(model, PartitionedCacheModel)
-        return model
-
-    @staticmethod
-    def _decision_key(decision):
-        constraint = decision.constraint
-        return (
-            decision.index,
-            decision.address,
-            decision.level,
-            decision.caused_eviction,
-            None if constraint is None else repr(constraint),
-        )
-
-    @staticmethod
-    def _digest(keys) -> str:
-        import hashlib
-
-        return hashlib.sha256(repr(keys).encode()).hexdigest()
-
-    @staticmethod
-    def _access_stream(region, salt: str):
-        """Concrete and symbolic accesses exercising concretization,
-        residency and eviction.  The same ``Sym`` objects drive both the
-        partitioned and the standalone run, so constraints must intern to
-        the same expressions."""
-        stream = []
-        for i in range(48):
-            if i % 3 == 2:
-                stream.append(Sym(f"pidx_{salt}_{i}", 32))
-            else:
-                stream.append(Const((i * 37) % region.length))
-        return stream
-
-    def test_partitioned_slices_reproduce_standalone_digests(self):
-        from repro.core.castan import Castan
-        from repro.core.config import CastanConfig
-        from repro.nf.registry import get_nf
-
-        castan = Castan(CastanConfig(cache_partition="partitioned"))
-        chain = get_nf("chain-gateway")
-        partitioned = self._partitioned_model(castan, chain)
-
-        # One (chain region, standalone region, standalone model) case per
-        # stage, plus the access stream both runs will see.
-        cases = []
-        for stage in chain.chain_stages:
-            standalone_nf = get_nf(stage.nf_name)
-            standalone_model, _ = Castan(CastanConfig())._build_cache_model(standalone_nf)
-            region_name = stage.contention_regions[0]
-            chain_region = chain.module.get_region(region_name)
-            standalone_region = standalone_nf.module.get_region(
-                region_name[len(stage.prefix):]
-            )
-            assert chain_region.base_address == (
-                standalone_region.base_address + stage.address_offset
-            )
-            stream = self._access_stream(standalone_region, stage.label)
-            cases.append((stage, chain_region, standalone_region, standalone_model, stream, []))
-        assert len(cases) == 3
-
-        # Interleave the stages' accesses round-robin through the chain's
-        # partitioned model: with true per-stage slices the interleaving
-        # cannot perturb any stage's decision stream.
-        for i in range(len(cases[0][4])):
-            for _, chain_region, _, _, stream, observed in cases:
-                decision = partitioned.on_access(
-                    chain_region, stream[i], False, lambda c: True, lambda e: 1
-                )
-                observed.append(self._decision_key(decision))
-
-        for stage, _, standalone_region, standalone_model, stream, observed in cases:
-            reference = [
-                self._decision_key(
-                    standalone_model.on_access(
-                        standalone_region, expr, False, lambda c: True, lambda e: 1
-                    )
-                )
-                for expr in stream
-            ]
-            assert self._digest(observed) == self._digest(reference), stage.label
-
-    def test_partitioned_routes_reject_foreign_regions(self):
-        from repro.core.castan import Castan
-        from repro.core.config import CastanConfig
-        from repro.nf.registry import get_nf
-
-        castan = Castan(CastanConfig(cache_partition="partitioned"))
-        partitioned = self._partitioned_model(castan, get_nf("chain-gateway"))
-        mystery = MemoryRegion(name="mystery", length=64, element_size=8, base_address=1 << 40)
-        with pytest.raises(KeyError, match="not assigned to any chain stage"):
-            partitioned.on_access(mystery, Const(0), False, lambda c: True, lambda e: 0)
-
-    def test_partitioned_clone_isolates_slices(self):
-        from repro.core.castan import Castan
-        from repro.core.config import CastanConfig
-        from repro.nf.registry import get_nf
-
-        castan = Castan(CastanConfig(cache_partition="partitioned"))
-        chain = get_nf("chain-gateway")
-        partitioned = self._partitioned_model(castan, chain)
-        region = chain.module.get_region(chain.chain_stages[0].contention_regions[0])
-        partitioned.on_access(region, Const(3), False, lambda c: True, lambda e: 3)
-        clone = partitioned.clone()
-        clone.on_access(region, Const(9), False, lambda c: True, lambda e: 9)
-        assert clone.stats.accesses == partitioned.stats.accesses + 1
-        assert len(clone.stage_stats()) == len(chain.chain_stages)
-
-    def test_rejects_unknown_partition_mode(self):
-        from repro.core.castan import Castan
-        from repro.core.config import CastanConfig
-        from repro.nf.registry import get_nf
-
-        castan = Castan(CastanConfig(cache_partition="sliced"))
-        with pytest.raises(ValueError, match="cache_partition"):
-            castan._build_cache_model(get_nf("nop"))

@@ -1,4 +1,4 @@
-"""Tests for the README knob check of ``tools/check_docs.py``."""
+"""Tests for the reference and README knob checks of ``tools/check_docs.py``."""
 
 from __future__ import annotations
 
@@ -45,3 +45,12 @@ def test_a_stale_table_row_is_one_problem_naming_it():
     problems = check_docs.check_knobs(_readme(rows))
     assert len(problems) == 1
     assert "'strike_shards'" in problems[0]
+
+
+def test_a_missing_bench_script_or_root_baseline_is_a_broken_reference():
+    doc = REPO / "README.md"
+    assert check_docs.check_links(doc, "Run `bench/run.py`; see `BENCHMARK.json`.") == []
+    for ref in ("bench/x.py", "BENCH_x.json"):
+        problems = check_docs.check_links(doc, f"Run `{ref}`.")
+        assert len(problems) == 1
+        assert repr(ref) in problems[0]

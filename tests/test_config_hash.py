@@ -22,7 +22,7 @@ from repro.core.config import CONFIG_HASH_VERSION, CastanConfig
 #: fails after an intentional change to CastanConfig (new field, changed
 #: default, different canonical form), bump CONFIG_HASH_VERSION and repin —
 #: old stored service results must not be addressable by the new form.
-GOLDEN_DEFAULT_HASH = "0871cdd5e822f13426cfabeb01aeff7e465010792d500f174bfc16db7be44619"
+GOLDEN_DEFAULT_HASH = "368b8df37cf4045587817cf64837e4bbfafe18d6913990f633f5769ae5076f9f"
 
 
 def _mutated(value):
@@ -125,6 +125,7 @@ def test_from_dict_rejects_unknown_knobs():
         ("parallel_mode", "shards"),
         ("strike_shards", 4),
         ("round_deadline_seconds", 1.0),
+        ("cache_partition", "partitioned"),
     )
     for key, value in (("max_statez", 40), *removed):
         with pytest.raises(ValueError, match=key):
@@ -144,13 +145,13 @@ def test_partial_from_dict_overrides_on_defaults():
 def test_version_tag_is_part_of_the_hash(monkeypatch):
     """The golden hash covers the version tag (bumping it must repoint keys).
 
-    v5 is the monolithic search's convergence stop: the same config gives a
-    different result on four NFs, so no v4 entry may answer for it.
+    v6 drops the chain cache-partition field: no v5 entry may answer for
+    a canonical form without it.
     """
-    assert CONFIG_HASH_VERSION == "castan-config-v5"
+    assert CONFIG_HASH_VERSION == "castan-config-v6"
     import repro.core.config as config_module
 
-    monkeypatch.setattr(config_module, "CONFIG_HASH_VERSION", "castan-config-v4")
+    monkeypatch.setattr(config_module, "CONFIG_HASH_VERSION", "castan-config-v5")
     assert CastanConfig().content_hash() != GOLDEN_DEFAULT_HASH
 
 

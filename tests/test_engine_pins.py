@@ -5,6 +5,10 @@ and vectorized execution tiers were deleted; both tiers agreed with it on
 every row.  An engine change that moves a synthesized workload, a cost, a
 path count, the solver verdict or any per-packet metric shows up here,
 per NF and search mode.
+
+On an intentional output change, a failing test prints the replacement
+``PINS`` row for its case, ready to paste; list the changed NFs in
+``CHANGES.md``.
 """
 
 from __future__ import annotations
@@ -71,33 +75,56 @@ CASES = [(name, mode) for name in NF_NAMES for mode in SEARCH_MODES]
 
 
 @functools.cache
-def _analysis(name: str, search_mode: str):
+def _observed(name: str, search_mode: str):
+    """This checkout's ``PINS`` value for one case."""
     config = CastanConfig(search_mode=search_mode, **SMOKE)
-    return Castan(config).analyze(get_nf(name))
-
-
-class TestSmokeScalePins:
-    def test_pins_cover_every_registered_nf(self):
-        assert set(PINS) == set(CASES)
-
-    @pytest.mark.parametrize("name,search_mode", CASES)
-    def test_workload_matches_the_pin(self, name, search_mode):
-        result = _analysis(name, search_mode)
-        assert workload_digest(result.packets)[:16] == PINS[name, search_mode][0]
-
-    @pytest.mark.parametrize("name,search_mode", CASES)
-    def test_costs_and_path_counts_match_the_pin(self, name, search_mode):
-        result = _analysis(name, search_mode)
-        assert (
+    result = Castan(config).analyze(get_nf(name))
+    metrics = json.dumps(asdict(result.metrics), sort_keys=True)
+    return (
+        workload_digest(result.packets)[:16],
+        (
             result.best_state_cost,
             result.states_explored,
             result.forks,
             result.completed_paths,
             result.solver_status,
-        ) == PINS[name, search_mode][1]
+        ),
+        hashlib.sha256(metrics.encode()).hexdigest()[:16],
+    )
+
+
+def _pin_row(name: str, search_mode: str) -> str:
+    """The ``PINS`` row this checkout produces, ready to paste."""
+    digest, (cost, states, forks, paths, status), metrics = _observed(name, search_mode)
+    return (
+        f'    ("{name}", "{search_mode}"): ("{digest}", '
+        f'({cost}, {states}, {forks}, {paths}, "{status}"), "{metrics}"),'
+    )
+
+
+def _repin(cases, header="the output moved; if intended, re-pin with:") -> str:
+    return "\n".join([header, *(_pin_row(*case) for case in cases)])
+
+
+class TestSmokeScalePins:
+    def test_pins_cover_every_registered_nf(self):
+        missing = [case for case in CASES if case not in PINS]
+        stale = sorted(set(PINS) - set(CASES))
+        assert not missing, _repin(missing, "unpinned cases; add these rows:")
+        assert not stale, f"rows for unregistered NFs, delete them: {stale}"
+
+    @pytest.mark.parametrize("name,search_mode", CASES)
+    def test_workload_matches_the_pin(self, name, search_mode):
+        observed = _observed(name, search_mode)
+        assert observed[0] == PINS[name, search_mode][0], _repin([(name, search_mode)])
+
+    @pytest.mark.parametrize("name,search_mode", CASES)
+    def test_costs_and_path_counts_match_the_pin(self, name, search_mode):
+        observed = _observed(name, search_mode)
+        assert observed[1] == PINS[name, search_mode][1], _repin([(name, search_mode)])
 
     @pytest.mark.parametrize("name,search_mode", CASES)
     def test_per_packet_metrics_match_the_pin(self, name, search_mode):
         # Every per-packet series, instruction counts included.
-        metrics = json.dumps(asdict(_analysis(name, search_mode).metrics), sort_keys=True)
-        assert hashlib.sha256(metrics.encode()).hexdigest()[:16] == PINS[name, search_mode][2]
+        observed = _observed(name, search_mode)
+        assert observed[2] == PINS[name, search_mode][2], _repin([(name, search_mode)])

@@ -204,11 +204,12 @@ def test_submission_validation_is_eager(server):
     assert err.value.status == 400
     assert "max_statez" in err.value.message
 
-    # a removed execution knob is an unknown field, not a silently ignored one
-    with pytest.raises(ServiceError) as err:
-        server.client.submit(NF, config={"workers": 2})
-    assert err.value.status == 400
-    assert "'workers'" in err.value.message
+    # a removed knob is an unknown field, not a silently ignored one
+    for knob, value in (("workers", 2), ("cache_partition", "partitioned")):
+        with pytest.raises(ServiceError) as err:
+            server.client.submit(NF, config={knob: value})
+        assert err.value.status == 400
+        assert f"'{knob}'" in err.value.message
 
     # a strike chunk of no pops would spin the search until its deadline
     with pytest.raises(ServiceError) as err:

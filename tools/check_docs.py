@@ -3,10 +3,12 @@
 
 Four classes of rot are caught:
 
-1. **Broken links/references** — every relative markdown link target and
+1. **Broken links/references** — every relative markdown link target,
    every backtick reference to a repo path (``src/...``, ``docs/...``,
-   ``benchmarks/...``, ``tests/...``, ``tools/...``, ``examples/...``)
-   in ``README.md``, ``docs/*.md`` and ``ROADMAP.md`` must exist.
+   ``bench/...``, ``benchmarks/...``, ``tests/...``, ``tools/...``,
+   ``examples/...``) and every backticked repo-root file name
+   (``BENCHMARK.json``, ``PAPER.md``) in ``README.md``, ``docs/*.md`` and
+   ``ROADMAP.md`` must exist.
 2. **Stale NF counts** — any "<N> evaluation NFs" / "<N>-NF" phrase must
    match ``len(EVALUATION_NF_NAMES)`` (this is exactly the staleness the
    docs satellite of PR 4 had to clean up).
@@ -33,7 +35,9 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 
 #: Backtick references with one of these top-level prefixes must exist.
-PATH_PREFIXES = ("src/", "docs/", "benchmarks/", "tests/", "tools/", "examples/")
+PATH_PREFIXES = ("src/", "docs/", "bench/", "benchmarks/", "tests/", "tools/", "examples/")
+#: Backticked bare file names of this shape name files at the repo root.
+ROOT_FILE = re.compile(r"[A-Z][A-Za-z0-9_]*\.(?:json|md)")
 
 MARKDOWN_LINK = re.compile(r"\[[^\]]*\]\(([^)#\s]+)[^)]*\)")
 BACKTICK_PATH = re.compile(r"`([A-Za-z0-9_./-]+)`")
@@ -55,7 +59,7 @@ def check_links(path: Path, text: str) -> list[str]:
         if not resolved.exists():
             problems.append(f"{path.name}: broken link target {target!r}")
     for ref in BACKTICK_PATH.findall(text):
-        if ref.startswith(PATH_PREFIXES) and not ref.endswith("/"):
+        if (ref.startswith(PATH_PREFIXES) and not ref.endswith("/")) or ROOT_FILE.fullmatch(ref):
             if not (REPO / ref).exists():
                 problems.append(f"{path.name}: referenced path {ref!r} does not exist")
     return problems
