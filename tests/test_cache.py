@@ -436,6 +436,14 @@ class TestCopyOnWriteClones:
         model.l1_window = 2  # so that repeats reach the LRU as hits
         return model, [region, small]
 
+    @staticmethod
+    def _chain_world():
+        # One shared model over every stage's contention regions: the
+        # chain's merged address space, many regions and several sets.
+        chain = get_nf("chain-gateway")
+        model, _ = Castan(CastanConfig())._build_cache_model(chain)
+        return model, [chain.module.get_region(name) for name in chain.contention_regions]
+
     def _run(self, seed, world, clone):
         rng = random.Random(seed)
         model, regions = world()
@@ -476,6 +484,11 @@ class TestCopyOnWriteClones:
     @pytest.mark.parametrize("seed", range(40))
     def test_contention_model_clones_match_deep_copies(self, seed):
         world = self._contention_world
+        assert self._run(seed, world, lambda m: m.clone()) == self._run(seed, world, _deep_clone)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_chain_model_clones_match_deep_copies(self, seed):
+        world = self._chain_world
         assert self._run(seed, world, lambda m: m.clone()) == self._run(seed, world, _deep_clone)
 
     def test_the_streams_reorder_and_evict_shared_sets(self):

@@ -244,3 +244,47 @@ class TestMetadata:
         packet = nf.packet_from_fields({"src_port": 7777})
         assert packet.src_port == 7777
         assert packet.dst_ip == VIP_ADDRESS
+
+
+#: NF name -> ``NetworkFunction.fingerprint()``.  The service result store
+#: keys analyses by this digest, so a moved fingerprint orphans every stored
+#: result of that NF.  On an intentional change to what an NF analyzes as,
+#: a failing case prints its replacement row; list the NFs in ``CHANGES.md``.
+FINGERPRINTS = {
+    "nop": "a9c0a18b08abb97bd0726514abd6c0f8c41f83a0d15e592579b5bfe295ba858b",
+    "lpm-patricia": "e5ee239f00877ec1713ce83d0841fe88cbb84a4825e9f55b70ef970565189b77",
+    "lpm-direct": "6a3f86add0321784d1b36704f9cc4f4934c44646b932fea5a74e518b21ca4048",
+    "lpm-dpdk": "a0cd206df1fabcc4abbb26ee1d68083c4d9a6df0048d1f4d05a1af290b756f32",
+    "lb-hash-table": "1e16bec09dfdbf79d8338c525fcd8ba816587cd45c0e9be1c807bf9364ceb519",
+    "lb-hash-ring": "a0628911b997e778083c82f94f016b8af4beefd46e1892509fa8e853b7a18aea",
+    "lb-unbalanced-tree": "57aa90a10bac159ac32f663891c63e527c2903b08e763c5a8ad363b1acb47a11",
+    "lb-red-black-tree": "20130f570613e5ea05b254c5325eef29a78aed14a5827079a2b654cd8cd116c3",
+    "nat-hash-table": "3bd99a836a015bbfa46fedebef7fd42909619ca9043c9e6bc08671acf9f4cfab",
+    "nat-hash-ring": "1b83b9b697fa206dbdda43dfb181ece74edfbeaa2cc596ebc38afb096627fb57",
+    "nat-unbalanced-tree": "8ef4d486e7f122cc47d88f468a09db2e00fdcdc4c9c70856acdedfa9aa8f5008",
+    "nat-red-black-tree": "fec6b9a38d8b762f61cbca6b97f2bbda9574c553433ab2efcd26d1b9acc0a4e4",
+    "fw-conntrack": "6c8981de4f7014f96cd2fdf5e47003c66a58b3916fd12a8d00861d278a0da18c",
+    "policer-two-choice": "bcb35fc1dea9e3bbb9bac45cb01faa2777dc499e45a697a35e25498c347626c0",
+    "dedup-bloom": "48aacf44d503cf677d85cd1e7b93917d6759fd138e633c82b6dcb529d301a738",
+    "dpi-trie": "f1c0b3a2b04dbdf377430691c8c80187fd31794ac09353fdc05aeccb57c86ba5",
+    "chain-gateway": "026287d732589356947701aad4000a803f9d6e13176292c3c1db0c23060a4f8e",
+    "chain-edge": "de8ecaaa10687b388d571efe4fa49a25a02613e0e1fd26d88d3ba02bff20661d",
+}
+
+
+def _fingerprint_row(name):
+    return f'    "{name}": "{get_nf(name).fingerprint()}",'
+
+
+class TestFingerprintPins:
+    def test_pins_cover_every_registered_nf(self):
+        missing = [name for name in NF_NAMES if name not in FINGERPRINTS]
+        stale = sorted(set(FINGERPRINTS) - set(NF_NAMES))
+        assert not missing, "\n".join(["unpinned NFs; add these rows:", *map(_fingerprint_row, missing)])
+        assert not stale, f"rows for unregistered NFs, delete them: {stale}"
+
+    @pytest.mark.parametrize("name", NF_NAMES)
+    def test_fingerprint_matches_the_pin(self, name):
+        assert get_nf(name).fingerprint() == FINGERPRINTS[name], (
+            f"the fingerprint moved; if intended, re-pin with:\n{_fingerprint_row(name)}"
+        )
