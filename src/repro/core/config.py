@@ -14,7 +14,7 @@ from repro.perf.cycles import CycleCosts, DEFAULT_CYCLE_COSTS
 #: whenever the canonical form below changes meaning (a field is renamed,
 #: a default's semantics change), so stored service results keyed by the
 #: old form can never be served for the new one.
-CONFIG_HASH_VERSION = "castan-config-v6"
+CONFIG_HASH_VERSION = "castan-config-v7"
 
 
 def _canonical_value(value):
@@ -47,6 +47,17 @@ def hash_canonical_config(canonical: dict) -> str:
     """
     payload = json.dumps([CONFIG_HASH_VERSION, canonical], sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _check_known_fields(cls: type, data: dict) -> None:
+    """Raise ``ValueError`` naming ``cls``'s fields if ``data`` has other keys."""
+    known = sorted(f.name for f in dataclasses.fields(cls))
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ValueError(
+            f"unknown {cls.__name__} field(s) {', '.join(map(repr, unknown))}; "
+            f"known fields: {', '.join(known)}"
+        )
 
 
 @dataclass
@@ -145,23 +156,18 @@ class CastanConfig:
     def from_dict(cls, data: dict) -> "CastanConfig":
         """Build a config from (possibly partial) plain-dict overrides.
 
-        Unknown keys raise ``ValueError`` (a typoed knob in a service job
-        must fail the submission, not silently analyze with defaults);
-        nested ``hierarchy`` / ``cycle_costs`` dicts override field-wise on
-        top of their defaults.
+        Unknown keys, top-level or inside the nested ``hierarchy`` /
+        ``cycle_costs`` dicts, raise ``ValueError`` naming the known fields
+        (a typoed knob in a service job must fail the submission, not
+        silently analyze with defaults); the nested dicts override
+        field-wise on top of their defaults.
         """
-        known = {f.name: f for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - set(known))
-        if unknown:
-            raise ValueError(
-                f"unknown CastanConfig field(s) {', '.join(map(repr, unknown))}; "
-                f"known fields: {', '.join(sorted(known))}"
-            )
+        _check_known_fields(cls, data)
         kwargs = dict(data)
-        if isinstance(kwargs.get("hierarchy"), dict):
-            kwargs["hierarchy"] = HierarchyConfig(**kwargs["hierarchy"])
-        if isinstance(kwargs.get("cycle_costs"), dict):
-            kwargs["cycle_costs"] = CycleCosts(**kwargs["cycle_costs"])
+        for name, nested in (("hierarchy", HierarchyConfig), ("cycle_costs", CycleCosts)):
+            if isinstance(kwargs.get(name), dict):
+                _check_known_fields(nested, kwargs[name])
+                kwargs[name] = nested(**kwargs[name])
         return cls(**kwargs)
 
     def packets_for(self, nf_default: int) -> int:

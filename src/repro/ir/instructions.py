@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.ir.values import Constant, Register, Value
+from repro.ir.values import MACHINE_BITS, MACHINE_MASK, Constant, Register, Value
 
 
 class BinOpKind(enum.Enum):
@@ -40,6 +40,34 @@ class CmpKind(enum.Enum):
     ULE = "ule"
     UGT = "ugt"
     UGE = "uge"
+
+
+#: The 64-bit unsigned semantics of every operator, the one table both
+#: interpreters and every concrete evaluator of symbolic expressions use.
+#: Division is total: ``x / 0`` is all ones and ``x % 0`` is ``x``; a shift
+#: by 64 or more yields 0.
+BINOP_FUNCS = {
+    BinOpKind.ADD: lambda x, y: (x + y) & MACHINE_MASK,
+    BinOpKind.SUB: lambda x, y: (x - y) & MACHINE_MASK,
+    BinOpKind.MUL: lambda x, y: (x * y) & MACHINE_MASK,
+    BinOpKind.UDIV: lambda x, y: (x // y) & MACHINE_MASK if y else MACHINE_MASK,
+    BinOpKind.UREM: lambda x, y: (x % y) & MACHINE_MASK if y else x,
+    BinOpKind.AND: lambda x, y: x & y,
+    BinOpKind.OR: lambda x, y: x | y,
+    BinOpKind.XOR: lambda x, y: x ^ y,
+    BinOpKind.SHL: lambda x, y: (x << y) & MACHINE_MASK if y < MACHINE_BITS else 0,
+    BinOpKind.LSHR: lambda x, y: x >> y if y < MACHINE_BITS else 0,
+}
+
+#: Comparisons yield 0 or 1.
+CMP_FUNCS = {
+    CmpKind.EQ: lambda x, y: 1 if x == y else 0,
+    CmpKind.NE: lambda x, y: 1 if x != y else 0,
+    CmpKind.ULT: lambda x, y: 1 if x < y else 0,
+    CmpKind.ULE: lambda x, y: 1 if x <= y else 0,
+    CmpKind.UGT: lambda x, y: 1 if x > y else 0,
+    CmpKind.UGE: lambda x, y: 1 if x >= y else 0,
+}
 
 
 @dataclass

@@ -11,7 +11,7 @@ metric the testbed measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.ir.instructions import (
     BinaryOp,
@@ -49,7 +49,6 @@ class CycleCosts:
     l3_hit: int = 40
     dram: int = 200
     frequency_ghz: float = 3.3
-    extra: dict = field(default_factory=dict)
 
     def memory_cost(self, level: str) -> int:
         """Cycle cost of a memory access serviced at ``level``.

@@ -10,57 +10,32 @@ in production builds: the hash function is simply called.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from repro.cache.hierarchy import MemoryHierarchy
-from repro.ir.instructions import (
-    BinaryOp,
-    BinOpKind,
-    Branch,
-    Call,
-    CmpKind,
-    Compare,
-    Havoc,
-    Instruction,
-    Jump,
-    Load,
-    Return,
-    Select,
-    Store,
-    Unreachable,
+from repro.ir.decode import (
+    BINOP,
+    BRANCH,
+    CALL,
+    FALL_OFF,
+    HAVOC,
+    JUMP,
+    LOAD,
+    RETURN,
+    SELECT,
+    STORE,
+    UNREACHABLE,
+    DecodedFunction,
+    decode_module,
 )
+from repro.ir.instructions import BINOP_FUNCS, CMP_FUNCS
 from repro.ir.module import MemoryRegion, Module
-from repro.ir.values import Constant, Register, Value
+from repro.ir.values import MACHINE_MASK
 from repro.net.packet import Packet
 from repro.perf.counters import PacketCounters
 from repro.perf.cycles import CycleCosts, DEFAULT_CYCLE_COSTS
 
-MACHINE_MASK = (1 << 64) - 1
-
-# Opcodes of the decoded form.
-_BINOP, _BRANCH, _LOAD, _JUMP, _SELECT, _STORE, _CALL, _RETURN, _UNREACHABLE, _FALL_OFF = range(10)
-
-_BINOPS = {
-    BinOpKind.ADD: lambda lhs, rhs: (lhs + rhs) & MACHINE_MASK,
-    BinOpKind.SUB: lambda lhs, rhs: (lhs - rhs) & MACHINE_MASK,
-    BinOpKind.MUL: lambda lhs, rhs: (lhs * rhs) & MACHINE_MASK,
-    BinOpKind.UDIV: lambda lhs, rhs: (lhs // rhs) & MACHINE_MASK if rhs else MACHINE_MASK,
-    BinOpKind.UREM: lambda lhs, rhs: (lhs % rhs) & MACHINE_MASK if rhs else lhs,
-    BinOpKind.AND: operator.and_,
-    BinOpKind.OR: operator.or_,
-    BinOpKind.XOR: operator.xor,
-    BinOpKind.SHL: lambda lhs, rhs: (lhs << rhs) & MACHINE_MASK if rhs < 64 else 0,
-    BinOpKind.LSHR: lambda lhs, rhs: lhs >> rhs if rhs < 64 else 0,
-    # Comparisons share the binary-op form: the result is 0 or 1.
-    CmpKind.EQ: lambda lhs, rhs: 1 if lhs == rhs else 0,
-    CmpKind.NE: lambda lhs, rhs: 1 if lhs != rhs else 0,
-    CmpKind.ULT: lambda lhs, rhs: 1 if lhs < rhs else 0,
-    CmpKind.ULE: lambda lhs, rhs: 1 if lhs <= rhs else 0,
-    CmpKind.UGT: lambda lhs, rhs: 1 if lhs > rhs else 0,
-    CmpKind.UGE: lambda lhs, rhs: 1 if lhs >= rhs else 0,
-}
+_OPERATORS = {**BINOP_FUNCS, **CMP_FUNCS}
 
 
 class ExecutionError(RuntimeError):
@@ -82,22 +57,11 @@ class ExecutionResult:
         return len(self.per_packet)
 
 
-class _Code(NamedTuple):
-    """One decoded function: per-block lists of instruction tuples."""
-
-    name: str
-    params: list[str]
-    blocks: list[list[tuple]]
-
-
 class ConcreteInterpreter:
     """Executes an NFIL module packet-by-packet on the simulated hierarchy.
 
-    On first use the module is decoded once: every instruction becomes a
-    tuple of an integer opcode, its operands as ``(is_register, register
-    name or constant)`` pairs, branch targets as block indices, memory
-    regions and callees already resolved, and its fixed cycle cost.  Each
-    block ends in a sentinel that reports falling off its end.
+    On first use the module is decoded once (:mod:`repro.ir.decode`) over
+    plain integers; a havoc runs as the call it annotates.
 
     NF memory holds only the cells written since boot (unwritten cells read
     their region's initial value).  :meth:`snapshot_state` and
@@ -123,7 +87,7 @@ class ConcreteInterpreter:
         self._level_costs = {
             level: cycle_costs.memory_cost(level) for level in MemoryHierarchy.LEVELS
         }
-        self._code: dict[str, _Code] | None = None
+        self._code: dict[str, DecodedFunction] | None = None
         # Persistent NF state: region -> {index: value} of the written cells.
         self._memory: dict[str, dict[int, int]] = {name: {} for name in module.regions}
 
@@ -185,88 +149,21 @@ class ConcreteInterpreter:
 
     # -- decoding -------------------------------------------------------------------
 
-    def _decoded(self, name: str) -> _Code:
+    def _decoded(self, name: str) -> DecodedFunction:
         if self._code is None:
-            self._code = self._decode_module()
+            self._code = decode_module(self.module, self.cycle_costs, _OPERATORS, int)
         if name not in self._code:
             raise KeyError(f"module {self.module.name!r} has no function {name!r}")
         return self._code[name]
 
-    def _decode_module(self) -> dict[str, _Code]:
-        """Decode every function; a call holds its callee's :class:`_Code`."""
-        functions = self.module.functions
-        codes = {name: _Code(name, list(f.params), []) for name, f in functions.items()}
-        for name, function in functions.items():
-            block_index = {block.name: index for index, block in enumerate(function.blocks)}
-            for block in function.blocks:
-                decoded = [self._decode(ins, block_index, codes) for ins in block.instructions]
-                decoded.append((_FALL_OFF, block.name))
-                codes[name].blocks.append(decoded)
-        return codes
-
-    def _decode(
-        self, instruction: Instruction, block_index: dict[str, int], codes: dict[str, _Code]
-    ) -> tuple:
-        costs = self.cycle_costs
-        if isinstance(instruction, (BinaryOp, Compare)):
-            kind = instruction.op if isinstance(instruction, BinaryOp) else instruction.pred
-            return (
-                _BINOP,
-                instruction.dest.name,
-                _BINOPS[kind],
-                *_operand(instruction.lhs),
-                *_operand(instruction.rhs),
-                costs.instruction_cost(instruction),
-            )
-        if isinstance(instruction, Select):
-            return (
-                _SELECT,
-                instruction.dest.name,
-                *_operand(instruction.cond),
-                *_operand(instruction.if_true),
-                *_operand(instruction.if_false),
-                costs.select,
-            )
-        if isinstance(instruction, Load):
-            region = self.module.get_region(instruction.region)
-            return (_LOAD, instruction.dest.name, *_operand(instruction.index), region)
-        if isinstance(instruction, Store):
-            region = self.module.get_region(instruction.region)
-            return (_STORE, *_operand(instruction.index), region, *_operand(instruction.value))
-        if isinstance(instruction, (Call, Havoc)):
-            # Production semantics: a havoc just calls the annotated hash function.
-            is_call = isinstance(instruction, Call)
-            callee = instruction.callee if is_call else instruction.hash_function
-            if callee not in codes:
-                raise KeyError(f"module {self.module.name!r} has no function {callee!r}")
-            dest = None if instruction.dest is None else instruction.dest.name
-            args = tuple(_operand(arg) for arg in instruction.args)
-            return (_CALL, dest, codes[callee], args, costs.call_overhead)
-        if isinstance(instruction, Jump):
-            return (_JUMP, block_index[instruction.target], costs.jump)
-        if isinstance(instruction, Branch):
-            return (
-                _BRANCH,
-                *_operand(instruction.cond),
-                block_index[instruction.if_true],
-                block_index[instruction.if_false],
-                costs.branch,
-            )
-        if isinstance(instruction, Return):
-            value = (False, 0) if instruction.value is None else _operand(instruction.value)
-            return (_RETURN, *value, costs.return_cost)
-        if isinstance(instruction, Unreachable):
-            return (_UNREACHABLE,)
-        raise ExecutionError(f"unknown instruction {instruction!r}")
-
     # -- interpreter core -----------------------------------------------------------
 
     def _run_function(
-        self, code: _Code, args: list[int], counters: PacketCounters, depth: int
+        self, code: DecodedFunction, args: list[int], counters: PacketCounters, depth: int
     ) -> int:
         if depth > 64:
             raise ExecutionError("call depth limit exceeded")
-        name, params, blocks = code
+        name, params, blocks = code.name, code.params, code.blocks
         registers = {param: arg & MACHINE_MASK for param, arg in zip(params, args)}
         memory = self._memory
         budget = self.max_instructions_per_packet
@@ -282,24 +179,24 @@ class ConcreteInterpreter:
                 op = instruction[0]
                 executed += 1
                 if executed > budget:
-                    if op == _FALL_OFF:
+                    if op == FALL_OFF:
                         raise ExecutionError(
                             f"fell off the end of block {instruction[1]!r} in {name}"
                         )
                     raise ExecutionError(f"instruction budget exceeded in {name}")
-                if op == _BINOP:
+                if op == BINOP:
                     _, dest, apply, lhs_reg, lhs, rhs_reg, rhs, cost = instruction
                     registers[dest] = apply(
                         registers[lhs] if lhs_reg else lhs, registers[rhs] if rhs_reg else rhs
                     )
                     cycles += cost
                     index += 1
-                elif op == _BRANCH:
+                elif op == BRANCH:
                     _, cond_reg, cond, if_true, if_false, cost = instruction
                     cycles += cost
                     block = blocks[if_true if (registers[cond] if cond_reg else cond) else if_false]
                     index = 0
-                elif op == _LOAD:
+                elif op == LOAD:
                     _, dest, element_reg, element, region = instruction
                     if element_reg:
                         element = registers[element]
@@ -308,12 +205,12 @@ class ConcreteInterpreter:
                     value = memory[region.name].get(element)
                     registers[dest] = region.initial.get(element, 0) if value is None else value
                     index += 1
-                elif op == _JUMP:
+                elif op == JUMP:
                     _, target, cost = instruction
                     cycles += cost
                     block = blocks[target]
                     index = 0
-                elif op == _SELECT:
+                elif op == SELECT:
                     _, dest, cond_reg, cond, yes_reg, yes, no_reg, no, cost = instruction
                     if registers[cond] if cond_reg else cond:
                         registers[dest] = registers[yes] if yes_reg else yes
@@ -321,7 +218,7 @@ class ConcreteInterpreter:
                         registers[dest] = registers[no] if no_reg else no
                     cycles += cost
                     index += 1
-                elif op == _STORE:
+                elif op == STORE:
                     _, element_reg, element, region, value_reg, value = instruction
                     if element_reg:
                         element = registers[element]
@@ -331,8 +228,9 @@ class ConcreteInterpreter:
                         value = registers[value]
                     memory[region.name][element] = value & MACHINE_MASK
                     index += 1
-                elif op == _CALL:
-                    _, dest, callee, operands, cost = instruction
+                elif op == CALL or op == HAVOC:
+                    # Production semantics: a havoc just calls the annotated hash function.
+                    _, dest, callee, operands, cost = instruction[:5]
                     cycles += cost
                     value = self._run_function(
                         callee,
@@ -343,12 +241,12 @@ class ConcreteInterpreter:
                     if dest is not None:
                         registers[dest] = value
                     index += 1
-                elif op == _RETURN:
+                elif op == RETURN:
                     _, value_reg, value, cost = instruction
                     counters.instructions += executed
                     counters.cycles += cycles + cost
                     return registers[value] if value_reg else value
-                elif op == _UNREACHABLE:
+                elif op == UNREACHABLE:
                     raise ExecutionError(f"reached unreachable in {name}")
                 else:
                     raise ExecutionError(f"fell off the end of block {instruction[1]!r} in {name}")
@@ -376,11 +274,3 @@ class ConcreteInterpreter:
             counters.l3_misses += 1
         return self._level_costs[level]
 
-
-def _operand(value: Value) -> tuple[bool, str | int]:
-    """``(True, register name)`` or ``(False, constant)`` for one operand."""
-    if isinstance(value, Constant):
-        return False, value.value
-    if isinstance(value, Register):
-        return True, value.name
-    raise ExecutionError(f"unsupported operand {value!r}")

@@ -15,37 +15,35 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.cfg.costs import CostAnnotation
-from repro.ir.instructions import (
-    BinaryOp,
-    Branch,
-    Call,
-    Compare,
-    Havoc,
-    Instruction,
-    Jump,
-    Load,
-    Return,
-    Select,
-    Store,
-    Unreachable,
+from repro.ir.decode import (
+    BINOP,
+    BRANCH,
+    CALL,
+    FALL_OFF,
+    HAVOC,
+    JUMP,
+    LOAD,
+    RETURN,
+    SELECT,
+    STORE,
+    decode_module,
 )
-from repro.ir.module import BasicBlock, Module
-from repro.ir.values import Constant, Register, Value
+from repro.ir.instructions import BinOpKind, CmpKind
+from repro.ir.module import MemoryRegion, Module
 from repro.perf.cycles import CycleCosts, DEFAULT_CYCLE_COSTS
 from repro.symbex.expr import (
     Const,
     Expr,
     Sym,
-    evaluate,
     expr_ne,
     expr_not,
     make_binop,
     make_cmp,
     make_select,
-    symbols_of,
 )
 from repro.symbex.havoc import HavocRecord
 from repro.symbex.incremental import SolverContext
@@ -57,6 +55,12 @@ if TYPE_CHECKING:  # pragma: no cover - avoid a package-level import cycle
     from repro.cache.model import CacheModel
 
 _LOOP_HEAD_PREFIXES = ("while.cond", "for.cond")
+
+#: The engine's operator table: each operator builds (and folds) an expression.
+_OPERATORS = {
+    **{kind: partial(make_binop, kind) for kind in BinOpKind},
+    **{kind: partial(make_cmp, kind) for kind in CmpKind},
+}
 
 
 def _drain_best_pending(searcher: Searcher, limit: int | None) -> list[ExecutionState]:
@@ -167,11 +171,7 @@ class SymbolicEngine:
         self._entry_function = module.get_function(entry)
         if packet_args and len(self._entry_function.params) != len(packet_args[0]):
             raise ValueError("packet argument count does not match entry parameters")
-        # Pre-index blocks for O(1) lookup during interpretation.
-        self._blocks: dict[str, dict[str, BasicBlock]] = {
-            name: {block.name: block for block in function.blocks}
-            for name, function in module.functions.items()
-        }
+        self._functions = decode_module(module, cycle_costs, _OPERATORS, Const)
         self._stats: SymbexStats | None = None
         # When set, states crossing this packet boundary pause instead of
         # starting the next packet (per-packet beam rounds).
@@ -201,14 +201,7 @@ class SymbolicEngine:
                 f"packet {packet_index} provides {len(args)} args, entry takes {len(params)}"
             )
         registers = {param: arg for param, arg in zip(params, args)}
-        state.push_frame(
-            Frame(
-                function=self.entry,
-                block=self._entry_function.entry_block.name,
-                index=0,
-                registers=registers,
-            )
-        )
+        state.push_frame(Frame(function=self.entry, block=0, index=0, registers=registers))
         state.begin_packet()
 
     def resume_state(self, state: ExecutionState) -> None:
@@ -329,139 +322,110 @@ class SymbolicEngine:
         """
         collected: list[ExecutionState] = []
         executed = 0
+        functions = self._functions
+        stats = self._stats
         while state.status is StateStatus.RUNNING:
             if executed >= max_instructions:
                 state.status = StateStatus.ERROR
                 state.error_message = "instruction budget exceeded"
                 break
-            instruction = self._current_instruction(state)
-            if instruction is None:
+            frame = state.frames[-1]  # read-only: avoid triggering the CoW copy
+            instruction = functions[frame.function].blocks[frame.block][frame.index]
+            op = instruction[0]
+            if op == FALL_OFF:
                 state.status = StateStatus.ERROR
                 state.error_message = "fell off the end of a basic block"
                 break
             executed += 1
             state.instructions_retired += 1
-            if self._stats is not None:
-                self._stats.instructions_executed += 1
-
-            if isinstance(instruction, Branch):
-                finished = self._execute_branch(state, instruction, collected)
-                if finished:
+            if stats is not None:
+                stats.instructions_executed += 1
+            if op == BRANCH:
+                if self._execute_branch(state, instruction, collected):
                     break
-                continue
-            self._execute_simple(state, instruction)
+            else:
+                self._execute_simple(state, op, instruction)
         collected.append(state)
         return collected
 
     def _memory_query_fns(self, state: ExecutionState):
         """The (feasible, solve_value, pinned_value) callbacks of ``on_access``.
 
-        ``pinned_value`` (None without an incremental context) lets the
-        model skip probing a pointer the path has already pinned.
+        ``pinned_value`` lets the model skip probing a pointer the path has
+        already pinned.
         """
         context = state.solver_context
-        solver = self.solver
-
-        def feasible(constraint: Expr) -> bool:
-            if context is not None:
-                return context.feasible_with(constraint)
-            return solver.quick_feasible(state.constraints + [constraint])
-
-        def solve_value(expr: Expr) -> int | None:
-            if context is not None:
-                return context.solve_value(expr, defaults=self.defaults)
-            result = solver.check(state.constraints, defaults=self.defaults)
-            if not result.is_sat:
-                return None
-            assignment = {
-                symbol.name: result.model.get(symbol.name, self.defaults.get(symbol.name, 0))
-                for symbol in symbols_of(expr)
-            }
-            return evaluate(expr, assignment)
-
-        return feasible, solve_value, context.pinned_value if context is not None else None
+        return (
+            context.feasible_with,
+            partial(context.solve_value, defaults=self.defaults),
+            context.pinned_value,
+        )
 
     # -- instruction dispatch ----------------------------------------------------------
 
-    def _current_instruction(self, state: ExecutionState) -> Instruction | None:
-        frame = state.frames[-1]  # read-only: avoid triggering the CoW copy
-        block = self._blocks[frame.function].get(frame.block)
-        if block is None or frame.index >= len(block.instructions):
-            return None
-        return block.instructions[frame.index]
-
-    def _operand(self, state: ExecutionState, value: Value) -> Expr:
-        if isinstance(value, Constant):
-            return Const(value.value)
-        if isinstance(value, Register):
-            return state.read_register(value.name)
-        raise TypeError(f"unsupported operand {value!r}")
-
-    def _charge(self, state: ExecutionState, cycles: int) -> None:
-        state.current_cost += cycles
-
-    def _execute_simple(self, state: ExecutionState, instruction: Instruction) -> None:
+    def _execute_simple(self, state: ExecutionState, op: int, instruction: tuple) -> None:
         frame = state.top_frame
-        if isinstance(instruction, BinaryOp):
-            lhs = self._operand(state, instruction.lhs)
-            rhs = self._operand(state, instruction.rhs)
-            state.write_register(instruction.dest.name, make_binop(instruction.op, lhs, rhs))
-            self._charge(state, self.cycle_costs.instruction_cost(instruction))
+        read = state.read_register
+        if op == BINOP:
+            _, dest, apply, lhs_reg, lhs, rhs_reg, rhs, cost = instruction
+            state.write_register(
+                dest, apply(read(lhs) if lhs_reg else lhs, read(rhs) if rhs_reg else rhs)
+            )
+            state.current_cost += cost
             frame.index += 1
-            return
-        if isinstance(instruction, Compare):
-            lhs = self._operand(state, instruction.lhs)
-            rhs = self._operand(state, instruction.rhs)
-            state.write_register(instruction.dest.name, make_cmp(instruction.pred, lhs, rhs))
-            self._charge(state, self.cycle_costs.compare)
+        elif op == LOAD:
+            _, dest, index_reg, index, region = instruction
+            self._apply_access(state, region, read(index) if index_reg else index, dest)
             frame.index += 1
-            return
-        if isinstance(instruction, Select):
-            cond = self._operand(state, instruction.cond)
-            if_true = self._operand(state, instruction.if_true)
-            if_false = self._operand(state, instruction.if_false)
-            state.write_register(instruction.dest.name, make_select(cond, if_true, if_false))
-            self._charge(state, self.cycle_costs.select)
+        elif op == STORE:
+            _, index_reg, index, region, value_reg, value = instruction
+            index = read(index) if index_reg else index
+            self._apply_access(state, region, index, None, value_reg, value)
             frame.index += 1
-            return
-        if isinstance(instruction, Load):
-            self._apply_access(state, instruction, is_write=False)
+        elif op == JUMP:
+            _, target, cost = instruction
+            state.current_cost += cost
+            frame.block = target
+            frame.index = 0
+        elif op == SELECT:
+            _, dest, cond_reg, cond, yes_reg, yes, no_reg, no, cost = instruction
+            state.write_register(
+                dest,
+                make_select(
+                    read(cond) if cond_reg else cond,
+                    read(yes) if yes_reg else yes,
+                    read(no) if no_reg else no,
+                ),
+            )
+            state.current_cost += cost
             frame.index += 1
-            return
-        if isinstance(instruction, Store):
-            self._apply_access(state, instruction, is_write=True)
-            frame.index += 1
-            return
-        if isinstance(instruction, Call):
+        elif op == CALL:
             self._execute_call(state, instruction)
-            return
-        if isinstance(instruction, Havoc):
+        elif op == HAVOC:
             self._execute_havoc(state, instruction)
             frame.index += 1
-            return
-        if isinstance(instruction, Jump):
-            self._charge(state, self.cycle_costs.jump)
-            frame.block = instruction.target
-            frame.index = 0
-            return
-        if isinstance(instruction, Return):
-            self._execute_return(state, instruction)
-            return
-        if isinstance(instruction, Unreachable):
+        elif op == RETURN:
+            _, value_reg, value, cost = instruction
+            self._execute_return(state, read(value) if value_reg else value, cost)
+        else:  # UNREACHABLE
             state.status = StateStatus.ERROR
             state.error_message = "reached an unreachable instruction"
-            return
-        state.status = StateStatus.ERROR
-        state.error_message = f"unknown instruction {instruction!r}"
 
-    def _apply_access(self, state: ExecutionState, instruction, is_write: bool) -> None:
-        """One load or store: bounds check, cache decision, state effects.
+    def _apply_access(
+        self,
+        state: ExecutionState,
+        region: MemoryRegion,
+        index_expr: Expr,
+        dest: str | None,
+        value_reg: bool = False,
+        value=None,
+    ) -> None:
+        """One load (into ``dest``) or store (of the ``value`` operand).
 
-        A store's value operand is read only after the cache decision has
-        committed its constraint.
+        Bounds check, cache decision, state effects.  A store's value
+        operand is read only after the cache decision has committed its
+        constraint.
         """
-        region = self.module.get_region(instruction.region)
-        index_expr = self._operand(state, instruction.index)
         if index_expr.__class__ is Const and not (0 <= index_expr.value < region.length):
             state.status = StateStatus.ERROR
             state.error_message = (
@@ -469,6 +433,7 @@ class SymbolicEngine:
                 f"(length {region.length})"
             )
             return
+        is_write = dest is None
         decision = state.cache_model.on_access(
             region, index_expr, is_write, *self._memory_query_fns(state)
         )
@@ -477,28 +442,29 @@ class SymbolicEngine:
         state.current_cost += self.cycle_costs.memory_cost(decision.level)
         state.level_counts[decision.level] = state.level_counts.get(decision.level, 0) + 1
         if is_write:
-            value = self._operand(state, instruction.value)
+            if value_reg:
+                value = state.read_register(value)
             state.write_memory(region.name, decision.index, value)
             state.stores += 1
         else:
             default = region.initial.get(decision.index, 0)
             value = state.read_memory(region.name, decision.index, default=default)
-            state.write_register(instruction.dest.name, value)
+            state.write_register(dest, value)
             state.loads += 1
 
-    def _execute_call(self, state: ExecutionState, instruction: Call) -> None:
-        callee = self.module.get_function(instruction.callee)
-        args = [self._operand(state, arg) for arg in instruction.args]
-        self._charge(state, self.cycle_costs.call_overhead)
+    def _execute_call(self, state: ExecutionState, instruction: tuple) -> None:
+        _, dest, callee, operands, cost = instruction
+        args = [state.read_register(arg) if is_reg else arg for is_reg, arg in operands]
+        state.current_cost += cost
         caller_frame = state.top_frame
         caller_frame.index += 1  # resume after the call on return
         state.push_frame(
             Frame(
                 function=callee.name,
-                block=callee.entry_block.name,
+                block=0,
                 index=0,
                 registers={param: arg for param, arg in zip(callee.params, args)},
-                return_target=instruction.dest.name if instruction.dest else None,
+                return_target=dest,
             )
         )
         if (
@@ -511,32 +477,28 @@ class SymbolicEngine:
             state.active_stage = self.stage_entries[callee.name]
             state.stage_cost_base = state.current_cost
 
-    def _execute_havoc(self, state: ExecutionState, instruction: Havoc) -> None:
-        key_expr = self._operand(state, instruction.key)
-        args = [self._operand(state, arg) for arg in instruction.args]
-        bits = self.hash_output_bits.get(instruction.hash_function, 32)
+    def _execute_havoc(self, state: ExecutionState, instruction: tuple) -> None:
+        _, dest, hash_function, operands, _call_overhead, key_reg, key = instruction
+        key_expr = state.read_register(key) if key_reg else key
+        args = [state.read_register(arg) if is_reg else arg for is_reg, arg in operands]
+        bits = self.hash_output_bits.get(hash_function.name, 32)
         symbol = Sym(state.fresh_symbol_name("hv"), bits=bits)
         state.havoc_records.append(
             HavocRecord(
                 symbol=symbol,
                 key_expr=key_expr,
-                hash_function=instruction.hash_function,
+                hash_function=hash_function.name,
                 args=args,
                 packet_index=state.packets_processed,
             )
         )
-        state.write_register(instruction.dest.name, symbol)
+        state.write_register(dest, symbol)
         # Charge what the suppressed hash call would roughly have cost, so
         # the cost comparison between paths is not skewed by havocing.
-        self._charge(state, self.cycle_costs.hash_call)
+        state.current_cost += self.cycle_costs.hash_call
 
-    def _execute_return(self, state: ExecutionState, instruction: Return) -> None:
-        value = (
-            self._operand(state, instruction.value)
-            if instruction.value is not None
-            else Const(0)
-        )
-        self._charge(state, self.cycle_costs.return_cost)
+    def _execute_return(self, state: ExecutionState, value: Expr, cost: int) -> None:
+        state.current_cost += cost
         finished_frame = state.pop_frame()
         if state.frames:
             if (
@@ -567,31 +529,28 @@ class SymbolicEngine:
     # -- branches ---------------------------------------------------------------------
 
     def _execute_branch(
-        self, state: ExecutionState, instruction: Branch, collected: list[ExecutionState]
+        self, state: ExecutionState, instruction: tuple, collected: list[ExecutionState]
     ) -> bool:
         """Execute a branch.  Returns True when the caller must stop stepping."""
+        _, cond_reg, cond, if_true, if_false, cost = instruction
         frame = state.top_frame
-        self._charge(state, self.cycle_costs.branch)
-        cond = self._operand(state, instruction.cond)
+        state.current_cost += cost
+        if cond_reg:
+            cond = state.read_register(cond)
 
-        if isinstance(cond, Const):
-            frame.block = instruction.if_true if cond.value else instruction.if_false
+        if cond.__class__ is Const:
+            frame.block = if_true if cond.value else if_false
             frame.index = 0
             return False
 
         true_constraint = expr_ne(cond, Const(0))
         false_constraint = expr_not(true_constraint)
         context = state.solver_context
+        feasible_true = context.feasible_with(true_constraint)
+        feasible_false = context.feasible_with(false_constraint)
 
-        if context is not None:
-            feasible_true = context.feasible_with(true_constraint)
-            feasible_false = context.feasible_with(false_constraint)
-        else:
-            constraints = state.constraints
-            feasible_true = self.solver.quick_feasible(constraints + [true_constraint])
-            feasible_false = self.solver.quick_feasible(constraints + [false_constraint])
-
-        is_loop_head = frame.block.startswith(_LOOP_HEAD_PREFIXES)
+        block_name = self._functions[frame.function].block_names[frame.block]
+        is_loop_head = block_name.startswith(_LOOP_HEAD_PREFIXES)
         if is_loop_head:
             visits = frame.loop_visits.get(frame.block, 0) + 1
             frame.loop_visits[frame.block] = visits
@@ -604,10 +563,8 @@ class SymbolicEngine:
             state.status = StateStatus.INFEASIBLE
             return True
         if feasible_true != feasible_false:
-            constraint = true_constraint if feasible_true else false_constraint
-            target = instruction.if_true if feasible_true else instruction.if_false
-            state.add_constraint(constraint)
-            frame.block = target
+            state.add_constraint(true_constraint if feasible_true else false_constraint)
+            frame.block = if_true if feasible_true else if_false
             frame.index = 0
             return False
 
@@ -617,14 +574,14 @@ class SymbolicEngine:
         child = state.fork()
         child.add_constraint(false_constraint)
         child_frame = child.top_frame
-        child_frame.block = instruction.if_false
+        child_frame.block = if_false
         child_frame.index = 0
 
         state.add_constraint(true_constraint)
         # Re-fetch after fork(): frames went copy-on-write, so the frame
         # reference captured above may now be shared with the child.
         frame = state.top_frame
-        frame.block = instruction.if_true
+        frame.block = if_true
         frame.index = 0
 
         if is_loop_head:
@@ -652,10 +609,9 @@ class SymbolicEngine:
             StateStatus.PAUSED,
         ):
             for frame in state.frames:
-                block = self._blocks[frame.function].get(frame.block)
-                if block is None or frame.index >= len(block.instructions):
-                    continue
-                potential += self.annotation.cost_of(block.instructions[frame.index].uid)
+                uids = self._functions[frame.function].uids[frame.block]
+                if frame.index < len(uids):
+                    potential += self.annotation.cost_of(uids[frame.index])
             in_flight = 1 if state.frames else 0
             remaining_packets = max(0, state.num_packets - state.packets_processed - in_flight)
             potential += remaining_packets * self.annotation.entry_cost(self.entry)

@@ -35,11 +35,9 @@ from __future__ import annotations
 
 import importlib.util
 
-from repro.ir.instructions import BinOpKind, CmpKind
+from repro.ir.instructions import BINOP_FUNCS, CMP_FUNCS, BinOpKind, CmpKind
+from repro.ir.values import MACHINE_BITS, MACHINE_MASK
 from repro.symbex.memo import BoundedMemo, clear_memos
-
-MACHINE_BITS = 64
-MACHINE_MASK = (1 << MACHINE_BITS) - 1
 
 _EMPTY_SYMBOLS: frozenset = frozenset()
 _EMPTY_NAMES: frozenset = frozenset()
@@ -285,73 +283,6 @@ def const(value: int) -> Const:
     return Const(value & MACHINE_MASK)
 
 
-def _apply_binop(op: BinOpKind, lhs: int, rhs: int) -> int:
-    if op is BinOpKind.ADD:
-        return (lhs + rhs) & MACHINE_MASK
-    if op is BinOpKind.SUB:
-        return (lhs - rhs) & MACHINE_MASK
-    if op is BinOpKind.MUL:
-        return (lhs * rhs) & MACHINE_MASK
-    if op is BinOpKind.UDIV:
-        return (lhs // rhs) & MACHINE_MASK if rhs else MACHINE_MASK
-    if op is BinOpKind.UREM:
-        return (lhs % rhs) & MACHINE_MASK if rhs else lhs
-    if op is BinOpKind.AND:
-        return lhs & rhs
-    if op is BinOpKind.OR:
-        return lhs | rhs
-    if op is BinOpKind.XOR:
-        return lhs ^ rhs
-    if op is BinOpKind.SHL:
-        return (lhs << rhs) & MACHINE_MASK if rhs < MACHINE_BITS else 0
-    if op is BinOpKind.LSHR:
-        return lhs >> rhs if rhs < MACHINE_BITS else 0
-    raise ValueError(f"unknown binary operation {op}")
-
-
-def _apply_cmp(pred: CmpKind, lhs: int, rhs: int) -> int:
-    if pred is CmpKind.EQ:
-        return int(lhs == rhs)
-    if pred is CmpKind.NE:
-        return int(lhs != rhs)
-    if pred is CmpKind.ULT:
-        return int(lhs < rhs)
-    if pred is CmpKind.ULE:
-        return int(lhs <= rhs)
-    if pred is CmpKind.UGT:
-        return int(lhs > rhs)
-    if pred is CmpKind.UGE:
-        return int(lhs >= rhs)
-    raise ValueError(f"unknown comparison {pred}")
-
-
-#: Per-operator concrete implementations, used by the compiled and DAG
-#: evaluators so neither pays the ``_apply_binop`` if-chain per operation.
-#: Semantics match ``_apply_binop`` / ``_apply_cmp`` exactly (64-bit
-#: unsigned, total on division by zero).
-BINOP_FUNCS: dict[BinOpKind, "object"] = {
-    BinOpKind.ADD: lambda x, y: (x + y) & MACHINE_MASK,
-    BinOpKind.SUB: lambda x, y: (x - y) & MACHINE_MASK,
-    BinOpKind.MUL: lambda x, y: (x * y) & MACHINE_MASK,
-    BinOpKind.UDIV: lambda x, y: (x // y) & MACHINE_MASK if y else MACHINE_MASK,
-    BinOpKind.UREM: lambda x, y: (x % y) & MACHINE_MASK if y else x,
-    BinOpKind.AND: lambda x, y: x & y,
-    BinOpKind.OR: lambda x, y: x | y,
-    BinOpKind.XOR: lambda x, y: x ^ y,
-    BinOpKind.SHL: lambda x, y: (x << y) & MACHINE_MASK if y < MACHINE_BITS else 0,
-    BinOpKind.LSHR: lambda x, y: x >> y if y < MACHINE_BITS else 0,
-}
-
-CMP_FUNCS: dict[CmpKind, "object"] = {
-    CmpKind.EQ: lambda x, y: 1 if x == y else 0,
-    CmpKind.NE: lambda x, y: 1 if x != y else 0,
-    CmpKind.ULT: lambda x, y: 1 if x < y else 0,
-    CmpKind.ULE: lambda x, y: 1 if x <= y else 0,
-    CmpKind.UGT: lambda x, y: 1 if x > y else 0,
-    CmpKind.UGE: lambda x, y: 1 if x >= y else 0,
-}
-
-
 def _closure_evaluator(expr: Expr):
     """A closure calling the children's cached evaluators."""
     kind = type(expr)
@@ -462,7 +393,7 @@ def reduce_concrete(expr: Expr, assignment: dict[str, int]) -> int | None:
 def make_binop(op: BinOpKind, lhs: Expr, rhs: Expr) -> Expr:
     """Build a binary operation with constant folding and simplification."""
     if isinstance(lhs, Const) and isinstance(rhs, Const):
-        return Const(_apply_binop(op, lhs.value, rhs.value))
+        return Const(BINOP_FUNCS[op](lhs.value, rhs.value))
     # Identity simplifications that keep solver patterns clean.
     if isinstance(rhs, Const):
         if rhs.value == 0 and op in (BinOpKind.ADD, BinOpKind.SUB, BinOpKind.OR,
@@ -535,7 +466,7 @@ _NEGATED_PRED = {
 def make_cmp(pred: CmpKind, lhs: Expr, rhs: Expr) -> Expr:
     """Build a comparison with constant folding."""
     if isinstance(lhs, Const) and isinstance(rhs, Const):
-        return Const(_apply_cmp(pred, lhs.value, rhs.value))
+        return Const(CMP_FUNCS[pred](lhs.value, rhs.value))
     # Comparisons of a 0/1 comparison result against 0 or 1 collapse to the
     # inner comparison (possibly negated): this is what branch conditions on
     # compare instructions produce, and the solver relies on the flat form.

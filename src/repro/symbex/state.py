@@ -9,9 +9,8 @@ States fork at branches on symbolic conditions.  Forking is **copy-on-write**:
 frames, register files and memory overlays are shared between parent and
 child until one of them writes, and path constraints live in a persistent
 parent-linked log inside the state's
-:class:`~repro.symbex.incremental.SolverContext` (or a local fallback list
-when no context is attached).  A fork is therefore O(call depth) instead of
-O(everything the path ever touched).
+:class:`~repro.symbex.incremental.SolverContext`.  A fork is therefore
+O(call depth) instead of O(everything the path ever touched).
 """
 
 from __future__ import annotations
@@ -50,14 +49,14 @@ class Frame:
     """
 
     function: str
-    block: str
+    block: int  # index into the function's decoded blocks
     index: int = 0
     registers: dict[str, Expr] = field(default_factory=dict)
     # Register (name) in the *caller's* frame that receives our return value.
     return_target: str | None = None
-    # How many times each loop-head block has been entered in this frame
-    # (guards against runaway loops under optimistic feasibility checks).
-    loop_visits: dict[str, int] = field(default_factory=dict)
+    # How many times each loop-head block (by index) has been entered in this
+    # frame (guards against runaway loops under optimistic feasibility checks).
+    loop_visits: dict[int, int] = field(default_factory=dict)
     # True while ``registers`` may be shared with a copy of this frame.
     registers_shared: bool = False
 
@@ -104,7 +103,7 @@ class ExecutionState:
         self,
         cache_model: "CacheModel",
         num_packets: int,
-        solver_context: "SolverContext | None" = None,
+        solver_context: "SolverContext",
     ) -> None:
         self.sid = next(ExecutionState._ids)
         self._frames: list[Frame] = []
@@ -112,9 +111,6 @@ class ExecutionState:
         self._memory: dict[str, dict[int, Expr]] = {}
         self._owned_regions: set[str] = set()
         self.solver_context = solver_context
-        self._constraints_fallback: list[Expr] | None = (
-            [] if solver_context is None else None
-        )
         self.cache_model = cache_model
         self.num_packets = num_packets
         self.packets_processed = 0
@@ -165,14 +161,7 @@ class ExecutionState:
         child._memory = dict(self._memory)
         child._owned_regions = set()
         self._owned_regions = set()
-        child.solver_context = (
-            self.solver_context.fork() if self.solver_context is not None else None
-        )
-        child._constraints_fallback = (
-            list(self._constraints_fallback)
-            if self._constraints_fallback is not None
-            else None
-        )
+        child.solver_context = self.solver_context.fork()
         child.cache_model = self.cache_model.clone()
         child.num_packets = self.num_packets
         child.packets_processed = self.packets_processed
@@ -297,17 +286,11 @@ class ExecutionState:
     @property
     def constraints(self) -> list[Expr]:
         """Path constraints, oldest first (treat as read-only)."""
-        if self.solver_context is not None:
-            return self.solver_context.constraints()
-        return self._constraints_fallback
+        return self.solver_context.constraints()
 
     def add_constraint(self, constraint: Expr) -> None:
-        if isinstance(constraint, Const):
-            return
-        if self.solver_context is not None:
+        if not isinstance(constraint, Const):
             self.solver_context.add(constraint)
-        else:
-            self._constraints_fallback.append(constraint)
 
     def fresh_symbol_name(self, prefix: str) -> str:
         self._fresh_symbol_counter += 1

@@ -22,7 +22,7 @@ from repro.core.config import CONFIG_HASH_VERSION, CastanConfig
 #: fails after an intentional change to CastanConfig (new field, changed
 #: default, different canonical form), bump CONFIG_HASH_VERSION and repin —
 #: old stored service results must not be addressable by the new form.
-GOLDEN_DEFAULT_HASH = "368b8df37cf4045587817cf64837e4bbfafe18d6913990f633f5769ae5076f9f"
+GOLDEN_DEFAULT_HASH = "3cf7a78891ab40e572fc55086d25e72ff8d7c9af40be072d0f2afa0232a3849c"
 
 
 def _mutated(value):
@@ -135,6 +135,23 @@ def test_from_dict_rejects_unknown_knobs():
             CastanConfig.from_dict({key: value})
 
 
+@pytest.mark.parametrize(
+    "nested, key, known",
+    [
+        ("cycle_costs", "extra", "hash_call"),  # removed: it moved the hash, nothing read it
+        ("hierarchy", "l3_sizee", "l3_size"),
+    ],
+)
+def test_from_dict_rejects_unknown_nested_knobs(nested, key, known):
+    with pytest.raises(ValueError, match=key) as err:
+        CastanConfig.from_dict({nested: {key: 1}})
+    assert known in str(err.value)  # the known fields are named, as at the top level
+
+
+def test_cycle_costs_are_hashable():
+    assert hash(CastanConfig().cycle_costs) == hash(CastanConfig.from_dict({}).cycle_costs)
+
+
 def test_partial_from_dict_overrides_on_defaults():
     config = CastanConfig.from_dict({"max_states": 40, "deadline_seconds": None})
     assert config.max_states == 40
@@ -145,13 +162,13 @@ def test_partial_from_dict_overrides_on_defaults():
 def test_version_tag_is_part_of_the_hash(monkeypatch):
     """The golden hash covers the version tag (bumping it must repoint keys).
 
-    v6 drops the chain cache-partition field: no v5 entry may answer for
-    a canonical form without it.
+    v7 drops the unread ``cycle_costs.extra`` dict: no v6 entry may answer
+    for a canonical form without it.
     """
-    assert CONFIG_HASH_VERSION == "castan-config-v6"
+    assert CONFIG_HASH_VERSION == "castan-config-v7"
     import repro.core.config as config_module
 
-    monkeypatch.setattr(config_module, "CONFIG_HASH_VERSION", "castan-config-v5")
+    monkeypatch.setattr(config_module, "CONFIG_HASH_VERSION", "castan-config-v6")
     assert CastanConfig().content_hash() != GOLDEN_DEFAULT_HASH
 
 

@@ -29,7 +29,9 @@ from repro.core.workload import workload_digest
 from repro.nf.registry import get_nf
 from repro.service.store import canonical_result_digest, perf_record, result_summary
 from repro.symbex.engine import SymbolicEngine
+from repro.symbex.incremental import SolverContext
 from repro.symbex.searcher import make_searcher
+from repro.symbex.solver import Solver
 from repro.symbex.state import ExecutionState, StateStatus
 
 BUDGET = dict(max_states=1000, deadline_seconds=None)
@@ -155,7 +157,7 @@ def _scripted_run(completions: dict[int, int], chunk: int | None = 4):
     return engine.run(
         make_searcher("dfs"),
         max_states=40,
-        initial_states=[ExecutionState(NoCacheModel(), num_packets=1)],
+        initial_states=[ExecutionState(NoCacheModel(), 1, SolverContext(Solver()))],
         converge_chunk=chunk,
     )
 

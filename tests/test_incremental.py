@@ -325,7 +325,7 @@ class TestCopyOnWriteState:
             cache_model=NoCacheModel(), num_packets=1, solver_context=SolverContext(Solver())
         )
         state.push_frame(
-            Frame(function="f", block="entry", registers={"a": Const(1), "b": Const(2)})
+            Frame(function="f", block=0, registers={"a": Const(1), "b": Const(2)})
         )
         state.write_memory("tbl", 3, Const(7))
         state.add_constraint(expr_eq(Sym("x", 32), Const(5)))
@@ -339,7 +339,7 @@ class TestCopyOnWriteState:
         child.write_memory("heap", 0, Const(1))
         child.add_constraint(expr_ne(Sym("y", 32), Const(0)))
         child_frame = child.top_frame
-        child_frame.block = "other"
+        child_frame.block = 1
         child_frame.index = 7
 
         assert parent.read_register("a") == Const(1)
@@ -347,7 +347,7 @@ class TestCopyOnWriteState:
         assert parent.read_memory("heap", 0, default=0) == Const(0)
         assert len(parent.constraints) == 1
         parent_frame = parent.frames[-1]
-        assert parent_frame.block == "entry" and parent_frame.index == 0
+        assert parent_frame.block == 0 and parent_frame.index == 0
 
     def test_parent_writes_do_not_leak_into_child(self):
         parent = self.make_state()
@@ -355,16 +355,16 @@ class TestCopyOnWriteState:
         parent.write_register("b", Const(77))
         parent.write_memory("tbl", 3, Const(11))
         parent.add_constraint(expr_eq(Sym("z", 32), Const(1)))
-        parent.top_frame.block = "elsewhere"
+        parent.top_frame.block = 2
 
         assert child.read_register("b") == Const(2)
         assert child.read_memory("tbl", 3) == Const(7)
         assert len(child.constraints) == 1
-        assert child.frames[-1].block == "entry"
+        assert child.frames[-1].block == 0
 
     def test_deep_frames_stay_shared_until_written(self):
         parent = self.make_state()
-        parent.push_frame(Frame(function="g", block="inner", registers={"r": Const(3)}))
+        parent.push_frame(Frame(function="g", block=0, registers={"r": Const(3)}))
         child = parent.fork()
         # Writing in the child's top frame must not corrupt the parent's.
         child.write_register("r", Const(30))

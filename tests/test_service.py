@@ -211,6 +211,13 @@ def test_submission_validation_is_eager(server):
         assert err.value.status == 400
         assert f"'{knob}'" in err.value.message
 
+    # so is an unknown key inside a nested table
+    for nested, knob in (("cycle_costs", "extra"), ("hierarchy", "l3_sizee")):
+        with pytest.raises(ServiceError) as err:
+            server.client.submit(NF, config={nested: {knob: 1}})
+        assert err.value.status == 400
+        assert f"'{knob}'" in err.value.message and "known fields" in err.value.message
+
     # a strike chunk of no pops would spin the search until its deadline
     with pytest.raises(ServiceError) as err:
         server.client.submit(NF, config={**SMOKE_CONFIG, "strike_chunk_states": 0})

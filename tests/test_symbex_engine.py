@@ -205,8 +205,6 @@ class TestEngine:
         engine = SymbolicEngine(module, "process", [packet_symbols()])
         state = engine.make_initial_state()
         assert engine._memory_query_fns(state)[2] == state.solver_context.pinned_value
-        state.solver_context = None  # hand-built states: the cache model probes as before
-        assert engine._memory_query_fns(state)[2] is None
 
     def test_explores_all_paths_and_counts(self):
         module = make_module(BRANCHY_SOURCE, regions={"table": (8, 8, {i: 5 for i in range(8)})})
