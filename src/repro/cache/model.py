@@ -18,9 +18,9 @@ Two implementations are provided:
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from repro.cache.contention import ContentionSets
 from repro.ir.module import MemoryRegion
@@ -29,6 +29,17 @@ from repro.symbex.expr import Const, Expr, expr_eq
 #: How many recently-touched element indices each region remembers (used to
 #: steer symbolic pointers onto already-populated state).
 TOUCHED_ELEMENT_WINDOW = 512
+
+#: How many newly touched lines a model keeps beside its shared base set
+#: before it folds them into a new base (``ContentionSetCacheModel._charge``).
+_TOUCHED_LINES_DELTA = 32
+
+# A touched-element window is a persistent newest-first list of
+# ``(index, length, older)`` cells: an access conses one cell onto the
+# region's head, so clones share every cell and a write copies nothing.
+# Only the newest ``TOUCHED_ELEMENT_WINDOW`` cells are read; a list that
+# reaches twice that is rebuilt from its newest window.
+_Window = tuple  # (index, length, older: _Window | None)
 
 # Callbacks supplied by the engine:
 #   feasible(constraint) -> bool         (quick path-constraint compatibility)
@@ -187,31 +198,35 @@ class ContentionSetCacheModel(CacheModel):
         self.line_size = contention_sets.line_size
         self.max_candidates = max_candidates
         self.l1_window = l1_window
-        # contention set id -> OrderedDict of resident line -> True (LRU)
+        # contention set id -> OrderedDict of resident line -> True (LRU).
+        # The LRUs are shared with clones; ``_owned_sets`` holds the set ids
+        # whose LRU this model created or copied since its last clone(), and
+        # may write in place.
         self._resident: dict[int, OrderedDict[int, bool]] = {}
-        # Lines accessed at least once (cold-miss tracking), and a small
-        # recency window standing in for L1 (repeat accesses to the very
-        # same line in quick succession are not charged full L3 latency).
-        self._touched_lines: set[int] = set()
-        self._recent_lines: OrderedDict[int, bool] = OrderedDict()
-        # region name -> element indices accessed so far (insertion order,
-        # bounded window), used to steer pointers onto already-populated
-        # state when no cache contention is achievable.
-        self._touched_elements: dict[str, deque[int]] = {}
-        # The LRUs and deques of the two dicts above are shared with clones.
-        # These are the set ids and region names whose value this model
-        # created or copied since its last clone(), and may write in place.
         self._owned_sets: set[int] = set()
-        self._owned_regions: set[str] = set()
+        # Lines accessed at least once (cold-miss tracking): a base set and
+        # a short tuple of the lines added since, both immutable and shared
+        # with clones.
+        self._touched_base: frozenset[int] = frozenset()
+        self._touched_new: tuple[int, ...] = ()
+        # A small recency window standing in for L1 (repeat accesses to the
+        # very same line in quick succession are not charged full L3
+        # latency), oldest first.
+        self._recent_lines: tuple[int, ...] = ()
+        # region name -> the newest touched element index's window cell,
+        # used to steer pointers onto already-populated state when no cache
+        # contention is achievable (see ``touched_window``).
+        self._touched_elements: dict[str, _Window] = {}
         self._stats = CacheModelStats()
 
     # -- lifecycle -----------------------------------------------------------
 
     def clone(self) -> "ContentionSetCacheModel":
-        """A copy-on-write copy: O(sets and regions), not O(their contents).
+        """A copy-on-write copy: O(sets and regions), nothing that grows with the path.
 
-        The residency and touched-element containers stay shared; each
-        side copies one set's LRU or one region's deque on its first write.
+        The residency LRUs stay shared and each side copies one set's LRU on
+        its first write; touched-element windows, the touched-line base and
+        the recency window are immutable and shared as they are.
         """
         other = ContentionSetCacheModel(
             self.contention_sets,
@@ -220,13 +235,25 @@ class ContentionSetCacheModel(CacheModel):
             slot_index=self.slot_index,
         )
         other._resident = dict(self._resident)
-        other._touched_lines = set(self._touched_lines)
-        other._recent_lines = OrderedDict(self._recent_lines)
-        other._touched_elements = dict(self._touched_elements)
         self._owned_sets = set()
-        self._owned_regions = set()
+        other._touched_base = self._touched_base
+        other._touched_new = self._touched_new
+        other._recent_lines = self._recent_lines
+        other._touched_elements = dict(self._touched_elements)
         other._stats = CacheModelStats(**vars(self._stats))
         return other
+
+    def touched_window(self, region_name: str) -> tuple[int, ...]:
+        """The region's recently touched element indices, newest first.
+
+        At most ``TOUCHED_ELEMENT_WINDOW`` of them; an index repeats only
+        when other accesses came between its touches.
+        """
+        return tuple(_newest_first(self._touched_elements.get(region_name)))
+
+    def touched_lines(self) -> frozenset[int]:
+        """Every line this model has charged an access to."""
+        return self._touched_base.union(self._touched_new)
 
     @property
     def stats(self) -> CacheModelStats:
@@ -256,12 +283,12 @@ class ContentionSetCacheModel(CacheModel):
                 self._stats.contention_targeted += 1
         address = region.address_of(index)
         touched = self._touched_elements.get(region.name)
-        if not touched or touched[-1] != index:
-            if region.name not in self._owned_regions:
-                touched = deque(touched or (), maxlen=TOUCHED_ELEMENT_WINDOW)
-                self._touched_elements[region.name] = touched
-                self._owned_regions.add(region.name)
-            touched.append(index)  # the deque's maxlen trims the oldest entry
+        if touched is None:
+            self._touched_elements[region.name] = (index, 1, None)
+        elif touched[0] != index:
+            if touched[1] == 2 * TOUCHED_ELEMENT_WINDOW:
+                touched = _rebuild_window(touched)
+            self._touched_elements[region.name] = (index, touched[1] + 1, touched)
         level, evicted = self._charge(address)
         if level in ("L1", "L3"):
             self._stats.hits += 1
@@ -325,12 +352,12 @@ class ContentionSetCacheModel(CacheModel):
             reverse=True,
         )
         candidates: list[int] = []
-        touched_lines = self._touched_lines
+        touched_base, touched_new = self._touched_base, self._touched_new
         for set_id, resident in ranked:
             if not resident:
                 continue
             for line, index in self.slot_index.slots(region, set_id):
-                if line in touched_lines:
+                if line in touched_base or line in touched_new:
                     continue
                 candidates.append(index)
                 if len(candidates) >= self.max_candidates:
@@ -339,8 +366,7 @@ class ContentionSetCacheModel(CacheModel):
         # worst thing a symbolic pointer can do is land on state another
         # packet already touched — that is what grows hash chains and makes
         # lookups walk further (§5.4's collision workloads).
-        touched = self._touched_elements.get(region.name, [])
-        for index in reversed(touched):
+        for index in _newest_first(self._touched_elements.get(region.name)):
             if index not in candidates:
                 candidates.append(index)
             if len(candidates) >= self.max_candidates:
@@ -353,16 +379,19 @@ class ContentionSetCacheModel(CacheModel):
 
         # Recency window: immediately repeated accesses to the same line are
         # effectively L1 hits (loop bodies touching one element repeatedly).
-        if line in self._recent_lines:
-            self._recent_lines.move_to_end(line)
+        recent = self._recent_lines
+        if line in recent:
+            if recent[-1] != line:
+                self._recent_lines = (*(other for other in recent if other != line), line)
             return "L1", False
 
+        touched = line in self._touched_base or line in self._touched_new
         set_id = self.contention_sets.set_id_of(address)
         evicted = False
         if set_id is None:
             # Address not covered by the empirical model: charge a cold miss
             # the first time, an L3 hit afterwards.
-            level = "L3" if line in self._touched_lines else "DRAM"
+            level = "L3" if touched else "DRAM"
         else:
             resident = self._resident.get(set_id)
             if resident is None or set_id not in self._owned_sets:
@@ -378,10 +407,13 @@ class ContentionSetCacheModel(CacheModel):
                 if len(resident) > self.associativity:
                     resident.popitem(last=False)
                     evicted = True
-        self._touched_lines.add(line)
-        self._recent_lines[line] = True
-        if len(self._recent_lines) > self.l1_window:
-            self._recent_lines.popitem(last=False)
+        if not touched:
+            if len(self._touched_new) < _TOUCHED_LINES_DELTA:
+                self._touched_new = (*self._touched_new, line)
+            else:
+                self._touched_base = self._touched_base.union(self._touched_new, (line,))
+                self._touched_new = ()
+        self._recent_lines = (*recent, line)[-self.l1_window :] if self.l1_window else ()
         return level, evicted
 
     # -- reporting ----------------------------------------------------------------
@@ -389,3 +421,20 @@ class ContentionSetCacheModel(CacheModel):
     def resident_summary(self) -> dict[int, int]:
         """Contention-set id -> number of resident lines (for debugging)."""
         return {set_id: len(lines) for set_id, lines in self._resident.items() if lines}
+
+
+def _newest_first(cell: _Window | None) -> Iterator[int]:
+    """The window's indices, newest first, up to ``TOUCHED_ELEMENT_WINDOW`` of them."""
+    for _ in range(TOUCHED_ELEMENT_WINDOW):
+        if cell is None:
+            return
+        yield cell[0]
+        cell = cell[2]
+
+
+def _rebuild_window(cell: _Window) -> _Window:
+    """A fresh list of the newest ``TOUCHED_ELEMENT_WINDOW`` cells of ``cell``'s list."""
+    rebuilt = None
+    for length, index in enumerate(reversed(tuple(_newest_first(cell))), 1):
+        rebuilt = (index, length, rebuilt)
+    return rebuilt

@@ -24,10 +24,12 @@ constraints) *incrementally* as constraints are added along the path.
   pinned, otherwise through :meth:`SolverContext.check`, the full
   :class:`~repro.symbex.solver.Solver` search resumed from the context's
   fixpoint (models are identical to monolithic solving).
-- :meth:`SolverContext.fork` is O(current delta): domains are shared
-  copy-on-write with the child, the constraint log becomes a persistent
-  parent-linked chain, and the feasibility memo carries over through the
-  shared fingerprint.
+- :meth:`SolverContext.fork` copies nothing that grows with the path: the
+  assignment and domains dicts and the domain objects are shared
+  copy-on-write with the child, the constraint log and the unresolved
+  (pending) constraints are persistent parent-linked logs (:class:`_Log`)
+  that each side extends at its own tail, and the feasibility memo carries
+  over through the shared fingerprint.
 
 Soundness note: propagation is a monotone fixpoint computation (domains only
 ever tighten), so incrementally-reached fixpoints coincide with from-scratch
@@ -38,7 +40,7 @@ through both paths and asserts identical verdicts and models.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 from repro.symbex.expr import Const, Expr, evaluate, reduce_concrete, reduce_expr
 from repro.symbex.memo import MEMOS, BoundedMemo, clear_memos
@@ -131,8 +133,9 @@ _FEASIBLE_MEMO = BoundedMemo("feasible")
 
 #: Recorded propagation waves: (fingerprint, id(reduced extra)) -> the
 #: committed-state delta a successful wave produced (new assignment entries,
-#: post-wave domain objects for every touched symbol, the post-wave pending
-#: list, and whether the wave converged).  ``feasible_with`` records the plan
+#: post-wave domain objects for every touched symbol, how many pending
+#: entries the wave left in place and the tail it put after them, and
+#: whether the wave converged).  ``feasible_with`` records the plan
 #: while answering a query on scratch domains; ``add`` replays it when the
 #: *same* constraint is then committed on a context with the *same*
 #: fingerprint, skipping the whole wave.  Forked siblings that split the same
@@ -186,25 +189,64 @@ class _CowDomains(_TrackedDomains):
         self.owned.add(name)
 
 
-class _ConstraintChain:
-    """Persistent (parent-linked) constraint log shared across forks."""
+class _Block:
+    """One frozen run of a :class:`_Log`, linked to the runs before it."""
 
-    __slots__ = ("parent", "items")
+    __slots__ = ("parent", "items", "size")
 
-    def __init__(self, parent: "_ConstraintChain | None", items: tuple[Expr, ...]) -> None:
+    def __init__(self, parent: "_Block | None", items: tuple[Expr, ...]) -> None:
         self.parent = parent
         self.items = items
+        self.size = len(items) + (parent.size if parent is not None else 0)
 
-    def materialize(self) -> list[Expr]:
-        blocks: list[tuple[Expr, ...]] = []
-        node: _ConstraintChain | None = self
+
+class _Log:
+    """A persistent list of expressions: shared frozen blocks and an owned tail.
+
+    Appends go to the tail.  :meth:`fork` freezes the tail into a block and
+    hands both sides the same block chain, so a fork costs O(tail) and what
+    came before it is shared, never copied.
+    """
+
+    __slots__ = ("_head", "_tail")
+
+    def __init__(self, head: _Block | None = None) -> None:
+        self._head = head
+        self._tail: list[Expr] = []
+
+    def fork(self) -> "_Log":
+        if self._tail:
+            self._head = _Block(self._head, tuple(self._tail))
+            self._tail = []
+        return _Log(self._head)
+
+    def __len__(self) -> int:
+        return len(self._tail) + (self._head.size if self._head is not None else 0)
+
+    def __iter__(self) -> Iterator[Expr]:
+        blocks: list[Sequence[Expr]] = [self._tail]
+        node = self._head
         while node is not None:
             blocks.append(node.items)
             node = node.parent
-        out: list[Expr] = []
-        for block in reversed(blocks):
-            out.extend(block)
-        return out
+        return itertools.chain.from_iterable(reversed(blocks))
+
+    def append(self, item: Expr) -> None:
+        self._tail.append(item)
+
+    def replace_from(self, keep: int, items: Iterable[Expr]) -> None:
+        """Keep the first ``keep`` entries and put ``items`` after them.
+
+        Cutting into the shared blocks turns the kept entries into a private
+        tail: a full snapshot, taken only when a wave rewrote older entries.
+        """
+        base = self._head.size if self._head is not None else 0
+        if keep < base:
+            self._tail = list(itertools.islice(self, keep))
+            self._head = None
+        else:
+            del self._tail[keep - base :]
+        self._tail.extend(items)
 
 
 class SolverContext:
@@ -215,9 +257,9 @@ class SolverContext:
         "_assignment",
         "_domains",
         "_owned",
+        "_shared",
         "_pending",
-        "_chain",
-        "_local",
+        "_log",
         "_materialized",
         "_set_id",
         "_converged",
@@ -229,10 +271,12 @@ class SolverContext:
         self._assignment: dict[str, int] = {}
         self._domains: dict[str, _Domain] = {}
         self._owned: set[str] = set()
-        self._pending: list[Expr] = []
-        self._chain: _ConstraintChain | None = None
-        self._local: list[Expr] = []
-        self._materialized: list[Expr] | None = []
+        # Whether the two dicts above may be shared with a fork of this
+        # context: the first write copies them (``_own_dicts``).
+        self._shared = False
+        self._pending = _Log()
+        self._log = _Log()
+        self._materialized: list[Expr] | None = None
         self._set_id = 0
         # Whether the last committed wave left through a no-change round, so
         # ``_pending`` is a fixpoint the next wave may carry over untouched.
@@ -242,25 +286,29 @@ class SolverContext:
     # -- lifecycle -------------------------------------------------------------
 
     def fork(self) -> "SolverContext":
-        """O(delta) copy: domains go copy-on-write, the log becomes shared."""
+        """O(delta) copy: the dicts and domains go copy-on-write, the logs are shared."""
         CONTEXT_STATS.forks += 1
-        if self._local:
-            self._chain = _ConstraintChain(self._chain, tuple(self._local))
-            self._local = []
         child = SolverContext.__new__(SolverContext)
         child.solver = self.solver
-        child._assignment = dict(self._assignment)
-        child._domains = dict(self._domains)
+        child._assignment = self._assignment
+        child._domains = self._domains
         child._owned = set()
         self._owned = set()  # parent's domains are shared now too
-        child._pending = list(self._pending)
-        child._chain = self._chain
-        child._local = []
+        child._shared = self._shared = True
+        child._pending = self._pending.fork()
+        child._log = self._log.fork()
         child._materialized = None
         child._set_id = self._set_id
         child._converged = self._converged
         child.unsat = self.unsat
         return child
+
+    def _own_dicts(self) -> None:
+        """Copy the assignment and domains dicts before the first write to them."""
+        if self._shared:
+            self._assignment = dict(self._assignment)
+            self._domains = dict(self._domains)
+            self._shared = False
 
     # -- constraint log --------------------------------------------------------
 
@@ -270,13 +318,11 @@ class SolverContext:
         The returned list is cached and shared; treat it as read-only.
         """
         if self._materialized is None:
-            out = self._chain.materialize() if self._chain is not None else []
-            out.extend(self._local)
-            self._materialized = out
+            self._materialized = list(self._log)
         return self._materialized
 
     def __len__(self) -> int:
-        return len(self.constraints())
+        return len(self._log)
 
     # -- queries ---------------------------------------------------------------
 
@@ -287,7 +333,7 @@ class SolverContext:
         only on a definite contradiction, True otherwise (optimistically).
         Only the new constraint and whatever it wakes up are propagated,
         against scratch copy-on-write domains; setting those up (copies of
-        the assignment, domains and pending list) still costs O(path).  A
+        the assignment and domains dicts) still costs O(symbols).  A
         propagation-blind constraint (``_blind``) skips all of it and costs
         O(1).
         """
@@ -316,23 +362,23 @@ class SolverContext:
             return True
         scratch_assignment = dict(self._assignment)
         scratch_domains = _CowDomains(dict(self._domains), set())
-        scratch_pending = list(self._pending)
         promoted: list[str] = []
-        verdict, converged = self._propagate_wave(
-            scratch_assignment, scratch_domains, scratch_pending, [extra], promoted
-        )
+        outcome = self._propagate_wave(scratch_assignment, scratch_domains, extra, promoted)
+        verdict = outcome is not None
         _FEASIBLE_MEMO[key] = verdict
         _FEASIBLE_MEMO[raw_key] = verdict
-        if verdict:
+        if outcome is not None:
             # Record the wave's committed-state delta so a later add() of the
             # same constraint on the same fingerprint replays it for free.
             # The scratch CoW view started with nothing owned, so every
             # domain the wave touched was cloned into scratch — those clones
             # belong exclusively to this record once scratch is discarded.
+            kept, unresolved, converged = outcome
             _ADD_PLAN_MEMO[key] = (
                 {name: scratch_assignment[name] for name in promoted},
                 {name: scratch_domains.base[name] for name in scratch_domains.owned},
-                tuple(scratch_pending),
+                kept,
+                tuple(unresolved),
                 converged,
             )
         return verdict
@@ -344,7 +390,7 @@ class SolverContext:
                 self.unsat = True
             return
         CONTEXT_STATS.adds += 1
-        self._local.append(constraint)
+        self._log.append(constraint)
         if self._materialized is not None:
             self._materialized.append(constraint)
         pre_set_id = self._set_id
@@ -360,24 +406,27 @@ class SolverContext:
             CONTEXT_STATS.blind_adds += 1
             self._pending.append(reduced)
             return
+        self._own_dicts()
         plan = _ADD_PLAN_MEMO.get((pre_set_id, id(reduced)))
         if plan is not None:
             # A feasibility query already ran this exact wave on an identical
             # committed state; replay its recorded delta instead of
             # re-propagating.  Domains install unowned (shared CoW).
-            assignment_delta, domain_delta, pending_after, self._converged = plan
+            assignment_delta, domain_delta, kept, unresolved, self._converged = plan
             self._assignment.update(assignment_delta)
             for name, domain in domain_delta.items():
                 self._domains[name] = domain
                 self._owned.discard(name)
-            self._pending[:] = pending_after
+            self._pending.replace_from(kept, unresolved)
             return
         cow = _CowDomains(self._domains, self._owned)
-        feasible, self._converged = self._propagate_wave(
-            self._assignment, cow, self._pending, [reduced]
-        )
-        if not feasible:
+        outcome = self._propagate_wave(self._assignment, cow, reduced)
+        if outcome is None:
             self.unsat = True
+            self._converged = False
+            return
+        kept, unresolved, self._converged = outcome
+        self._pending.replace_from(kept, unresolved)
 
     def solve_value(self, expr: Expr, defaults: dict[str, int] | None = None) -> int | None:
         """A concrete value for ``expr`` consistent with the path, or None.
@@ -470,32 +519,30 @@ class SolverContext:
         self,
         assignment: dict[str, int],
         domains: _CowDomains,
-        pending: list[Expr],
-        new_constraints: Iterable[Expr],
+        extra: Expr,
         promoted: list[str] | None = None,
-    ) -> tuple[bool, bool]:
-        """Propagate ``new_constraints`` against this context's fixpoint.
+    ) -> tuple[int, list[Expr], bool] | None:
+        """Propagate ``extra`` against this context's fixpoint.
 
-        ``assignment`` / ``domains`` / ``pending`` are the committed state or
-        a scratch copy of it.  Returns ``(feasible, converged)`` and updates
-        ``pending`` in place to the new unresolved set.  When the wave that
-        produced the committed ``pending`` converged, only the new
-        constraints and whatever they wake are visited (see
+        ``assignment`` / ``domains`` are the committed state or a scratch
+        copy of it; ``_pending`` is only read.  Returns ``(kept,
+        unresolved, converged)`` — the new pending list is the first
+        ``kept`` entries of ``_pending`` followed by ``unresolved`` — or None
+        on a contradiction.  When the wave that produced ``_pending``
+        converged, only ``extra`` and whatever it wakes are visited (see
         ``Solver._propagate_rounds``); after a wave that left through the
-        rounds cap ``pending`` is not a proven fixpoint, so nothing is
+        rounds cap ``_pending`` is not a proven fixpoint, so nothing is
         carried over and everything is visited.  ``promoted`` collects newly
         pinned names (wave recording for ``_ADD_PLAN_MEMO``).
         """
-        queue = list(pending)
-        first = len(queue) if self._converged else 0
-        queue.extend(new_constraints)
-        outcome = self.solver._propagate_rounds(queue, first, assignment, domains, promoted)
+        if self._converged:
+            carried, queue = self._pending, [extra]
+        else:
+            carried, queue = (), [*self._pending, extra]
+        outcome = self.solver._propagate_rounds(carried, queue, assignment, domains, promoted)
         CONTEXT_STATS.wave_visits += domains.visits
         CONTEXT_STATS.wave_skips += domains.skips
-        if outcome is None:
-            return False, False
-        pending[:], converged = outcome
-        return True, converged
+        return outcome
 
 
 def replay_context(solver: Solver, constraints: Iterable[Expr]) -> SolverContext:

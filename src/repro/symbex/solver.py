@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from itertools import islice
+from typing import TYPE_CHECKING, Collection, Iterable
 
 from repro.ir.instructions import BinOpKind, CmpKind
 from repro.symbex.expr import (
@@ -395,31 +396,31 @@ class Solver:
     ) -> list[Expr] | None:
         """From-scratch propagation: the unresolved constraints, None if unsat."""
         outcome = self._propagate_rounds(
-            list(constraints), 0, assignment, _TrackedDomains(domains)
+            (), list(constraints), assignment, _TrackedDomains(domains)
         )
-        return None if outcome is None else outcome[0]
+        return None if outcome is None else outcome[1]
 
     def _propagate_rounds(
         self,
+        carried: Collection[Expr],
         queue: list[Expr],
-        first: int,
         assignment: dict[str, int],
         domains: _TrackedDomains,
         promoted: list[str] | None = None,
-    ) -> tuple[list[Expr], bool] | None:
+    ) -> tuple[int, list[Expr], bool] | None:
         """Constraint propagation to a (bounded) fixpoint, O(what changed).
 
-        Returns ``(unresolved, converged)`` — the constraints still open,
-        each reduced under ``assignment``, and whether the pass ended in a
-        no-change round rather than at the rounds cap — or None on a
-        definite contradiction.  Names newly pinned into ``assignment`` are
-        appended to ``promoted`` when given.
+        Returns ``(kept, unresolved, converged)`` — the constraints still
+        open are the first ``kept`` of ``carried`` followed by
+        ``unresolved``, each reduced under ``assignment``, and ``converged``
+        says whether the pass ended in a no-change round rather than at the
+        rounds cap — or None on a definite contradiction.  Names newly
+        pinned into ``assignment`` are appended to ``promoted`` when given.
 
-        - *Round 0* visits ``queue[first:]`` only.  The caller vouches that
-          ``queue[:first]`` is a fixpoint: already reduced under
-          ``assignment`` and already propagated into these exact domains
-          (what a converged earlier pass leaves), so re-propagating it is a
-          proven no-op.
+        - *Round 0* visits ``queue`` only.  The caller vouches that
+          ``carried`` is a fixpoint: already reduced under ``assignment``
+          and already propagated into these exact domains (what a converged
+          earlier pass leaves), so re-propagating it is a proven no-op.
         - *Rounds >= 1* wake — re-reduce and re-propagate — only the
           constraints that mention a symbol whose domain signature really
           changed in the previous round (promotions need no rule of their
@@ -427,6 +428,9 @@ class Solver:
           constraint reads no input that moved since it last ran and its
           propagator is idempotent, so it keeps its place untouched.  The
           pass ends when a round wakes nothing.
+        - ``carried`` is only read.  A woken entry of it moves, with every
+          entry after it, to the front of the queue; the entries before it
+          are the ``kept`` prefix, never copied.
 
         Propagation is a monotone fixpoint computation, so this schedule
         reaches the same verdict, assignment, domain contents and
@@ -435,26 +439,40 @@ class Solver:
         touches — and, under a copy-on-write view, clones — far fewer
         domains.
         """
-        woken: set[str] | None = None  # None in round 0: visit queue[first:]
+        woken: set[str] | None = None  # None in round 0: visit the queue
+        kept = len(carried)
         visits = 0
-        skips = first
+        skips = kept
         try:
             for _round in range(_MAX_ROUNDS):
                 domains.reset_round()
                 if woken is None:
-                    visit: Iterable[int] = range(first, len(queue))
+                    visit: Iterable[int] = range(len(queue))
                 else:
-                    # One comprehension finds the woken constraints; the
-                    # runs between them are carried over by slice.
+                    # The first woken entry of ``carried`` and every entry
+                    # after it join the queue.  One comprehension finds the
+                    # woken constraints; the runs between them are carried
+                    # over by slice.
                     disjoint = woken.isdisjoint
+                    woken_at = next(
+                        (
+                            i
+                            for i, c in enumerate(islice(carried, kept))
+                            if not disjoint(c.symbol_names)
+                        ),
+                        kept,
+                    )
+                    if woken_at < kept:
+                        queue = [*islice(carried, woken_at, kept), *queue]
+                        kept = woken_at
                     visit = [i for i, c in enumerate(queue) if not disjoint(c.symbol_names)]
-                    skips += len(queue) - len(visit)
+                    skips += kept + len(queue) - len(visit)
                 unresolved: list[Expr] = []
-                carried = 0  # queue[carried:index] is carried over untouched
+                carry = 0  # queue[carry:index] is carried over untouched
                 for index in visit:
-                    if index > carried:
-                        unresolved += queue[carried:index]
-                    carried = index + 1
+                    if index > carry:
+                        unresolved += queue[carry:index]
+                    carry = index + 1
                     visits += 1
                     reduced = reduce_expr(queue[index], assignment)
                     if isinstance(reduced, Const):
@@ -464,7 +482,7 @@ class Solver:
                     if self._propagate_one(reduced, assignment, domains) == "unsat":
                         return None
                     unresolved.append(reduced)
-                unresolved += queue[carried:]
+                unresolved += queue[carry:]
                 queue = unresolved
                 # Promote domains that became fully known to concrete assignments.
                 changed = domains.changed_names()
@@ -480,7 +498,7 @@ class Solver:
                             promoted.append(name)
                 if not changed:
                     break
-            return queue, not woken
+            return kept, queue, not woken
         finally:
             domains.visits += visits
             domains.skips += skips

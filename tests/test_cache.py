@@ -1,9 +1,10 @@
 """Tests for the cache substrate: set-associative caches, the simulated
 hierarchy, contention-set discovery and the symbex cache models."""
 
+import copy
 import itertools
 import random
-from collections import Counter, OrderedDict, deque
+from collections import Counter, OrderedDict
 
 import pytest
 
@@ -11,7 +12,6 @@ from repro.cache.contention import ContentionSets, discover_contention_sets
 from repro.cache.hierarchy import HierarchyConfig, MemoryHierarchy
 from repro.cache.model import (
     TOUCHED_ELEMENT_WINDOW,
-    CacheModelStats,
     ContentionSetCacheModel,
     NoCacheModel,
     RegionSlotIndex,
@@ -339,24 +339,29 @@ class TestCacheModels:
         decision = model.on_access(small, Sym("h", 16), False, lambda c: True, lambda e: 1)
         assert decision.index == 13
 
-    def test_touched_elements_window_is_bounded_deque(self):
-        from collections import deque
-
-        from repro.cache.model import TOUCHED_ELEMENT_WINDOW
-
+    def test_touched_elements_window_is_bounded(self):
         model = self._contention_model()
         region = self._region()
-        for index in range(TOUCHED_ELEMENT_WINDOW + 100):
-            model.on_access(region, Const(index % region.length), False, lambda c: True, lambda e: 0)
-        touched = model._touched_elements[region.name]
-        assert isinstance(touched, deque)
+
+        def touch(target, indices):
+            for index in indices:
+                target.on_access(region, Const(index), False, lambda c: True, lambda e: 0)
+
+        touch(model, range(TOUCHED_ELEMENT_WINDOW + 100))
+        touched = model.touched_window(region.name)
         assert len(touched) == TOUCHED_ELEMENT_WINDOW
-        # The oldest entries were trimmed; the newest survive in order.
-        assert touched[-1] == (TOUCHED_ELEMENT_WINDOW + 99) % region.length
-        assert touched[0] == 100
-        # Clones keep the bound.
+        # The oldest entries were trimmed; the newest survive, newest first.
+        assert touched[0] == TOUCHED_ELEMENT_WINDOW + 99
+        assert touched[-1] == 100
+        # Clones keep the bound, past the point where the shared list is
+        # rebuilt from its newest window, and the parent keeps its window.
         clone = model.clone()
-        assert clone._touched_elements[region.name].maxlen == TOUCHED_ELEMENT_WINDOW
+        assert clone.touched_window(region.name) == touched
+        touch(clone, range(TOUCHED_ELEMENT_WINDOW + 100, 3 * TOUCHED_ELEMENT_WINDOW))
+        assert clone.touched_window(region.name) == tuple(
+            range(3 * TOUCHED_ELEMENT_WINDOW - 1, 2 * TOUCHED_ELEMENT_WINDOW - 1, -1)
+        )
+        assert model.touched_window(region.name) == touched
 
     def test_clone_isolates_state(self):
         model = self._contention_model()
@@ -366,8 +371,8 @@ class TestCacheModels:
         clone.on_access(region, Const(9), False, lambda c: True, lambda e: 9)
         assert clone.stats.accesses == model.stats.accesses + 1
         model.on_access(region, Const(17), False, lambda c: True, lambda e: 17)
-        assert list(clone._touched_elements[region.name]) == [3, 9]
-        assert list(model._touched_elements[region.name]) == [3, 17]
+        assert clone.touched_window(region.name) == (9, 3)
+        assert model.touched_window(region.name) == (17, 3)
 
         def lines(cache_model):
             return {line for lru in cache_model._resident.values() for line in lru}
@@ -375,8 +380,8 @@ class TestCacheModels:
         def line(index):
             return region.address_of(index) // model.line_size
 
-        assert lines(clone) == clone._touched_lines == {line(3), line(9)}
-        assert lines(model) == model._touched_lines == {line(3), line(17)}
+        assert lines(clone) == clone.touched_lines() == {line(3), line(9)}
+        assert lines(model) == model.touched_lines() == {line(3), line(17)}
         assert (clone.stats.misses, model.stats.misses) == (2, 2)
 
     def test_constraint_is_consistent_with_index(self):
@@ -389,32 +394,22 @@ class TestCacheModels:
 
 
 def _deep_clone(model):
-    """The copying ``clone`` that copy-on-write replaced: the reference."""
-    other = ContentionSetCacheModel(
-        model.contention_sets,
-        l1_window=model.l1_window,
-        max_candidates=model.max_candidates,
-        slot_index=model.slot_index,
-    )
-    other._resident = {k: OrderedDict(v) for k, v in model._resident.items()}
-    other._owned_sets = set(other._resident)
-    other._touched_lines = set(model._touched_lines)
-    other._recent_lines = OrderedDict(model._recent_lines)
-    other._touched_elements = {
-        k: deque(v, maxlen=TOUCHED_ELEMENT_WINDOW) for k, v in model._touched_elements.items()
-    }
-    other._owned_regions = set(other._touched_elements)
-    other._stats = CacheModelStats(**vars(model._stats))
-    return other
+    """The copying ``clone`` that copy-on-write replaced: the reference.
+
+    Every container is copied; only the static contention sets and the slot
+    index they derive are shared, as every clone shares them.
+    """
+    shared = (model.contention_sets, model.slot_index)
+    return copy.deepcopy(model, {id(static): static for static in shared})
 
 
-def _model_state(model):
+def _model_state(model, regions):
     """Everything a later access decision reads, plus what reports show."""
     return (
         model.resident_summary(),
         {set_id: list(lru) for set_id, lru in model._resident.items()},
-        {name: list(touched) for name, touched in model._touched_elements.items()},
-        sorted(model._touched_lines),
+        {region.name: model.touched_window(region.name) for region in regions},
+        sorted(model.touched_lines()),
         list(model._recent_lines),
         vars(model.stats),
     )
@@ -479,7 +474,7 @@ class TestCopyOnWriteClones:
                     None if decision.constraint is None else repr(decision.constraint),
                 )
             )
-        return observed, [_model_state(m) for m in models]
+        return observed, [_model_state(m, regions) for m in models]
 
     @pytest.mark.parametrize("seed", range(40))
     def test_contention_model_clones_match_deep_copies(self, seed):
@@ -591,9 +586,12 @@ class TestPinnedPointerFastPath:
 
 
 def _candidate_indices_rescanning(model: ContentionSetCacheModel, region: MemoryRegion) -> list[int]:
-    """``_candidate_indices`` as it was before the shared slot lists, verbatim:
-    every call re-derives which addresses of each set lie inside the region."""
+    """``_candidate_indices`` as it was before the shared slot lists, verbatim
+    but for reading the touched lines and elements through the model's
+    accessors: every call re-derives which addresses of each set lie inside
+    the region."""
     self = model
+    touched_lines = self.touched_lines()
     ranked = sorted(
         self._resident.items(),
         key=lambda item: len(item[1]),
@@ -606,15 +604,14 @@ def _candidate_indices_rescanning(model: ContentionSetCacheModel, region: Memory
         for address in self.contention_sets.addresses_in_set(set_id):
             if not region.contains_address(address):
                 continue
-            if self._line_of(address) in self._touched_lines:
+            if self._line_of(address) in touched_lines:
                 continue
             index = region.index_of(address)
             if 0 <= index < region.length:
                 candidates.append(index)
             if len(candidates) >= self.max_candidates:
                 return candidates
-    touched = self._touched_elements.get(region.name, [])
-    for index in reversed(touched):
+    for index in self.touched_window(region.name):
         if index not in candidates:
             candidates.append(index)
         if len(candidates) >= self.max_candidates:

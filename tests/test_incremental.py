@@ -20,6 +20,7 @@ from repro.frontend.compiler import compile_nf
 from repro.ir.instructions import BinOpKind, CmpKind
 from repro.ir.module import Module
 from repro.nf.registry import available_nfs, get_nf
+from repro.symbex import incremental
 from repro.symbex import solver as solver_module
 from repro.symbex.engine import SymbolicEngine
 from repro.symbex.expr import (
@@ -443,9 +444,13 @@ def reference_propagate_wave(self, assignment, domains, pending, new_constraints
     return True
 
 
-def reference_wave_adapter(*args):
-    """The reference loop in today's return shape (it has no notion of convergence)."""
-    return reference_propagate_wave(*args), True
+def reference_wave_adapter(self, assignment, domains, extra, promoted=None):
+    """The reference loop in today's return shape (it has no notion of
+    convergence): a full snapshot of the new pending list, none of it kept."""
+    pending = list(self._pending)
+    if not reference_propagate_wave(self, assignment, domains, pending, [extra], promoted):
+        return None
+    return 0, pending, True
 
 
 def record_solver_ops(nf_name):
@@ -559,7 +564,7 @@ class TestWaveSchedule:
         scratch = replay_context(Solver(), stream + [two_sided])
         assert context._converged
         assert context._assignment == scratch._assignment == {"x": 3, "y": 6}
-        assert context._pending == scratch._pending == [two_sided]
+        assert list(context._pending) == list(scratch._pending) == [two_sided]
         assert {name: d.signature() for name, d in context._domains.items()} == {
             name: d.signature() for name, d in scratch._domains.items()
         }
@@ -675,7 +680,7 @@ class TestBlindPath:
         # Nothing was stable, so the wave re-visited the pending list too.
         assert CONTEXT_STATS.blind_queries == CONTEXT_STATS.blind_adds == 0
         assert CONTEXT_STATS.wave_visits > 1
-        assert capped._converged and capped._pending == [two_sided]
+        assert capped._converged and list(capped._pending) == [two_sided]
         # The full wave reached a fixpoint, so the next blind query skips it.
         visits, skips = CONTEXT_STATS.wave_visits, CONTEXT_STATS.wave_skips
         assert capped.feasible_with(expr_ne(z, w))
@@ -775,3 +780,299 @@ class TestResumedChecks:
                 contexts.setdefault(index, SolverContext(solver)).add(argument)
         for context in contexts.values():
             assert_resumed_check_matches(context)
+
+
+# -- the persistent pending log vs the plain list it replaced -------------------------
+
+
+def list_propagate_rounds(solver, queue, first, assignment, domains, promoted=None):
+    """``Solver._propagate_rounds`` over one plain list, kept verbatim as the reference:
+    round 0 visits ``queue[first:]``, every round rebuilds the whole list."""
+    woken = None  # None in round 0: visit queue[first:]
+    visits = 0
+    skips = first
+    try:
+        for _round in range(solver_module._MAX_ROUNDS):
+            domains.reset_round()
+            if woken is None:
+                visit = range(first, len(queue))
+            else:
+                disjoint = woken.isdisjoint
+                visit = [i for i, c in enumerate(queue) if not disjoint(c.symbol_names)]
+                skips += len(queue) - len(visit)
+            unresolved = []
+            carried = 0  # queue[carried:index] is carried over untouched
+            for index in visit:
+                if index > carried:
+                    unresolved += queue[carried:index]
+                carried = index + 1
+                visits += 1
+                reduced = reduce_expr(queue[index], assignment)
+                if isinstance(reduced, Const):
+                    if reduced.value == 0:
+                        return None
+                    continue
+                if solver._propagate_one(reduced, assignment, domains) == "unsat":
+                    return None
+                unresolved.append(reduced)
+            unresolved += queue[carried:]
+            queue = unresolved
+            changed = domains.changed_names()
+            woken = set(changed)
+            for name in changed:
+                domain = domains.base[name]
+                if name not in assignment and domain.fully_known:
+                    value = domain.value
+                    if value in domain.exclusions or not (domain.lo <= value <= domain.hi):
+                        return None
+                    assignment[name] = value
+                    if promoted is not None:
+                        promoted.append(name)
+            if not changed:
+                break
+        return queue, not woken
+    finally:
+        domains.visits += visits
+        domains.skips += skips
+
+
+class ListSolverContext:
+    """``SolverContext`` as it was while each fork copied its pending list and
+    dicts, kept verbatim as the reference (minus the constraint log, which
+    the pending list never read).  It shares the module's memos, so run it
+    and the real context one after the other, each from cleared caches."""
+
+    def __init__(self, solver):
+        self.solver = solver
+        self._assignment = {}
+        self._domains = {}
+        self._owned = set()
+        self._pending = []
+        self._set_id = 0
+        self._converged = True
+        self.unsat = False
+
+    def fork(self):
+        CONTEXT_STATS.forks += 1
+        child = ListSolverContext.__new__(ListSolverContext)
+        child.solver = self.solver
+        child._assignment = dict(self._assignment)
+        child._domains = dict(self._domains)
+        child._owned = set()
+        self._owned = set()  # parent's domains are shared now too
+        child._pending = list(self._pending)
+        child._set_id = self._set_id
+        child._converged = self._converged
+        child.unsat = self.unsat
+        return child
+
+    def feasible_with(self, extra):
+        CONTEXT_STATS.queries += 1
+        if self.unsat:
+            return False
+        raw_key = (self._set_id, id(extra))
+        cached = incremental._FEASIBLE_MEMO.get(raw_key)
+        if cached is not None:
+            return cached
+        extra = reduce_expr(extra, self._assignment)
+        if isinstance(extra, Const):
+            return extra.value != 0
+        key = (self._set_id, id(extra))
+        cached = incremental._FEASIBLE_MEMO.get(key)
+        if cached is not None:
+            incremental._FEASIBLE_MEMO[raw_key] = cached
+            return cached
+        if self._blind(extra):
+            CONTEXT_STATS.blind_queries += 1
+            incremental._FEASIBLE_MEMO[key] = incremental._FEASIBLE_MEMO[raw_key] = True
+            return True
+        scratch_assignment = dict(self._assignment)
+        scratch_domains = incremental._CowDomains(dict(self._domains), set())
+        scratch_pending = list(self._pending)
+        promoted = []
+        verdict, converged = self._propagate_wave(
+            scratch_assignment, scratch_domains, scratch_pending, [extra], promoted
+        )
+        incremental._FEASIBLE_MEMO[key] = verdict
+        incremental._FEASIBLE_MEMO[raw_key] = verdict
+        if verdict:
+            incremental._ADD_PLAN_MEMO[key] = (
+                {name: scratch_assignment[name] for name in promoted},
+                {name: scratch_domains.base[name] for name in scratch_domains.owned},
+                tuple(scratch_pending),
+                converged,
+            )
+        return verdict
+
+    def add(self, constraint):
+        if isinstance(constraint, Const):
+            if constraint.value == 0:
+                self.unsat = True
+            return
+        CONTEXT_STATS.adds += 1
+        pre_set_id = self._set_id
+        self._set_id = incremental._extend_set_id(self._set_id, constraint)
+        if self.unsat:
+            return
+        reduced = reduce_expr(constraint, self._assignment)
+        if isinstance(reduced, Const):
+            if reduced.value == 0:
+                self.unsat = True
+            return
+        if self._blind(reduced):
+            CONTEXT_STATS.blind_adds += 1
+            self._pending.append(reduced)
+            return
+        plan = incremental._ADD_PLAN_MEMO.get((pre_set_id, id(reduced)))
+        if plan is not None:
+            assignment_delta, domain_delta, pending_after, self._converged = plan
+            self._assignment.update(assignment_delta)
+            for name, domain in domain_delta.items():
+                self._domains[name] = domain
+                self._owned.discard(name)
+            self._pending[:] = pending_after
+            return
+        cow = incremental._CowDomains(self._domains, self._owned)
+        feasible, self._converged = self._propagate_wave(
+            self._assignment, cow, self._pending, [reduced]
+        )
+        if not feasible:
+            self.unsat = True
+
+    def fixpoint(self):
+        if self.unsat or not self._converged:
+            return None
+        return dict(self._assignment), dict(self._domains), list(self._pending)
+
+    def _blind(self, reduced):
+        if not self._converged:
+            return False
+        plan = self.solver._propagation_plan(reduced)
+        if plan[0] != "none" or plan[1] is not None:
+            return False
+        CONTEXT_STATS.wave_visits += 1
+        CONTEXT_STATS.wave_skips += len(self._pending)
+        return True
+
+    def _propagate_wave(self, assignment, domains, pending, new_constraints, promoted=None):
+        queue = list(pending)
+        first = len(queue) if self._converged else 0
+        queue.extend(new_constraints)
+        outcome = list_propagate_rounds(self.solver, queue, first, assignment, domains, promoted)
+        CONTEXT_STATS.wave_visits += domains.visits
+        CONTEXT_STATS.wave_skips += domains.skips
+        if outcome is None:
+            return False, False
+        pending[:], converged = outcome
+        return True, converged
+
+
+class TestPendingLog:
+    """Forks share the pending log and the dicts; each side owns its own tail.
+
+    Random fork trees of blind, propagating and rounds-capped commits, with
+    probes before commits so that recorded waves replay, must look the same
+    through the log as through the plain list: verdicts, plan replays, the
+    wave counters, and every context's pending list, object for object.
+    """
+
+    SYMBOLS = (*TestDifferentialRandomStreams.SYMBOLS, Sym("q", 8), Sym("r", 16))
+
+    def random_ops(self, seed):
+        rng = random.Random(seed)
+        ops = []
+        live = [0]
+        for _ in range(rng.randrange(10, 60)):
+            index = rng.choice(live)
+            constraint = TestResumedChecks.random_constraint(self, rng)
+            roll = rng.random()
+            if roll < 0.2:
+                ops.append(("fork", index, len(live)))
+                live.append(len(live))
+            elif roll < 0.35:
+                ops.append(("feasible_with", index, constraint))
+                ops.append(("feasible_with", index, expr_not(constraint)))
+            elif roll < 0.55:  # probe, then commit: the commit replays the probe's wave
+                ops.append(("feasible_with", index, constraint))
+                ops.append(("add", index, constraint))
+            elif roll < 0.62:
+                ops.append(("add_capped", index, constraint))
+            else:
+                ops.append(("add", index, constraint))
+        return ops
+
+    def replay(self, ops, make_context):
+        clear_incremental_caches()
+        solver = Solver()
+        contexts = {0: make_context(solver)}
+        observed = []
+        for kind, index, argument in ops:
+            context = contexts[index]
+            if kind == "fork":
+                contexts[argument] = context.fork()
+                continue
+            before = CONTEXT_STATS.as_dict()
+            with pytest.MonkeyPatch.context() as cap:
+                if kind == "add_capped":
+                    cap.setattr(solver_module, "_MAX_ROUNDS", 1)
+                    kind = "add"
+                verdict = getattr(context, kind)(argument)
+            after = CONTEXT_STATS.as_dict()
+            fixpoint = context.fixpoint()
+            observed.append(
+                (
+                    kind,
+                    verdict,
+                    {name: after[name] - before[name] for name in self.COUNTERS},
+                    context.unsat,
+                    context._converged,
+                    list(context._pending),
+                    fixpoint and (
+                        sorted(fixpoint[0].items()),
+                        sorted((name, d.signature()) for name, d in fixpoint[1].items()),
+                        fixpoint[2],
+                    ),
+                    # Every context, not only the one this op touched: a
+                    # write through a shared log or dict would show here.
+                    [list(other._pending) for other in contexts.values()],
+                )
+            )
+        return observed
+
+    COUNTERS = ("wave_replays", "wave_visits", "wave_skips", "blind_queries", "blind_adds")
+
+    def assert_log_matches_the_list(self, ops):
+        reference = self.replay(ops, ListSolverContext)
+        observed = self.replay(ops, SolverContext)
+        assert observed == reference
+        return observed
+
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=200, deadline=None)
+    def test_random_fork_trees_match_the_plain_list(self, seed):
+        self.assert_log_matches_the_list(self.random_ops(seed))
+
+    def test_the_fork_trees_reach_every_kind_of_commit(self):
+        fired = {"wave_replays": 0, "blind_adds": 0, "capped": 0, "rewritten": 0}
+        for seed in range(100):
+            ops = self.random_ops(seed)
+            for op, observation in zip(
+                [op for op in ops if op[0] != "fork"], self.assert_log_matches_the_list(ops)
+            ):
+                _, _, delta, _, converged, *_ = observation
+                fired["wave_replays"] += delta["wave_replays"]
+                fired["blind_adds"] += delta["blind_adds"]
+                fired["capped"] += op[0] == "add_capped" and not converged
+        # Commits that woke and rewrote entries older than their own.
+        for seed in range(100):
+            contexts = {}
+            for kind, index, argument in self.random_ops(seed):
+                context = contexts.setdefault(index, SolverContext(Solver()))
+                if kind == "fork":
+                    contexts[argument] = context.fork()
+                elif kind == "add" and not context.unsat and context._converged:
+                    older = list(context._pending)
+                    context.add(argument)
+                    pending = list(context._pending)
+                    fired["rewritten"] += pending[: len(older)] != older
+        assert min(fired.values()) > 10, fired
