@@ -261,8 +261,8 @@ def generic_key_sampler(seed: int) -> int:
     return seed & ((1 << 64) - 1)
 
 
-#: Reused generators for :func:`udp_flow_key_sampler`, one per thread (the
-#: service runs analyses in executor threads, and interleaved
+#: Reused generators for :func:`udp_flow_key_sampler`, one per thread (a
+#: library caller may run analyses from several threads, and interleaved
 #: ``seed()``/``getrandbits()`` calls on one generator would corrupt keys).
 #: ``Random.seed(n)`` resets the full Mersenne Twister state exactly like
 #: ``Random(n)`` does, so reusing an instance is draw-for-draw identical to

@@ -1,6 +1,7 @@
 """The score job: analyze (or cache-hit) → distill → stream windows.
 
-One entry point shared by the service's ``POST /score`` executor and the
+One entry point shared by the service's score-job worker process
+(:func:`repro.service.worker.run_job_worker`) and the
 ``tools/repro_score.py`` CLI, so both wire the same pipeline:
 
 1. **result** — reuse the content-addressed store entry for
@@ -15,8 +16,8 @@ One entry point shared by the service's ``POST /score`` executor and the
 
 ``emit(kind, payload)`` receives ``("signatures", ...)`` once, then
 ``("window", ...)`` per window; the returned summary carries lifetime
-counters.  ``should_cancel`` is polled between batches, so a cancelled job
-stops within one batch of traffic.
+counters.  The function runs to completion: the service stops a cancelled
+or overdue score job by revoking the worker process that runs it.
 """
 
 from __future__ import annotations
@@ -106,9 +107,7 @@ def check_pcap_container(traffic: dict) -> None:
             PcapReader(stream)
 
 
-def _traffic_batches(
-    nf: NetworkFunction, traffic: dict, options: ScorerOptions, counters: Counter
-):
+def _traffic_batches(nf: NetworkFunction, traffic: dict, options: ScorerOptions, counters: Counter):
     """Batches for one traffic spec: ``pcap_bytes``/``pcap_path`` or ``synthetic``.
 
     Columns with numpy, per-packet field dicts without; ``counters`` takes the
@@ -116,9 +115,7 @@ def _traffic_batches(
     """
     if "pcap_bytes" in traffic or "pcap_path" in traffic:
         source = (
-            io.BytesIO(traffic["pcap_bytes"])
-            if "pcap_bytes" in traffic
-            else traffic["pcap_path"]
+            io.BytesIO(traffic["pcap_bytes"]) if "pcap_bytes" in traffic else traffic["pcap_path"]
         )
         batches = iter_pcap_batches(
             source, options.batch_size, columnar=HAVE_NUMPY, counters=counters
@@ -150,7 +147,6 @@ def run_score_job(
     store=None,
     options: ScorerOptions | None = None,
     emit=None,
-    should_cancel=None,
 ) -> dict:
     """Run one score job end to end; returns the terminal summary dict."""
     options = options or ScorerOptions()
@@ -187,24 +183,18 @@ def run_score_job(
         window_size=options.window_size,
         top_k=options.top_k,
     )
-    cancelled = False
     counters: Counter = Counter()
     for batch in _traffic_batches(nf, traffic, options, counters):
-        if should_cancel is not None and should_cancel():
-            cancelled = True
-            break
         for window in scorer.feed(batch):
             emit("window", window.to_dict())
-    if not cancelled:
-        trailing = scorer.finish()
-        if trailing is not None:
-            emit("window", trailing.to_dict())
+    trailing = scorer.finish()
+    if trailing is not None:
+        emit("window", trailing.to_dict())
 
     summary = scorer.summary()
     skipped = summary["frames_skipped"] = counters["frames_skipped"]
     if skipped:
         logger.info("%s: skipped %d frame(s) that are not IPv4 or are truncated", nf.name, skipped)
     summary["nf"] = nf.name
-    summary["cancelled"] = cancelled
     summary["signature_store_key"] = signature_set.store_key()
     return summary

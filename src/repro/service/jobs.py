@@ -30,9 +30,9 @@ CANCELLED = "cancelled"
 TERMINAL_STATES = (DONE, FAILED, CANCELLED)
 
 
-#: Job kinds.  ``analyze`` runs the engine in a leased worker process;
-#: ``score`` runs the scoring pipeline (store-first analysis → distilled
-#: signatures → windowed stream scoring) in an executor thread.
+#: Job kinds, both run in a leased worker process.  ``analyze`` runs the
+#: engine; ``score`` runs the scoring pipeline (store-first analysis →
+#: distilled signatures → windowed stream scoring).
 ANALYZE = "analyze"
 SCORE = "score"
 

@@ -13,21 +13,25 @@ long-running analysis service:
 * **scheduling** is a fixed set of asyncio consumer tasks
   (``max_concurrent_jobs``) pulling from one queue — submission order in,
   bounded concurrency out;
-* **execution** spawns one worker process per attempt
-  (:func:`~repro.service.worker.run_job_worker`, running the same
-  :func:`~repro.parallel.portfolio.analyze_one_nf` entry point the
-  portfolio uses) under a :class:`~repro.parallel.lease.WorkerLease`:
-  heartbeats prove liveness, ``job_timeout`` bounds wall clock, and a
-  revoked or crashed attempt retries up to ``max_attempts`` times before
-  the job fails;
+* **execution** spawns one worker process per attempt, for analysis and
+  score jobs alike (:func:`~repro.service.worker.run_job_worker`, running
+  the same :func:`~repro.parallel.portfolio.analyze_one_nf` entry point
+  the portfolio uses, or :func:`~repro.scoring.jobs.run_score_job`) under
+  a :class:`~repro.parallel.lease.WorkerLease`: heartbeats prove
+  liveness, ``job_timeout`` bounds wall clock, cancellation and
+  :meth:`~SynthesisService.shutdown` revoke the worker, and a revoked or
+  crashed attempt retries up to ``max_attempts`` times before the job
+  fails — no pipeline code runs in the server process;
 * **progress** streams live: every :class:`~repro.symbex.batch.RoundStats`
-  the worker reports is appended to the job's event history and fanned out
-  to subscribers (the HTTP layer's NDJSON stream), so clients follow the
+  the worker reports, and a score job's ``signatures`` and ``window``
+  events, are appended to the job's event history and fanned out to
+  subscribers (the HTTP layer's NDJSON stream), so clients follow the
   search round by round instead of waiting for the end-of-run result;
 * **completion** persists ``(result, perf record)`` into the
   content-addressed :class:`~repro.service.store.ResultStore`, which is
   exactly what makes the *next* submission of the same ``(nf, config)``
-  free.
+  free (a score job's worker persists its analysis and signature set
+  itself; the job settles with the scoring summary).
 
 The job table is bounded: the newest :data:`MAX_TERMINAL_JOBS` finished
 jobs stay resolvable, older ones are dropped with their event history (a
@@ -175,12 +179,9 @@ class SynthesisService:
             # running anything.  This is the acceptance criterion of the
             # whole service — an unchanged (nf, config) resubmission is free.
             job.cached = True
-            job.state = DONE
             job.result_summary = meta["result"]
             job.perf = meta["perf"]
-            job.finished_at = time.time()
-            self._publish_status(job)
-            self._publish_end(job)
+            self._settle(job, DONE)
             return job
 
         self._publish_status(job)
@@ -200,7 +201,7 @@ class SynthesisService:
         Unlike :meth:`submit`, a score job never short-circuits at
         submission: scoring the *traffic* is the work.  The expensive
         halves — the analysis result and the distilled signature set — are
-        still store-first inside the executor, so repeat scores of the same
+        still store-first inside the worker, so repeat scores of the same
         ``(nf, config)`` reuse both and pay only for streaming.  A capture
         whose pcap global header is unreadable fails the submit
         (``PcapFormatError``, a ``ValueError``), not the job.  The scorer
@@ -242,10 +243,7 @@ class SynthesisService:
         if job.state == QUEUED:
             # The scheduler will skip it when it pops; settle it now so the
             # client sees the terminal state without waiting for the pop.
-            job.state = CANCELLED
-            job.finished_at = time.time()
-            self._publish_status(job)
-            self._publish_end(job)
+            self._settle(job, CANCELLED)
         return job
 
     def lookup(self, job_id: str) -> JobRecord:
@@ -312,8 +310,11 @@ class SynthesisService:
             },
         )
 
-    def _publish_end(self, job: JobRecord) -> None:
-        """Publish the terminal event, then enforce the job-table bound."""
+    def _settle(self, job: JobRecord, state: str) -> None:
+        """Make ``job`` terminal in ``state``, publish its end, then bound the job table."""
+        job.state = state
+        job.finished_at = time.time()
+        self._publish_status(job)
         self._publish(job.job_id, {"event": "end", "job": job.to_dict()})
         self._terminal[job.job_id] = None
         while len(self._terminal) > MAX_TERMINAL_JOBS:
@@ -333,16 +334,10 @@ class SynthesisService:
             if job is None or job.cancel_requested or job.is_terminal:
                 continue
             try:
-                if job.kind == SCORE:
-                    await self._execute_score(job)
-                else:
-                    await self._execute(job)
+                await self._execute(job)
             except Exception as exc:  # defensive: a scheduler must survive
-                job.state = FAILED
                 job.error = f"internal scheduler error: {exc!r}"
-                job.finished_at = time.time()
-                self._publish_status(job)
-                self._publish_end(job)
+                self._settle(job, FAILED)
 
     async def _execute(self, job: JobRecord) -> None:
         """Run one job to a terminal state, retrying revoked attempts."""
@@ -356,13 +351,7 @@ class SynthesisService:
             progress = context.Queue()
             process = context.Process(
                 target=run_job_worker,
-                args=(
-                    progress,
-                    job.nf_spec,
-                    job.config,
-                    job.num_packets,
-                    self.heartbeat_interval,
-                ),
+                args=(progress, job, self.store, self.heartbeat_interval),
                 daemon=True,
             )
             process.start()
@@ -382,17 +371,11 @@ class SynthesisService:
             if outcome == "done":
                 return
             if outcome == "cancelled":
-                job.state = CANCELLED
-                job.finished_at = time.time()
-                self._publish_status(job)
-                self._publish_end(job)
+                self._settle(job, CANCELLED)
                 return
             # Revoked ("timeout"/"lease") or crashed ("error"): bounded retry.
             if job.attempts >= job.max_attempts:
-                job.state = FAILED
-                job.finished_at = time.time()
-                self._publish_status(job)
-                self._publish_end(job)
+                self._settle(job, FAILED)
                 return
             self._publish_status(job)  # announce the retry
 
@@ -435,12 +418,10 @@ class SynthesisService:
             kind, payload = event
             if kind == "heartbeat":
                 continue
-            if kind == "round":
-                job.rounds.append(payload)
-                self._publish(
-                    job.job_id,
-                    {"event": "round", "job_id": job.job_id, "round": payload},
-                )
+            if kind in ("round", "signatures", "window"):
+                if kind == "round":
+                    job.rounds.append(payload)
+                self._publish(job.job_id, {"event": kind, "job_id": job.job_id, kind: payload})
                 continue
             if kind == "error":
                 job.error = f"attempt {job.attempts} raised:\n{payload}"
@@ -449,65 +430,17 @@ class SynthesisService:
                 self._finish(job, payload)
                 return "done"
 
-    async def _execute_score(self, job: JobRecord) -> None:
-        """Run one score job in an executor thread.
-
-        Score jobs carry no leased worker process: the heavy halves
-        (analysis, distillation) are store-first and the streaming half is
-        cancellation-polled between batches, so a thread keeps the event
-        loop free while ``emit`` fans ``signatures``/``window`` events into
-        the job's NDJSON stream via ``call_soon_threadsafe``.
-        """
-        from repro.scoring.jobs import run_score_job
-        from repro.scoring.scorer import ScorerOptions
-
-        loop = asyncio.get_running_loop()
-        job.attempts += 1
-        job.state = RUNNING
-        job.started_at = time.time()
-        self._publish_status(job)
-
-        def emit(kind: str, payload: dict) -> None:
-            loop.call_soon_threadsafe(
-                self._publish,
-                job.job_id,
-                {"event": kind, "job_id": job.job_id, kind: payload},
-            )
-
-        def run() -> dict:
-            return run_score_job(
-                job.nf_spec,
-                CastanConfig.from_dict(job.config),
-                job.traffic or {},
-                num_packets=job.num_packets,
-                store=self.store,
-                options=ScorerOptions(**(job.scorer_options or {})),
-                emit=emit,
-                should_cancel=lambda: job.cancel_requested,
-            )
-
-        try:
-            summary = await loop.run_in_executor(None, run)
-        except Exception as exc:
-            job.state = FAILED
-            job.error = f"score job raised: {exc!r}"
+    def _finish(self, job: JobRecord, outcome) -> None:
+        """Settle a successful job: persist an analysis result, or keep a
+        score job's summary (its worker already stored what it computed)."""
+        if job.kind == SCORE:
+            job.result_summary = outcome
         else:
-            job.state = CANCELLED if summary.get("cancelled") else DONE
-            job.result_summary = summary
-        job.finished_at = time.time()
-        self._publish_status(job)
-        self._publish_end(job)
-
-    def _finish(self, job: JobRecord, result) -> None:
-        """Persist a successful result and settle the job."""
-        meta = self.store.put(
-            job.cache_key,
-            result,
-            perf=perf_record(result, label=f"service:{job.job_id}"),
-        )
-        job.state = DONE
-        job.result_summary = result_summary(result)
-        job.perf = meta["perf"]
-        job.finished_at = time.time()
-        self._publish_status(job)
-        self._publish_end(job)
+            meta = self.store.put(
+                job.cache_key,
+                outcome,
+                perf=perf_record(outcome, label=f"service:{job.job_id}"),
+            )
+            job.result_summary = result_summary(outcome)
+            job.perf = meta["perf"]
+        self._settle(job, DONE)

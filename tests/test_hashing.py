@@ -126,7 +126,7 @@ class TestTailoredSamplerStream:
         assert udp_flow_key_sampler(99) == first
 
     def test_two_threads_never_corrupt_each_other(self):
-        """``/score`` runs analyses in executor threads: a generator shared
+        """A library caller may analyse from threads: a generator shared
         between them would interleave ``seed()`` and ``getrandbits()``."""
         seeds = [random.Random(t).getrandbits(64) for t in range(2)]
         expected = [self._naive_reference(seed) for seed in seeds]

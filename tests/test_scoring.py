@@ -612,7 +612,7 @@ class TestColumnarPipeline:
         assert scalar_windows == oracle and vector_windows == oracle
         assert vector_summary == scalar_summary
 
-    def _job(self, nat_store, traffic, **kwargs):
+    def _job(self, nat_store, traffic):
         events = []
         summary = run_score_job(
             "nat-hash-table",
@@ -622,7 +622,6 @@ class TestColumnarPipeline:
             store=nat_store,
             options=ScorerOptions(batch_size=16, window_size=10, top_k=3),
             emit=lambda kind, payload: events.append((kind, payload)),
-            **kwargs,
         )
         return summary, [payload for kind, payload in events if kind == "window"]
 
@@ -682,20 +681,6 @@ class TestColumnarPipeline:
         shelf_hit = signatures_event(nat_store)
         assert (shelf_hit["primed_packets"], shelf_hit["probe_packets"]) == (0, 0)
         assert shelf_hit["content_hash"] == distilled["content_hash"]
-
-    def test_cancellation_is_honoured_within_one_batch(self, nat_distilled, nat_store):
-        packets = [make_udp_packet(i, 2, 3, 4) for i in range(100)]
-        polls = []
-
-        def should_cancel():
-            polls.append(None)
-            return len(polls) > 2
-
-        summary, windows = self._job(
-            nat_store, {"pcap_bytes": packets_to_pcap_bytes(packets)}, should_cancel=should_cancel
-        )
-        assert summary["cancelled"] and summary["packets"] == 32  # two batches of 16
-        assert [w["packets"] for w in windows] == [10, 10, 10]  # no trailing flush
 
 
 # -- scorer plumbing -----------------------------------------------------------

@@ -8,6 +8,9 @@ Covers the service's contract end to end, at smoke scale:
   a fresh in-process run of the same job;
 * the REST API boots, streams per-round progress, rejects bad submissions
   eagerly, and settles cancellations;
+* score jobs run in the same leased worker as analyses: cancel,
+  ``job_timeout`` and ``shutdown()`` revoke them mid-stream, and a
+  malformed capture fails the job with the worker's traceback;
 * :class:`WorkerLease` detects wall-clock overruns and dead heartbeats and
   can revoke its worker.
 """
@@ -374,6 +377,126 @@ def test_score_rejects_an_unreadable_pcap_container_at_submit(server, tmp_path):
             NF, SMOKE_CONFIG, traffic={"pcap_path": str(tmp_path / "missing.pcap")}
         )
     assert len(server.client.jobs()) == jobs_before  # nothing was tabled
+
+
+# -- score jobs under worker supervision ---------------------------------------
+
+#: Far more synthetic packets than any test waits for: the job only ends by
+#: revocation.  The generator is lazy, so nothing of this size is allocated.
+ENDLESS = {"synthetic": 10**10, "seed": 3}
+SMALL_WINDOWS = {"batch_size": 512, "window_size": 1024}
+
+
+@pytest.fixture(scope="module")
+def scored(server):
+    """The live server, its store already holding NF's result and signatures,
+    so a score job reaches its stream within a second."""
+    job = server.client.score(NF, {"synthetic": 10}, config=SMOKE_CONFIG, num_packets=SMOKE_PACKETS)
+    assert server.client.wait(job["job_id"], timeout=120)["state"] == "done"
+    return server
+
+
+def test_cancel_revokes_a_running_score_job(scored):
+    """A cancelled score job is revoked mid-stream: its worker dies, it ends
+    ``cancelled`` with no summary, and the windows it streamed stay."""
+    job = scored.client.score(
+        NF, ENDLESS, config=SMOKE_CONFIG, num_packets=SMOKE_PACKETS, options=SMALL_WINDOWS
+    )
+    worker = None
+    streamed: list[dict] = []  # windows that arrived before the cancel
+    for event in scored.client.stream(job["job_id"]):
+        if event["event"] == "window" and worker is None:
+            streamed.append(event["window"])
+            worker = scored.service._leases[job["job_id"]].process
+            assert scored.client.cancel(job["job_id"])["state"] == "running"
+    final = event["job"]
+    assert worker is not None, "the job ended before streaming a window"
+    assert final["state"] == "cancelled" and final["result"] is None
+    assert not worker.is_alive()
+    history = list(scored.client.stream(job["job_id"]))
+    kinds = [event["event"] for event in history]
+    assert kinds.index("signatures") < kinds.index("window") and kinds[-1] == "end"
+    windows = [event["window"] for event in history if event["event"] == "window"]
+    assert windows[: len(streamed)] == streamed
+
+
+def _run_service(store, scenario, **knobs):
+    """Run ``scenario(service)`` (at most 120 s) on a started service, then shut it down."""
+
+    async def main():
+        service = SynthesisService(store, max_concurrent_jobs=1, lease_timeout=60.0, **knobs)
+        await service.start()
+        try:
+            return await asyncio.wait_for(scenario(service), timeout=120)
+        finally:
+            await service.shutdown()
+
+    return asyncio.run(main())
+
+
+async def _next_event(events: asyncio.Queue, kind: str) -> dict:
+    """The job's next event of ``kind`` (or its ``end``, which stops the wait)."""
+    while True:
+        event = await events.get()
+        if event["event"] in (kind, "end"):
+            return event
+
+
+def test_job_timeout_revokes_a_running_score_job(scored):
+    async def scenario(service):
+        job = service.submit_score(NF, SMOKE_CONFIG, ENDLESS, SMOKE_PACKETS, SMALL_WINDOWS)
+        events = service.subscribe(job.job_id)
+        assert (await _next_event(events, "signatures"))["event"] == "signatures"
+        worker = service._leases[job.job_id].process
+        await _next_event(events, "end")
+        return job, worker
+
+    job, worker = _run_service(scored.service.store, scenario, job_timeout=2.0)
+    assert job.state == "failed" and job.attempts == 1
+    assert "revoked (timeout)" in job.error
+    assert job.finished_at - job.started_at < 10.0
+    assert not worker.is_alive()
+
+
+def test_shutdown_revokes_a_running_score_job_promptly(scored):
+    poll_interval = 0.05
+    timing: dict = {}
+
+    async def scenario(service):
+        job = service.submit_score(NF, SMOKE_CONFIG, ENDLESS, SMOKE_PACKETS, SMALL_WINDOWS)
+        events = service.subscribe(job.job_id)
+        assert (await _next_event(events, "window"))["event"] == "window"
+        worker = service._leases[job.job_id].process
+        start = time.monotonic()
+        await service.shutdown()
+        timing["shutdown"] = time.monotonic() - start
+        timing["start"] = start
+        return worker
+
+    worker = _run_service(scored.service.store, scenario, poll_interval=poll_interval)
+    loop_closed = time.monotonic() - timing["start"]
+    assert timing["shutdown"] < 10 * poll_interval
+    assert loop_closed < 20 * poll_interval  # asyncio.run joins no thread running the job
+    assert not worker.is_alive()
+
+
+def test_a_truncated_pcap_record_fails_the_score_job_with_the_worker_traceback(
+    scored, tmp_path
+):
+    """The global header passes the submit check; the record fails in the worker."""
+    from repro.net.packet import make_udp_packet
+    from repro.net.pcap import packets_to_pcap_bytes
+
+    blob = packets_to_pcap_bytes([make_udp_packet(index, 2, 3, 4) for index in range(20)])
+    path = tmp_path / "truncated.pcap"
+    path.write_bytes(blob[:-10])  # the last record's data is cut short
+    job = scored.client.score(
+        NF, {"pcap_path": str(path)}, config=SMOKE_CONFIG, num_packets=SMOKE_PACKETS
+    )
+    final = scored.client.wait(job["job_id"], timeout=120)
+    assert final["state"] == "failed" and final["result"] is None
+    assert "Traceback" in final["error"]
+    assert "PcapFormatError: truncated pcap record data" in final["error"]
 
 
 # -- client transport errors --------------------------------------------------

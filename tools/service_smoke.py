@@ -10,8 +10,12 @@ store, then drives the real REST API through :class:`ServiceClient`:
    content-addressed store, with a byte-identical canonical result digest,
    and that ``/healthz`` shows the NF identity memo paying (the NF was
    compiled for its address once, the resubmission was a memo hit);
-3. fetch the stored perf record and print a one-line verdict with the hit
-   latency measured here.
+3. fetch the stored perf record;
+4. score synthetic traffic for the same NF (``POST /score``, run in a leased
+   worker like the analysis) — assert the ``signatures`` event precedes the
+   first ``window``, the job ends ``done`` and ``GET /signatures`` lists the
+   distilled set — and print a one-line verdict with the hit latency
+   measured here.
 
 Exits non-zero on any failed assertion.  Run it locally with::
 
@@ -35,6 +39,8 @@ from repro.service.client import ServiceClient  # noqa: E402
 NF = "lpm-patricia"
 CONFIG = {"max_states": 40, "deadline_seconds": None, "search_mode": "beam"}
 NUM_PACKETS = 3
+SCORE_TRAFFIC = {"synthetic": 5000, "seed": 1}
+SCORE_OPTIONS = {"window_size": 1000}
 BOOT_TIMEOUT = 30.0
 
 
@@ -66,6 +72,31 @@ def boot_server(store: str) -> tuple[subprocess.Popen, int]:
             return process, port
     process.kill()
     raise SystemExit("service-smoke FAILED: server did not report a port in time")
+
+
+def score(client: ServiceClient) -> int:
+    """Score synthetic traffic for the analysed NF; returns the window count."""
+    job = client.score(
+        NF, SCORE_TRAFFIC, config=CONFIG, num_packets=NUM_PACKETS, options=SCORE_OPTIONS
+    )
+    kinds: list[str] = []
+    store_key = ""
+    final: dict = {}
+    for event in client.stream(job["job_id"]):
+        kinds.append(event["event"])
+        if event["event"] == "signatures":
+            store_key = event["signatures"]["store_key"]
+        elif event["event"] == "end":
+            final = event["job"]
+    windows = kinds.count("window")
+    first_window = kinds.index("window") if windows else 0
+    check(
+        "signatures" in kinds[:first_window],
+        f"score job streamed its signatures before {windows} window(s)",
+    )
+    check(final.get("state") == "done", "score job finished in state 'done'")
+    check(store_key in client.signature_keys(), "GET /signatures lists the distilled set")
+    return windows
 
 
 def main() -> int:
@@ -109,10 +140,11 @@ def main() -> int:
             check(perf["states_per_sec"] > 0, "stored perf record has a throughput figure")
             check(len(client.store_keys()) == 1, "store holds exactly one entry")
 
+            windows = score(client)
             print(
                 f"service-smoke PASSED: {NF} x{NUM_PACKETS} packets, {rounds} rounds, "
                 f"{perf['states_per_sec']:.0f} states/s, cache hit in {hit_ms:.2f} ms, "
-                f"digest {digest[:16]}…"
+                f"digest {digest[:16]}…, {windows} score windows"
             )
         finally:
             process.terminate()
