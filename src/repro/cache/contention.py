@@ -57,10 +57,6 @@ class ContentionSets:
     def set_count(self) -> int:
         return len(self.sets)
 
-    @property
-    def covered_addresses(self) -> int:
-        return sum(len(s) for s in self.sets)
-
     def set_sizes(self) -> list[int]:
         return [len(s) for s in self.sets]
 

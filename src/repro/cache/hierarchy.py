@@ -19,7 +19,7 @@ simulates that structure at configurable (scaled-down) sizes:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.cache.setassoc import SetAssociativeCache
 from repro.perf.cycles import CycleCosts, DEFAULT_CYCLE_COSTS
@@ -94,7 +94,6 @@ class HierarchyStats:
     l2_hits: int = 0
     l3_hits: int = 0
     dram_accesses: int = 0
-    by_level: dict = field(default_factory=dict)
 
 
 class MemoryHierarchy:
@@ -161,8 +160,7 @@ class MemoryHierarchy:
         slice masks and page keys are immutable and shared, not copied.
         """
         caches = [cache.snapshot() for cache in (self._l1, self._l2, *self._l3)]
-        stats = replace(self.stats, by_level=dict(self.stats.by_level))
-        return self._process_seed, self._page_keys, caches, stats
+        return self._process_seed, self._page_keys, caches, replace(self.stats)
 
     def restore(self, snapshot: tuple) -> None:
         """Return to a :meth:`snapshot` capture, in place.
@@ -173,7 +171,7 @@ class MemoryHierarchy:
         self._process_seed, self._page_keys, caches, stats = snapshot
         for cache, state in zip((self._l1, self._l2, *self._l3), caches):
             cache.restore(state)
-        vars(self.stats).update(vars(stats), by_level=dict(stats.by_level))
+        vars(self.stats).update(vars(stats))
 
     # -- address translation ----------------------------------------------------
 
@@ -277,17 +275,3 @@ class MemoryHierarchy:
     @property
     def l3_associativity(self) -> int:
         return self.config.l3_ways
-
-    @property
-    def l3_total_lines(self) -> int:
-        return self.config.l3_size // self.config.line_size
-
-    def snapshot_stats(self) -> HierarchyStats:
-        stats = self.stats
-        stats.by_level = {
-            "L1": stats.l1_hits,
-            "L2": stats.l2_hits,
-            "L3": stats.l3_hits,
-            "DRAM": stats.dram_accesses,
-        }
-        return stats

@@ -103,12 +103,6 @@ class InterproceduralCFG:
                 return cfg.nodes[uid]
         raise KeyError(f"no instruction with uid {uid}")
 
-    def function_of_uid(self, uid: int) -> str:
-        for name, cfg in self.cfgs.items():
-            if uid in cfg.nodes:
-                return name
-        raise KeyError(f"no instruction with uid {uid}")
-
     def callees_in_topological_order(self, entry: str) -> list[str]:
         """Functions reachable from ``entry``, callees before callers.
 

@@ -4,8 +4,9 @@ Given a :class:`~repro.nf.base.NetworkFunction`, an analysis run:
 
 1. builds the ICFG and annotates it with potential costs (loop bound M);
 2. builds the cache model: candidate addresses over the NF's large regions
-   are grouped into L3 contention sets (either via the §3.2 probing
-   discovery against the simulated hierarchy, or via the equivalent oracle);
+   are grouped into L3 contention sets by the hierarchy's ground-truth
+   mapping (what the §3.2 probing discovery,
+   :func:`~repro.cache.contention.discover_contention_sets`, recovers);
 3. symbolically executes the NF over N symbolic packets under the
    max-cost searcher, with the cache model concretizing symbolic pointers
    and ``castan_havoc`` suppressing hash functions — either as one
@@ -41,7 +42,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.cache.contention import ContentionSets, discover_contention_sets
+from repro.cache.contention import ContentionSets
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.cache.model import CacheModel, ContentionSetCacheModel, NoCacheModel
 from repro.cfg.costs import CostAnnotation, annotate_costs
@@ -50,9 +51,9 @@ from repro.core.metrics import PathMetrics, metrics_from_state
 from repro.core.workload import make_packet_symbols, packets_from_model, symbol_defaults
 from repro.hashing.functions import flow_hash16
 from repro.hashing.rainbow import (
+    FLOW_TABLE_CHAIN_LENGTH,
     RainbowTable,
     build_flow_rainbow_table,
-    generic_key_sampler,
     udp_flow_key_sampler,
 )
 from repro.net.packet import Packet
@@ -66,12 +67,19 @@ from repro.symbex.solver import Model, Solver, SolverResult
 from repro.symbex.state import ExecutionState
 
 #: Process-global rainbow-table cache, keyed by the build parameters
-#: (hash callable, tailored, chain_length, num_chains, seed).  Construction is
-#: deterministic in those parameters, so sharing across analyses cannot
-#: change any output.
+#: (hash callable, num_chains, seed).  Construction is deterministic in
+#: those parameters, so sharing across analyses cannot change any output.
 _RAINBOW_TABLE_CACHE: dict[tuple, RainbowTable] = {}
 
 logger = logging.getLogger(__name__)
+
+#: Backtracking-node budget of every solve an analysis makes (the final
+#: solve and reconciliation); the distiller's solver uses it too.
+SOLVER_BUDGET = 8000
+#: Candidate keys tested per suppressed hash during reconciliation (§3.5).
+MAX_CANDIDATES_PER_HAVOC = 12
+#: Candidate addresses sampled per large region for the cache model.
+CONTENTION_POOL_LINES = 4096
 
 # Automatic cyclic collection is a process-wide switch, so the pause that
 # `Castan.analyze` runs under is counted process-wide: the first analysis in
@@ -230,7 +238,7 @@ class Castan:
 
         annotation = self._annotate(nf)
         cache_model, contention_sets = self._build_cache_model(nf)
-        solver = Solver(search_budget=config.solver_budget, seed=config.seed)
+        solver = Solver(search_budget=SOLVER_BUDGET, seed=config.seed)
 
         packet_sets = make_packet_symbols(packet_count)
         defaults = symbol_defaults(packet_sets, nf.packet_defaults)
@@ -245,7 +253,6 @@ class Castan:
             cycle_costs=config.cycle_costs,
             defaults=defaults,
             hash_output_bits=nf.hash_output_bits,
-            max_loop_iterations=config.max_loop_iterations,
             stage_entries=nf.stage_entries or None,
         )
         stats = self._run_search(engine, on_round=on_round)
@@ -308,15 +315,12 @@ class Castan:
         def searcher_factory():
             return make_searcher(config.searcher, seed=config.seed)
 
-        if config.search_mode == "beam" and config.beam_width > 0:
+        if config.search_mode == "beam":
             return run_beam_search(
                 engine,
                 searcher_factory,
-                beam_width=config.beam_width,
                 max_states=config.max_states,
                 deadline_seconds=config.deadline_seconds,
-                max_instructions_per_state=config.max_instructions_per_state,
-                round_max_states=config.round_max_states,
                 strike_chunk_states=config.strike_chunk_states,
                 on_round=on_round,
             )
@@ -324,7 +328,6 @@ class Castan:
             searcher_factory(),
             max_states=config.max_states,
             deadline_seconds=config.deadline_seconds,
-            max_instructions_per_state=config.max_instructions_per_state,
             converge_chunk=config.strike_chunk_states,
         )
         if on_round is not None:
@@ -356,12 +359,7 @@ class Castan:
         return stats
 
     def _annotate(self, nf: NetworkFunction) -> CostAnnotation:
-        return annotate_costs(
-            nf.module,
-            nf.entry,
-            loop_bound=self.config.loop_bound,
-            cycle_costs=self.config.cycle_costs,
-        )
+        return annotate_costs(nf.module, nf.entry, cycle_costs=self.config.cycle_costs)
 
     def _build_cache_model(self, nf: NetworkFunction) -> tuple[CacheModel, ContentionSets | None]:
         """Build the cache model over the NF's large memory regions."""
@@ -373,47 +371,18 @@ class Castan:
         addresses = self._candidate_addresses(nf, hierarchy)
         if not addresses:
             return NoCacheModel(), None
-        contention_sets = self._contention_sets(hierarchy, addresses)
+        contention_sets = ContentionSets.from_oracle(hierarchy, addresses)
         model = ContentionSetCacheModel(contention_sets)
         return model, contention_sets
 
-    def _contention_sets(
-        self, hierarchy: MemoryHierarchy, addresses: list[int]
-    ) -> ContentionSets:
-        config = self.config
-        if config.contention_source == "probing":
-            return discover_contention_sets(
-                hierarchy,
-                addresses,
-                max_sets=None,
-                runs=1,
-                seed=config.seed,
-            )
-        return ContentionSets.from_oracle(hierarchy, addresses)
-
     def _candidate_addresses(self, nf: NetworkFunction, hierarchy: MemoryHierarchy) -> list[int]:
         """Sample line-aligned candidate addresses inside the NF's big regions."""
-        config = self.config
-        regions = [nf.module.get_region(name) for name in nf.contention_regions]
         line = hierarchy.config.line_size
         addresses: list[int] = []
-        if config.contention_source == "probing":
-            # Probing a pool that spans every L3 set would need tens of
-            # thousands of measurements, so exploit what is public knowledge
-            # (Fig. 1): the set index within a slice comes from known address
-            # bits; only the slice hash is proprietary.  Sampling addresses
-            # that all share one set index concentrates the pool on a handful
-            # of hidden contention sets, which is all the workload needs.
-            stride = hierarchy.config.l3_sets_per_slice * line
-            for region in regions:
-                count = min(config.probing_pool_lines, max(1, region.size_bytes // stride))
-                for i in range(count):
-                    addresses.append(region.base_address + i * stride)
-            return addresses
-        pool_lines = config.contention_pool_lines
-        for region in regions:
+        for name in nf.contention_regions:
+            region = nf.module.get_region(name)
             total_lines = max(1, region.size_bytes // line)
-            step = max(1, total_lines // pool_lines)
+            step = max(1, total_lines // CONTENTION_POOL_LINES)
             for line_index in range(0, total_lines, step):
                 addresses.append(region.base_address + line_index * line)
         return addresses
@@ -451,7 +420,7 @@ class Castan:
                 rainbow_tables=tables,
                 hash_functions=nf.hash_functions,
                 defaults=defaults,
-                max_candidates_per_havoc=self.config.max_candidates_per_havoc,
+                max_candidates_per_havoc=MAX_CANDIDATES_PER_HAVOC,
             )
             model = havoc_outcome.model
         return model, result, havoc_outcome
@@ -466,24 +435,25 @@ class Castan:
         """
         tables: dict[str, RainbowTable] = {}
         config = self.config
-        tailored = config.rainbow_tailored
-        settings = dict(
-            chain_length=config.rainbow_chain_length,
-            num_chains=config.rainbow_chains,
-            seed=config.seed,
-        )
         for name, hash_fn in nf.hash_functions.items():
-            key = (hash_fn, tailored, *settings.values())
+            key = (hash_fn, config.rainbow_chains, config.seed)
             table = _RAINBOW_TABLE_CACHE.get(key)
             if table is None:
                 if hash_fn is flow_hash16:
-                    table = build_flow_rainbow_table(tailored=tailored, **settings)
+                    table = build_flow_rainbow_table(
+                        num_chains=config.rainbow_chains, seed=config.seed
+                    )
                 else:
                     # Any other hash needs a table over *its* callable (a
                     # flow_hash16 table would fail every havoc); only the
                     # named flow builder persists to disk.
-                    sampler = udp_flow_key_sampler if tailored else generic_key_sampler
-                    table = RainbowTable(hash_fn=hash_fn, key_sampler=sampler, **settings)
+                    table = RainbowTable(
+                        hash_fn=hash_fn,
+                        key_sampler=udp_flow_key_sampler,
+                        chain_length=FLOW_TABLE_CHAIN_LENGTH,
+                        num_chains=config.rainbow_chains,
+                        seed=config.seed,
+                    )
                 _RAINBOW_TABLE_CACHE[key] = table
             tables[name] = table
         return tables

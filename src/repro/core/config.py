@@ -14,7 +14,7 @@ from repro.perf.cycles import CycleCosts, DEFAULT_CYCLE_COSTS
 #: whenever the canonical form below changes meaning (a field is renamed,
 #: a default's semantics change), so stored service results keyed by the
 #: old form can never be served for the new one.
-CONFIG_HASH_VERSION = "castan-config-v7"
+CONFIG_HASH_VERSION = "castan-config-v8"
 
 
 def _canonical_value(value):
@@ -78,18 +78,9 @@ class CastanConfig:
     # cap standing in for the paper's time budget.
     max_states: int = 2000
     deadline_seconds: float | None = 60.0
-    # Loop bound M for the potential-cost annotation (§3.4).
-    loop_bound: int = 2
     # Search shape: "monolithic" explores all N packets in one search;
-    # "beam" runs the per-packet round scheduler (repro.symbex.batch),
-    # carrying the beam_width highest-priority frontier states between
-    # rounds.  beam_width=0 makes "beam" fall back to the monolithic search.
-    # A narrow beam (3) measures best across the evaluation NFs: priming
-    # rounds only need to carry a few diverse lineages forward.
+    # "beam" runs the per-packet round scheduler (repro.symbex.batch).
     search_mode: str = "monolithic"
-    beam_width: int = 3
-    # Pop budget of one priming round (None = beam_width + 1).
-    round_max_states: int | None = None
     # Convergence chunk of both searches (the beam's final strike round and
     # the monolithic search): a chunk of this many pops that completes
     # paths without beating the best one ends the search.
@@ -98,27 +89,11 @@ class CastanConfig:
     searcher: str = "castan"
     # Cache model: "contention" (default), "none" (ablation).
     cache_model: str = "contention"
-    # Where contention sets come from: "oracle" uses the hierarchy's
-    # ground-truth slice/set mapping (equivalent to exhaustive probing, fast);
-    # "probing" runs the §3.2 discovery for real over a sampled address pool.
-    contention_source: str = "oracle"
-    # Number of candidate addresses sampled per large region when building
-    # the cache model ("probing" mode samples fewer for runtime reasons).
-    contention_pool_lines: int = 4096
-    probing_pool_lines: int = 192
-    # Rainbow-table settings for havoc reconciliation (§3.5).
-    rainbow_tailored: bool = True
+    # Chains of the rainbow table used for havoc reconciliation (§3.5).
     rainbow_chains: int = 4096
-    rainbow_chain_length: int = 32
-    max_candidates_per_havoc: int = 12
     # Simulated processor geometry and cycle costs (shared with the testbed).
     hierarchy: HierarchyConfig = field(default_factory=HierarchyConfig)
     cycle_costs: CycleCosts = DEFAULT_CYCLE_COSTS
-    # Engine safety valves.
-    max_instructions_per_state: int = 100_000
-    max_loop_iterations: int = 256
-    # Solver search budget (backtracking nodes).
-    solver_budget: int = 8000
     seed: int = 0xCA57A
 
     def __post_init__(self) -> None:

@@ -37,12 +37,6 @@ class PathMetrics:
     def max_estimated_cycles_per_packet(self) -> int:
         return max(self.estimated_cycles_per_packet, default=0)
 
-    @property
-    def mean_estimated_cycles_per_packet(self) -> float:
-        if not self.estimated_cycles_per_packet:
-            return 0.0
-        return sum(self.estimated_cycles_per_packet) / len(self.estimated_cycles_per_packet)
-
     def to_report(self) -> str:
         """Human-readable per-packet table (what the KTEST companion file lists)."""
         lines = [

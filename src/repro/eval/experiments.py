@@ -71,10 +71,6 @@ class EvalSettings:
     castan_max_states: int = 250
     castan_deadline_seconds: float = 10.0
     castan_num_packets: int | None = None  # per-NF paper-sized packet counts
-    # Search shape: "monolithic" (byte-stable default) or "beam" — the
-    # per-packet round scheduler; see repro.symbex.batch.
-    castan_search_mode: str = "monolithic"
-    castan_beam_width: int = 3
     # Worker processes for the CASTAN portfolio (0/1 = sequential).
     workers: int = 0
     replay_packets: int = 1200
@@ -86,7 +82,6 @@ class EvalSettings:
     @classmethod
     def from_environment(cls) -> "EvalSettings":
         scale = os.environ.get("REPRO_EVAL_SCALE", "quick").lower()
-        search_mode = os.environ.get("REPRO_SEARCH_MODE", "monolithic").lower()
         workers_raw = os.environ.get("REPRO_WORKERS", "0")
         try:
             workers = max(0, int(workers_raw))
@@ -111,7 +106,6 @@ class EvalSettings:
                 castan_max_states=2500,
                 castan_deadline_seconds=120.0,
                 castan_num_packets=None,  # per-NF paper-sized packet counts
-                castan_search_mode=search_mode,
                 workers=workers,
                 replay_packets=6000,
                 zipfian_packets=8000,
@@ -124,7 +118,6 @@ class EvalSettings:
                 castan_max_states=60,
                 castan_deadline_seconds=4.0,
                 castan_num_packets=5,
-                castan_search_mode=search_mode,
                 workers=workers,
                 replay_packets=300,
                 zipfian_packets=400,
@@ -132,10 +125,7 @@ class EvalSettings:
                 unirand_packets=400,
                 throughput_replay_packets=200,
             )
-        return cls(
-            castan_search_mode=search_mode,
-            workers=workers,
-        )
+        return cls(workers=workers)
 
 
 SETTINGS = EvalSettings.from_environment()
@@ -153,8 +143,6 @@ def _castan_config() -> CastanConfig:
         max_states=SETTINGS.castan_max_states,
         deadline_seconds=SETTINGS.castan_deadline_seconds,
         num_packets=SETTINGS.castan_num_packets,
-        search_mode=SETTINGS.castan_search_mode,
-        beam_width=SETTINGS.castan_beam_width,
     )
 
 

@@ -357,9 +357,13 @@ def _store_keys(path: Path, identity: str, columns: Iterable[array]) -> None:
         )
 
 
+#: Chain length of the analysis's rainbow tables.
+FLOW_TABLE_CHAIN_LENGTH = 32
+
+
 def build_flow_rainbow_table(
     tailored: bool = True,
-    chain_length: int = 32,
+    chain_length: int = FLOW_TABLE_CHAIN_LENGTH,
     num_chains: int = 4096,
     seed: int = 0xB0B,
 ) -> RainbowTable:

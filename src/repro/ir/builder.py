@@ -91,12 +91,6 @@ class FunctionBuilder:
     def mul(self, lhs, rhs, dest: Register | None = None) -> Register:
         return self.binop(BinOpKind.MUL, lhs, rhs, dest)
 
-    def and_(self, lhs, rhs, dest: Register | None = None) -> Register:
-        return self.binop(BinOpKind.AND, lhs, rhs, dest)
-
-    def or_(self, lhs, rhs, dest: Register | None = None) -> Register:
-        return self.binop(BinOpKind.OR, lhs, rhs, dest)
-
     def xor(self, lhs, rhs, dest: Register | None = None) -> Register:
         return self.binop(BinOpKind.XOR, lhs, rhs, dest)
 

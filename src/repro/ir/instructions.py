@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.ir.values import MACHINE_BITS, MACHINE_MASK, Constant, Register, Value
+from repro.ir.values import MACHINE_BITS, MACHINE_MASK, Register, Value
 
 
 class BinOpKind(enum.Enum):
@@ -309,8 +309,3 @@ class Unreachable(Instruction):
 
 
 TERMINATORS = (Jump, Branch, Return, Unreachable)
-
-
-def is_constant_operand(value: Value) -> bool:
-    """True when the operand is an immediate constant."""
-    return isinstance(value, Constant)

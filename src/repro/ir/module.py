@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.ir.instructions import Instruction, TERMINATORS
+from repro.ir.instructions import Instruction
 
 # Memory regions are laid out on a fixed virtual-address grid so that the
 # cache model sees realistic, page-aligned addresses.  The spacing mirrors
@@ -191,39 +191,8 @@ class Module:
         except KeyError:
             raise KeyError(f"module {self.name!r} has no region {name!r}") from None
 
-    def region_for_address(self, address: int) -> MemoryRegion | None:
-        for region in self.regions.values():
-            if region.contains_address(address):
-                return region
-        return None
-
-    @property
-    def total_state_bytes(self) -> int:
-        """Total bytes of NF state (all regions)."""
-        return sum(r.size_bytes for r in self.regions.values())
-
     def __repr__(self) -> str:
         return (
             f"Module({self.name!r}, functions={len(self.functions)}, "
             f"regions={len(self.regions)}, instructions={self.instruction_count})"
         )
-
-
-def successors_of(block: BasicBlock) -> list[str]:
-    """Names of CFG successor blocks of ``block``."""
-    terminator = block.terminator
-    if terminator is None:
-        return []
-    from repro.ir.instructions import Branch, Jump
-
-    if isinstance(terminator, Jump):
-        return [terminator.target]
-    if isinstance(terminator, Branch):
-        if terminator.if_true == terminator.if_false:
-            return [terminator.if_true]
-        return [terminator.if_true, terminator.if_false]
-    return []
-
-
-def is_terminator_class(instruction: Instruction) -> bool:
-    return isinstance(instruction, TERMINATORS)

@@ -76,10 +76,6 @@ class NetworkFunction:
     notes: str = ""
 
     @property
-    def has_manual_workload(self) -> bool:
-        return self.manual_workload is not None
-
-    @property
     def uses_hashing(self) -> bool:
         return bool(self.hash_functions)
 

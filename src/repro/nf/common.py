@@ -142,18 +142,6 @@ def longest_prefix_match(routes: list[Route], address: int) -> int:
     return best_port
 
 
-def most_specific_route_addresses(routes: list[Route]) -> list[int]:
-    """One address per route, matching its most specific form.
-
-    These are the destinations the Manual LPM workload uses: packets that
-    match the deepest routes and therefore traverse the longest trie paths.
-    """
-    addresses = []
-    for route in sorted(routes, key=lambda r: -r.length):
-        addresses.append(route.prefix | 0 if route.length == 32 else route.prefix)
-    return addresses
-
-
 # -- packet-field defaults shared by the NF descriptors -----------------------------
 
 

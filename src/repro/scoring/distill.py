@@ -37,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 
 from repro.cache.hierarchy import MemoryHierarchy
-from repro.core.castan import Castan, CastanResult
+from repro.core.castan import SOLVER_BUDGET, Castan, CastanResult
 from repro.core.config import CastanConfig
 from repro.hashing.functions import FLOW_HASH_MASK
 from repro.ir.instructions import BinOpKind, CmpKind
@@ -415,7 +415,7 @@ def synthesize_matching_flows(
     fills the remainder, with a scalar traffic-class scan as the
     numpy-free fallback.
     """
-    solver = Solver(search_budget=config.solver_budget, seed=config.seed)
+    solver = Solver(search_budget=SOLVER_BUDGET, seed=config.seed)
     flows: list[Flow] = []
     seen = set(exclude)
 
@@ -604,5 +604,6 @@ def distill_signatures(
         nf_name=nf.name,
         nf_fingerprint=nf.fingerprint(),
         source_result_digest=canonical_result_digest(result),
+        config_hash=config.content_hash(),
         signatures=signatures,
     )

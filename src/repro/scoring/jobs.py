@@ -78,6 +78,7 @@ def obtain_signatures(
             nf_name=nf.name,
             nf_fingerprint=nf.fingerprint(),
             source_result_digest=canonical_result_digest(result),
+            config_hash=config.content_hash(),
         )
         cached = store.get_signatures(probe.store_key())
         if cached is not None:

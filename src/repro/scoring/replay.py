@@ -46,10 +46,6 @@ def flow_fields(flow: Flow) -> dict[str, int]:
     }
 
 
-def flow_of_packet(packet: Packet) -> Flow:
-    return (packet.src_ip, packet.dst_ip, packet.src_port, packet.dst_port, packet.protocol)
-
-
 class PrimedReplay:
     """Measure per-packet cycle cost from one primed NF state.
 

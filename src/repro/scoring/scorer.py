@@ -19,18 +19,16 @@ batch of masks as little-endian ``u64`` and ``tests/test_scoring.py`` pins
 hypothesis-generated batches.
 
 :class:`StreamScorer` adds the online part — lifetime and windowed
-per-signature hit counters plus a top-K offender report per window — with
-knobs read from the environment (``REPRO_SCORE_BATCH``,
-``REPRO_SCORE_WINDOW``, ``REPRO_SCORE_TOPK``).
+per-signature hit counters plus a top-K offender report per window —
+shaped by :class:`ScorerOptions` (batch size, window size, top-K).
 """
 
 from __future__ import annotations
 
-import os
 import struct
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 from repro.scoring.signatures import FIELD_ORDER, AdversarialSignature
 from repro.symbex.expr import column_evaluator, dag_evaluator, load_numpy
@@ -41,27 +39,9 @@ _np = load_numpy()  # eager: a scoring process pays the import in set-up
 #: signatures (far above anything the distiller emits per NF).
 MAX_SIGNATURES = 64
 
-#: Environment knobs (documented in the README knob table).
-ENV_BATCH = "REPRO_SCORE_BATCH"
-ENV_WINDOW = "REPRO_SCORE_WINDOW"
-ENV_TOPK = "REPRO_SCORE_TOPK"
-
 DEFAULT_BATCH = 8192
 DEFAULT_WINDOW = 65536
 DEFAULT_TOPK = 5
-
-
-def _env_int(name: str, default: int) -> int:
-    value = os.environ.get(name, "").strip()
-    if not value:
-        return default
-    try:
-        parsed = int(value)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if parsed < 1:
-        raise ValueError(f"{name} must be positive, got {parsed}")
-    return parsed
 
 
 def _check_signatures(signatures: list[AdversarialSignature]) -> None:
@@ -159,15 +139,13 @@ class StreamScorer:
     def __init__(
         self,
         signatures: list[AdversarialSignature],
-        window_size: int | None = None,
-        top_k: int | None = None,
+        window_size: int = DEFAULT_WINDOW,
+        top_k: int = DEFAULT_TOPK,
     ) -> None:
         _check_signatures(list(signatures))
         self.signatures = list(signatures)
-        self.window_size = window_size if window_size is not None else _env_int(
-            ENV_WINDOW, DEFAULT_WINDOW
-        )
-        self.top_k = top_k if top_k is not None else _env_int(ENV_TOPK, DEFAULT_TOPK)
+        self.window_size = window_size
+        self.top_k = top_k
         if self.window_size < 1:
             raise ValueError(f"window_size must be positive, got {self.window_size}")
         self.total_packets = 0
@@ -274,10 +252,16 @@ class StreamScorer:
 
 @dataclass
 class ScorerOptions:
-    """Resolved scorer knobs (environment defaults, explicit overrides win)."""
+    """Scorer knobs: packets per columnar batch, per report window, and
+    offending flows reported per window.  Each must be a positive int."""
 
-    batch_size: int = field(default_factory=lambda: _env_int(ENV_BATCH, DEFAULT_BATCH))
-    window_size: int = field(
-        default_factory=lambda: _env_int(ENV_WINDOW, DEFAULT_WINDOW)
-    )
-    top_k: int = field(default_factory=lambda: _env_int(ENV_TOPK, DEFAULT_TOPK))
+    batch_size: int = DEFAULT_BATCH
+    window_size: int = DEFAULT_WINDOW
+    top_k: int = DEFAULT_TOPK
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # bool is an int subclass, but `true` is not a packet count.
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{f.name} must be a positive int, got {value!r}")

@@ -9,11 +9,11 @@ the NF toward its synthesized worst case, plus the replay-calibrated cycle
 threshold that the claim is held to.
 
 Signatures serialize to canonical JSON with a versioned SHA-256 content
-hash, mirroring the PR 8 result store's addressing discipline
+hash, mirroring the result store's addressing discipline
 (``repro.service.store``): a :class:`SignatureSet` is keyed by the NF
-fingerprint and the canonical digest of the result it was distilled from,
-so any change to the NF, the config, or the analysis output changes the
-address.
+fingerprint, the canonical digest of the result it was distilled from and
+the content hash of the distillation config, so any change to the NF, the
+config, or the analysis output changes the address.
 
 >>> from repro.scoring.signatures import field_sym, signature_from_dict
 >>> from repro.ir.instructions import CmpKind
@@ -55,7 +55,9 @@ from repro.symbex.expr import (
 #: bump on any change to the canonical form, so old persisted signatures
 #: miss instead of being misread).  v2: thresholds are calibrated on the
 #: analysis config's hierarchy and cycle costs, not the default machine.
-SIGNATURE_VERSION = "castan-signature-v2"
+#: v3: a set records (and is keyed by) the content hash of the config it was
+#: distilled under, since distillation reads the config's seed and machine.
+SIGNATURE_VERSION = "castan-signature-v3"
 
 #: The canonical per-packet field symbols every signature predicate is
 #: expressed over (single-packet namespace; the engine's ``pktN.*`` symbols
@@ -194,6 +196,7 @@ class SignatureSet:
     nf_name: str
     nf_fingerprint: str
     source_result_digest: str  # canonical_result_digest of the distilled run
+    config_hash: str  # CastanConfig.content_hash() of the distillation config
     signatures: list[AdversarialSignature] = field(default_factory=list)
 
     def __len__(self) -> int:
@@ -212,6 +215,7 @@ class SignatureSet:
             "nf": self.nf_name,
             "nf_fingerprint": self.nf_fingerprint,
             "source_result_digest": self.source_result_digest,
+            "config_hash": self.config_hash,
             "signatures": [signature.to_dict() for signature in self.signatures],
         }
 
@@ -223,14 +227,19 @@ class SignatureSet:
         return hashlib.sha256(f"{SIGNATURE_VERSION}:{blob}".encode()).hexdigest()
 
     def store_key(self) -> str:
-        """PR 8 store-style content address of this set's *inputs*.
+        """Store-style content address of this set's *inputs*.
 
-        A function of the NF fingerprint and the distilled result's
-        canonical digest — the same derivation shape as
-        :func:`repro.service.store.result_key` — so a persisted set is
-        invalidated by exactly the changes that invalidate its source.
+        A function of the NF fingerprint, the distilled result's canonical
+        digest and the distillation config's content hash — the same
+        derivation shape as :func:`repro.service.store.result_key`.  Two
+        configs can yield the same result digest (a different ``seed``)
+        and still distill different signatures, so the config is part of
+        the address, not only of the source.
         """
-        payload = f"{SIGNATURE_VERSION}:{self.nf_fingerprint}:{self.source_result_digest}"
+        payload = (
+            f"{SIGNATURE_VERSION}:{self.nf_fingerprint}:{self.source_result_digest}"
+            f":{self.config_hash}"
+        )
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -243,6 +252,7 @@ def signature_set_from_dict(data: dict) -> SignatureSet:
         nf_name=data["nf"],
         nf_fingerprint=data["nf_fingerprint"],
         source_result_digest=data["source_result_digest"],
+        config_hash=data["config_hash"],
         signatures=[signature_from_dict(entry) for entry in data["signatures"]],
     )
 

@@ -247,8 +247,9 @@ class ResultStore:
     #
     # Distilled signature sets (repro.scoring) live beside the results they
     # were distilled from, addressed by SignatureSet.store_key() — a function
-    # of the NF fingerprint and the source result's canonical digest, the
-    # same derivation discipline as result_key().  The shelf is a sibling
+    # of the NF fingerprint, the source result's canonical digest and the
+    # distillation config's hash, the same derivation discipline as
+    # result_key().  The shelf is a sibling
     # directory ("sig/", three characters), so keys() — which only walks
     # two-character shards — never lists signature entries as results.
 

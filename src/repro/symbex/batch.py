@@ -45,6 +45,11 @@ from repro.symbex.engine import SymbexStats, SymbolicEngine
 from repro.symbex.searcher import Searcher, select_beam
 from repro.symbex.state import ExecutionState
 
+#: Frontier states carried between rounds.  A narrow beam measures best
+#: across the evaluation NFs: priming rounds only need to carry a few
+#: diverse lineages forward.
+DEFAULT_BEAM_WIDTH = 3
+
 
 @dataclass
 class RoundStats:
@@ -78,7 +83,7 @@ def _truncate_report(states: list[ExecutionState], limit: int | None) -> list[Ex
 def run_beam_search(
     engine: SymbolicEngine,
     searcher_factory: Callable[[], Searcher],
-    beam_width: int,
+    beam_width: int = DEFAULT_BEAM_WIDTH,
     max_states: int | None = None,
     deadline_seconds: float | None = None,
     max_instructions_per_state: int = 100_000,

@@ -68,10 +68,6 @@ class Expr:
     def __hash__(self) -> int:
         return self._hash
 
-    @property
-    def is_concrete(self) -> bool:
-        return isinstance(self, Const)
-
     def __copy__(self) -> "Expr":
         return self
 

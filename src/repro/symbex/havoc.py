@@ -81,11 +81,6 @@ class ReconciliationOutcome:
     def total(self) -> int:
         return len(self.reconciled) + len(self.failed)
 
-    @property
-    def success_rate(self) -> float:
-        return len(self.reconciled) / self.total if self.total else 1.0
-
-
 #: Sentinel returned by :func:`_decompose_key_pin` when the pin is
 #: unsatisfiable on its own (candidate bits outside every field).
 _PIN_CONFLICT = object()

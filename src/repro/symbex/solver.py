@@ -333,10 +333,6 @@ class Solver:
                 return SolverResult(status="unknown", reason=f"model check failed: {constraint}")
         return SolverResult(status="sat", model=model)
 
-    def is_satisfiable(self, constraints: list[Expr]) -> bool:
-        """True when a model was found (unknown counts as unsatisfiable)."""
-        return self.check(constraints).is_sat
-
     def quick_feasible(self, constraints: list[Expr]) -> bool:
         """Cheap feasibility filter used at branch points.
 

@@ -136,11 +136,6 @@ class ExecutionState:
 
         self._fresh_symbol_counter = 0
 
-        # Round bookkeeping for the per-packet beam scheduler: the cost this
-        # state carried into the current round, so per-round gains can be
-        # reported without re-walking the metric history.
-        self.round_cost_baseline = 0
-
         # Per-stage cost attribution for chain NFs: label -> cycles spent
         # inside that stage's entry (plus callees), across all packets.
         # active_stage/stage_cost_base track the currently open window.
@@ -179,7 +174,6 @@ class ExecutionState:
         child.havoc_records = list(self.havoc_records)
         child.packet_actions = list(self.packet_actions)
         child._fresh_symbol_counter = self._fresh_symbol_counter
-        child.round_cost_baseline = self.round_cost_baseline
         child.stage_costs = dict(self.stage_costs)
         child.active_stage = self.active_stage
         child.stage_cost_base = self.stage_cost_base
@@ -204,12 +198,6 @@ class ExecutionState:
         if self.status is not StateStatus.PAUSED:
             raise ValueError(f"cannot resume a {self.status.value} state")
         self.status = StateStatus.RUNNING
-        self.round_cost_baseline = self.current_cost
-
-    @property
-    def round_cost_gain(self) -> int:
-        """Cycles accumulated since this state last entered a round."""
-        return self.current_cost - self.round_cost_baseline
 
     # -- frames -----------------------------------------------------------------
 
@@ -239,10 +227,6 @@ class ExecutionState:
     def pop_frame(self) -> Frame:
         self._frames_owned.pop()
         return self._frames.pop()
-
-    @property
-    def call_depth(self) -> int:
-        return len(self._frames)
 
     # -- registers and memory -----------------------------------------------------
 

@@ -42,10 +42,6 @@ class CDF:
         return self.percentile(0.95)
 
     @property
-    def p99(self) -> float:
-        return self.percentile(0.99)
-
-    @property
     def minimum(self) -> float:
         return float(min(self.samples)) if self.samples else 0.0
 

@@ -147,13 +147,6 @@ class TestPipeline:
         assert result.packet_count >= 1
         assert result.contention_sets_used == 0
 
-    def test_probing_contention_source(self):
-        nf = get_nf("lpm-direct")
-        config = quick_config(num_packets=4)
-        config.contention_source = "probing"
-        result = Castan(config).analyze(nf)
-        assert result.contention_sets_used >= 1
-
     def test_red_black_tree_resists_skew(self):
         # CASTAN should NOT find a strongly growing path in the RB tree: the
         # per-packet instruction counts stay within a small factor.
@@ -308,7 +301,7 @@ class TestRainbowTablesPerNF:
             castan_packet_count=4,
         )
         castan = Castan(
-            quick_config(num_packets=4, max_states=60, rainbow_chains=2048, rainbow_chain_length=24)
+            quick_config(num_packets=4, max_states=60, rainbow_chains=2048)
         )
         result = castan.analyze(nf)
         assert result.havoc_outcome.reconciled and not result.havoc_outcome.failed

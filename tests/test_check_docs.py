@@ -15,11 +15,16 @@ check_docs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(check_docs)
 
 
-def _readme(rows: list[str]) -> str:
-    env_vars = " ".join(f"`{var}`" for var in sorted(check_docs.source_env_vars()))
+def _readme(rows: list[str], env_rows: list[str] | None = None) -> str:
+    if env_rows is None:
+        env_rows = [f"| `{var}` | x | y |" for var in sorted(check_docs.source_env_vars())]
     return "\n".join(
         [
-            f"Environment: {env_vars}",
+            "### Environment variables",
+            "",
+            "| Variable | Values | Effect |",
+            "| --- | --- | --- |",
+            *env_rows,
             "",
             "### `CastanConfig` fields",
             "",
@@ -45,6 +50,15 @@ def test_a_stale_table_row_is_one_problem_naming_it():
     problems = check_docs.check_knobs(_readme(rows))
     assert len(problems) == 1
     assert "'strike_shards'" in problems[0]
+
+
+def test_a_stale_environment_row_is_one_problem_naming_it():
+    rows = [f"| `{field.name}` | x | y |" for field in dataclasses.fields(CastanConfig)]
+    env_rows = [f"| `{var}` | x | y |" for var in sorted(check_docs.source_env_vars())]
+    env_rows.insert(1, "| `REPRO_SEARCH_MODE` | `beam` | a variable nothing reads |")
+    problems = check_docs.check_knobs(_readme(rows, env_rows))
+    assert len(problems) == 1
+    assert "'REPRO_SEARCH_MODE'" in problems[0]
 
 
 def test_a_missing_bench_script_or_root_baseline_is_a_broken_reference():

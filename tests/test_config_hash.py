@@ -10,19 +10,26 @@ drifts, this file fails before any stored result can be mis-served.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import repro.core.castan as castan_module
+import repro.scoring.distill as distill_module
+from repro.cfg.costs import annotate_costs
 from repro.core.config import CONFIG_HASH_VERSION, CastanConfig
+from repro.hashing.rainbow import FLOW_TABLE_CHAIN_LENGTH, build_flow_rainbow_table
+from repro.symbex.batch import run_beam_search
+from repro.symbex.engine import SymbolicEngine
 
 #: sha256 of the canonical form of the all-defaults config.  If this test
 #: fails after an intentional change to CastanConfig (new field, changed
 #: default, different canonical form), bump CONFIG_HASH_VERSION and repin —
 #: old stored service results must not be addressable by the new form.
-GOLDEN_DEFAULT_HASH = "3cf7a78891ab40e572fc55086d25e72ff8d7c9af40be072d0f2afa0232a3849c"
+GOLDEN_DEFAULT_HASH = "164a4c79c76344519e07c8312521921ec6c593a192baf6e9df9718355c2dbbd4"
 
 
 def _mutated(value):
@@ -101,7 +108,7 @@ def test_nested_fields_change_the_hash():
 
 
 def test_canonical_dict_round_trips_through_from_dict():
-    config = CastanConfig(max_states=77, search_mode="beam", beam_width=5)
+    config = CastanConfig(max_states=77, search_mode="beam", strike_chunk_states=5)
     rebuilt = CastanConfig.from_dict(config.to_canonical_dict())
     assert rebuilt == config
     assert rebuilt.content_hash() == config.content_hash()
@@ -126,6 +133,19 @@ def test_from_dict_rejects_unknown_knobs():
         ("strike_shards", 4),
         ("round_deadline_seconds", 1.0),
         ("cache_partition", "partitioned"),
+        # v8: knobs that only their defaults ever used
+        ("loop_bound", 3),
+        ("beam_width", 5),
+        ("round_max_states", 10),
+        ("contention_source", "probing"),
+        ("contention_pool_lines", 1024),
+        ("probing_pool_lines", 96),
+        ("rainbow_tailored", False),
+        ("rainbow_chain_length", 24),
+        ("max_candidates_per_havoc", 16),
+        ("max_instructions_per_state", 1000),
+        ("max_loop_iterations", 16),
+        ("solver_budget", 6000),
     )
     for key, value in (("max_statez", 40), *removed):
         with pytest.raises(ValueError, match=key):
@@ -133,6 +153,43 @@ def test_from_dict_rejects_unknown_knobs():
         # the error names the known fields so a typo is self-correcting
         with pytest.raises(ValueError, match="max_states"):
             CastanConfig.from_dict({key: value})
+
+
+def _default_of(function, parameter):
+    return inspect.signature(function).parameters[parameter].default
+
+
+#: v7 fields whose value the analysis still uses, with that value and where
+#: it now lives (a callee's default the pipeline no longer overrides, or one
+#: named constant).  Their removal must not change any output.
+V7_FIELD_VALUES = {
+    "loop_bound": (2, lambda: [_default_of(annotate_costs, "loop_bound")]),
+    "beam_width": (3, lambda: [_default_of(run_beam_search, "beam_width")]),
+    "round_max_states": (None, lambda: [_default_of(run_beam_search, "round_max_states")]),
+    "contention_pool_lines": (4096, lambda: [castan_module.CONTENTION_POOL_LINES]),
+    "rainbow_tailored": (True, lambda: [_default_of(build_flow_rainbow_table, "tailored")]),
+    "rainbow_chain_length": (
+        32,
+        lambda: [_default_of(build_flow_rainbow_table, "chain_length"), FLOW_TABLE_CHAIN_LENGTH],
+    ),
+    "max_candidates_per_havoc": (12, lambda: [castan_module.MAX_CANDIDATES_PER_HAVOC]),
+    "max_instructions_per_state": (
+        100_000,
+        lambda: [
+            _default_of(SymbolicEngine.run, "max_instructions_per_state"),
+            _default_of(run_beam_search, "max_instructions_per_state"),
+        ],
+    ),
+    "max_loop_iterations": (256, lambda: [_default_of(SymbolicEngine, "max_loop_iterations")]),
+    "solver_budget": (8000, lambda: [castan_module.SOLVER_BUDGET, distill_module.SOLVER_BUDGET]),
+}
+
+
+@pytest.mark.parametrize("removed", sorted(V7_FIELD_VALUES))
+def test_a_removed_field_keeps_its_value(removed):
+    old_default, values_in_use = V7_FIELD_VALUES[removed]
+    assert removed not in {f.name for f in dataclasses.fields(CastanConfig)}
+    assert values_in_use() == [old_default] * len(values_in_use())
 
 
 @pytest.mark.parametrize(
@@ -162,13 +219,13 @@ def test_partial_from_dict_overrides_on_defaults():
 def test_version_tag_is_part_of_the_hash(monkeypatch):
     """The golden hash covers the version tag (bumping it must repoint keys).
 
-    v7 drops the unread ``cycle_costs.extra`` dict: no v6 entry may answer
-    for a canonical form without it.
+    v8 drops twelve fields that only their defaults ever set: no v7 entry
+    may answer for a canonical form without them.
     """
-    assert CONFIG_HASH_VERSION == "castan-config-v7"
+    assert CONFIG_HASH_VERSION == "castan-config-v8"
     import repro.core.config as config_module
 
-    monkeypatch.setattr(config_module, "CONFIG_HASH_VERSION", "castan-config-v6")
+    monkeypatch.setattr(config_module, "CONFIG_HASH_VERSION", "castan-config-v7")
     assert CastanConfig().content_hash() != GOLDEN_DEFAULT_HASH
 
 

@@ -164,7 +164,6 @@ class TestPausedLifecycle:
             state.pause_at_round_boundary()
         state.resume_round()
         assert state.status is StateStatus.RUNNING
-        assert state.round_cost_baseline == state.current_cost
 
     def test_select_beam_prefers_priority_and_is_deterministic(self):
         engine = branchy_engine()

@@ -194,6 +194,34 @@ class TestSerialization:
         assert restored.content_hash() == signature_set.content_hash()
         assert store.get_signatures("0" * 64) is None
 
+    def test_signature_shelf_is_keyed_on_the_distillation_config(self, tmp_path, monkeypatch):
+        """Two seeds give lpm-patricia one result digest but different signatures."""
+        import repro.scoring.jobs as jobs_module
+        from repro.service.store import canonical_result_digest
+
+        distilled = []
+        real_distill = jobs_module.distill_signatures
+
+        def counting_distill(nf, result, config=None, report=None):
+            distilled.append(config.seed)
+            return real_distill(nf, result, config=config, report=report)
+
+        monkeypatch.setattr(jobs_module, "distill_signatures", counting_distill)
+        nf = get_nf("lpm-patricia")
+        store = ResultStore(tmp_path)
+        seed = CastanConfig().seed
+        sets, digests = [], []
+        for config_seed in (seed, seed + 1):
+            config = CastanConfig(max_states=200, deadline_seconds=None, seed=config_seed)
+            result = obtain_result(nf, config, None, store=store)
+            digests.append(canonical_result_digest(result))
+            sets.append(obtain_signatures(nf, result, config, store=store))
+            assert sets[-1].config_hash == config.content_hash()
+        assert digests[0] == digests[1]  # the result alone cannot tell them apart
+        assert distilled == [seed, seed + 1]  # the second call distilled, no shelf hit
+        assert sets[0].store_key() != sets[1].store_key()
+        assert len(store.signature_keys()) == 2
+
 
 # -- soundness (property-based) ------------------------------------------------
 
@@ -281,8 +309,8 @@ def test_thresholds_separate_calibration_costs(distilled):
         assert signature.priming_flows  # the claim is about a primed NF
 
 
-#: (sha256 of the canonical payload without its version tags, signature
-#: count) per soundness NF, recorded while every candidate still primed its
+#: (sha256 of the canonical payload without its version tags and config
+#: hash, signature count) per soundness NF, recorded while every candidate still primed its
 #: own fresh NF.  Calibration that primes once and restores snapshots must
 #: publish the very same signatures.
 SIGNATURE_PAYLOAD_PINS = {
@@ -294,7 +322,7 @@ SIGNATURE_PAYLOAD_PINS = {
 
 def _payload_digest(signature_set: SignatureSet) -> tuple[str, int]:
     data = signature_set.to_dict()
-    del data["version"]
+    del data["version"], data["config_hash"]  # addresses, not the signatures
     for entry in data["signatures"]:
         del entry["version"]
     blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
@@ -699,22 +727,24 @@ class TestScorerPlumbing:
         with pytest.raises(ValueError, match="at most 64"):
             StreamScorer(sigs)
 
-    def test_env_knobs_validated(self, monkeypatch):
-        from repro.scoring.scorer import ScorerOptions
+    def test_scorer_options_validated(self):
+        options = ScorerOptions(batch_size=4096, window_size=123, top_k=2)
+        assert (options.batch_size, options.window_size, options.top_k) == (4096, 123, 2)
+        assert ScorerOptions() == ScorerOptions(batch_size=8192, window_size=65536, top_k=5)
 
-        monkeypatch.setenv("REPRO_SCORE_BATCH", "4096")
-        monkeypatch.setenv("REPRO_SCORE_WINDOW", "123")
-        monkeypatch.setenv("REPRO_SCORE_TOPK", "2")
-        options = ScorerOptions()
-        assert (options.batch_size, options.window_size, options.top_k) == (
-            4096, 123, 2,
-        )
-        monkeypatch.setenv("REPRO_SCORE_WINDOW", "0")
-        with pytest.raises(ValueError, match="REPRO_SCORE_WINDOW"):
-            ScorerOptions()
-        monkeypatch.setenv("REPRO_SCORE_WINDOW", "many")
-        with pytest.raises(ValueError, match="REPRO_SCORE_WINDOW"):
-            ScorerOptions()
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("batch_size", 0),
+            ("top_k", -3),
+            ("window_size", "big"),
+            ("batch_size", True),
+            ("window_size", 2.0),
+        ],
+    )
+    def test_scorer_options_reject_bad_values(self, knob, value):
+        with pytest.raises(ValueError, match=knob):
+            ScorerOptions(**{knob: value})
 
     def test_iter_pcap_batches_rejects_bad_batch_size(self):
         import io

@@ -208,7 +208,14 @@ def test_submission_validation_is_eager(server):
     assert "max_statez" in err.value.message
 
     # a removed knob is an unknown field, not a silently ignored one
-    for knob, value in (("workers", 2), ("cache_partition", "partitioned")):
+    for knob, value in (
+        ("workers", 2),
+        ("cache_partition", "partitioned"),
+        ("beam_width", 5),
+        ("loop_bound", 3),
+        ("contention_source", "probing"),
+        ("solver_budget", 100),
+    ):
         with pytest.raises(ServiceError) as err:
             server.client.submit(NF, config={knob: value})
         assert err.value.status == 400
@@ -320,6 +327,18 @@ def test_score_submission_validation_is_eager(server):
         server.client.score(NF, {"synthetic": 100}, options={"bogus_knob": 1})
     assert err.value.status == 400
     assert "bogus_knob" in err.value.message
+
+    # bad knob values fail the submit, not the job in its worker
+    for knob, value in (
+        ("batch_size", 0),
+        ("top_k", -3),
+        ("window_size", "big"),
+        ("batch_size", True),
+    ):
+        with pytest.raises(ServiceError) as err:
+            server.client.score(NF, {"synthetic": 100}, options={knob: value})
+        assert err.value.status == 400
+        assert knob in err.value.message
 
     with pytest.raises(ServiceError) as err:
         server.client.score(NF, {"pcap_b64": "!!! not base64 !!!"})

@@ -18,8 +18,8 @@ Four classes of rot are caught:
    ``REPRO_*`` environment variable read anywhere under ``src/`` must
    appear (backticked) in the README's knob tables, so adding a knob
    without documenting it fails CI; and every row of the README's
-   ``CastanConfig`` field table must name a live field, so deleting one
-   without its row fails too.
+   ``CastanConfig`` field table and environment-variable table must name
+   a live field or variable, so deleting one without its row fails too.
 
 Run it from the repo root::
 
@@ -110,15 +110,29 @@ def source_env_vars() -> set[str]:
     return found
 
 
-#: The README section holding the ``CastanConfig`` field table, up to the
-#: next heading, and the backticked first-column name of each of its rows.
+#: The README sections holding the ``CastanConfig`` field table and the
+#: environment-variable table, each up to the next heading, and the
+#: backticked first-column name of each table row.
 CONFIG_TABLE_SECTION = re.compile(r"^### `?CastanConfig`? fields$(.*?)(?=^#|\Z)", re.M | re.S)
+ENV_TABLE_SECTION = re.compile(r"^### Environment variables$(.*?)(?=^#|\Z)", re.M | re.S)
 TABLE_ROW_NAME = re.compile(r"^\| `([^`]+)` \|", re.M)
+
+
+def _stale_rows(readme: str, section_re, heading: str, live, what: str) -> list[str]:
+    """Rows of the ``heading`` table whose name is not in ``live``."""
+    section = section_re.search(readme)
+    if section is None:
+        return [f"README.md: no '### {heading}' table"]
+    return [
+        f"README.md: knob table lists {name!r}, which is not {what}"
+        for name in TABLE_ROW_NAME.findall(section.group(1))
+        if name not in live
+    ]
 
 
 def check_knobs(readme: str) -> list[str]:
     """Every config field and REPRO_* env var must be documented (backticked),
-    and every row of the ``CastanConfig`` field table must be a live field."""
+    and every row of either knob table must name a live field or variable."""
     import dataclasses
 
     from repro.core.config import CastanConfig
@@ -128,21 +142,20 @@ def check_knobs(readme: str) -> list[str]:
     for name in fields:
         if f"`{name}`" not in readme:
             problems.append(f"README.md: CastanConfig field {name!r} missing from the knob table")
-    section = CONFIG_TABLE_SECTION.search(readme)
-    if section is None:
-        problems.append("README.md: no '### `CastanConfig` fields' table")
-    else:
-        for name in TABLE_ROW_NAME.findall(section.group(1)):
-            if name not in fields:
-                problems.append(
-                    f"README.md: knob table lists {name!r}, which is not a CastanConfig field"
-                )
-    for var in sorted(source_env_vars()):
+    problems += _stale_rows(
+        readme, CONFIG_TABLE_SECTION, "`CastanConfig` fields", fields, "a CastanConfig field"
+    )
+    env_vars = source_env_vars()
+    for var in sorted(env_vars):
         if f"`{var}`" not in readme:
             problems.append(
                 f"README.md: environment variable {var!r} (read under src/) "
                 "missing from the knob table"
             )
+    problems += _stale_rows(
+        readme, ENV_TABLE_SECTION, "Environment variables", env_vars,
+        "an environment variable read under src/",
+    )
     return problems
 
 

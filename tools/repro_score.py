@@ -18,9 +18,9 @@ With ``--server`` the job runs on a ``repro.service`` instance instead
 
 ``--set knob=value`` overrides any ``CastanConfig`` field, same syntax as
 ``repro_submit.py``.  Scorer knobs (``--batch``, ``--window``, ``--top-k``)
-default from ``REPRO_SCORE_BATCH`` / ``REPRO_SCORE_WINDOW`` /
-``REPRO_SCORE_TOPK``.  Exit status is 0 when the stream scored cleanly,
-1 on any submission, distillation, or transport error.
+default to ``ScorerOptions``' defaults (8192 / 65536 / 5).  Exit status is
+0 when the stream scored cleanly, 1 on any submission, distillation, or
+transport error.
 """
 
 from __future__ import annotations
@@ -92,20 +92,18 @@ def _traffic_spec(args: argparse.Namespace) -> dict:
     return {"synthetic": args.synthetic, "seed": args.seed}
 
 
+def _scorer_options(args: argparse.Namespace) -> dict:
+    """The ``ScorerOptions`` fields set by flags (the rest keep defaults)."""
+    flags = {"batch_size": args.batch, "window_size": args.window, "top_k": args.top_k}
+    return {name: value for name, value in flags.items() if value is not None}
+
+
 def _run_offline(args: argparse.Namespace, config_overrides: dict) -> int:
     from repro.scoring.jobs import run_score_job
     from repro.service.store import ResultStore
 
     config = CastanConfig.from_dict(config_overrides)
     store = ResultStore(args.store) if args.store else None
-    options = ScorerOptions()
-    if args.batch is not None:
-        options.batch_size = args.batch
-    if args.window is not None:
-        options.window_size = args.window
-    if args.top_k is not None:
-        options.top_k = args.top_k
-
     events: list[tuple[str, dict]] = []
 
     def emit(kind: str, payload: dict) -> None:
@@ -123,7 +121,7 @@ def _run_offline(args: argparse.Namespace, config_overrides: dict) -> int:
             _traffic_spec(args),
             num_packets=args.packets,
             store=store,
-            options=options,
+            options=ScorerOptions(**_scorer_options(args)),
             emit=emit,
         )
     except (KeyError, ValueError) as error:
@@ -144,20 +142,13 @@ def _run_offline(args: argparse.Namespace, config_overrides: dict) -> int:
 def _run_server(args: argparse.Namespace, config_overrides: dict) -> int:
     host, _, port = args.server.partition(":")
     client = ServiceClient(host=host or "127.0.0.1", port=int(port or 8321))
-    options = {}
-    if args.batch is not None:
-        options["batch_size"] = args.batch
-    if args.window is not None:
-        options["window_size"] = args.window
-    if args.top_k is not None:
-        options["top_k"] = args.top_k
     try:
         job = client.score(
             args.nf,
             _traffic_spec(args),
             config=config_overrides,
             num_packets=args.packets,
-            options=options,
+            options=_scorer_options(args),
         )
         final: dict = {}
         raw_events: list[dict] = []
