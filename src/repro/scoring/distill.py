@@ -119,6 +119,8 @@ class DistillReport:
     # Packets replayed to prime calibration states, and probe packets measured.
     primed_packets: int = 0
     probe_packets: int = 0
+    # Lanes the columnar miner evaluated the candidate predicates over.
+    mined_lanes: int = 0
     notes: list[str] = dataclass_field(default_factory=list)
 
 
@@ -364,23 +366,26 @@ def _mine_matching_columns(
     rng: random.Random,
     batches: int = 32,
     batch_size: int = 65536,
-) -> None:
+) -> int:
     """Mine matching flows by scoring random columnar batches.
 
     This is the vectorized scorer run in reverse: evaluate the predicate
     over random in-class field columns and keep the lanes that match.
-    No-op without numpy (the scalar scan below still runs).
+    Returns the number of lanes evaluated.  No-op without numpy (the
+    scalar scan below still runs).
     """
     evaluator = column_evaluator(candidate.predicate)
     if evaluator is None:
-        return
+        return 0
     import numpy as np
 
     from repro.scoring.stream import random_flow_columns
 
+    lanes = 0
     for _ in range(batches):
         columns = random_flow_columns(nf, batch_size, rng)
         verdict = evaluator(columns)
+        lanes += batch_size
         for lane in np.flatnonzero(verdict):
             accept(
                 (
@@ -392,7 +397,8 @@ def _mine_matching_columns(
                 )
             )
             if needed() <= 0:
-                return
+                return lanes
+    return lanes
 
 
 def synthesize_matching_flows(
@@ -403,6 +409,7 @@ def synthesize_matching_flows(
     exclude: set[Flow],
     count: int,
     rng: random.Random,
+    report: DistillReport,
 ) -> list[Flow]:
     """Fresh flows satisfying the candidate predicate (none in ``exclude``).
 
@@ -413,7 +420,7 @@ def synthesize_matching_flows(
     the solver directly with varied defaults for diversity.  Columnar
     mining — the vectorized scorer run over random in-class batches — then
     fills the remainder, with a scalar traffic-class scan as the
-    numpy-free fallback.
+    numpy-free fallback (``report.mined_lanes`` counts the mined lanes).
     """
     solver = Solver(search_budget=SOLVER_BUDGET, seed=config.seed)
     flows: list[Flow] = []
@@ -452,7 +459,9 @@ def synthesize_matching_flows(
             if len(flows) >= count:
                 return flows
 
-    _mine_matching_columns(nf, candidate, accept, lambda: count - len(flows), rng)
+    report.mined_lanes += _mine_matching_columns(
+        nf, candidate, accept, lambda: count - len(flows), rng
+    )
     if len(flows) >= count:
         return flows
 
@@ -513,6 +522,7 @@ def distill_signatures(
     The analysis workload is replayed once per call: each candidate starts
     from that primed snapshot and adds only its own amplification flows
     (``report.primed_packets`` / ``report.probe_packets`` count the replay).
+    ``report`` is observability only: no digest or content hash reads it.
     """
     config = config or CastanConfig()
     report = report if report is not None else DistillReport()
@@ -536,7 +546,7 @@ def distill_signatures(
             continue
         seen_predicates.add(candidate.predicate)
         matching = synthesize_matching_flows(
-            nf, candidate, gates, config, workload_set, match_probes + amplify, rng
+            nf, candidate, gates, config, workload_set, match_probes + amplify, rng, report
         )
         if len(matching) < match_probes:
             report.dropped_no_probes += 1

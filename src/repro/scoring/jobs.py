@@ -163,9 +163,11 @@ def run_score_job(
             "count": len(signature_set),
             "store_key": signature_set.store_key(),
             "content_hash": signature_set.content_hash(),
-            # Replay calibration work; both 0 when the signature shelf hit.
+            # Replay calibration and mining work; all 0 when the signature
+            # shelf hit.
             "primed_packets": report.primed_packets,
             "probe_packets": report.probe_packets,
+            "mined_lanes": report.mined_lanes,
             "signatures": [
                 {
                     "kind": s.kind,

@@ -44,6 +44,12 @@ DEFAULT_WINDOW = 65536
 DEFAULT_TOPK = 5
 
 
+def _check_positive_int(name: str, value) -> None:
+    # bool is an int subclass, but `true` is not a packet count.
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{name} must be a positive int, got {value!r}")
+
+
 def _check_signatures(signatures: list[AdversarialSignature]) -> None:
     if len(signatures) > MAX_SIGNATURES:
         raise ValueError(
@@ -143,11 +149,11 @@ class StreamScorer:
         top_k: int = DEFAULT_TOPK,
     ) -> None:
         _check_signatures(list(signatures))
+        _check_positive_int("window_size", window_size)
+        _check_positive_int("top_k", top_k)
         self.signatures = list(signatures)
         self.window_size = window_size
         self.top_k = top_k
-        if self.window_size < 1:
-            raise ValueError(f"window_size must be positive, got {self.window_size}")
         self.total_packets = 0
         self.total_matched = 0
         self.total_hits = [0] * len(self.signatures)
@@ -261,7 +267,4 @@ class ScorerOptions:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
-            # bool is an int subclass, but `true` is not a packet count.
-            if type(value) is not int or value < 1:
-                raise ValueError(f"{f.name} must be a positive int, got {value!r}")
+            _check_positive_int(f.name, getattr(self, f.name))

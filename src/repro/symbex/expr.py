@@ -714,12 +714,26 @@ def _vec_tables(np):
         CmpKind.UGT: mk_cmp(np.greater),
         CmpKind.UGE: mk_cmp(np.greater_equal),
     }
-    return binop, cmp
+
+    def zeros(x, y):
+        return np.zeros(np.shape(x), dtype=u64)
+
+    def by_constant(fn, c):
+        """``fn`` for a constant right operand ``c``: a shift by ``c`` is one
+        ufunc (or the zero column for ``c >= 64``); anything else is ``fn``."""
+        if fn is shl or fn is lshr:
+            if c >= MACHINE_BITS:
+                return zeros
+            return np.left_shift if fn is shl else np.right_shift
+        return fn
+
+    return binop, cmp, by_constant
 
 
-#: numpy-ufunc twins of BINOP_FUNCS / CMP_FUNCS, built by the first
-#: :func:`column_evaluator` call (None until then, and without numpy).
-VEC_BINOP_FUNCS = VEC_CMP_FUNCS = None
+#: numpy-ufunc twins of BINOP_FUNCS / CMP_FUNCS and the constant-operand
+#: specialiser, built by the first :func:`column_evaluator` call (None until
+#: then, and without numpy).
+VEC_BINOP_FUNCS = VEC_CMP_FUNCS = _vec_by_constant = None
 
 
 def _postorder(expr: Expr) -> list[Expr]:
@@ -751,7 +765,9 @@ def _postorder(expr: Expr) -> list[Expr]:
     return order
 
 
-def _dag_schedule(expr: Expr, binops: dict, cmps: dict, word, sym_mask) -> list[tuple]:
+def _dag_schedule(
+    expr: Expr, binops: dict, cmps: dict, word, sym_mask
+) -> tuple[list[tuple], list[tuple[int, ...]]]:
     """``expr`` as an evaluation *schedule*: one step per unique DAG node.
 
     Interned expressions are DAGs, not trees: a hash unrolled symbolically
@@ -765,32 +781,45 @@ def _dag_schedule(expr: Expr, binops: dict, cmps: dict, word, sym_mask) -> list[
     sym_mask(sym))`` for a symbol, ``(2, fn, lhs, rhs)`` for a binary
     operation or comparison (``fn`` from ``binops`` / ``cmps``) and ``(3,
     cond, if_true, if_false)`` for a select, with operands as slot indices.
+
+    The second output lists, per step, the slots whose *last* reader that
+    step is: a runner that drops them once the step has run holds only the
+    live frontier of the DAG.  The result slot has no reader and is never
+    listed.
     """
     order = _postorder(expr)
     slot_of = {id(node): slot for slot, node in enumerate(order)}
     steps: list[tuple] = []
-    for node in order:
+    last_reader: dict[int, int] = {}
+    for index, node in enumerate(order):
         kind = node.__class__
         if kind is Const:
             steps.append((0, word(node.value)))
-        elif kind is Sym:
+            continue
+        if kind is Sym:
             steps.append((1, node.name, sym_mask(node)))
-        elif kind is BinExpr:
-            steps.append((2, binops[node.op], slot_of[id(node.lhs)], slot_of[id(node.rhs)]))
+            continue
+        if kind is BinExpr:
+            operands = (slot_of[id(node.lhs)], slot_of[id(node.rhs)])
+            steps.append((2, binops[node.op], *operands))
         elif kind is CmpExpr:
-            steps.append((2, cmps[node.pred], slot_of[id(node.lhs)], slot_of[id(node.rhs)]))
+            operands = (slot_of[id(node.lhs)], slot_of[id(node.rhs)])
+            steps.append((2, cmps[node.pred], *operands))
         elif kind is SelectExpr:
-            steps.append(
-                (
-                    3,
-                    slot_of[id(node.cond)],
-                    slot_of[id(node.if_true)],
-                    slot_of[id(node.if_false)],
-                )
+            operands = (
+                slot_of[id(node.cond)],
+                slot_of[id(node.if_true)],
+                slot_of[id(node.if_false)],
             )
+            steps.append((3, *operands))
         else:
             raise TypeError(f"cannot evaluate {node!r}")
-    return steps
+        for slot in operands:
+            last_reader[slot] = index
+    release: list[list[int]] = [[] for _ in steps]
+    for slot, index in last_reader.items():
+        release[index].append(slot)
+    return steps, [tuple(slots) for slots in release]
 
 
 _COLUMN_EVALUATORS = BoundedMemo("column_evaluators")
@@ -804,10 +833,12 @@ def column_evaluator(expr: Expr):
     semantics of :data:`BINOP_FUNCS` / :data:`CMP_FUNCS`, and a select
     evaluates both branches (they are total functions) and merges them
     lanewise.  Runs :func:`_dag_schedule`, so each unique node is computed
-    once.  Evaluators are cached per interned node.  Returns ``None`` when
-    numpy is unavailable.
+    once, and drops each column after its last reader, so a call holds only
+    the DAG's live frontier.  A shift by a constant runs as the bare ufunc
+    (or the zero column for a width of 64 or more).  Evaluators are cached
+    per interned node.  Returns ``None`` when numpy is unavailable.
     """
-    global VEC_BINOP_FUNCS, VEC_CMP_FUNCS
+    global VEC_BINOP_FUNCS, VEC_CMP_FUNCS, _vec_by_constant
     ev = _COLUMN_EVALUATORS.get(expr)
     if ev is not None:
         return ev
@@ -815,18 +846,25 @@ def column_evaluator(expr: Expr):
     if np is None:
         return None
     if VEC_BINOP_FUNCS is None:
-        VEC_BINOP_FUNCS, VEC_CMP_FUNCS = _vec_tables(np)
-    steps = _dag_schedule(
+        VEC_BINOP_FUNCS, VEC_CMP_FUNCS, _vec_by_constant = _vec_tables(np)
+    steps, release = _dag_schedule(
         expr,
         VEC_BINOP_FUNCS,
         VEC_CMP_FUNCS,
         np.uint64,
         lambda sym: None if sym.bits == MACHINE_BITS else np.uint64(sym.mask),
     )
+    steps = [
+        (2, _vec_by_constant(step[1], steps[step[3]][1]), step[2], step[3])
+        if step[0] == 2 and steps[step[3]][0] == 0
+        else step
+        for step in steps
+    ]
+    plan = list(zip(steps, release))
 
-    def ev(columns, _steps=steps, _np=np, _zero=np.uint64(0)):
-        slots = [None] * len(_steps)
-        for index, step in enumerate(_steps):
+    def ev(columns, _plan=plan, _np=np, _zero=np.uint64(0)):
+        slots = [None] * len(_plan)
+        for index, (step, dead) in enumerate(_plan):
             tag = step[0]
             if tag == 2:
                 slots[index] = step[1](slots[step[2]], slots[step[3]])
@@ -839,6 +877,8 @@ def column_evaluator(expr: Expr):
                 slots[index] = _np.where(
                     _np.not_equal(slots[step[1]], _zero), slots[step[2]], slots[step[3]]
                 )
+            for slot in dead:
+                slots[slot] = None
         return slots[-1]
 
     _COLUMN_EVALUATORS[expr] = ev
@@ -864,7 +904,7 @@ def dag_evaluator(expr: Expr):
     ev = _DAG_EVALUATORS.get(expr)
     if ev is not None:
         return ev
-    steps = _dag_schedule(expr, BINOP_FUNCS, CMP_FUNCS, int, lambda sym: sym.mask)
+    steps, _ = _dag_schedule(expr, BINOP_FUNCS, CMP_FUNCS, int, lambda sym: sym.mask)
 
     def ev(assignment, _steps=steps):
         slots = [0] * len(_steps)

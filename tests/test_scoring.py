@@ -702,12 +702,17 @@ class TestColumnarPipeline:
         # The 3-packet workload is primed once, then each replayed candidate
         # adds its own amplification flows on top of that snapshot.
         assert distilled["probe_packets"] > 0
+        assert distilled["mined_lanes"] > 0
         assert all(
             3 < signature["priming_flows"] <= distilled["primed_packets"]
             for signature in distilled["signatures"]
         )
         shelf_hit = signatures_event(nat_store)
-        assert (shelf_hit["primed_packets"], shelf_hit["probe_packets"]) == (0, 0)
+        assert (
+            shelf_hit["primed_packets"],
+            shelf_hit["probe_packets"],
+            shelf_hit["mined_lanes"],
+        ) == (0, 0, 0)
         assert shelf_hit["content_hash"] == distilled["content_hash"]
 
 
@@ -745,6 +750,20 @@ class TestScorerPlumbing:
     def test_scorer_options_reject_bad_values(self, knob, value):
         with pytest.raises(ValueError, match=knob):
             ScorerOptions(**{knob: value})
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("top_k", -1),
+            ("top_k", 0),
+            ("top_k", True),
+            ("top_k", 2.5),
+            ("window_size", True),
+        ],
+    )
+    def test_stream_scorer_rejects_bad_values(self, knob, value):
+        with pytest.raises(ValueError, match=knob):
+            StreamScorer([], **{knob: value})
 
     def test_iter_pcap_batches_rejects_bad_batch_size(self):
         import io
