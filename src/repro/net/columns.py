@@ -13,6 +13,9 @@ in ``tests/test_net.py`` holds the two equal row for row:
   other than IPv4, IHL below 5, or an IPv4 header that runs past the frame;
 * zero ports — UDP with fewer than 8 and TCP with fewer than 20 bytes after
   the IPv4 header, and every other protocol.
+
+Requires numpy (the [vector] extra): without it, importing this module
+raises an ``ImportError`` that says so.
 """
 
 from __future__ import annotations
@@ -25,11 +28,9 @@ from repro.net.packet import (
     EtherType,
     IPProtocol,
 )
+from repro.symbex.expr import require_numpy
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the [vector] extra
-    _np = None
+_np = require_numpy()
 
 
 def parse_frame_columns(buffer: bytes, offsets: list[int], lengths: list[int]):
@@ -38,7 +39,7 @@ def parse_frame_columns(buffer: bytes, offsets: list[int], lengths: list[int]):
     Returns ``(columns, skipped)``: a ``(5, kept)`` ``uint64`` matrix whose
     rows are the fields in :attr:`~repro.net.packet.Packet.flow_tuple` order
     and whose columns are the kept frames in capture order, and the number of
-    frames dropped.  Requires numpy.
+    frames dropped.
     """
     data = _np.frombuffer(buffer, dtype=_np.uint8)
     start = _np.array(offsets, dtype=_np.int64)

@@ -28,6 +28,9 @@ matching probe costs strictly more than every background probe with a
 clear margin; the published threshold is the midpoint.  Trivial predicates
 (implied by the traffic class) die here: no non-matching background can
 be built, so they are dropped.
+
+Matching flows are mined with the columnar scorer, so this module needs
+numpy (the [vector] extra) like the rest of :mod:`repro.scoring`.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from repro.scoring.signatures import (
     hint_gate_exprs,
     packet_symbol_map,
 )
+from repro.scoring.stream import random_flow_columns
 from repro.symbex.expr import (
     Const,
     Expr,
@@ -63,9 +67,12 @@ from repro.symbex.expr import (
     make_binop,
     make_cmp,
     rename_symbols,
+    require_numpy,
 )
 from repro.symbex.solver import Solver
 from repro.workloads.generators import _flow_for_index
+
+_np = require_numpy()
 
 _CANONICAL_FIELDS = frozenset(FIELD_ORDER)
 
@@ -371,22 +378,16 @@ def _mine_matching_columns(
 
     This is the vectorized scorer run in reverse: evaluate the predicate
     over random in-class field columns and keep the lanes that match.
-    Returns the number of lanes evaluated.  No-op without numpy (the
-    scalar scan below still runs).
+    Returns the number of lanes evaluated.
     """
     evaluator = column_evaluator(candidate.predicate)
-    if evaluator is None:
-        return 0
-    import numpy as np
-
-    from repro.scoring.stream import random_flow_columns
 
     lanes = 0
     for _ in range(batches):
         columns = random_flow_columns(nf, batch_size, rng)
         verdict = evaluator(columns)
         lanes += batch_size
-        for lane in np.flatnonzero(verdict):
+        for lane in _np.flatnonzero(verdict):
             accept(
                 (
                     int(columns["src_ip"][lane]),
@@ -419,8 +420,8 @@ def synthesize_matching_flows(
     key-packing template to recover field values.  Field candidates go to
     the solver directly with varied defaults for diversity.  Columnar
     mining — the vectorized scorer run over random in-class batches — then
-    fills the remainder, with a scalar traffic-class scan as the
-    numpy-free fallback (``report.mined_lanes`` counts the mined lanes).
+    fills the remainder (``report.mined_lanes`` counts the mined lanes),
+    and a scan of the traffic class tops up what mining missed.
     """
     solver = Solver(search_budget=SOLVER_BUDGET, seed=config.seed)
     flows: list[Flow] = []
@@ -465,7 +466,7 @@ def synthesize_matching_flows(
     if len(flows) >= count:
         return flows
 
-    # Scalar brute-force fallback: scan the traffic class with the matcher.
+    # Top-up: scan the traffic class with the matcher.
     for index in range(200_000, 200_000 + 20_000):
         key = _flow_for_index(nf, index, rng)
         flow = (key.src_ip, key.dst_ip, key.src_port, key.dst_port, key.protocol)

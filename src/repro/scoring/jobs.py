@@ -40,7 +40,6 @@ from repro.scoring.stream import (  # bench/ wraps the first three as names of t
     packets_to_fields,
     synthetic_batches,
 )
-from repro.symbex.expr import HAVE_NUMPY
 
 logger = logging.getLogger("repro.scoring")
 
@@ -109,23 +108,15 @@ def check_pcap_container(traffic: dict) -> None:
 
 
 def _traffic_batches(nf: NetworkFunction, traffic: dict, options: ScorerOptions, counters: Counter):
-    """Batches for one traffic spec: ``pcap_bytes``/``pcap_path`` or ``synthetic``.
+    """Column batches for one traffic spec: ``pcap_bytes``/``pcap_path`` or ``synthetic``.
 
-    Columns with numpy, per-packet field dicts without; ``counters`` takes the
-    number of frames the pcap parser dropped.
+    ``counters`` takes the number of frames the pcap parser dropped.
     """
     if "pcap_bytes" in traffic or "pcap_path" in traffic:
         source = (
             io.BytesIO(traffic["pcap_bytes"]) if "pcap_bytes" in traffic else traffic["pcap_path"]
         )
-        batches = iter_pcap_batches(
-            source, options.batch_size, columnar=HAVE_NUMPY, counters=counters
-        )
-        if HAVE_NUMPY:
-            yield from batches
-        else:
-            for packets in batches:
-                yield packets_to_fields(packets)
+        yield from iter_pcap_batches(source, options.batch_size, columnar=True, counters=counters)
         return
     if "synthetic" in traffic:
         count = int(traffic["synthetic"])

@@ -1,21 +1,17 @@
 """Line-rate scoring of packet streams against adversarial signatures.
 
 Per packet the scorer produces a **verdict mask**: a 64-bit word whose bit
-*i* is set iff the packet matches signature *i*.  Two execution tiers
-produce it, both running one evaluation schedule per predicate (each unique
-DAG node once):
+*i* is set iff the packet matches signature *i*.  The scorer
+(:func:`score_batch_columns`) evaluates each predicate once over columnar
+field arrays via :func:`~repro.symbex.expr.column_evaluator`, each unique
+DAG node once, and packs the verdict bits lanewise.  It needs numpy (the
+[vector] extra): without it, importing this module raises ``ImportError``.
 
-* the **scalar reference** (:func:`score_batch_fields`) evaluates each
-  predicate per packet through :func:`~repro.symbex.expr.dag_evaluator` —
-  the tier that defines correctness and runs without numpy;
-* the **vectorized tier** (:func:`score_batch_columns`) evaluates each
-  predicate once over columnar field arrays via
-  :func:`~repro.symbex.expr.column_evaluator` and packs the verdict bits
-  lanewise.
-
-Both tiers must agree *byte for byte*: :func:`verdict_bytes` renders any
+:func:`score_batch_fields` is the per-packet reference: it evaluates each
+predicate per packet through :func:`~repro.symbex.expr.dag_evaluator`.
+The two must agree *byte for byte*: :func:`verdict_bytes` renders any
 batch of masks as little-endian ``u64`` and ``tests/test_scoring.py`` pins
-``verdict_bytes(vector) == verdict_bytes(scalar)`` on captures and
+``verdict_bytes(columns) == verdict_bytes(reference)`` on captures and
 hypothesis-generated batches.
 
 :class:`StreamScorer` adds the online part — lifetime and windowed
@@ -31,9 +27,9 @@ from collections import Counter
 from dataclasses import dataclass, fields
 
 from repro.scoring.signatures import FIELD_ORDER, AdversarialSignature
-from repro.symbex.expr import column_evaluator, dag_evaluator, load_numpy
+from repro.symbex.expr import column_evaluator, dag_evaluator, require_numpy
 
-_np = load_numpy()  # eager: a scoring process pays the import in set-up
+_np = require_numpy()  # eager: a scoring process pays the import in set-up
 
 #: A verdict mask is one 64-bit word, so a scorer carries at most 64
 #: signatures (far above anything the distiller emits per NF).
@@ -61,7 +57,7 @@ def _check_signatures(signatures: list[AdversarialSignature]) -> None:
 def score_batch_fields(
     signatures: list[AdversarialSignature], fields: list[dict[str, int]]
 ) -> list[int]:
-    """Scalar reference verdict masks for a batch of per-packet field dicts."""
+    """Reference verdict masks for a batch of per-packet field dicts."""
     _check_signatures(signatures)
     evaluators = [dag_evaluator(signature.predicate) for signature in signatures]
     masks = []
@@ -78,11 +74,8 @@ def score_batch_columns(signatures: list[AdversarialSignature], columns):
     """Vectorized verdict masks over one columnar batch (uint64 array).
 
     Value-identical to :func:`score_batch_fields` on the same packets; the
-    differential tests hold the two tiers byte-equal via
-    :func:`verdict_bytes`.
+    differential tests hold the two byte-equal via :func:`verdict_bytes`.
     """
-    if _np is None:
-        raise RuntimeError("score_batch_columns requires numpy (the [vector] extra)")
     _check_signatures(signatures)
     size = len(columns[FIELD_ORDER[0]])
     masks = _np.zeros(size, dtype=_np.uint64)
@@ -97,11 +90,11 @@ def score_batch_columns(signatures: list[AdversarialSignature], columns):
 def verdict_bytes(masks) -> bytes:
     """Canonical little-endian ``u64`` rendering of a batch of verdict masks.
 
-    The byte-identity surface of the two tiers: equal packets must yield
-    equal bytes whether ``masks`` is a Python list (scalar tier) or a numpy
-    array (vector tier).
+    The byte-identity surface of scorer and reference: equal packets must
+    yield equal bytes whether ``masks`` is a Python list
+    (:func:`score_batch_fields`) or a numpy array (:func:`score_batch_columns`).
     """
-    if _np is not None and isinstance(masks, _np.ndarray):
+    if isinstance(masks, _np.ndarray):
         return masks.astype("<u8").tobytes()
     return struct.pack(f"<{len(masks)}Q", *masks)
 
@@ -133,13 +126,12 @@ class ScoreWindow:
 class StreamScorer:
     """Windowed stream scoring with per-signature counters and top-K flows.
 
-    Feed batches in either representation (columnar dict of uint64 arrays,
-    or a list of per-packet field dicts); each :meth:`feed` returns the
-    windows that *completed* inside that batch, and :meth:`finish` flushes
-    the final partial window.  Either tier reduces its batch to the matched
-    rows and hands them to the one accounting routine (:meth:`ingest`), so
-    scalar- and vector-fed scorers of the same packets report identical
-    windows.
+    Feed column batches (a dict of uint64 arrays); each :meth:`feed`
+    returns the windows that *completed* inside that batch, and
+    :meth:`finish` flushes the final partial window.  :meth:`feed` reduces
+    its batch to the matched rows and hands them to the accounting routine
+    (:meth:`ingest`), which takes any source of matched rows — the tests
+    feed it :func:`score_batch_fields` masks as the reference.
     """
 
     def __init__(
@@ -167,12 +159,7 @@ class StreamScorer:
     # -- feeding --------------------------------------------------------------
 
     def feed(self, batch) -> list[ScoreWindow]:
-        """Score one batch; returns the windows completed by it."""
-        if isinstance(batch, list):
-            masks = score_batch_fields(self.signatures, batch)
-            rows = [row for row, mask in enumerate(masks) if mask]
-            flows = [tuple(batch[row][name] for name in FIELD_ORDER) for row in rows]
-            return self.ingest(len(masks), rows, [masks[row] for row in rows], flows)
+        """Score one column batch; returns the windows completed by it."""
         masks = score_batch_columns(self.signatures, batch)
         rows = _np.flatnonzero(masks)
         flows = list(zip(*(batch[name][rows].tolist() for name in FIELD_ORDER)))

@@ -1,14 +1,13 @@
 """Packet streams for the scorer: pcap batches, columns, synthetic traffic.
 
-The scorer consumes traffic in *batches*.  With numpy a batch is columnar —
-one ``uint64`` array per packet field, the layout
-:func:`~repro.symbex.expr.column_evaluator` executes predicates over
-directly — and without numpy it degrades to a list of per-packet field
-dicts for the scalar reference path.  Both representations carry exactly
-the five canonical fields of :data:`~repro.scoring.signatures.FIELD_ORDER`.
-A pcap reaches the vector tier without a per-packet object in between:
-:func:`iter_pcap_batches` in columnar mode parses the capture's bytes straight
-into the columns.
+The scorer consumes traffic in columnar *batches*: one ``uint64`` array per
+packet field, the layout :func:`~repro.symbex.expr.column_evaluator`
+executes predicates over directly, carrying exactly the five canonical
+fields of :data:`~repro.scoring.signatures.FIELD_ORDER`.  A pcap reaches the
+scorer without a per-packet object in between: :func:`iter_pcap_batches` in
+columnar mode parses the capture's bytes straight into the columns.  Its
+Packet mode, :func:`packets_to_fields` and :func:`fields_to_columns` are the
+per-packet reference the tests and the benchmark check the columns against.
 """
 
 from __future__ import annotations
@@ -23,20 +22,18 @@ from repro.net.packet import Packet, PacketParseError
 from repro.net.pcap import PcapReader
 from repro.nf.base import NetworkFunction
 from repro.scoring.signatures import FIELD_ORDER
-from repro.symbex.expr import load_numpy
+from repro.symbex.expr import require_numpy
 
-_np = load_numpy()  # eager: a scoring process pays the import in set-up
+_np = require_numpy()  # eager: a scoring process pays the import in set-up
 
 
 def packets_to_fields(packets: list[Packet]) -> list[dict[str, int]]:
-    """Scalar batch representation: one field dict per packet."""
+    """Per-packet reference representation: one field dict per packet."""
     return [dict(zip(FIELD_ORDER, packet.flow_tuple)) for packet in packets]
 
 
 def fields_to_columns(fields: list[dict[str, int]]):
-    """Columnar batch representation, or ``None`` without numpy."""
-    if _np is None:
-        return None
+    """The columnar batch of a list of per-packet field dicts."""
     return {
         name: _np.array([f[name] for f in fields], dtype=_np.uint64)
         for name in FIELD_ORDER
@@ -51,16 +48,14 @@ def iter_pcap_batches(
 ) -> Iterator:
     """Parseable packets of a pcap capture, in batches of exactly ``batch_size``.
 
-    A batch is a ``list[Packet]``, or with ``columnar=True`` (needs numpy) the
-    dict of ``uint64`` field columns, parsed straight from the capture's
-    bytes.  Unparseable frames are skipped (the NFs drop non-IPv4 traffic the
-    same way) and counted into ``counters["frames_skipped"]``; malformed
+    A batch is a ``list[Packet]``, or with ``columnar=True`` the dict of
+    ``uint64`` field columns, parsed straight from the capture's bytes.
+    Unparseable frames are skipped (the NFs drop non-IPv4 traffic the same
+    way) and counted into ``counters["frames_skipped"]``; malformed
     *containers* still raise :class:`~repro.net.pcap.PcapFormatError`.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be positive, got {batch_size}")
-    if columnar and _np is None:
-        raise RuntimeError("columnar pcap batches require numpy (the [vector] extra)")
     if counters is None:
         counters = Counter()
     with PcapReader(source) as reader:
@@ -100,7 +95,7 @@ def random_flow_columns(nf: NetworkFunction, size: int, rng: random.Random):
 
     Honours the NF's workload hints — source-prefix forcing, pinned VIP
     destination, protocol — so every lane passes the NF's preamble, the
-    same traffic class the analysis searched.  Requires numpy.
+    same traffic class the analysis searched.
     """
     hints = nf.workload_hints
     gen = _np.random.default_rng(rng.getrandbits(32))
@@ -122,45 +117,10 @@ def random_flow_columns(nf: NetworkFunction, size: int, rng: random.Random):
     }
 
 
-def random_flow_fields(
-    nf: NetworkFunction, size: int, rng: random.Random
-) -> list[dict[str, int]]:
-    """Scalar twin of :func:`random_flow_columns` (numpy-free).
-
-    Draws from the same traffic class but not the same RNG stream —
-    synthetic scalar and columnar streams are *statistically* alike, not
-    lane-identical (differential tests convert one batch representation to
-    the other instead of regenerating).
-    """
-    hints = nf.workload_hints
-    fields = []
-    for _ in range(size):
-        src_ip = rng.getrandbits(32)
-        if "src_ip_prefix" in hints:
-            bits = hints.get("src_ip_prefix_bits", 8)
-            host = (1 << (32 - bits)) - 1
-            src_ip = (src_ip & host) | hints["src_ip_prefix"]
-        fields.append(
-            {
-                "src_ip": src_ip,
-                "dst_ip": hints.get("dst_ip", rng.getrandbits(32)),
-                "src_port": 1024 + rng.randrange((1 << 16) - 1024),
-                "dst_port": 1 + rng.randrange((1 << 16) - 1),
-                "protocol": hints.get("protocol", 17),
-            }
-        )
-    return fields
-
-
 def synthetic_batches(
     nf: NetworkFunction, count: int, batch_size: int, seed: int = 0
 ) -> Iterator:
-    """``count`` synthetic in-class packets in batches of ``batch_size``.
-
-    Yields columnar batches with numpy, per-packet field-dict batches
-    without — the two representations the scorer's vector and scalar entry
-    points consume respectively.
-    """
+    """``count`` synthetic in-class packets, in column batches of ``batch_size``."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be positive, got {batch_size}")
     rng = random.Random(seed)
@@ -168,7 +128,4 @@ def synthetic_batches(
     while remaining > 0:
         size = min(batch_size, remaining)
         remaining -= size
-        if _np is not None:
-            yield random_flow_columns(nf, size, rng)
-        else:
-            yield random_flow_fields(nf, size, rng)
+        yield random_flow_columns(nf, size, rng)

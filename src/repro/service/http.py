@@ -109,7 +109,10 @@ async def _read_request(reader: asyncio.StreamReader) -> tuple[str, str, dict]:
             break
         name, _, value = line.decode().partition(":")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
+    raw_length = headers.get("content-length", "0") or "0"
+    if not raw_length.isascii() or not raw_length.isdigit():
+        raise HttpError(400, f"malformed Content-Length {raw_length!r}")
+    length = int(raw_length)
     if length > MAX_BODY_BYTES:
         raise HttpError(400, f"request body too large ({length} bytes)")
     body: dict = {}

@@ -135,11 +135,15 @@ class SynthesisService:
     ) -> JobRecord:
         """Validate, address and table one submission.
 
-        Raises ``ValueError`` for unknown config fields and ``KeyError``
-        (with suggestions) for unknown NF specs.  The address equals
+        Raises ``ValueError`` for unknown config fields or a ``num_packets``
+        that is not ``None`` or an int >= 0, and ``KeyError`` (with
+        suggestions) for unknown NF specs.  The address equals
         ``store.key_for(get_nf(nf_spec), config, num_packets)`` at the cost
         of a memo lookup, one config canonicalisation and one config hash.
         """
+        # bool is an int subclass, but `true` is not a packet count.
+        if num_packets is not None and (type(num_packets) is not int or num_packets < 0):
+            raise ValueError(f"num_packets must be null or an int >= 0, got {num_packets!r}")
         config = CastanConfig.from_dict(config_overrides or {})
         fingerprint, default_packets = nf_identity(nf_spec)
         canonical = config.to_canonical_dict()
@@ -206,10 +210,15 @@ class SynthesisService:
         whose pcap global header is unreadable fails the submit
         (``PcapFormatError``, a ``ValueError``), not the job.  The scorer
         (and numpy with it) is imported by a server's first score job, so
-        analysis-only servers and their workers never load it.
+        analysis-only servers and their workers never load it; without
+        numpy that import's ``ImportError`` fails the submit as a
+        ``ValueError`` and no worker starts.
         """
-        from repro.scoring.jobs import check_pcap_container
-        from repro.scoring.scorer import ScorerOptions
+        try:
+            from repro.scoring.jobs import check_pcap_container
+            from repro.scoring.scorer import ScorerOptions
+        except ImportError as exc:
+            raise ValueError(str(exc)) from None
 
         traffic = dict(traffic or {})
         if not any(k in traffic for k in ("pcap_bytes", "pcap_path", "synthetic")):

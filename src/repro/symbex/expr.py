@@ -636,7 +636,8 @@ def expr_depth(expr: Expr) -> int:
 # x%0 = x) and 0/1 comparisons — so a columnar evaluation of lane i always
 # equals the scalar evaluation under that lane's assignment.
 
-# numpy is the optional [vector] extra and only the scoring layer needs it:
+# numpy is the [vector] extra.  Scoring requires it; the analysis only uses
+# it to hash columns faster, with identical output either way.
 # HAVE_NUMPY ("numpy is importable") is read from the module spec, and numpy
 # itself loads on the first columnar call, so the symbolic pipeline never
 # pays its import.
@@ -648,9 +649,9 @@ def load_numpy():
     """The numpy module, imported on first use; ``None`` without numpy.
 
     A numpy that is found but fails to import turns :data:`HAVE_NUMPY`
-    False, so every columnar path degrades to its scalar reference exactly
-    as when numpy is missing (``tests/test_imports.py`` runs the pipeline
-    both ways and compares its output).
+    False, so the analysis hashes with its scalar reference exactly as when
+    numpy is missing (``tests/test_imports.py`` runs the pipeline both ways
+    and compares its output).
     """
     global HAVE_NUMPY, _np
     if _np is None and HAVE_NUMPY:
@@ -661,6 +662,21 @@ def load_numpy():
         else:
             _np = numpy
     return _np
+
+
+def require_numpy():
+    """The numpy module, or an ``ImportError`` that names the [vector] extra.
+
+    The boundary of everything columnar (the scorer, its streams and the
+    columnar frame parser): there is no scalar stand-in to fall back to.
+    """
+    np = load_numpy()
+    if np is None:
+        raise ImportError(
+            "scoring needs numpy, which is not importable here: "
+            "install the [vector] extra (pip install -e .[vector])"
+        )
+    return np
 
 
 def _vec_tables(np):
@@ -732,7 +748,7 @@ def _vec_tables(np):
 
 #: numpy-ufunc twins of BINOP_FUNCS / CMP_FUNCS and the constant-operand
 #: specialiser, built by the first :func:`column_evaluator` call (None until
-#: then, and without numpy).
+#: then).
 VEC_BINOP_FUNCS = VEC_CMP_FUNCS = _vec_by_constant = None
 
 
@@ -836,15 +852,14 @@ def column_evaluator(expr: Expr):
     once, and drops each column after its last reader, so a call holds only
     the DAG's live frontier.  A shift by a constant runs as the bare ufunc
     (or the zero column for a width of 64 or more).  Evaluators are cached
-    per interned node.  Returns ``None`` when numpy is unavailable.
+    per interned node.  Raises ``ImportError`` (:func:`require_numpy`)
+    without numpy.
     """
     global VEC_BINOP_FUNCS, VEC_CMP_FUNCS, _vec_by_constant
     ev = _COLUMN_EVALUATORS.get(expr)
     if ev is not None:
         return ev
-    np = load_numpy()
-    if np is None:
-        return None
+    np = require_numpy()
     if VEC_BINOP_FUNCS is None:
         VEC_BINOP_FUNCS, VEC_CMP_FUNCS, _vec_by_constant = _vec_tables(np)
     steps, release = _dag_schedule(

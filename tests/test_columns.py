@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,6 @@ from hypothesis import strategies as st
 from repro.ir.instructions import BinOpKind, CmpKind
 from repro.ir.values import MACHINE_MASK
 from repro.symbex.expr import (
-    HAVE_NUMPY,
     BinExpr,
     CmpExpr,
     Const,
@@ -29,12 +29,9 @@ from repro.symbex.expr import (
     column_evaluator,
     dag_evaluator,
     evaluate,
-    load_numpy,
     make_binop,
     make_cmp,
 )
-
-pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="the columnar evaluator needs numpy")
 
 #: Symbols of three widths: the runner masks a narrow symbol's column.
 SYMS = (Sym("col_a"), Sym("col_b", bits=16), Sym("col_c", bits=8))
@@ -76,7 +73,6 @@ def dags(draw):
 def batches(draw):
     """Columns of 0, 1 or 8 192 lanes: hypothesis-drawn head lanes, then
     edge values, small ints (variable shift widths) and full-range words."""
-    np = load_numpy()
     lanes = draw(st.sampled_from((0, 1, 8192)))
     head = draw(st.lists(st.tuples(_values, _values, _values), max_size=min(lanes, 8)))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -95,7 +91,6 @@ def batches(draw):
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(expr=dags(), columns=batches())
 def test_column_lanes_equal_the_scalar_references(expr, columns):
-    np = load_numpy()
     lanes = len(columns["col_a"])
     out = np.broadcast_to(np.asarray(column_evaluator(expr)(columns)), (lanes,))
     reference = dag_evaluator(expr)
@@ -108,7 +103,6 @@ def test_column_lanes_equal_the_scalar_references(expr, columns):
 @pytest.mark.parametrize("value", EDGE_VALUES)
 @pytest.mark.parametrize("op", list(BinOpKind), ids=lambda op: op.value)
 def test_every_operator_by_every_edge_constant(op, value):
-    np = load_numpy()
     expr = BinExpr(op, SYMS[0], Const(value))
     gen = np.random.default_rng(7)
     column = gen.integers(0, MACHINE_MASK, size=8192, dtype=np.uint64, endpoint=True)

@@ -2,10 +2,12 @@
 
 The symbolic pipeline, the flow rainbow table (once on disk) and the job
 server start without numpy; the scorer imports it eagerly.  With numpy
-blocked, every columnar path degrades to its scalar reference with
-identical output.  Each check runs in a fresh interpreter (the suite's own
-process has long imported everything), sharing the session's
-``XDG_CACHE_HOME`` so the persisted rainbow table is the suite's.
+blocked, the analysis hashes with its scalar reference and identical
+output, while scoring refuses loudly: importing the scorer raises an
+``ImportError`` naming the [vector] extra and ``POST /score`` answers 400.
+Each check runs in a fresh interpreter (the suite's own process has long
+imported everything), sharing the session's ``XDG_CACHE_HOME`` so the
+persisted rainbow table is the suite's.
 """
 
 import json
@@ -22,7 +24,6 @@ from repro.hashing.functions import flow_hash16
 from repro.hashing.rainbow import RainbowTable, build_flow_rainbow_table, udp_flow_key_sampler
 from repro.nf.registry import get_nf
 from repro.service.store import canonical_result_digest
-from repro.symbex.expr import HAVE_NUMPY
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -39,6 +40,30 @@ ANALYZE = (
     "from repro.nf.registry import get_nf\n"
     "result = Castan(CastanConfig(max_states=60, deadline_seconds=None))"
     ".analyze(get_nf('lb-hash-table'))\n"
+)
+
+#: Defines ``post_score()``: ``[status, message, jobs tabled, live child
+#: processes]`` of one ``POST /score`` to a freshly booted server.
+POST_SCORE = (
+    "import asyncio, multiprocessing, tempfile\n"
+    "from repro.service.client import ServiceClient, ServiceError\n"
+    "from repro.service.http import serve\n"
+    "from repro.service.server import SynthesisService\n"
+    "from repro.service.store import ResultStore\n"
+    "async def post_score():\n"
+    "    service = SynthesisService(ResultStore(tempfile.mkdtemp()))\n"
+    "    web = await serve(service, port=0)\n"
+    "    client = ServiceClient(port=web.sockets[0].getsockname()[1], timeout=30)\n"
+    "    try:\n"
+    "        await asyncio.to_thread(client.score, 'nat-hash-table', {'synthetic': 10})\n"
+    "        answer = [200, '']\n"
+    "    except ServiceError as exc:\n"
+    "        answer = [exc.status, exc.message]\n"
+    "    answer += [len(service.jobs), len(multiprocessing.active_children())]\n"
+    "    web.close()\n"
+    "    await web.wait_closed()\n"
+    "    await service.shutdown()\n"
+    "    return answer\n"
 )
 
 
@@ -74,7 +99,6 @@ def test_server_boot_loads_no_numpy():
     assert _run("import repro.service.__main__\n" + REPORT) == NO_SCORER
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed (the [vector] extra)")
 def test_the_scorer_imports_numpy_eagerly():
     # A score job pays the import in set-up, not inside the timed pass.
     report = _run("import repro.scoring.jobs\n" + REPORT)
@@ -83,7 +107,9 @@ def test_the_scorer_imports_numpy_eagerly():
 
 @pytest.mark.parametrize("numpy_state", ["missing", "broken"])
 def test_unimportable_numpy_degrades_to_identical_output(numpy_state, tmp_path):
-    """Scalar paths throughout, the same inversions, the same result digest.
+    """The analysis: scalar hashing, the same inversions, the same result
+    digest.  Scoring: an ``ImportError`` naming [vector], and a 400 for
+    ``POST /score`` that tables no job and starts no worker.
 
     ``missing``: ``import numpy`` finds ``None`` in ``sys.modules``.
     ``broken``: numpy is found, but its package raises on import.
@@ -102,6 +128,7 @@ def test_unimportable_numpy_degrades_to_identical_output(numpy_state, tmp_path):
     script = (
         "import json, sys\n"
         + block
+        + POST_SCORE
         + "from repro.hashing import functions, rainbow\n"
         "from repro.service.store import canonical_result_digest\n"
         "from repro.symbex import expr\n"
@@ -112,24 +139,35 @@ def test_unimportable_numpy_degrades_to_identical_output(numpy_state, tmp_path):
         "column_hash = functions.flow_hash16_column\n"
         "report = {\n"
         "    'column_hash': column_hash and list(column_hash([1, 2, 3])),\n"
-        "    'column_evaluator': expr.column_evaluator(expr.Sym('x', 16)),\n"
         "    'table_source': table.stats.source,\n"
         f"    'inversions': [table.invert(t) for t in {targets!r}],\n"
         "    'small_index': [list(column) for column in small._sorted_preimages()],\n"
         "    'digest': canonical_result_digest(result),\n"
+        "    'have_numpy': expr.HAVE_NUMPY,\n"
         "}\n"
-        "from repro.scoring import jobs\n"
-        "report['have_numpy'] = [expr.HAVE_NUMPY, jobs.HAVE_NUMPY]\n"
+        "for name, load in [('column_evaluator', lambda: expr.column_evaluator(expr.Sym('x', 16))),"
+        " ('scoring', lambda: __import__('repro.scoring.jobs'))]:\n"
+        "    try:\n"
+        "        load()\n"
+        "        report[name] = 'imported'\n"
+        "    except ImportError as exc:\n"
+        "        report[name] = str(exc)\n"
+        "report['post_score'] = asyncio.run(post_score())\n"
         "print(json.dumps(report))\n"
     )
-    assert _run(script) == {
+    report = _run(script)
+    refusal = report.pop("scoring")
+    assert "[vector]" in refusal and "numpy" in refusal
+    assert report.pop("column_evaluator") == refusal
+    status, message, jobs, children = report.pop("post_score")
+    assert (status, message, jobs, children) == (400, refusal, 0, 0)
+    assert report == {
         # Only a numpy that is found gets the columnar hash, which then
         # computes the column with the scalar hash.
         "column_hash": None if numpy_state == "missing" else [flow_hash16(k) for k in (1, 2, 3)],
-        "column_evaluator": None,
         "table_source": "loaded",
         "inversions": [table.invert(target) for target in targets],
         "small_index": [list(column) for column in small._sorted_preimages()],
         "digest": expected_digest,
-        "have_numpy": [False, False],
+        "have_numpy": False,
     }

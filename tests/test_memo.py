@@ -49,11 +49,7 @@ def test_clear_memos_empties_every_registered_memo(private_registry):
     "memo, build",
     [
         (expr_module._DAG_EVALUATORS, dag_evaluator),
-        pytest.param(
-            expr_module._COLUMN_EVALUATORS,
-            column_evaluator,
-            marks=pytest.mark.skipif(not expr_module.HAVE_NUMPY, reason="needs numpy"),
-        ),
+        (expr_module._COLUMN_EVALUATORS, column_evaluator),
     ],
 )
 def test_evaluator_caches_are_bounded(monkeypatch, memo, build):

@@ -33,7 +33,6 @@ from repro.net.pcap import (
 )
 from repro.scoring.signatures import FIELD_ORDER
 from repro.scoring.stream import iter_pcap_batches
-from repro.symbex.expr import HAVE_NUMPY
 
 
 class TestChecksum:
@@ -337,7 +336,6 @@ _frames = st.builds(
 )
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="the columnar parser needs numpy")
 class TestColumnarIngest:
     @given(frames=st.lists(_frames, max_size=12))
     @settings(max_examples=300, deadline=None, derandomize=True)

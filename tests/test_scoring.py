@@ -10,10 +10,10 @@ Three gates, mirroring the layer's three claims:
   recorded workload, packets satisfying the predicate incur replay cost at
   or above the published threshold while in-class background packets stay
   below it;
-* **tier identity** (differential) — the vectorized scorer's verdict masks
-  are byte-identical to the scalar reference on pcap-sourced and
-  hypothesis-generated batches, including empty / single-packet /
-  window-boundary shapes.
+* **reference identity** (differential) — the columnar scorer's verdict
+  masks are byte-identical to the per-packet reference
+  (``score_batch_fields``) on pcap-sourced and hypothesis-generated batches,
+  including empty / single-packet / window-boundary shapes.
 """
 
 from __future__ import annotations
@@ -64,11 +64,10 @@ from repro.scoring.stream import (
     fields_to_columns,
     iter_pcap_batches,
     packets_to_fields,
-    random_flow_fields,
+    random_flow_columns,
 )
 from repro.service.store import ResultStore
 from repro.symbex.expr import (
-    HAVE_NUMPY,
     Const,
     Sym,
     expr_from_dict,
@@ -113,6 +112,24 @@ def nat_distilled(nat_store):
 
 def _flow_of(fields: dict) -> tuple[int, int, int, int, int]:
     return tuple(fields[name] for name in FIELD_ORDER)
+
+
+def _random_fields(nf, size: int, rng: random.Random) -> list[dict[str, int]]:
+    """``size`` random in-class packets as per-packet field dicts."""
+    columns = random_flow_columns(nf, size, rng)
+    return [dict(zip(FIELD_ORDER, row)) for row in zip(*(columns[n].tolist() for n in FIELD_ORDER))]
+
+
+def _feed_reference(scorer: StreamScorer, fields: list[dict[str, int]]):
+    """Account a field-dict batch scored by the per-packet reference."""
+    masks = score_batch_fields(scorer.signatures, fields)
+    rows = [row for row, mask in enumerate(masks) if mask]
+    flows = [_flow_of(fields[row]) for row in rows]
+    return scorer.ingest(len(masks), rows, [masks[row] for row in rows], flows)
+
+
+def _feed_columns(scorer: StreamScorer, fields: list[dict[str, int]]):
+    return scorer.feed(fields_to_columns(fields))
 
 
 # -- serialization -------------------------------------------------------------
@@ -243,19 +260,16 @@ def _calibration_state(nf, signature: AdversarialSignature):
         if flow not in priming and signature.matches(flow_fields(flow)):
             matching.append(flow)
 
-    if HAVE_NUMPY:
-        shim = SimpleNamespace(predicate=signature.predicate)
-        _mine_matching_columns(
-            nf, shim, accept, lambda: 8 - len(matching), rng, batches=24
-        )
-    # Scalar top-up / numpy-free path: scan the traffic class directly.
-    for fields in random_flow_fields(nf, 20_000, rng):
+    shim = SimpleNamespace(predicate=signature.predicate)
+    _mine_matching_columns(nf, shim, accept, lambda: 8 - len(matching), rng, batches=24)
+    # Top-up: scan the traffic class directly.
+    for fields in _random_fields(nf, 20_000, rng):
         if len(matching) >= 8:
             break
         accept(_flow_of(fields))
 
     background: list[tuple] = []
-    for fields in random_flow_fields(nf, 50_000, rng):
+    for fields in _random_fields(nf, 50_000, rng):
         flow = _flow_of(fields)
         if flow in priming or signature.matches(fields):
             continue
@@ -329,7 +343,6 @@ def _payload_digest(signature_set: SignatureSet) -> tuple[str, int]:
     return hashlib.sha256(blob.encode()).hexdigest(), len(data["signatures"])
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="the pins were mined with the columnar miner")
 def test_distilled_payloads_match_pins(distilled):
     nf, _config, _result, signature_set = distilled
     assert _payload_digest(signature_set) == SIGNATURE_PAYLOAD_PINS[nf.name]
@@ -375,7 +388,7 @@ def test_calibration_runs_on_the_analysis_machine(monkeypatch):
         assert min(default) < signature.matching_cycles  # the table really mattered
 
 
-# -- tier identity (differential) ---------------------------------------------
+# -- reference identity (differential) ----------------------------------------
 
 _FIELD_MAX = {
     "src_ip": 2**32 - 1,
@@ -397,14 +410,13 @@ _batch_strategy = st.lists(
 def _assert_tiers_agree(signatures, fields):
     from repro.scoring.scorer import score_batch_columns
 
-    scalar = score_batch_fields(signatures, fields)
+    reference = score_batch_fields(signatures, fields)
     columns = fields_to_columns(fields)
     vector = score_batch_columns(signatures, columns)
-    assert verdict_bytes(vector) == verdict_bytes(scalar)
-    return scalar
+    assert verdict_bytes(vector) == verdict_bytes(reference)
+    return reference
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="vector tier needs numpy")
 class TestTierIdentity:
     @given(fields=_batch_strategy)
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -419,7 +431,7 @@ class TestTierIdentity:
         # are exercised; batch size 7 forces ragged batch boundaries.
         rng = random.Random(5)
         flows = [f for s in signature_set for f in s.priming_flows[:20]]
-        flows += [_flow_of(f) for f in random_flow_fields(nf, 50, rng)]
+        flows += [_flow_of(f) for f in _random_fields(nf, 50, rng)]
         packets = [make_udp_packet(*flow[:4]) for flow in flows]
         blob = packets_to_pcap_bytes(packets)
 
@@ -434,35 +446,35 @@ class TestTierIdentity:
     def test_boundary_sizes(self, nat_distilled, size):
         nf, signature_set = nat_distilled
         rng = random.Random(size)
-        fields = random_flow_fields(nf, size, rng)
+        fields = _random_fields(nf, size, rng)
         _assert_tiers_agree(signature_set.signatures, fields)
 
     def test_stream_scorer_tier_equality(self, nat_distilled):
-        """Column-fed and field-fed scorers report identical windows."""
+        """A column-fed scorer reports the windows of reference-scored ``ingest``."""
         nf, signature_set = nat_distilled
         rng = random.Random(9)
-        fields = random_flow_fields(nf, 64, rng)
+        fields = _random_fields(nf, 64, rng)
         # Seed guaranteed matches so windows carry offenders.
         for index, flow in enumerate(signature_set.signatures[0].priming_flows[:6]):
             fields[index * 10] = flow_fields(flow)
 
-        def run(feeder):
+        def run(feed):
             scorer = StreamScorer(
                 signature_set.signatures, window_size=10, top_k=3
             )
             windows = []
             for start in range(0, len(fields), 8):  # 8 straddles the window
-                windows.extend(scorer.feed(feeder(fields[start : start + 8])))
+                windows.extend(feed(scorer, fields[start : start + 8]))
             trailing = scorer.finish()
             if trailing is not None:
                 windows.append(trailing)
             return [w.to_dict() for w in windows], scorer.summary()
 
-        scalar_windows, scalar_summary = run(lambda batch: batch)
-        vector_windows, vector_summary = run(fields_to_columns)
-        assert vector_windows == scalar_windows
-        assert vector_summary == scalar_summary
-        assert scalar_summary["matched"] > 0
+        reference_windows, reference_summary = run(_feed_reference)
+        vector_windows, vector_summary = run(_feed_columns)
+        assert vector_windows == reference_windows
+        assert vector_summary == reference_summary
+        assert reference_summary["matched"] > 0
 
 
 # -- ingest and window accounting ----------------------------------------------
@@ -506,9 +518,9 @@ def _naive_account(masks, flows, window_size, top_k):
     return windows
 
 
-def _stream(signatures, batches, window_size, top_k=3):
+def _stream(signatures, batches, window_size, feed=StreamScorer.feed, top_k=3):
     scorer = StreamScorer(signatures, window_size=window_size, top_k=top_k)
-    windows = [window for batch in batches for window in scorer.feed(batch)]
+    windows = [window for batch in batches for window in feed(scorer, batch)]
     trailing = scorer.finish()
     return [w.to_dict() for w in windows + ([trailing] if trailing else [])], scorer.summary()
 
@@ -517,10 +529,10 @@ def _batches(fields, batch_size):
     return [fields[start : start + batch_size] for start in range(0, len(fields), batch_size)]
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="vector tier needs numpy")
 class TestWindowAccounting:
-    """Both tiers against a per-packet oracle: they share ``ingest``, so
-    agreeing with each other alone would prove nothing about it."""
+    """Column-fed and reference-fed scorers against a per-packet oracle:
+    they share ``ingest``, so agreeing with each other alone would prove
+    nothing about it."""
 
     @pytest.mark.parametrize(
         "batch_size, window_size",
@@ -556,28 +568,28 @@ class TestWindowAccounting:
         for window in oracle:
             window["signature_hits"] += [0] * (64 - len(window["signature_hits"]))
 
-        scalar_windows, scalar_summary = _stream(
-            signatures, _batches(fields, batch_size), window_size
+        reference_windows, reference_summary = _stream(
+            signatures, _batches(fields, batch_size), window_size, _feed_reference
         )
         vector_windows, vector_summary = _stream(
-            signatures, map(fields_to_columns, _batches(fields, batch_size)), window_size
+            signatures, _batches(fields, batch_size), window_size, _feed_columns
         )
-        assert scalar_windows == oracle
+        assert reference_windows == oracle
         assert vector_windows == oracle
-        assert vector_summary == scalar_summary
-        assert scalar_summary["packets"] == 50
-        assert scalar_summary["matched"] == sum(1 for mask in masks if mask)
-        assert [s["hits"] for s in scalar_summary["signatures"]] == [
+        assert vector_summary == reference_summary
+        assert reference_summary["packets"] == 50
+        assert reference_summary["matched"] == sum(1 for mask in masks if mask)
+        assert [s["hits"] for s in reference_summary["signatures"]] == [
             sum(mask >> bit & 1 for mask in masks) for bit in range(64)
         ]
 
     def test_all_miss_and_empty_batches_only_move_the_packet_count(self):
         signatures = _port_signatures(2)
         miss = [{"src_ip": 1, "dst_ip": 2, "src_port": 3, "dst_port": 9, "protocol": 6}] * 10
-        for to_batch in (list, fields_to_columns):
+        for feed in (_feed_reference, _feed_columns):
             scorer = StreamScorer(signatures, window_size=4, top_k=3)
-            assert scorer.feed(to_batch([])) == []
-            windows = scorer.feed(to_batch(miss))
+            assert feed(scorer, []) == []
+            windows = feed(scorer, miss)
             assert [(w.start_packet, w.packets, w.matched) for w in windows] == [
                 (0, 4, 0), (4, 4, 0),
             ]
@@ -589,7 +601,7 @@ def _mixed_capture(signature_set, nf):
     """Frames of every kind the parser distinguishes, matching flows among them."""
     rng = random.Random(5)
     flows = [f for s in signature_set for f in s.priming_flows[:12]]
-    flows += [_flow_of(f) for f in random_flow_fields(nf, 40, rng)]
+    flows += [_flow_of(f) for f in _random_fields(nf, 40, rng)]
     rng.shuffle(flows)
     frames = [make_udp_packet(*flow[:4]).to_bytes() for flow in flows]
     plain = frames[0]
@@ -609,7 +621,6 @@ def _mixed_capture(signature_set, nf):
     return blob.getvalue(), len(frames)
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="vector tier needs numpy")
 class TestColumnarPipeline:
     def test_columnar_ingest_equals_the_per_packet_pipeline(self, nat_distilled):
         from repro.scoring.scorer import score_batch_columns
@@ -625,9 +636,9 @@ class TestColumnarPipeline:
             reference = fields_to_columns(fields)
             assert all((columns[name] == reference[name]).all() for name in FIELD_ORDER)
             assert all(columns[name].dtype == reference[name].dtype for name in FIELD_ORDER)
-            scalar = score_batch_fields(signatures, fields)
-            assert verdict_bytes(score_batch_columns(signatures, columns)) == verdict_bytes(scalar)
-            masks += scalar
+            expected = score_batch_fields(signatures, fields)
+            assert verdict_bytes(score_batch_columns(signatures, columns)) == verdict_bytes(expected)
+            masks += expected
             flows += map(_flow_of, fields)
         assert sum(1 for mask in masks if mask) >= 5
 
@@ -635,10 +646,10 @@ class TestColumnarPipeline:
         width = len(signatures)
         for window in oracle:
             window["signature_hits"] += [0] * (width - len(window["signature_hits"]))
-        scalar_windows, scalar_summary = _stream(signatures, old, 10)
+        reference_windows, reference_summary = _stream(signatures, old, 10, _feed_reference)
         vector_windows, vector_summary = _stream(signatures, new, 10)
-        assert scalar_windows == oracle and vector_windows == oracle
-        assert vector_summary == scalar_summary
+        assert reference_windows == oracle and vector_windows == oracle
+        assert vector_summary == reference_summary
 
     def _job(self, nat_store, traffic):
         events = []
@@ -653,9 +664,7 @@ class TestColumnarPipeline:
         )
         return summary, [payload for kind, payload in events if kind == "window"]
 
-    def test_score_job_tiers_agree_and_report_skipped_frames(
-        self, nat_distilled, nat_store, monkeypatch, caplog
-    ):
+    def test_score_job_reports_skipped_frames(self, nat_distilled, nat_store, caplog):
         nf, signature_set = nat_distilled
         blob, frames = _mixed_capture(signature_set, nf)
         with caplog.at_level(logging.INFO, logger="repro.scoring"):
@@ -665,11 +674,7 @@ class TestColumnarPipeline:
         assert vector_summary["matched"] >= 5
         (record,) = [r for r in caplog.records if r.name == "repro.scoring"]
         assert record.levelno == logging.INFO and "skipped 4 frame(s)" in record.getMessage()
-
-        monkeypatch.setattr("repro.scoring.jobs.HAVE_NUMPY", False)  # the scalar tier
-        scalar_summary, scalar_windows = self._job(nat_store, {"pcap_bytes": blob})
-        assert scalar_summary == vector_summary
-        assert scalar_windows == vector_windows and len(vector_windows) >= 5
+        assert len(vector_windows) >= 5
 
     def test_capture_without_ipv4_says_why_it_scored_nothing(
         self, nat_distilled, nat_store, tmp_path, caplog

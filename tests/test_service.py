@@ -345,6 +345,43 @@ def test_score_submission_validation_is_eager(server):
     assert err.value.status == 400
 
 
+@pytest.mark.parametrize("num_packets", ["3", 2.5, -2, True, False, [1]])
+def test_num_packets_is_validated_at_submit(server, num_packets):
+    # `true` would otherwise be addressed apart from the identical `1`.
+    for submit in (
+        lambda: server.client.submit(NF, config=SMOKE_CONFIG, num_packets=num_packets),
+        lambda: server.client.score(NF, {"synthetic": 10}, num_packets=num_packets),
+    ):
+        with pytest.raises(ServiceError) as err:
+            submit()
+        assert err.value.status == 400
+        assert "num_packets" in err.value.message
+
+
+def test_num_packets_accepts_null_and_non_negative_ints(tmp_path):
+    service = SynthesisService(ResultStore(tmp_path))  # not started: misses stay queued
+    jobs = [service.submit(NF, SMOKE_CONFIG, count) for count in (None, 0, 3)]
+    jobs.append(service.submit_score(NF, SMOKE_CONFIG, {"synthetic": 10}, 0))
+    assert [job.num_packets for job in jobs] == [None, 0, 3, 0]
+    assert all(job.state == "queued" for job in jobs)
+
+
+@pytest.mark.parametrize("length", ["abc", "-5", "1e3", "\u00b2"])
+def test_a_malformed_content_length_answers_400(server, length):
+    import json
+    import socket
+
+    request = f"POST /jobs HTTP/1.1\r\nContent-Length: {length}\r\n\r\n{{}}".encode()
+    with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+        sock.sendall(request)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert "Content-Length" in json.loads(body)["error"]
+
+
 def test_score_accepts_a_nanosecond_pcap_and_reports_skipped_frames(server, tmp_path):
     """A capture as current tcpdump writes it scores; dropped frames are counted."""
     import io

@@ -3,7 +3,7 @@
 
 Offline (default) the full pipeline runs in-process — analyze (or reuse a
 ``--store`` entry), distill calibrated signatures, then stream the traffic
-through the vectorized scorer::
+through the vectorized scorer, which needs numpy (the [vector] extra)::
 
     PYTHONPATH=src python tools/repro_score.py nat-hash-table \\
         --pcap castan-workload.pcap
@@ -20,7 +20,7 @@ With ``--server`` the job runs on a ``repro.service`` instance instead
 ``repro_submit.py``.  Scorer knobs (``--batch``, ``--window``, ``--top-k``)
 default to ``ScorerOptions``' defaults (8192 / 65536 / 5).  Exit status is
 0 when the stream scored cleanly, 1 on any submission, distillation, or
-transport error.
+transport error, and offline without numpy.
 """
 
 from __future__ import annotations
@@ -33,22 +33,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core.config import CastanConfig  # noqa: E402
-from repro.scoring.scorer import ScorerOptions  # noqa: E402
 from repro.service.client import ServiceClient, ServiceError  # noqa: E402
-
-
-def parse_overrides(pairs: list[str]) -> dict:
-    """``--set knob=value`` pairs → config dict (same syntax as repro_submit)."""
-    overrides: dict = {}
-    for pair in pairs:
-        knob, separator, raw = pair.partition("=")
-        if not separator:
-            raise SystemExit(f"--set needs knob=value, got {pair!r}")
-        try:
-            overrides[knob] = json.loads(raw)
-        except json.JSONDecodeError:
-            overrides[knob] = raw
-    return overrides
+# repro_submit sits beside this script, in sys.path[0].
+from repro_submit import parse_overrides  # noqa: E402
 
 
 def _flow_str(flow: list | tuple) -> str:
@@ -99,7 +86,12 @@ def _scorer_options(args: argparse.Namespace) -> dict:
 
 
 def _run_offline(args: argparse.Namespace, config_overrides: dict) -> int:
-    from repro.scoring.jobs import run_score_job
+    try:
+        from repro.scoring.jobs import run_score_job
+        from repro.scoring.scorer import ScorerOptions
+    except ImportError as error:  # no numpy: the [vector] extra
+        print(f"score failed: {error}", file=sys.stderr)
+        return 1
     from repro.service.store import ResultStore
 
     config = CastanConfig.from_dict(config_overrides)
