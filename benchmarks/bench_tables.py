@@ -8,7 +8,7 @@
 """
 
 from benchmarks.conftest import run_once
-from repro.eval import EVALUATION_NFS
+from repro.eval.experiments import EVALUATION_NFS
 from repro.eval.tables import (
     table1_throughput,
     table2_instructions,

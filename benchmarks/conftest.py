@@ -1,8 +1,9 @@
 """Shared configuration for the benchmark harness.
 
 Every benchmark regenerates one table or figure of the paper's evaluation.
-Results are computed through the memoised runners in ``repro.eval``, so an
-NF is analysed and measured once no matter how many tables reference it.
+Results are computed through the memoised runners in
+``repro.eval.experiments``, so an NF is analysed and measured once no
+matter how many tables reference it.
 Set ``REPRO_EVAL_SCALE`` to ``smoke`` / ``quick`` / ``full`` to trade run
 time for fidelity before invoking ``pytest benchmarks/bench_*.py --benchmark-only``
 (by file: the scripts are not named ``test_*.py``, so ``pytest benchmarks/``

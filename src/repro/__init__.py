@@ -21,7 +21,7 @@ packet substrate or only the IR) do not pay for importing the full pipeline.
 
 from __future__ import annotations
 
-__version__ = "1.0.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "Castan",

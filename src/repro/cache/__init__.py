@@ -12,35 +12,4 @@ Four pieces, mirroring §3.2–3.3 of the paper:
 * :mod:`repro.cache.model` — the pluggable cache models the symbolic
   execution engine calls on every load/store; the default constrains
   symbolic pointers into discovered contention sets.
-
-Public names are re-exported lazily to avoid import cycles with
-:mod:`repro.symbex`.
 """
-
-from repro._lazy import lazy_exports
-
-__all__ = [
-    "CacheAccessDecision",
-    "CacheModel",
-    "ContentionSetCacheModel",
-    "ContentionSets",
-    "HierarchyConfig",
-    "MemoryHierarchy",
-    "NoCacheModel",
-    "SetAssociativeCache",
-    "discover_contention_sets",
-]
-
-_EXPORTS = {
-    "ContentionSets": (".contention", "ContentionSets"),
-    "discover_contention_sets": (".contention", "discover_contention_sets"),
-    "HierarchyConfig": (".hierarchy", "HierarchyConfig"),
-    "MemoryHierarchy": (".hierarchy", "MemoryHierarchy"),
-    "CacheAccessDecision": (".model", "CacheAccessDecision"),
-    "CacheModel": (".model", "CacheModel"),
-    "ContentionSetCacheModel": (".model", "ContentionSetCacheModel"),
-    "NoCacheModel": (".model", "NoCacheModel"),
-    "SetAssociativeCache": (".setassoc", "SetAssociativeCache"),
-}
-
-__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

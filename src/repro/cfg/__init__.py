@@ -8,15 +8,3 @@ that stage: :mod:`repro.cfg.icfg` builds instruction-level CFGs and the
 call graph, :mod:`repro.cfg.costs` runs the bounded path-vector propagation
 that produces the per-instruction potential costs.
 """
-
-from repro.cfg.icfg import ControlFlowGraph, InterproceduralCFG, build_cfg, build_icfg
-from repro.cfg.costs import CostAnnotation, annotate_costs
-
-__all__ = [
-    "ControlFlowGraph",
-    "CostAnnotation",
-    "InterproceduralCFG",
-    "annotate_costs",
-    "build_cfg",
-    "build_icfg",
-]

@@ -1,14 +1,1 @@
 """CASTAN proper: the end-to-end adversarial workload synthesis pipeline."""
-
-from repro._lazy import lazy_exports
-
-__all__ = ["Castan", "CastanConfig", "CastanResult", "PacketSymbolSet"]
-
-_EXPORTS = {
-    "Castan": (".castan", "Castan"),
-    "CastanResult": (".castan", "CastanResult"),
-    "CastanConfig": (".config", "CastanConfig"),
-    "PacketSymbolSet": (".workload", "PacketSymbolSet"),
-}
-
-__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -6,41 +6,3 @@ measurements — and :mod:`repro.eval.tables` formats the results as the rows
 and series the paper reports.  The ``benchmarks/`` directory contains one
 pytest-benchmark target per table/figure built on these functions.
 """
-
-from repro.eval.experiments import (
-    EVALUATION_NFS,
-    EvalSettings,
-    castan_result,
-    latency_results,
-    nf_instance,
-    throughput_results,
-    workload_suite,
-)
-from repro.eval.tables import (
-    format_table,
-    table1_throughput,
-    table2_instructions,
-    table3_l3_misses,
-    table4_analysis,
-    table5_deviation,
-    figure_latency_cdfs,
-    figure_cycles_cdfs,
-)
-
-__all__ = [
-    "EVALUATION_NFS",
-    "EvalSettings",
-    "castan_result",
-    "figure_cycles_cdfs",
-    "figure_latency_cdfs",
-    "format_table",
-    "latency_results",
-    "nf_instance",
-    "table1_throughput",
-    "table2_instructions",
-    "table3_l3_misses",
-    "table4_analysis",
-    "table5_deviation",
-    "throughput_results",
-    "workload_suite",
-]

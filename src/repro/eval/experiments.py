@@ -27,7 +27,7 @@ from functools import lru_cache
 from repro.core.castan import Castan, CastanResult
 from repro.core.config import CastanConfig
 from repro.nf.base import NetworkFunction
-from repro.nf.registry import EVALUATION_NF_NAMES, get_nf
+from repro.nf.registry import get_nf
 from repro.testbed.dut import TestbedConfig
 from repro.testbed.measure import LatencyResult, ThroughputResult, measure_latency, measure_throughput
 from repro.workloads.generators import (
@@ -232,9 +232,3 @@ def throughput_results(name: str) -> dict[str, ThroughputResult]:
             replay_packets=SETTINGS.throughput_replay_packets,
         )
     return results
-
-
-def evaluation_nf_names() -> tuple[str, ...]:
-    """The NF column order used by the tables."""
-    assert set(EVALUATION_NFS) == set(EVALUATION_NF_NAMES)
-    return EVALUATION_NFS

@@ -7,16 +7,3 @@ by subscript, structured control flow, calls to helper functions and the
 ``castan_havoc`` intrinsic), and the compiler lowers it to NFIL for the
 symbolic and concrete interpreters.
 """
-
-from repro.frontend.compiler import CompiledNF, compile_functions, compile_nf
-from repro.frontend.errors import NFCompileError
-from repro.frontend.intrinsics import CASTAN_HAVOC, INTRINSIC_NAMES
-
-__all__ = [
-    "CASTAN_HAVOC",
-    "CompiledNF",
-    "INTRINSIC_NAMES",
-    "NFCompileError",
-    "compile_functions",
-    "compile_nf",
-]

@@ -7,25 +7,3 @@ gets compiled to NFIL (and is what the concrete DUT executes), and once as
 a plain Python callable used by rainbow-table construction and havoc
 reconciliation.  A test asserts the two agree bit-for-bit.
 """
-
-from repro.hashing.functions import (
-    FLOW_HASH_BITS,
-    FLOW_HASH_DIALECT_SOURCE,
-    flow_hash16,
-    lb_flow_key,
-    nat_forward_key,
-    nat_reverse_key,
-)
-from repro.hashing.rainbow import BruteForceInverter, RainbowTable, build_flow_rainbow_table
-
-__all__ = [
-    "BruteForceInverter",
-    "FLOW_HASH_BITS",
-    "FLOW_HASH_DIALECT_SOURCE",
-    "RainbowTable",
-    "build_flow_rainbow_table",
-    "flow_hash16",
-    "lb_flow_key",
-    "nat_forward_key",
-    "nat_reverse_key",
-]

@@ -8,55 +8,3 @@ Python dialect are compiled to NFIL by :mod:`repro.frontend`; both the
 symbolic execution engine (:mod:`repro.symbex`) and the concrete
 cycle-accounting interpreter (:mod:`repro.perf`) consume NFIL modules.
 """
-
-from repro.ir.instructions import (
-    BinaryOp,
-    BinOpKind,
-    Branch,
-    Call,
-    CmpKind,
-    Compare,
-    Havoc,
-    Instruction,
-    Jump,
-    Load,
-    Return,
-    Select,
-    Store,
-    Unreachable,
-)
-from repro.ir.module import BasicBlock, Function, MemoryRegion, Module
-from repro.ir.builder import FunctionBuilder, ModuleBuilder
-from repro.ir.printer import print_function, print_module
-from repro.ir.values import Constant, Register, Value
-from repro.ir.verify import IRVerificationError, verify_module
-
-__all__ = [
-    "BasicBlock",
-    "BinOpKind",
-    "BinaryOp",
-    "Branch",
-    "Call",
-    "CmpKind",
-    "Compare",
-    "Constant",
-    "Function",
-    "FunctionBuilder",
-    "Havoc",
-    "IRVerificationError",
-    "Instruction",
-    "Jump",
-    "Load",
-    "MemoryRegion",
-    "Module",
-    "ModuleBuilder",
-    "Register",
-    "Return",
-    "Select",
-    "Store",
-    "Unreachable",
-    "Value",
-    "print_function",
-    "print_module",
-    "verify_module",
-]

@@ -21,7 +21,7 @@ from repro.ir.instructions import (
     Select,
     Store,
 )
-from repro.ir.module import BasicBlock, Function, Module
+from repro.ir.module import BasicBlock, Function
 from repro.ir.values import Register, Value, as_value
 
 
@@ -175,30 +175,3 @@ class FunctionBuilder:
 
     def build(self) -> Function:
         return self.function
-
-
-class ModuleBuilder:
-    """Builds a module out of function builders and memory regions."""
-
-    def __init__(self, name: str = "nf") -> None:
-        self.module = Module(name=name)
-
-    def region(
-        self,
-        name: str,
-        length: int,
-        element_size: int = 8,
-        initial: dict[int, int] | None = None,
-    ):
-        return self.module.add_region(name, length, element_size, initial)
-
-    def function(self, name: str, params: list[str] | None = None) -> FunctionBuilder:
-        builder = FunctionBuilder(name, params)
-        # The function is registered on build(); keep a reference for add().
-        return builder
-
-    def add(self, builder: FunctionBuilder) -> None:
-        self.module.add_function(builder.build())
-
-    def build(self) -> Module:
-        return self.module

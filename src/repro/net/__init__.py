@@ -6,33 +6,3 @@ packets, computing checksums, describing flows, and reading/writing real
 pcap files so that synthesized adversarial workloads are materialised in the
 same format the paper's tooling produces.
 """
-
-from repro.net.checksum import internet_checksum
-from repro.net.flows import Flow, FlowKey
-from repro.net.packet import (
-    EtherType,
-    IPProtocol,
-    Packet,
-    PacketField,
-    make_udp_packet,
-    make_tcp_packet,
-    parse_packet,
-)
-from repro.net.pcap import PcapReader, PcapWriter, read_pcap, write_pcap
-
-__all__ = [
-    "EtherType",
-    "Flow",
-    "FlowKey",
-    "IPProtocol",
-    "Packet",
-    "PacketField",
-    "PcapReader",
-    "PcapWriter",
-    "internet_checksum",
-    "make_tcp_packet",
-    "make_udp_packet",
-    "parse_packet",
-    "read_pcap",
-    "write_pcap",
-]

@@ -10,21 +10,3 @@ Bloom-filter dedup, pattern-trie DPI).  Use
 :func:`repro.nf.registry.get_nf` to obtain a configured
 :class:`repro.nf.base.NetworkFunction`.
 """
-
-from repro._lazy import lazy_exports
-
-__all__ = [
-    "NetworkFunction",
-    "available_nfs",
-    "get_nf",
-    "NF_NAMES",
-]
-
-_EXPORTS = {
-    "NetworkFunction": (".base", "NetworkFunction"),
-    "available_nfs": (".registry", "available_nfs"),
-    "get_nf": (".registry", "get_nf"),
-    "NF_NAMES": (".registry", "NF_NAMES"),
-}
-
-__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -13,15 +13,3 @@ A service-shaped piece lives in :mod:`repro.parallel.lease`: the
 synthesis service (:mod:`repro.service`) wraps around each per-job worker
 process.
 """
-
-from repro.parallel.lease import WorkerLease
-from repro.parallel.pool import make_context, make_pool
-from repro.parallel.portfolio import PortfolioRunner, analyze_one_nf
-
-__all__ = [
-    "PortfolioRunner",
-    "WorkerLease",
-    "analyze_one_nf",
-    "make_context",
-    "make_pool",
-]

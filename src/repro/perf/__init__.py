@@ -7,31 +7,4 @@ analysis side, a concrete NFIL interpreter that executes packets against
 the simulated memory hierarchy, and the per-packet counter records
 (instructions retired, reference cycles, L3 misses) that the evaluation
 tables are built from.
-
-Public names are re-exported lazily to avoid import cycles with
-:mod:`repro.cache`.
 """
-
-from repro._lazy import lazy_exports
-
-__all__ = [
-    "ConcreteInterpreter",
-    "CycleCosts",
-    "DEFAULT_CYCLE_COSTS",
-    "ExecutionError",
-    "ExecutionResult",
-    "PacketCounters",
-    "aggregate_counters",
-]
-
-_EXPORTS = {
-    "PacketCounters": (".counters", "PacketCounters"),
-    "aggregate_counters": (".counters", "aggregate_counters"),
-    "CycleCosts": (".cycles", "CycleCosts"),
-    "DEFAULT_CYCLE_COSTS": (".cycles", "DEFAULT_CYCLE_COSTS"),
-    "ConcreteInterpreter": (".interpreter", "ConcreteInterpreter"),
-    "ExecutionError": (".interpreter", "ExecutionError"),
-    "ExecutionResult": (".interpreter", "ExecutionResult"),
-}
-
-__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

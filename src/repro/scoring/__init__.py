@@ -8,40 +8,3 @@ predicates, then score live traffic against them at columnar speed —
 :mod:`repro.scoring.jobs` wires both into the service's ``POST /score``
 job and the ``tools/repro_score.py`` CLI.
 """
-
-from repro.scoring.distill import DistillReport, distill_signatures
-from repro.scoring.replay import PrimedReplay
-from repro.scoring.scorer import (
-    ScorerOptions,
-    ScoreWindow,
-    StreamScorer,
-    score_batch_columns,
-    score_batch_fields,
-    verdict_bytes,
-)
-from repro.scoring.signatures import (
-    SIGNATURE_VERSION,
-    AdversarialSignature,
-    SignatureSet,
-    signature_from_dict,
-    signature_set_from_dict,
-    signature_set_from_json,
-)
-
-__all__ = [
-    "SIGNATURE_VERSION",
-    "AdversarialSignature",
-    "DistillReport",
-    "PrimedReplay",
-    "ScoreWindow",
-    "ScorerOptions",
-    "SignatureSet",
-    "StreamScorer",
-    "distill_signatures",
-    "score_batch_columns",
-    "score_batch_fields",
-    "signature_from_dict",
-    "signature_set_from_dict",
-    "signature_set_from_json",
-    "verdict_bytes",
-]

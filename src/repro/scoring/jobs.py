@@ -88,17 +88,37 @@ def obtain_signatures(
     return signature_set
 
 
-def check_pcap_container(traffic: dict) -> None:
-    """Raise ``ValueError`` unless a pcap traffic spec opens as a capture.
+#: The key sets a traffic spec may have: one source, and a seed only with
+#: synthetic traffic.  Anything else — a typoed key, two sources — is refused
+#: rather than silently ignored.
+TRAFFIC_KEY_SETS = ({"pcap_bytes"}, {"pcap_path"}, {"synthetic"}, {"synthetic", "seed"})
 
-    Reads only the 24-byte global header (magic, truncation, link type —
-    the reader's ``PcapFormatError``), so a submission boundary can refuse a
+
+def check_traffic(traffic: dict) -> None:
+    """Raise ``ValueError`` unless ``traffic`` is a scorable traffic spec.
+
+    Its keys must be one of :data:`TRAFFIC_KEY_SETS`.  ``synthetic`` must be
+    an int >= 0 and ``seed`` an int (a bool is neither).  A pcap is checked
+    by its 24-byte global header only (magic, truncation, link type — the
+    reader's ``PcapFormatError``), so a submission boundary can refuse a
     file that is not a pcap at all without parsing it; a malformed *record*
-    still surfaces while streaming.  Synthetic traffic has no container.
+    still surfaces while streaming.
     """
-    if "pcap_bytes" in traffic:
+    if set(traffic) not in TRAFFIC_KEY_SETS:
+        raise ValueError(
+            "traffic spec needs exactly one of 'pcap_bytes', 'pcap_path' or "
+            f"'synthetic' (with an optional 'seed'); got keys {sorted(traffic)}"
+        )
+    if "synthetic" in traffic:
+        count = traffic["synthetic"]
+        if type(count) is not int or count < 0:
+            raise ValueError(f"synthetic packet count must be an int >= 0, got {count!r}")
+        seed = traffic.get("seed", 0)
+        if type(seed) is not int:
+            raise ValueError(f"synthetic seed must be an int, got {seed!r}")
+    elif "pcap_bytes" in traffic:
         PcapReader(io.BytesIO(traffic["pcap_bytes"]))
-    elif "pcap_path" in traffic:
+    else:
         try:
             stream = open(traffic["pcap_path"], "rb")
         except OSError as exc:
@@ -108,27 +128,17 @@ def check_pcap_container(traffic: dict) -> None:
 
 
 def _traffic_batches(nf: NetworkFunction, traffic: dict, options: ScorerOptions, counters: Counter):
-    """Column batches for one traffic spec: ``pcap_bytes``/``pcap_path`` or ``synthetic``.
+    """Check ``traffic`` now (:func:`check_traffic`); return its lazy column batches.
 
     ``counters`` takes the number of frames the pcap parser dropped.
     """
-    if "pcap_bytes" in traffic or "pcap_path" in traffic:
-        source = (
-            io.BytesIO(traffic["pcap_bytes"]) if "pcap_bytes" in traffic else traffic["pcap_path"]
-        )
-        yield from iter_pcap_batches(source, options.batch_size, columnar=True, counters=counters)
-        return
+    check_traffic(traffic)
     if "synthetic" in traffic:
-        count = int(traffic["synthetic"])
-        if count < 0:
-            raise ValueError(f"synthetic packet count must be >= 0, got {count}")
-        seed = int(traffic.get("seed", 0))
-        yield from synthetic_batches(nf, count, options.batch_size, seed=seed)
-        return
-    raise ValueError(
-        "traffic spec needs 'pcap_bytes', 'pcap_path' or 'synthetic' "
-        f"(got keys {sorted(traffic)})"
-    )
+        return synthetic_batches(
+            nf, traffic["synthetic"], options.batch_size, seed=traffic.get("seed", 0)
+        )
+    source = io.BytesIO(traffic["pcap_bytes"]) if "pcap_bytes" in traffic else traffic["pcap_path"]
+    return iter_pcap_batches(source, options.batch_size, columnar=True, counters=counters)
 
 
 def run_score_job(
@@ -144,6 +154,9 @@ def run_score_job(
     options = options or ScorerOptions()
     emit = emit or (lambda kind, payload: None)
     nf = get_nf(nf_spec)
+    counters: Counter = Counter()
+    # A bad traffic spec fails here, before the analysis is paid for.
+    batches = _traffic_batches(nf, traffic, options, counters)
     result = obtain_result(nf, config, num_packets, store=store)
     report = DistillReport()
     signature_set = obtain_signatures(nf, result, config, store=store, report=report)
@@ -177,8 +190,7 @@ def run_score_job(
         window_size=options.window_size,
         top_k=options.top_k,
     )
-    counters: Counter = Counter()
-    for batch in _traffic_batches(nf, traffic, options, counters):
+    for batch in batches:
         for window in scorer.feed(batch):
             emit("window", window.to_dict())
     trailing = scorer.finish()

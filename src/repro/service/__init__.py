@@ -24,18 +24,3 @@ Start a server (see ``docs/SERVICE.md`` for the full walkthrough)::
 and talk to it with ``tools/repro_submit.py`` / ``tools/repro_status.py``
 or :class:`~repro.service.client.ServiceClient`.
 """
-
-from repro.service.client import ServiceClient, ServiceError
-from repro.service.jobs import JobRecord
-from repro.service.server import SynthesisService
-from repro.service.store import ResultStore, canonical_result_digest, result_key
-
-__all__ = [
-    "JobRecord",
-    "ResultStore",
-    "ServiceClient",
-    "ServiceError",
-    "SynthesisService",
-    "canonical_result_digest",
-    "result_key",
-]

@@ -107,7 +107,10 @@ async def _read_request(reader: asyncio.StreamReader) -> tuple[str, str, dict]:
         line = await reader.readline()
         if line in (b"\r\n", b"\n", b""):
             break
-        name, _, value = line.decode().partition(":")
+        try:
+            name, _, value = line.decode().partition(":")
+        except UnicodeDecodeError:
+            raise HttpError(400, f"malformed header line {line!r}") from None
         headers[name.strip().lower()] = value.strip()
     raw_length = headers.get("content-length", "0") or "0"
     if not raw_length.isascii() or not raw_length.isdigit():

@@ -206,27 +206,23 @@ class SynthesisService:
         submission: scoring the *traffic* is the work.  The expensive
         halves — the analysis result and the distilled signature set — are
         still store-first inside the worker, so repeat scores of the same
-        ``(nf, config)`` reuse both and pay only for streaming.  A capture
-        whose pcap global header is unreadable fails the submit
-        (``PcapFormatError``, a ``ValueError``), not the job.  The scorer
-        (and numpy with it) is imported by a server's first score job, so
-        analysis-only servers and their workers never load it; without
-        numpy that import's ``ImportError`` fails the submit as a
-        ``ValueError`` and no worker starts.
+        ``(nf, config)`` reuse both and pay only for streaming.  A traffic
+        spec that :func:`~repro.scoring.jobs.check_traffic` refuses — a
+        synthetic count or seed that is not an int, a capture whose pcap
+        global header is unreadable — fails the submit (``ValueError``), not
+        the job.  The scorer (and numpy with it) is imported by a server's
+        first score job, so analysis-only servers and their workers never
+        load it; without numpy that import's ``ImportError`` fails the
+        submit as a ``ValueError`` and no worker starts.
         """
         try:
-            from repro.scoring.jobs import check_pcap_container
+            from repro.scoring.jobs import check_traffic
             from repro.scoring.scorer import ScorerOptions
         except ImportError as exc:
             raise ValueError(str(exc)) from None
 
         traffic = dict(traffic or {})
-        if not any(k in traffic for k in ("pcap_bytes", "pcap_path", "synthetic")):
-            raise ValueError(
-                "score traffic needs 'pcap_bytes', 'pcap_path' or 'synthetic' "
-                f"(got keys {sorted(traffic)})"
-            )
-        check_pcap_container(traffic)
+        check_traffic(traffic)
         if scorer_options:
             ScorerOptions(**scorer_options)  # typoed knobs fail the submit
         job = self._new_job(

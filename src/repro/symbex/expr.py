@@ -520,15 +520,6 @@ def expr_not(value: Expr) -> Expr:
     return make_cmp(CmpKind.EQ, value, Const(0))
 
 
-def expr_and(lhs: Expr, rhs: Expr) -> Expr:
-    """Logical conjunction of 0/1 conditions."""
-    if isinstance(lhs, Const):
-        return rhs if lhs.value else FALSE
-    if isinstance(rhs, Const):
-        return lhs if rhs.value else FALSE
-    return make_binop(BinOpKind.AND, lhs, rhs)
-
-
 def simplify(expr: Expr) -> Expr:
     """Re-normalise an expression bottom-up (idempotent, cached per node)."""
     cached = expr._simplified

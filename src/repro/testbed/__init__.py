@@ -8,24 +8,3 @@ a loop with one outstanding packet and reports end-to-end latency CDFs
 with <1 % loss), and the micro-architectural characterisation built on the
 per-packet performance counters.
 """
-
-from repro.testbed.cdf import CDF
-from repro.testbed.dut import DeviceUnderTest, TestbedConfig
-from repro.testbed.measure import (
-    LatencyResult,
-    ThroughputResult,
-    characterize,
-    measure_latency,
-    measure_throughput,
-)
-
-__all__ = [
-    "CDF",
-    "DeviceUnderTest",
-    "LatencyResult",
-    "TestbedConfig",
-    "ThroughputResult",
-    "characterize",
-    "measure_latency",
-    "measure_throughput",
-]

@@ -86,16 +86,6 @@ def measure_latency(
     return result
 
 
-def characterize(
-    nf: NetworkFunction,
-    workload: Workload,
-    config: TestbedConfig | None = None,
-    replay_packets: int = DEFAULT_REPLAY_PACKETS,
-) -> CounterSummary:
-    """Micro-architectural characterisation (Tables 2 and 3)."""
-    return measure_latency(nf, workload, config, replay_packets).counter_summary
-
-
 def _loss_fraction_at_rate(
     service_times_ns: list[float], rate_mpps: float, queue_capacity: int
 ) -> float:

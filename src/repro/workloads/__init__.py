@@ -5,23 +5,3 @@ Generic workloads used across all NFs — *1 Packet*, *Zipfian* (s = 1.26),
 *UniRand CASTAN* (uniform traffic with as many flows as the CASTAN workload)
 and *Manual* (hand-crafted adversarial workloads).
 """
-
-from repro.workloads.generators import (
-    WORKLOAD_NAMES,
-    Workload,
-    make_one_packet_workload,
-    make_unirand_castan_workload,
-    make_unirand_workload,
-    make_zipfian_workload,
-)
-from repro.workloads.zipf import zipf_sample
-
-__all__ = [
-    "WORKLOAD_NAMES",
-    "Workload",
-    "make_one_packet_workload",
-    "make_unirand_castan_workload",
-    "make_unirand_workload",
-    "make_zipfian_workload",
-    "zipf_sample",
-]

@@ -1,4 +1,4 @@
-"""Tests for the reference and README knob checks of ``tools/check_docs.py``."""
+"""Tests for the reference, dotted-name and README knob checks of ``tools/check_docs.py``."""
 
 from __future__ import annotations
 
@@ -68,3 +68,17 @@ def test_a_missing_bench_script_or_root_baseline_is_a_broken_reference():
         problems = check_docs.check_links(doc, f"Run `{ref}`.")
         assert len(problems) == 1
         assert repr(ref) in problems[0]
+
+
+def test_every_dotted_reference_in_the_guides_resolves():
+    for doc in [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]:
+        assert check_docs.check_dotted_refs(doc, doc.read_text()) == []
+
+
+def test_a_package_level_dotted_reference_is_one_problem():
+    doc = REPO / "README.md"
+    text = "See `repro.symbex.engine.SymbolicEngine`, `~repro.core.castan` and `repro.nf`."
+    assert check_docs.check_dotted_refs(doc, text) == []
+    problems = check_docs.check_dotted_refs(doc, "Build a `repro.symbex.SymbolicEngine`.")
+    assert len(problems) == 1
+    assert "'repro.symbex.SymbolicEngine'" in problems[0]

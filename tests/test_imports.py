@@ -1,19 +1,25 @@
-"""Import hygiene: only a process that scores pays for numpy.
+"""Import hygiene: an import loads the module it names, and only a process
+that scores pays for numpy.
 
-The symbolic pipeline, the flow rainbow table (once on disk) and the job
-server start without numpy; the scorer imports it eagerly.  With numpy
-blocked, the analysis hashes with its scalar reference and identical
-output, while scoring refuses loudly: importing the scorer raises an
-``ImportError`` naming the [vector] extra and ``POST /score`` answers 400.
+Subpackage ``__init__`` files hold only their docstring, so importing one
+module loads that module and what it imports, nothing more; only the
+top-level ``repro`` facade re-exports, lazily.  The symbolic pipeline, the
+flow rainbow table (once on disk) and the job server start without numpy;
+the scorer imports it eagerly.  With numpy blocked, the analysis hashes
+with its scalar reference and identical output, while scoring refuses
+loudly: importing the scorer raises an ``ImportError`` naming the [vector]
+extra and ``POST /score`` answers 400.
 Each check runs in a fresh interpreter (the suite's own process has long
 imported everything), sharing the session's ``XDG_CACHE_HOME`` so the
 persisted rainbow table is the suite's.
 """
 
+import ast
 import json
 import os
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -25,7 +31,8 @@ from repro.hashing.rainbow import RainbowTable, build_flow_rainbow_table, udp_fl
 from repro.nf.registry import get_nf
 from repro.service.store import canonical_result_digest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src"
 
 #: Prints, as JSON, whether numpy or any ``repro.scoring`` module is loaded.
 REPORT = (
@@ -79,6 +86,52 @@ def _run(script: str) -> dict:
 
 
 NO_SCORER = {"numpy": False, "scoring": []}
+
+#: Prints, as JSON, the sorted ``repro`` modules loaded so far.
+LOADED = (
+    "import json, sys\n"
+    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'repro')))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "init", sorted((SRC / "repro").glob("*/__init__.py")), ids=lambda path: path.parent.name
+)
+def test_subpackage_init_is_a_lone_docstring(init):
+    body = ast.parse(init.read_text()).body
+    assert len(body) == 1 and isinstance(body[0], ast.Expr)
+    assert isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str)
+
+
+def test_a_module_import_loads_only_what_the_module_imports():
+    loaded = _run("import repro.net.packet\n" + LOADED)
+    assert loaded == ["repro", "repro.net", "repro.net.checksum", "repro.net.packet"]
+
+
+def test_the_facade_loads_nothing_until_a_name_is_used():
+    script = (
+        "import json, sys\n"
+        "import repro\n"
+        "before = sorted(m for m in sys.modules if m.startswith('repro.'))\n"
+        "from repro import Castan, CastanConfig, CastanResult, available_nfs, get_nf\n"
+        "print(json.dumps([before, Castan.__module__, CastanConfig.__module__,"
+        " CastanResult.__module__, available_nfs.__module__, get_nf.__module__]))\n"
+    )
+    assert _run(script) == [
+        [],
+        "repro.core.castan",
+        "repro.core.config",
+        "repro.core.castan",
+        "repro.nf.registry",
+        "repro.nf.registry",
+    ]
+
+
+def test_the_package_version_matches_pyproject():
+    import repro
+
+    with open(REPO / "pyproject.toml", "rb") as stream:
+        assert repro.__version__ == tomllib.load(stream)["project"]["version"]
 
 
 def test_pipeline_import_and_nf_build_load_no_numpy():

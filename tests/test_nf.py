@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from repro.eval.experiments import EVALUATION_NFS
 from repro.hashing.functions import lb_flow_key, nat_forward_key
 from repro.ir.verify import verify_module
 from repro.net.packet import IPProtocol, Packet
@@ -51,6 +52,11 @@ class TestRegistry:
     def test_eighteen_nfs_available(self):
         assert len(available_nfs()) == 18
         assert len(EVALUATION_NF_NAMES) == 17  # without the NOP baseline
+
+    def test_evaluation_column_order_covers_the_registry(self):
+        # The tables' explicit column order must name every evaluation NF once.
+        assert len(set(EVALUATION_NFS)) == len(EVALUATION_NFS)
+        assert set(EVALUATION_NFS) == set(EVALUATION_NF_NAMES)
 
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError):

@@ -40,25 +40,18 @@ from repro.net.pcap import PcapWriter, packets_to_pcap_bytes
 from repro.nf.registry import get_nf
 from repro.perf.cycles import CycleCosts
 from repro.perf.interpreter import ConcreteInterpreter
-from repro.scoring import (
-    AdversarialSignature,
-    DistillReport,
-    SignatureSet,
-    StreamScorer,
-    distill_signatures,
-    score_batch_fields,
-    signature_set_from_json,
-    verdict_bytes,
-)
-from repro.scoring.distill import _mine_matching_columns
+from repro.scoring.distill import DistillReport, _mine_matching_columns, distill_signatures
 from repro.scoring.jobs import obtain_result, obtain_signatures, run_score_job
 from repro.scoring.replay import PrimedReplay, flow_fields, flow_packet
-from repro.scoring.scorer import ScorerOptions
+from repro.scoring.scorer import ScorerOptions, StreamScorer, score_batch_fields, verdict_bytes
 from repro.scoring.signatures import (
     FIELD_ORDER,
+    AdversarialSignature,
+    SignatureSet,
     field_sym,
     flow_hash16_expr,
     signature_from_dict,
+    signature_set_from_json,
 )
 from repro.scoring.stream import (
     fields_to_columns,

@@ -366,6 +366,45 @@ def test_num_packets_accepts_null_and_non_negative_ints(tmp_path):
     assert all(job.state == "queued" for job in jobs)
 
 
+@pytest.mark.parametrize(
+    "traffic",
+    [
+        {"synthetic": "abc"},
+        {"synthetic": -5},
+        {"synthetic": True},  # would score 1 packet
+        {"synthetic": 2.5},
+        {"synthetic": 10, "seed": "x"},
+        {"synthetic": 10, "seed": True},
+        {"synthetic": 10, "sead": 3},  # a typo would otherwise stream seed 0
+        {"synthetic": 10, "pcap_b64": ""},  # two sources
+    ],
+)
+def test_score_traffic_values_are_validated_at_submit(server, traffic):
+    jobs_before = len(server.client.jobs())
+    with pytest.raises(ServiceError) as err:
+        server.client.score(NF, traffic, config=SMOKE_CONFIG)
+    assert err.value.status == 400
+    assert "synthetic" in err.value.message
+    assert len(server.client.jobs()) == jobs_before  # nothing was tabled
+
+
+def test_score_traffic_accepts_zero_packets_and_any_int_seed(tmp_path):
+    service = SynthesisService(ResultStore(tmp_path))  # not started: jobs stay queued
+    for traffic in ({"synthetic": 0}, {"synthetic": 10, "seed": -1}):
+        assert service.submit_score(NF, SMOKE_CONFIG, traffic).state == "queued"
+
+
+def test_offline_score_job_refuses_bad_traffic_before_the_analysis(monkeypatch):
+    from repro.scoring import jobs as jobs_module
+
+    def no_analysis(*args, **kwargs):
+        raise AssertionError("the analysis ran before the traffic check")
+
+    monkeypatch.setattr(jobs_module, "obtain_result", no_analysis)
+    with pytest.raises(ValueError, match="synthetic packet count"):
+        jobs_module.run_score_job(NF, CastanConfig(), {"synthetic": True})
+
+
 @pytest.mark.parametrize("length", ["abc", "-5", "1e3", "\u00b2"])
 def test_a_malformed_content_length_answers_400(server, length):
     import json
@@ -380,6 +419,21 @@ def test_a_malformed_content_length_answers_400(server, length):
     head, _, body = reply.partition(b"\r\n\r\n")
     assert head.startswith(b"HTTP/1.1 400 ")
     assert "Content-Length" in json.loads(body)["error"]
+
+
+def test_a_non_utf8_header_line_answers_400(server):
+    import json
+    import socket
+
+    request = b"GET /healthz HTTP/1.1\r\nX-Bad: \xff\xfe\r\n\r\n"
+    with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+        sock.sendall(request)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert "malformed header line" in json.loads(body)["error"]
 
 
 def test_score_accepts_a_nanosecond_pcap_and_reports_skipped_frames(server, tmp_path):

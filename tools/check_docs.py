@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency check (the ``docs-check`` CI step).
 
-Four classes of rot are caught:
+Five classes of rot are caught:
 
 1. **Broken links/references** — every relative markdown link target,
    every backtick reference to a repo path (``src/...``, ``docs/...``,
@@ -20,6 +20,11 @@ Four classes of rot are caught:
    without documenting it fails CI; and every row of the README's
    ``CastanConfig`` field table and environment-variable table must name
    a live field or variable, so deleting one without its row fails too.
+5. **Dangling dotted names** — every backticked ``repro.…`` reference
+   (a leading ``~`` is stripped) in ``README.md`` and ``docs/*.md`` must
+   resolve: the longest importable module prefix is imported and the rest
+   looked up as attributes.  ``ROADMAP.md`` is exempt: it names planned
+   modules.
 
 Run it from the repo root::
 
@@ -28,6 +33,7 @@ Run it from the repo root::
 
 from __future__ import annotations
 
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -63,6 +69,34 @@ def check_links(path: Path, text: str) -> list[str]:
             if not (REPO / ref).exists():
                 problems.append(f"{path.name}: referenced path {ref!r} does not exist")
     return problems
+
+
+#: A backtick span holding nothing but a dotted ``repro`` name.
+DOTTED_REF = re.compile(r"`~?(repro(?:\.[A-Za-z_]\w*)+)`")
+
+
+def resolves(ref: str) -> bool:
+    """Whether ``ref`` names a module, or an attribute chain under one."""
+    parts = ref.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for name in parts[cut:]:
+            if not hasattr(target, name):
+                return False
+            target = getattr(target, name)
+        return True
+    return False
+
+
+def check_dotted_refs(path: Path, text: str) -> list[str]:
+    return [
+        f"{path.name}: dotted reference {ref!r} does not resolve"
+        for ref in sorted(set(DOTTED_REF.findall(text)))
+        if not resolves(ref)
+    ]
 
 
 #: Phrases that legitimise an 11-NF claim: either it describes the paper's
@@ -168,6 +202,8 @@ def main() -> int:
         text = path.read_text()
         problems += check_links(path, text)
         problems += check_nf_counts(path, text, len(EVALUATION_NF_NAMES))
+        if path.name != "ROADMAP.md":
+            problems += check_dotted_refs(path, text)
     readme = (REPO / "README.md").read_text()
     problems += check_gallery(readme, NF_NAMES)
     problems += check_knobs(readme)
