@@ -65,8 +65,8 @@ class CastanConfig:
     """Knobs of the analysis (§3, §4).
 
     Every field can change the output: the config is the content address of
-    a stored result, so how a run executes (e.g. the worker count of a
-    :class:`~repro.parallel.portfolio.PortfolioRunner`) is not part of it.
+    a stored result, so how a run executes (in-process or in a service
+    worker) is not part of it.
     The defaults are sized so that a full analysis of any evaluation NF
     finishes in seconds on a laptop; the paper's runs take minutes to hours
     on the real KLEE-based prototype (Table 4).

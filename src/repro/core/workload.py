@@ -79,9 +79,9 @@ def symbol_defaults(
 def workload_digest(packets: Sequence[Packet]) -> str:
     """SHA-256 over the concatenated on-wire bytes of a workload.
 
-    This is *the* definition of "byte-identical" used by the parallel
-    identity checks (``tests/test_parallel.py``) and the per-NF output pins
-    (``tests/test_engine_pins.py``).
+    This is *the* definition of "byte-identical" used by the per-NF output
+    pins (``tests/test_engine_pins.py``) and by the service store's
+    :func:`~repro.service.store.canonical_result_digest`.
     """
     payload = b"".join(packet.to_bytes() for packet in packets)
     return hashlib.sha256(payload).hexdigest()

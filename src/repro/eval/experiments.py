@@ -7,14 +7,9 @@ once, no matter how many tables reference the same numbers.
 Scaling: the defaults in :class:`EvalSettings` are sized for laptop runs
 (seconds per NF).  Set the environment variable ``REPRO_EVAL_SCALE=full``
 for larger workloads and exploration budgets closer to the paper's, or
-``REPRO_EVAL_SCALE=smoke`` for CI-sized runs.  ``REPRO_WORKERS=N`` (N > 1)
-fans the per-NF CASTAN analyses out over N worker processes
-(:class:`repro.parallel.portfolio.PortfolioRunner`); results are merged in
-registry order.  Per-NF analyses are deterministic, so parallel results are
-identical to sequential ones *as long as no analysis hits its wall-clock
-deadline* — on an oversubscribed machine a deadline-truncated search can
-explore fewer states under contention.  (The identity benchmarks and the
-CI digest gate disable the deadline entirely for this reason.)
+``REPRO_EVAL_SCALE=smoke`` for CI-sized runs.  Every analysis runs
+in-process, once per NF; to analyse a suite across processes, submit it to
+the synthesis service (:mod:`repro.service`), whose store keeps each result.
 """
 
 from __future__ import annotations
@@ -71,8 +66,6 @@ class EvalSettings:
     castan_max_states: int = 250
     castan_deadline_seconds: float = 10.0
     castan_num_packets: int | None = None  # per-NF paper-sized packet counts
-    # Worker processes for the CASTAN portfolio (0/1 = sequential).
-    workers: int = 0
     replay_packets: int = 1200
     zipfian_packets: int = 1600
     zipfian_flows: int = 110
@@ -82,17 +75,6 @@ class EvalSettings:
     @classmethod
     def from_environment(cls) -> "EvalSettings":
         scale = os.environ.get("REPRO_EVAL_SCALE", "quick").lower()
-        workers_raw = os.environ.get("REPRO_WORKERS", "0")
-        try:
-            workers = max(0, int(workers_raw))
-        except ValueError:
-            warnings.warn(
-                f"unrecognized REPRO_WORKERS={workers_raw!r}; falling back to 0 "
-                "(expected a worker-process count)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            workers = 0
         if scale not in ("quick", "full", "smoke"):
             warnings.warn(
                 f"unrecognized REPRO_EVAL_SCALE={scale!r}; falling back to 'quick' "
@@ -106,7 +88,6 @@ class EvalSettings:
                 castan_max_states=2500,
                 castan_deadline_seconds=120.0,
                 castan_num_packets=None,  # per-NF paper-sized packet counts
-                workers=workers,
                 replay_packets=6000,
                 zipfian_packets=8000,
                 zipfian_flows=540,
@@ -118,14 +99,13 @@ class EvalSettings:
                 castan_max_states=60,
                 castan_deadline_seconds=4.0,
                 castan_num_packets=5,
-                workers=workers,
                 replay_packets=300,
                 zipfian_packets=400,
                 zipfian_flows=40,
                 unirand_packets=400,
                 throughput_replay_packets=200,
             )
-        return cls(workers=workers)
+        return cls()
 
 
 SETTINGS = EvalSettings.from_environment()
@@ -138,34 +118,15 @@ def nf_instance(name: str) -> NetworkFunction:
     return get_nf(name)
 
 
-def _castan_config() -> CastanConfig:
-    return CastanConfig(
+@lru_cache(maxsize=None)
+def castan_result(name: str) -> CastanResult:
+    """Run CASTAN once per NF and cache the synthesized workload."""
+    config = CastanConfig(
         max_states=SETTINGS.castan_max_states,
         deadline_seconds=SETTINGS.castan_deadline_seconds,
         num_packets=SETTINGS.castan_num_packets,
     )
-
-
-@lru_cache(maxsize=None)
-def _portfolio_results() -> dict[str, CastanResult]:
-    """The whole evaluation suite, analysed across REPRO_WORKERS processes."""
-    from repro.parallel.portfolio import PortfolioRunner
-
-    runner = PortfolioRunner(config=_castan_config(), workers=SETTINGS.workers)
-    return runner.run_map(EVALUATION_NFS)
-
-
-@lru_cache(maxsize=None)
-def castan_result(name: str) -> CastanResult:
-    """Run CASTAN once per NF and cache the synthesized workload.
-
-    With ``REPRO_WORKERS > 1`` the first evaluation-suite lookup analyses
-    all 15 NFs in one parallel portfolio run and serves every later lookup
-    from that cache; other NFs (and the sequential default) run in-process.
-    """
-    if SETTINGS.workers > 1 and name in EVALUATION_NFS:
-        return _portfolio_results()[name]
-    return Castan(_castan_config()).analyze(nf_instance(name))
+    return Castan(config).analyze(nf_instance(name))
 
 
 @lru_cache(maxsize=None)

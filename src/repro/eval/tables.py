@@ -21,20 +21,15 @@ from repro.testbed.cdf import CDF
 WORKLOAD_ROWS = ("nop", "1-packet", "zipfian", "unirand", "unirand-castan", "castan", "manual")
 
 
-def format_table(
-    title: str,
-    rows: dict[str, dict[str, object]],
-    columns: list[str],
-    missing: str = "-",
-) -> str:
-    """Render a workload × NF table as aligned text."""
+def format_table(title: str, rows: dict[str, dict[str, object]], columns: list[str]) -> str:
+    """Render a workload × NF table as aligned text (``-`` marks a missing cell)."""
     col_width = max(12, max((len(c) for c in columns), default=12) + 1)
     header = f"{'workload':<16}" + "".join(f"{c:>{col_width}}" for c in columns)
     lines = [title, "=" * len(header), header, "-" * len(header)]
     for row_name, row in rows.items():
         cells = []
         for column in columns:
-            value = row.get(column, missing)
+            value = row.get(column, "-")
             if isinstance(value, float):
                 cells.append(f"{value:>{col_width}.2f}")
             else:

@@ -131,6 +131,13 @@ class PcapReader:
         else:
             self._stream = source
             self._owns_stream = False
+        try:
+            self._read_global_header()
+        except BaseException:
+            self.close()  # a rejected file must not leak the stream opened above
+            raise
+
+    def _read_global_header(self) -> None:
         header = self._stream.read(_GLOBAL_HEADER.size)
         if len(header) < _GLOBAL_HEADER.size:
             raise PcapFormatError("truncated pcap global header")

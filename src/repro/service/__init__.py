@@ -9,13 +9,13 @@ analysis service (ROADMAP item 1):
   run's perf record (wall seconds, states/sec, rounds) riding along;
 * :mod:`repro.service.server` — the asyncio job core: bounded-concurrency
   scheduling, per-job worker processes under heartbeat
-  :class:`~repro.parallel.lease.WorkerLease` supervision, per-job timeout,
+  :class:`~repro.service.lease.WorkerLease` supervision, per-job timeout,
   bounded retry, graceful cancellation, and live per-round progress fan-out;
 * :mod:`repro.service.http` / :mod:`repro.service.client` — the stdlib REST
   transport (NDJSON event streaming) and its blocking client;
-* :mod:`repro.service.worker` — the per-job process entry point (the same
-  :func:`~repro.parallel.portfolio.analyze_one_nf` the portfolio runner
-  uses, so served results are produced by identical code).
+* :mod:`repro.service.worker` — the per-job process entry point: it runs
+  the same ``Castan.analyze`` a local run does, so served results are
+  produced by identical code, and writes the result to the store itself.
 
 Start a server (see ``docs/SERVICE.md`` for the full walkthrough)::
 

@@ -92,7 +92,7 @@ class ServiceClient:
         config: dict | None = None,
         num_packets: int | None = None,
     ) -> list[dict]:
-        """Submit a portfolio of jobs in one request (one job per NF)."""
+        """Submit a batch of jobs in one request (one job per NF)."""
         body: dict = {"nfs": list(nf_specs)}
         if config:
             body["config"] = config

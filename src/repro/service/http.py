@@ -40,7 +40,6 @@ import asyncio
 import base64
 import binascii
 import json
-import pickle
 
 from repro.nf.registry import nf_identity
 from repro.service.server import SynthesisService
@@ -204,11 +203,12 @@ def _submit_score(service: SynthesisService, body: dict) -> dict:
     return job.to_dict()
 
 
-def _stored_result(service: SynthesisService, job_id: str):
+def _stored_entry(service: SynthesisService, job_id: str, read):
+    """``read(cache_key)`` of a done job's stored entry (its meta or its pickle)."""
     job = _get_job(service, job_id)
     if job.state != "done":
         raise HttpError(409, f"job {job_id} is {job.state}, not done")
-    entry = service.store.get(job.cache_key)
+    entry = read(job.cache_key)
     if entry is None:
         raise HttpError(404, f"job {job_id}: stored entry {job.cache_key} vanished")
     return entry
@@ -254,13 +254,11 @@ async def _route(
         elif action == "stream" and method == "GET":
             await _stream_job(service, writer, job_id)
         elif action == "result" and method == "GET":
-            _result, meta = _stored_result(service, job_id)
-            await _send_json(writer, 200, meta)
+            await _send_json(writer, 200, _stored_entry(service, job_id, service.store.get_meta))
         elif action == "result.pkl" and method == "GET":
-            result, _meta = _stored_result(service, job_id)
-            await _send_bytes(
-                writer, 200, pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-            )
+            # The stored pickle as written: the server never unpickles a result.
+            blob = _stored_entry(service, job_id, service.store.get_pickle)
+            await _send_bytes(writer, 200, blob)
         else:
             raise HttpError(404, f"unknown endpoint {method} {path}")
     elif parts == ["score"]:

@@ -1,24 +1,37 @@
-"""Worker leases: heartbeat-supervised analysis processes.
+"""Worker leases: heartbeat-supervised job processes.
 
-The synthesis service (:mod:`repro.service`) runs every job in its own
-worker process so a wedged or runaway analysis can be revoked without
-taking the server down.  A :class:`WorkerLease` is the server-side handle:
-it tracks the worker's heartbeats (the worker emits one on its progress
-queue every ``heartbeat_interval`` seconds from a daemon thread, so a
-long solver round cannot be mistaken for a hang) and the job's wall-clock
-budget, and :meth:`revoke` tears the process down — ``terminate`` first,
+The synthesis service runs every job attempt in its own worker process
+(:func:`make_context` starts them all the same way) so a wedged or runaway
+analysis can be revoked without taking the server down.  A
+:class:`WorkerLease` is the server-side handle: it tracks the worker's
+heartbeats (the worker emits one on its progress queue every
+``heartbeat_interval`` seconds from a daemon thread, so a long solver round
+cannot be mistaken for a hang) and the job's wall-clock budget, and
+:meth:`~WorkerLease.revoke` tears the process down — ``terminate`` first,
 ``kill`` if it refuses to die.
 
 The lease itself is transport-agnostic: it never reads the queue.  The
-owner drains events and calls :meth:`touch` on every one (any traffic
-proves liveness), then polls :meth:`overdue` to decide whether the worker
-lost its lease.
+owner drains events and calls :meth:`~WorkerLease.touch` on every one (any
+traffic proves liveness), then polls :meth:`~WorkerLease.overdue` to decide
+whether the worker lost its lease.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 from dataclasses import dataclass, field
+
+
+def make_context() -> multiprocessing.context.BaseContext:
+    """``fork`` where the platform has it, else its default (``spawn``).
+
+    ``fork`` keeps worker start-up cheap and lets workers inherit the
+    server's imports and NF memo (pure caches, so inheriting them is sound).
+    """
+    if "fork" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("fork")
+    return multiprocessing.get_context()
 
 
 @dataclass

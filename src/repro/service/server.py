@@ -15,9 +15,9 @@ long-running analysis service:
   bounded concurrency out;
 * **execution** spawns one worker process per attempt, for analysis and
   score jobs alike (:func:`~repro.service.worker.run_job_worker`, running
-  the same :func:`~repro.parallel.portfolio.analyze_one_nf` entry point
-  the portfolio uses, or :func:`~repro.scoring.jobs.run_score_job`) under
-  a :class:`~repro.parallel.lease.WorkerLease`: heartbeats prove
+  :meth:`Castan.analyze <repro.core.castan.Castan.analyze>` or
+  :func:`~repro.scoring.jobs.run_score_job`) under a
+  :class:`~repro.service.lease.WorkerLease`: heartbeats prove
   liveness, ``job_timeout`` bounds wall clock, cancellation and
   :meth:`~SynthesisService.shutdown` revoke the worker, and a revoked or
   crashed attempt retries up to ``max_attempts`` times before the job
@@ -27,11 +27,11 @@ long-running analysis service:
   events, are appended to the job's event history and fanned out to
   subscribers (the HTTP layer's NDJSON stream), so clients follow the
   search round by round instead of waiting for the end-of-run result;
-* **completion** persists ``(result, perf record)`` into the
-  content-addressed :class:`~repro.service.store.ResultStore`, which is
-  exactly what makes the *next* submission of the same ``(nf, config)``
-  free (a score job's worker persists its analysis and signature set
-  itself; the job settles with the scoring summary).
+* **completion** happens in the worker, for both kinds: it persists what
+  it computed into the content-addressed
+  :class:`~repro.service.store.ResultStore` — exactly what makes the *next*
+  submission of the same ``(nf, config)`` free — and sends back only JSON
+  (a summary and a perf record), so the server never unpickles a result.
 
 The job table is bounded: the newest :data:`MAX_TERMINAL_JOBS` finished
 jobs stay resolvable, older ones are dropped with their event history (a
@@ -49,8 +49,6 @@ import time
 
 from repro.core.config import CastanConfig, hash_canonical_config
 from repro.nf.registry import nf_identity
-from repro.parallel.lease import WorkerLease
-from repro.parallel.pool import make_context
 from repro.service.jobs import (
     CANCELLED,
     DONE,
@@ -60,7 +58,8 @@ from repro.service.jobs import (
     SCORE,
     JobRecord,
 )
-from repro.service.store import ResultStore, perf_record, result_address, result_summary
+from repro.service.lease import WorkerLease, make_context
+from repro.service.store import ResultStore, result_address
 from repro.service.worker import run_job_worker
 
 #: Sentinel returned by the queue-poll helper when no event arrived.
@@ -432,20 +431,7 @@ class SynthesisService:
                 job.error = f"attempt {job.attempts} raised:\n{payload}"
                 return "error"
             if kind == "done":
-                self._finish(job, payload)
+                job.result_summary = payload["result"]
+                job.perf = payload["perf"]
+                self._settle(job, DONE)
                 return "done"
-
-    def _finish(self, job: JobRecord, outcome) -> None:
-        """Settle a successful job: persist an analysis result, or keep a
-        score job's summary (its worker already stored what it computed)."""
-        if job.kind == SCORE:
-            job.result_summary = outcome
-        else:
-            meta = self.store.put(
-                job.cache_key,
-                outcome,
-                perf=perf_record(outcome, label=f"service:{job.job_id}"),
-            )
-            job.result_summary = result_summary(outcome)
-            job.perf = meta["perf"]
-        self._settle(job, DONE)

@@ -1,8 +1,8 @@
 """Content-addressed persistence of CASTAN results (the service's cache).
 
 An analysis is a pure function of ``(NF, CastanConfig, num_packets)``: the
-engine is deterministic, and how a run executes (in-process, in a service
-worker, in a portfolio pool) is not part of the config.  That makes results
+engine is deterministic, and how a run executes (in-process or in a
+service worker) is not part of the config.  That makes results
 *content-addressable*: the store keys each
 :class:`~repro.core.castan.CastanResult` by a SHA-256 over :meth:`CastanConfig.content_hash()
 <repro.core.config.CastanConfig.content_hash>`, the
@@ -202,14 +202,23 @@ class ResultStore:
             return None
         return json.loads((self._entry_dir(key) / "meta.json").read_text())
 
+    def get_pickle(self, key: str) -> bytes | None:
+        """The stored result's pickle bytes, unread, or ``None`` when absent."""
+        if not self.has(key):
+            return None
+        return (self._entry_dir(key) / "result.pkl").read_bytes()
+
     def put(self, key: str, result: CastanResult, perf: dict | None = None) -> dict:
-        """Persist a result under ``key``; returns the written metadata.
+        """Persist a result under ``key``; returns the metadata stored there.
 
         Writes are atomic (tempfile + rename within the entry's parent), so
         a concurrently reading server never observes a half-written entry,
         and a crash mid-write leaves no entry at all.  Re-putting an
         existing key is allowed and idempotent by construction: the content
         address pins the inputs, and deterministic analysis pins the output.
+        A put whose rename finds the entry already written (another writer
+        got there first) keeps that entry and returns its metadata, with
+        the first writer's perf record.
         """
         entry = self._entry_dir(key)
         entry.parent.mkdir(parents=True, exist_ok=True)
@@ -226,8 +235,16 @@ class ResultStore:
                 pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
             )
             (staged / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-            if not entry.exists():  # lost the race: identical content either way
+            try:
                 staged.replace(entry)
+            except OSError:
+                # Renaming onto a written entry fails (it is a non-empty
+                # directory): another writer got there first with identical
+                # content.  Anything else is a real error.
+                stored = self.get_meta(key)
+                if stored is None:
+                    raise
+                return stored
         return meta
 
     def keys(self) -> list[str]:

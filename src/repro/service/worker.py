@@ -3,10 +3,11 @@
 :func:`run_job_worker` is the ``multiprocessing.Process`` target the
 synthesis server spawns per job attempt, for both job kinds.  It rebuilds
 the config from its canonical dict and runs the *same* entry point a local
-run would use — :func:`repro.parallel.portfolio.analyze_one_nf` for an
-analysis job, :func:`repro.scoring.jobs.run_score_job` against the server's
-store for a score job — and reports back over a single multiprocessing
-queue as ``(kind, payload)`` tuples:
+run would use — :meth:`Castan.analyze <repro.core.castan.Castan.analyze>`
+for an analysis job, :func:`repro.scoring.jobs.run_score_job` for a score
+job — and writes what it computed to the server's store itself, so the
+server never unpickles a result.  It reports back over a single
+multiprocessing queue as ``(kind, payload)`` tuples:
 
 ``("round", dict)``
     one :class:`~repro.symbex.batch.RoundStats` as a plain dict, emitted
@@ -17,11 +18,11 @@ queue as ``(kind, payload)`` tuples:
     one completed scoring window (score jobs);
 ``("heartbeat", float)``
     proof of life from a daemon thread, every ``heartbeat_interval``
-    seconds — so the server's :class:`~repro.parallel.lease.WorkerLease`
+    seconds — so the server's :class:`~repro.service.lease.WorkerLease`
     can tell a long solver round from a wedged worker;
-``("done", CastanResult | dict)``
-    the terminal success event: the analysis result (it rides the queue's
-    pickle path) or the score job's summary;
+``("done", {"result": dict, "perf": dict | None})``
+    the terminal success event: the stored result's summary and perf record
+    (an analysis job), or the scoring summary and ``None`` (a score job);
 ``("error", str)``
     the terminal failure event, carrying the traceback text.
 """
@@ -53,7 +54,7 @@ def run_job_worker(queue, job, store, heartbeat_interval: float = 1.0) -> None:
             from repro.scoring.jobs import run_score_job
             from repro.scoring.scorer import ScorerOptions
 
-            outcome = run_score_job(
+            summary = run_score_job(
                 job.nf_spec,
                 config,
                 job.traffic,
@@ -62,16 +63,22 @@ def run_job_worker(queue, job, store, heartbeat_interval: float = 1.0) -> None:
                 options=ScorerOptions(**job.scorer_options),
                 emit=lambda kind, payload: queue.put((kind, payload)),
             )
+            perf = None  # a score job settles with its summary alone
         else:
-            from repro.parallel.portfolio import analyze_one_nf
+            from repro.core.castan import Castan
+            from repro.nf.registry import get_nf
+            from repro.service.store import perf_record
 
-            outcome = analyze_one_nf(
-                job.nf_spec,
-                config,
+            result = Castan(config).analyze(
+                get_nf(job.nf_spec),
                 num_packets=job.num_packets,
                 on_round=lambda round_stats: queue.put(("round", asdict(round_stats))),
             )
-        queue.put(("done", outcome))
+            meta = store.put(
+                job.cache_key, result, perf=perf_record(result, label=f"service:{job.job_id}")
+            )
+            summary, perf = meta["result"], meta["perf"]
+        queue.put(("done", {"result": summary, "perf": perf}))
     except BaseException:
         queue.put(("error", traceback.format_exc()))
     finally:

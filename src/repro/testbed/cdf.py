@@ -7,7 +7,23 @@ medians those figures plot.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+#: Width and row count of :meth:`CDF.render`'s ASCII plot.
+RENDER_WIDTH = 48
+RENDER_POINTS = 12
+
+
+def _nearest_rank(fraction: float, count: int) -> int:
+    """0-based index of the nearest-rank percentile of ``count`` sorted samples.
+
+    The rank is ``ceil(fraction * count)``; the product is rounded first so
+    float error (``0.07 * 100 == 7.000000000000001``) cannot push an exact
+    rank one up.
+    """
+    rank = math.ceil(round(fraction * count, 9))
+    return min(count - 1, max(0, rank - 1))
 
 
 @dataclass
@@ -30,8 +46,7 @@ class CDF:
         if not 0.0 < fraction <= 1.0:
             raise ValueError("fraction must be in (0, 1]")
         ordered = sorted(self.samples)
-        index = min(len(ordered) - 1, max(0, int(fraction * len(ordered)) - 1))
-        return float(ordered[index])
+        return float(ordered[_nearest_rank(fraction, len(ordered))])
 
     @property
     def median(self) -> float:
@@ -59,18 +74,17 @@ class CDF:
         series: list[tuple[float, float]] = []
         for i in range(points):
             fraction = (i + 1) / points
-            index = min(total - 1, max(0, int(fraction * total) - 1))
-            series.append((float(ordered[index]), fraction))
+            series.append((float(ordered[_nearest_rank(fraction, total)]), fraction))
         return series
 
-    def render(self, label: str = "", width: int = 48, points: int = 12) -> str:
+    def render(self, label: str = "") -> str:
         """ASCII rendering of the CDF (used by the figure benchmarks)."""
         if not self.samples:
             return f"{label}: (no samples)"
         lines = [f"{label} (n={self.count}, median={self.median:.0f})"]
         lo, hi = self.minimum, self.maximum
         span = (hi - lo) or 1.0
-        for value, fraction in self.series(points):
-            bar = "#" * max(1, int((value - lo) / span * width))
+        for value, fraction in self.series(RENDER_POINTS):
+            bar = "#" * max(1, int((value - lo) / span * RENDER_WIDTH))
             lines.append(f"  p{int(fraction * 100):3d} {value:10.1f} {bar}")
         return "\n".join(lines)

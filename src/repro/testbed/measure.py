@@ -28,6 +28,9 @@ from repro.workloads.generators import Workload
 #: each pcap for 20 seconds; the scaled default keeps runs in seconds).
 DEFAULT_REPLAY_PACKETS = 3000
 
+#: Step (Mpps) of the throughput search's bisection and of its step-down.
+RATE_RESOLUTION_MPPS = 0.01
+
 
 @dataclass
 class LatencyResult:
@@ -71,10 +74,9 @@ def measure_latency(
     workload: Workload,
     config: TestbedConfig | None = None,
     replay_packets: int = DEFAULT_REPLAY_PACKETS,
-    dut: DeviceUnderTest | None = None,
 ) -> LatencyResult:
     """Replay ``workload`` and collect the end-to-end latency CDF."""
-    dut = dut or DeviceUnderTest(nf, config)
+    dut = DeviceUnderTest(nf, config)
     dut.reset()
     result = LatencyResult(nf_name=nf.name, workload_name=workload.name)
     for packet in workload.looped(replay_packets):
@@ -119,7 +121,6 @@ def measure_throughput(
     workload: Workload,
     config: TestbedConfig | None = None,
     replay_packets: int = DEFAULT_REPLAY_PACKETS,
-    rate_resolution_mpps: float = 0.01,
 ) -> ThroughputResult:
     """Find the highest offered rate with less than 1 % packet loss."""
     config = config or TestbedConfig()
@@ -134,7 +135,7 @@ def measure_throughput(
     # loss caused by service-time variability.
     low, high = 0.05, 1000.0 / mean_service
     threshold = config.loss_threshold
-    while high - low > rate_resolution_mpps:
+    while high - low > RATE_RESOLUTION_MPPS:
         mid = (low + high) / 2.0
         loss = _loss_fraction_at_rate(service_times, mid, config.queue_capacity)
         if loss < threshold:
@@ -147,8 +148,8 @@ def measure_throughput(
     # measured at it is below the threshold, so "max loss-free rate" holds.
     rate = round(low, 2)
     loss = _loss_fraction_at_rate(service_times, rate, config.queue_capacity)
-    while loss >= threshold and rate > rate_resolution_mpps:
-        rate = round(rate - rate_resolution_mpps, 6)
+    while loss >= threshold and rate > RATE_RESOLUTION_MPPS:
+        rate = round(rate - RATE_RESOLUTION_MPPS, 6)
         loss = _loss_fraction_at_rate(service_times, rate, config.queue_capacity)
     return ThroughputResult(
         nf_name=nf.name,

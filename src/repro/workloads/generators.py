@@ -49,6 +49,11 @@ DEFAULT_ZIPFIAN_PACKETS = 4000  # paper: 100,005
 DEFAULT_ZIPFIAN_FLOWS = 267  # paper: 6,674 (same ~15 packets/flow ratio)
 DEFAULT_UNIRAND_PACKETS = 4000  # paper: 1,000,472 packets in 1,000,001 flows
 
+# Fixed seeds: every run generates the same workload bytes.
+ZIPFIAN_SEED = 2
+UNIRAND_SEED = 3
+UNIRAND_CASTAN_SEED = 4
+
 
 @dataclass
 class Workload:
@@ -143,13 +148,11 @@ def make_zipfian_workload(
     nf: NetworkFunction,
     num_packets: int = DEFAULT_ZIPFIAN_PACKETS,
     num_flows: int = DEFAULT_ZIPFIAN_FLOWS,
-    exponent: float = DEFAULT_ZIPF_EXPONENT,
-    seed: int = 2,
 ) -> Workload:
     """Typical real-world traffic: flow popularity follows Zipf(s=1.26)."""
-    rng = random.Random(seed)
+    rng = random.Random(ZIPFIAN_SEED)
     flows = [_flow_for_index(nf, i, rng) for i in range(num_flows)]
-    counts = zipf_flow_counts(num_packets, num_flows, exponent, seed)
+    counts = zipf_flow_counts(num_packets, num_flows, seed=ZIPFIAN_SEED)
     packets: list[Packet] = []
     for flow, count in zip(flows, counts):
         packets.extend(flow.to_packet() for _ in range(count))
@@ -157,17 +160,19 @@ def make_zipfian_workload(
     return Workload(
         name="zipfian",
         packets=packets,
-        description=f"Zipfian (s={exponent}) traffic: {num_packets} packets, {num_flows} flows.",
+        description=(
+            f"Zipfian (s={DEFAULT_ZIPF_EXPONENT}) traffic: "
+            f"{num_packets} packets, {num_flows} flows."
+        ),
     )
 
 
 def make_unirand_workload(
     nf: NetworkFunction,
     num_packets: int = DEFAULT_UNIRAND_PACKETS,
-    seed: int = 3,
 ) -> Workload:
     """Uniform-random traffic: every packet its own flow (stress test / DoS)."""
-    rng = random.Random(seed)
+    rng = random.Random(UNIRAND_SEED)
     packets = [_flow_for_index(nf, i, rng).to_packet() for i in range(num_packets)]
     return Workload(
         name="unirand",
@@ -176,14 +181,12 @@ def make_unirand_workload(
     )
 
 
-def make_unirand_castan_workload(
-    nf: NetworkFunction, castan_flow_count: int, seed: int = 4
-) -> Workload:
+def make_unirand_castan_workload(nf: NetworkFunction, castan_flow_count: int) -> Workload:
     """Uniform traffic with exactly as many flows as the CASTAN workload.
 
     Used for a fair comparison when sheer flow count is what matters.
     """
-    rng = random.Random(seed)
+    rng = random.Random(UNIRAND_CASTAN_SEED)
     packets = [
         _flow_for_index(nf, 100_000 + i, rng).to_packet() for i in range(max(1, castan_flow_count))
     ]

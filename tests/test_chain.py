@@ -1,7 +1,8 @@
 """Service-chain NFs (`repro.nf.chain`): spec parsing, module stitching,
-per-stage cost attribution, worker/exec-mode identity, and the composition
-gate — the chain-synthesized workload must cost more on the full chain than
-any single stage's adversarial workload replayed through the same chain."""
+per-stage cost attribution, and the composition gate — the chain-synthesized
+workload must cost more on the full chain than any single stage's
+adversarial workload replayed through the same chain.  A chain analysed in a
+service worker is checked in ``tests/test_service.py``."""
 
 from __future__ import annotations
 
@@ -9,7 +10,6 @@ import pytest
 
 from repro.core.castan import Castan
 from repro.core.config import CastanConfig
-from repro.core.workload import workload_digest
 from repro.net.packet import Packet
 from repro.nf.chain import (
     CHAIN_PACKET_DEFAULTS,
@@ -18,7 +18,6 @@ from repro.nf.chain import (
     parse_chain_spec,
 )
 from repro.nf.registry import EVALUATION_NF_NAMES, get_nf
-from repro.parallel.portfolio import PortfolioRunner
 from repro.perf.interpreter import ConcreteInterpreter
 
 SMOKE = dict(max_states=60, num_packets=5, deadline_seconds=None)
@@ -179,19 +178,6 @@ class TestChainAnalysis:
         result = Castan(config).analyze(get_nf("lpm-patricia"))
         assert result.metrics.stage_cycles == {}
         assert "per-stage attribution" not in result.metrics.to_report()
-
-
-class TestChainWorkerIdentity:
-    """workers=0 vs workers=2 portfolio byte-identity for a chain."""
-
-    def test_portfolio_identity(self):
-        config = CastanConfig(max_states=40, num_packets=3, deadline_seconds=None)
-        name = "chain-gateway"
-        sequential = PortfolioRunner(config=config, workers=0).run_map((name,))[name]
-        parallel = PortfolioRunner(config=config, workers=2).run_map((name,))[name]
-        assert workload_digest(parallel.packets) == workload_digest(sequential.packets)
-        assert parallel.best_state_cost == sequential.best_state_cost
-        assert parallel.metrics.stage_cycles == sequential.metrics.stage_cycles
 
 
 class TestChainBeatsSingleStageWorkloads:

@@ -247,6 +247,16 @@ class TestExprFastPathInvariants:
         )
         assert pickle.loads(pickle.dumps(expr)) is expr
 
+    def test_expr_pickle_reinterns(self):
+        """A pickled expression (a stored result's havoc records hold them)
+        loads back as the *same* interned node."""
+        expr = make_cmp(
+            CmpKind.ULT,
+            make_binop(BinOpKind.ADD, Sym("pkt0.src_ip", 32), Const(7)),
+            Const(1000),
+        )
+        assert pickle.loads(pickle.dumps(expr)) is expr
+
     def test_reduce_expr_matches_slow_form(self):
         x, y, z = Sym("rx", bits=16), Sym("ry", bits=32), Sym("rz", bits=8)
         exprs = [

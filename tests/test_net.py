@@ -165,6 +165,37 @@ class TestPcap:
         with pytest.raises(PcapFormatError):
             PcapReader(io.BytesIO(b"\x01\x02"))
 
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b"\x00" * 32,
+            b"\x01\x02",
+            struct.pack("<IHHiIII", PCAP_MAGIC, 2, 4, 0, 0, 65535, 101),
+        ],
+        ids=["bad-magic", "truncated-header", "unsupported-linktype"],
+    )
+    def test_rejected_file_is_closed(self, header, tmp_path, monkeypatch):
+        """A path the reader opened is closed when its header is rejected; a
+        stream the caller handed in stays open."""
+        import repro.net.pcap as pcap_module
+
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(pcap_module, "open", recording_open, raising=False)
+        path = tmp_path / "bad.pcap"
+        path.write_bytes(header)
+        with pytest.raises(PcapFormatError):
+            PcapReader(path)
+        assert len(opened) == 1 and opened[0].closed
+        stream = io.BytesIO(header)
+        with pytest.raises(PcapFormatError):
+            PcapReader(stream)
+        assert not stream.closed
+
     def test_writer_timestamps_monotonic(self):
         buffer = io.BytesIO()
         writer = PcapWriter(buffer)

@@ -6,6 +6,8 @@ Covers the service's contract end to end, at smoke scale:
   them by ``(config content hash, NF fingerprint, packet count)``;
 * a cache hit serves a result whose canonical digest is byte-identical to
   a fresh in-process run of the same job;
+* an analysis worker writes the in-process result to the store itself and
+  sends back only JSON, so the server never unpickles a result;
 * the REST API boots, streams per-round progress, rejects bad submissions
   eagerly, and settles cancellations;
 * score jobs run in the same leased worker as analyses: cancel,
@@ -18,21 +20,23 @@ Covers the service's contract end to end, at smoke scale:
 from __future__ import annotations
 
 import asyncio
+import json
 import pickle
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+from repro.core.castan import Castan
 from repro.core.config import CastanConfig
 from repro.nf.registry import get_nf
-from repro.parallel.lease import WorkerLease
-from repro.parallel.pool import make_context
-from repro.parallel.portfolio import analyze_one_nf
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.http import serve
+from repro.service.lease import WorkerLease, make_context
 from repro.service.server import SynthesisService
-from repro.service.store import ResultStore, canonical_result_digest, result_key
+from repro.service.store import ResultStore, canonical_result_digest, perf_record, result_key
+from repro.service.worker import run_job_worker
 
 SMOKE_CONFIG = {
     "max_states": 40,
@@ -45,6 +49,10 @@ NF = "lpm-patricia"
 
 def smoke_config() -> CastanConfig:
     return CastanConfig.from_dict(SMOKE_CONFIG)
+
+
+def analyze_smoke(nf_spec: str):
+    return Castan(smoke_config()).analyze(get_nf(nf_spec), num_packets=SMOKE_PACKETS)
 
 
 # -- result store -------------------------------------------------------------
@@ -61,7 +69,7 @@ def test_result_key_is_a_function_of_config_nf_and_packets():
 
 
 def test_store_round_trip(tmp_path):
-    result = analyze_one_nf(NF, smoke_config(), num_packets=SMOKE_PACKETS)
+    result = analyze_smoke(NF)
     store = ResultStore(tmp_path / "store")
     key = store.key_for(get_nf(NF), smoke_config(), SMOKE_PACKETS)
     assert not store.has(key)
@@ -80,13 +88,72 @@ def test_store_round_trip(tmp_path):
     assert len(store) == 1
 
 
+def test_store_put_that_loses_the_race_keeps_the_stored_entry(tmp_path, monkeypatch):
+    """A put whose rename lands on an entry another writer already renamed
+    into place succeeds with that entry's metadata, not ``ENOTEMPTY``."""
+    result = analyze_smoke(NF)
+    store = ResultStore(tmp_path / "store")
+    key = store.key_for(get_nf(NF), smoke_config(), SMOKE_PACKETS)
+    first = store.put(key, result, perf=perf_record(result, label="service:job-0001"))
+    # The second writer sees no entry until it renames (the first writer's
+    # rename lands in between), whatever it checks beforehand.
+    entry = tmp_path / "store" / key[:2] / key
+    exists = Path.exists
+    with monkeypatch.context() as patch:
+        patch.setattr(Path, "exists", lambda path: path != entry and exists(path))
+        second = store.put(key, result, perf=perf_record(result, label="service:job-0002"))
+    assert second == first == store.get_meta(key)
+    assert second["perf"]["label"] == "service:job-0001"
+    assert store.keys() == [key]
+    assert [path.name for path in store.root.iterdir()] == [key[:2]]  # no staging left
+    # An entry that is not whole is no lost race: the rename's error stands.
+    (entry / "meta.json").unlink()
+    with pytest.raises(OSError):
+        store.put(key, result)
+
+
 def test_canonical_digest_ignores_timing_but_not_content(tmp_path):
-    result = analyze_one_nf(NF, smoke_config(), num_packets=SMOKE_PACKETS)
+    result = analyze_smoke(NF)
     clone = pickle.loads(pickle.dumps(result))
     clone.analysis_seconds = result.analysis_seconds + 100.0
     assert canonical_result_digest(clone) == canonical_result_digest(result)
     clone.best_state_cost += 1
     assert canonical_result_digest(clone) != canonical_result_digest(result)
+
+
+# -- worker process -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("nf_spec", ["chain-gateway", "nat-hash-table"])
+def test_analysis_worker_stores_the_in_process_result(nf_spec, tmp_path):
+    """An analysis job's worker process writes the same result an in-process
+    ``Castan.analyze`` computes, and sends back only JSON."""
+    store = ResultStore(tmp_path / "store")
+    job = SynthesisService(store).submit(nf_spec, SMOKE_CONFIG, num_packets=SMOKE_PACKETS)
+    context = make_context()
+    progress = context.Queue()
+    process = context.Process(target=run_job_worker, args=(progress, job, store), daemon=True)
+    process.start()
+    try:
+        events = [progress.get(timeout=120)]
+        while events[-1][0] not in ("done", "error"):
+            events.append(progress.get(timeout=120))
+    finally:
+        process.join(timeout=30)
+    kind, payload = events[-1]
+    assert kind == "done", payload
+    assert "round" in [event[0] for event in events]
+    assert set(payload) == {"result", "perf"}
+    assert json.loads(json.dumps(payload)) == payload
+    assert payload["perf"]["label"] == f"service:{job.job_id}"
+
+    stored, meta = store.get(job.cache_key)
+    local = analyze_smoke(nf_spec)
+    assert canonical_result_digest(stored) == canonical_result_digest(local)
+    assert payload["result"]["result_digest"] == canonical_result_digest(local)
+    assert stored.metrics.stage_cycles == local.metrics.stage_cycles
+    assert bool(local.metrics.stage_cycles) == nf_spec.startswith("chain")
+    assert meta["perf"] == payload["perf"]
 
 
 # -- live server --------------------------------------------------------------
@@ -170,7 +237,7 @@ def test_submit_stream_and_cache_hit_identity(server):
     assert again["result"]["result_digest"] == final["result"]["result_digest"]
 
     # both served results are canonically identical to a fresh local run
-    fresh = analyze_one_nf(NF, smoke_config(), num_packets=SMOKE_PACKETS)
+    fresh = analyze_smoke(NF)
     served = server.client.result(again["job_id"])
     assert canonical_result_digest(served) == canonical_result_digest(fresh)
     assert final["result"]["result_digest"] == canonical_result_digest(fresh)
@@ -181,13 +248,33 @@ def test_submit_stream_and_cache_hit_identity(server):
     assert replay.count("round") == kinds.count("round")
 
 
+def test_server_never_unpickles_an_analysis_result(server, monkeypatch):
+    """The worker stores the result and the endpoints serve the stored bytes:
+    with the store's unpickling read disabled, a miss, its result endpoints
+    and the hit that follows all still work."""
+
+    def refuse(key):
+        raise AssertionError(f"the server unpickled {key}")
+
+    monkeypatch.setattr(server.service.store, "get", refuse)
+    job = server.client.submit(NF, config=SMOKE_CONFIG, num_packets=2)
+    final = list(server.client.stream(job["job_id"]))[-1]["job"]
+    assert final["state"] == "done", final["error"]
+    assert final["perf"]["label"] == f"service:{job['job_id']}"
+    served = server.client.result(job["job_id"])
+    assert canonical_result_digest(served) == final["result"]["result_digest"]
+    assert server.client.result_meta(job["job_id"])["result"] == final["result"]
+    again = server.client.submit(NF, config=SMOKE_CONFIG, num_packets=2)
+    assert again["cached"] is True and again["perf"] == final["perf"]
+
+
 def test_end_event_reports_how_the_havocs_were_proved(server):
     """A hash NF's end event counts witnessed and searched reconciliations."""
     nf = "nat-hash-ring"
     job = server.client.submit(nf, config=SMOKE_CONFIG, num_packets=SMOKE_PACKETS)
     final = list(server.client.stream(job["job_id"]))[-1]["job"]
     assert final["state"] == "done"
-    havoc = analyze_one_nf(nf, smoke_config(), num_packets=SMOKE_PACKETS).havoc_outcome
+    havoc = analyze_smoke(nf).havoc_outcome
     assert havoc.witnessed + havoc.searched == len(havoc.reconciled) > 0
     for key, count in (("havocs_witnessed", havoc.witnessed), ("havocs_searched", havoc.searched)):
         assert final["result"][key] == final["perf"][key] == count

@@ -8,9 +8,9 @@ import pytest
 
 import repro.nf.registry as registry
 import repro.service.server as server_module
+from repro.core.castan import Castan
 from repro.core.config import CastanConfig
 from repro.nf.registry import NF_NAMES, get_nf, nf_identity
-from repro.parallel.portfolio import analyze_one_nf
 from repro.service.server import SynthesisService
 from repro.service.store import ResultStore
 
@@ -24,7 +24,8 @@ def warm_store(tmp_path_factory):
     """A store that already holds NF's smoke-scale result."""
     store = ResultStore(tmp_path_factory.mktemp("hit-path-store"))
     config = CastanConfig.from_dict(SMOKE_CONFIG)
-    store.put(store.key_for(get_nf(NF), config, 3), analyze_one_nf(NF, config, num_packets=3))
+    result = Castan(config).analyze(get_nf(NF), num_packets=3)
+    store.put(store.key_for(get_nf(NF), config, 3), result)
     return store
 
 

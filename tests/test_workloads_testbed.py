@@ -1,6 +1,7 @@
 """Tests for the workload generators and the simulated testbed."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -141,6 +142,28 @@ class TestCDF:
         assert cdf.median == 50.0
         assert cdf.p95 == 95.0
         assert cdf.minimum == 1.0 and cdf.maximum == 100.0
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_percentiles_are_nearest_rank(self, n):
+        samples = [float(value) for value in range(n, 0, -1)]  # unsorted on purpose
+        cdf = CDF(samples=samples)
+        for fraction in (0.05, 0.25, 1 / 3, 0.5, 0.75, 0.9, 0.95, 1.0):
+            # The smallest sample with at least `fraction` of all samples at or below it.
+            expected = min(
+                value
+                for value in samples
+                if sum(other <= value for other in samples) >= Fraction(fraction) * n
+            )
+            assert cdf.percentile(fraction) == expected, (n, fraction)
+        for value, fraction in cdf.series(points=n):
+            assert value == cdf.percentile(fraction)
+
+    def test_exact_ranks_survive_float_error(self):
+        cdf = CDF(samples=list(map(float, range(1, 501))))
+        assert cdf.median == 250.0
+        assert cdf.p95 == 475.0
+        assert 0.07 * 100 > 7  # the product lands just above the exact rank
+        assert CDF(samples=list(map(float, range(1, 101)))).percentile(0.07) == 7.0
 
     def test_series_is_monotone(self):
         cdf = CDF(samples=[5.0, 1.0, 3.0, 2.0, 4.0])
