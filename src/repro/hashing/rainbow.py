@@ -222,37 +222,6 @@ class RainbowTable:
         return successes / samples
 
 
-class BruteForceInverter:
-    """Fallback inverter: scan keys from a sampler until the hash matches.
-
-    The paper augments rainbow tables with brute force; this class is that
-    augmentation and also serves as the baseline in the rainbow ablation
-    benchmark.
-    """
-
-    def __init__(
-        self, hash_fn: HashFn, key_sampler: KeySampler, hash_bits: int = FLOW_HASH_BITS
-    ) -> None:
-        self.hash_fn = hash_fn
-        self.key_sampler = key_sampler
-        self.hash_mask = (1 << hash_bits) - 1
-
-    def invert(
-        self, target_hash: int, limit: int = 8, budget: int = 200_000, seed: int = 11
-    ) -> list[int]:
-        target_hash &= self.hash_mask
-        rng = random.Random(seed ^ target_hash)
-        found: list[int] = []
-        for _ in range(budget):
-            key = self.key_sampler(rng.getrandbits(64))
-            if self.hash_fn(key) & self.hash_mask == target_hash:
-                if key not in found:
-                    found.append(key)
-                    if len(found) >= limit:
-                        break
-        return found
-
-
 # -- samplers and prebuilt tables -------------------------------------------------
 
 
@@ -395,15 +364,4 @@ def build_flow_rainbow_table(
     if keys is None:
         table._preimages = table._sorted_preimages()
         _store_keys(path, identity, (table._keys, *table._preimages))
-    return table
-
-
-def exhaustive_preimages(
-    hash_fn: HashFn, keys: Iterable[int], hash_bits: int = FLOW_HASH_BITS
-) -> dict[int, list[int]]:
-    """Exact preimage map over an explicit key set (small key spaces only)."""
-    mask = (1 << hash_bits) - 1
-    table: dict[int, list[int]] = {}
-    for key in keys:
-        table.setdefault(hash_fn(key) & mask, []).append(key)
     return table

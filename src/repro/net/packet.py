@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.net.checksum import internet_checksum, pseudo_header
 
@@ -87,27 +88,6 @@ class Packet:
         self.src_port &= 0xFFFF
         self.dst_port &= 0xFFFF
         self.protocol &= 0xFF
-
-    # -- field access -----------------------------------------------------
-
-    def get_field(self, which: PacketField) -> int:
-        """Return the value of a five-tuple field by symbolic name."""
-        return int(getattr(self, which.field_name))
-
-    def with_field(self, which: PacketField, value: int) -> "Packet":
-        """Return a copy of this packet with one five-tuple field replaced."""
-        kwargs = {
-            "src_ip": self.src_ip,
-            "dst_ip": self.dst_ip,
-            "src_port": self.src_port,
-            "dst_port": self.dst_port,
-            "protocol": self.protocol,
-            "payload": self.payload,
-            "src_mac": self.src_mac,
-            "dst_mac": self.dst_mac,
-        }
-        kwargs[which.field_name] = value & which.mask
-        return Packet(**kwargs)
 
     @property
     def flow_tuple(self) -> tuple[int, int, int, int, int]:
@@ -201,6 +181,26 @@ class Packet:
         if not isinstance(other, Packet):
             return NotImplemented
         return self.flow_tuple == other.flow_tuple and self.payload == other.payload
+
+
+class FlowKey(NamedTuple):
+    """An IPv4 5-tuple identifying a flow, in :class:`Packet`'s field order.
+
+    The one flow type every layer passes around: the workload generators,
+    distillation and the signatures' ``priming_flows``.  A ``FlowKey`` is a
+    tuple, so it hashes, compares, pickles and JSON-encodes like the plain
+    5-tuple :attr:`Packet.flow_tuple`.
+    """
+
+    src_ip: int
+    dst_ip: int
+    src_port: int
+    dst_port: int
+    protocol: int = int(IPProtocol.UDP)
+
+    def to_packet(self) -> Packet:
+        """One payload-less packet of this flow."""
+        return Packet(*self)
 
 
 def make_udp_packet(

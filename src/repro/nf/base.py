@@ -132,18 +132,6 @@ class NetworkFunction:
             )
         return digest.hexdigest()
 
-    def packet_from_fields(self, fields: dict[str, int]) -> Packet:
-        """Build a concrete packet from solver-produced field values."""
-        merged = dict(self.packet_defaults)
-        merged.update(fields)
-        return Packet(
-            src_ip=merged.get("src_ip", 0x0A000001),
-            dst_ip=merged.get("dst_ip", 0x0A000002),
-            src_port=merged.get("src_port", 10000),
-            dst_port=merged.get("dst_port", 80),
-            protocol=merged.get("protocol", 17),
-        )
-
     def __repr__(self) -> str:
         return (
             f"NetworkFunction({self.name!r}, class={self.nf_class}, "

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.net.packet import IPProtocol, Packet
+from repro.net.packet import IPProtocol
 
 # -- well-known addresses -------------------------------------------------------
 
@@ -210,16 +210,3 @@ def middlebox_packet_defaults() -> dict[str, int]:
         "dst_port": DEFAULT_SERVICE_PORT,
         "protocol": int(IPProtocol.UDP),
     }
-
-
-def make_flow_packet(
-    src_ip: int,
-    dst_ip: int,
-    src_port: int,
-    dst_port: int,
-    protocol: int = int(IPProtocol.UDP),
-) -> Packet:
-    """Small convenience wrapper used by the manual workloads."""
-    return Packet(
-        src_ip=src_ip, dst_ip=dst_ip, src_port=src_port, dst_port=dst_port, protocol=protocol
-    )

@@ -36,7 +36,6 @@ from repro.nf.common import (
     DEDUP_MAX_FINGERPRINTS,
     EXTERNAL_SERVER,
     middlebox_packet_defaults,
-    make_flow_packet,
 )
 
 DEDUP_SOURCE = f"""
@@ -74,11 +73,9 @@ def manual_dedup_workload(count: int) -> list[Packet]:
     """Fill the store with distinct flows, then replay the deepest one: each
     duplicate pays a verification scan over everything in front of it."""
     fill = max(1, count // 2)
-    packets = [
-        make_flow_packet(0x0B000001, EXTERNAL_SERVER, 1024 + i, 80) for i in range(fill)
-    ]
+    packets = [Packet(0x0B000001, EXTERNAL_SERVER, 1024 + i, 80) for i in range(fill)]
     while len(packets) < count:
-        packets.append(make_flow_packet(0x0B000001, EXTERNAL_SERVER, 1024 + fill - 1, 80))
+        packets.append(Packet(0x0B000001, EXTERNAL_SERVER, 1024 + fill - 1, 80))
     return packets
 
 

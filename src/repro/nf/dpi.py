@@ -28,7 +28,6 @@ from repro.nf.common import (
     DPI_FANOUT,
     DPI_MAX_NODES,
     middlebox_packet_defaults,
-    make_flow_packet,
 )
 
 DPI_SOURCE = f"""
@@ -144,7 +143,7 @@ def packet_for_signature(pattern: bytes, pad_dst_ip: int = 0x08080808) -> Packet
     src_ip = int.from_bytes(padded[0:4], "big")
     src_port = int.from_bytes(padded[4:6], "big")
     dst_port = int.from_bytes(padded[6:8], "big")
-    return make_flow_packet(src_ip, pad_dst_ip, src_port, dst_port)
+    return Packet(src_ip, pad_dst_ip, src_port, dst_port)
 
 
 def manual_dpi_workload(count: int) -> list[Packet]:

@@ -37,7 +37,6 @@ from repro.nf.common import (
     INTERNAL_PREFIX_OCTET,
     firewall_packet_defaults,
     firewall_workload_hints,
-    make_flow_packet,
 )
 
 FIREWALL_SOURCE = f"""
@@ -120,9 +119,7 @@ def manual_firewall_workload(count: int) -> list[Packet]:
     entry that shares the stored address word with every other entry, so
     lookups load both words of every slot they scan."""
     src_ip = (INTERNAL_PREFIX_OCTET << 24) | 0x000101
-    return [
-        make_flow_packet(src_ip, EXTERNAL_SERVER, 10000, 1024 + i) for i in range(count)
-    ]
+    return [Packet(src_ip, EXTERNAL_SERVER, 10000, 1024 + i) for i in range(count)]
 
 
 def build_firewall() -> NetworkFunction:

@@ -22,7 +22,6 @@ from repro.nf.common import (
     VIP_ADDRESS,
     lb_packet_defaults,
     lb_workload_hints,
-    make_flow_packet,
 )
 
 _LB_HEADER = f"""
@@ -109,12 +108,7 @@ _CASTAN_PACKET_COUNTS = {
 
 def manual_lb_unbalanced_workload(count: int) -> list[Packet]:
     """Monotonically increasing flow keys: skews the tree into a list."""
-    packets = []
-    for i in range(count):
-        packets.append(
-            make_flow_packet(0x0B000001, VIP_ADDRESS, 10000, 1024 + i)
-        )
-    return packets
+    return [Packet(0x0B000001, VIP_ADDRESS, 10000, 1024 + i) for i in range(count)]
 
 
 def build_lb(data_structure: str) -> NetworkFunction:

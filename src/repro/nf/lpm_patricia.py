@@ -20,7 +20,6 @@ from repro.nf.common import (
     Route,
     build_routes,
     lpm_packet_defaults,
-    make_flow_packet,
 )
 
 PATRICIA_SOURCE = """
@@ -82,7 +81,7 @@ def manual_patricia_workload(count: int) -> list[Packet]:
     routes = sorted(build_routes(), key=lambda r: -r.length)
     packets: list[Packet] = []
     for route in routes:
-        packets.append(make_flow_packet(0xC0A80064, route.prefix, 10000, 80))
+        packets.append(Packet(0xC0A80064, route.prefix, 10000, 80))
         if len(packets) >= count:
             break
     index = 0
@@ -90,7 +89,7 @@ def manual_patricia_workload(count: int) -> list[Packet]:
         # Pad with addresses that are off by one final bit, which take the
         # same number of trie steps (the trick CASTAN also discovers).
         route = routes[index % len(routes)]
-        packets.append(make_flow_packet(0xC0A80064, route.prefix ^ 1, 10000, 80))
+        packets.append(Packet(0xC0A80064, route.prefix ^ 1, 10000, 80))
         index += 1
     return packets
 

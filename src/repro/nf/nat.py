@@ -24,7 +24,6 @@ from repro.nf.common import (
     NAT_FIRST_EXTERNAL_PORT,
     nat_packet_defaults,
     nat_workload_hints,
-    make_flow_packet,
 )
 
 _NAT_HEADER = f"""
@@ -125,11 +124,8 @@ _CASTAN_PACKET_COUNTS = {
 def manual_nat_unbalanced_workload(count: int) -> list[Packet]:
     """Same endpoints, increasing destination ports: keys arrive in order,
     so the unbalanced tree degenerates into a linked list (§5.3)."""
-    packets = []
     src_ip = (INTERNAL_PREFIX_OCTET << 24) | 0x000101
-    for i in range(count):
-        packets.append(make_flow_packet(src_ip, EXTERNAL_SERVER, 10000, 1024 + i))
-    return packets
+    return [Packet(src_ip, EXTERNAL_SERVER, 10000, 1024 + i) for i in range(count)]
 
 
 def build_nat(data_structure: str) -> NetworkFunction:

@@ -44,9 +44,10 @@ from repro.core.castan import SOLVER_BUDGET, Castan, CastanResult
 from repro.core.config import CastanConfig
 from repro.hashing.functions import FLOW_HASH_MASK
 from repro.ir.instructions import BinOpKind, CmpKind
+from repro.net.packet import FlowKey
 from repro.nf.base import NetworkFunction
 from repro.nf.common import HASH_TABLE_BUCKETS
-from repro.scoring.replay import Flow, PrimedReplay, flow_fields
+from repro.scoring.replay import PrimedReplay
 from repro.scoring.signatures import (
     FIELD_ORDER,
     AdversarialSignature,
@@ -138,8 +139,8 @@ def _dominant_stage(result: CastanResult) -> str:
     return max(cycles, key=lambda label: (cycles[label], label))
 
 
-def _packet_flows(result: CastanResult) -> list[Flow]:
-    return [p.flow_tuple for p in result.packets]
+def _packet_flows(result: CastanResult) -> list[FlowKey]:
+    return [FlowKey(*p.flow_tuple) for p in result.packets]
 
 
 # -- candidate extraction ---------------------------------------------------------
@@ -187,7 +188,7 @@ def _hash_bucket_candidates(
         if count < 2:
             continue  # not established across packets
         hash_fn = nf.hash_functions[hash_name]
-        hashes = [hash_fn(evaluate(template, flow_fields(flow))) for flow in flows]
+        hashes = [hash_fn(evaluate(template, flow._asdict())) for flow in flows]
         hash_expr = flow_hash16_expr(template)
 
         # Chained-table shape: the workload piles into one bucket (the low
@@ -314,7 +315,7 @@ def _field_cluster_candidates(
     candidates: list[_Candidate] = []
     seen_values: set[tuple[str, int]] = set()
     for field_name, shift in _PROJECTIONS:
-        values = [flow_fields(flow)[field_name] >> shift for flow in flows]
+        values = [getattr(flow, field_name) >> shift for flow in flows]
         value, hits = Counter(values).most_common(1)[0]
         if hits < max(2, int(MIN_COVERAGE * len(flows))):
             continue
@@ -354,9 +355,9 @@ def _field_cluster_candidates(
 # -- matching-flow synthesis ---------------------------------------------------------
 
 
-def _model_flow(nf: NetworkFunction, model) -> Flow:
+def _model_flow(nf: NetworkFunction, model) -> FlowKey:
     defaults = nf.packet_defaults
-    return (
+    return FlowKey(
         model.get("src_ip", defaults.get("src_ip", 0x0A000001)) & 0xFFFFFFFF,
         model.get("dst_ip", defaults.get("dst_ip", 0x08080808)) & 0xFFFFFFFF,
         model.get("src_port", defaults.get("src_port", 10000)) & 0xFFFF,
@@ -388,15 +389,7 @@ def _mine_matching_columns(
         verdict = evaluator(columns)
         lanes += batch_size
         for lane in _np.flatnonzero(verdict):
-            accept(
-                (
-                    int(columns["src_ip"][lane]),
-                    int(columns["dst_ip"][lane]),
-                    int(columns["src_port"][lane]),
-                    int(columns["dst_port"][lane]),
-                    int(columns["protocol"][lane]),
-                )
-            )
+            accept(FlowKey(*(int(columns[name][lane]) for name in FlowKey._fields)))
             if needed() <= 0:
                 return lanes
     return lanes
@@ -407,11 +400,11 @@ def synthesize_matching_flows(
     candidate: _Candidate,
     gates: list[Expr],
     config: CastanConfig,
-    exclude: set[Flow],
+    exclude: set[FlowKey],
     count: int,
     rng: random.Random,
     report: DistillReport,
-) -> list[Flow]:
+) -> list[FlowKey]:
     """Fresh flows satisfying the candidate predicate (none in ``exclude``).
 
     Hash-bucket and hash-range candidates are inverted the way
@@ -424,11 +417,11 @@ def synthesize_matching_flows(
     and a scan of the traffic class tops up what mining missed.
     """
     solver = Solver(search_budget=SOLVER_BUDGET, seed=config.seed)
-    flows: list[Flow] = []
+    flows: list[FlowKey] = []
     seen = set(exclude)
 
-    def accept(flow: Flow) -> bool:
-        if flow in seen or not candidate.matcher(flow_fields(flow)):
+    def accept(flow: FlowKey) -> bool:
+        if flow in seen or not candidate.matcher(flow._asdict()):
             return False
         seen.add(flow)
         flows.append(flow)
@@ -468,9 +461,7 @@ def synthesize_matching_flows(
 
     # Top-up: scan the traffic class with the matcher.
     for index in range(200_000, 200_000 + 20_000):
-        key = _flow_for_index(nf, index, rng)
-        flow = (key.src_ip, key.dst_ip, key.src_port, key.dst_port, key.protocol)
-        if accept(flow) and len(flows) >= count:
+        if accept(_flow_for_index(nf, index, rng)) and len(flows) >= count:
             break
     return flows
 
@@ -478,17 +469,16 @@ def synthesize_matching_flows(
 def _background_flows(
     nf: NetworkFunction,
     candidate: _Candidate,
-    exclude: set[Flow],
+    exclude: set[FlowKey],
     count: int,
     rng: random.Random,
-) -> list[Flow]:
+) -> list[FlowKey]:
     """In-traffic-class flows that do NOT match the candidate predicate."""
-    flows: list[Flow] = []
+    flows: list[FlowKey] = []
     seen = set(exclude)
     for index in range(500_000, 500_000 + 50 * count):
-        key = _flow_for_index(nf, index, rng)
-        flow: Flow = (key.src_ip, key.dst_ip, key.src_port, key.dst_port, key.protocol)
-        if flow in seen or candidate.matcher(flow_fields(flow)):
+        flow = _flow_for_index(nf, index, rng)
+        if flow in seen or candidate.matcher(flow._asdict()):
             continue
         seen.add(flow)
         flows.append(flow)
@@ -558,7 +548,7 @@ def distill_signatures(
         # matching flows by weakness, probe the weakest — the published
         # threshold must hold for *every* matching packet.
         if candidate.weakness is not None:
-            matching.sort(key=lambda f: candidate.weakness(flow_fields(f)))
+            matching.sort(key=lambda f: candidate.weakness(f._asdict()))
             probes, extra = matching[-match_probes:], matching[:-match_probes]
         else:
             probes, extra = matching[:match_probes], matching[match_probes:]

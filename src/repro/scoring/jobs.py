@@ -49,8 +49,12 @@ def obtain_result(
     config: CastanConfig,
     num_packets: int | None = None,
     store=None,
+    label: str = "service",
 ) -> CastanResult:
-    """The analysis result for ``(nf, config, num_packets)``, store-first."""
+    """The analysis result for ``(nf, config, num_packets)``, store-first.
+
+    A result computed here is stored with a perf record labelled ``label``.
+    """
     if store is not None:
         key = store.key_for(nf, config, num_packets)
         entry = store.get(key)
@@ -58,7 +62,9 @@ def obtain_result(
             return entry[0]
     result = Castan(config).analyze(nf, num_packets=num_packets)
     if store is not None:
-        store.put(key, result)
+        from repro.service.store import perf_record
+
+        store.put(key, result, perf=perf_record(result, label=label))
     return result
 
 
@@ -149,15 +155,19 @@ def run_score_job(
     store=None,
     options: ScorerOptions | None = None,
     emit=None,
+    label: str = "service",
 ) -> dict:
-    """Run one score job end to end; returns the terminal summary dict."""
+    """Run one score job end to end; returns the terminal summary dict.
+
+    ``label`` names the perf record of an analysis this job stores.
+    """
     options = options or ScorerOptions()
     emit = emit or (lambda kind, payload: None)
     nf = get_nf(nf_spec)
     counters: Counter = Counter()
     # A bad traffic spec fails here, before the analysis is paid for.
     batches = _traffic_batches(nf, traffic, options, counters)
-    result = obtain_result(nf, config, num_packets, store=store)
+    result = obtain_result(nf, config, num_packets, store=store, label=label)
     report = DistillReport()
     signature_set = obtain_signatures(nf, result, config, store=store, report=report)
     emit(

@@ -15,39 +15,17 @@ instead of replaying the shared prefix again.
 from __future__ import annotations
 
 from repro.cache.hierarchy import MemoryHierarchy
-from repro.net.flows import FlowKey
-from repro.net.packet import Packet
+from repro.net.packet import FlowKey, Packet
 from repro.nf.base import NetworkFunction
 from repro.perf.cycles import CycleCosts, DEFAULT_CYCLE_COSTS
 from repro.perf.interpreter import ConcreteInterpreter
 
-Flow = tuple[int, int, int, int, int]
-
-
-def flow_packet(flow: Flow) -> Packet:
-    src_ip, dst_ip, src_port, dst_port, protocol = flow
-    return Packet(
-        src_ip=src_ip,
-        dst_ip=dst_ip,
-        src_port=src_port,
-        dst_port=dst_port,
-        protocol=protocol,
-    )
-
-
-def flow_fields(flow: Flow) -> dict[str, int]:
-    src_ip, dst_ip, src_port, dst_port, protocol = flow
-    return {
-        "src_ip": src_ip,
-        "dst_ip": dst_ip,
-        "src_port": src_port,
-        "dst_port": dst_port,
-        "protocol": protocol,
-    }
-
 
 class PrimedReplay:
     """Measure per-packet cycle cost from one primed NF state.
+
+    A flow is a :class:`~repro.net.packet.FlowKey` or any plain 5-tuple in
+    its field order.
 
     >>> from repro.nf.registry import get_nf
     >>> nf = get_nf("lpm-patricia")
@@ -59,7 +37,7 @@ class PrimedReplay:
     def __init__(
         self,
         nf: NetworkFunction,
-        priming_flows: list[Flow],
+        priming_flows: list[FlowKey],
         hierarchy: MemoryHierarchy | None = None,
         cycle_costs: CycleCosts = DEFAULT_CYCLE_COSTS,
     ) -> None:
@@ -70,16 +48,16 @@ class PrimedReplay:
             hierarchy=hierarchy or MemoryHierarchy(cycle_costs=cycle_costs),
             cycle_costs=cycle_costs,
         )
-        self.priming_flows: list[Flow] = []
+        self.priming_flows: list[FlowKey] = []
         self._prime(priming_flows)
 
-    def _prime(self, flows: list[Flow]) -> None:
+    def _prime(self, flows: list[FlowKey]) -> None:
         for flow in flows:
-            self.interpreter.process_packet(flow_packet(flow))
+            self.interpreter.process_packet(Packet(*flow))
         self.priming_flows += flows
         self._snapshot = self.interpreter.snapshot_state()
 
-    def extended(self, flows: list[Flow]) -> "PrimedReplay":
+    def extended(self, flows: list[FlowKey]) -> "PrimedReplay":
         """A replay primed with this one's flows followed by ``flows``.
 
         The state equals a fresh replay primed with the concatenation, but
@@ -93,16 +71,10 @@ class PrimedReplay:
         other._prime(flows)
         return other
 
-    def probe_cost(self, flow: Flow | FlowKey | Packet) -> int:
+    def probe_cost(self, flow: FlowKey) -> int:
         """Reference cycles for one probe packet against the primed state."""
-        if isinstance(flow, Packet):
-            packet = flow
-        elif isinstance(flow, FlowKey):
-            packet = flow.to_packet()
-        else:
-            packet = flow_packet(flow)
         self.interpreter.restore_state(self._snapshot)
-        return self.interpreter.process_packet(packet).cycles
+        return self.interpreter.process_packet(Packet(*flow)).cycles
 
-    def probe_costs(self, flows: list[Flow]) -> list[int]:
+    def probe_costs(self, flows: list[FlowKey]) -> list[int]:
         return [self.probe_cost(flow) for flow in flows]

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 from repro.hashing.functions import FLOW_HASH_MASK, MASK32
 from repro.ir.instructions import BinOpKind, CmpKind
-from repro.net.packet import PacketField
+from repro.net.packet import FlowKey, PacketField
 from repro.symbex.expr import (
     Const,
     Expr,
@@ -62,7 +62,7 @@ SIGNATURE_VERSION = "castan-signature-v3"
 #: The canonical per-packet field symbols every signature predicate is
 #: expressed over (single-packet namespace; the engine's ``pktN.*`` symbols
 #: are renamed onto these during distillation).
-FIELD_ORDER = ("src_ip", "dst_ip", "src_port", "dst_port", "protocol")
+FIELD_ORDER = FlowKey._fields
 
 _FIELD_BITS = {f.field_name: f.bits for f in PacketField}
 
@@ -137,7 +137,7 @@ class AdversarialSignature:
     threshold_cycles: int
     baseline_cycles: int = 0
     matching_cycles: int = 0  # cheapest calibrated matching probe
-    priming_flows: list[tuple[int, int, int, int, int]] = field(default_factory=list)
+    priming_flows: list[FlowKey] = field(default_factory=list)
     evidence_packets: int = 0  # workload packets matching during distillation
     stage_label: str = ""  # dominant chain stage (empty for standalone NFs)
 
@@ -183,7 +183,7 @@ def signature_from_dict(data: dict) -> AdversarialSignature:
         threshold_cycles=int(data["threshold_cycles"]),
         baseline_cycles=int(data["baseline_cycles"]),
         matching_cycles=int(data.get("matching_cycles", 0)),
-        priming_flows=[tuple(flow) for flow in data.get("priming_flows", [])],
+        priming_flows=[FlowKey(*flow) for flow in data.get("priming_flows", [])],
         evidence_packets=int(data.get("evidence_packets", 0)),
         stage_label=data.get("stage_label", ""),
     )

@@ -62,6 +62,7 @@ def run_job_worker(queue, job, store, heartbeat_interval: float = 1.0) -> None:
                 store=store,
                 options=ScorerOptions(**job.scorer_options),
                 emit=lambda kind, payload: queue.put((kind, payload)),
+                label=f"service:{job.job_id}",
             )
             perf = None  # a score job settles with its summary alone
         else:

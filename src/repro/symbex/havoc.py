@@ -7,8 +7,8 @@ replaced its output.  After the highest-cost state is selected and solved,
 :func:`reconcile_havocs` performs the paper's three-step reconciliation:
 
 1. take the hash value the solver chose for the havoc symbol;
-2. invert it with a rainbow table (brute-force augmented) to get candidate
-   keys;
+2. invert it with a rainbow table (an exact lookup over the table's stored
+   keys) to get candidate keys;
 3. ask whether a candidate key is compatible with the packet constraints;
    if so, pin the key and the (now genuine) hash value.
 
@@ -240,7 +240,8 @@ def reconcile_havocs(
             outcome.attempts += 1
             actual_hash = hash_fn(candidate_key)
             if actual_hash != desired_hash:
-                # Rainbow chains can produce false positives; skip them.
+                # Lookups are exact on the table's 16-bit mask: this rejects
+                # only a havoc value wider than the mask.
                 continue
             fields = _decompose_key_pin(record.key_expr, candidate_key)
             if fields is _PIN_CONFLICT:

@@ -30,8 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.net.flows import FlowKey, unique_flows
-from repro.net.packet import IPProtocol, Packet
+from repro.net.packet import FlowKey, IPProtocol, Packet
 from repro.nf.base import NetworkFunction
 from repro.workloads.zipf import DEFAULT_ZIPF_EXPONENT, zipf_flow_counts
 
@@ -69,7 +68,7 @@ class Workload:
 
     @property
     def flow_count(self) -> int:
-        return len(unique_flows(self.packets))
+        return len({p.flow_tuple for p in self.packets})
 
     def looped(self, total_packets: int) -> list[Packet]:
         """Replay the workload in a loop until ``total_packets`` are emitted."""
@@ -125,9 +124,7 @@ def _flow_for_index(nf: NetworkFunction, index: int, rng: random.Random) -> Flow
         src_ip = 0xC0A80000 | host
         src_port = 1024 + ((host + wrap) % 60000)
         dst_port = 80
-    return FlowKey(
-        src_ip=src_ip, dst_ip=dst_ip, src_port=src_port, dst_port=dst_port, protocol=protocol
-    )
+    return FlowKey(src_ip, dst_ip, src_port, dst_port, protocol)
 
 
 # -- the generic workloads -------------------------------------------------------------

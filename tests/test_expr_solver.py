@@ -239,22 +239,26 @@ class TestExprFastPathInvariants:
         assert make_binop(BinOpKind.ADD, Sym("h.x", bits=16), Const(3)) is expr
         assert isinstance(expr, BinExpr)
 
-    def test_pickle_reduce_roundtrip_reinterns(self):
-        expr = make_select(
-            make_cmp(CmpKind.ULT, Sym("p.s", bits=16), Const(99)),
-            make_binop(BinOpKind.XOR, Sym("p.s", bits=16), Const(0x5A)),
-            Const(1),
-        )
-        assert pickle.loads(pickle.dumps(expr)) is expr
-
-    def test_expr_pickle_reinterns(self):
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: make_select(
+                make_cmp(CmpKind.ULT, Sym("p.s", bits=16), Const(99)),
+                make_binop(BinOpKind.XOR, Sym("p.s", bits=16), Const(0x5A)),
+                Const(1),
+            ),
+            lambda: make_cmp(
+                CmpKind.ULT,
+                make_binop(BinOpKind.ADD, Sym("pkt0.src_ip", 32), Const(7)),
+                Const(1000),
+            ),
+        ],
+        ids=["select", "havoc-key"],
+    )
+    def test_pickle_reduce_roundtrip_reinterns(self, build):
         """A pickled expression (a stored result's havoc records hold them)
         loads back as the *same* interned node."""
-        expr = make_cmp(
-            CmpKind.ULT,
-            make_binop(BinOpKind.ADD, Sym("pkt0.src_ip", 32), Const(7)),
-            Const(1000),
-        )
+        expr = build()
         assert pickle.loads(pickle.dumps(expr)) is expr
 
     def test_reduce_expr_matches_slow_form(self):

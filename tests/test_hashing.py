@@ -26,11 +26,9 @@ from repro.hashing.functions import (
 )
 from repro.hashing.rainbow import (
     TABLE_CACHE_VERSION,
-    BruteForceInverter,
     RainbowTable,
     RainbowTableStats,
     build_flow_rainbow_table,
-    exhaustive_preimages,
     generic_key_sampler,
     udp_flow_key_sampler,
 )
@@ -206,20 +204,6 @@ class TestRainbowTable:
         assert columnar._keys == scalar._keys
         assert columnar._hash_column(columnar._keys) == scalar._hash_column(scalar._keys)
         assert columnar._sorted_preimages() == scalar._sorted_preimages()
-
-    def test_brute_force_inverter(self):
-        inverter = BruteForceInverter(flow_hash16, udp_flow_key_sampler)
-        target = flow_hash16(udp_flow_key_sampler(42))
-        # With a 16-bit hash and a 250k-key budget the expected number of
-        # preimages is ~4; the seeded RNG makes the outcome deterministic.
-        found = inverter.invert(target, limit=1, budget=250_000)
-        assert found and all(flow_hash16(k) == target for k in found)
-
-    def test_exhaustive_preimages_small_space(self):
-        keys = list(range(5000))
-        table = exhaustive_preimages(flow_hash16, keys)
-        for hash_value, preimages in list(table.items())[:20]:
-            assert all(flow_hash16(k) == hash_value for k in preimages)
 
 
 class _ChainWalkLookup:

@@ -1,6 +1,8 @@
 """Tests for the packet substrate: headers, checksums, flows, pcap I/O."""
 
 import io
+import json
+import pickle
 import struct
 from collections import Counter
 
@@ -10,8 +12,8 @@ from hypothesis import strategies as st
 
 from repro.net.checksum import internet_checksum, verify_checksum
 from repro.net.columns import parse_frame_columns
-from repro.net.flows import Flow, FlowKey, unique_flows
 from repro.net.packet import (
+    FlowKey,
     IPProtocol,
     Packet,
     PacketField,
@@ -33,6 +35,7 @@ from repro.net.pcap import (
 )
 from repro.scoring.signatures import FIELD_ORDER
 from repro.scoring.stream import iter_pcap_batches
+from repro.workloads.generators import Workload
 
 
 class TestChecksum:
@@ -65,16 +68,6 @@ class TestPacket:
         assert packet.src_ip < (1 << 32)
         assert packet.src_port < (1 << 16)
         assert packet.protocol < (1 << 8)
-
-    @pytest.mark.parametrize("field", list(PacketField))
-    def test_get_and_with_field(self, field):
-        packet = Packet()
-        changed = packet.with_field(field, 5)
-        assert changed.get_field(field) == 5
-        # Other fields are untouched.
-        for other in PacketField:
-            if other is not field:
-                assert changed.get_field(other) == packet.get_field(other)
 
     def test_flow_tuple(self):
         packet = make_udp_packet(1, 2, 3, 4)
@@ -121,24 +114,29 @@ class TestPacket:
 
 
 class TestFlows:
-    def test_flow_key_reversed(self):
-        key = FlowKey(1, 2, 3, 4)
-        assert key.reversed() == FlowKey(2, 1, 4, 3)
-        assert key.reversed().reversed() == key
-
-    def test_flow_key_of_packet_roundtrip(self):
+    def test_flow_key_packet_roundtrip(self):
         key = FlowKey(10, 20, 30, 40)
-        assert FlowKey.of_packet(key.to_packet()) == key
+        assert key.protocol == int(IPProtocol.UDP)
+        assert FlowKey(*key.to_packet().flow_tuple) == key
 
-    def test_flow_expansion(self):
-        flow = Flow(key=FlowKey(1, 2, 3, 4), packet_count=5)
-        packets = flow.packets()
-        assert len(packets) == 5
-        assert unique_flows(packets) == {flow.key}
+    def test_flow_key_is_its_plain_tuple(self):
+        """Sets, digests and signature payloads cannot tell the two apart."""
+        key = FlowKey(0x0A000001, 0x08080808, 1234, 80, 6)
+        plain = (0x0A000001, 0x08080808, 1234, 80, 6)
+        assert key == plain and hash(key) == hash(plain)
+        assert plain in {key} and key in {plain}
+        assert json.dumps(key) == json.dumps(plain) == json.dumps(list(plain))
+        assert pickle.loads(pickle.dumps(key)) == key
+        assert key._asdict() == dict(zip(FIELD_ORDER, plain))
 
-    def test_unique_flows_counts_distinct(self):
+    def test_field_order_is_packet_field_order(self):
+        assert FIELD_ORDER == FlowKey._fields
+        assert FIELD_ORDER == tuple(field.field_name for field in PacketField)
+        assert Packet(*FlowKey(1, 2, 3, 4, 6)).flow_tuple == (1, 2, 3, 4, 6)
+
+    def test_workload_flow_count_counts_distinct(self):
         packets = [FlowKey(1, 2, 3, p).to_packet() for p in range(10)] * 3
-        assert len(unique_flows(packets)) == 10
+        assert Workload("w", packets).flow_count == 10
 
 
 class TestPcap:

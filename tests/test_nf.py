@@ -245,12 +245,6 @@ class TestMetadata:
     def test_tree_and_lpm_nfs_do_not_hash(self, name):
         assert not get_nf(name).uses_hashing
 
-    def test_packet_from_fields_uses_defaults(self):
-        nf = get_nf("lb-hash-table")
-        packet = nf.packet_from_fields({"src_port": 7777})
-        assert packet.src_port == 7777
-        assert packet.dst_ip == VIP_ADDRESS
-
 
 #: NF name -> ``NetworkFunction.fingerprint()``.  The service result store
 #: keys analyses by this digest, so a moved fingerprint orphans every stored

@@ -35,14 +35,14 @@ from repro.core.castan import Castan
 from repro.core.config import CastanConfig
 from repro.hashing.functions import flow_hash16
 from repro.ir.instructions import CmpKind
-from repro.net.packet import make_udp_packet
+from repro.net.packet import FlowKey, Packet, make_udp_packet
 from repro.net.pcap import PcapWriter, packets_to_pcap_bytes
 from repro.nf.registry import get_nf
 from repro.perf.cycles import CycleCosts
 from repro.perf.interpreter import ConcreteInterpreter
 from repro.scoring.distill import DistillReport, _mine_matching_columns, distill_signatures
 from repro.scoring.jobs import obtain_result, obtain_signatures, run_score_job
-from repro.scoring.replay import PrimedReplay, flow_fields, flow_packet
+from repro.scoring.replay import PrimedReplay
 from repro.scoring.scorer import ScorerOptions, StreamScorer, score_batch_fields, verdict_bytes
 from repro.scoring.signatures import (
     FIELD_ORDER,
@@ -103,8 +103,8 @@ def nat_distilled(nat_store):
     return nf, signature_set
 
 
-def _flow_of(fields: dict) -> tuple[int, int, int, int, int]:
-    return tuple(fields[name] for name in FIELD_ORDER)
+def _flow_of(fields: dict) -> FlowKey:
+    return FlowKey(**fields)
 
 
 def _random_fields(nf, size: int, rng: random.Random) -> list[dict[str, int]]:
@@ -250,7 +250,7 @@ def _calibration_state(nf, signature: AdversarialSignature):
     matching: list[tuple] = []
 
     def accept(flow):
-        if flow not in priming and signature.matches(flow_fields(flow)):
+        if flow not in priming and signature.matches(flow._asdict()):
             matching.append(flow)
 
     shim = SimpleNamespace(predicate=signature.predicate)
@@ -350,8 +350,8 @@ def _fresh_cost(nf, priming, probe, config: CastanConfig) -> int:
         cycle_costs=config.cycle_costs,
     )
     for flow in priming:
-        interpreter.process_packet(flow_packet(flow))
-    return interpreter.process_packet(flow_packet(probe)).cycles
+        interpreter.process_packet(Packet(*flow))
+    return interpreter.process_packet(Packet(*probe)).cycles
 
 
 def test_calibration_runs_on_the_analysis_machine(monkeypatch):
@@ -449,7 +449,7 @@ class TestTierIdentity:
         fields = _random_fields(nf, 64, rng)
         # Seed guaranteed matches so windows carry offenders.
         for index, flow in enumerate(signature_set.signatures[0].priming_flows[:6]):
-            fields[index * 10] = flow_fields(flow)
+            fields[index * 10] = flow._asdict()
 
         def run(feed):
             scorer = StreamScorer(

@@ -124,12 +124,8 @@ def test_canonical_digest_ignores_timing_but_not_content(tmp_path):
 # -- worker process -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("nf_spec", ["chain-gateway", "nat-hash-table"])
-def test_analysis_worker_stores_the_in_process_result(nf_spec, tmp_path):
-    """An analysis job's worker process writes the same result an in-process
-    ``Castan.analyze`` computes, and sends back only JSON."""
-    store = ResultStore(tmp_path / "store")
-    job = SynthesisService(store).submit(nf_spec, SMOKE_CONFIG, num_packets=SMOKE_PACKETS)
+def _drain_worker(job, store) -> list:
+    """Run ``job``'s worker in a fresh process; its events up to the terminal one."""
     context = make_context()
     progress = context.Queue()
     process = context.Process(target=run_job_worker, args=(progress, job, store), daemon=True)
@@ -140,6 +136,16 @@ def test_analysis_worker_stores_the_in_process_result(nf_spec, tmp_path):
             events.append(progress.get(timeout=120))
     finally:
         process.join(timeout=30)
+    return events
+
+
+@pytest.mark.parametrize("nf_spec", ["chain-gateway", "nat-hash-table"])
+def test_analysis_worker_stores_the_in_process_result(nf_spec, tmp_path):
+    """An analysis job's worker process writes the same result an in-process
+    ``Castan.analyze`` computes, and sends back only JSON."""
+    store = ResultStore(tmp_path / "store")
+    job = SynthesisService(store).submit(nf_spec, SMOKE_CONFIG, num_packets=SMOKE_PACKETS)
+    events = _drain_worker(job, store)
     kind, payload = events[-1]
     assert kind == "done", payload
     assert "round" in [event[0] for event in events]
@@ -154,6 +160,17 @@ def test_analysis_worker_stores_the_in_process_result(nf_spec, tmp_path):
     assert stored.metrics.stage_cycles == local.metrics.stage_cycles
     assert bool(local.metrics.stage_cycles) == nf_spec.startswith("chain")
     assert meta["perf"] == payload["perf"]
+
+
+def test_score_worker_labels_the_analysis_it_stores(tmp_path):
+    """A score job that misses the store analyses, and the entry it writes
+    carries the job's label, as an analysis job's entry does."""
+    store = ResultStore(tmp_path / "store")
+    job = SynthesisService(store).submit_score(NF, SMOKE_CONFIG, {"synthetic": 20}, SMOKE_PACKETS)
+    kind, payload = _drain_worker(job, store)[-1]
+    assert kind == "done", payload
+    key = store.key_for(get_nf(NF), smoke_config(), SMOKE_PACKETS)
+    assert store.get_meta(key)["perf"]["label"] == f"service:{job.job_id}"
 
 
 # -- live server --------------------------------------------------------------
