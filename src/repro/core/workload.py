@@ -16,14 +16,9 @@ from repro.net.packet import Packet, PacketField
 from repro.symbex.expr import Expr, Sym
 from repro.symbex.solver import Model
 
-#: Order of entry-function parameters for every evaluation NF.
-FIELD_ORDER = (
-    PacketField.SRC_IP,
-    PacketField.DST_IP,
-    PacketField.SRC_PORT,
-    PacketField.DST_PORT,
-    PacketField.PROTOCOL,
-)
+#: Order of entry-function parameters for every evaluation NF: the 5-tuple,
+#: in :class:`~repro.net.packet.Packet`'s positional order.
+FIELD_ORDER = tuple(PacketField)
 
 
 @dataclass
@@ -68,9 +63,7 @@ def symbol_defaults(
         for field in FIELD_ORDER:
             name = packet_set.symbol_name(field)
             base = per_field_defaults.get(field.field_name, 0)
-            if field in (PacketField.SRC_PORT,):
-                base = (base + packet_set.index) & field.mask
-            elif field is PacketField.SRC_IP:
+            if field in (PacketField.SRC_IP, PacketField.SRC_PORT):
                 base = (base + packet_set.index) & field.mask
             defaults[name] = base & field.mask
     return defaults
@@ -96,17 +89,9 @@ def packets_from_model(
     defaults = symbol_defaults(packet_sets, per_field_defaults)
     packets: list[Packet] = []
     for packet_set in packet_sets:
-        fields: dict[str, int] = {}
+        values = []
         for field in FIELD_ORDER:
             name = packet_set.symbol_name(field)
-            fields[field.field_name] = model.get(name, defaults[name]) & field.mask
-        packets.append(
-            Packet(
-                src_ip=fields["src_ip"],
-                dst_ip=fields["dst_ip"],
-                src_port=fields["src_port"],
-                dst_port=fields["dst_port"],
-                protocol=fields["protocol"],
-            )
-        )
+            values.append(model.get(name, defaults[name]) & field.mask)
+        packets.append(Packet(*values))
     return packets

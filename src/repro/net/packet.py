@@ -203,42 +203,6 @@ class FlowKey(NamedTuple):
         return Packet(*self)
 
 
-def make_udp_packet(
-    src_ip: int,
-    dst_ip: int,
-    src_port: int,
-    dst_port: int,
-    payload: bytes = b"",
-) -> Packet:
-    """Convenience constructor for a UDP packet."""
-    return Packet(
-        src_ip=src_ip,
-        dst_ip=dst_ip,
-        src_port=src_port,
-        dst_port=dst_port,
-        protocol=int(IPProtocol.UDP),
-        payload=payload,
-    )
-
-
-def make_tcp_packet(
-    src_ip: int,
-    dst_ip: int,
-    src_port: int,
-    dst_port: int,
-    payload: bytes = b"",
-) -> Packet:
-    """Convenience constructor for a TCP packet."""
-    return Packet(
-        src_ip=src_ip,
-        dst_ip=dst_ip,
-        src_port=src_port,
-        dst_port=dst_port,
-        protocol=int(IPProtocol.TCP),
-        payload=payload,
-    )
-
-
 class PacketParseError(ValueError):
     """Raised when a byte buffer cannot be parsed as an Ethernet/IPv4 frame."""
 

@@ -1,10 +1,20 @@
 """Blocking stdlib client for the synthesis service.
 
 Used by the ``tools/repro_submit.py`` / ``tools/repro_status.py`` CLIs, the
-``service-smoke`` CI job and the tier-1 service tests.  One
-``http.client.HTTPConnection`` per request (the server closes connections
-after each response); :meth:`ServiceClient.stream` holds its connection
-open and yields NDJSON events as the server writes them.
+``service-smoke`` CI job and the tier-1 service tests.
+
+A client keeps one persistent ``http.client.HTTPConnection`` for its
+requests (the server keeps connections alive between responses, see
+:mod:`repro.service.http`) and holds a lock around each request, so one
+client is safe to share across threads.  The server closes a connection
+that stays idle for its read timeout; when a *reused* connection fails
+before any status line arrives, the request is sent once more on a fresh
+connection.  A failure on a fresh connection is never retried, and
+neither is a timeout: it surfaces as :class:`ServiceError` with status 0.
+
+:meth:`ServiceClient.stream` opens a connection of its own, since the
+server ends every stream by closing it, and yields NDJSON events as the
+server writes them.
 """
 
 from __future__ import annotations
@@ -13,6 +23,7 @@ import base64
 import http.client
 import json
 import pickle
+import threading
 import time
 from pathlib import Path
 from typing import Iterator
@@ -41,23 +52,39 @@ class ServiceClient:
         self.host = host
         self.port = port
         self.timeout = timeout
+        self._connection = http.client.HTTPConnection(host, port, timeout=timeout)
+        self._lock = threading.Lock()
 
     # -- plumbing -------------------------------------------------------------
 
-    def _request(self, method: str, path: str, body: dict | None = None):
-        connection = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
+    def _exchange(self, method: str, path: str, payload: bytes | None, headers: dict):
+        """Send one request on the kept connection; ``(response, body bytes)``."""
+        connection = self._connection
+        reused = connection.sock is not None  # a closed connection reconnects on send
         try:
-            payload = json.dumps(body).encode() if body is not None else None
-            headers = {"Content-Type": "application/json"} if payload else {}
             connection.request(method, path, body=payload, headers=headers)
             response = connection.getresponse()
-            raw = response.read()
-        except OSError as exc:
-            raise ServiceError(
-                0, f"cannot reach service at {self.host}:{self.port}: {exc}"
-            ) from exc
-        finally:
+        except ConnectionError:
             connection.close()
+            if not reused:
+                raise
+            # A stale keep-alive (the server closed it while idle): no status
+            # line arrived, so the request was not answered.  Once, afresh.
+            connection.request(method, path, body=payload, headers=headers)
+            response = connection.getresponse()
+        return response, response.read()
+
+    def _request(self, method: str, path: str, body: dict | None = None):
+        payload = json.dumps(body).encode() if body is not None else None
+        headers = {"Content-Type": "application/json"} if payload else {}
+        with self._lock:
+            try:
+                response, raw = self._exchange(method, path, payload, headers)
+            except (OSError, http.client.HTTPException) as exc:
+                self._connection.close()
+                raise ServiceError(
+                    0, f"cannot reach service at {self.host}:{self.port}: {exc}"
+                ) from exc
         if response.headers.get_content_type() == "application/octet-stream":
             if response.status != 200:
                 raise ServiceError(response.status, raw.decode(errors="replace"))
@@ -66,6 +93,11 @@ class ServiceClient:
         if response.status != 200:
             raise ServiceError(response.status, data.get("error", raw.decode(errors="replace")))
         return data
+
+    def close(self) -> None:
+        """Close the kept connection; a later request opens a fresh one."""
+        with self._lock:
+            self._connection.close()
 
     # -- API ------------------------------------------------------------------
 

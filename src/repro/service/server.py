@@ -6,10 +6,11 @@ long-running analysis service:
 * **submission** validates the job eagerly (unknown NF names and typoed
   config knobs fail the submit, not the worker), computes its content
   address — the NF half from the per-process
-  :func:`~repro.nf.registry.nf_identity` memo, the config half from one
-  canonicalisation and one hash — and either short-circuits to the store
-  (**cache hit**: the job is born ``done`` with the persisted result and
-  perf record, no worker ever starts and no NF is compiled) or enqueues it;
+  :func:`~repro.nf.registry.nf_identity` memo, the config half from the
+  per-process :func:`config_address` memo — and either short-circuits to
+  the store (**cache hit**: the job is born ``done`` with the persisted
+  result and perf record, no worker ever starts and no NF is compiled) or
+  enqueues it;
 * **scheduling** is a fixed set of asyncio consumer tasks
   (``max_concurrent_jobs``) pulling from one queue — submission order in,
   bounded concurrency out;
@@ -45,6 +46,8 @@ over REST and :mod:`repro.service.client` is the matching stdlib client.
 from __future__ import annotations
 
 import asyncio
+import functools
+import json
 import time
 
 from repro.core.config import CastanConfig, hash_canonical_config
@@ -70,6 +73,23 @@ _NO_EVENT = object()
 #: subscriber set — and ``GET /jobs/<id>`` answers 404 "expired".  The stored
 #: result is untouched: resubmitting is a cache hit under a new job id.
 MAX_TERMINAL_JOBS = 1024
+
+
+@functools.lru_cache(maxsize=256)
+def config_address(overrides_json: str) -> tuple[CastanConfig, dict, str]:
+    """``(config, canonical dict, content hash)`` of JSON config overrides, memoised.
+
+    Keyed by the overrides' ``json.dumps(..., sort_keys=True)`` and built from
+    that JSON, so the answer is a function of the key alone.  Resubmitting an
+    unchanged config skips its canonicalisation and its hash; the memo is
+    bounded because configs are client-supplied, and overrides that
+    :meth:`CastanConfig.from_dict` refuses raise and are not cached.
+    ``cache_info()`` is served by ``GET /healthz``.  Callers share the
+    returned config and dict and must not mutate them.
+    """
+    config = CastanConfig.from_dict(json.loads(overrides_json))
+    canonical = config.to_canonical_dict()
+    return config, canonical, hash_canonical_config(canonical)
 
 
 class SynthesisService:
@@ -138,15 +158,15 @@ class SynthesisService:
         that is not ``None`` or an int >= 0, and ``KeyError`` (with
         suggestions) for unknown NF specs.  The address equals
         ``store.key_for(get_nf(nf_spec), config, num_packets)`` at the cost
-        of a memo lookup, one config canonicalisation and one config hash.
+        of two memo lookups once the spec and the config have been seen.
         """
         # bool is an int subclass, but `true` is not a packet count.
         if num_packets is not None and (type(num_packets) is not int or num_packets < 0):
             raise ValueError(f"num_packets must be null or an int >= 0, got {num_packets!r}")
-        config = CastanConfig.from_dict(config_overrides or {})
+        config, canonical, config_hash = config_address(
+            json.dumps(config_overrides or {}, sort_keys=True)
+        )
         fingerprint, default_packets = nf_identity(nf_spec)
-        canonical = config.to_canonical_dict()
-        config_hash = hash_canonical_config(canonical)
         resolved = num_packets if num_packets is not None else config.packets_for(default_packets)
         self._submitted += 1
         job = JobRecord(

@@ -9,7 +9,7 @@ service worker) is not part of the config.  That makes results
 :meth:`NetworkFunction.fingerprint()
 <repro.nf.base.NetworkFunction.fingerprint>` of the NF it analyzed, and the
 resolved packet count — so resubmitting an unchanged job is a cache hit
-that costs one directory probe, and *any* change to the NF's code, its
+that costs one ``meta.json`` read, and *any* change to the NF's code, its
 metadata or any config knob produces a different address.
 
 On disk, each entry is a directory named by its key::
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import pickle
 import tempfile
 from dataclasses import asdict
@@ -160,6 +161,7 @@ class ResultStore:
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._root = os.fspath(self.root)
 
     # -- addressing -----------------------------------------------------------
 
@@ -198,9 +200,18 @@ class ResultStore:
         return result, meta
 
     def get_meta(self, key: str) -> dict | None:
-        if not self.has(key):
+        """The entry's metadata, or ``None`` unless both entry files exist.
+
+        This is a cache hit's only store access, so it is one ``open`` and
+        one ``stat`` on plain strings, with no pathlib probes in between.
+        """
+        entry = os.path.join(self._root, key[:2], key)
+        try:
+            with open(os.path.join(entry, "meta.json"), "rb") as handle:
+                meta = json.load(handle)
+        except FileNotFoundError:
             return None
-        return json.loads((self._entry_dir(key) / "meta.json").read_text())
+        return meta if os.path.exists(os.path.join(entry, "result.pkl")) else None
 
     def get_pickle(self, key: str) -> bytes | None:
         """The stored result's pickle bytes, unread, or ``None`` when absent."""

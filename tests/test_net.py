@@ -18,8 +18,6 @@ from repro.net.packet import (
     Packet,
     PacketField,
     PacketParseError,
-    make_tcp_packet,
-    make_udp_packet,
     parse_packet,
 )
 from repro.net.pcap import (
@@ -36,6 +34,8 @@ from repro.net.pcap import (
 from repro.scoring.signatures import FIELD_ORDER
 from repro.scoring.stream import iter_pcap_batches
 from repro.workloads.generators import Workload
+
+TCP = int(IPProtocol.TCP)
 
 
 class TestChecksum:
@@ -70,15 +70,12 @@ class TestPacket:
         assert packet.protocol < (1 << 8)
 
     def test_flow_tuple(self):
-        packet = make_udp_packet(1, 2, 3, 4)
+        packet = Packet(1, 2, 3, 4)
         assert packet.flow_tuple == (1, 2, 3, 4, int(IPProtocol.UDP))
 
-    @pytest.mark.parametrize(
-        "maker,protocol",
-        [(make_udp_packet, IPProtocol.UDP), (make_tcp_packet, IPProtocol.TCP)],
-    )
-    def test_serialise_parse_roundtrip(self, maker, protocol):
-        packet = maker(0x0A000001, 0xC0A80001, 1234, 80, payload=b"hello")
+    @pytest.mark.parametrize("protocol", [IPProtocol.UDP, IPProtocol.TCP])
+    def test_serialise_parse_roundtrip(self, protocol):
+        packet = Packet(0x0A000001, 0xC0A80001, 1234, 80, int(protocol), payload=b"hello")
         parsed = parse_packet(packet.to_bytes())
         assert parsed.src_ip == packet.src_ip
         assert parsed.dst_ip == packet.dst_ip
@@ -95,7 +92,7 @@ class TestPacket:
     )
     @settings(max_examples=50)
     def test_roundtrip_property(self, src, dst, sport, dport):
-        packet = make_udp_packet(src, dst, sport, dport)
+        packet = Packet(src, dst, sport, dport)
         parsed = parse_packet(packet.to_bytes())
         assert parsed.flow_tuple == packet.flow_tuple
 
@@ -104,13 +101,13 @@ class TestPacket:
             parse_packet(b"\x00" * 10)
 
     def test_parse_rejects_non_ipv4(self):
-        frame = bytearray(make_udp_packet(1, 2, 3, 4).to_bytes())
+        frame = bytearray(Packet(1, 2, 3, 4).to_bytes())
         frame[12:14] = b"\x86\xdd"  # IPv6 ethertype
         with pytest.raises(PacketParseError):
             parse_packet(bytes(frame))
 
     def test_wire_length_includes_headers(self):
-        assert make_udp_packet(1, 2, 3, 4).wire_length == 14 + 20 + 8
+        assert Packet(1, 2, 3, 4).wire_length == 14 + 20 + 8
 
 
 class TestFlows:
@@ -142,13 +139,13 @@ class TestFlows:
 class TestPcap:
     def test_write_read_roundtrip(self, tmp_path):
         path = tmp_path / "workload.pcap"
-        packets = [make_udp_packet(i, i + 1, 1000 + i, 80) for i in range(20)]
+        packets = [Packet(i, i + 1, 1000 + i, 80) for i in range(20)]
         assert write_pcap(path, packets) == 20
         restored = read_pcap(path)
         assert [p.flow_tuple for p in restored] == [p.flow_tuple for p in packets]
 
     def test_in_memory_roundtrip(self):
-        packets = [make_tcp_packet(1, 2, 3, 4), make_udp_packet(5, 6, 7, 8)]
+        packets = [Packet(1, 2, 3, 4, TCP), Packet(5, 6, 7, 8)]
         blob = packets_to_pcap_bytes(packets)
         reader = PcapReader(io.BytesIO(blob))
         restored = [record.to_packet() for record in reader]
@@ -198,7 +195,7 @@ class TestPcap:
         buffer = io.BytesIO()
         writer = PcapWriter(buffer)
         for i in range(5):
-            writer.write_packet(make_udp_packet(i, i, i, i))
+            writer.write_packet(Packet(i, i, i, i))
         reader = PcapReader(io.BytesIO(buffer.getvalue()))
         timestamps = [record.timestamp for record in reader]
         assert timestamps == sorted(timestamps)
@@ -217,7 +214,7 @@ class TestPcap:
             PcapReader(io.BytesIO(swapped))
 
     def test_reader_rejects_truncated_record_header(self):
-        packets = [make_udp_packet(1, 2, 3, 4)]
+        packets = [Packet(1, 2, 3, 4)]
         blob = packets_to_pcap_bytes(packets)
         # Chop the second record's header off mid-way.
         truncated = blob + b"\x00" * 7
@@ -225,7 +222,7 @@ class TestPcap:
             list(PcapReader(io.BytesIO(truncated)))
 
     def test_reader_rejects_truncated_record_data(self):
-        blob = packets_to_pcap_bytes([make_udp_packet(1, 2, 3, 4)])
+        blob = packets_to_pcap_bytes([Packet(1, 2, 3, 4)])
         with pytest.raises(PcapFormatError, match="truncated pcap record data"):
             list(PcapReader(io.BytesIO(blob[:-5])))
 
@@ -242,7 +239,7 @@ class TestPcap:
     def test_read_skips_unparseable_frames_by_default(self, tmp_path):
         path = tmp_path / "mixed.pcap"
         with PcapWriter(path) as writer:
-            writer.write_packet(make_udp_packet(1, 2, 3, 4))
+            writer.write_packet(Packet(1, 2, 3, 4))
             writer.write_frame(b"\xff" * 20)  # not an IPv4 frame
         assert len(read_pcap(path)) == 1
         with pytest.raises(PacketParseError):
@@ -273,7 +270,7 @@ class TestPcapVariants:
 
     @pytest.mark.parametrize("endian", ["<", ">"])
     def test_nanosecond_magic_is_accepted_and_scales_timestamps(self, endian):
-        frames = [make_udp_packet(1, 2, 3, 4).to_bytes(), make_tcp_packet(5, 6, 7, 8).to_bytes()]
+        frames = [Packet(1, 2, 3, 4).to_bytes(), Packet(5, 6, 7, 8, TCP).to_bytes()]
         blob = capture(frames, endian, PCAP_MAGIC_NANO, stamps=[(1, 500_000_000), (2, 1)])
         records = list(PcapReader(io.BytesIO(blob)))
         assert [record.data for record in records] == frames
@@ -283,14 +280,14 @@ class TestPcapVariants:
         assert [record.timestamp for record in micro] == [1.5, 2 + 1e-6]
 
     def test_big_endian_capture_reads_like_little_endian(self):
-        frames = [make_udp_packet(i, i + 1, 1000 + i, 80).to_bytes() for i in range(5)]
+        frames = [Packet(i, i + 1, 1000 + i, 80).to_bytes() for i in range(5)]
         big = list(PcapReader(io.BytesIO(capture(frames, ">"))))
         little = list(PcapReader(io.BytesIO(capture(frames, "<"))))
         assert big == little and [record.data for record in big] == frames
 
     @pytest.mark.parametrize("chunk", [1, 7, 16, 17, 58, 59, 200])
     def test_records_straddling_a_chunk_boundary(self, monkeypatch, chunk):
-        frames = [make_udp_packet(i, 2, 3, 4, payload=b"x" * (i % 5)).to_bytes() for i in range(9)]
+        frames = [Packet(i, 2, 3, 4, payload=b"x" * (i % 5)).to_bytes() for i in range(9)]
         frames.insert(4, b"")  # a zero-length record is a record all the same
         blob = capture(frames)
         whole = list(PcapReader(io.BytesIO(blob)))
@@ -306,7 +303,7 @@ class TestPcapVariants:
         assert cut == frames
 
     def test_records_before_a_malformed_one_are_delivered(self):
-        blob = capture([make_udp_packet(1, 2, 3, 4).to_bytes()] * 3) + b"\x00" * 7
+        blob = capture([Packet(1, 2, 3, 4).to_bytes()] * 3) + b"\x00" * 7
         seen = []
         with pytest.raises(PcapFormatError, match="truncated pcap record header"):
             for record in PcapReader(io.BytesIO(blob)):
@@ -377,8 +374,8 @@ class TestColumnarIngest:
         assert str(columns.dtype) == "uint64" and columns.shape == (5, len(rows))
 
     def test_known_frames(self):
-        udp = make_udp_packet(0x0A000001, 0x0A000002, 1234, 80, payload=b"hello")
-        tcp = make_tcp_packet(0xC0A80001, 0xFFFFFFFF, 65535, 1)
+        udp = Packet(0x0A000001, 0x0A000002, 1234, 80, payload=b"hello")
+        tcp = Packet(0xC0A80001, 0xFFFFFFFF, 65535, 1, TCP)
         ports = (4321).to_bytes(2, "big") + (53).to_bytes(2, "big")
         frames = [
             udp.to_bytes(),
@@ -408,7 +405,7 @@ class TestColumnarIngest:
     @pytest.mark.parametrize("chunk", [1, 16, 59, 333, 1 << 20])
     @pytest.mark.parametrize("endian", ["<", ">"])
     def test_batches_are_exact_whatever_the_chunking(self, monkeypatch, chunk, endian):
-        packets = [make_udp_packet(i, i + 1, 1000 + i, 80) for i in range(23)]
+        packets = [Packet(i, i + 1, 1000 + i, 80) for i in range(23)]
         frames = [packet.to_bytes() for packet in packets]
         frames[5:5] = [b"\xff" * 40, b""]  # skipped frames do not count towards a batch
         monkeypatch.setattr("repro.net.pcap.CHUNK_BYTES", chunk)
@@ -450,13 +447,13 @@ class TestColumnarIngest:
 
     @pytest.mark.parametrize("endian", ["<", ">"])
     def test_rejects_truncated_record_header(self, endian):
-        blob = capture([make_udp_packet(1, 2, 3, 4).to_bytes()], endian) + b"\x00" * 7
+        blob = capture([Packet(1, 2, 3, 4).to_bytes()], endian) + b"\x00" * 7
         with pytest.raises(PcapFormatError, match=r"record header \(7 of 16"):
             self.drain(blob)
 
     @pytest.mark.parametrize("endian", ["<", ">"])
     def test_rejects_truncated_record_data(self, endian):
-        blob = capture([make_udp_packet(1, 2, 3, 4).to_bytes()], endian)
+        blob = capture([Packet(1, 2, 3, 4).to_bytes()], endian)
         with pytest.raises(PcapFormatError, match=r"truncated pcap record data \(37 of 42"):
             self.drain(blob[:-5])
 
@@ -466,7 +463,7 @@ class TestColumnarIngest:
         with pytest.raises(PcapFormatError, match="implausible pcap record length"):
             self.drain(capture([], endian) + bogus)
         # The bound itself is a legal record.
-        frame = make_udp_packet(1, 2, 3, 4, payload=b"\x00" * (MAX_RECORD_BYTES - 42)).to_bytes()
+        frame = Packet(1, 2, 3, 4, payload=b"\x00" * (MAX_RECORD_BYTES - 42)).to_bytes()
         assert len(frame) == MAX_RECORD_BYTES
         (batch,) = self.drain(capture([frame], endian))
         assert batch["src_port"].tolist() == [3]

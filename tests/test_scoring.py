@@ -35,7 +35,7 @@ from repro.core.castan import Castan
 from repro.core.config import CastanConfig
 from repro.hashing.functions import flow_hash16
 from repro.ir.instructions import CmpKind
-from repro.net.packet import FlowKey, Packet, make_udp_packet
+from repro.net.packet import FlowKey, Packet
 from repro.net.pcap import PcapWriter, packets_to_pcap_bytes
 from repro.nf.registry import get_nf
 from repro.perf.cycles import CycleCosts
@@ -425,7 +425,7 @@ class TestTierIdentity:
         rng = random.Random(5)
         flows = [f for s in signature_set for f in s.priming_flows[:20]]
         flows += [_flow_of(f) for f in _random_fields(nf, 50, rng)]
-        packets = [make_udp_packet(*flow[:4]) for flow in flows]
+        packets = [Packet(*flow[:4]) for flow in flows]
         blob = packets_to_pcap_bytes(packets)
 
         total_matched = 0
@@ -596,7 +596,7 @@ def _mixed_capture(signature_set, nf):
     flows = [f for s in signature_set for f in s.priming_flows[:12]]
     flows += [_flow_of(f) for f in _random_fields(nf, 40, rng)]
     rng.shuffle(flows)
-    frames = [make_udp_packet(*flow[:4]).to_bytes() for flow in flows]
+    frames = [Packet(*flow[:4]).to_bytes() for flow in flows]
     plain = frames[0]
     odd = [
         plain[:12] + b"\x86\xdd" + plain[14:],  # IPv6
@@ -672,7 +672,7 @@ class TestColumnarPipeline:
     def test_capture_without_ipv4_says_why_it_scored_nothing(
         self, nat_distilled, nat_store, tmp_path, caplog
     ):
-        frame = make_udp_packet(1, 2, 3, 4).to_bytes()
+        frame = Packet(1, 2, 3, 4).to_bytes()
         with PcapWriter(path := tmp_path / "v6.pcap") as writer:
             for _ in range(5):
                 writer.write_frame(frame[:12] + b"\x86\xdd" + frame[14:])
@@ -766,7 +766,7 @@ class TestScorerPlumbing:
     def test_iter_pcap_batches_rejects_bad_batch_size(self):
         import io
 
-        blob = packets_to_pcap_bytes([make_udp_packet(1, 2, 3, 4)])
+        blob = packets_to_pcap_bytes([Packet(1, 2, 3, 4)])
         with pytest.raises(ValueError):
             list(iter_pcap_batches(io.BytesIO(blob), batch_size=0))
 

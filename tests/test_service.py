@@ -20,8 +20,10 @@ Covers the service's contract end to end, at smoke scale:
 from __future__ import annotations
 
 import asyncio
+import http.client
 import json
 import pickle
+import socket
 import threading
 import time
 from pathlib import Path
@@ -32,6 +34,7 @@ from repro.core.castan import Castan
 from repro.core.config import CastanConfig
 from repro.nf.registry import get_nf
 from repro.service.client import ServiceClient, ServiceError
+import repro.service.http as http_module
 from repro.service.http import serve
 from repro.service.lease import WorkerLease, make_context
 from repro.service.server import SynthesisService
@@ -86,6 +89,10 @@ def test_store_round_trip(tmp_path):
     # re-putting the same key is idempotent
     store.put(key, result)
     assert len(store) == 1
+    # An entry without its pickle (half-written by hand) is a miss.
+    (tmp_path / "store" / key[:2] / key / "result.pkl").unlink()
+    assert store.get_meta(key) is None
+    assert not store.has(key)
 
 
 def test_store_put_that_loses_the_race_keeps_the_stored_entry(tmp_path, monkeypatch):
@@ -213,13 +220,15 @@ def server(tmp_path_factory):
     thread = threading.Thread(target=run, daemon=True)
     thread.start()
     assert started.wait(20), "service did not boot"
-    yield ServerHandle(state["port"], state["service"])
+    handle = ServerHandle(state["port"], state["service"])
+    yield handle
 
     async def teardown() -> None:
         state["server"].close()
         await state["server"].wait_closed()
         await state["service"].shutdown()
 
+    handle.client.close()
     asyncio.run_coroutine_threadsafe(teardown(), loop).result(timeout=30)
     loop.call_soon_threadsafe(loop.stop)
     thread.join(timeout=10)
@@ -540,17 +549,120 @@ def test_a_non_utf8_header_line_answers_400(server):
     assert "malformed header line" in json.loads(body)["error"]
 
 
+# -- keep-alive transport -----------------------------------------------------
+
+
+def _read_framed_response(stream) -> tuple[bytes, dict, bytes]:
+    """``(status line, headers, body)`` of one Content-Length-framed response."""
+    status = stream.readline()
+    headers = {}
+    while (line := stream.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode().partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return status, headers, stream.read(int(headers["content-length"]))
+
+
+def test_two_requests_on_one_connection_get_two_framed_responses(server):
+    with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+        stream = sock.makefile("rb")
+        bodies = []
+        for _ in range(2):
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n")
+            status, headers, body = _read_framed_response(stream)
+            assert status.startswith(b"HTTP/1.1 200 ")
+            assert headers["connection"] == "keep-alive"
+            bodies.append(json.loads(body))
+        stream.close()
+    first, second = bodies
+    assert second["connections"] == first["connections"]  # no new connection ...
+    assert second["requests"] == first["requests"] + 1  # ... for the second request
+
+
+@pytest.mark.parametrize(
+    "request_head",
+    [
+        b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+        b"GET /healthz HTTP/1.0\r\n\r\n",
+    ],
+    ids=["connection-close", "http-1.0"],
+)
+def test_a_request_that_asks_for_close_gets_one_response_then_eof(server, request_head):
+    with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+        sock.sendall(request_head)
+        reply = b""
+        while chunk := sock.recv(65536):  # times out if the server kept it open
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 200 ")
+    assert b"Connection: close" in head.split(b"\r\n")
+    assert json.loads(body)["ok"] is True  # exactly one JSON document
+
+
+def test_a_chunked_request_body_answers_400_then_eof(server):
+    request = b"POST /jobs HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n"
+    with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+        sock.sendall(request)
+        reply = b""
+        while chunk := sock.recv(65536):  # the unread chunks are not a next request
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert "chunked" in json.loads(body)["error"]
+
+
+def _counting_connects(monkeypatch) -> list:
+    """Record every TCP connect an ``http.client.HTTPConnection`` makes."""
+    connects = []
+    real_connect = http.client.HTTPConnection.connect
+
+    def connect(self):
+        connects.append((self.host, self.port))
+        real_connect(self)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "connect", connect)
+    return connects
+
+
+def test_a_connection_the_server_dropped_while_idle_is_reopened_once(server, monkeypatch):
+    monkeypatch.setattr(http_module, "REQUEST_READ_TIMEOUT", 0.2)
+    connects = _counting_connects(monkeypatch)
+    client = ServiceClient(port=server.port, timeout=30.0)
+    assert client.health()["ok"]
+    time.sleep(0.6)  # past the idle timeout: the server closes the connection
+    job = client.submit(NF, config=SMOKE_CONFIG, num_packets=SMOKE_PACKETS)
+    assert len(connects) == 2  # the first connection and one reconnect
+    assert client.wait(job["job_id"], timeout=120)["state"] == "done"
+    client.close()
+
+
+def test_closing_the_server_does_not_wait_out_an_idle_keep_alive(tmp_path):
+    async def scenario() -> float:
+        service = SynthesisService(ResultStore(tmp_path))
+        web = await serve(service, port=0)
+        client = ServiceClient(port=web.sockets[0].getsockname()[1], timeout=10.0)
+        assert (await asyncio.to_thread(client.health))["ok"]  # its connection stays open
+        start = time.monotonic()
+        web.close()
+        await web.wait_closed()
+        elapsed = time.monotonic() - start
+        client.close()
+        await service.shutdown()
+        return elapsed
+
+    assert asyncio.run(scenario()) < 1.0
+
+
 def test_score_accepts_a_nanosecond_pcap_and_reports_skipped_frames(server, tmp_path):
     """A capture as current tcpdump writes it scores; dropped frames are counted."""
     import io
     import struct
 
-    from repro.net.packet import make_udp_packet
+    from repro.net.packet import Packet
     from repro.net.pcap import PCAP_MAGIC_NANO, PcapWriter
 
     writer = PcapWriter(buffer := io.BytesIO())
     for index in range(50):
-        writer.write_packet(make_udp_packet(index, 2, 3, 4))
+        writer.write_packet(Packet(index, 2, 3, 4))
     writer.write_frame(b"\x33" * 60)  # not IPv4
     blob = buffer.getvalue()
     path = tmp_path / "nano.pcap"
@@ -570,10 +682,10 @@ def test_score_rejects_an_unreadable_pcap_container_at_submit(server, tmp_path):
     not a job that fails later — uploaded (``pcap_b64``) or server-side path."""
     import struct
 
-    from repro.net.packet import make_udp_packet
+    from repro.net.packet import Packet
     from repro.net.pcap import packets_to_pcap_bytes
 
-    blob = packets_to_pcap_bytes([make_udp_packet(1, 2, 3, 4)])
+    blob = packets_to_pcap_bytes([Packet(1, 2, 3, 4)])
     jobs_before = len(server.client.jobs())
     path = tmp_path / "broken.pcap"
     for broken, reason in (
@@ -698,10 +810,10 @@ def test_a_truncated_pcap_record_fails_the_score_job_with_the_worker_traceback(
     scored, tmp_path
 ):
     """The global header passes the submit check; the record fails in the worker."""
-    from repro.net.packet import make_udp_packet
+    from repro.net.packet import Packet
     from repro.net.pcap import packets_to_pcap_bytes
 
-    blob = packets_to_pcap_bytes([make_udp_packet(index, 2, 3, 4) for index in range(20)])
+    blob = packets_to_pcap_bytes([Packet(index, 2, 3, 4) for index in range(20)])
     path = tmp_path / "truncated.pcap"
     path.write_bytes(blob[:-10])  # the last record's data is cut short
     job = scored.client.score(
@@ -774,6 +886,15 @@ def test_client_detects_mid_stream_eof():
     finally:
         thread.join(timeout=5)
         server_sock.close()
+
+
+def test_a_refused_connection_is_not_retried(monkeypatch):
+    connects = _counting_connects(monkeypatch)
+    client = ServiceClient(port=_free_port(), timeout=2.0)
+    with pytest.raises(ServiceError) as err:
+        client.health()
+    assert err.value.status == 0
+    assert len(connects) == 1
 
 
 # -- worker leases ------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""The service's hit path is a lookup: NF identity from a per-process memo,
-one config canonicalisation and one config hash per submission, and a job
-table that a resubmission loop cannot grow."""
+"""The service's hit path is a lookup: NF identity and the config's address
+from two bounded per-process memos, and a job table that a resubmission loop
+cannot grow."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import repro.service.server as server_module
 from repro.core.castan import Castan
 from repro.core.config import CastanConfig
 from repro.nf.registry import NF_NAMES, get_nf, nf_identity
-from repro.service.server import SynthesisService
+from repro.service.server import SynthesisService, config_address
 from repro.service.store import ResultStore
 
 SMOKE_CONFIG = {"max_states": 40, "deadline_seconds": None, "search_mode": "beam"}
@@ -71,9 +71,15 @@ def test_client_supplied_chain_specs_cannot_grow_the_memo():
     assert info.currsize <= info.maxsize == 256
 
 
-def test_identical_submissions_compile_once_and_canonicalise_once_each(
-    warm_store, monkeypatch
-):
+def test_client_supplied_configs_cannot_grow_the_config_memo(tmp_path):
+    service = SynthesisService(ResultStore(tmp_path))  # schedulers never started
+    for index in range(300):
+        service.submit(NF, {**SMOKE_CONFIG, "max_states": 1000 + index}, 3)
+    info = config_address.cache_info()
+    assert info.currsize <= info.maxsize == 256
+
+
+def test_identical_submissions_compile_once_and_canonicalise_once(warm_store, monkeypatch):
     compiles, canonicalisations = [], []
     real_get_nf, real_canonical = registry.get_nf, CastanConfig.to_canonical_dict
 
@@ -88,14 +94,15 @@ def test_identical_submissions_compile_once_and_canonicalise_once_each(
     monkeypatch.setattr(registry, "get_nf", counting_get_nf)
     monkeypatch.setattr(CastanConfig, "to_canonical_dict", counting_canonical)
     nf_identity.cache_clear()
+    config_address.cache_clear()
     service = SynthesisService(warm_store)
     jobs = [service.submit(NF, SMOKE_CONFIG, 3) for _ in range(50)]
-    memo = nf_identity.cache_info()
 
     assert all(job.cached and job.state == "done" for job in jobs)
     assert compiles == [NF]
-    assert len(canonicalisations) == 50
-    assert (memo.misses, memo.hits) == (1, 49)
+    assert len(canonicalisations) == 1
+    for memo in (nf_identity.cache_info(), config_address.cache_info()):
+        assert (memo.misses, memo.hits) == (1, 49)
 
 
 # -- bounded job table ----------------------------------------------------------
