@@ -7,7 +7,7 @@ dependency-free.
 
 Endpoints (all JSON unless noted)::
 
-    GET  /healthz                  liveness + job-state counts + store size +
+    GET  /healthz                  liveness + job-state counts +
                                    connections accepted + requests served +
                                    nf_identity and config_address memos
                                    {"hits", "misses", "size"}
@@ -256,7 +256,6 @@ def _route(rest: "RestServer", method: str, path: str, body: dict):
         return {
             "ok": True,
             "jobs": service.counts(),
-            "store_entries": len(service.store),
             "connections": rest.connections,
             "requests": rest.requests,
             # The pay-or-go counters of the hit path's two memos.

@@ -48,6 +48,18 @@ from repro.nf.base import NetworkFunction
 #: deserialised wrongly.
 STORE_VERSION = "castan-result-v1"
 
+_HEX_DIGITS = frozenset("0123456789abcdef")
+
+
+def is_store_key(key: object) -> bool:
+    """Whether ``key`` is a store address: 64 lowercase hex digits (a SHA-256).
+
+    Keys name directories and files under the store root, so anything else
+    (``..``, a path separator, a short string) is refused before it reaches
+    the filesystem.
+    """
+    return type(key) is str and len(key) == 64 and _HEX_DIGITS.issuperset(key)
+
 
 def result_address(config_hash: str, nf_fingerprint: str, num_packets: int | None) -> str:
     """The content address of one analysis, from its config's content hash."""
@@ -186,7 +198,12 @@ class ResultStore:
 
     # -- access ---------------------------------------------------------------
 
+    # A key that is not a store address (is_store_key) is a miss on every read
+    # and a ValueError on put.
+
     def has(self, key: str) -> bool:
+        if not is_store_key(key):
+            return False
         entry = self._entry_dir(key)
         return (entry / "result.pkl").exists() and (entry / "meta.json").exists()
 
@@ -205,6 +222,8 @@ class ResultStore:
         This is a cache hit's only store access, so it is one ``open`` and
         one ``stat`` on plain strings, with no pathlib probes in between.
         """
+        if not is_store_key(key):
+            return None
         entry = os.path.join(self._root, key[:2], key)
         try:
             with open(os.path.join(entry, "meta.json"), "rb") as handle:
@@ -231,6 +250,8 @@ class ResultStore:
         got there first) keeps that entry and returns its metadata, with
         the first writer's perf record.
         """
+        if not is_store_key(key):
+            raise ValueError(f"not a store key: {key!r}")
         entry = self._entry_dir(key)
         entry.parent.mkdir(parents=True, exist_ok=True)
         meta = {
@@ -281,7 +302,9 @@ class ResultStore:
     # directory ("sig/", three characters), so keys() — which only walks
     # two-character shards — never lists signature entries as results.
 
-    def _signature_path(self, key: str) -> Path:
+    def _signature_path(self, key: str) -> Path | None:
+        if not is_store_key(key):
+            return None
         return self.root / "sig" / key[:2] / f"{key}.json"
 
     def put_signatures(self, signature_set) -> str:
@@ -301,7 +324,7 @@ class ResultStore:
         from repro.scoring.signatures import signature_set_from_json
 
         path = self._signature_path(key)
-        if not path.exists():
+        if path is None or not path.exists():
             return None
         return signature_set_from_json(path.read_text())
 

@@ -19,13 +19,13 @@ Interned nodes live for the process lifetime; long-running drivers can call
 
 Two concrete-execution fast paths are built on top of the interning:
 
-* every node lazily caches a **compiled evaluator** (a closure tree built
-  once per interned node) so repeated concrete evaluation — the solver's
-  backtracking consistency checks, :func:`evaluate` — costs plain integer
-  operations instead of tree substitution;
+* every node lazily caches its **scalar evaluator** (:func:`dag_evaluator`,
+  one step per unique DAG node) so repeated concrete evaluation — the
+  solver's backtracking consistency checks, :func:`evaluate` — costs plain
+  integer operations instead of tree substitution;
 * :func:`reduce_expr` is an exact, memoised equivalent of
   ``simplify(substitute(expr, assignment))``: fully-covered expressions go
-  through the compiled evaluator without interning any intermediate node,
+  through the scalar evaluator without interning any intermediate node,
   and partially-covered reductions are memoised on (node, assignment
   projection) so backtracking and repeated ``Solver.check`` calls stop
   re-deriving the same reductions.
@@ -279,45 +279,6 @@ def const(value: int) -> Const:
     return Const(value & MACHINE_MASK)
 
 
-def _closure_evaluator(expr: Expr):
-    """A closure calling the children's cached evaluators."""
-    kind = type(expr)
-    if kind is BinExpr:
-        lf = compiled_evaluator(expr.lhs)
-        rf = compiled_evaluator(expr.rhs)
-        op = BINOP_FUNCS[expr.op]
-        return lambda a, _op=op, _lf=lf, _rf=rf: _op(_lf(a), _rf(a))
-    if kind is CmpExpr:
-        lf = compiled_evaluator(expr.lhs)
-        rf = compiled_evaluator(expr.rhs)
-        op = CMP_FUNCS[expr.pred]
-        return lambda a, _op=op, _lf=lf, _rf=rf: _op(_lf(a), _rf(a))
-    if kind is SelectExpr:
-        cf = compiled_evaluator(expr.cond)
-        tf = compiled_evaluator(expr.if_true)
-        ff = compiled_evaluator(expr.if_false)
-        return lambda a, _cf=cf, _tf=tf, _ff=ff: _tf(a) if _cf(a) else _ff(a)
-    raise TypeError(f"cannot evaluate {expr!r}")
-
-
-def compiled_evaluator(expr: Expr):
-    """The node's compiled concrete evaluator (built once, cached on the node).
-
-    The returned callable maps an assignment dict to the expression's value
-    under exactly :func:`evaluate`'s semantics: symbols read
-    ``assignment[name] & mask`` (raising ``KeyError`` when missing — callers
-    that want missing symbols to read 0 pass a ``__missing__``-style dict),
-    and only the taken branch of a select is evaluated.
-
-    It is a closure tree: a node's closure calls its children's cached
-    closures, so a subtree shared by many constraints compiles once.
-    """
-    ev = expr._evaluator
-    if ev is None:
-        ev = expr._evaluator = _closure_evaluator(expr)
-    return ev
-
-
 #: Partial reductions, keyed on (node, the assignment's values for the
 #: node's ``symbol_names`` in that frozenset's iteration order).  The
 #: frozenset belongs to the interned node, so its order is fixed for the
@@ -333,10 +294,14 @@ def reduce_expr(expr: Expr, assignment: dict[str, int]) -> Expr:
     this equivalence for byte-identical outputs):
 
     1. no assigned symbol occurs in ``expr`` → ``simplify(expr)`` (cached);
-    2. *every* symbol is assigned → the compiled evaluator computes the
+    2. *every* symbol is assigned → the scalar evaluator computes the
        concrete value directly — no intermediate node is interned;
     3. partial coverage → the substitution runs once and is memoised on
        (node, projection of the assignment onto the node's symbols).
+
+    Constants are interned, so the solver's backtracking consistency checks
+    (the hottest loop of ``Solver.check``) test a pre-normalised constraint
+    with ``reduce_expr(constraint, assignment) is FALSE``.
     """
     names = expr.symbol_names
     if not names or not assignment:
@@ -350,40 +315,12 @@ def reduce_expr(expr: Expr, assignment: dict[str, int]) -> Expr:
     if not hit:
         return simplify(expr)
     if not missing:
-        return Const((expr._evaluator or compiled_evaluator(expr))(assignment))
+        return Const((expr._evaluator or dag_evaluator(expr))(assignment))
     key = (expr, tuple(map(assignment.get, names)))
     reduced = _REDUCE_MEMO.get(key)
     if reduced is None:
         reduced = _REDUCE_MEMO[key] = simplify(substitute(expr, assignment))
     return reduced
-
-
-def reduce_concrete(expr: Expr, assignment: dict[str, int]) -> int | None:
-    """``reduce_expr(...)``'s value when it collapses to a constant, else None.
-
-    Exactly equivalent to ``reduce_expr(expr, assignment)`` followed by an
-    ``isinstance(_, Const)`` check on a *pre-normalised* expression (one that
-    is its own ``simplify`` fixpoint and is not already ``Const``), but skips
-    interning the result constant.  The solver's backtracking consistency
-    checks — the hottest loop of ``Solver.check`` — use this form.
-    """
-    names = expr.symbol_names
-    if not names or not assignment:
-        return None
-    missing = hit = False
-    for name in names:
-        if name in assignment:
-            hit = True
-        else:
-            missing = True
-    if not hit:
-        return None
-    if not missing:
-        return (expr._evaluator or compiled_evaluator(expr))(assignment)
-    reduced = reduce_expr(expr, assignment)
-    if reduced.__class__ is Const:
-        return reduced.value
-    return None
 
 
 def make_binop(op: BinOpKind, lhs: Expr, rhs: Expr) -> Expr:
@@ -548,11 +485,15 @@ def symbols_of(expr: Expr) -> frozenset[Sym]:
 def evaluate(expr: Expr, assignment: dict[str, int]) -> int:
     """Evaluate ``expr`` under a complete assignment of its symbols.
 
-    Raises ``KeyError`` if a required symbol is missing from ``assignment``.
-    Runs through the node's compiled evaluator, so repeated evaluation of
-    the same (interned) expression is pure integer work.
+    Raises ``KeyError`` if any symbol of ``expr`` is missing from
+    ``assignment``, including one read only by the untaken arm of a select
+    (:func:`dag_evaluator` evaluates both).  Every caller passes a model or
+    packet that assigns all of the expression's symbols, or catches the
+    ``KeyError`` to mean "not assigned".  Runs through the node's cached
+    evaluator, so repeated evaluation of the same (interned) expression is
+    pure integer work.
     """
-    return (expr._evaluator or compiled_evaluator(expr))(assignment)
+    return (expr._evaluator or dag_evaluator(expr))(assignment)
 
 
 #: Subtrees at least this deep get their substitutions memoised; shallower
@@ -674,17 +615,7 @@ def _vec_tables(np):
     u64 = np.uint64
     zero = u64(0)
     mask = u64(MACHINE_MASK)
-    shift_cap = u64(63)
     one = u64(1)
-    bits = u64(MACHINE_BITS)
-
-    def shl(x, y):
-        ok = np.less(y, bits)
-        return np.where(ok, np.left_shift(x, np.minimum(y, shift_cap)), zero)
-
-    def lshr(x, y):
-        ok = np.less(y, bits)
-        return np.where(ok, np.right_shift(x, np.minimum(y, shift_cap)), zero)
 
     def udiv(x, y):
         nz = np.not_equal(y, zero)
@@ -703,8 +634,9 @@ def _vec_tables(np):
         BinOpKind.AND: np.bitwise_and,
         BinOpKind.OR: np.bitwise_or,
         BinOpKind.XOR: np.bitwise_xor,
-        BinOpKind.SHL: shl,
-        BinOpKind.LSHR: lshr,
+        # numpy's uint64 shifts already give 0 for widths of 64 or more.
+        BinOpKind.SHL: np.left_shift,
+        BinOpKind.LSHR: np.right_shift,
     }
 
     def mk_cmp(fn):
@@ -721,26 +653,12 @@ def _vec_tables(np):
         CmpKind.UGT: mk_cmp(np.greater),
         CmpKind.UGE: mk_cmp(np.greater_equal),
     }
-
-    def zeros(x, y):
-        return np.zeros(np.shape(x), dtype=u64)
-
-    def by_constant(fn, c):
-        """``fn`` for a constant right operand ``c``: a shift by ``c`` is one
-        ufunc (or the zero column for ``c >= 64``); anything else is ``fn``."""
-        if fn is shl or fn is lshr:
-            if c >= MACHINE_BITS:
-                return zeros
-            return np.left_shift if fn is shl else np.right_shift
-        return fn
-
-    return binop, cmp, by_constant
+    return binop, cmp
 
 
-#: numpy-ufunc twins of BINOP_FUNCS / CMP_FUNCS and the constant-operand
-#: specialiser, built by the first :func:`column_evaluator` call (None until
-#: then).
-VEC_BINOP_FUNCS = VEC_CMP_FUNCS = _vec_by_constant = None
+#: numpy-ufunc twins of BINOP_FUNCS / CMP_FUNCS, built by the first
+#: :func:`column_evaluator` call (None until then).
+VEC_BINOP_FUNCS = VEC_CMP_FUNCS = None
 
 
 def _postorder(expr: Expr) -> list[Expr]:
@@ -841,18 +759,16 @@ def column_evaluator(expr: Expr):
     evaluates both branches (they are total functions) and merges them
     lanewise.  Runs :func:`_dag_schedule`, so each unique node is computed
     once, and drops each column after its last reader, so a call holds only
-    the DAG's live frontier.  A shift by a constant runs as the bare ufunc
-    (or the zero column for a width of 64 or more).  Evaluators are cached
-    per interned node.  Raises ``ImportError`` (:func:`require_numpy`)
-    without numpy.
+    the DAG's live frontier.  Evaluators are cached per interned node.
+    Raises ``ImportError`` (:func:`require_numpy`) without numpy.
     """
-    global VEC_BINOP_FUNCS, VEC_CMP_FUNCS, _vec_by_constant
+    global VEC_BINOP_FUNCS, VEC_CMP_FUNCS
     ev = _COLUMN_EVALUATORS.get(expr)
     if ev is not None:
         return ev
     np = require_numpy()
     if VEC_BINOP_FUNCS is None:
-        VEC_BINOP_FUNCS, VEC_CMP_FUNCS, _vec_by_constant = _vec_tables(np)
+        VEC_BINOP_FUNCS, VEC_CMP_FUNCS = _vec_tables(np)
     steps, release = _dag_schedule(
         expr,
         VEC_BINOP_FUNCS,
@@ -860,12 +776,6 @@ def column_evaluator(expr: Expr):
         np.uint64,
         lambda sym: None if sym.bits == MACHINE_BITS else np.uint64(sym.mask),
     )
-    steps = [
-        (2, _vec_by_constant(step[1], steps[step[3]][1]), step[2], step[3])
-        if step[0] == 2 and steps[step[3]][0] == 0
-        else step
-        for step in steps
-    ]
     plan = list(zip(steps, release))
 
     def ev(columns, _plan=plan, _np=np, _zero=np.uint64(0)):
@@ -891,42 +801,65 @@ def column_evaluator(expr: Expr):
     return ev
 
 
-_DAG_EVALUATORS = BoundedMemo("dag_evaluators")
+def _pair(if_true: int, if_false: int) -> tuple[int, int]:
+    return (if_true, if_false)
+
+
+def _pick(cond: int, arms: tuple[int, int]) -> int:
+    return arms[0] if cond else arms[1]
 
 
 def dag_evaluator(expr: Expr):
-    """A scalar evaluator that computes each unique DAG node exactly once.
+    """The node's scalar evaluator: each unique DAG node is computed once.
 
-    :func:`evaluate` walks the expression as a *tree*: a shared node is
-    re-evaluated once per reference, which is exponential on heavily shared
-    DAGs like the symbolically unrolled flow hash.  The returned callable is
-    value-identical to ``evaluate(expr, assignment)`` for every complete
-    assignment — every operator (including ``UDIV``/``UREM``) is total, so
-    evaluating both branches of a select instead of only the taken one
-    cannot change the result — but runs in time linear in the number of
-    *unique* nodes.  Needs no numpy; this is the scalar reference path of
-    the scoring layer, the same schedule as :func:`column_evaluator`.
+    The returned callable maps an assignment dict to the expression's value:
+    symbols read ``assignment[name] & mask`` and every operator follows
+    :data:`BINOP_FUNCS` / :data:`CMP_FUNCS`.  It runs :func:`_dag_schedule`,
+    so its cost is linear in the number of *unique* nodes even on heavily
+    shared DAGs like the symbolically unrolled flow hash, where a walk per
+    reference is exponential.  A select evaluates both arms (every operator,
+    ``UDIV``/``UREM`` included, is total, so no value changes), which means
+    every symbol of ``expr`` must be assigned: a missing one raises
+    ``KeyError`` even when only an untaken arm reads it.
+
+    Built once and cached on the interned node (``_evaluator``); ``Const``
+    and ``Sym`` nodes carry a preset one.  The constants are pre-filled into
+    a template slot list that each call copies, then the symbols are read
+    and the operator steps run, the root's last; a select is two operator
+    steps, ``_pick(cond, _pair(if_true, if_false))``.
     """
-    ev = _DAG_EVALUATORS.get(expr)
+    ev = expr._evaluator
     if ev is not None:
         return ev
     steps, _ = _dag_schedule(expr, BINOP_FUNCS, CMP_FUNCS, int, lambda sym: sym.mask)
+    template = [0] * len(steps)
+    reads = []
+    ops = []
+    for slot, step in enumerate(steps):
+        tag = step[0]
+        if tag == 0:
+            template[slot] = step[1]
+        elif tag == 1:
+            reads.append((slot, step[1], step[2]))
+        elif tag == 2:
+            ops.append((slot, step[1], step[2], step[3]))
+        else:
+            template.append(0)
+            arms = len(template) - 1
+            ops.append((arms, _pair, step[2], step[3]))
+            ops.append((slot, _pick, step[1], arms))
+    *body, (_, root_fn, root_x, root_y) = ops
 
-    def ev(assignment, _steps=steps):
-        slots = [0] * len(_steps)
-        for index, step in enumerate(_steps):
-            tag = step[0]
-            if tag == 2:
-                slots[index] = step[1](slots[step[2]], slots[step[3]])
-            elif tag == 1:
-                slots[index] = assignment[step[1]] & step[2]
-            elif tag == 0:
-                slots[index] = step[1]
-            else:
-                slots[index] = slots[step[2]] if slots[step[1]] else slots[step[3]]
-        return slots[-1]
+    def ev(assignment, _template=template, _reads=reads, _body=body,
+           _fn=root_fn, _x=root_x, _y=root_y):
+        slots = _template.copy()
+        for slot, name, mask in _reads:
+            slots[slot] = assignment[name] & mask
+        for slot, fn, x, y in _body:
+            slots[slot] = fn(slots[x], slots[y])
+        return _fn(slots[_x], slots[_y])
 
-    _DAG_EVALUATORS[expr] = ev
+    expr._evaluator = ev
     return ev
 
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Sequence
 
-from repro.symbex.expr import Const, Expr, evaluate, reduce_concrete, reduce_expr
+from repro.symbex.expr import Const, Expr, evaluate, reduce_expr
 from repro.symbex.memo import MEMOS, BoundedMemo, clear_memos
 from repro.symbex.solver import (
     PROPAGATION_UNSAT,
@@ -480,9 +480,14 @@ class SolverContext:
     def pinned_value(self, expr: Expr) -> int | None:
         """The value of ``expr`` if propagation has pinned every symbol it reads.
 
-        None on an ``unsat`` context, whose assignment proves nothing.
+        None on an ``unsat`` context, whose assignment proves nothing, and
+        when propagation has pinned none of the symbols ``expr`` reads (a
+        constant ``expr`` included): the caller then probes as usual.
         """
-        return None if self.unsat else reduce_concrete(expr, self._assignment)
+        if self.unsat or self._assignment.keys().isdisjoint(expr.symbol_names):
+            return None
+        reduced = reduce_expr(expr, self._assignment)
+        return reduced.value if reduced.__class__ is Const else None
 
     def assignment_of(self, name: str) -> int | None:
         """The pinned value of a symbol, if propagation fully determined it."""

@@ -33,12 +33,12 @@ from repro.ir.instructions import BinOpKind, CmpKind
 from repro.symbex.expr import (
     BinExpr,
     CmpExpr,
+    FALSE,
     Const,
     Expr,
     SelectExpr,
     Sym,
     evaluate,
-    reduce_concrete,
     reduce_expr,
     simplify,
     symbols_of,
@@ -932,7 +932,7 @@ class Solver:
             # inputs are pre-reduced, so a reduction is symbol-free exactly
             # when it is constant (non-constant reductions were never checked).
             for c in constraints:
-                if reduce_concrete(c, assignment) == 0:
+                if reduce_expr(c, assignment) is FALSE:
                     return False
             return True
         name = order[position]
@@ -997,7 +997,7 @@ class Solver:
     def _consistent(self, constraints: list[Expr], assignment: dict[str, int]) -> bool:
         """Check constraints that have become fully concrete."""
         for constraint in constraints:
-            if reduce_concrete(constraint, assignment) == 0:
+            if reduce_expr(constraint, assignment) is FALSE:
                 return False
         return True
 

@@ -556,6 +556,13 @@ class TestPinnedPointerFastPath:
             assert fast_probes >= 1
         assert fast.index == 0  # unsat: no candidate is feasible and there is no value
 
+    def test_pinned_value_needs_a_pinned_symbol(self):
+        context = SolverContext()
+        context.add(expr_eq(Sym("h", 16), Const(7)))
+        assert context.pinned_value(make_binop(BinOpKind.AND, Sym("h", 16), Const(0xFFF))) == 7
+        assert context.pinned_value(Sym("g", 16)) is None
+        assert context.pinned_value(Const(5)) is None  # reads no symbol: probe as before
+
     @pytest.mark.parametrize("nf_name", ["nat-hash-ring", "policer-two-choice"])
     def test_analysis_is_identical_with_probing_forced(self, nf_name, monkeypatch):
         """Differential: the fast path changes no decision, constraint or count."""

@@ -1,11 +1,12 @@
 """The columnar evaluator against the scalar references.
 
-``column_evaluator`` runs an expression's DAG schedule over uint64 columns,
-drops each slot after its last reader and runs a shift by a constant as
-the bare ufunc (or the zero column for a width of 64 or more).  These
-tests hold it lane-for-lane to ``dag_evaluator`` and ``evaluate`` on random
-DAGs with shared subexpressions and edge-case constants, and bound the
-memory one call holds on the flow-hash predicate the scorer runs.
+``column_evaluator`` runs an expression's DAG schedule over uint64 columns
+and drops each slot after its last reader; its shifts are numpy's bare
+ufuncs, which give 0 for widths of 64 or more.  These tests hold it
+lane-for-lane to ``dag_evaluator`` and ``evaluate`` on random DAGs with
+shared subexpressions and edge-case constants, pin the wide shift widths,
+and bound the memory one call holds on the flow-hash predicate the scorer
+runs.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from repro.symbex.expr import (
 #: Symbols of three widths: the runner masks a narrow symbol's column.
 SYMS = (Sym("col_a"), Sym("col_b", bits=16), Sym("col_c", bits=8))
 
-#: Shift widths at the guard's edges (0, 1, 63, 64, all ones), divisors 0
+#: Shift widths at the word's edges (0, 1, 63, 64, all ones), divisors 0
 #: and 1, and the top bit.
 EDGE_VALUES = (0, 1, 63, 64, 1 << 63, MACHINE_MASK)
 
@@ -112,6 +113,27 @@ def test_every_operator_by_every_edge_constant(op, value):
     reference = dag_evaluator(expr)
     for lane, word in enumerate(column.tolist()):
         assert int(out[lane]) == reference({"col_a": word}) == evaluate(expr, {"col_a": word})
+
+
+#: Shift widths past the word: the bare ufuncs must map each to 0.
+WIDE_SHIFTS = (64, 65, 1 << 63, MACHINE_MASK)
+
+
+@pytest.mark.parametrize("op", (BinOpKind.SHL, BinOpKind.LSHR), ids=lambda op: op.value)
+def test_shifts_of_64_bits_or_more_read_zero(op):
+    gen = np.random.default_rng(11)
+    words = gen.integers(0, MACHINE_MASK, size=64, dtype=np.uint64, endpoint=True)
+    words[: len(EDGE_VALUES)] = EDGE_VALUES
+    widths = np.resize(np.asarray(WIDE_SHIFTS, dtype=np.uint64), words.shape)
+    columns = {"col_a": words, "col_shift": widths}
+    exprs = [BinExpr(op, SYMS[0], Sym("col_shift"))]
+    exprs += [BinExpr(op, SYMS[0], Const(width)) for width in WIDE_SHIFTS]
+    for expr in exprs:
+        out = np.broadcast_to(column_evaluator(expr)(columns), words.shape)
+        reference = dag_evaluator(expr)
+        for lane, (word, width) in enumerate(zip(words.tolist(), widths.tolist())):
+            row = {"col_a": word, "col_shift": width}
+            assert int(out[lane]) == reference(row) == 0, (expr, row)
 
 
 def _bucket_predicate():

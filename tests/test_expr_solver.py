@@ -14,7 +14,7 @@ from repro.symbex.expr import (
     Const,
     SelectExpr,
     Sym,
-    compiled_evaluator,
+    dag_evaluator,
     evaluate,
     expr_eq,
     expr_ne,
@@ -22,7 +22,6 @@ from repro.symbex.expr import (
     make_binop,
     make_cmp,
     make_select,
-    reduce_concrete,
     reduce_expr,
     simplify,
     substitute,
@@ -285,12 +284,9 @@ class TestExprFastPathInvariants:
             for assignment in assignments:
                 slow = simplify(substitute(expr, assignment))
                 assert reduce_expr(expr, assignment) is slow
-                concrete = reduce_concrete(expr, assignment)
-                if concrete is not None:
-                    assert Const(concrete) is slow
 
 
-# -- the generated-source evaluator the closure trees replaced, kept verbatim ------
+# -- a generated-source evaluator, kept as the scalar evaluator's oracle ----------
 
 MACHINE_MASK = (1 << 64) - 1
 
@@ -407,8 +403,8 @@ def expression_dags(draw):
     return nodes[-1]
 
 
-class TestClosureEvaluator:
-    """The node-cached closure trees against the generated-source evaluator."""
+class TestDagEvaluator:
+    """The node-cached DAG schedules against the generated-source evaluator."""
 
     @given(
         expression_dags(),
@@ -417,7 +413,7 @@ class TestClosureEvaluator:
     @settings(max_examples=150, deadline=None)
     def test_matches_the_codegen_reference(self, expr, values):
         assignment = {s.name: v for s, v in zip(EVAL_SYMBOLS, values)}
-        assert compiled_evaluator(expr)(assignment) == codegen_reference(expr)(assignment)
+        assert dag_evaluator(expr)(assignment) == codegen_reference(expr)(assignment)
         assert evaluate(expr, assignment) == codegen_reference(expr)(assignment)
 
     @pytest.mark.parametrize(
@@ -445,7 +441,7 @@ class TestClosureEvaluator:
     def test_edge_semantics_match_the_codegen_reference(self, build, a, b):
         expr = build(Sym("ev.x", 64), Sym("ev.y", 64))
         assignment = {"ev.x": a, "ev.y": b}
-        assert compiled_evaluator(expr)(assignment) == codegen_reference(expr)(assignment)
+        assert dag_evaluator(expr)(assignment) == codegen_reference(expr)(assignment)
 
     def test_deep_and_shared_trees_match_the_codegen_reference(self):
         x, y = Sym("ev.x", 64), Sym("ev.y", 16)
@@ -458,12 +454,31 @@ class TestClosureEvaluator:
             tower = BinExpr(BinOpKind.ADD, tower, tower)
         for expr in (chain, tower):
             for assignment in ({"ev.x": 3, "ev.y": 5}, {"ev.x": MACHINE_MASK, "ev.y": 0}):
-                assert compiled_evaluator(expr)(assignment) == codegen_reference(expr)(assignment)
-        # Beyond what the reference would compile, shared children still
-        # evaluate through their own cached closures.
+                assert dag_evaluator(expr)(assignment) == codegen_reference(expr)(assignment)
+        # Beyond what the reference would compile, a shared child is still
+        # computed once per call.
         for _ in range(10):
             tower = BinExpr(BinOpKind.ADD, tower, tower)
-        assert compiled_evaluator(tower)({"ev.y": 1}) == 1 << 20
+        assert dag_evaluator(tower)({"ev.y": 1}) == 1 << 20
+
+    def test_a_64_level_doubling_tower_is_linear(self):
+        # Each level reads the one below twice: 2**64 reads as a tree, 129
+        # steps as a schedule.
+        y = Sym("ev.y", 16)
+        tower, expected = y, 3
+        for _ in range(64):
+            tower = BinExpr(BinOpKind.ADD, BinExpr(BinOpKind.MUL, tower, tower), Const(1))
+            expected = (expected * expected + 1) & MACHINE_MASK
+        assert evaluate(tower, {"ev.y": 3}) == expected
+        assert reduce_expr(tower, {"ev.y": 3}) is Const(expected)
+        assert evaluate(CmpExpr(CmpKind.EQ, tower, Const(expected)), {"ev.y": 3}) == 1
+
+    def test_a_select_reads_the_symbols_of_both_arms(self):
+        # Both arms run, so an assignment must cover every symbol.
+        expr = SelectExpr(Sym("ev.x", 64), Sym("ev.y", 64), Const(7))
+        assert evaluate(expr, {"ev.x": 0, "ev.y": 5}) == 7
+        with pytest.raises(KeyError):
+            evaluate(expr, {"ev.x": 0})
 
 
 # -- explicit-stack walks vs the recursive closures they replaced -----------------

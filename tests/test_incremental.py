@@ -270,7 +270,7 @@ class TestSolverContext:
         reduce_expr(make_cmp(CmpKind.ULT, make_binop(BinOpKind.ADD, x, y), Const(9)), {"x": 1})
         dag_evaluator(make_binop(BinOpKind.XOR, x, y))
         assert _FEASIBLE_MEMO and _SET_IDS
-        assert len(MEMOS) == 9
+        assert len(MEMOS) == 8
         clear_expression_caches()
         assert [memo.name for memo in MEMOS if memo] == []
 

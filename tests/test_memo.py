@@ -1,11 +1,12 @@
 """The symbolic layer's one memo type: bounded, counting, registered."""
 
+import numpy as np
 import pytest
 
 from repro.ir.instructions import BinOpKind
 from repro.symbex import expr as expr_module
 from repro.symbex import memo as memo_module
-from repro.symbex.expr import Const, Sym, column_evaluator, dag_evaluator, evaluate, make_binop
+from repro.symbex.expr import Const, Sym, column_evaluator, evaluate, make_binop
 from repro.symbex.memo import MISSING, BoundedMemo
 
 
@@ -45,20 +46,15 @@ def test_clear_memos_empties_every_registered_memo(private_registry):
     assert not first and not second
 
 
-@pytest.mark.parametrize(
-    "memo, build",
-    [
-        (expr_module._DAG_EVALUATORS, dag_evaluator),
-        (expr_module._COLUMN_EVALUATORS, column_evaluator),
-    ],
-)
-def test_evaluator_caches_are_bounded(monkeypatch, memo, build):
+def test_column_evaluator_cache_is_bounded(monkeypatch):
+    memo = expr_module._COLUMN_EVALUATORS
     monkeypatch.setattr(memo, "limit", 4)
     x = Sym("x", 16)
     roots = [make_binop(BinOpKind.ADD, x, Const(offset)) for offset in range(1, 13)]
     for root in roots:
-        assert build(root) is not None
+        assert column_evaluator(root) is not None
         assert len(memo) <= 4
     assert memo.clears >= 2
     # A rebuilt evaluator after a self-clear computes the same values.
-    assert dag_evaluator(roots[0])({"x": 7}) == evaluate(roots[0], {"x": 7}) == 8
+    column = np.asarray([7], dtype=np.uint64)
+    assert int(column_evaluator(roots[0])({"x": column})[0]) == evaluate(roots[0], {"x": 7}) == 8

@@ -119,6 +119,23 @@ def test_store_put_that_loses_the_race_keeps_the_stored_entry(tmp_path, monkeypa
         store.put(key, result)
 
 
+def test_store_refuses_keys_that_are_not_addresses(tmp_path):
+    # A meta.json and a result.pkl planted two levels above the store root:
+    # the key ".." would name that directory as an entry.
+    (tmp_path / "meta.json").write_text(json.dumps({"planted": True}))
+    (tmp_path / "result.pkl").write_bytes(pickle.dumps("planted"))
+    store = ResultStore(tmp_path / "a" / "store")
+    for key in ("..", "../..", "ab", "0" * 63, "0" * 65, "F" * 64, 7):
+        assert not store.has(key)
+        assert store.get(key) is None
+        assert store.get_meta(key) is None
+        assert store.get_pickle(key) is None
+        assert store.get_signatures(key) is None
+        with pytest.raises(ValueError, match="not a store key"):
+            store.put(key, None)
+    assert store.keys() == []
+
+
 def test_canonical_digest_ignores_timing_but_not_content(tmp_path):
     result = analyze_smoke(NF)
     clone = pickle.loads(pickle.dumps(result))
@@ -192,8 +209,12 @@ class ServerHandle:
 
 @pytest.fixture(scope="module")
 def server(tmp_path_factory):
-    """A real server on an ephemeral port, backed by a throwaway store."""
-    store_root = tmp_path_factory.mktemp("service-store")
+    """A real server on an ephemeral port, backed by a throwaway store.
+
+    The store sits two levels below a directory of its own, so a test can
+    plant files where the key ``..`` would point.
+    """
+    store_root = tmp_path_factory.mktemp("service") / "a" / "store"
     loop = asyncio.new_event_loop()
     started = threading.Event()
     state: dict = {}
@@ -232,12 +253,39 @@ def server(tmp_path_factory):
     asyncio.run_coroutine_threadsafe(teardown(), loop).result(timeout=30)
     loop.call_soon_threadsafe(loop.stop)
     thread.join(timeout=10)
+    loop.close()
 
 
 def test_health(server):
     health = server.client.health()
     assert health["ok"] is True
     assert set(health["nf_identity"]) == {"hits", "misses", "size"}
+
+
+def test_health_does_not_walk_the_store(server, monkeypatch):
+    def refuse():
+        raise AssertionError("/healthz listed the store")
+
+    monkeypatch.setattr(server.service.store, "keys", refuse)
+    assert server.client.health()["ok"] is True
+
+
+def test_a_store_key_that_is_not_an_address_answers_404(server):
+    # An entry planted where the key ".." points: above the store root.
+    planted = server.service.store.root.parent.parent
+    (planted / "meta.json").write_text(json.dumps({"planted": True}))
+    (planted / "result.pkl").write_bytes(pickle.dumps("planted"))
+    connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+    try:
+        for key in ("..", "ab", "A" * 64):
+            connection.request("GET", f"/store/{key}")
+            response = connection.getresponse()
+            body = json.loads(response.read())
+            assert response.status == 404, (key, body)
+    finally:
+        connection.close()
+        (planted / "meta.json").unlink()
+        (planted / "result.pkl").unlink()
 
 
 def test_submit_stream_and_cache_hit_identity(server):

@@ -27,7 +27,7 @@ from repro.service.client import ServiceClient, ServiceError  # noqa: E402
 def show_jobs(client: ServiceClient) -> None:
     health = client.health()
     counts = ", ".join(f"{state}={n}" for state, n in sorted(health["jobs"].items()))
-    print(f"service ok; jobs: {counts or 'none'}; store entries: {health['store_entries']}")
+    print(f"service ok; jobs: {counts or 'none'}; store entries: {len(client.store_keys())}")
     jobs = client.jobs()
     if not jobs:
         return
