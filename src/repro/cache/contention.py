@@ -64,9 +64,11 @@ class ContentionSets:
     def from_oracle(cls, hierarchy: MemoryHierarchy, addresses: list[int]) -> "ContentionSets":
         """Build ground-truth contention sets via the hierarchy's oracle.
 
-        Equivalent to running the probing discovery to exhaustion; used by
-        tests (to validate the probing path) and by large-scale benchmarks
-        where probing every line would dominate runtime.
+        Equivalent to running the probing discovery to exhaustion.  Every
+        analysis builds its cache model from these sets
+        (``Castan._build_cache_model``); the tests use them to validate the
+        probing path (:func:`discover_contention_sets`), which recovers the
+        same grouping by timing alone.
         """
         line_size = hierarchy.config.line_size
         grouped: dict[tuple[int, int], list[int]] = {}

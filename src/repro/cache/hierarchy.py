@@ -264,10 +264,11 @@ class MemoryHierarchy:
     def oracle_contention_key(self, vaddr: int) -> tuple[int, int]:
         """Ground-truth (slice, set) key of an address.
 
-        This is an instrumentation backdoor equivalent to running the §3.2
-        discovery to exhaustion.  It exists so tests can validate the
-        probing-based discovery and so large-scale benchmarks can skip the
-        (slow) probing phase; the honest analysis path never calls it.
+        Equivalent to running the §3.2 probing discovery to exhaustion.
+        Every analysis groups its contention sets by this key
+        (:meth:`~repro.cache.contention.ContentionSets.from_oracle`), which
+        skips the slow probing phase; the tests use it to validate the
+        probing-based discovery.
         """
         paddr = self.virtual_to_physical(vaddr)
         return self._slice_of(paddr), self._l3_set_of(paddr)

@@ -411,13 +411,12 @@ class Castan:
         model = result.model
         havoc_outcome: ReconciliationOutcome | None = None
         if state.havoc_records and nf.hash_functions:
-            tables = self._rainbow_tables(nf)
             havoc_outcome = reconcile_havocs(
                 records=state.havoc_records,
                 constraints=state.constraints,
                 model=model,
                 solver=solver,
-                rainbow_tables=tables,
+                rainbow_tables=rainbow_tables(nf, self.config),
                 hash_functions=nf.hash_functions,
                 defaults=defaults,
                 max_candidates_per_havoc=MAX_CANDIDATES_PER_HAVOC,
@@ -425,35 +424,34 @@ class Castan:
             model = havoc_outcome.model
         return model, result, havoc_outcome
 
-    def _rainbow_tables(self, nf: NetworkFunction) -> dict[str, RainbowTable]:
-        """One (cached) rainbow table per hash function the NF uses.
 
-        Tables are pure functions of their build parameters, so the cache is
-        process-global: every NF (and every ``Castan`` instance) analysed in
-        this process with the same rainbow settings shares one table instead
-        of re-deriving the chains per analysis.
-        """
-        tables: dict[str, RainbowTable] = {}
-        config = self.config
-        for name, hash_fn in nf.hash_functions.items():
-            key = (hash_fn, config.rainbow_chains, config.seed)
-            table = _RAINBOW_TABLE_CACHE.get(key)
-            if table is None:
-                if hash_fn is flow_hash16:
-                    table = build_flow_rainbow_table(
-                        num_chains=config.rainbow_chains, seed=config.seed
-                    )
-                else:
-                    # Any other hash needs a table over *its* callable (a
-                    # flow_hash16 table would fail every havoc); only the
-                    # named flow builder persists to disk.
-                    table = RainbowTable(
-                        hash_fn=hash_fn,
-                        key_sampler=udp_flow_key_sampler,
-                        chain_length=FLOW_TABLE_CHAIN_LENGTH,
-                        num_chains=config.rainbow_chains,
-                        seed=config.seed,
-                    )
-                _RAINBOW_TABLE_CACHE[key] = table
-            tables[name] = table
-        return tables
+def rainbow_tables(nf: NetworkFunction, config: CastanConfig) -> dict[str, RainbowTable]:
+    """One (cached) rainbow table per hash function ``nf`` uses, by name.
+
+    Havoc reconciliation and the distiller's preimage search both read them
+    here.  Tables are pure functions of their build parameters, so the cache
+    is process-global: every NF (and every ``Castan`` instance) analysed in
+    this process with the same rainbow settings shares one table instead of
+    re-deriving the chains per analysis.
+    """
+    tables: dict[str, RainbowTable] = {}
+    for name, hash_fn in nf.hash_functions.items():
+        key = (hash_fn, config.rainbow_chains, config.seed)
+        table = _RAINBOW_TABLE_CACHE.get(key)
+        if table is None:
+            if hash_fn is flow_hash16:
+                table = build_flow_rainbow_table(num_chains=config.rainbow_chains, seed=config.seed)
+            else:
+                # Any other hash needs a table over *its* callable (a
+                # flow_hash16 table would fail every havoc); only the
+                # named flow builder persists to disk.
+                table = RainbowTable(
+                    hash_fn=hash_fn,
+                    key_sampler=udp_flow_key_sampler,
+                    chain_length=FLOW_TABLE_CHAIN_LENGTH,
+                    num_chains=config.rainbow_chains,
+                    seed=config.seed,
+                )
+            _RAINBOW_TABLE_CACHE[key] = table
+        tables[name] = table
+    return tables

@@ -36,7 +36,7 @@ from repro.hashing.functions import (
     FLOW_HASH_MASK,
     flow_hash16,
     flow_hash16_column,
-    lb_flow_key,
+    flow_key,
 )
 from repro.symbex.expr import load_numpy
 
@@ -244,7 +244,7 @@ _SERVICE_PORTS = (53, 80, 123, 443, 8080, 8443)
 def udp_flow_key_sampler(seed: int) -> int:
     """Tailored sampler: keys that look like UDP flow keys (§3.5).
 
-    The packed layout matches :func:`repro.hashing.functions.lb_flow_key`:
+    The packed layout matches :func:`repro.hashing.functions.flow_key`:
     a private-range source IP, an ephemeral source port and a small set of
     plausible service ports — so decomposed preimages satisfy the typical
     packet constraints without rejection.
@@ -270,7 +270,7 @@ def udp_flow_key_sampler(seed: int) -> int:
     c = gb(3)
     while c >= 6:
         c = gb(3)
-    return lb_flow_key(src_ip, src_port, _SERVICE_PORTS[c])
+    return flow_key(src_ip, src_port, _SERVICE_PORTS[c])
 
 
 def _cache_dir() -> Path:

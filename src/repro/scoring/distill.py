@@ -40,9 +40,9 @@ from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 
 from repro.cache.hierarchy import MemoryHierarchy
-from repro.core.castan import SOLVER_BUDGET, Castan, CastanResult
+from repro.core.castan import SOLVER_BUDGET, CastanResult, rainbow_tables
 from repro.core.config import CastanConfig
-from repro.hashing.functions import FLOW_HASH_MASK
+from repro.hashing.functions import FLOW_HASH_MASK, flow_hash16
 from repro.ir.instructions import BinOpKind, CmpKind
 from repro.net.packet import FlowKey
 from repro.nf.base import NetworkFunction
@@ -54,7 +54,6 @@ from repro.scoring.signatures import (
     SignatureSet,
     conjoin,
     field_sym,
-    flow_hash16_expr,
     hint_gate_exprs,
     packet_symbol_map,
 )
@@ -189,7 +188,7 @@ def _hash_bucket_candidates(
             continue  # not established across packets
         hash_fn = nf.hash_functions[hash_name]
         hashes = [hash_fn(evaluate(template, flow._asdict())) for flow in flows]
-        hash_expr = flow_hash16_expr(template)
+        hash_expr = flow_hash16(template)
 
         # Chained-table shape: the workload piles into one bucket (the low
         # hash bits).  Generous on purpose — small-budget runs reconcile
@@ -429,7 +428,7 @@ def synthesize_matching_flows(
 
     defaults = dict(nf.packet_defaults)
     if candidate.key_template is not None:
-        table = Castan(config)._rainbow_tables(nf)[candidate.hash_function]
+        table = rainbow_tables(nf, config)[candidate.hash_function]
         targets = list(candidate.hash_targets)
         rng.shuffle(targets)
         for target in targets:

@@ -37,7 +37,6 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from repro.hashing.functions import FLOW_HASH_MASK, MASK32
 from repro.ir.instructions import BinOpKind, CmpKind
 from repro.net.packet import FlowKey, PacketField
 from repro.symbex.expr import (
@@ -75,38 +74,6 @@ def field_sym(name: str) -> Sym:
 def packet_symbol_map(packet_index: int) -> dict[str, Sym]:
     """Rename map from the engine's ``pkt<i>.*`` symbols to canonical fields."""
     return {f"pkt{packet_index}.{name}": field_sym(name) for name in FIELD_ORDER}
-
-
-def flow_hash16_expr(key: Expr) -> Expr:
-    """The Jenkins flow hash, unrolled symbolically over ``key``.
-
-    Value-identical to :func:`repro.hashing.functions.flow_hash16` for every
-    concrete key — ``tests/test_scoring.py`` pins the equivalence — so a
-    bucket-collision predicate is an ordinary mask/shift/compare tree that
-    both the scalar and the columnar evaluators execute natively.
-    """
-    m32 = Const(MASK32)
-    h: Expr = Const(0)
-    for byte_index in range(8):
-        byte = make_binop(
-            BinOpKind.AND,
-            make_binop(BinOpKind.LSHR, key, Const(byte_index * 8)),
-            Const(0xFF),
-        )
-        h = make_binop(BinOpKind.AND, make_binop(BinOpKind.ADD, h, byte), m32)
-        shifted = make_binop(BinOpKind.AND, make_binop(BinOpKind.SHL, h, Const(10)), m32)
-        h = make_binop(BinOpKind.AND, make_binop(BinOpKind.ADD, h, shifted), m32)
-        h = make_binop(BinOpKind.XOR, h, make_binop(BinOpKind.LSHR, h, Const(6)))
-    shifted = make_binop(BinOpKind.AND, make_binop(BinOpKind.SHL, h, Const(3)), m32)
-    h = make_binop(BinOpKind.AND, make_binop(BinOpKind.ADD, h, shifted), m32)
-    h = make_binop(BinOpKind.XOR, h, make_binop(BinOpKind.LSHR, h, Const(11)))
-    shifted = make_binop(BinOpKind.AND, make_binop(BinOpKind.SHL, h, Const(15)), m32)
-    h = make_binop(BinOpKind.AND, make_binop(BinOpKind.ADD, h, shifted), m32)
-    return make_binop(
-        BinOpKind.AND,
-        make_binop(BinOpKind.XOR, h, make_binop(BinOpKind.LSHR, h, Const(16))),
-        Const(FLOW_HASH_MASK),
-    )
 
 
 def conjoin(terms: list[Expr]) -> Expr:

@@ -12,6 +12,7 @@ current + potential cost (§3.3–3.4).
 
 from __future__ import annotations
 
+import itertools
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -180,10 +181,13 @@ class SymbolicEngine:
     # -- state construction ------------------------------------------------------
 
     def make_initial_state(self) -> ExecutionState:
+        # An analysis searches from one initial state: the counter it starts,
+        # shared by every fork, numbers the analysis's states from 0.
         state = ExecutionState(
             cache_model=self.cache_model.clone(),
             num_packets=len(self.packet_args),
             solver_context=SolverContext(self.solver),
+            ids=itertools.count(),
         )
         if not self.packet_args:
             # An explicit zero-packet run: nothing to execute.

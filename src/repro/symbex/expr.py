@@ -386,6 +386,37 @@ def make_binop(op: BinOpKind, lhs: Expr, rhs: Expr) -> Expr:
     return BinExpr(op, lhs, rhs)
 
 
+def _operator(op: BinOpKind, reflected: bool):
+    def method(self: Expr, other):
+        if isinstance(other, int):
+            other = Const(other)
+        elif not isinstance(other, Expr):
+            return NotImplemented
+        return make_binop(op, other, self) if reflected else make_binop(op, self, other)
+
+    return method
+
+
+# The NF dialect's arithmetic on expressions, so dialect text written for
+# ints (the flow hash) also builds its symbolic form; ints become ``Const``s.
+# No comparisons: identity ``==`` is what interning relies on.
+for _name, _op in (
+    ("add", BinOpKind.ADD),
+    ("sub", BinOpKind.SUB),
+    ("mul", BinOpKind.MUL),
+    ("floordiv", BinOpKind.UDIV),
+    ("mod", BinOpKind.UREM),
+    ("and", BinOpKind.AND),
+    ("or", BinOpKind.OR),
+    ("xor", BinOpKind.XOR),
+    ("lshift", BinOpKind.SHL),
+    ("rshift", BinOpKind.LSHR),
+):
+    setattr(Expr, f"__{_name}__", _operator(_op, reflected=False))
+    setattr(Expr, f"__r{_name}__", _operator(_op, reflected=True))
+del _name, _op
+
+
 _NEGATED_PRED = {
     CmpKind.EQ: CmpKind.NE,
     CmpKind.NE: CmpKind.EQ,
@@ -612,6 +643,7 @@ def require_numpy():
 
 
 def _vec_tables(np):
+    """The numpy twin of every operator function a schedule names."""
     u64 = np.uint64
     zero = u64(0)
     mask = u64(MACHINE_MASK)
@@ -653,152 +685,20 @@ def _vec_tables(np):
         CmpKind.UGT: mk_cmp(np.greater),
         CmpKind.UGE: mk_cmp(np.greater_equal),
     }
-    return binop, cmp
+
+    def pick(cond, arms):
+        return np.where(np.not_equal(cond, zero), *arms)
+
+    funcs = {BINOP_FUNCS[op]: fn for op, fn in binop.items()}
+    funcs.update((CMP_FUNCS[pred], fn) for pred, fn in cmp.items())
+    funcs[_pair] = _pair
+    funcs[_pick] = pick
+    return funcs
 
 
-#: numpy-ufunc twins of BINOP_FUNCS / CMP_FUNCS, built by the first
+#: Scalar operator function -> its numpy twin, built by the first
 #: :func:`column_evaluator` call (None until then).
-VEC_BINOP_FUNCS = VEC_CMP_FUNCS = None
-
-
-def _postorder(expr: Expr) -> list[Expr]:
-    """The unique nodes of ``expr``'s DAG, children before parents.
-
-    Iterative (no recursion limit on deep hash chains); interning makes
-    identity the same as structural equality, so each node appears once.
-    """
-    order: list[Expr] = []
-    seen: set[int] = set()
-    stack: list[tuple[Expr, bool]] = [(expr, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        kind = node.__class__
-        if kind is BinExpr or kind is CmpExpr:
-            stack.append((node.lhs, False))
-            stack.append((node.rhs, False))
-        elif kind is SelectExpr:
-            stack.append((node.cond, False))
-            stack.append((node.if_true, False))
-            stack.append((node.if_false, False))
-    return order
-
-
-def _dag_schedule(
-    expr: Expr, binops: dict, cmps: dict, word, sym_mask
-) -> tuple[list[tuple], list[tuple[int, ...]]]:
-    """``expr`` as an evaluation *schedule*: one step per unique DAG node.
-
-    Interned expressions are DAGs, not trees: a hash unrolled symbolically
-    references each round's partial state several times, so a per-reference
-    walk re-derives shared subtrees once per *reference* — exponential work
-    on exactly the expressions the scoring layer cares about.  A runner
-    executes the steps in order into a slot array, so every node is computed
-    exactly once per call, and the last slot is the result.
-
-    Step encodings: ``(0, word(value))`` for a constant, ``(1, name,
-    sym_mask(sym))`` for a symbol, ``(2, fn, lhs, rhs)`` for a binary
-    operation or comparison (``fn`` from ``binops`` / ``cmps``) and ``(3,
-    cond, if_true, if_false)`` for a select, with operands as slot indices.
-
-    The second output lists, per step, the slots whose *last* reader that
-    step is: a runner that drops them once the step has run holds only the
-    live frontier of the DAG.  The result slot has no reader and is never
-    listed.
-    """
-    order = _postorder(expr)
-    slot_of = {id(node): slot for slot, node in enumerate(order)}
-    steps: list[tuple] = []
-    last_reader: dict[int, int] = {}
-    for index, node in enumerate(order):
-        kind = node.__class__
-        if kind is Const:
-            steps.append((0, word(node.value)))
-            continue
-        if kind is Sym:
-            steps.append((1, node.name, sym_mask(node)))
-            continue
-        if kind is BinExpr:
-            operands = (slot_of[id(node.lhs)], slot_of[id(node.rhs)])
-            steps.append((2, binops[node.op], *operands))
-        elif kind is CmpExpr:
-            operands = (slot_of[id(node.lhs)], slot_of[id(node.rhs)])
-            steps.append((2, cmps[node.pred], *operands))
-        elif kind is SelectExpr:
-            operands = (
-                slot_of[id(node.cond)],
-                slot_of[id(node.if_true)],
-                slot_of[id(node.if_false)],
-            )
-            steps.append((3, *operands))
-        else:
-            raise TypeError(f"cannot evaluate {node!r}")
-        for slot in operands:
-            last_reader[slot] = index
-    release: list[list[int]] = [[] for _ in steps]
-    for slot, index in last_reader.items():
-        release[index].append(slot)
-    return steps, [tuple(slots) for slots in release]
-
-
-_COLUMN_EVALUATORS = BoundedMemo("column_evaluators")
-
-
-def column_evaluator(expr: Expr):
-    """A callable mapping ``{symbol name: uint64 column}`` to a result column.
-
-    Lane ``i`` of the result equals ``evaluate(expr, {n: int(col[n][i])})``
-    for every expression: the per-op kernels replicate the exact 64-bit
-    semantics of :data:`BINOP_FUNCS` / :data:`CMP_FUNCS`, and a select
-    evaluates both branches (they are total functions) and merges them
-    lanewise.  Runs :func:`_dag_schedule`, so each unique node is computed
-    once, and drops each column after its last reader, so a call holds only
-    the DAG's live frontier.  Evaluators are cached per interned node.
-    Raises ``ImportError`` (:func:`require_numpy`) without numpy.
-    """
-    global VEC_BINOP_FUNCS, VEC_CMP_FUNCS
-    ev = _COLUMN_EVALUATORS.get(expr)
-    if ev is not None:
-        return ev
-    np = require_numpy()
-    if VEC_BINOP_FUNCS is None:
-        VEC_BINOP_FUNCS, VEC_CMP_FUNCS = _vec_tables(np)
-    steps, release = _dag_schedule(
-        expr,
-        VEC_BINOP_FUNCS,
-        VEC_CMP_FUNCS,
-        np.uint64,
-        lambda sym: None if sym.bits == MACHINE_BITS else np.uint64(sym.mask),
-    )
-    plan = list(zip(steps, release))
-
-    def ev(columns, _plan=plan, _np=np, _zero=np.uint64(0)):
-        slots = [None] * len(_plan)
-        for index, (step, dead) in enumerate(_plan):
-            tag = step[0]
-            if tag == 2:
-                slots[index] = step[1](slots[step[2]], slots[step[3]])
-            elif tag == 1:
-                column = columns[step[1]]
-                slots[index] = column if step[2] is None else _np.bitwise_and(column, step[2])
-            elif tag == 0:
-                slots[index] = step[1]
-            else:
-                slots[index] = _np.where(
-                    _np.not_equal(slots[step[1]], _zero), slots[step[2]], slots[step[3]]
-                )
-            for slot in dead:
-                slots[slot] = None
-        return slots[-1]
-
-    _COLUMN_EVALUATORS[expr] = ev
-    return ev
+VEC_FUNCS = None
 
 
 def _pair(if_true: int, if_false: int) -> tuple[int, int]:
@@ -809,13 +709,124 @@ def _pick(cond: int, arms: tuple[int, int]) -> int:
     return arms[0] if cond else arms[1]
 
 
+def _schedule(expr: Expr) -> tuple[list[int], list[tuple], list[tuple]]:
+    """``expr`` as an evaluation schedule: one slot per unique DAG node.
+
+    Interned expressions are DAGs, not trees: a hash unrolled symbolically
+    references each round's partial state several times, so a walk per
+    reference re-derives shared subtrees once per *reference*, exponential
+    work on exactly the expressions the scoring layer cares about.  One
+    iterative post-order walk (children before parents; interning makes
+    identity the same as structural equality) gives each node a slot and
+    returns ``(template, reads, ops)``:
+
+    * ``template`` holds every constant in its slot (0 elsewhere);
+    * ``reads`` are ``(slot, name, mask)``: the slot is the symbol's value,
+      masked to its width;
+    * ``ops`` are ``(slot, fn, x, y)`` in dependency order, ``fn`` from
+      :data:`BINOP_FUNCS` / :data:`CMP_FUNCS` applied to slots ``x`` and
+      ``y``; a select is two ops, ``_pick(cond, _pair(if_true, if_false))``,
+      whose pair has a slot of its own.  The root's op is the last.
+    """
+    template: list[int] = []
+    reads: list[tuple] = []
+    ops: list[tuple] = []
+    slot_of: dict[int, int] = {}
+    stack: list[tuple[Expr, bool]] = [(expr, False)]
+    while stack:
+        node, expanded = stack.pop()
+        kind = node.__class__
+        if not expanded:
+            if id(node) in slot_of:
+                continue
+            stack.append((node, True))
+            if kind is BinExpr or kind is CmpExpr:
+                stack.append((node.lhs, False))
+                stack.append((node.rhs, False))
+            elif kind is SelectExpr:
+                stack.append((node.cond, False))
+                stack.append((node.if_true, False))
+                stack.append((node.if_false, False))
+            continue
+        slot = slot_of[id(node)] = len(template)
+        template.append(0)
+        if kind is BinExpr:
+            ops.append((slot, BINOP_FUNCS[node.op], slot_of[id(node.lhs)], slot_of[id(node.rhs)]))
+        elif kind is CmpExpr:
+            ops.append((slot, CMP_FUNCS[node.pred], slot_of[id(node.lhs)], slot_of[id(node.rhs)]))
+        elif kind is Const:
+            template[slot] = node.value
+        elif kind is Sym:
+            reads.append((slot, node.name, node.mask))
+        elif kind is SelectExpr:
+            arms = len(template)
+            template.append(0)
+            ops.append((arms, _pair, slot_of[id(node.if_true)], slot_of[id(node.if_false)]))
+            ops.append((slot, _pick, slot_of[id(node.cond)], arms))
+        else:
+            raise TypeError(f"cannot evaluate {node!r}")
+    return template, reads, ops
+
+
+_COLUMN_EVALUATORS = BoundedMemo("column_evaluators")
+
+
+def column_evaluator(expr: Expr):
+    """A callable mapping ``{symbol name: uint64 column}`` to a result column.
+
+    Lane ``i`` of the result equals ``evaluate(expr, {n: int(col[n][i])})``
+    for every expression: it runs the scalar evaluator's :func:`_schedule`
+    with each operator function swapped for its numpy twin, which replicates
+    the exact 64-bit semantics of :data:`BINOP_FUNCS` / :data:`CMP_FUNCS`,
+    and a select merges its two evaluated arms lanewise.  Each column is
+    dropped after its last reader, so a call holds only the DAG's live
+    frontier.  Evaluators are cached per interned node.  Raises
+    ``ImportError`` (:func:`require_numpy`) without numpy.
+    """
+    global VEC_FUNCS
+    ev = _COLUMN_EVALUATORS.get(expr)
+    if ev is not None:
+        return ev
+    np = require_numpy()
+    if VEC_FUNCS is None:
+        VEC_FUNCS = _vec_tables(np)
+    template, reads, ops = _schedule(expr)
+    root = ops[-1][0] if ops else 0  # a constant or a symbol is one slot
+    template = [np.uint64(value) for value in template]
+    reads = [
+        (slot, name, None if mask == MACHINE_MASK else np.uint64(mask))
+        for slot, name, mask in reads
+    ]
+    last_reader = {}
+    for index, (_, _, x, y) in enumerate(ops):
+        last_reader[x] = last_reader[y] = index
+    dead: list[list[int]] = [[] for _ in ops]
+    for slot, index in last_reader.items():
+        dead[index].append(slot)
+    plan = [(slot, VEC_FUNCS[fn], x, y, tuple(slots)) for (slot, fn, x, y), slots in zip(ops, dead)]
+
+    def ev(columns, _template=template, _reads=reads, _plan=plan, _root=root, _and=np.bitwise_and):
+        slots = _template.copy()
+        for slot, name, mask in _reads:
+            column = columns[name]
+            slots[slot] = column if mask is None else _and(column, mask)
+        for slot, fn, x, y, dead_slots in _plan:
+            slots[slot] = fn(slots[x], slots[y])
+            for dead_slot in dead_slots:
+                slots[dead_slot] = None
+        return slots[_root]
+
+    _COLUMN_EVALUATORS[expr] = ev
+    return ev
+
+
 def dag_evaluator(expr: Expr):
     """The node's scalar evaluator: each unique DAG node is computed once.
 
     The returned callable maps an assignment dict to the expression's value:
     symbols read ``assignment[name] & mask`` and every operator follows
-    :data:`BINOP_FUNCS` / :data:`CMP_FUNCS`.  It runs :func:`_dag_schedule`,
-    so its cost is linear in the number of *unique* nodes even on heavily
+    :data:`BINOP_FUNCS` / :data:`CMP_FUNCS`.  It runs :func:`_schedule`, so
+    its cost is linear in the number of *unique* nodes even on heavily
     shared DAGs like the symbolically unrolled flow hash, where a walk per
     reference is exponential.  A select evaluates both arms (every operator,
     ``UDIV``/``UREM`` included, is total, so no value changes), which means
@@ -823,31 +834,14 @@ def dag_evaluator(expr: Expr):
     ``KeyError`` even when only an untaken arm reads it.
 
     Built once and cached on the interned node (``_evaluator``); ``Const``
-    and ``Sym`` nodes carry a preset one.  The constants are pre-filled into
-    a template slot list that each call copies, then the symbols are read
-    and the operator steps run, the root's last; a select is two operator
-    steps, ``_pick(cond, _pair(if_true, if_false))``.
+    and ``Sym`` nodes carry a preset one.  Each call copies the schedule's
+    constant template, reads the symbols and runs the operator steps, the
+    root's last.
     """
     ev = expr._evaluator
     if ev is not None:
         return ev
-    steps, _ = _dag_schedule(expr, BINOP_FUNCS, CMP_FUNCS, int, lambda sym: sym.mask)
-    template = [0] * len(steps)
-    reads = []
-    ops = []
-    for slot, step in enumerate(steps):
-        tag = step[0]
-        if tag == 0:
-            template[slot] = step[1]
-        elif tag == 1:
-            reads.append((slot, step[1], step[2]))
-        elif tag == 2:
-            ops.append((slot, step[1], step[2], step[3]))
-        else:
-            template.append(0)
-            arms = len(template) - 1
-            ops.append((arms, _pair, step[2], step[3]))
-            ops.append((slot, _pick, step[1], arms))
+    template, reads, ops = _schedule(expr)
     *body, (_, root_fn, root_x, root_y) = ops
 
     def ev(assignment, _template=template, _reads=reads, _body=body,
@@ -887,17 +881,32 @@ def expr_to_dict(expr: Expr) -> dict:
     """A JSON-safe, sharing-preserving rendering of an expression DAG.
 
     Returns ``{"k": "expr-dag-v1", "nodes": [...], "root": <index>}`` where
-    ``nodes`` holds one entry per *unique* node in iterative postorder and
-    children are referenced by table index.  Size and time are linear in
-    the number of unique nodes regardless of how often they are shared.
+    ``nodes`` holds one entry per *unique* node, in the post-order of
+    :func:`_schedule`'s walk, and children are referenced by table index.
+    Size and time are linear in the number of unique nodes regardless of
+    how often they are shared.
 
     Operators serialize by enum *name* (``"ADD"``, ``"ULT"``), which is the
     stable identifier — the dialect token (``op.value``) is display syntax.
     """
     nodes: list[dict] = []
     index: dict[int, int] = {}
-    for node in _postorder(expr):
+    stack: list[tuple[Expr, bool]] = [(expr, False)]
+    while stack:
+        node, expanded = stack.pop()
         kind = type(node)
+        if not expanded:
+            if id(node) in index:
+                continue
+            stack.append((node, True))
+            if kind is BinExpr or kind is CmpExpr:
+                stack.append((node.lhs, False))
+                stack.append((node.rhs, False))
+            elif kind is SelectExpr:
+                stack.append((node.cond, False))
+                stack.append((node.if_true, False))
+                stack.append((node.if_false, False))
+            continue
         if kind is Const:
             entry = {"k": "const", "v": node.value}
         elif kind is Sym:

@@ -16,9 +16,8 @@ O(call depth) instead of O(everything the path ever touched).
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from repro.symbex.expr import Const, Expr
 from repro.symbex.havoc import HavocRecord
@@ -95,17 +94,22 @@ class PacketMetrics:
 
 
 class ExecutionState:
-    """One path through the NF across a sequence of symbolic packets."""
+    """One path through the NF across a sequence of symbolic packets.
 
-    _ids = itertools.count()
+    ``ids`` numbers the state and every state forked from it (``sid``, which
+    names its havoc symbols); each analysis's initial state gets a fresh
+    counter, so the names do not depend on what else the process ran.
+    """
 
     def __init__(
         self,
         cache_model: "CacheModel",
         num_packets: int,
         solver_context: "SolverContext",
+        ids: Iterator[int],
     ) -> None:
-        self.sid = next(ExecutionState._ids)
+        self._ids = ids
+        self.sid = next(ids)
         self._frames: list[Frame] = []
         self._frames_owned: list[bool] = []
         self._memory: dict[str, dict[int, Expr]] = {}
@@ -148,7 +152,8 @@ class ExecutionState:
     def fork(self) -> "ExecutionState":
         """Create an independent copy of this state (copy-on-write)."""
         child = ExecutionState.__new__(ExecutionState)
-        child.sid = next(ExecutionState._ids)
+        child._ids = self._ids
+        child.sid = next(self._ids)
         # Frames and memory overlays are shared until either side writes.
         child._frames = list(self._frames)
         child._frames_owned = [False] * len(self._frames)

@@ -25,7 +25,6 @@ from repro.nf.registry import EVALUATION_NF_NAMES, get_nf
 from repro.service.store import canonical_result_digest
 from repro.symbex.expr import Const, Sym, evaluate, expr_eq, make_binop
 from repro.symbex.incremental import CONTEXT_STATS, SolverContext
-from repro.symbex.state import ExecutionState
 
 
 def tiny_hierarchy(**overrides) -> MemoryHierarchy:
@@ -579,8 +578,6 @@ class TestPinnedPointerFastPath:
 
             with monkeypatch.context() as patch:
                 patch.setattr(ContentionSetCacheModel, "on_access", recording)
-                # Havoc symbols are named after state ids: number both runs alike.
-                patch.setattr(ExecutionState, "_ids", itertools.count())
                 if forced:
                     patch.setattr(SolverContext, "pinned_value", lambda self, expr: None)
                 queries = CONTEXT_STATS.queries

@@ -9,11 +9,11 @@ import threading
 import pytest
 
 from repro.core import castan as castan_module
-from repro.core.castan import Castan
+from repro.core.castan import Castan, rainbow_tables
 from repro.core.config import CastanConfig
 from repro.core.workload import make_packet_symbols, packets_from_model, symbol_defaults
 from repro.frontend.compiler import compile_nf
-from repro.hashing.functions import FLOW_HASH_DIALECT_SOURCE, flow_hash16, lb_flow_key
+from repro.hashing.functions import FLOW_HASH_DIALECT_SOURCE, flow_hash16, flow_key
 from repro.ir.module import Module
 from repro.net.pcap import read_pcap
 from repro.nf.base import NetworkFunction
@@ -112,7 +112,7 @@ class TestPipeline:
         # Reconciled havocs mean the concrete packets really collide in the
         # bucket index; require at least a couple of packets in one bucket.
         buckets = [
-            flow_hash16(lb_flow_key(p.src_ip, p.src_port, p.dst_port)) & (HASH_TABLE_BUCKETS - 1)
+            flow_hash16(flow_key(p.src_ip, p.src_port, p.dst_port)) & (HASH_TABLE_BUCKETS - 1)
             for p in result.packets
             if p.dst_ip == VIP_ADDRESS
         ]
@@ -305,9 +305,9 @@ class TestRainbowTablesPerNF:
         )
         result = castan.analyze(nf)
         assert result.havoc_outcome.reconciled and not result.havoc_outcome.failed
-        table = castan._rainbow_tables(nf)["tweaked_hash16"]
+        table = rainbow_tables(nf, castan.config)["tweaked_hash16"]
         assert table.hash_fn is tweaked_hash16
-        assert table is Castan(castan.config)._rainbow_tables(nf)["tweaked_hash16"]  # per process
+        assert table is rainbow_tables(nf, dataclasses.replace(castan.config))["tweaked_hash16"]
         assert not list(tmp_path.iterdir())  # and never persisted
 
     def test_corrupt_cache_file_never_changes_the_result(self, tmp_path, monkeypatch, caplog):
@@ -608,10 +608,21 @@ class TestLookupCounters:
         castan = Castan(quick_config(deadline_seconds=None, max_states=200, num_packets=None))
         nf = get_nf("nat-hash-ring")
         result = castan.analyze(nf)
-        (table,) = castan._rainbow_tables(nf).values()
+        (table,) = rainbow_tables(nf, castan.config).values()
         assert table.stats.lookups == len(examined) == result.havoc_outcome.total > 0
         assert table.stats.false_alarms == 0
         assert table.stats.chain_walks == sum(examined) > 0
+
+
+class TestStateIdsPerAnalysis:
+    def test_havoc_symbol_names_do_not_depend_on_earlier_analyses(self):
+        """State ids, which name havoc symbols, restart with each analysis."""
+        config = quick_config(deadline_seconds=None, max_states=60)
+        names = []
+        for _ in range(2):
+            outcome = Castan(config).analyze(get_nf("lb-hash-table")).havoc_outcome
+            names.append([record.symbol.name for record in outcome.reconciled + outcome.failed])
+        assert names[0] and names[0] == names[1]
 
 
 class TestCyclicGcPause:

@@ -138,24 +138,25 @@ def test_shifts_of_64_bits_or_more_read_zero(op):
 
 def _bucket_predicate():
     """The nat-hash-table bucket predicate: 111 unique nodes."""
-    from repro.scoring.signatures import field_sym, flow_hash16_expr
+    from repro.hashing.functions import flow_hash16
+    from repro.scoring.signatures import field_sym
 
     key = make_binop(
         BinOpKind.OR,
         field_sym("src_ip"),
         make_binop(BinOpKind.SHL, field_sym("src_port"), Const(32)),
     )
-    bucket = make_binop(BinOpKind.AND, flow_hash16_expr(key), Const(0xFFF))
+    bucket = make_binop(BinOpKind.AND, flow_hash16(key), Const(0xFFF))
     return make_cmp(CmpKind.EQ, bucket, Const(0xC00))
 
 
 def test_one_call_holds_only_the_live_frontier():
     from repro.nf.registry import get_nf
     from repro.scoring.stream import random_flow_columns
-    from repro.symbex.expr import _postorder
+    from repro.symbex.expr import expr_to_dict
 
     predicate = _bucket_predicate()
-    assert len(_postorder(predicate)) == 111
+    assert len(expr_to_dict(predicate)["nodes"]) == 111
     columns = random_flow_columns(get_nf("nat-hash-table"), 65536, random.Random(1))
     evaluator = column_evaluator(predicate)
     evaluator(columns)  # warm: the memo and numpy's lazy state

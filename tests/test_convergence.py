@@ -157,7 +157,9 @@ def _scripted_run(completions: dict[int, int], chunk: int | None = 4):
     return engine.run(
         make_searcher("dfs"),
         max_states=40,
-        initial_states=[ExecutionState(NoCacheModel(), 1, SolverContext(Solver()))],
+        initial_states=[
+            ExecutionState(NoCacheModel(), 1, SolverContext(Solver()), itertools.count())
+        ],
         converge_chunk=chunk,
     )
 

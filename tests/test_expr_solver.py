@@ -100,6 +100,29 @@ class TestExpressions:
         expr = make_cmp(CmpKind.EQ, make_binop(BinOpKind.AND, X32, Const(0xFF)), Const(3))
         assert simplify(simplify(expr)) == simplify(expr)
 
+    @pytest.mark.parametrize(
+        "op,apply",
+        [
+            (BinOpKind.ADD, lambda a, b: a + b),
+            (BinOpKind.SUB, lambda a, b: a - b),
+            (BinOpKind.MUL, lambda a, b: a * b),
+            (BinOpKind.UDIV, lambda a, b: a // b),
+            (BinOpKind.UREM, lambda a, b: a % b),
+            (BinOpKind.AND, lambda a, b: a & b),
+            (BinOpKind.OR, lambda a, b: a | b),
+            (BinOpKind.XOR, lambda a, b: a ^ b),
+            (BinOpKind.SHL, lambda a, b: a << b),
+            (BinOpKind.LSHR, lambda a, b: a >> b),
+        ],
+    )
+    def test_dialect_operators_build_make_binop_nodes(self, op, apply):
+        """``Expr`` arithmetic is ``make_binop`` with ints wrapped in ``Const``."""
+        assert apply(X32, Y32) is make_binop(op, X32, Y32)
+        assert apply(X32, 3) is make_binop(op, X32, Const(3))
+        assert apply(3, X32) is make_binop(op, Const(3), X32)
+        with pytest.raises(TypeError):
+            apply(X32, 1.5)
+
 
 class TestSolver:
     def setup_method(self):

@@ -18,11 +18,8 @@ from repro.hashing.functions import (
     FLOW_HASH_DIALECT_SOURCE,
     flow_hash16,
     flow_hash16_column,
-    lb_flow_key,
-    lb_key_fields,
-    nat_forward_key,
-    nat_key_fields,
-    nat_reverse_key,
+    flow_key,
+    flow_key_fields,
 )
 from repro.hashing.rainbow import (
     TABLE_CACHE_VERSION,
@@ -60,15 +57,13 @@ class TestFlowHash:
     @given(st.integers(0, 2**32 - 1), st.integers(0, 2**16 - 1), st.integers(0, 2**16 - 1))
     @settings(max_examples=50)
     def test_key_packing_roundtrip(self, ip, sport, dport):
-        assert lb_key_fields(lb_flow_key(ip, sport, dport)) == (ip, sport, dport)
-        assert nat_key_fields(nat_forward_key(ip, sport, dport)) == (ip, sport, dport)
-        assert nat_key_fields(nat_reverse_key(ip, sport, dport)) == (ip, sport, dport)
+        assert flow_key_fields(flow_key(ip, sport, dport)) == (ip, sport, dport)
 
     def test_nat_keys_share_external_endpoint(self):
-        forward = nat_forward_key(0x0A000001, 1234, 80)
-        reverse = nat_reverse_key(0x08080808, 80, 20000)
+        forward = flow_key(0x0A000001, 1234, 80)  # (src IP, src port, dst port)
+        reverse = flow_key(0x08080808, 80, 20000)  # (dst IP, dst port, external port)
         # The reverse key embeds the destination endpoint of the forward flow.
-        assert nat_key_fields(reverse)[1] == nat_key_fields(forward)[2]
+        assert flow_key_fields(reverse)[1] == flow_key_fields(forward)[2]
 
 
 class TestFlowHashColumn:
@@ -109,7 +104,7 @@ class TestTailoredSamplerStream:
         rng = random.Random(seed)
         src_ip = 0x0A000000 | rng.getrandbits(24)
         src_port = 1024 + rng.randrange(60000)
-        return lb_flow_key(src_ip, src_port, rng.choice(service_ports))
+        return flow_key(src_ip, src_port, rng.choice(service_ports))
 
     def test_matches_naive_reference(self):
         rng = random.Random(23)
@@ -171,7 +166,7 @@ class TestRainbowTable:
     def test_tailored_keys_look_like_udp_flows(self, table):
         key = table.invert(flow_hash16(udp_flow_key_sampler(1)), limit=1)
         if key:
-            src_ip, src_port, dst_port = lb_key_fields(key[0])
+            src_ip, src_port, dst_port = flow_key_fields(key[0])
             assert (src_ip >> 24) == 0x0A
             assert 1024 <= src_port < 65536
             assert dst_port in (53, 80, 123, 443, 8080, 8443)

@@ -7,6 +7,7 @@ produce.  Streams come from real engine runs and from a seeded random
 generator, so both realistic and adversarial shapes are covered.
 """
 
+import itertools
 import random
 
 import pytest
@@ -323,7 +324,10 @@ def process(src_ip, dst_ip, src_port, dst_port, protocol):
 class TestCopyOnWriteState:
     def make_state(self):
         state = ExecutionState(
-            cache_model=NoCacheModel(), num_packets=1, solver_context=SolverContext(Solver())
+            cache_model=NoCacheModel(),
+            num_packets=1,
+            solver_context=SolverContext(Solver()),
+            ids=itertools.count(),
         )
         state.push_frame(
             Frame(function="f", block=0, registers={"a": Const(1), "b": Const(2)})

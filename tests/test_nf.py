@@ -8,7 +8,7 @@ import random
 import pytest
 
 from repro.eval.experiments import EVALUATION_NFS
-from repro.hashing.functions import lb_flow_key, nat_forward_key
+from repro.hashing.functions import flow_key
 from repro.ir.verify import verify_module
 from repro.net.packet import IPProtocol, Packet
 from repro.nf.common import (
@@ -177,10 +177,10 @@ class TestLoadBalancers:
         from repro.hashing.functions import flow_hash16
         from repro.nf.common import HASH_TABLE_BUCKETS
 
-        base_key_bucket = flow_hash16(lb_flow_key(0x0B000001, 1024, 80)) & (HASH_TABLE_BUCKETS - 1)
+        base_key_bucket = flow_hash16(flow_key(0x0B000001, 1024, 80)) & (HASH_TABLE_BUCKETS - 1)
         colliding = None
         for sport in range(1025, 20000):
-            if flow_hash16(lb_flow_key(0x0B000001, sport, 80)) & (HASH_TABLE_BUCKETS - 1) == base_key_bucket:
+            if flow_hash16(flow_key(0x0B000001, sport, 80)) & (HASH_TABLE_BUCKETS - 1) == base_key_bucket:
                 colliding = sport
                 break
         assert colliding is not None
@@ -223,7 +223,7 @@ class TestNAT:
     def test_manual_nat_workload_is_monotone(self):
         nf = get_nf("nat-unbalanced-tree")
         packets = nf.manual_workload(10)
-        keys = [nat_forward_key(p.src_ip, p.src_port, p.dst_port) for p in packets]
+        keys = [flow_key(p.src_ip, p.src_port, p.dst_port) for p in packets]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
 

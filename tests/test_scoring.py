@@ -49,7 +49,6 @@ from repro.scoring.signatures import (
     AdversarialSignature,
     SignatureSet,
     field_sym,
-    flow_hash16_expr,
     signature_from_dict,
     signature_set_from_json,
 )
@@ -130,7 +129,7 @@ def _feed_columns(scorer: StreamScorer, fields: list[dict[str, int]]):
 
 class TestSerialization:
     def test_flow_hash_expr_matches_concrete_hash(self):
-        expr = flow_hash16_expr(Sym("key", bits=64))
+        expr = flow_hash16(Sym("key", bits=64))
         from repro.symbex.expr import dag_evaluator
 
         evaluator = dag_evaluator(expr)
@@ -143,12 +142,12 @@ class TestSerialization:
         # The unrolled hash references each round's intermediate several
         # times; a tree rendering would have ~4^depth entries.  The node
         # table must stay at the unique-node count.
-        data = expr_to_dict(flow_hash16_expr(Sym("key", bits=64)))
+        data = expr_to_dict(flow_hash16(Sym("key", bits=64)))
         assert data["k"] == "expr-dag-v1"
         assert len(data["nodes"]) < 200
         # ... and survive a JSON round trip to the same interned node.
         clone = expr_from_dict(json.loads(json.dumps(data)))
-        assert clone is flow_hash16_expr(Sym("key", bits=64))
+        assert clone is flow_hash16(Sym("key", bits=64))
 
     def test_expr_round_trip_reinterns(self):
         pred = make_cmp(CmpKind.EQ, field_sym("dst_port"), Const(443))

@@ -22,7 +22,7 @@ from repro.symbex.searcher import (
     make_searcher,
 )
 from repro.symbex.solver import Solver
-from repro.symbex.state import ExecutionState, StateStatus
+from repro.symbex.state import StateStatus
 
 
 def make_module(source, regions=None):
@@ -339,9 +339,8 @@ def _evaluation_engine(nf_name, num_packets=2):
 
 
 def _run_from_sid_zero(engine, **kwargs):
-    # Rebase the process-global state-id counter so sids — and therefore
-    # fresh havoc-symbol names — are reproducible.
-    ExecutionState._ids = itertools.count(0)
+    # A run from the initial state numbers its states — and so its havoc
+    # symbols — from 0.
     return engine.run(CastanSearcher(), max_states=40, **kwargs)
 
 
@@ -460,10 +459,11 @@ class TestEnginePins:
     @pytest.mark.parametrize("nf_name", NF_NAMES)
     def test_paused_states_resume_at_the_pinned_point(self, nf_name):
         engine = _evaluation_engine(nf_name, num_packets=3)
-        ExecutionState._ids = itertools.count(0)
         first = engine.run(CastanSearcher(), max_states=8, stop_at_packet=1)
         seeds = first.paused_states + first.pending_states
-        ExecutionState._ids = itertools.count(1000)
+        ids = itertools.count(1000)  # number the resumed round's states apart
+        for seed in seeds:
+            seed._ids = ids
         second = engine.run(
             CastanSearcher(), max_states=12, initial_states=seeds, stop_at_packet=2
         )

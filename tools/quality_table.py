@@ -16,7 +16,10 @@ reconciled / havocs on the selected path, predicted cost, median replayed
 cycles per packet of CASTAN / UniRand / Manual, then CASTAN ÷ UniRand and
 CASTAN ÷ Manual.  ``--json`` rows also carry ``witnessed`` / ``searched``:
 how many reconciled havocs a witness model proved, and how many a model
-search proved.  NFs without havocs show ``-`` (``null`` in the JSON).
+search proved, and ``packets`` how many packets the workload has.  NFs
+without havocs show ``-`` (``null`` in the JSON).  ``tests/test_quality.py``
+runs :func:`quality_row` for every evaluation NF and holds the ratios to
+floors.
 """
 
 from __future__ import annotations
@@ -71,6 +74,7 @@ def quality_row(name: str, config: CastanConfig) -> dict:
     return {
         "nf": name,
         "states": result.states_explored,
+        "packets": len(result.packets),
         "stop": result.stop_reason,
         "status": result.solver_status,
         "reconciled": None if havoc is None else f"{len(havoc.reconciled)}/{havoc.total}",
