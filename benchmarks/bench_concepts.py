@@ -44,9 +44,7 @@ def test_fig03_hash_reconciliation(benchmark, emit):
         outcome = result.havoc_outcome
         consistency = {}
         if outcome is not None:
-            consistency = havoc_hash_consistency(
-                outcome.reconciled, outcome.model, nf.hash_functions
-            )
+            consistency = havoc_hash_consistency(outcome.reconciled, outcome.model)
         return result, outcome, consistency
 
     result, outcome, consistency = run_once(benchmark, run)

@@ -8,7 +8,6 @@
 """
 
 from benchmarks.conftest import run_once
-from repro.eval.experiments import EVALUATION_NFS
 from repro.eval.tables import (
     table1_throughput,
     table2_instructions,
@@ -16,6 +15,7 @@ from repro.eval.tables import (
     table4_analysis,
     table5_deviation,
 )
+from repro.nf.registry import EVALUATION_NF_NAMES
 
 
 def test_table1_throughput(benchmark, emit):
@@ -46,7 +46,7 @@ def test_table3_l3_misses(benchmark, emit):
 def test_table4_analysis(benchmark, emit):
     rows, text = run_once(benchmark, table4_analysis)
     emit(text)
-    assert set(rows) == set(EVALUATION_NFS)
+    assert set(rows) == set(EVALUATION_NF_NAMES)
     for nf, row in rows.items():
         assert row["packets"] >= 1
         assert row["analysis_seconds"] >= 0.0
@@ -55,6 +55,6 @@ def test_table4_analysis(benchmark, emit):
 def test_table5_deviation(benchmark, emit):
     rows, text = run_once(benchmark, table5_deviation)
     emit(text)
-    assert set(rows) == set(EVALUATION_NFS)
+    assert set(rows) == set(EVALUATION_NF_NAMES)
     # Every NF adds latency over the NOP baseline under typical traffic.
     assert all(row["zipfian"] > 0 for row in rows.values())

@@ -49,13 +49,7 @@ from repro.cfg.costs import CostAnnotation, annotate_costs
 from repro.core.config import CastanConfig
 from repro.core.metrics import PathMetrics, metrics_from_state
 from repro.core.workload import make_packet_symbols, packets_from_model, symbol_defaults
-from repro.hashing.functions import flow_hash16
-from repro.hashing.rainbow import (
-    FLOW_TABLE_CHAIN_LENGTH,
-    RainbowTable,
-    build_flow_rainbow_table,
-    udp_flow_key_sampler,
-)
+from repro.hashing.rainbow import RainbowTable, build_flow_rainbow_table
 from repro.net.packet import Packet
 from repro.net.pcap import write_pcap
 from repro.nf.base import NetworkFunction
@@ -66,10 +60,10 @@ from repro.symbex.searcher import make_searcher
 from repro.symbex.solver import Model, Solver, SolverResult
 from repro.symbex.state import ExecutionState
 
-#: Process-global rainbow-table cache, keyed by the build parameters
-#: (hash callable, num_chains, seed).  Construction is deterministic in
-#: those parameters, so sharing across analyses cannot change any output.
-_RAINBOW_TABLE_CACHE: dict[tuple, RainbowTable] = {}
+#: Process-global flow-table cache, keyed by the build parameters a config
+#: sets, ``(rainbow_chains, seed)``.  Construction is deterministic in them,
+#: so sharing across analyses cannot change any output.
+_RAINBOW_TABLE_CACHE: dict[tuple[int, int], RainbowTable] = {}
 
 logger = logging.getLogger(__name__)
 
@@ -252,7 +246,6 @@ class Castan:
             solver=solver,
             cycle_costs=config.cycle_costs,
             defaults=defaults,
-            hash_output_bits=nf.hash_output_bits,
             stage_entries=nf.stage_entries or None,
         )
         stats = self._run_search(engine, on_round=on_round)
@@ -307,10 +300,6 @@ class Castan:
         the monolithic search over its whole run.
         """
         config = self.config
-        if config.search_mode not in ("monolithic", "beam"):
-            raise ValueError(
-                f"unknown search_mode {config.search_mode!r}; options: monolithic, beam"
-            )
 
         def searcher_factory():
             return make_searcher(config.searcher, seed=config.seed)
@@ -410,14 +399,13 @@ class Castan:
             return Model(values=dict(defaults)), result, None
         model = result.model
         havoc_outcome: ReconciliationOutcome | None = None
-        if state.havoc_records and nf.hash_functions:
+        if state.havoc_records:
             havoc_outcome = reconcile_havocs(
                 records=state.havoc_records,
                 constraints=state.constraints,
                 model=model,
                 solver=solver,
-                rainbow_tables=rainbow_tables(nf, self.config),
-                hash_functions=nf.hash_functions,
+                rainbow_table=rainbow_table(self.config),
                 defaults=defaults,
                 max_candidates_per_havoc=MAX_CANDIDATES_PER_HAVOC,
             )
@@ -425,33 +413,18 @@ class Castan:
         return model, result, havoc_outcome
 
 
-def rainbow_tables(nf: NetworkFunction, config: CastanConfig) -> dict[str, RainbowTable]:
-    """One (cached) rainbow table per hash function ``nf`` uses, by name.
+def rainbow_table(config: CastanConfig) -> RainbowTable:
+    """The (cached) ``flow_hash16`` rainbow table for ``config``'s rainbow settings.
 
-    Havoc reconciliation and the distiller's preimage search both read them
-    here.  Tables are pure functions of their build parameters, so the cache
+    Havoc reconciliation and the distiller's preimage search both read it
+    here.  A table is a pure function of its build parameters, so the cache
     is process-global: every NF (and every ``Castan`` instance) analysed in
     this process with the same rainbow settings shares one table instead of
     re-deriving the chains per analysis.
     """
-    tables: dict[str, RainbowTable] = {}
-    for name, hash_fn in nf.hash_functions.items():
-        key = (hash_fn, config.rainbow_chains, config.seed)
-        table = _RAINBOW_TABLE_CACHE.get(key)
-        if table is None:
-            if hash_fn is flow_hash16:
-                table = build_flow_rainbow_table(num_chains=config.rainbow_chains, seed=config.seed)
-            else:
-                # Any other hash needs a table over *its* callable (a
-                # flow_hash16 table would fail every havoc); only the
-                # named flow builder persists to disk.
-                table = RainbowTable(
-                    hash_fn=hash_fn,
-                    key_sampler=udp_flow_key_sampler,
-                    chain_length=FLOW_TABLE_CHAIN_LENGTH,
-                    num_chains=config.rainbow_chains,
-                    seed=config.seed,
-                )
-            _RAINBOW_TABLE_CACHE[key] = table
-        tables[name] = table
-    return tables
+    key = (config.rainbow_chains, config.seed)
+    table = _RAINBOW_TABLE_CACHE.get(key)
+    if table is None:
+        table = build_flow_rainbow_table(num_chains=config.rainbow_chains, seed=config.seed)
+        _RAINBOW_TABLE_CACHE[key] = table
+    return table

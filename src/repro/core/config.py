@@ -16,6 +16,10 @@ from repro.perf.cycles import CycleCosts, DEFAULT_CYCLE_COSTS
 #: old form can never be served for the new one.
 CONFIG_HASH_VERSION = "castan-config-v8"
 
+#: Accepted values of :attr:`CastanConfig.search_mode` and ``cache_model``.
+SEARCH_MODES = ("monolithic", "beam")
+CACHE_MODELS = ("contention", "none")
+
 
 def _canonical_value(value):
     """Reduce a config value to plain JSON-stable data.
@@ -97,11 +101,38 @@ class CastanConfig:
     seed: int = 0xCA57A
 
     def __post_init__(self) -> None:
-        if self.strike_chunk_states < 1:
-            # A chunk of no pops never spends the budget: the search spins.
-            raise ValueError(
-                f"strike_chunk_states must be >= 1, got {self.strike_chunk_states!r}"
-            )
+        """Refuse values no analysis can run.  Configs are built where a
+        service job is submitted, so a bad value fails the submission, not
+        its worker."""
+        from repro.symbex.searcher import SEARCHERS  # keeps this module engine-free
+
+        for name, options in (
+            ("searcher", tuple(SEARCHERS)),
+            ("search_mode", SEARCH_MODES),
+            ("cache_model", CACHE_MODELS),
+        ):
+            value = getattr(self, name)
+            if value not in options:
+                raise ValueError(f"unknown {name} {value!r}; options: {', '.join(options)}")
+        # `type(...) is int`: bool is an int subclass, but `true` is no count.
+        # A chunk of no pops never spends the budget (the search spins), and
+        # a table of no chains inverts no havoc.
+        for name, least in (
+            ("max_states", 1),
+            ("rainbow_chains", 1),
+            ("strike_chunk_states", 1),
+            ("seed", None),
+        ):
+            value = getattr(self, name)
+            if type(value) is not int or (least is not None and value < least):
+                wanted = "an int" if least is None else f"an int >= {least}"
+                raise ValueError(f"{name} must be {wanted}, got {value!r}")
+        packets = self.num_packets
+        if packets is not None and (type(packets) is not int or packets < 0):
+            raise ValueError(f"num_packets must be null or an int >= 0, got {packets!r}")
+        deadline = self.deadline_seconds
+        if deadline is not None and (type(deadline) not in (int, float) or not deadline > 0):
+            raise ValueError(f"deadline_seconds must be null or > 0, got {deadline!r}")
 
     # -- canonical form and content addressing --------------------------------
 

@@ -35,30 +35,6 @@ from repro.workloads.generators import (
     make_zipfian_workload,
 )
 
-#: The 17 evaluation NFs: the paper's 11 (in the column order of Tables
-#: 1-3) followed by the four scenario-expansion NFs (firewall, policer,
-#: dedup, DPI) and the two preset service chains.
-EVALUATION_NFS: tuple[str, ...] = (
-    "lpm-direct",
-    "lpm-dpdk",
-    "lpm-patricia",
-    "lb-unbalanced-tree",
-    "nat-unbalanced-tree",
-    "lb-red-black-tree",
-    "nat-red-black-tree",
-    "nat-hash-table",
-    "lb-hash-table",
-    "nat-hash-ring",
-    "lb-hash-ring",
-    "fw-conntrack",
-    "policer-two-choice",
-    "dedup-bloom",
-    "dpi-trie",
-    "chain-gateway",
-    "chain-edge",
-)
-
-
 @dataclass(frozen=True)
 class EvalSettings:
     """Knobs shared by every experiment run."""

@@ -9,12 +9,8 @@ plots.
 
 from __future__ import annotations
 
-from repro.eval.experiments import (
-    EVALUATION_NFS,
-    castan_result,
-    latency_results,
-    throughput_results,
-)
+from repro.eval.experiments import castan_result, latency_results, throughput_results
+from repro.nf.registry import EVALUATION_NF_NAMES
 from repro.testbed.cdf import CDF
 
 #: Row order of Tables 1-3 (as in the paper, NOP first).
@@ -38,7 +34,7 @@ def format_table(title: str, rows: dict[str, dict[str, object]], columns: list[s
     return "\n".join(lines)
 
 
-def _collect(metric, nfs: tuple[str, ...] = EVALUATION_NFS) -> dict[str, dict[str, object]]:
+def _collect(metric, nfs: tuple[str, ...] = EVALUATION_NF_NAMES) -> dict[str, dict[str, object]]:
     """Build rows[workload][nf] using ``metric(nf_name, workload_name)``."""
     rows: dict[str, dict[str, object]] = {w: {} for w in WORKLOAD_ROWS}
     for nf_name in nfs:
@@ -52,7 +48,7 @@ def _collect(metric, nfs: tuple[str, ...] = EVALUATION_NFS) -> dict[str, dict[st
 # -- Table 1: maximum throughput (Mpps) --------------------------------------------
 
 
-def table1_throughput(nfs: tuple[str, ...] = EVALUATION_NFS):
+def table1_throughput(nfs: tuple[str, ...] = EVALUATION_NF_NAMES):
     results = {name: throughput_results(name) for name in nfs}
 
     def metric(nf_name: str, workload_name: str):
@@ -66,7 +62,7 @@ def table1_throughput(nfs: tuple[str, ...] = EVALUATION_NFS):
 # -- Table 2: median instructions retired per packet ----------------------------------
 
 
-def table2_instructions(nfs: tuple[str, ...] = EVALUATION_NFS):
+def table2_instructions(nfs: tuple[str, ...] = EVALUATION_NF_NAMES):
     results = {name: latency_results(name) for name in nfs}
 
     def metric(nf_name: str, workload_name: str):
@@ -82,7 +78,7 @@ def table2_instructions(nfs: tuple[str, ...] = EVALUATION_NFS):
 # -- Table 3: median L3 misses per packet -----------------------------------------------
 
 
-def table3_l3_misses(nfs: tuple[str, ...] = EVALUATION_NFS):
+def table3_l3_misses(nfs: tuple[str, ...] = EVALUATION_NF_NAMES):
     results = {name: latency_results(name) for name in nfs}
 
     def metric(nf_name: str, workload_name: str):
@@ -98,7 +94,7 @@ def table3_l3_misses(nfs: tuple[str, ...] = EVALUATION_NFS):
 # -- Table 4: CASTAN packets generated and analysis time ---------------------------------
 
 
-def table4_analysis(nfs: tuple[str, ...] = EVALUATION_NFS):
+def table4_analysis(nfs: tuple[str, ...] = EVALUATION_NF_NAMES):
     rows: dict[str, dict[str, object]] = {}
     for nf_name in nfs:
         result = castan_result(nf_name)
@@ -122,7 +118,7 @@ def table4_analysis(nfs: tuple[str, ...] = EVALUATION_NFS):
 # -- Table 5: median latency deviation from NOP ---------------------------------------------
 
 
-def table5_deviation(nfs: tuple[str, ...] = EVALUATION_NFS):
+def table5_deviation(nfs: tuple[str, ...] = EVALUATION_NF_NAMES):
     rows: dict[str, dict[str, object]] = {}
     for nf_name in nfs:
         results = latency_results(nf_name)

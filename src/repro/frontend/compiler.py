@@ -13,7 +13,11 @@ Supported dialect
 * Memory-region access by subscript: ``table[i]`` / ``table[i] = v`` where
   ``table`` is a region declared on the target module.
 * Calls to other dialect functions defined in the same source, and the
-  ``castan_havoc(key, hash_fn(args...))`` intrinsic.
+  ``castan_havoc(key, flow_hash16(key))`` intrinsic.  ``flow_hash16`` is the
+  only hash a havoc may suppress, and a source that defines it must define
+  it as ``FLOW_HASH_DIALECT_SOURCE`` does: reconciliation inverts the
+  Python :func:`~repro.hashing.functions.flow_hash16`, so a differently
+  bodied one would be reconciled against the wrong function.
 
 Anything else raises :class:`NFCompileError` with the offending line.
 """
@@ -26,6 +30,7 @@ from dataclasses import dataclass, field
 
 from repro.frontend.errors import NFCompileError
 from repro.frontend.intrinsics import CASTAN_HAVOC
+from repro.hashing.functions import FLOW_HASH_DIALECT_SOURCE
 from repro.ir.builder import FunctionBuilder
 from repro.ir.instructions import BinOpKind, CmpKind
 from repro.ir.module import BasicBlock, Module
@@ -62,6 +67,10 @@ _NEGATED: dict[CmpKind, CmpKind] = {
     CmpKind.UGT: CmpKind.ULE,
     CmpKind.UGE: CmpKind.ULT,
 }
+
+#: The one hash a havoc may suppress, as the dialect text defines it.
+(_FLOW_HASH_DEF,) = ast.parse(FLOW_HASH_DIALECT_SOURCE).body
+FLOW_HASH_NAME = _FLOW_HASH_DEF.name
 
 
 @dataclass
@@ -105,6 +114,11 @@ def compile_functions(
     names: list[str] = []
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
+            if node.name == FLOW_HASH_NAME and ast.dump(node) != ast.dump(_FLOW_HASH_DEF):
+                raise NFCompileError(
+                    f"{FLOW_HASH_NAME} must be compiled from FLOW_HASH_DIALECT_SOURCE",
+                    node.lineno,
+                )
             compiler = _FunctionCompiler(module, constants, known_functions)
             module.add_function(compiler.compile(node))
             names.append(node.name)
@@ -501,17 +515,19 @@ class _FunctionCompiler:
     def _compile_havoc(self, node: ast.Call) -> Value:
         if len(node.args) != 2:
             raise NFCompileError(
-                "castan_havoc(key, hash_fn(args...)) takes exactly two arguments",
+                "castan_havoc(key, flow_hash16(key)) takes exactly two arguments",
                 node.lineno,
             )
         key_node, call_node = node.args
         if not (
             isinstance(call_node, ast.Call)
             and isinstance(call_node.func, ast.Name)
-            and call_node.func.id in self.known_functions
+            and call_node.func.id == FLOW_HASH_NAME
+            and FLOW_HASH_NAME in self.known_functions
         ):
             raise NFCompileError(
-                "second argument of castan_havoc must be a call to a dialect function",
+                f"second argument of castan_havoc must be a call to {FLOW_HASH_NAME} "
+                "(compiled from FLOW_HASH_DIALECT_SOURCE)",
                 node.lineno,
             )
         key = self._compile_expr(key_node)

@@ -1,6 +1,6 @@
 """Intrinsic functions recognised by the NF dialect compiler.
 
-``castan_havoc(key, hash_fn(args...))`` is the paper's annotation (§3.5/§4):
+``castan_havoc(key, flow_hash16(key))`` is the paper's annotation (§3.5/§4):
 in production builds it simply evaluates the hash call; under CASTAN
 analysis the hash call is suppressed and its result havoced.  The frontend
 lowers it to the dedicated :class:`~repro.ir.instructions.Havoc`

@@ -1,4 +1,4 @@
-"""Preimage tables for inverting NF hash functions (§3.5).
+"""Preimage tables for inverting the NF flow hash, ``flow_hash16`` (§3.5).
 
 The keys of a table are *generated* the way a rainbow table generates them:
 chains of alternating hash and *reduction* steps from random start keys.
@@ -41,7 +41,6 @@ from repro.hashing.functions import (
 from repro.symbex.expr import load_numpy
 
 KeySampler = Callable[[int], int]
-HashFn = Callable[[int], int]
 
 logger = logging.getLogger(__name__)
 
@@ -73,16 +72,21 @@ class RainbowTableStats:
     build_seconds: float = 0.0
 
 
+def _hash_column(keys) -> array:
+    """``flow_hash16`` of a column of keys (one numpy pass when numpy is there)."""
+    if flow_hash16_column is None:
+        return array("Q", map(flow_hash16, keys))
+    return flow_hash16_column(keys)
+
+
 class RainbowTable:
-    """An exact preimage table over rainbow-chain keys of an integer key space."""
+    """An exact ``flow_hash16`` preimage table over rainbow-chain keys of a key space."""
 
     def __init__(
         self,
-        hash_fn: HashFn,
         key_sampler: KeySampler,
         chain_length: int = 64,
         num_chains: int = 2048,
-        hash_bits: int = FLOW_HASH_BITS,
         seed: int = 0xB0B,
         keys: array | None = None,
         preimages: tuple[array, array] | None = None,
@@ -93,12 +97,9 @@ class RainbowTable:
         if chain_length < 2:
             raise ValueError("chain_length must be at least 2")
         started = time.perf_counter()
-        self.hash_fn = hash_fn
         self.key_sampler = key_sampler
         self.chain_length = chain_length
         self.num_chains = num_chains
-        self.hash_bits = hash_bits
-        self.hash_mask = (1 << hash_bits) - 1
         self._seed = seed
         self.stats = RainbowTableStats(chains=num_chains, chain_length=chain_length)
         # Every key of every chain, position-major: the key at ``position``
@@ -127,17 +128,6 @@ class RainbowTable:
         seed = (hash_value * 0x9E3779B97F4A7C15 + position * 0xBF58476D1CE4E5B9) & ((1 << 64) - 1)
         return self.key_sampler(seed)
 
-    def _hash_column(self, keys) -> array:
-        """Masked hashes of a column of keys (one numpy pass for the flow hash)."""
-        mask = self.hash_mask
-        if self.hash_fn is flow_hash16 and flow_hash16_column is not None:
-            hashes = flow_hash16_column(keys)
-            if mask & FLOW_HASH_MASK == FLOW_HASH_MASK:
-                return hashes
-            return array("Q", [h & mask for h in hashes])
-        hash_fn = self.hash_fn
-        return array("Q", [hash_fn(key) & mask for key in keys])
-
     def _build_keys(self) -> array:
         """Walk every chain, keeping each key (64-bit key spaces only).
 
@@ -151,7 +141,7 @@ class RainbowTable:
         column = [self.key_sampler(rng.getrandbits(64)) for _ in range(self.num_chains)]
         keys = array("Q", column)
         for position in range(self.chain_length - 1):
-            hashes = self._hash_column(column)
+            hashes = _hash_column(column)
             # Chains that merged at this position share one reduction (a
             # quarter of the sampler calls at the default size).
             reduced = {h: self._reduce(h, position) for h in set(hashes)}
@@ -162,12 +152,12 @@ class RainbowTable:
     # -- inversion ---------------------------------------------------------------
 
     def invert(self, target_hash: int, limit: int = 8) -> list[int]:
-        """Up to ``limit`` distinct stored keys ``k`` with ``hash_fn(k) == target_hash``.
+        """Up to ``limit`` distinct stored keys ``k`` with ``flow_hash16(k) == target_hash``.
 
         Keys come in the order a chain lookup reaches them: chain position
         descending (cheapest tail first), then chain number ascending.
         """
-        target_hash &= self.hash_mask
+        target_hash &= FLOW_HASH_MASK
         self.stats.lookups += 1
         if self._preimages is None:
             # Two threads racing here build equal tuples; either may win.
@@ -185,7 +175,7 @@ class RainbowTable:
         return list(found)
 
     def _sorted_preimages(self) -> tuple[array, array]:
-        """Every stored key with its masked hash, as two columns sorted by hash.
+        """Every stored key with its hash, as two columns sorted by hash.
 
         Both sorts are stable over the lookup order, so keys of equal hash
         stay in it.  Without numpy the hashes are one scalar loop (about
@@ -195,12 +185,12 @@ class RainbowTable:
         keys = array("Q")
         for position in range(self.chain_length - 1, -1, -1):
             keys.extend(self._keys[position * chains : (position + 1) * chains])
-        hashes = self._hash_column(keys)
+        hashes = _hash_column(keys)
         np = load_numpy()
         if np is not None:
             # numpy's stable radix sort orders the default table in 2 ms,
             # ``sorted`` in 40.
-            narrow = np.min_scalar_type(self.hash_mask)
+            narrow = np.min_scalar_type(FLOW_HASH_MASK)
             order = np.argsort(np.frombuffer(hashes, dtype=np.uint64).astype(narrow), kind="stable")
             return tuple(
                 array("Q", np.frombuffer(column, dtype=np.uint64)[order].tobytes())
@@ -216,7 +206,7 @@ class RainbowTable:
         rng = random.Random(seed)
         successes = 0
         for _ in range(samples):
-            target = rng.getrandbits(self.hash_bits)
+            target = rng.getrandbits(FLOW_HASH_BITS)
             if self.invert(target, limit=1):
                 successes += 1
         return successes / samples
@@ -352,11 +342,9 @@ def build_flow_rainbow_table(
     count = chain_length * num_chains
     keys, hashes, sorted_keys = _load_keys(path, identity, count) or (None,) * 3
     table = RainbowTable(
-        hash_fn=flow_hash16,
         key_sampler=sampler,
         chain_length=chain_length,
         num_chains=num_chains,
-        hash_bits=FLOW_HASH_BITS,
         seed=seed,
         keys=keys,
         preimages=None if keys is None else (hashes, sorted_keys),

@@ -1,11 +1,13 @@
 """The :class:`NetworkFunction` descriptor shared by analysis and testbed.
 
 A network function bundles the compiled NFIL module with everything the
-rest of the pipeline needs to know about it: which Python hash callables
-back its ``castan_havoc`` annotations, sensible default packet-field
+rest of the pipeline needs to know about it: sensible default packet-field
 values, hints for the workload generators (e.g. the LB's VIP), the number
 of packets CASTAN should synthesize for it (Table 4), and an optional
-hand-crafted *Manual* adversarial workload (§5.1).
+hand-crafted *Manual* adversarial workload (§5.1).  Which functions the
+module hashes is not declared: its ``castan_havoc`` annotations name them,
+and each is ``flow_hash16`` (the compiler refuses any other hash), so
+:func:`repro.hashing.functions.flow_hash16` computes every one.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.hashing.functions import FLOW_HASH_BITS
+from repro.ir.instructions import Havoc
 from repro.ir.module import Module
 from repro.net.packet import Packet
 
@@ -50,10 +54,6 @@ class NetworkFunction:
     description: str = ""
     nf_class: str = "misc"  # "nop" | "lpm" | "nat" | "lb"
     data_structure: str = ""
-    # Python implementations of the hash functions referenced by havocs.
-    hash_functions: dict[str, Callable[[int], int]] = field(default_factory=dict)
-    # Output width (bits) of each hash function, for havoc symbols.
-    hash_output_bits: dict[str, int] = field(default_factory=dict)
     # Default values for packet fields left unconstrained by the solver
     # (keys are field names: src_ip, dst_ip, src_port, dst_port, protocol).
     packet_defaults: dict[str, int] = field(default_factory=dict)
@@ -76,8 +76,17 @@ class NetworkFunction:
     notes: str = ""
 
     @property
-    def uses_hashing(self) -> bool:
-        return bool(self.hash_functions)
+    def havoc_functions(self) -> list[str]:
+        """Sorted names of the functions the module's havocs suppress: each is
+        ``flow_hash16``, stage-prefixed in a chain."""
+        return sorted(
+            {
+                instruction.hash_function
+                for function in self.module.functions.values()
+                for instruction in function.instructions()
+                if isinstance(instruction, Havoc)
+            }
+        )
 
     @property
     def is_chain(self) -> bool:
@@ -95,10 +104,10 @@ class NetworkFunction:
         every instruction, region geometry and base address), each region's
         initial contents (the listing omits them), and the analysis-relevant
         metadata: entry point, packet defaults, workload hints, per-NF
-        packet count, hash-function names and output widths, contention
-        regions and chain composition.  Hash *callables* are identified by
-        name only — the registry binds names to implementations, so a
-        changed implementation must change either the name or the module.
+        packet count, contention regions and chain composition.  The listing
+        already names the hash; the havoced function names (each
+        ``FLOW_HASH_BITS`` wide) are fed again under the ``hash_functions``
+        and ``hash_output_bits`` tags, which keeps stored results addressed.
 
         Together with :meth:`repro.core.config.CastanConfig.content_hash`
         this is the content address of an analysis: the service result
@@ -121,8 +130,9 @@ class NetworkFunction:
         feed("packet_defaults", repr(sorted(self.packet_defaults.items())))
         feed("workload_hints", repr(sorted(self.workload_hints.items())))
         feed("castan_packet_count", str(self.castan_packet_count))
-        feed("hash_functions", ",".join(sorted(self.hash_functions)))
-        feed("hash_output_bits", repr(sorted(self.hash_output_bits.items())))
+        havocs = self.havoc_functions
+        feed("hash_functions", ",".join(havocs))
+        feed("hash_output_bits", repr([(name, FLOW_HASH_BITS) for name in havocs]))
         feed("contention_regions", ",".join(self.contention_regions))
         feed("chain_result_rewrite", str(self.chain_result_rewrite))
         for stage in self.chain_stages:

@@ -16,7 +16,7 @@ Chains are addressed through the registry:
   stage may carry an explicit label (``nat-hash-table@nat2``) which is
   required when the same NF appears twice.
 * ``get_nf("chain-gateway")`` / ``get_nf("chain-edge")`` — the named
-  preset chains that also sit in ``EVALUATION_NFS``.
+  preset chains that also sit in ``EVALUATION_NF_NAMES``.
 
 The merged NF records a :class:`~repro.nf.base.ChainStageInfo` per stage,
 which the symbex engine uses for per-stage cost attribution.
@@ -43,7 +43,7 @@ STAGE_ALIASES: dict[str, str] = {
     "lb": "lb-hash-table",
 }
 
-#: Named preset chains registered in the NF registry (and EVALUATION_NFS).
+#: Named preset chains registered in the NF registry (and EVALUATION_NF_NAMES).
 PRESET_CHAINS: dict[str, str] = {
     "chain-gateway": "chain:lpm-dpdk,fw-conntrack,nat-hash-table",
     "chain-edge": "chain:lpm-dpdk,fw-conntrack,nat-hash-table,policer-two-choice",
@@ -167,8 +167,6 @@ def build_chain(spec: str, name: str | None = None) -> NetworkFunction:
 
     stage_infos: list[ChainStageInfo] = []
     stage_nfs: list[NetworkFunction] = []
-    hash_functions: dict = {}
-    hash_output_bits: dict[str, int] = {}
     contention_regions: list[str] = []
     merged_hints: dict[str, int] = {}
     packet_count = 0
@@ -183,10 +181,6 @@ def build_chain(spec: str, name: str | None = None) -> NetworkFunction:
             module.regions[region.name] = region
         for function in nf.module.functions.values():
             module.add_function(function)
-        for hash_name, fn in nf.hash_functions.items():
-            hash_functions[prefix + hash_name] = fn
-        for hash_name, bits in nf.hash_output_bits.items():
-            hash_output_bits[prefix + hash_name] = bits
         contention_regions.extend(prefix + r for r in nf.contention_regions)
         for hint, value in nf.workload_hints.items():
             merged_hints.setdefault(hint, value)
@@ -229,8 +223,6 @@ def build_chain(spec: str, name: str | None = None) -> NetworkFunction:
         description=f"service chain: {description}",
         nf_class="chain",
         data_structure="pipeline",
-        hash_functions=hash_functions,
-        hash_output_bits=hash_output_bits,
         packet_defaults=dict(CHAIN_PACKET_DEFAULTS),
         workload_hints=merged_hints,
         castan_packet_count=packet_count or 10,

@@ -27,7 +27,7 @@ Two adversarial gradients:
 from __future__ import annotations
 
 from repro.frontend.compiler import compile_nf
-from repro.hashing.functions import FLOW_HASH_BITS, FLOW_HASH_DIALECT_SOURCE, flow_hash16
+from repro.hashing.functions import FLOW_HASH_DIALECT_SOURCE
 from repro.ir.module import Module
 from repro.net.packet import Packet
 from repro.nf.base import NetworkFunction
@@ -92,8 +92,6 @@ def build_dedup() -> NetworkFunction:
         description="Duplicate suppression via a Bloom filter with exact slow-path verification.",
         nf_class="dedup",
         data_structure="bloom-filter",
-        hash_functions={"flow_hash16": flow_hash16},
-        hash_output_bits={"flow_hash16": FLOW_HASH_BITS},
         packet_defaults=middlebox_packet_defaults(),
         castan_packet_count=20,
         manual_workload=manual_dedup_workload,

@@ -11,7 +11,7 @@ ring, an unbalanced binary tree and a red-black tree respectively.
 from __future__ import annotations
 
 from repro.frontend.compiler import compile_nf
-from repro.hashing.functions import FLOW_HASH_BITS, FLOW_HASH_DIALECT_SOURCE, flow_hash16
+from repro.hashing.functions import FLOW_HASH_DIALECT_SOURCE
 from repro.ir.module import Module
 from repro.net.packet import Packet
 from repro.nf.assoc import CONTAINERS
@@ -136,8 +136,6 @@ def build_lb(data_structure: str) -> NetworkFunction:
         description=f"Stateful VIP-to-backend load balancer over a {data_structure}.",
         nf_class="lb",
         data_structure=data_structure,
-        hash_functions={"flow_hash16": flow_hash16} if container["uses_hash"] else {},
-        hash_output_bits={"flow_hash16": FLOW_HASH_BITS} if container["uses_hash"] else {},
         packet_defaults=lb_packet_defaults(),
         workload_hints=lb_workload_hints(),
         castan_packet_count=_CASTAN_PACKET_COUNTS[data_structure],

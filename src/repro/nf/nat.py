@@ -12,7 +12,7 @@ unbalanced binary tree and a red-black tree.
 from __future__ import annotations
 
 from repro.frontend.compiler import compile_nf
-from repro.hashing.functions import FLOW_HASH_BITS, FLOW_HASH_DIALECT_SOURCE, flow_hash16
+from repro.hashing.functions import FLOW_HASH_DIALECT_SOURCE
 from repro.ir.module import Module
 from repro.net.packet import Packet
 from repro.nf.assoc import CONTAINERS
@@ -153,8 +153,6 @@ def build_nat(data_structure: str) -> NetworkFunction:
         description=f"Source NAT keeping two per-flow entries in a {data_structure}.",
         nf_class="nat",
         data_structure=data_structure,
-        hash_functions={"flow_hash16": flow_hash16} if container["uses_hash"] else {},
-        hash_output_bits={"flow_hash16": FLOW_HASH_BITS} if container["uses_hash"] else {},
         packet_defaults=nat_packet_defaults(),
         workload_hints=nat_workload_hints(),
         castan_packet_count=_CASTAN_PACKET_COUNTS[data_structure],

@@ -27,7 +27,7 @@ forwarded without being tracked.
 from __future__ import annotations
 
 from repro.frontend.compiler import compile_nf
-from repro.hashing.functions import FLOW_HASH_BITS, FLOW_HASH_DIALECT_SOURCE, flow_hash16
+from repro.hashing.functions import FLOW_HASH_DIALECT_SOURCE
 from repro.ir.module import Module
 from repro.nf.base import NetworkFunction
 from repro.nf.common import (
@@ -158,8 +158,6 @@ def build_policer() -> NetworkFunction:
         description="Per-flow token-bucket policer in a cuckoo-style two-choice hash.",
         nf_class="policer",
         data_structure="two-choice-hash",
-        hash_functions={"flow_hash16": flow_hash16},
-        hash_output_bits={"flow_hash16": FLOW_HASH_BITS},
         packet_defaults=middlebox_packet_defaults(),
         castan_packet_count=30,
         contention_regions=["pol_key_a", "pol_key_b"],

@@ -62,19 +62,22 @@ from repro.nf.nat import build_nat
 from repro.nf.nop import build_nop
 from repro.nf.policer import build_policer
 
+#: In the column order of the evaluation tables: the NOP baseline, the
+#: paper's 11 NFs (Tables 1-3), the four scenario-expansion NFs (firewall,
+#: policer, dedup, DPI) and the two preset service chains.
 _BUILDERS: dict[str, Callable[[], NetworkFunction]] = {
     "nop": build_nop,
-    "lpm-patricia": build_lpm_patricia,
     "lpm-direct": build_lpm_direct,
     "lpm-dpdk": build_lpm_dpdk,
-    "lb-hash-table": lambda: build_lb("hash-table"),
-    "lb-hash-ring": lambda: build_lb("hash-ring"),
+    "lpm-patricia": build_lpm_patricia,
     "lb-unbalanced-tree": lambda: build_lb("unbalanced-tree"),
-    "lb-red-black-tree": lambda: build_lb("red-black-tree"),
-    "nat-hash-table": lambda: build_nat("hash-table"),
-    "nat-hash-ring": lambda: build_nat("hash-ring"),
     "nat-unbalanced-tree": lambda: build_nat("unbalanced-tree"),
+    "lb-red-black-tree": lambda: build_lb("red-black-tree"),
     "nat-red-black-tree": lambda: build_nat("red-black-tree"),
+    "nat-hash-table": lambda: build_nat("hash-table"),
+    "lb-hash-table": lambda: build_lb("hash-table"),
+    "nat-hash-ring": lambda: build_nat("hash-ring"),
+    "lb-hash-ring": lambda: build_lb("hash-ring"),
     "fw-conntrack": build_firewall,
     "policer-two-choice": build_policer,
     "dedup-bloom": build_dedup,
@@ -86,9 +89,7 @@ _BUILDERS: dict[str, Callable[[], NetworkFunction]] = {
 #: Every evaluation NF (17) plus the NOP baseline.
 NF_NAMES: tuple[str, ...] = tuple(_BUILDERS)
 
-#: The 17 evaluation NFs (without the NOP baseline): the paper's 11
-#: Table 1-5 NFs, the firewall / policer / dedup / DPI scenarios, and the
-#: two preset service chains.
+#: The 17 evaluation NFs (without the NOP baseline), in the tables' column order.
 EVALUATION_NF_NAMES: tuple[str, ...] = tuple(n for n in NF_NAMES if n != "nop")
 
 

@@ -40,7 +40,7 @@ from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 
 from repro.cache.hierarchy import MemoryHierarchy
-from repro.core.castan import SOLVER_BUDGET, CastanResult, rainbow_tables
+from repro.core.castan import SOLVER_BUDGET, CastanResult, rainbow_table
 from repro.core.config import CastanConfig
 from repro.hashing.functions import FLOW_HASH_MASK, flow_hash16
 from repro.ir.instructions import BinOpKind, CmpKind
@@ -106,7 +106,6 @@ class _Candidate:
     matcher: object
     # For hash-bucket / hash-range candidates: how to invert the hash.
     key_template: Expr | None = None
-    hash_function: str = ""
     # Target 16-bit hash values whose keys satisfy the predicate.
     hash_targets: tuple[int, ...] = ()
     # Orders matching flows weakest-last (hash-range probes at the arc's
@@ -145,7 +144,7 @@ def _packet_flows(result: CastanResult) -> list[FlowKey]:
 # -- candidate extraction ---------------------------------------------------------
 
 
-def _havoc_groups(nf: NetworkFunction, result: CastanResult) -> dict[tuple[Expr, str], int]:
+def _havoc_groups(result: CastanResult) -> dict[tuple[Expr, str], int]:
     """Packet-uniform key templates from the run's havoc records.
 
     Each record's key expression is renamed from its ``pkt<i>.*`` namespace
@@ -153,15 +152,15 @@ def _havoc_groups(nf: NetworkFunction, result: CastanResult) -> dict[tuple[Expr,
     canonical symbols is uniform — the same 5-tuple function of whichever
     packet it came from.  Templates carrying per-flow constants (the NAT's
     reverse key embeds the allocated external port) keep foreign or no
-    symbols and drop out here.
+    symbols and drop out here.  Groups are keyed by the havoced function's
+    name too, so the two stages of a chain that hash one template stay
+    apart.
     """
     outcome = result.havoc_outcome
-    if outcome is None or not nf.hash_functions:
+    if outcome is None:
         return {}
     groups: dict[tuple[Expr, str], int] = {}
     for record in list(outcome.reconciled) + list(outcome.failed):
-        if not record.hash_function.endswith("flow_hash16"):
-            continue  # the symbolic unrolling is flow_hash16-specific
         template = rename_symbols(record.key_expr, packet_symbol_map(record.packet_index))
         if not template.symbol_names or not template.symbol_names <= _CANONICAL_FIELDS:
             continue
@@ -176,18 +175,17 @@ RANGE_WIDTH = 64
 
 
 def _hash_bucket_candidates(
-    nf: NetworkFunction, result: CastanResult, gates: list[Expr], gate_labels: list[str]
+    result: CastanResult, gates: list[Expr], gate_labels: list[str]
 ) -> list[_Candidate]:
     """Bucket- and arc-collision predicates from the run's havoc records."""
     flows = _packet_flows(result)
     if not flows:
         return []
     candidates: list[_Candidate] = []
-    for (template, hash_name), count in _havoc_groups(nf, result).items():
+    for (template, _stage_hash), count in _havoc_groups(result).items():
         if count < 2:
             continue  # not established across packets
-        hash_fn = nf.hash_functions[hash_name]
-        hashes = [hash_fn(evaluate(template, flow._asdict())) for flow in flows]
+        hashes = [flow_hash16(evaluate(template, flow._asdict())) for flow in flows]
         hash_expr = flow_hash16(template)
 
         # Chained-table shape: the workload piles into one bucket (the low
@@ -204,10 +202,10 @@ def _hash_bucket_candidates(
             if gate_labels:
                 label += " && " + " && ".join(gate_labels)
 
-            def bucket_matcher(fields, _t=template, _fn=hash_fn, _m=mask, _b=bucket, _g=gates):
+            def bucket_matcher(fields, _t=template, _m=mask, _b=bucket, _g=gates):
                 if any(evaluate(gate, fields) == 0 for gate in _g):
                     return False
-                return (_fn(evaluate(_t, fields)) & _m) == _b
+                return (flow_hash16(evaluate(_t, fields)) & _m) == _b
 
             span = (FLOW_HASH_MASK + 1) // (mask + 1)
             candidates.append(
@@ -218,7 +216,6 @@ def _hash_bucket_candidates(
                     evidence_packets=hits,
                     matcher=bucket_matcher,
                     key_template=template,
-                    hash_function=hash_name,
                     hash_targets=tuple(bucket | (j * (mask + 1)) for j in range(span)),
                 )
             )
@@ -247,13 +244,13 @@ def _hash_bucket_candidates(
             if gate_labels:
                 label += " && " + " && ".join(gate_labels)
 
-            def range_matcher(fields, _t=template, _fn=hash_fn, _lo=lo, _g=gates):
+            def range_matcher(fields, _t=template, _lo=lo, _g=gates):
                 if any(evaluate(gate, fields) == 0 for gate in _g):
                     return False
-                return ((_fn(evaluate(_t, fields)) - _lo) & FLOW_HASH_MASK) < RANGE_WIDTH
+                return ((flow_hash16(evaluate(_t, fields)) - _lo) & FLOW_HASH_MASK) < RANGE_WIDTH
 
-            def range_weakness(fields, _t=template, _fn=hash_fn, _lo=lo):
-                return (_fn(evaluate(_t, fields)) - _lo) & FLOW_HASH_MASK
+            def range_weakness(fields, _t=template, _lo=lo):
+                return (flow_hash16(evaluate(_t, fields)) - _lo) & FLOW_HASH_MASK
 
             candidates.append(
                 _Candidate(
@@ -263,7 +260,6 @@ def _hash_bucket_candidates(
                     evidence_packets=range_hits,
                     matcher=range_matcher,
                     key_template=template,
-                    hash_function=hash_name,
                     hash_targets=tuple((lo + j) & FLOW_HASH_MASK for j in range(RANGE_WIDTH)),
                     weakness=range_weakness,
                 )
@@ -283,10 +279,10 @@ def _hash_bucket_candidates(
             if gate_labels:
                 label += " && " + " && ".join(gate_labels)
 
-            def exact_matcher(fields, _t=template, _fn=hash_fn, _v=target, _g=gates):
+            def exact_matcher(fields, _t=template, _v=target, _g=gates):
                 if any(evaluate(gate, fields) == 0 for gate in _g):
                     return False
-                return _fn(evaluate(_t, fields)) == _v
+                return flow_hash16(evaluate(_t, fields)) == _v
 
             candidates.append(
                 _Candidate(
@@ -296,7 +292,6 @@ def _hash_bucket_candidates(
                     evidence_packets=Counter(hashes).most_common(1)[0][1],
                     matcher=exact_matcher,
                     key_template=template,
-                    hash_function=hash_name,
                     hash_targets=(target,),
                 )
             )
@@ -428,7 +423,7 @@ def synthesize_matching_flows(
 
     defaults = dict(nf.packet_defaults)
     if candidate.key_template is not None:
-        table = rainbow_tables(nf, config)[candidate.hash_function]
+        table = rainbow_table(config)
         targets = list(candidate.hash_targets)
         rng.shuffle(targets)
         for target in targets:
@@ -522,7 +517,7 @@ def distill_signatures(
     workload = _packet_flows(result)
     workload_set = set(workload)
 
-    candidates = _hash_bucket_candidates(nf, result, gates, gate_labels)
+    candidates = _hash_bucket_candidates(result, gates, gate_labels)
     candidates += _field_cluster_candidates(nf, result, gates, gate_labels)
     report.candidates = len(candidates)
 

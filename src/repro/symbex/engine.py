@@ -4,7 +4,8 @@ The engine executes the NF's entry function once per symbolic packet,
 threading NF state (memory regions) across packets within one execution
 state.  Branches on symbolic conditions fork; loads and stores with
 symbolic indices are concretized by the pluggable cache model; hash
-functions annotated with ``castan_havoc`` are suppressed and havoced.  The
+functions annotated with ``castan_havoc`` are suppressed and havoced (every
+havoc symbol is ``FLOW_HASH_BITS`` wide: the hash is ``flow_hash16``).  The
 caller supplies a :class:`~repro.symbex.searcher.Searcher` that decides
 which pending state to explore next — CASTAN's searcher maximises
 current + potential cost (§3.3–3.4).
@@ -20,6 +21,7 @@ from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.cfg.costs import CostAnnotation
+from repro.hashing.functions import FLOW_HASH_BITS
 from repro.ir.decode import (
     BINOP,
     BRANCH,
@@ -144,7 +146,6 @@ class SymbolicEngine:
         solver: Solver | None = None,
         cycle_costs: CycleCosts = DEFAULT_CYCLE_COSTS,
         defaults: dict[str, int] | None = None,
-        hash_output_bits: dict[str, int] | None = None,
         max_loop_iterations: int = 256,
         stage_entries: dict[str, str] | None = None,
     ) -> None:
@@ -166,7 +167,6 @@ class SymbolicEngine:
         self.solver = solver or Solver()
         self.cycle_costs = cycle_costs
         self.defaults = dict(defaults or {})
-        self.hash_output_bits = dict(hash_output_bits or {})
         self.max_loop_iterations = max_loop_iterations
 
         self._entry_function = module.get_function(entry)
@@ -485,8 +485,7 @@ class SymbolicEngine:
         _, dest, hash_function, operands, _call_overhead, key_reg, key = instruction
         key_expr = state.read_register(key) if key_reg else key
         args = [state.read_register(arg) if is_reg else arg for is_reg, arg in operands]
-        bits = self.hash_output_bits.get(hash_function.name, 32)
-        symbol = Sym(state.fresh_symbol_name("hv"), bits=bits)
+        symbol = Sym(state.fresh_symbol_name("hv"), bits=FLOW_HASH_BITS)
         state.havoc_records.append(
             HavocRecord(
                 symbol=symbol,

@@ -32,8 +32,9 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Iterable
 
+from repro.hashing.functions import flow_hash16
 from repro.symbex.expr import BinExpr, BinOpKind, Const, Expr, Sym, evaluate, expr_eq, reduce_expr
 from repro.symbex.incremental import replay_context
 from repro.symbex.solver import Model
@@ -179,8 +180,7 @@ def reconcile_havocs(
     constraints: list[Expr],
     model: "Model",
     solver: "Solver",
-    rainbow_tables: dict[str, "RainbowTable"],
-    hash_functions: dict[str, Callable[[int], int]],
+    rainbow_table: "RainbowTable",
     defaults: dict[str, int] | None = None,
     max_candidates_per_havoc: int = 16,
 ) -> ReconciliationOutcome:
@@ -190,10 +190,10 @@ def reconcile_havocs(
     ``Castan._solve_state`` passes): it seeds the witnesses, and it is
     returned unchanged when nothing is reconciled.  A model that violates
     ``constraints`` is logged, turns the witnesses off, and is replaced by
-    the solver's model when nothing is reconciled.  ``rainbow_tables`` maps
-    hash-function name to the table used for inversion; ``hash_functions``
-    maps the same names to concrete Python implementations used to
-    re-verify candidate keys.  Reconciliation is incremental: constraints
+    the solver's model when nothing is reconciled.  Every havoc suppressed
+    ``flow_hash16`` (the compiler allows no other hash): ``rainbow_table``
+    inverts it, and :func:`~repro.hashing.functions.flow_hash16`
+    re-verifies each candidate key.  Reconciliation is incremental: constraints
     pinned for earlier havocs stay in force while later ones are
     reconciled, so related keys (e.g. the NAT's two entries per flow) are
     handled consistently — and may legitimately fail, as in the paper.
@@ -227,22 +227,13 @@ def reconcile_havocs(
         )
 
     for record in records:
-        table = rainbow_tables.get(record.hash_function)
-        hash_fn = hash_functions.get(record.hash_function)
-        if table is None or hash_fn is None:
-            outcome.failed.append(record)
-            continue
-
         desired_hash = outcome.model.get(record.symbol.name, 0)
-        candidate_keys = list(table.invert(desired_hash, limit=max_candidates_per_havoc))
+        candidate_keys = rainbow_table.invert(desired_hash, limit=max_candidates_per_havoc)
         reconciled = False
         for candidate_key in candidate_keys:
             outcome.attempts += 1
-            actual_hash = hash_fn(candidate_key)
-            if actual_hash != desired_hash:
-                # Lookups are exact on the table's 16-bit mask: this rejects
-                # only a havoc value wider than the mask.
-                continue
+            if flow_hash16(candidate_key) != desired_hash:
+                continue  # lookups are exact: only a wrong table lands here
             fields = _decompose_key_pin(record.key_expr, candidate_key)
             if fields is _PIN_CONFLICT:
                 # The pin alone is unsatisfiable; the solver would agree.
@@ -303,23 +294,18 @@ def reconcile_havocs(
 def havoc_hash_consistency(
     records: list[HavocRecord],
     model: "Model",
-    hash_functions: dict[str, Callable[[int], int]],
 ) -> dict[str, bool]:
-    """For each havoc symbol, does hash(key under model) equal its model value?
+    """For each havoc symbol, does ``flow_hash16(key under model)`` equal its model value?
 
     Used by tests and by the metrics output to report which havocs were
     genuinely reconciled end-to-end.
     """
     consistency: dict[str, bool] = {}
     for record in records:
-        hash_fn = hash_functions.get(record.hash_function)
-        if hash_fn is None:
-            consistency[record.symbol.name] = False
-            continue
         try:
             key_value = evaluate(record.key_expr, model.values)
         except KeyError:
             consistency[record.symbol.name] = False
             continue
-        consistency[record.symbol.name] = hash_fn(key_value) == model.get(record.symbol.name, 0)
+        consistency[record.symbol.name] = flow_hash16(key_value) == model.get(record.symbol.name, 0)
     return consistency

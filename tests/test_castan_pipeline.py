@@ -9,11 +9,18 @@ import threading
 import pytest
 
 from repro.core import castan as castan_module
-from repro.core.castan import Castan, rainbow_tables
+from repro.core.castan import Castan, rainbow_table
 from repro.core.config import CastanConfig
 from repro.core.workload import make_packet_symbols, packets_from_model, symbol_defaults
 from repro.frontend.compiler import compile_nf
-from repro.hashing.functions import FLOW_HASH_DIALECT_SOURCE, flow_hash16, flow_key
+from repro.frontend.errors import NFCompileError
+from repro.hashing.functions import (
+    FLOW_HASH_BITS,
+    FLOW_HASH_DIALECT_SOURCE,
+    FLOW_HASH_MASK,
+    flow_hash16,
+    flow_key,
+)
 from repro.ir.module import Module
 from repro.net.pcap import read_pcap
 from repro.nf.base import NetworkFunction
@@ -277,39 +284,44 @@ def process(src_ip, dst_ip, src_port, dst_port, protocol):
     return 1
 """
 
+#: A ``flow_hash16`` that is not the dialect text's: it would be reconciled
+#: against the Python ``flow_hash16``, which computes another function.
+REBODIED_HASH_SOURCE = """
+def flow_hash16(key):
+    return (key ^ (key >> 16)) & 0xFFFF
 
-def tweaked_hash16(key: int) -> int:
-    return flow_hash16(key ^ 0x5A5A5A5A)
+
+def process(src_ip, dst_ip, src_port, dst_port, protocol):
+    key = src_ip | (src_port << 32) | (dst_port << 48)
+    slot = castan_havoc(key, flow_hash16(key)) & 255
+    buckets[slot] = buckets[slot] + 1
+    return 1
+"""
 
 
-class TestRainbowTablesPerNF:
-    def test_nf_with_its_own_hash_gets_a_table_for_that_hash(self, tmp_path, monkeypatch):
-        """A ``flow_hash16`` table for another hash fails every havoc, silently."""
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+class TestOnlyFlowHash16IsHavoced:
+    """Reconciliation inverts ``flow_hash16`` alone, so the compiler refuses
+    a havoc of any other hash, and a ``flow_hash16`` of another body."""
+
+    @pytest.mark.parametrize(
+        "source, match",
+        [
+            (
+                FLOW_HASH_DIALECT_SOURCE + TWEAKED_HASH_SOURCE,
+                "castan_havoc must be a call to flow_hash16",
+            ),
+            (REBODIED_HASH_SOURCE, "flow_hash16 must be compiled from FLOW_HASH_DIALECT_SOURCE"),
+        ],
+        ids=["another-hash", "another-flow-hash16"],
+    )
+    def test_compiler_refuses_any_other_havoc_hash(self, source, match):
         module = Module("tweaked")
         module.add_region("buckets", 256, 8)
-        compile_nf(module, FLOW_HASH_DIALECT_SOURCE + TWEAKED_HASH_SOURCE, entry="process")
-        nf = NetworkFunction(
-            name="tweaked",
-            module=module,
-            description="hash table indexed by a hash other than flow_hash16",
-            nf_class="lb",
-            data_structure="hash-table",
-            hash_functions={"tweaked_hash16": tweaked_hash16},
-            hash_output_bits={"tweaked_hash16": 16},
-            packet_defaults=middlebox_packet_defaults(),
-            castan_packet_count=4,
-        )
-        castan = Castan(
-            quick_config(num_packets=4, max_states=60, rainbow_chains=2048)
-        )
-        result = castan.analyze(nf)
-        assert result.havoc_outcome.reconciled and not result.havoc_outcome.failed
-        table = rainbow_tables(nf, castan.config)["tweaked_hash16"]
-        assert table.hash_fn is tweaked_hash16
-        assert table is rainbow_tables(nf, dataclasses.replace(castan.config))["tweaked_hash16"]
-        assert not list(tmp_path.iterdir())  # and never persisted
+        with pytest.raises(NFCompileError, match=match):
+            compile_nf(module, source, entry="process")
 
+
+class TestRainbowTableCache:
     def test_corrupt_cache_file_never_changes_the_result(self, tmp_path, monkeypatch, caplog):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         config = quick_config(deadline_seconds=None, max_states=60, num_packets=5)
@@ -337,7 +349,7 @@ HAVOC_NFS = (
 
 
 def _reconcile_havocs_with_from_scratch_checks(
-    records, constraints, model, solver, rainbow_tables, hash_functions,
+    records, constraints, model, solver, rainbow_table,
     defaults=None, max_candidates_per_havoc=16,
 ):
     """``reconcile_havocs`` as it was when every trial was a from-scratch
@@ -348,18 +360,12 @@ def _reconcile_havocs_with_from_scratch_checks(
     pinned: dict[str, int] = dict(context.pinned_assignment())
 
     for record in records:
-        table = rainbow_tables.get(record.hash_function)
-        hash_fn = hash_functions.get(record.hash_function)
-        if table is None or hash_fn is None:
-            outcome.failed.append(record)
-            continue
-
         desired_hash = outcome.model.get(record.symbol.name, 0)
-        candidate_keys = list(table.invert(desired_hash, limit=max_candidates_per_havoc))
+        candidate_keys = list(rainbow_table.invert(desired_hash, limit=max_candidates_per_havoc))
         reconciled = False
         for candidate_key in candidate_keys:
             outcome.attempts += 1
-            actual_hash = hash_fn(candidate_key)
+            actual_hash = flow_hash16(candidate_key)
             if actual_hash != desired_hash:
                 continue
             fields = _decompose_key_pin(record.key_expr, candidate_key)
@@ -484,34 +490,43 @@ RECONCILING_NFS = (
     "lb-hash-table", "lb-hash-ring", "nat-hash-table", "nat-hash-ring", "policer-two-choice",
 )
 
-A16, B16, H8 = Sym("a", 16), Sym("b", 16), Sym("h", 8)
+A16, B16, H16 = Sym("a", 16), Sym("b", 16), Sym("h", FLOW_HASH_BITS)
+#: The one key the toy table knows, and the hash the toy path pins ``h`` to.
+TOY_KEY = 0x123
+TOY_HASH = flow_hash16(TOY_KEY)
+TOY_PATH = [make_cmp(CmpKind.ULT, A16, Const(0x200)), expr_eq(H16, Const(TOY_HASH))]
 
 
 class _OneCandidateTable:
-    """Inverts the toy hash ``key & 0xFF`` to the single key ``0x100 | value``."""
+    """Inverts ``flow_hash16`` to ``TOY_KEY``, whatever the target."""
 
     def invert(self, target_hash, limit=8):
-        return [0x100 | target_hash]
+        return [TOY_KEY]
+
+
+class _NoCandidateTable:
+    """Inverts nothing."""
+
+    def invert(self, target_hash, limit=8):
+        return []
 
 
 def _toy_reconcile(key_expr, model=None):
-    """Reconcile one havoc ``h = key & 0xFF`` on the path ``a < 0x200, h == 0x23``."""
+    """Reconcile one havoc ``h = flow_hash16(key)`` on the path ``a < 0x200, h == TOY_HASH``."""
     solver = Solver()
-    constraints = [make_cmp(CmpKind.ULT, A16, Const(0x200)), expr_eq(H8, Const(0x23))]
     if model is None:
-        model = solver.check(constraints).model
-    record = HavocRecord(symbol=H8, key_expr=key_expr, hash_function="toy")
+        model = solver.check(TOY_PATH).model
+    record = HavocRecord(symbol=H16, key_expr=key_expr, hash_function="flow_hash16")
     outcome = reconcile_havocs(
         records=[record],
-        constraints=constraints,
+        constraints=TOY_PATH,
         model=model,
         solver=solver,
-        rainbow_tables={"toy": _OneCandidateTable()},
-        hash_functions={"toy": lambda key: key & 0xFF},
+        rainbow_table=_OneCandidateTable(),
     )
     assert outcome.reconciled == [record]
-    assert evaluate(key_expr, outcome.model.values) == 0x123
-    assert all(evaluate(c, outcome.model.values) for c in constraints)
+    assert evaluate(key_expr, outcome.model.values) == TOY_KEY
+    assert all(evaluate(c, outcome.model.values) for c in TOY_PATH)
     return outcome
 
 
@@ -546,7 +561,7 @@ class TestWitnessedTrials:
         assert (outcome.witnessed, outcome.searched) == (1, 0)
 
     def test_a_key_that_does_not_decompose_is_searched(self):
-        assert _decompose_key_pin(make_binop(BinOpKind.ADD, A16, B16), 0x123) is None
+        assert _decompose_key_pin(make_binop(BinOpKind.ADD, A16, B16), TOY_KEY) is None
         outcome = _toy_reconcile(make_binop(BinOpKind.ADD, A16, B16))
         assert (outcome.witnessed, outcome.searched) == (0, 1)
 
@@ -564,26 +579,24 @@ class TestWitnessedTrials:
 
     def test_a_caller_model_that_violates_the_path_turns_witnesses_off(self, caplog):
         key = make_binop(BinOpKind.OR, A16, make_binop(BinOpKind.SHL, B16, Const(16)))
-        violating = Model(values={"a": 0x300, "h": 0x23})  # breaks a < 0x200
+        violating = Model(values={"a": 0x300, "h": TOY_HASH})  # breaks a < 0x200
         with caplog.at_level(logging.WARNING, logger="repro.symbex.havoc"):
             outcome = _toy_reconcile(key, model=violating)
         assert (outcome.witnessed, outcome.searched) == (0, 1)
         assert "violates the path constraints" in caplog.text
 
-    @pytest.mark.parametrize("values", [None, {"a": 0x300, "h": 0x23}])
+    @pytest.mark.parametrize("values", [None, {"a": 0x300, "h": TOY_HASH}])
     def test_with_nothing_reconciled_the_model_is_the_solvers(self, values):
         """A solver model comes back unchanged; a violating one is re-solved."""
         solver = Solver()
-        constraints = [make_cmp(CmpKind.ULT, A16, Const(0x200)), expr_eq(H8, Const(0x23))]
-        solved = solver.check(constraints).model
-        record = HavocRecord(symbol=H8, key_expr=A16, hash_function="toy")
+        solved = solver.check(TOY_PATH).model
+        record = HavocRecord(symbol=H16, key_expr=A16, hash_function="flow_hash16")
         outcome = reconcile_havocs(
             records=[record],
-            constraints=constraints,
+            constraints=TOY_PATH,
             model=Model(values=values) if values else solved,
             solver=solver,
-            rainbow_tables={},
-            hash_functions={},
+            rainbow_table=_NoCandidateTable(),
         )
         assert outcome.failed == [record] and not outcome.reconciled
         assert outcome.model.values == solved.values
@@ -599,7 +612,7 @@ class TestLookupCounters:
         def recording(table, target_hash, limit=8):
             before = table.stats.chain_walks
             keys = inner(table, target_hash, limit)
-            assert all(table.hash_fn(key) & table.hash_mask == target_hash for key in keys)
+            assert all(flow_hash16(key) == target_hash & FLOW_HASH_MASK for key in keys)
             examined.append(table.stats.chain_walks - before)
             assert len(keys) <= examined[-1]
             return keys
@@ -608,7 +621,7 @@ class TestLookupCounters:
         castan = Castan(quick_config(deadline_seconds=None, max_states=200, num_packets=None))
         nf = get_nf("nat-hash-ring")
         result = castan.analyze(nf)
-        (table,) = rainbow_tables(nf, castan.config).values()
+        table = rainbow_table(castan.config)
         assert table.stats.lookups == len(examined) == result.havoc_outcome.total > 0
         assert table.stats.false_alarms == 0
         assert table.stats.chain_walks == sum(examined) > 0

@@ -41,7 +41,9 @@ def _mutated(value):
         # validates them in __post_init__) and still always differs
         return value * 2 if value else 1
     if isinstance(value, str):
-        return value + "-mutated"
+        # The string fields name one of a few options (the config refuses
+        # others): the default's mutation is another option.
+        return {"castan": "dfs", "monolithic": "beam", "contention": "none"}[value]
     if value is None:
         return 7
     if isinstance(value, dict):

@@ -16,6 +16,7 @@ from repro.frontend.compiler import compile_nf
 from repro.hashing.functions import (
     FLOW_HASH_BITS,
     FLOW_HASH_DIALECT_SOURCE,
+    FLOW_HASH_MASK,
     flow_hash16,
     flow_hash16_column,
     flow_key,
@@ -25,6 +26,7 @@ from repro.hashing.rainbow import (
     TABLE_CACHE_VERSION,
     RainbowTable,
     RainbowTableStats,
+    _hash_column,
     build_flow_rainbow_table,
     generic_key_sampler,
     udp_flow_key_sampler,
@@ -182,23 +184,26 @@ class TestRainbowTable:
 
     def test_rejects_degenerate_chain_length(self):
         with pytest.raises(ValueError):
-            RainbowTable(flow_hash16, generic_key_sampler, chain_length=1)
+            RainbowTable(generic_key_sampler, chain_length=1)
 
-    def test_lockstep_build_matches_per_chain_build(self):
+    def test_lockstep_build_matches_per_chain_build(self, monkeypatch):
         """The columnar (position-major) build yields the identical table.
 
-        Passing ``flow_hash16`` through a wrapper defeats the ``is`` check
-        in ``RainbowTable._hash_column``, forcing one scalar hash call per
-        key — both must produce the same key matrix and the same hash column.
+        Without ``flow_hash16_column`` the build hashes one key at a time
+        with the scalar ``flow_hash16``: both must produce the same key
+        matrix and the same hash column.
         """
         kwargs = dict(
             key_sampler=udp_flow_key_sampler, chain_length=8, num_chains=300, seed=9
         )
-        columnar = RainbowTable(hash_fn=flow_hash16, **kwargs)
-        scalar = RainbowTable(hash_fn=lambda k: flow_hash16(k), **kwargs)
+        columnar = RainbowTable(**kwargs)
+        columnar_hashes = _hash_column(columnar._keys)
+        columnar_index = columnar._sorted_preimages()
+        monkeypatch.setattr("repro.hashing.rainbow.flow_hash16_column", None)
+        scalar = RainbowTable(**kwargs)
         assert columnar._keys == scalar._keys
-        assert columnar._hash_column(columnar._keys) == scalar._hash_column(scalar._keys)
-        assert columnar._sorted_preimages() == scalar._sorted_preimages()
+        assert columnar_hashes == _hash_column(scalar._keys)
+        assert columnar_index == scalar._sorted_preimages()
 
 
 class _ChainWalkLookup:
@@ -214,8 +219,6 @@ class _ChainWalkLookup:
     _MEMO_LIMIT = 1 << 20  # the one edit: large enough that the exhaustive case never clears it
 
     def __init__(self, table: RainbowTable) -> None:
-        self.hash_fn = table.hash_fn
-        self.hash_mask = table.hash_mask
         self.chain_length = table.chain_length
         self.num_chains = table.num_chains
         self._reduce = table._reduce
@@ -224,10 +227,10 @@ class _ChainWalkLookup:
         self._tail_memo: dict[tuple[int, int], int] = {}
         self._chains: dict[int, list[int]] = {}
         for chain, key in enumerate(self._keys[-self.num_chains :]):
-            self._chains.setdefault(self.hash_fn(key) & self.hash_mask, []).append(chain)
+            self._chains.setdefault(flow_hash16(key) & FLOW_HASH_MASK, []).append(chain)
 
     def invert(self, target_hash: int, limit: int = 8) -> list[int]:
-        target_hash &= self.hash_mask
+        target_hash &= FLOW_HASH_MASK
         self.stats.lookups += 1
         found: list[int] = []
         seen: set[int] = set()
@@ -236,7 +239,7 @@ class _ChainWalkLookup:
             for chain in self._chains.get(end_hash, ()):
                 self.stats.chain_walks += 1
                 key = self._walk_chain(chain, position)
-                if self.hash_fn(key) & self.hash_mask != target_hash:
+                if flow_hash16(key) & FLOW_HASH_MASK != target_hash:
                     self.stats.false_alarms += 1
                     continue
                 if key not in seen:
@@ -257,7 +260,7 @@ class _ChainWalkLookup:
                 hash_value = cached
                 break
             stack.append((hash_value, position))
-            hash_value = self.hash_fn(self._reduce(hash_value, position)) & self.hash_mask
+            hash_value = flow_hash16(self._reduce(hash_value, position)) & FLOW_HASH_MASK
             position += 1
         if stack:
             if len(memo) >= self._MEMO_LIMIT:
@@ -278,8 +281,7 @@ class TestExactLookupEqualsChainWalk:
     @staticmethod
     def _case(chain_length: int, num_chains: int, seed: int, targets: list[int]):
         table = RainbowTable(
-            flow_hash16, udp_flow_key_sampler, chain_length=chain_length,
-            num_chains=num_chains, seed=seed,
+            udp_flow_key_sampler, chain_length=chain_length, num_chains=num_chains, seed=seed
         )
         reference = _ChainWalkLookup(table)
         expected = [reference.invert(t, limit) for t in targets for limit in TestExactLookupEqualsChainWalk.LIMITS]
@@ -297,7 +299,7 @@ class TestExactLookupEqualsChainWalk:
         return self._case(8, 300, 9, list(range(1 << FLOW_HASH_BITS)))
 
     @pytest.mark.parametrize("case", ["sampled", "exhaustive"])
-    @pytest.mark.parametrize("variant", ["numpy", "no-numpy", "callable"])
+    @pytest.mark.parametrize("variant", ["numpy", "no-numpy"])
     def test_same_candidates_same_order_same_truncation(self, request, monkeypatch, case, variant):
         built, targets, expected, reference_stats = request.getfixturevalue(case)
         if variant == "numpy" and flow_hash16_column is None:
@@ -305,7 +307,6 @@ class TestExactLookupEqualsChainWalk:
         if variant == "no-numpy":
             monkeypatch.setattr("repro.hashing.rainbow.flow_hash16_column", None)
         table = RainbowTable(
-            (lambda k: flow_hash16(k)) if variant == "callable" else flow_hash16,
             udp_flow_key_sampler,
             chain_length=built.chain_length,
             num_chains=built.num_chains,
@@ -319,7 +320,7 @@ class TestExactLookupEqualsChainWalk:
         assert stats.chain_walks == reference_stats.chain_walks - reference_stats.false_alarms
 
     def test_table_without_lookups_never_hashes_its_matrix(self):
-        table = RainbowTable(flow_hash16, udp_flow_key_sampler, chain_length=4, num_chains=16)
+        table = RainbowTable(udp_flow_key_sampler, chain_length=4, num_chains=16)
         assert table._preimages is None
         table.invert(7)
         assert table._preimages is not None
@@ -353,7 +354,6 @@ class TestFlowTablePersistence:
         loaded = build_flow_rainbow_table(tailored=tailored, **self.SMALL)
         assert (built.stats.source, loaded.stats.source) == ("built", "loaded")
         assert loaded._keys == built._keys
-        assert loaded._hash_column(loaded._keys) == built._hash_column(built._keys)
         rng = random.Random(8)
         targets = [rng.getrandbits(FLOW_HASH_BITS) for _ in range(200)]
         assert _behaviour(loaded, targets) == _behaviour(built, targets)
@@ -365,18 +365,18 @@ class TestFlowTablePersistence:
         build_flow_rainbow_table(tailored=tailored, **self.SMALL)
         # A loaded table adopts the persisted index: it hashes and sorts nothing.
         with monkeypatch.context() as patch:
-            for name in ("_hash_column", "_sorted_preimages"):
-                patch.setattr(RainbowTable, name, _forbidden)
+            patch.setattr("repro.hashing.rainbow._hash_column", _forbidden)
+            patch.setattr(RainbowTable, "_sorted_preimages", _forbidden)
             loaded = build_flow_rainbow_table(tailored=tailored, **self.SMALL)
             loaded.invert(7)
         assert loaded.stats.source == "loaded"
         assert loaded._preimages == loaded._sorted_preimages()
         sampler = udp_flow_key_sampler if tailored else generic_key_sampler
-        fresh = RainbowTable(flow_hash16, sampler, **self.SMALL)
+        fresh = RainbowTable(sampler, **self.SMALL)
         assert loaded._preimages == fresh._sorted_preimages()
 
-    def test_arbitrary_callables_never_touch_disk(self, cache_dir):
-        RainbowTable(lambda k: flow_hash16(k), generic_key_sampler, chain_length=4, num_chains=16)
+    def test_a_directly_built_table_never_touches_disk(self, cache_dir):
+        RainbowTable(generic_key_sampler, chain_length=4, num_chains=16)
         assert not cache_dir.exists()
 
     @pytest.mark.parametrize(
@@ -417,7 +417,7 @@ class TestFlowTablePersistence:
             table = build_flow_rainbow_table(**self.SMALL)
         assert "is not writable" in caplog.text
         assert table.stats.source == "built"
-        assert table._keys == RainbowTable(flow_hash16, udp_flow_key_sampler, **self.SMALL)._keys
+        assert table._keys == RainbowTable(udp_flow_key_sampler, **self.SMALL)._keys
         assert cache_dir.read_text() == "in the way"
 
     def test_build_and_load_are_logged(self, cache_dir, caplog):
@@ -456,9 +456,7 @@ class TestFlowTablePersistence:
         lookup index changed: bump ``TABLE_CACHE_VERSION`` (so stale files
         stop matching) and repin the values here.
         """
-        table = RainbowTable(
-            flow_hash16, udp_flow_key_sampler, chain_length=32, num_chains=4096, seed=0xB0B
-        )
+        table = RainbowTable(udp_flow_key_sampler, chain_length=32, num_chains=4096, seed=0xB0B)
 
         def digest(*columns):
             payload = hashlib.sha256()

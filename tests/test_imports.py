@@ -177,7 +177,7 @@ def test_unimportable_numpy_degrades_to_identical_output(numpy_state, tmp_path):
     expected_digest = canonical_result_digest(Castan(config).analyze(get_nf("lb-hash-table")))
     table = build_flow_rainbow_table()  # on disk from here on
     targets = list(range(0, 1 << 16, 997))
-    small = RainbowTable(flow_hash16, udp_flow_key_sampler, chain_length=6, num_chains=300)
+    small = RainbowTable(udp_flow_key_sampler, chain_length=6, num_chains=300)
     script = (
         "import json, sys\n"
         + block
@@ -187,7 +187,7 @@ def test_unimportable_numpy_degrades_to_identical_output(numpy_state, tmp_path):
         "from repro.symbex import expr\n"
         + ANALYZE
         + "table = rainbow.build_flow_rainbow_table()\n"
-        "small = rainbow.RainbowTable(functions.flow_hash16, rainbow.udp_flow_key_sampler,"
+        "small = rainbow.RainbowTable(rainbow.udp_flow_key_sampler,"
         " chain_length=6, num_chains=300)\n"
         "column_hash = functions.flow_hash16_column\n"
         "report = {\n"

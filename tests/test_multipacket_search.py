@@ -239,9 +239,8 @@ class TestSearcherSeedThreading:
 
 class TestConfigHandling:
     def test_unknown_search_mode_raises(self):
-        config = CastanConfig(search_mode="astar")
         with pytest.raises(ValueError, match="search_mode"):
-            Castan(config).analyze(get_nf("nop"))
+            Castan(CastanConfig(search_mode="astar")).analyze(get_nf("nop"))
 
     def test_explicit_zero_packets_is_honored(self):
         """Regression: ``num_packets=0`` used to fall back to the per-NF

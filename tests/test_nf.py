@@ -7,7 +7,6 @@ import random
 
 import pytest
 
-from repro.eval.experiments import EVALUATION_NFS
 from repro.hashing.functions import flow_key
 from repro.ir.verify import verify_module
 from repro.net.packet import IPProtocol, Packet
@@ -53,11 +52,6 @@ class TestRegistry:
         assert len(available_nfs()) == 18
         assert len(EVALUATION_NF_NAMES) == 17  # without the NOP baseline
 
-    def test_evaluation_column_order_covers_the_registry(self):
-        # The tables' explicit column order must name every evaluation NF once.
-        assert len(set(EVALUATION_NFS)) == len(EVALUATION_NFS)
-        assert set(EVALUATION_NFS) == set(EVALUATION_NF_NAMES)
-
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError):
             get_nf("no-such-nf")
@@ -69,7 +63,7 @@ class TestRegistry:
             get_nf("fw-contrack")
 
     def test_unknown_name_without_close_match_lists_options(self):
-        with pytest.raises(KeyError, match="available: nop, lpm-patricia"):
+        with pytest.raises(KeyError, match="available: nop, lpm-direct"):
             get_nf("zzzzz")
 
     @pytest.mark.parametrize("name", NF_NAMES)
@@ -235,15 +229,23 @@ class TestMetadata:
         for region in nf.contention_regions:
             assert region in nf.module.regions
 
-    @pytest.mark.parametrize("name", ["lb-hash-table", "lb-hash-ring", "nat-hash-table", "nat-hash-ring"])
-    def test_hash_nfs_declare_hash_functions(self, name):
-        nf = get_nf(name)
-        assert nf.uses_hashing
-        assert set(nf.hash_functions) == set(nf.hash_output_bits)
+    @pytest.mark.parametrize(
+        "name",
+        ["lb-hash-table", "lb-hash-ring", "nat-hash-table", "nat-hash-ring",
+         "policer-two-choice", "dedup-bloom"],
+    )
+    def test_hash_nfs_havoc_flow_hash16(self, name):
+        assert get_nf(name).havoc_functions == ["flow_hash16"]
+
+    def test_chain_stages_havoc_their_own_flow_hash16(self):
+        assert get_nf("chain-edge").havoc_functions == [
+            "s2_nat_hash_table__flow_hash16",
+            "s3_policer_two_choice__flow_hash16",
+        ]
 
     @pytest.mark.parametrize("name", ["lb-unbalanced-tree", "lb-red-black-tree", "lpm-patricia", "lpm-direct"])
     def test_tree_and_lpm_nfs_do_not_hash(self, name):
-        assert not get_nf(name).uses_hashing
+        assert get_nf(name).havoc_functions == []
 
 
 #: NF name -> ``NetworkFunction.fingerprint()``.  The service result store

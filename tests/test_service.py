@@ -427,6 +427,45 @@ def test_expired_jobs_answer_404_and_the_store_still_hits(server, monkeypatch):
     assert len(server.client.jobs()) == 3
 
 
+#: Values of known config fields that no analysis can run.  The config
+#: refuses each where it is built, so a submission fails instead of a worker.
+BAD_CONFIG_VALUES = [
+    ("searcher", "nope"),
+    ("search_mode", "nope"),
+    ("cache_model", "nope"),
+    ("max_states", "x"),
+    ("max_states", 0),
+    ("max_states", True),
+    ("rainbow_chains", 0),
+    ("rainbow_chains", 2.0),
+    ("strike_chunk_states", "3"),
+    ("seed", "x"),
+    ("seed", True),
+    ("num_packets", -2),
+    ("num_packets", True),
+    ("deadline_seconds", -1),
+    ("deadline_seconds", 0),
+    ("deadline_seconds", "5"),
+]
+
+
+@pytest.mark.parametrize("field, value", BAD_CONFIG_VALUES)
+def test_a_bad_config_value_fails_the_submission(server, field, value):
+    with pytest.raises(ValueError, match=field):
+        CastanConfig.from_dict({field: value})
+    with pytest.raises(ServiceError) as err:
+        server.client.submit(NF, config={**SMOKE_CONFIG, field: value})
+    assert err.value.status == 400 and field in err.value.message
+
+
+def test_boundary_config_values_are_honoured():
+    config = CastanConfig.from_dict(
+        {"num_packets": 0, "deadline_seconds": None, "max_states": 1, "seed": -1}
+    )
+    assert (config.num_packets, config.deadline_seconds) == (0, None)
+    assert CastanConfig.from_dict({"deadline_seconds": 0.5}).deadline_seconds == 0.5
+
+
 def test_cancel_settles_a_queued_job(server):
     """With one execution slot, the second of two jobs cancels while queued."""
     first = server.client.submit(

@@ -10,6 +10,7 @@ from repro.cfg.costs import annotate_costs, render_annotated_cfg
 from repro.cfg.icfg import InterproceduralCFG, build_icfg
 from repro.core.workload import make_packet_symbols, symbol_defaults
 from repro.frontend.compiler import compile_nf
+from repro.hashing.functions import FLOW_HASH_BITS, FLOW_HASH_DIALECT_SOURCE
 from repro.ir.module import Module
 from repro.nf.registry import NF_NAMES, get_nf
 from repro.symbex.engine import SymbolicEngine
@@ -258,22 +259,19 @@ def process(src_ip, dst_ip, src_port, dst_port, protocol):
         assert stats.completed_states[0].packet_actions[0] == Const(6)
 
     def test_havoc_creates_records_and_fresh_symbols(self):
-        source = """
-def hash_fn(key):
-    return (key * 2654435761) & 0xFFFF
-
+        source = FLOW_HASH_DIALECT_SOURCE + """
 def process(src_ip, dst_ip, src_port, dst_port, protocol):
-    h = castan_havoc(dst_ip, hash_fn(dst_ip))
+    h = castan_havoc(dst_ip, flow_hash16(dst_ip))
     return slots[h & 7]
 """
         module = make_module(source, regions={"slots": (8, 8, {})})
-        engine = SymbolicEngine(module, "process", [packet_symbols()], hash_output_bits={"hash_fn": 16})
+        engine = SymbolicEngine(module, "process", [packet_symbols()])
         stats = engine.run(CastanSearcher(), max_states=50)
         best = stats.best_state()
         assert len(best.havoc_records) == 1
         record = best.havoc_records[0]
-        assert record.hash_function == "hash_fn"
-        assert record.symbol.bits == 16
+        assert record.hash_function == "flow_hash16"
+        assert record.symbol.bits == FLOW_HASH_BITS
         assert str(record.key_expr) == "p0.dst_ip"
 
     def test_infeasible_paths_are_pruned(self):
@@ -334,7 +332,6 @@ def _evaluation_engine(nf_name, num_packets=2):
         entry=nf.entry,
         packet_args=[ps.args for ps in packet_sets],
         defaults=symbol_defaults(packet_sets, nf.packet_defaults),
-        hash_output_bits=nf.hash_output_bits,
     )
 
 
