@@ -3,9 +3,11 @@
 Every benchmark regenerates one table or figure of the paper's evaluation.
 Results are computed through the memoised runners in
 ``repro.eval.experiments``, so an NF is analysed and measured once no
-matter how many tables reference it.
-Set ``REPRO_EVAL_SCALE`` to ``smoke`` / ``quick`` / ``full`` to trade run
-time for fidelity before invoking ``pytest benchmarks/bench_*.py --benchmark-only``
+matter how many tables reference it, always at ``EVAL_CONFIG`` (the config
+``tests/test_quality.py`` gates).
+Set ``REPRO_EVAL_SCALE`` to ``smoke`` / ``quick`` / ``full`` to size the
+replays and baseline workloads before invoking
+``pytest benchmarks/bench_*.py --benchmark-only``
 (by file: the scripts are not named ``test_*.py``, so ``pytest benchmarks/``
 collects nothing).
 """

@@ -64,6 +64,26 @@ def _check_known_fields(cls: type, data: dict) -> None:
         )
 
 
+def _nested_config(cls: type, name: str, data) -> object:
+    """Build the nested ``cls`` table of field ``name`` from plain data.
+
+    Each value must have its default's type (an int, or a number where the
+    default is a float), and every cycle cost must be >= 0.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{name} must be an object of {cls.__name__} fields, got {data!r}")
+    _check_known_fields(cls, data)
+    defaults = cls()
+    least = 0 if cls is CycleCosts else None
+    for key, value in data.items():
+        kinds = (int, float) if type(getattr(defaults, key)) is float else (int,)
+        if type(value) not in kinds or (least is not None and value < least):
+            wanted = "a number" if float in kinds else "an int"
+            wanted += "" if least is None else f" >= {least}"
+            raise ValueError(f"{name}.{key} must be {wanted}, got {value!r}")
+    return cls(**data)
+
+
 @dataclass
 class CastanConfig:
     """Knobs of the analysis (§3, §4).
@@ -165,15 +185,15 @@ class CastanConfig:
         Unknown keys, top-level or inside the nested ``hierarchy`` /
         ``cycle_costs`` dicts, raise ``ValueError`` naming the known fields
         (a typoed knob in a service job must fail the submission, not
-        silently analyze with defaults); the nested dicts override
-        field-wise on top of their defaults.
+        silently analyze with defaults), and so does a nested table that is
+        no object or holds a value of the wrong type; the nested dicts
+        override field-wise on top of their defaults.
         """
         _check_known_fields(cls, data)
         kwargs = dict(data)
         for name, nested in (("hierarchy", HierarchyConfig), ("cycle_costs", CycleCosts)):
-            if isinstance(kwargs.get(name), dict):
-                _check_known_fields(nested, kwargs[name])
-                kwargs[name] = nested(**kwargs[name])
+            if name in kwargs:
+                kwargs[name] = _nested_config(nested, name, kwargs[name])
         return cls(**kwargs)
 
     def packets_for(self, nf_default: int) -> int:

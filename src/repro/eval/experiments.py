@@ -4,12 +4,15 @@ All benchmark targets pull from these functions, so running the whole
 ``benchmarks/`` directory analyses each NF once and replays each workload
 once, no matter how many tables reference the same numbers.
 
-Scaling: the defaults in :class:`EvalSettings` are sized for laptop runs
-(seconds per NF).  Set the environment variable ``REPRO_EVAL_SCALE=full``
-for larger workloads and exploration budgets closer to the paper's, or
-``REPRO_EVAL_SCALE=smoke`` for CI-sized runs.  Every analysis runs
-in-process, once per NF; to analyse a suite across processes, submit it to
-the synthesis service (:mod:`repro.service`), whose store keeps each result.
+Every table and figure analyses at :data:`EVAL_CONFIG`, the config the
+quality gate (:func:`quality_row`, ``tests/test_quality.py``) holds to
+floors, so the tables describe the workloads the gate checks.  It sets no deadline, so
+the workloads do not depend on machine speed.  Scaling: the replay and
+workload sizes in :class:`EvalSettings` are sized for laptop runs; set
+``REPRO_EVAL_SCALE=full`` for larger ones, or ``smoke`` for CI-sized
+runs.  Every analysis runs in-process, once per NF; to analyse a suite
+across processes, submit it to the synthesis service
+(:mod:`repro.service`), whose store keeps each result.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from repro.core.castan import Castan, CastanResult
 from repro.core.config import CastanConfig
 from repro.nf.base import NetworkFunction
 from repro.nf.registry import get_nf
-from repro.testbed.dut import TestbedConfig
 from repro.testbed.measure import LatencyResult, ThroughputResult, measure_latency, measure_throughput
 from repro.workloads.generators import (
     Workload,
@@ -35,13 +37,18 @@ from repro.workloads.generators import (
     make_zipfian_workload,
 )
 
+#: The one analysis config of the evaluation: the paper's tables and the
+#: quality gate read it.  No deadline makes every analysis deterministic.
+EVAL_CONFIG = CastanConfig(deadline_seconds=None, max_states=1000)
+
+#: Packets per replay of a quality row (not scaled by ``REPRO_EVAL_SCALE``).
+QUALITY_REPLAY_PACKETS = 500
+
+
 @dataclass(frozen=True)
 class EvalSettings:
-    """Knobs shared by every experiment run."""
+    """Replay and workload sizes shared by every experiment run."""
 
-    castan_max_states: int = 250
-    castan_deadline_seconds: float = 10.0
-    castan_num_packets: int | None = None  # per-NF paper-sized packet counts
     replay_packets: int = 1200
     zipfian_packets: int = 1600
     zipfian_flows: int = 110
@@ -61,9 +68,6 @@ class EvalSettings:
             scale = "quick"
         if scale == "full":
             return cls(
-                castan_max_states=2500,
-                castan_deadline_seconds=120.0,
-                castan_num_packets=None,  # per-NF paper-sized packet counts
                 replay_packets=6000,
                 zipfian_packets=8000,
                 zipfian_flows=540,
@@ -72,9 +76,6 @@ class EvalSettings:
             )
         if scale == "smoke":
             return cls(
-                castan_max_states=60,
-                castan_deadline_seconds=4.0,
-                castan_num_packets=5,
                 replay_packets=300,
                 zipfian_packets=400,
                 zipfian_flows=40,
@@ -85,7 +86,6 @@ class EvalSettings:
 
 
 SETTINGS = EvalSettings.from_environment()
-_TESTBED_CONFIG = TestbedConfig()
 
 
 @lru_cache(maxsize=None)
@@ -94,15 +94,53 @@ def nf_instance(name: str) -> NetworkFunction:
     return get_nf(name)
 
 
-@lru_cache(maxsize=None)
-def castan_result(name: str) -> CastanResult:
-    """Run CASTAN once per NF and cache the synthesized workload."""
-    config = CastanConfig(
-        max_states=SETTINGS.castan_max_states,
-        deadline_seconds=SETTINGS.castan_deadline_seconds,
-        num_packets=SETTINGS.castan_num_packets,
-    )
-    return Castan(config).analyze(nf_instance(name))
+_ANALYSES: dict[tuple[str, str], CastanResult] = {}
+
+
+def castan_result(name: str, config: CastanConfig = EVAL_CONFIG) -> CastanResult:
+    """Run CASTAN once per NF and config, and cache the synthesized workload."""
+    key = (name, config.content_hash())
+    if key not in _ANALYSES:
+        _ANALYSES[key] = Castan(config).analyze(nf_instance(name))
+    return _ANALYSES[key]
+
+
+def _median_cycles(nf: NetworkFunction, workload: Workload) -> float:
+    return measure_latency(nf, workload, replay_packets=QUALITY_REPLAY_PACKETS).cycles.median
+
+
+def quality_row(name: str, config: CastanConfig = EVAL_CONFIG) -> dict:
+    """What one NF's analysis found, and how its workload replays.
+
+    Three replays of ``QUALITY_REPLAY_PACKETS`` packets, a cold DUT each:
+    the CASTAN workload, same-size uniform-random traffic (UniRand-CASTAN)
+    and the NF's Manual workload where it has one.  ``witnessed`` /
+    ``searched`` count the reconciled havocs a witness model and a model
+    search proved; NFs without havocs have ``None`` there.
+    """
+    nf = nf_instance(name)
+    result = castan_result(name, config)
+    castan = _median_cycles(nf, make_castan_workload(result.packets))
+    unirand = _median_cycles(nf, make_unirand_castan_workload(nf, len(result.packets)))
+    manual_workload = make_manual_workload(nf)
+    manual = None if manual_workload is None else _median_cycles(nf, manual_workload)
+    havoc = result.havoc_outcome
+    return {
+        "nf": name,
+        "states": result.states_explored,
+        "packets": len(result.packets),
+        "stop": result.stop_reason,
+        "status": result.solver_status,
+        "reconciled": None if havoc is None else f"{len(havoc.reconciled)}/{havoc.total}",
+        "witnessed": None if havoc is None else havoc.witnessed,
+        "searched": None if havoc is None else havoc.searched,
+        "predicted": result.best_state_cost,
+        "castan": castan,
+        "unirand": unirand,
+        "manual": manual,
+        "vs_unirand": castan / unirand,
+        "vs_manual": None if manual is None else castan / manual,
+    }
 
 
 @lru_cache(maxsize=None)
@@ -136,15 +174,12 @@ def latency_results(name: str) -> dict[str, LatencyResult]:
     results: dict[str, LatencyResult] = {}
     nop = nf_instance("nop")
     results["nop"] = measure_latency(
-        nop,
-        make_one_packet_workload(nop),
-        config=_TESTBED_CONFIG,
-        replay_packets=SETTINGS.replay_packets,
+        nop, make_one_packet_workload(nop), replay_packets=SETTINGS.replay_packets
     )
     nf = nf_instance(name)
     for workload_name, workload in workload_suite(name).items():
         results[workload_name] = measure_latency(
-            nf, workload, config=_TESTBED_CONFIG, replay_packets=SETTINGS.replay_packets
+            nf, workload, replay_packets=SETTINGS.replay_packets
         )
     return results
 
@@ -155,17 +190,11 @@ def throughput_results(name: str) -> dict[str, ThroughputResult]:
     results: dict[str, ThroughputResult] = {}
     nop = nf_instance("nop")
     results["nop"] = measure_throughput(
-        nop,
-        make_one_packet_workload(nop),
-        config=_TESTBED_CONFIG,
-        replay_packets=SETTINGS.throughput_replay_packets,
+        nop, make_one_packet_workload(nop), replay_packets=SETTINGS.throughput_replay_packets
     )
     nf = nf_instance(name)
     for workload_name, workload in workload_suite(name).items():
         results[workload_name] = measure_throughput(
-            nf,
-            workload,
-            config=_TESTBED_CONFIG,
-            replay_packets=SETTINGS.throughput_replay_packets,
+            nf, workload, replay_packets=SETTINGS.throughput_replay_packets
         )
     return results

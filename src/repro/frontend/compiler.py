@@ -13,13 +13,16 @@ Supported dialect
 * Memory-region access by subscript: ``table[i]`` / ``table[i] = v`` where
   ``table`` is a region declared on the target module.
 * Calls to other dialect functions defined in the same source, and the
-  ``castan_havoc(key, flow_hash16(key))`` intrinsic.  ``flow_hash16`` is the
-  only hash a havoc may suppress, and a source that defines it must define
-  it as ``FLOW_HASH_DIALECT_SOURCE`` does: reconciliation inverts the
-  Python :func:`~repro.hashing.functions.flow_hash16`, so a differently
-  bodied one would be reconciled against the wrong function.
+  ``castan_havoc(key, flow_hash16(key))`` intrinsic, whose hash takes the
+  key itself.  ``flow_hash16`` is the only hash a havoc may suppress, and
+  no source defines it: a source that calls it gets it compiled from
+  ``FLOW_HASH_DIALECT_SOURCE`` ahead of its own functions, because
+  reconciliation inverts the Python
+  :func:`~repro.hashing.functions.flow_hash16`, and a differently bodied
+  one would be reconciled against the wrong function.
 
-Anything else raises :class:`NFCompileError` with the offending line.
+Anything else raises :class:`NFCompileError` with the offending line of
+``source``.
 """
 
 from __future__ import annotations
@@ -111,12 +114,18 @@ def compile_functions(
     constants = dict(constants or {})
     function_defs = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
     known_functions = {fn.name for fn in function_defs} | set(module.functions)
+    if FLOW_HASH_NAME not in known_functions and any(
+        isinstance(node, ast.Name) and node.id == FLOW_HASH_NAME for node in ast.walk(tree)
+    ):
+        tree.body.insert(0, _FLOW_HASH_DEF)
+        known_functions.add(FLOW_HASH_NAME)
     names: list[str] = []
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
-            if node.name == FLOW_HASH_NAME and ast.dump(node) != ast.dump(_FLOW_HASH_DEF):
+            if node.name == FLOW_HASH_NAME and node is not _FLOW_HASH_DEF:
                 raise NFCompileError(
-                    f"{FLOW_HASH_NAME} must be compiled from FLOW_HASH_DIALECT_SOURCE",
+                    f"{FLOW_HASH_NAME} is compiled from FLOW_HASH_DIALECT_SOURCE; "
+                    "call it, do not define it",
                     node.lineno,
                 )
             compiler = _FunctionCompiler(module, constants, known_functions)
@@ -519,20 +528,15 @@ class _FunctionCompiler:
                 node.lineno,
             )
         key_node, call_node = node.args
-        if not (
-            isinstance(call_node, ast.Call)
-            and isinstance(call_node.func, ast.Name)
-            and call_node.func.id == FLOW_HASH_NAME
-            and FLOW_HASH_NAME in self.known_functions
-        ):
+        # Reconciliation solves for the key; concrete execution hashes it.
+        hash_of_key = ast.Call(ast.Name(FLOW_HASH_NAME, ast.Load()), [key_node], [])
+        if ast.dump(call_node) != ast.dump(hash_of_key):
             raise NFCompileError(
                 f"second argument of castan_havoc must be a call to {FLOW_HASH_NAME} "
-                "(compiled from FLOW_HASH_DIALECT_SOURCE)",
+                "of the havoc's key",
                 node.lineno,
             )
-        key = self._compile_expr(key_node)
-        args = [self._compile_expr(arg) for arg in call_node.args]
-        return self.builder.havoc(key, call_node.func.id, args)
+        return self.builder.havoc(self._compile_expr(key_node), FLOW_HASH_NAME)
 
     # -- helpers --------------------------------------------------------------
 

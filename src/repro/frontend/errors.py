@@ -7,12 +7,11 @@ class NFCompileError(SyntaxError):
     """Raised when NF dialect source uses an unsupported construct.
 
     The message always names the offending construct and, when available,
-    the source line, so that NF authors can fix the code without reading
-    the compiler.
+    the line of the NF's source (``SyntaxError`` renders it as
+    ``(line N)``), so that NF authors can fix the code without reading the
+    compiler.
     """
 
     def __init__(self, message: str, lineno: int | None = None) -> None:
-        if lineno is not None:
-            message = f"line {lineno}: {message}"
         super().__init__(message)
         self.lineno = lineno

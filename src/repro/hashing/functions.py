@@ -32,8 +32,8 @@ MASK32 = 0xFFFFFFFF
 FLOW_HASH_BITS = 16
 FLOW_HASH_MASK = (1 << FLOW_HASH_BITS) - 1
 
-# NF sources concatenate this snippet so the compiled module contains a
-# `flow_hash16` NFIL function the `castan_havoc` annotation can reference.
+# The NF compiler compiles this text into every module whose source calls
+# `flow_hash16`, the one function a `castan_havoc` annotation may reference.
 # NF fingerprints hash the compiled IR: any edit to the text changes them.
 FLOW_HASH_DIALECT_SOURCE = '''
 def flow_hash16(key):

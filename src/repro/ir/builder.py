@@ -141,22 +141,9 @@ class FunctionBuilder:
         self._emit(Call(dest=dest, callee=callee, args=[as_value(a) for a in args]))
         return dest
 
-    def havoc(
-        self,
-        key,
-        hash_function: str,
-        args: list[Value | int],
-        dest: Register | None = None,
-    ) -> Register:
+    def havoc(self, key, hash_function: str, dest: Register | None = None) -> Register:
         dest = dest or self.fresh_register("hv")
-        self._emit(
-            Havoc(
-                dest=dest,
-                key=as_value(key),
-                hash_function=hash_function,
-                args=[as_value(a) for a in args],
-            )
-        )
+        self._emit(Havoc(dest=dest, key=as_value(key), hash_function=hash_function))
         return dest
 
     # -- terminators -------------------------------------------------------

@@ -21,7 +21,7 @@ Entry layouts::
     (LOAD, dest, index_reg, index, region)
     (STORE, index_reg, index, region, value_reg, value)
     (CALL, dest, callee, args, cost)                            dest may be None
-    (HAVOC, dest, callee, args, cost, key_reg, key)             callee: the hash function
+    (HAVOC, dest, callee, args, cost)                           args: the key alone
     (JUMP, target, cost)
     (BRANCH, cond_reg, cond, if_true, if_false, cost)
     (RETURN, value_reg, value, cost)                            a void return yields 0
@@ -116,9 +116,8 @@ def decode_module(
             args = tuple(operand(arg) for arg in instruction.args)
             return (CALL, dest, callee_of(instruction.callee), args, cost)
         if isinstance(instruction, Havoc):
-            args = tuple(operand(arg) for arg in instruction.args)
             callee = callee_of(instruction.hash_function)
-            return (HAVOC, instruction.dest.name, callee, args, cost, *operand(instruction.key))
+            return (HAVOC, instruction.dest.name, callee, (operand(instruction.key),), cost)
         if isinstance(instruction, Jump):
             return (JUMP, block_index[instruction.target], cost)
         if isinstance(instruction, Branch):

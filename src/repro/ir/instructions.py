@@ -224,7 +224,7 @@ class Havoc(Instruction):
     """The ``castan_havoc(input, output, expr)`` annotation (§3.5, §4).
 
     In production (concrete) execution the instruction behaves exactly like
-    ``dest = call hash_function(args...)``.  Under CASTAN analysis the call
+    ``dest = call hash_function(key)``.  Under CASTAN analysis the call
     is *not* executed: the symbolic expression of ``key`` is recorded and
     ``dest`` is bound to a fresh unconstrained symbol, to be reconciled with
     rainbow tables in post-processing.
@@ -233,17 +233,15 @@ class Havoc(Instruction):
     dest: Register
     key: Value
     hash_function: str
-    args: list[Value] = field(default_factory=list)
 
     def operands(self) -> list[Value]:
-        return [self.key, *self.args]
+        return [self.key]
 
     def result(self) -> Register | None:
         return self.dest
 
     def __str__(self) -> str:
-        args = ", ".join(str(a) for a in self.args)
-        return f"{self.dest} = havoc key={self.key} @{self.hash_function}({args})"
+        return f"{self.dest} = havoc key={self.key} @{self.hash_function}({self.key})"
 
 
 @dataclass

@@ -310,24 +310,20 @@ CONTAINERS = {
         "source": HASH_TABLE_SOURCE,
         "declare": declare_hash_table_regions,
         "contention_regions": ["ht_bucket", "ht_key"],
-        "uses_hash": True,
     },
     "hash-ring": {
         "source": HASH_RING_SOURCE,
         "declare": declare_hash_ring_regions,
         "contention_regions": ["ring_key"],
-        "uses_hash": True,
     },
     "unbalanced-tree": {
         "source": UNBALANCED_TREE_SOURCE,
         "declare": declare_unbalanced_tree_regions,
         "contention_regions": ["bst_key"],
-        "uses_hash": False,
     },
     "red-black-tree": {
         "source": RED_BLACK_TREE_SOURCE,
         "declare": declare_red_black_tree_regions,
         "contention_regions": ["rb_key"],
-        "uses_hash": False,
     },
 }

@@ -27,7 +27,6 @@ Two adversarial gradients:
 from __future__ import annotations
 
 from repro.frontend.compiler import compile_nf
-from repro.hashing.functions import FLOW_HASH_DIALECT_SOURCE
 from repro.ir.module import Module
 from repro.net.packet import Packet
 from repro.nf.base import NetworkFunction
@@ -85,7 +84,7 @@ def build_dedup() -> NetworkFunction:
     module.add_region("bloom_bit", BLOOM_BITS, 8)
     module.add_region("dedup_fp", DEDUP_MAX_FINGERPRINTS, 8)
     module.add_region("dedup_count", 1, 8)
-    compile_nf(module, FLOW_HASH_DIALECT_SOURCE + DEDUP_SOURCE, entry="process")
+    compile_nf(module, DEDUP_SOURCE, entry="process")
     return NetworkFunction(
         name="dedup-bloom",
         module=module,

@@ -11,7 +11,6 @@ ring, an unbalanced binary tree and a red-black tree respectively.
 from __future__ import annotations
 
 from repro.frontend.compiler import compile_nf
-from repro.hashing.functions import FLOW_HASH_DIALECT_SOURCE
 from repro.ir.module import Module
 from repro.net.packet import Packet
 from repro.nf.assoc import CONTAINERS
@@ -124,10 +123,8 @@ def build_lb(data_structure: str) -> NetworkFunction:
     container["declare"](module)
     module.add_region("lb_rr", 1, 8)
 
-    source_parts = [_LB_HEADER, container["source"], _LB_PROCESS[data_structure]]
-    if container["uses_hash"]:
-        source_parts.insert(1, FLOW_HASH_DIALECT_SOURCE)
-    compile_nf(module, "\n".join(source_parts), entry="process")
+    source = "\n".join([_LB_HEADER, container["source"], _LB_PROCESS[data_structure]])
+    compile_nf(module, source, entry="process")
 
     manual = manual_lb_unbalanced_workload if data_structure == "unbalanced-tree" else None
     return NetworkFunction(

@@ -12,7 +12,6 @@ unbalanced binary tree and a red-black tree.
 from __future__ import annotations
 
 from repro.frontend.compiler import compile_nf
-from repro.hashing.functions import FLOW_HASH_DIALECT_SOURCE
 from repro.ir.module import Module
 from repro.net.packet import Packet
 from repro.nf.assoc import CONTAINERS
@@ -141,10 +140,8 @@ def build_nat(data_structure: str) -> NetworkFunction:
     container["declare"](module)
     module.add_region("nat_port", 1, 8, initial={0: NAT_FIRST_EXTERNAL_PORT})
 
-    source_parts = [_NAT_HEADER, container["source"], _NAT_PROCESS[data_structure]]
-    if container["uses_hash"]:
-        source_parts.insert(1, FLOW_HASH_DIALECT_SOURCE)
-    compile_nf(module, "\n".join(source_parts), entry="process")
+    source = "\n".join([_NAT_HEADER, container["source"], _NAT_PROCESS[data_structure]])
+    compile_nf(module, source, entry="process")
 
     manual = manual_nat_unbalanced_workload if data_structure == "unbalanced-tree" else None
     return NetworkFunction(

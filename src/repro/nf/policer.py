@@ -27,7 +27,6 @@ forwarded without being tracked.
 from __future__ import annotations
 
 from repro.frontend.compiler import compile_nf
-from repro.hashing.functions import FLOW_HASH_DIALECT_SOURCE
 from repro.ir.module import Module
 from repro.nf.base import NetworkFunction
 from repro.nf.common import (
@@ -151,7 +150,7 @@ def build_policer() -> NetworkFunction:
     module.add_region("pol_tokens_b", POLICER_SLOTS, 8)
     module.add_region("pol_last_b", POLICER_SLOTS, 8)
     module.add_region("pol_clock", 1, 8)
-    compile_nf(module, FLOW_HASH_DIALECT_SOURCE + POLICER_SOURCE, entry="process")
+    compile_nf(module, POLICER_SOURCE, entry="process")
     return NetworkFunction(
         name="policer-two-choice",
         module=module,

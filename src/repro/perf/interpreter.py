@@ -230,7 +230,7 @@ class ConcreteInterpreter:
                     index += 1
                 elif op == CALL or op == HAVOC:
                     # Production semantics: a havoc just calls the annotated hash function.
-                    _, dest, callee, operands, cost = instruction[:5]
+                    _, dest, callee, operands, cost = instruction
                     cycles += cost
                     value = self._run_function(
                         callee,

@@ -482,16 +482,14 @@ class SymbolicEngine:
             state.stage_cost_base = state.current_cost
 
     def _execute_havoc(self, state: ExecutionState, instruction: tuple) -> None:
-        _, dest, hash_function, operands, _call_overhead, key_reg, key = instruction
+        _, dest, hash_function, ((key_reg, key),), _call_overhead = instruction
         key_expr = state.read_register(key) if key_reg else key
-        args = [state.read_register(arg) if is_reg else arg for is_reg, arg in operands]
         symbol = Sym(state.fresh_symbol_name("hv"), bits=FLOW_HASH_BITS)
         state.havoc_records.append(
             HavocRecord(
                 symbol=symbol,
                 key_expr=key_expr,
                 hash_function=hash_function.name,
-                args=args,
                 packet_index=state.packets_processed,
             )
         )

@@ -53,7 +53,6 @@ class HavocRecord:
     symbol: Sym
     key_expr: Expr
     hash_function: str
-    args: list[Expr] = field(default_factory=list)
     packet_index: int = 0
 
     def __str__(self) -> str:

@@ -299,20 +299,41 @@ def process(src_ip, dst_ip, src_port, dst_port, protocol):
 """
 
 
+#: Havocs whose ``flow_hash16`` does not hash the key: reconciliation would
+#: pin the hash of ``src_ip`` while concrete execution hashes ``dst_ip``.
+ANOTHER_KEY_SOURCE = """
+def process(src_ip, dst_ip, src_port, dst_port, protocol):
+    slot = castan_havoc(src_ip, flow_hash16(dst_ip)) & 255
+    buckets[slot] = buckets[slot] + 1
+    return 1
+"""
+EXTRA_ARGUMENT_SOURCE = ANOTHER_KEY_SOURCE.replace("flow_hash16(dst_ip)", "flow_hash16(src_ip, 1)")
+
+
 class TestOnlyFlowHash16IsHavoced:
-    """Reconciliation inverts ``flow_hash16`` alone, so the compiler refuses
-    a havoc of any other hash, and a ``flow_hash16`` of another body."""
+    """Reconciliation inverts ``flow_hash16`` of the havoc's key alone, so the
+    compiler refuses a havoc of any other hash or key, and a source's own
+    ``flow_hash16``, even one of the dialect text's body."""
 
     @pytest.mark.parametrize(
         "source, match",
         [
             (
-                FLOW_HASH_DIALECT_SOURCE + TWEAKED_HASH_SOURCE,
+                TWEAKED_HASH_SOURCE,
                 "castan_havoc must be a call to flow_hash16",
             ),
-            (REBODIED_HASH_SOURCE, "flow_hash16 must be compiled from FLOW_HASH_DIALECT_SOURCE"),
+            (REBODIED_HASH_SOURCE, "flow_hash16 is compiled from FLOW_HASH_DIALECT_SOURCE"),
+            (FLOW_HASH_DIALECT_SOURCE + TWEAKED_HASH_SOURCE, "call it, do not define it"),
+            (ANOTHER_KEY_SOURCE, "flow_hash16 of the havoc's key"),
+            (EXTRA_ARGUMENT_SOURCE, "flow_hash16 of the havoc's key"),
         ],
-        ids=["another-hash", "another-flow-hash16"],
+        ids=[
+            "another-hash",
+            "another-flow-hash16",
+            "own-flow-hash16",
+            "another-key",
+            "extra-argument",
+        ],
     )
     def test_compiler_refuses_any_other_havoc_hash(self, source, match):
         module = Module("tweaked")

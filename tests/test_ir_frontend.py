@@ -268,6 +268,20 @@ class TestCompilerErrors:
         with pytest.raises(NFCompileError, match="break outside loop"):
             compile_nf(module, "def process(x):\n    break\n", entry="process")
 
+    def test_error_names_the_nf_source_line_once(self):
+        """A hash NF's line numbers are its own source's: the compiler adds
+        ``flow_hash16`` without shifting them."""
+        source = (
+            "def process(src_ip, dst_ip, src_port, dst_port, protocol):\n"
+            "    key = src_ip | (src_port << 32)\n"
+            "    slot = castan_havoc(key, flow_hash16(key)) & 255\n"
+            "    return slot.attr\n"
+        )
+        with pytest.raises(NFCompileError) as err:
+            compile_nf(Module("test"), source, entry="process")
+        assert str(err.value) == "unsupported expression Attribute (line 4)"
+        assert err.value.lineno == 4
+
 
 class TestInterpreterGuards:
     def test_out_of_bounds_access_raises(self):

@@ -1,10 +1,10 @@
 """Workload quality at the evaluation config, held to floors and targets.
 
-Every evaluation NF is analysed at ``CastanConfig(deadline_seconds=None,
-max_states=1000)`` and replayed on the simulated testbed (500 packets per
-workload) by ``tools/quality_table.py``'s ``quality_row``, the same row the
-tool prints.  No deadline and a simulated DUT make every number
-deterministic.
+Every evaluation NF is analysed at ``EVAL_CONFIG`` and replayed on the
+simulated testbed (500 packets per workload) by
+``repro.eval.experiments.quality_row``, the row ``tools/quality_table.py``
+prints.  The paper's tables read the same memoised analyses.  No deadline
+and a simulated DUT make every number deterministic.
 
 *Floors.*  ``RECORDED`` holds each NF's CASTAN ÷ UniRand and, where the NF
 has a Manual workload, CASTAN ÷ Manual.  A case fails when a ratio drops
@@ -25,21 +25,12 @@ satisfies the selected path constraint.
 from __future__ import annotations
 
 import functools
-import importlib.util
-from pathlib import Path
 
 import pytest
 
-from repro.core.config import CastanConfig
+from repro.eval.experiments import quality_row
+from repro.eval.tables import table4_analysis
 from repro.nf.registry import EVALUATION_NF_NAMES
-
-REPO = Path(__file__).resolve().parent.parent
-
-_spec = importlib.util.spec_from_file_location("quality_table", REPO / "tools" / "quality_table.py")
-quality_table = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(quality_table)
-
-CONFIG = CastanConfig(deadline_seconds=None, max_states=1000)
 
 #: nf -> (CASTAN ÷ UniRand, CASTAN ÷ Manual or None), as recorded.
 RECORDED = {
@@ -91,7 +82,7 @@ TARGETS = [
 
 @functools.cache
 def _row(nf: str) -> dict:
-    return quality_table.quality_row(nf, CONFIG)
+    return quality_row(nf)
 
 
 def test_every_evaluation_nf_has_a_floor():
@@ -112,3 +103,11 @@ def test_floor(nf):
 @pytest.mark.parametrize("nf, check", TARGETS)
 def test_target(nf, check):
     assert check(_row(nf)), _row(nf)
+
+
+def test_table4_reports_the_gated_analyses():
+    """Table 4 reads the analyses the floors hold: same states, same packets."""
+    rows, _ = table4_analysis()
+    for nf in EVALUATION_NF_NAMES:
+        row = _row(nf)
+        assert (rows[nf]["states"], rows[nf]["packets"]) == (row["states"], row["packets"]), nf

@@ -446,6 +446,10 @@ BAD_CONFIG_VALUES = [
     ("deadline_seconds", -1),
     ("deadline_seconds", 0),
     ("deadline_seconds", "5"),
+    ("cycle_costs", None),
+    ("hierarchy", 7),
+    ("cycle_costs", {"hash_call": -5}),
+    ("hierarchy", {"l3_ways": "x"}),
 ]
 
 

@@ -10,7 +10,7 @@ from repro.cfg.costs import annotate_costs, render_annotated_cfg
 from repro.cfg.icfg import InterproceduralCFG, build_icfg
 from repro.core.workload import make_packet_symbols, symbol_defaults
 from repro.frontend.compiler import compile_nf
-from repro.hashing.functions import FLOW_HASH_BITS, FLOW_HASH_DIALECT_SOURCE
+from repro.hashing.functions import FLOW_HASH_BITS
 from repro.ir.module import Module
 from repro.nf.registry import NF_NAMES, get_nf
 from repro.symbex.engine import SymbolicEngine
@@ -259,7 +259,7 @@ def process(src_ip, dst_ip, src_port, dst_port, protocol):
         assert stats.completed_states[0].packet_actions[0] == Const(6)
 
     def test_havoc_creates_records_and_fresh_symbols(self):
-        source = FLOW_HASH_DIALECT_SOURCE + """
+        source = """
 def process(src_ip, dst_ip, src_port, dst_port, protocol):
     h = castan_havoc(dst_ip, flow_hash16(dst_ip))
     return slots[h & 7]
