@@ -19,7 +19,7 @@ simulates that structure at configurable (scaled-down) sizes:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from repro.cache.setassoc import SetAssociativeCache
 from repro.perf.cycles import CycleCosts, DEFAULT_CYCLE_COSTS
@@ -47,10 +47,17 @@ class HierarchyConfig:
     machine_seed: int = 0x5EED_CA57
 
     def __post_init__(self) -> None:
+        # Every size, ways and slice count must be >= 1.
+        for name in (f.name for f in fields(self) if f.name != "machine_seed"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         for name in ("line_size", "page_size", "l3_slices"):
             value = getattr(self, name)
             if value & (value - 1):
                 raise ValueError(f"{name} must be a power of two, got {value}")
+        if min(self.l1_sets, self.l2_sets, self.l3_sets_per_slice) < 1:
+            raise ValueError("a cache level's size holds no set of its ways (l3: per slice)")
 
     @property
     def l1_sets(self) -> int:

@@ -1,4 +1,17 @@
-"""Configuration of a CASTAN analysis run."""
+"""Configuration of a CASTAN analysis run.
+
+A config is the content address of a stored analysis: values that run the
+same analysis share one address, and a value no analysis can run is
+refused where the config is built (a service submission), not in a worker.
+
+>>> from repro.core.config import CastanConfig
+>>> CastanConfig(deadline_seconds=60).content_hash() == CastanConfig().content_hash()
+True
+>>> CastanConfig.from_dict({"hierarchy": {"l3_ways": 0}})
+Traceback (most recent call last):
+    ...
+ValueError: hierarchy: l3_ways must be >= 1, got 0
+"""
 
 from __future__ import annotations
 
@@ -81,7 +94,10 @@ def _nested_config(cls: type, name: str, data) -> object:
             wanted = "a number" if float in kinds else "an int"
             wanted += "" if least is None else f" >= {least}"
             raise ValueError(f"{name}.{key} must be {wanted}, got {value!r}")
-    return cls(**data)
+    try:
+        return cls(**data)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 @dataclass
@@ -151,8 +167,11 @@ class CastanConfig:
         if packets is not None and (type(packets) is not int or packets < 0):
             raise ValueError(f"num_packets must be null or an int >= 0, got {packets!r}")
         deadline = self.deadline_seconds
-        if deadline is not None and (type(deadline) not in (int, float) or not deadline > 0):
-            raise ValueError(f"deadline_seconds must be null or > 0, got {deadline!r}")
+        if deadline is not None:
+            if type(deadline) not in (int, float) or not deadline > 0:
+                raise ValueError(f"deadline_seconds must be null or > 0, got {deadline!r}")
+            # 60 and 60.0 run one analysis, so they share one content address.
+            self.deadline_seconds = float(deadline)
 
     # -- canonical form and content addressing --------------------------------
 

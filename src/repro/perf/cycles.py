@@ -50,6 +50,10 @@ class CycleCosts:
     dram: int = 200
     frequency_ghz: float = 3.3
 
+    def __post_init__(self) -> None:
+        # 3 and 3.0 price cycles alike, so they share one content address.
+        object.__setattr__(self, "frequency_ghz", float(self.frequency_ghz))
+
     def memory_cost(self, level: str) -> int:
         """Cycle cost of a memory access serviced at ``level``.
 

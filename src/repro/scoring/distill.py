@@ -29,8 +29,12 @@ clear margin; the published threshold is the midpoint.  Trivial predicates
 (implied by the traffic class) die here: no non-matching background can
 be built, so they are dropped.
 
-Matching flows are mined with the columnar scorer, so this module needs
-numpy (the [vector] extra) like the rest of :mod:`repro.scoring`.
+A candidate's symbolic predicate is its only matcher: the expression that
+is published, serialized and scored is the one that picks the probes and
+the background.  Solved flows are checked with ``evaluate``; mined batches
+and traffic-class scans run it through ``column_evaluator``, so matching
+flows come from the columnar scorer and this module needs numpy (the
+[vector] extra) like the rest of :mod:`repro.scoring`.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from repro.cache.hierarchy import MemoryHierarchy
 from repro.core.castan import SOLVER_BUDGET, CastanResult, rainbow_table
 from repro.core.config import CastanConfig
 from repro.hashing.functions import FLOW_HASH_MASK, flow_hash16
-from repro.ir.instructions import BinOpKind, CmpKind
+from repro.ir.instructions import CmpKind
 from repro.net.packet import FlowKey
 from repro.nf.base import NetworkFunction
 from repro.nf.common import HASH_TABLE_BUCKETS
@@ -64,7 +68,6 @@ from repro.symbex.expr import (
     column_evaluator,
     evaluate,
     expr_eq,
-    make_binop,
     make_cmp,
     rename_symbols,
     require_numpy,
@@ -93,6 +96,17 @@ _PROJECTIONS = (
 )
 
 
+#: Matching probes measured per candidate, background probes measured
+#: against them, and surplus matching flows that amplify the priming.
+MATCH_PROBES = 3
+BACKGROUND_PROBES = 24
+AMPLIFY = 48
+
+#: Most flows a traffic-class scan generates and judges per column
+#: evaluation (its first chunk is the flows it wants, and chunks double).
+SCAN_CHUNK = 4096
+
+
 @dataclass
 class _Candidate:
     """A predicate awaiting replay calibration."""
@@ -101,16 +115,19 @@ class _Candidate:
     label: str
     predicate: Expr
     evidence_packets: int
-    # Fast concrete matcher (avoids re-evaluating the unrolled hash tree
-    # thousands of times during background filtering).
-    matcher: object
     # For hash-bucket / hash-range candidates: how to invert the hash.
     key_template: Expr | None = None
     # Target 16-bit hash values whose keys satisfy the predicate.
     hash_targets: tuple[int, ...] = ()
-    # Orders matching flows weakest-last (hash-range probes at the arc's
-    # tail walk the shortest run, so calibration must measure them).
-    weakness: object = None
+    # The range predicate's own distance node: matching flows sort on it
+    # weakest-last (probes at the arc's tail walk the shortest run).
+    weakness: Expr | None = None
+
+
+def _candidate(kind, core, core_label, gates, gate_labels, evidence, **hash_fields) -> _Candidate:
+    """The candidate ``core`` behind the traffic-class gates (and its label)."""
+    label = " && ".join([core_label, *gate_labels])
+    return _Candidate(kind, label, conjoin(gates + [core]), evidence, **hash_fields)
 
 
 @dataclass
@@ -185,8 +202,10 @@ def _hash_bucket_candidates(
     for (template, _stage_hash), count in _havoc_groups(result).items():
         if count < 2:
             continue  # not established across packets
-        hashes = [flow_hash16(evaluate(template, flow._asdict())) for flow in flows]
         hash_expr = flow_hash16(template)
+        hashes = [evaluate(hash_expr, flow._asdict()) for flow in flows]
+        # (kind, core, core label, evidence, hash targets, weakness) per shape
+        shapes: list[tuple] = []
 
         # Chained-table shape: the workload piles into one bucket (the low
         # hash bits).  Generous on purpose — small-budget runs reconcile
@@ -195,75 +214,24 @@ def _hash_bucket_candidates(
         mask = HASH_TABLE_BUCKETS - 1
         bucket, hits = Counter(h & mask for h in hashes).most_common(1)[0]
         if hits >= 2:
-            core = make_cmp(
-                CmpKind.EQ, make_binop(BinOpKind.AND, hash_expr, Const(mask)), Const(bucket)
-            )
+            core = make_cmp(CmpKind.EQ, hash_expr & mask, Const(bucket))
             label = f"flow_hash16(key) & 0x{mask:x} == 0x{bucket:x}"
-            if gate_labels:
-                label += " && " + " && ".join(gate_labels)
-
-            def bucket_matcher(fields, _t=template, _m=mask, _b=bucket, _g=gates):
-                if any(evaluate(gate, fields) == 0 for gate in _g):
-                    return False
-                return (flow_hash16(evaluate(_t, fields)) & _m) == _b
-
-            span = (FLOW_HASH_MASK + 1) // (mask + 1)
-            candidates.append(
-                _Candidate(
-                    kind="hash-bucket",
-                    label=label,
-                    predicate=conjoin(gates + [core]),
-                    evidence_packets=hits,
-                    matcher=bucket_matcher,
-                    key_template=template,
-                    hash_targets=tuple(bucket | (j * (mask + 1)) for j in range(span)),
-                )
-            )
+            targets = tuple(range(bucket, FLOW_HASH_MASK + 1, mask + 1))
+            shapes.append(("hash-bucket", core, label, hits, targets, None))
 
         # Open-addressing shape: the workload clusters in an arc of
         # consecutive hash values (linear probing piles the run up).  Pin
         # the densest RANGE_WIDTH window; wraparound subtraction keeps the
         # predicate a pure mask/shift/compare tree.
-        window_hits = Counter()
-        for h in hashes:
-            for other in hashes:
-                if ((other - h) & FLOW_HASH_MASK) < RANGE_WIDTH:
-                    window_hits[h] += 1
-        lo, range_hits = window_hits.most_common(1)[0] if window_hits else (0, 0)
+        lo, range_hits = Counter(
+            h for h in hashes for other in hashes if ((other - h) & FLOW_HASH_MASK) < RANGE_WIDTH
+        ).most_common(1)[0]
         if range_hits >= 2:
-            core = make_cmp(
-                CmpKind.ULE,
-                make_binop(
-                    BinOpKind.AND,
-                    make_binop(BinOpKind.SUB, hash_expr, Const(lo)),
-                    Const(FLOW_HASH_MASK),
-                ),
-                Const(RANGE_WIDTH - 1),
-            )
+            distance = (hash_expr - lo) & FLOW_HASH_MASK
+            core = make_cmp(CmpKind.ULE, distance, Const(RANGE_WIDTH - 1))
             label = f"flow_hash16(key) - 0x{lo:x} < 0x{RANGE_WIDTH:x}"
-            if gate_labels:
-                label += " && " + " && ".join(gate_labels)
-
-            def range_matcher(fields, _t=template, _lo=lo, _g=gates):
-                if any(evaluate(gate, fields) == 0 for gate in _g):
-                    return False
-                return ((flow_hash16(evaluate(_t, fields)) - _lo) & FLOW_HASH_MASK) < RANGE_WIDTH
-
-            def range_weakness(fields, _t=template, _lo=lo):
-                return (flow_hash16(evaluate(_t, fields)) - _lo) & FLOW_HASH_MASK
-
-            candidates.append(
-                _Candidate(
-                    kind="hash-range",
-                    label=label,
-                    predicate=conjoin(gates + [core]),
-                    evidence_packets=range_hits,
-                    matcher=range_matcher,
-                    key_template=template,
-                    hash_targets=tuple((lo + j) & FLOW_HASH_MASK for j in range(RANGE_WIDTH)),
-                    weakness=range_weakness,
-                )
-            )
+            targets = tuple((lo + j) & FLOW_HASH_MASK for j in range(RANGE_WIDTH))
+            shapes.append(("hash-range", core, label, range_hits, targets, distance))
 
         # Neither shape concentrated: at small search budgets an
         # open-addressing attack can land its havocs on *spaced* slots, so
@@ -273,28 +241,13 @@ def _hash_bucket_candidates(
         # amplification piles synthesized colliders into one probe run, and
         # replay calibration is the actual gate.
         if hits < 2 and range_hits < 2:
-            target = Counter(hashes).most_common(1)[0][0]
+            target, target_hits = Counter(hashes).most_common(1)[0]
             core = make_cmp(CmpKind.EQ, hash_expr, Const(target))
             label = f"flow_hash16(key) == 0x{target:x}"
-            if gate_labels:
-                label += " && " + " && ".join(gate_labels)
-
-            def exact_matcher(fields, _t=template, _v=target, _g=gates):
-                if any(evaluate(gate, fields) == 0 for gate in _g):
-                    return False
-                return flow_hash16(evaluate(_t, fields)) == _v
-
-            candidates.append(
-                _Candidate(
-                    kind="hash-bucket",
-                    label=label,
-                    predicate=conjoin(gates + [core]),
-                    evidence_packets=Counter(hashes).most_common(1)[0][1],
-                    matcher=exact_matcher,
-                    key_template=template,
-                    hash_targets=(target,),
-                )
-            )
+            shapes.append(("hash-bucket", core, label, target_hits, (target,), None))
+        for kind, core, label, evidence, targets, weakness in shapes:
+            fields = dict(key_template=template, hash_targets=targets, weakness=weakness)
+            candidates.append(_candidate(kind, core, label, gates, gate_labels, evidence, **fields))
     return candidates
 
 
@@ -318,31 +271,10 @@ def _field_cluster_candidates(
         if (field_name, hits) in seen_values:
             continue
         seen_values.add((field_name, hits))
-        core = make_cmp(
-            CmpKind.EQ,
-            make_binop(BinOpKind.LSHR, field_sym(field_name), Const(shift)),
-            Const(value),
-        )
-        label = (
-            f"{field_name} >> {shift} == 0x{value:x}" if shift else f"{field_name} == 0x{value:x}"
-        )
-        if gate_labels:
-            label += " && " + " && ".join(gate_labels)
-
-        def matcher(fields, _f=field_name, _s=shift, _v=value, _g=gates):
-            if any(evaluate(gate, fields) == 0 for gate in _g):
-                return False
-            return (fields[_f] >> _s) == _v
-
-        candidates.append(
-            _Candidate(
-                kind=kind,
-                label=label,
-                predicate=conjoin(gates + [core]),
-                evidence_packets=hits,
-                matcher=matcher,
-            )
-        )
+        core = make_cmp(CmpKind.EQ, field_sym(field_name) >> shift, Const(value))
+        projection = f"{field_name} >> {shift}" if shift else field_name
+        label = f"{projection} == 0x{value:x}"
+        candidates.append(_candidate(kind, core, label, gates, gate_labels, hits))
     return candidates
 
 
@@ -352,17 +284,13 @@ def _field_cluster_candidates(
 def _model_flow(nf: NetworkFunction, model) -> FlowKey:
     defaults = nf.packet_defaults
     return FlowKey(
-        model.get("src_ip", defaults.get("src_ip", 0x0A000001)) & 0xFFFFFFFF,
-        model.get("dst_ip", defaults.get("dst_ip", 0x08080808)) & 0xFFFFFFFF,
-        model.get("src_port", defaults.get("src_port", 10000)) & 0xFFFF,
-        model.get("dst_port", defaults.get("dst_port", 80)) & 0xFFFF,
-        model.get("protocol", defaults.get("protocol", 17)) & 0xFF,
+        *(model.get(name, defaults[name]) & field_sym(name).mask for name in FIELD_ORDER)
     )
 
 
 def _mine_matching_columns(
     nf: NetworkFunction,
-    candidate: _Candidate,
+    predicate: Expr,
     accept,
     needed,
     rng: random.Random,
@@ -372,10 +300,11 @@ def _mine_matching_columns(
     """Mine matching flows by scoring random columnar batches.
 
     This is the vectorized scorer run in reverse: evaluate the predicate
-    over random in-class field columns and keep the lanes that match.
-    Returns the number of lanes evaluated.
+    over random in-class field columns and hand every matching lane to
+    ``accept`` until ``needed()`` drops to 0.  Returns the number of lanes
+    evaluated.
     """
-    evaluator = column_evaluator(candidate.predicate)
+    evaluator = column_evaluator(predicate)
 
     lanes = 0
     for _ in range(batches):
@@ -387,6 +316,51 @@ def _mine_matching_columns(
             if needed() <= 0:
                 return lanes
     return lanes
+
+
+def _scan_traffic_class(
+    nf: NetworkFunction,
+    predicate: Expr,
+    matching: bool,
+    indices: range,
+    seen: set[FlowKey],
+    count: int,
+    rng: random.Random,
+) -> list[FlowKey]:
+    """Up to ``count`` generated flows, in index order, that are not in
+    ``seen`` and do (``matching``) or do not satisfy ``predicate``.
+
+    ``seen`` gains every flow returned.  The flows of ``indices`` come from
+    :func:`_flow_for_index` and are judged a chunk at a time by the column
+    evaluator: ``count`` flows first, doubling up to :data:`SCAN_CHUNK`, so
+    a scan whose first flows qualify generates few more than it returns.
+    ``rng`` is left where a flow-at-a-time scan stopping at the
+    ``count``-th flow leaves it (the LPM-style traffic class draws from it
+    per index): a chunk the scan stops inside is generated again from the
+    chunk's starting state, up to the stopping index.
+    """
+    evaluator = column_evaluator(predicate)
+    flows: list[FlowKey] = []
+    start, size = indices.start, max(count, 1)
+    while start < indices.stop:
+        chunk_indices = range(start, min(start + size, indices.stop))
+        start, size = chunk_indices.stop, min(2 * size, SCAN_CHUNK)
+        state = rng.getstate()
+        chunk = [_flow_for_index(nf, index, rng) for index in chunk_indices]
+        columns = zip(FIELD_ORDER, _np.array(chunk, dtype=_np.uint64).T)
+        verdict = evaluator(dict(columns))
+        for lane in _np.flatnonzero(verdict if matching else verdict == 0):
+            flow = chunk[lane]
+            if flow in seen:
+                continue
+            seen.add(flow)
+            flows.append(flow)
+            if len(flows) >= count:
+                rng.setstate(state)
+                for index in chunk_indices[: lane + 1]:
+                    _flow_for_index(nf, index, rng)
+                return flows
+    return flows
 
 
 def synthesize_matching_flows(
@@ -405,79 +379,60 @@ def synthesize_matching_flows(
     reconciliation inverts havocs: the rainbow table proposes keys hashing
     to the target values and the solver inverts the (disjoint-bitfield)
     key-packing template to recover field values.  Field candidates go to
-    the solver directly with varied defaults for diversity.  Columnar
-    mining — the vectorized scorer run over random in-class batches — then
-    fills the remainder (``report.mined_lanes`` counts the mined lanes),
-    and a scan of the traffic class tops up what mining missed.
+    the solver directly with varied defaults for diversity.  A solved flow
+    is kept if the predicate holds on it.  Columnar mining — the vectorized
+    scorer run over random in-class batches — then fills the remainder
+    (``report.mined_lanes`` counts the mined lanes), and a scan of the
+    traffic class tops up what mining missed.
     """
     solver = Solver(search_budget=SOLVER_BUDGET, seed=config.seed)
     flows: list[FlowKey] = []
     seen = set(exclude)
 
-    def accept(flow: FlowKey) -> bool:
-        if flow in seen or not candidate.matcher(flow._asdict()):
-            return False
-        seen.add(flow)
-        flows.append(flow)
-        return True
+    def accept(flow: FlowKey) -> None:
+        if flow not in seen:
+            seen.add(flow)
+            flows.append(flow)
 
-    defaults = dict(nf.packet_defaults)
+    defaults = nf.packet_defaults
     if candidate.key_template is not None:
         table = rainbow_table(config)
         targets = list(candidate.hash_targets)
         rng.shuffle(targets)
-        for target in targets:
-            for key in table.invert(target, limit=8):
-                check = solver.check(
-                    [expr_eq(candidate.key_template, Const(key))] + list(gates),
-                    defaults=defaults,
-                )
-                if check.is_sat:
-                    accept(_model_flow(nf, check.model))
-                if len(flows) >= count:
-                    return flows
+        queries = (
+            ([expr_eq(candidate.key_template, Const(key))] + gates, defaults)
+            for target in targets
+            for key in table.invert(target, limit=8)
+        )
     else:
-        for _attempt in range(2 * count):
-            varied = dict(defaults)
-            varied["src_port"] = 1024 + rng.randrange(60000)
-            varied["src_ip"] = defaults.get("src_ip", 0x0A000001) ^ rng.getrandbits(8)
-            check = solver.check([candidate.predicate], defaults=varied)
-            if check.is_sat:
-                accept(_model_flow(nf, check.model))
-            if len(flows) >= count:
-                return flows
+        queries = (
+            (
+                [candidate.predicate],
+                # Varied defaults, for diversity (drawn in this order).
+                {
+                    **defaults,
+                    "src_port": 1024 + rng.randrange(60000),
+                    "src_ip": defaults["src_ip"] ^ rng.getrandbits(8),
+                },
+            )
+            for _attempt in range(2 * count)
+        )
+    for constraints, query_defaults in queries:
+        check = solver.check(constraints, defaults=query_defaults)
+        if check.is_sat:
+            flow = _model_flow(nf, check.model)
+            if evaluate(candidate.predicate, flow._asdict()):
+                accept(flow)
+        if len(flows) >= count:
+            return flows
 
     report.mined_lanes += _mine_matching_columns(
-        nf, candidate, accept, lambda: count - len(flows), rng
+        nf, candidate.predicate, accept, lambda: count - len(flows), rng
     )
-    if len(flows) >= count:
-        return flows
-
-    # Top-up: scan the traffic class with the matcher.
-    for index in range(200_000, 200_000 + 20_000):
-        if accept(_flow_for_index(nf, index, rng)) and len(flows) >= count:
-            break
-    return flows
-
-
-def _background_flows(
-    nf: NetworkFunction,
-    candidate: _Candidate,
-    exclude: set[FlowKey],
-    count: int,
-    rng: random.Random,
-) -> list[FlowKey]:
-    """In-traffic-class flows that do NOT match the candidate predicate."""
-    flows: list[FlowKey] = []
-    seen = set(exclude)
-    for index in range(500_000, 500_000 + 50 * count):
-        flow = _flow_for_index(nf, index, rng)
-        if flow in seen or candidate.matcher(flow._asdict()):
-            continue
-        seen.add(flow)
-        flows.append(flow)
-        if len(flows) >= count:
-            break
+    if len(flows) < count:
+        flows += _scan_traffic_class(
+            nf, candidate.predicate, True, range(200_000, 220_000), seen, count - len(flows), rng
+        )
     return flows
 
 
@@ -487,15 +442,12 @@ def _background_flows(
 def distill_signatures(
     nf: NetworkFunction,
     result: CastanResult,
-    config: CastanConfig | None = None,
-    match_probes: int = 3,
-    background_probes: int = 24,
-    amplify: int = 48,
+    config: CastanConfig,
     report: DistillReport | None = None,
 ) -> SignatureSet:
     """Distill calibrated adversarial signatures from one analysis result.
 
-    ``amplify`` extra matching flows are synthesized per candidate and
+    :data:`AMPLIFY` extra matching flows are synthesized per candidate and
     *added to the priming workload* before calibration.  A small-budget
     analysis reconciles few havocs, so the raw workload may pile only a
     couple of flows into the adversarial bucket; the signature machinery
@@ -509,7 +461,6 @@ def distill_signatures(
     (``report.primed_packets`` / ``report.probe_packets`` count the replay).
     ``report`` is observability only: no digest or content hash reads it.
     """
-    config = config or CastanConfig()
     report = report if report is not None else DistillReport()
     rng = random.Random(config.seed + 9)
     gates, gate_labels = hint_gate_exprs(nf.workload_hints)
@@ -531,9 +482,9 @@ def distill_signatures(
             continue
         seen_predicates.add(candidate.predicate)
         matching = synthesize_matching_flows(
-            nf, candidate, gates, config, workload_set, match_probes + amplify, rng, report
+            nf, candidate, gates, config, workload_set, MATCH_PROBES + AMPLIFY, rng, report
         )
-        if len(matching) < match_probes:
+        if len(matching) < MATCH_PROBES:
             report.dropped_no_probes += 1
             report.notes.append(f"no matching probes: {candidate.label}")
             continue
@@ -542,14 +493,17 @@ def distill_signatures(
         # matching flows by weakness, probe the weakest — the published
         # threshold must hold for *every* matching packet.
         if candidate.weakness is not None:
-            matching.sort(key=lambda f: candidate.weakness(f._asdict()))
-            probes, extra = matching[-match_probes:], matching[:-match_probes]
+            matching.sort(key=lambda flow: evaluate(candidate.weakness, flow._asdict()))
+            probes, extra = matching[-MATCH_PROBES:], matching[:-MATCH_PROBES]
         else:
-            probes, extra = matching[:match_probes], matching[match_probes:]
+            probes, extra = matching[:MATCH_PROBES], matching[MATCH_PROBES:]
         priming = workload + extra
+        indices = range(500_000, 500_000 + 50 * BACKGROUND_PROBES)
         priming_set = workload_set | set(extra)
-        background = _background_flows(nf, candidate, priming_set, background_probes, rng)
-        if len(background) < background_probes:
+        background = _scan_traffic_class(
+            nf, candidate.predicate, False, indices, priming_set, BACKGROUND_PROBES, rng
+        )
+        if len(background) < BACKGROUND_PROBES:
             # The predicate is (nearly) implied by the traffic class — it
             # cannot separate adversarial from benign traffic.
             report.dropped_no_background += 1

@@ -22,6 +22,7 @@ or overdue score job by revoking the worker process that runs it.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import logging
 from collections import Counter
@@ -177,11 +178,9 @@ def run_score_job(
             "count": len(signature_set),
             "store_key": signature_set.store_key(),
             "content_hash": signature_set.content_hash(),
-            # Replay calibration and mining work; all 0 when the signature
-            # shelf hit.
-            "primed_packets": report.primed_packets,
-            "probe_packets": report.probe_packets,
-            "mined_lanes": report.mined_lanes,
+            # What distillation did and why candidates were dropped; all 0
+            # (and no notes) when the signature shelf hit.
+            **dataclasses.asdict(report),
             "signatures": [
                 {
                     "kind": s.kind,

@@ -243,6 +243,22 @@ class TestHierarchy:
         with pytest.raises(ValueError):
             HierarchyConfig(line_size=48)
 
+    @pytest.mark.parametrize(
+        "geometry, message",
+        [
+            ({"line_size": 0}, "line_size"),
+            ({"page_size": 0}, "page_size"),
+            ({"l3_slices": 0}, "l3_slices"),
+            ({"l3_ways": 0}, "l3_ways"),
+            ({"l2_size": 256}, "no set"),  # under one set of 8 64-byte lines
+        ],
+    )
+    def test_rejects_geometry_without_a_set(self, geometry, message):
+        # Each would divide by zero, shift by a negative count or have no set
+        # to index; the zeros pass the power-of-two test.
+        with pytest.raises(ValueError, match=message):
+            HierarchyConfig(**geometry)
+
 
 class TestContentionDiscovery:
     def test_oracle_groups_match_hierarchy(self):

@@ -22,6 +22,7 @@ import repro.scoring.distill as distill_module
 from repro.cfg.costs import annotate_costs
 from repro.core.config import CONFIG_HASH_VERSION, CastanConfig
 from repro.hashing.rainbow import FLOW_TABLE_CHAIN_LENGTH, build_flow_rainbow_table
+from repro.perf.cycles import CycleCosts
 from repro.symbex.batch import run_beam_search
 from repro.symbex.engine import SymbolicEngine
 
@@ -205,6 +206,28 @@ def test_from_dict_rejects_unknown_nested_knobs(nested, key, known):
     with pytest.raises(ValueError, match=key) as err:
         CastanConfig.from_dict({nested: {key: 1}})
     assert known in str(err.value)  # the known fields are named, as at the top level
+
+
+@pytest.mark.parametrize(
+    "as_int, as_float",
+    [
+        (CastanConfig(deadline_seconds=60), CastanConfig()),
+        (CastanConfig.from_dict({"deadline_seconds": 60}), CastanConfig()),
+        (
+            CastanConfig(cycle_costs=CycleCosts(frequency_ghz=3)),
+            CastanConfig(cycle_costs=CycleCosts(frequency_ghz=3.0)),
+        ),
+        (
+            CastanConfig.from_dict({"cycle_costs": {"frequency_ghz": 3}}),
+            CastanConfig.from_dict({"cycle_costs": {"frequency_ghz": 3.0}}),
+        ),
+    ],
+)
+def test_an_int_for_a_float_field_has_the_equal_floats_address(as_int, as_float):
+    # Both run one analysis, so a store lookup must find either's entry.
+    assert as_int.content_hash() == as_float.content_hash()
+    assert type(as_int.deadline_seconds) is float
+    assert type(as_int.cycle_costs.frequency_ghz) is float
 
 
 def test_cycle_costs_are_hashable():

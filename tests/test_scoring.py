@@ -24,7 +24,6 @@ import json
 import logging
 import random
 from collections import Counter
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -34,13 +33,19 @@ from repro.cache.hierarchy import MemoryHierarchy
 from repro.core.castan import Castan
 from repro.core.config import CastanConfig
 from repro.hashing.functions import flow_hash16
-from repro.ir.instructions import CmpKind
+from repro.ir.instructions import BinOpKind, CmpKind
 from repro.net.packet import FlowKey, Packet
 from repro.net.pcap import PcapWriter, packets_to_pcap_bytes
 from repro.nf.registry import get_nf
 from repro.perf.cycles import CycleCosts
 from repro.perf.interpreter import ConcreteInterpreter
-from repro.scoring.distill import DistillReport, _mine_matching_columns, distill_signatures
+from repro.scoring.distill import (
+    SCAN_CHUNK,
+    DistillReport,
+    _mine_matching_columns,
+    _scan_traffic_class,
+    distill_signatures,
+)
 from repro.scoring.jobs import obtain_result, obtain_signatures, run_score_job
 from repro.scoring.replay import PrimedReplay
 from repro.scoring.scorer import ScorerOptions, StreamScorer, score_batch_fields, verdict_bytes
@@ -62,10 +67,13 @@ from repro.service.store import ResultStore
 from repro.symbex.expr import (
     Const,
     Sym,
+    evaluate,
     expr_from_dict,
     expr_to_dict,
+    make_binop,
     make_cmp,
 )
+from repro.workloads.generators import _flow_for_index
 
 SMOKE = {"max_states": 40, "deadline_seconds": None, "search_mode": "beam"}
 
@@ -252,8 +260,9 @@ def _calibration_state(nf, signature: AdversarialSignature):
         if flow not in priming and signature.matches(flow._asdict()):
             matching.append(flow)
 
-    shim = SimpleNamespace(predicate=signature.predicate)
-    _mine_matching_columns(nf, shim, accept, lambda: 8 - len(matching), rng, batches=24)
+    _mine_matching_columns(
+        nf, signature.predicate, accept, lambda: 8 - len(matching), rng, batches=24
+    )
     # Top-up: scan the traffic class directly.
     for fields in _random_fields(nf, 20_000, rng):
         if len(matching) >= 8:
@@ -378,6 +387,63 @@ def test_calibration_runs_on_the_analysis_machine(monkeypatch):
         assert min(costs) == signature.matching_cycles
         default = [_fresh_cost(nf, signature.priming_flows, p, CastanConfig()) for p in probes]
         assert min(default) < signature.matching_cycles  # the table really mattered
+
+
+def _scan_flow_at_a_time(nf, predicate, matching, indices, seen, count, rng):
+    """The traffic-class scan one flow and one ``evaluate`` at a time."""
+    flows = []
+    for index in indices:
+        flow = _flow_for_index(nf, index, rng)
+        if flow in seen or bool(evaluate(predicate, flow._asdict())) != matching:
+            continue
+        seen.add(flow)
+        flows.append(flow)
+        if len(flows) >= count:
+            break
+    return flows
+
+
+#: One in 16 flows matches each: a destination nibble for the LPM's class
+#: (its generator draws one destination per index from the rng), and a
+#: hash nibble of the source for the NAT's hinted class (no draws).
+_SCAN_PREDICATES = {
+    "lpm-patricia": make_cmp(
+        CmpKind.EQ, make_binop(BinOpKind.LSHR, field_sym("dst_ip"), Const(28)), Const(3)
+    ),
+    "nat-hash-table": make_cmp(
+        CmpKind.EQ,
+        make_binop(BinOpKind.AND, flow_hash16(field_sym("src_ip")), Const(15)),
+        Const(3),
+    ),
+}
+
+
+@pytest.mark.parametrize("nf_name", sorted(_SCAN_PREDICATES))
+@pytest.mark.parametrize(
+    "matching, count",
+    [
+        (True, 150),  # stops inside the fourth or fifth chunk (of 1 200 / 2 400)
+        (False, 24),  # stops inside the second chunk (of 48)
+        (True, 10_000),  # runs out of indices at about 800 flows
+    ],
+)
+def test_scan_matches_a_flow_at_a_time_scan(nf_name, matching, count):
+    nf = get_nf(nf_name)
+    predicate = _SCAN_PREDICATES[nf_name]
+    indices = range(200_000, 200_000 + 3 * SCAN_CHUNK)
+    rng, reference_rng = random.Random(7), random.Random(7)
+    # Seen flows are skipped, not counted: take out some early qualifiers.
+    seen = set(_scan_flow_at_a_time(nf, predicate, matching, indices, set(), 5, random.Random(7)))
+    reference_seen = set(seen)
+    flows = _scan_traffic_class(nf, predicate, matching, indices, seen, count, rng)
+    reference = _scan_flow_at_a_time(
+        nf, predicate, matching, indices, reference_seen, count, reference_rng
+    )
+    assert flows == reference and (len(flows) == count) is (count < 1_000)
+    assert seen == reference_seen
+    assert rng.getstate() == reference_rng.getstate()
+    # Later draws from the shared rng see the same stream.
+    assert rng.getrandbits(32) == reference_rng.getrandbits(32)
 
 
 # -- reference identity (differential) ----------------------------------------
@@ -704,12 +770,21 @@ class TestColumnarPipeline:
             3 < signature["priming_flows"] <= distilled["primed_packets"]
             for signature in distilled["signatures"]
         )
+        # The whole report rides along: every candidate is calibrated or
+        # dropped for a reason the notes name.
+        report_fields = set(DistillReport.__dataclass_fields__)
+        assert report_fields <= set(distilled)
+        dropped = [
+            distilled[f"dropped_{why}"] for why in ("no_probes", "no_background", "unseparated")
+        ]
+        assert distilled["calibrated"] == distilled["count"] > 0
+        assert distilled["candidates"] >= distilled["calibrated"] + sum(dropped)
+        assert len(distilled["notes"]) == sum(dropped)
         shelf_hit = signatures_event(nat_store)
-        assert (
-            shelf_hit["primed_packets"],
-            shelf_hit["probe_packets"],
-            shelf_hit["mined_lanes"],
-        ) == (0, 0, 0)
+        assert {name: shelf_hit[name] for name in report_fields} == {
+            **{name: 0 for name in report_fields},
+            "notes": [],
+        }
         assert shelf_hit["content_hash"] == distilled["content_hash"]
 
 

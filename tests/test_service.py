@@ -450,6 +450,12 @@ BAD_CONFIG_VALUES = [
     ("hierarchy", 7),
     ("cycle_costs", {"hash_call": -5}),
     ("hierarchy", {"l3_ways": "x"}),
+    # Geometry no hierarchy can be built from (0 passes a power-of-two test).
+    ("hierarchy", {"line_size": 0}),
+    ("hierarchy", {"page_size": 0}),
+    ("hierarchy", {"l3_slices": 0}),
+    ("hierarchy", {"l3_ways": 0}),
+    ("hierarchy", {"l1_size": 256}),  # under one set of 8 64-byte lines
 ]
 
 
