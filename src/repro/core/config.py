@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field
 
 from repro.cache.hierarchy import HierarchyConfig
@@ -168,8 +169,9 @@ class CastanConfig:
             raise ValueError(f"num_packets must be null or an int >= 0, got {packets!r}")
         deadline = self.deadline_seconds
         if deadline is not None:
-            if type(deadline) not in (int, float) or not deadline > 0:
-                raise ValueError(f"deadline_seconds must be null or > 0, got {deadline!r}")
+            # The upper bound refuses NaN, infinity and ints no float holds.
+            if type(deadline) not in (int, float) or not 0 < deadline <= sys.float_info.max:
+                raise ValueError(f"deadline_seconds must be null or finite > 0, got {deadline!r}")
             # 60 and 60.0 run one analysis, so they share one content address.
             self.deadline_seconds = float(deadline)
 

@@ -19,7 +19,7 @@ from typing import Callable
 from repro.hashing.functions import FLOW_HASH_BITS
 from repro.ir.instructions import Havoc
 from repro.ir.module import Module
-from repro.net.packet import Packet
+from repro.net.packet import Packet, PacketField
 
 # Return values of the NF entry function.  0 means "drop"; positive values
 # are output ports / backend indices / translated ports.
@@ -74,6 +74,13 @@ class NetworkFunction:
     # verdict and the packet fields pass through unchanged.
     chain_result_rewrite: str | None = None
     notes: str = ""
+
+    def __post_init__(self) -> None:
+        # The solver, the workload expander and the distiller read a default
+        # for every field; a missing one would fail only in a later job.
+        missing = [f.field_name for f in PacketField if f.field_name not in self.packet_defaults]
+        if missing:
+            raise ValueError(f"{self.name}: packet_defaults lacks {', '.join(missing)}")
 
     @property
     def havoc_functions(self) -> list[str]:

@@ -11,6 +11,7 @@ metric the testbed measures.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from repro.ir.instructions import (
@@ -51,6 +52,9 @@ class CycleCosts:
     frequency_ghz: float = 3.3
 
     def __post_init__(self) -> None:
+        # Latency divides by the frequency; an int of 400 digits is no float.
+        if not 0 < self.frequency_ghz <= sys.float_info.max:
+            raise ValueError(f"frequency_ghz must be finite and > 0, got {self.frequency_ghz!r}")
         # 3 and 3.0 price cycles alike, so they share one content address.
         object.__setattr__(self, "frequency_ghz", float(self.frequency_ghz))
 

@@ -204,9 +204,6 @@ def _hash_bucket_candidates(
             continue  # not established across packets
         hash_expr = flow_hash16(template)
         hashes = [evaluate(hash_expr, flow._asdict()) for flow in flows]
-        # (kind, core, core label, evidence, hash targets, weakness) per shape
-        shapes: list[tuple] = []
-
         # Chained-table shape: the workload piles into one bucket (the low
         # hash bits).  Generous on purpose — small-budget runs reconcile
         # few havocs, so even a 2-packet pile-up is worth proposing; replay
@@ -217,7 +214,8 @@ def _hash_bucket_candidates(
             core = make_cmp(CmpKind.EQ, hash_expr & mask, Const(bucket))
             label = f"flow_hash16(key) & 0x{mask:x} == 0x{bucket:x}"
             targets = tuple(range(bucket, FLOW_HASH_MASK + 1, mask + 1))
-            shapes.append(("hash-bucket", core, label, hits, targets, None))
+            candidates.append(_candidate("hash-bucket", core, label, gates, gate_labels, hits,
+                                         key_template=template, hash_targets=targets))
 
         # Open-addressing shape: the workload clusters in an arc of
         # consecutive hash values (linear probing piles the run up).  Pin
@@ -231,7 +229,9 @@ def _hash_bucket_candidates(
             core = make_cmp(CmpKind.ULE, distance, Const(RANGE_WIDTH - 1))
             label = f"flow_hash16(key) - 0x{lo:x} < 0x{RANGE_WIDTH:x}"
             targets = tuple((lo + j) & FLOW_HASH_MASK for j in range(RANGE_WIDTH))
-            shapes.append(("hash-range", core, label, range_hits, targets, distance))
+            candidates.append(_candidate("hash-range", core, label, gates, gate_labels, range_hits,
+                                         key_template=template, hash_targets=targets,
+                                         weakness=distance))
 
         # Neither shape concentrated: at small search budgets an
         # open-addressing attack can land its havocs on *spaced* slots, so
@@ -241,13 +241,11 @@ def _hash_bucket_candidates(
         # amplification piles synthesized colliders into one probe run, and
         # replay calibration is the actual gate.
         if hits < 2 and range_hits < 2:
-            target, target_hits = Counter(hashes).most_common(1)[0]
+            target, hits = Counter(hashes).most_common(1)[0]
             core = make_cmp(CmpKind.EQ, hash_expr, Const(target))
             label = f"flow_hash16(key) == 0x{target:x}"
-            shapes.append(("hash-bucket", core, label, target_hits, (target,), None))
-        for kind, core, label, evidence, targets, weakness in shapes:
-            fields = dict(key_template=template, hash_targets=targets, weakness=weakness)
-            candidates.append(_candidate(kind, core, label, gates, gate_labels, evidence, **fields))
+            candidates.append(_candidate("hash-bucket", core, label, gates, gate_labels, hits,
+                                         key_template=template, hash_targets=(target,)))
     return candidates
 
 
@@ -283,9 +281,7 @@ def _field_cluster_candidates(
 
 def _model_flow(nf: NetworkFunction, model) -> FlowKey:
     defaults = nf.packet_defaults
-    return FlowKey(
-        *(model.get(name, defaults[name]) & field_sym(name).mask for name in FIELD_ORDER)
-    )
+    return FlowKey(*(model.get(n, defaults[n]) & field_sym(n).mask for n in FIELD_ORDER))
 
 
 def _mine_matching_columns(
@@ -526,9 +522,7 @@ def distill_signatures(
         max_background = max(background_costs)
         if min_match < max_background * 1.1 + 2:
             report.dropped_unseparated += 1
-            report.notes.append(
-                f"unseparated ({min_match} vs {max_background}): {candidate.label}"
-            )
+            report.notes.append(f"unseparated ({min_match} vs {max_background}): {candidate.label}")
             continue
         threshold = max_background + (min_match - max_background) // 2
         report.calibrated += 1

@@ -230,6 +230,14 @@ def test_an_int_for_a_float_field_has_the_equal_floats_address(as_int, as_float)
     assert type(as_int.cycle_costs.frequency_ghz) is float
 
 
+@pytest.mark.parametrize("value", [0, -1.0, float("nan"), float("inf"), 10**400])
+def test_a_float_field_must_be_a_finite_number_above_zero(value):
+    with pytest.raises(ValueError, match="deadline_seconds"):
+        CastanConfig(deadline_seconds=value)
+    with pytest.raises(ValueError, match="frequency_ghz"):
+        CycleCosts(frequency_ghz=value)
+
+
 def test_cycle_costs_are_hashable():
     assert hash(CastanConfig().cycle_costs) == hash(CastanConfig.from_dict({}).cycle_costs)
 

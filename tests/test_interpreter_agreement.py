@@ -59,7 +59,7 @@ def _random_packets(nf_name: str, count: int) -> list[Packet]:
             dst_ip=rng.getrandbits(32),
             src_port=rng.getrandbits(16),
             dst_port=rng.getrandbits(16),
-            protocol=rng.choice((6, 17, nf.packet_defaults.get("protocol", 17))),
+            protocol=rng.choice((6, 17, nf.packet_defaults["protocol"])),
         )
         for _ in range(count)
     ]

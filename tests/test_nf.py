@@ -3,13 +3,14 @@ against reference models, and state behaviour across packets.  The four
 scenario-expansion NFs (firewall, policer, dedup, DPI) have their own
 behavioural suite in ``tests/test_new_nfs.py``."""
 
+import dataclasses
 import random
 
 import pytest
 
 from repro.hashing.functions import flow_key
 from repro.ir.verify import verify_module
-from repro.net.packet import IPProtocol, Packet
+from repro.net.packet import IPProtocol, Packet, PacketField
 from repro.nf.common import (
     EXTERNAL_SERVER,
     LB_BACKENDS,
@@ -242,6 +243,15 @@ class TestMetadata:
             "s2_nat_hash_table__flow_hash16",
             "s3_policer_two_choice__flow_hash16",
         ]
+
+    @pytest.mark.parametrize("name", NF_NAMES)
+    def test_packet_defaults_name_every_field(self, name):
+        assert set(get_nf(name).packet_defaults) == {f.field_name for f in PacketField}
+
+    def test_partial_packet_defaults_are_refused(self):
+        nf = get_nf("lpm-direct")
+        with pytest.raises(ValueError, match="lacks dst_port, protocol"):
+            dataclasses.replace(nf, packet_defaults={"src_ip": 1, "dst_ip": 2, "src_port": 3})
 
     @pytest.mark.parametrize("name", ["lb-unbalanced-tree", "lb-red-black-tree", "lpm-patricia", "lpm-direct"])
     def test_tree_and_lpm_nfs_do_not_hash(self, name):

@@ -446,6 +446,9 @@ BAD_CONFIG_VALUES = [
     ("deadline_seconds", -1),
     ("deadline_seconds", 0),
     ("deadline_seconds", "5"),
+    ("deadline_seconds", 10**400),  # passes `> 0`, overflows float()
+    ("cycle_costs", {"frequency_ghz": 10**400}),
+    ("cycle_costs", {"frequency_ghz": 0}),  # latency divides by it
     ("cycle_costs", None),
     ("hierarchy", 7),
     ("cycle_costs", {"hash_call": -5}),
