@@ -281,7 +281,9 @@ def _field_cluster_candidates(
 
 def _model_flow(nf: NetworkFunction, model) -> FlowKey:
     defaults = nf.packet_defaults
-    return FlowKey(*(model.get(n, defaults[n]) & field_sym(n).mask for n in FIELD_ORDER))
+    return FlowKey(
+        *(model.get(name, defaults[name]) & field_sym(name).mask for name in FIELD_ORDER)
+    )
 
 
 def _mine_matching_columns(

@@ -10,7 +10,7 @@ import pytest
 
 from repro.hashing.functions import flow_key
 from repro.ir.verify import verify_module
-from repro.net.packet import IPProtocol, Packet, PacketField
+from repro.net.packet import IPProtocol, Packet
 from repro.nf.common import (
     EXTERNAL_SERVER,
     LB_BACKENDS,
@@ -243,10 +243,6 @@ class TestMetadata:
             "s2_nat_hash_table__flow_hash16",
             "s3_policer_two_choice__flow_hash16",
         ]
-
-    @pytest.mark.parametrize("name", NF_NAMES)
-    def test_packet_defaults_name_every_field(self, name):
-        assert set(get_nf(name).packet_defaults) == {f.field_name for f in PacketField}
 
     def test_partial_packet_defaults_are_refused(self):
         nf = get_nf("lpm-direct")
