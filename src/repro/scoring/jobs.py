@@ -12,7 +12,9 @@ One entry point shared by the service's score-job worker process
 3. **stream** — score the requested traffic (an uploaded pcap or a
    synthetic in-class stream) in batches, emitting one event per completed
    window plus a terminal summary (``frames_skipped``: frames of a capture
-   the parser dropped as not IPv4 or truncated).
+   the parser dropped as not IPv4 or truncated; ``frames_in_runs``: frames
+   the pcap record walker took in runs of equal length rather than one by
+   one, 0 for synthetic traffic).
 
 ``emit(kind, payload)`` receives ``("signatures", ...)`` once, then
 ``("window", ...)`` per window; the returned summary carries lifetime
@@ -137,7 +139,7 @@ def check_traffic(traffic: dict) -> None:
 def _traffic_batches(nf: NetworkFunction, traffic: dict, options: ScorerOptions, counters: Counter):
     """Check ``traffic`` now (:func:`check_traffic`); return its lazy column batches.
 
-    ``counters`` takes the number of frames the pcap parser dropped.
+    ``counters`` takes the pcap parser's ``frames_skipped`` and ``frames_in_runs``.
     """
     check_traffic(traffic)
     if "synthetic" in traffic:
@@ -207,6 +209,7 @@ def run_score_job(
         emit("window", trailing.to_dict())
 
     summary = scorer.summary()
+    summary["frames_in_runs"] = counters["frames_in_runs"]
     skipped = summary["frames_skipped"] = counters["frames_skipped"]
     if skipped:
         logger.info("%s: skipped %d frame(s) that are not IPv4 or are truncated", nf.name, skipped)

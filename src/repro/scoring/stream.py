@@ -52,7 +52,10 @@ def iter_pcap_batches(
     ``uint64`` field columns, parsed straight from the capture's bytes.
     Unparseable frames are skipped (the NFs drop non-IPv4 traffic the same
     way) and counted into ``counters["frames_skipped"]``; malformed
-    *containers* still raise :class:`~repro.net.pcap.PcapFormatError`.
+    *containers* still raise :class:`~repro.net.pcap.PcapFormatError`.  Once
+    the capture is read, ``counters["frames_in_runs"]`` gains the frames the
+    record walker took in runs of equal length
+    (:attr:`~repro.net.pcap.PcapReader.frames_in_runs`).
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be positive, got {batch_size}")
@@ -61,26 +64,27 @@ def iter_pcap_batches(
     with PcapReader(source) as reader:
         if columnar:
             yield from _column_batches(reader, batch_size, counters)
-            return
-        batch: list[Packet] = []
-        for record in reader:
-            try:
-                batch.append(record.to_packet())
-            except PacketParseError:
-                counters["frames_skipped"] += 1
-                continue
-            if len(batch) >= batch_size:
+        else:
+            batch: list[Packet] = []
+            for record in reader:
+                try:
+                    batch.append(record.to_packet())
+                except PacketParseError:
+                    counters["frames_skipped"] += 1
+                    continue
+                if len(batch) >= batch_size:
+                    yield batch
+                    batch = []
+            if batch:
                 yield batch
-                batch = []
-    if batch:
-        yield batch
+        counters["frames_in_runs"] += reader.frames_in_runs
 
 
 def _column_batches(reader: PcapReader, batch_size: int, counters: Counter) -> Iterator[dict]:
     """Re-cut the reader's chunks into column batches of ``batch_size`` rows."""
     rows = _np.empty((len(FIELD_ORDER), 0), dtype=_np.uint64)
-    for buffer, offsets, lengths in reader.chunks():
-        parsed, skipped = parse_frame_columns(buffer, offsets, lengths)
+    for chunk in reader.chunks():
+        parsed, skipped = parse_frame_columns(*chunk)
         counters["frames_skipped"] += skipped
         rows = _np.concatenate([rows, parsed], axis=1)
         while rows.shape[1] >= batch_size:

@@ -20,10 +20,12 @@ from repro.net.packet import (
     PacketParseError,
     parse_packet,
 )
+import repro.net.pcap as pcap_module
 from repro.net.pcap import (
     MAX_RECORD_BYTES,
     PCAP_MAGIC,
     PCAP_MAGIC_NANO,
+    RECORD_HEADER_BYTES,
     PcapFormatError,
     PcapReader,
     PcapWriter,
@@ -200,6 +202,33 @@ class TestPcap:
         timestamps = [record.timestamp for record in reader]
         assert timestamps == sorted(timestamps)
 
+    def test_writer_carries_a_rounded_up_fraction_into_the_seconds(self):
+        buffer = io.BytesIO()
+        writer = PcapWriter(buffer)
+        for stamp in (1.9999996, 1.9999994, 7.0000004):
+            writer.write_frame(Packet(1, 2, 3, 4).to_bytes(), stamp)
+        blob = buffer.getvalue()
+        headers = [struct.unpack_from("<II", blob, 24 + index * (16 + 42)) for index in range(3)]
+        assert headers == [(2, 0), (1, 999_999), (7, 0)]
+        timestamps = [record.timestamp for record in PcapReader(io.BytesIO(blob))]
+        assert timestamps == [2.0, 1 + 0.999999, 7.0]
+
+    def test_default_clock_counts_whole_microseconds(self):
+        """Frame *n* is stamped *n* microseconds, also past two million frames,
+        where a clock that added 1e-6 to a float wrote a microsecond field of 10**6."""
+
+        def stamps(first, count):
+            buffer = io.BytesIO()
+            writer = PcapWriter(buffer)
+            writer._clock_usec = first  # skip the frames before ``first``
+            for _ in range(count):
+                writer.write_frame(b"")
+            return [struct.unpack_from("<II", buffer.getvalue(), 24 + 16 * i) for i in range(count)]
+
+        assert stamps(0, 3000) == [divmod(index, 10**6) for index in range(3000)]
+        assert stamps(999_999, 2) == [(0, 999_999), (1, 0)]
+        assert stamps(1_999_999, 2) == [(1, 999_999), (2, 0)]
+
     def test_reader_rejects_unsupported_linktype(self):
         import struct
 
@@ -297,8 +326,8 @@ class TestPcapVariants:
         # Every frame is handed out exactly once, whatever the cut.
         cut = [
             buffer[offset : offset + length]
-            for buffer, offsets, lengths in PcapReader(io.BytesIO(blob)).chunks()
-            for offset, length in zip(offsets, lengths)
+            for buffer, offsets, lengths, counts in PcapReader(io.BytesIO(blob)).chunks()
+            for offset, length in expand_entries(offsets, lengths, counts)
         ]
         assert cut == frames
 
@@ -309,6 +338,190 @@ class TestPcapVariants:
             for record in PcapReader(io.BytesIO(blob)):
                 seen.append(record)
         assert len(seen) == 3
+
+
+# -- the record walker -----------------------------------------------------------------
+
+
+def expand_entries(offsets, lengths, counts):
+    """The ``(offset, length)`` of every record a chunk's entries stand for."""
+    return [
+        (offset + index * (RECORD_HEADER_BYTES + length), length)
+        for offset, length, count in zip(offsets, lengths, counts)
+        for index in range(count)
+    ]
+
+
+def reference_walk(blob):
+    """The one-record-at-a-time walk ``PcapReader.chunks`` replaced, kept as the oracle.
+
+    Returns ``(chunks, error)``: per bounded read its buffer and the
+    ``(offset, length)`` of each record in it, then the format error's text
+    (``None`` for a clean capture).
+    """
+    magic = int.from_bytes(blob[:4], "little")
+    endian = "<" if magic in (PCAP_MAGIC, PCAP_MAGIC_NANO) else ">"
+    captured_len = struct.Struct(endian + "8xI").unpack_from
+    stream = io.BytesIO(blob[24:])
+    chunks, pending = [], b""
+    while True:
+        data = stream.read(pcap_module.CHUNK_BYTES)
+        buffer = pending + data
+        records, error = [], None
+        position, end = 0, len(buffer)
+        while position + 16 <= end:
+            (length,) = captured_len(buffer, position)
+            if length > MAX_RECORD_BYTES:
+                error = f"implausible pcap record length {length} (limit {MAX_RECORD_BYTES})"
+                break
+            start = position + 16
+            if start + length > end:
+                break
+            records.append((start, length))
+            position = start + length
+        if records:
+            chunks.append((buffer, records))
+        pending = buffer[position:]
+        if error is None and not data and pending:
+            have = len(pending)
+            error = (
+                f"truncated pcap record header ({have} of 16 bytes)"
+                if have < 16
+                else f"truncated pcap record data ({have - 16} of {length} bytes)"
+            )
+        if error is not None or not data:
+            return chunks, error
+
+
+def run_walk(blob):
+    """``PcapReader.chunks`` in the shape of :func:`reference_walk`, plus ``frames_in_runs``."""
+    reader = PcapReader(io.BytesIO(blob))
+    chunks, error = [], None
+    try:
+        for buffer, offsets, lengths, counts in reader.chunks():
+            assert len(offsets) == len(lengths) == len(counts) and min(counts) >= 1
+            chunks.append((buffer, expand_entries(offsets, lengths, counts)))
+    except PcapFormatError as exc:
+        error = str(exc)
+    return chunks, error, reader.frames_in_runs
+
+
+def frame_of(index, size):
+    """A ``size``-byte frame: IPv4 UDP or TCP where it is long enough, cut or zero-padded."""
+    ports = (1000 + index % 7).to_bytes(2, "big") + (80 + index % 3).to_bytes(2, "big")
+    frame = raw_frame(protocol=(17, 6)[index % 2], src=index, dst=7, l4=ports)
+    return (frame + b"\x00" * size)[:size]
+
+
+#: Frame sizes whose length fields agree in all but one byte (42, 298, 1066
+#: share their low byte), around the 34-byte parse minimum, and empty frames.
+_SIZES = [0, 1, 34, 42, 54, 60, 298, 1066]
+_segments = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(1, 3) | st.integers(30, 200)), min_size=1, max_size=6
+)
+
+
+@st.composite
+def walker_captures(draw):
+    """A capture of runs, bursts, AABB / ABAB stretches, maybe broken in a run."""
+    sizes = draw(st.lists(st.sampled_from(_SIZES), min_size=1, max_size=3, unique=True))
+    segments = draw(_segments)
+    lengths = [sizes[which % len(sizes)] for which, repeat in segments for _ in range(repeat)]
+    # Where the longest run ends: the walker takes a run's tail at once.
+    longest = max(range(len(segments)), key=lambda index: segments[index][1])
+    run_end = sum(repeat for _, repeat in segments[: longest + 1])
+    frames = [frame_of(index, size) for index, size in enumerate(lengths)]
+    endian = draw(st.sampled_from(["<", ">"]))
+    blob = capture(frames, endian)
+    damage = draw(st.sampled_from(["none", "length", "length", "truncated"]))
+    if damage == "none":
+        return blob, frames
+    at = draw(st.integers(0, len(frames) - 1) | st.integers(max(0, run_end - 100), run_end - 1))
+    header = 24 + sum(16 + len(frame) for frame in frames[:at])
+    if damage == "truncated":
+        return blob[: draw(st.integers(header, len(blob) - 1))], None
+    # A length field that differs from the record's in one byte (implausible
+    # when it is the top one), or one just over the limit.
+    bogus = draw(st.sampled_from([MAX_RECORD_BYTES + 1] + [1 << 8, 1 << 16, 1 << 24] * 2))
+    if bogus != MAX_RECORD_BYTES + 1:
+        bogus += len(frames[at])
+    field = struct.pack(endian + "I", bogus)
+    return blob[: header + 8] + field + blob[header + 12 :], None
+
+
+class TestRecordWalker:
+    """``PcapReader.chunks`` against the one-record-at-a-time walk it replaced."""
+
+    # Only whole-megabyte reads hold runs long enough to be taken at once.
+    @given(drawn=walker_captures(), chunk=st.sampled_from([1, 17, 59, 333]) | st.just(1 << 20))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_walk_equals_reference(self, drawn, chunk):
+        blob, frames = drawn
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("repro.net.pcap.CHUNK_BYTES", chunk)
+            chunks, error, in_runs = run_walk(blob)
+            assert (chunks, error) == reference_walk(blob)
+            assert 0 <= in_runs <= sum(len(records) for _, records in chunks)
+            if frames is not None:
+                # On a clean capture the columns are parse_packet's rows, whatever the chunking.
+                assert columnar_rows(blob) == reference_rows(frames)
+
+    @pytest.mark.parametrize("endian", ["<", ">"])
+    def test_runs_are_taken_whole_and_counted(self, endian):
+        frames = [frame_of(index, 42) for index in range(5000)]
+        blob = capture(frames, endian)
+        reader = PcapReader(io.BytesIO(blob))
+        chunks = list(reader.chunks())
+        ((buffer, offsets, lengths, counts),) = chunks
+        assert len(offsets) < 100 and sum(counts) == 5000
+        assert reader.frames_in_runs == sum(count for count in counts if count > 1) > 4800
+        records = expand_entries(offsets, lengths, counts)
+        assert [buffer[at : at + length] for at, length in records] == frames
+
+    @pytest.mark.parametrize("columnar", [False, True])
+    def test_batches_count_the_frames_taken_in_runs(self, columnar):
+        sizes = [42] * 900 + [54] * 5 + [60] * 300 + [42] * 3
+        blob = capture([frame_of(index, size) for index, size in enumerate(sizes)])
+        reader = PcapReader(io.BytesIO(blob))
+        for _ in reader.chunks():
+            pass
+        counters = Counter()
+        batches = list(iter_pcap_batches(io.BytesIO(blob), 64, columnar, counters))
+        assert sum(len(batch["src_ip"] if columnar else batch) for batch in batches) == 1208
+        assert counters["frames_in_runs"] == reader.frames_in_runs > 1000
+
+    @pytest.mark.parametrize("endian", ["<", ">"])
+    @pytest.mark.parametrize("odd", [42 + (1 << 8), 42 + (1 << 16), 42 + (1 << 24)])
+    def test_a_length_differing_in_one_byte_ends_the_run(self, endian, odd):
+        """A run of 42s stops at a field equal to 42 in every byte but one."""
+        frames = [frame_of(index, 42) for index in range(300)]
+        blob = capture(frames, endian)
+        header = 24 + 200 * (16 + 42)
+        patched = blob[: header + 8] + struct.pack(endian + "I", odd) + blob[header + 12 :]
+        chunks, error, in_runs = run_walk(patched)
+        assert (chunks, error) == reference_walk(patched)
+        records = [record for _, records in chunks for record in records]
+        assert [length for _, length in records[:200]] == [42] * 200 and in_runs > 100
+        # What follows the odd record is misread by both walks alike.
+        assert error is not None
+        if odd > MAX_RECORD_BYTES:
+            assert error.startswith("implausible pcap record length") and len(records) == 200
+
+    def test_a_look_ahead_past_other_records_starts_no_run(self):
+        """A block ends on two 42s and the record 16 strides on claims 42, but
+        the next record is empty: no run entry, nothing skipped."""
+        sizes = [42] * 32 + [0] * 58 + [42] * 100
+        blob = capture([frame_of(index, size) for index, size in enumerate(sizes)])
+        chunks, error, _ = run_walk(blob)
+        assert (chunks, error) == reference_walk(blob)
+        assert sizes == [length for _, records in chunks for _, length in records]
+
+    def test_iteration_expands_runs(self):
+        frames = [frame_of(index, 54) for index in range(400)] + [frame_of(400, 60)]
+        stamps = [(index // 7, index) for index in range(len(frames))]
+        records = list(PcapReader(io.BytesIO(capture(frames, stamps=stamps))))
+        assert [record.data for record in records] == frames
+        assert [record.timestamp for record in records] == [s + f / 1e6 for s, f in stamps]
 
 
 # -- columnar ingest -------------------------------------------------------------------
@@ -366,7 +579,7 @@ class TestColumnarIngest:
     @given(frames=st.lists(_frames, max_size=12))
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_parser_equals_parse_packet_row_for_row(self, frames):
-        (chunk,) = list(PcapReader(io.BytesIO(capture(frames))).chunks()) or [(b"", [], [])]
+        (chunk,) = list(PcapReader(io.BytesIO(capture(frames))).chunks()) or [(b"", [], [], [])]
         columns, skipped = parse_frame_columns(*chunk)
         rows, reference_skipped = reference_rows(frames)
         assert list(zip(*columns.tolist())) == rows

@@ -734,6 +734,15 @@ class TestColumnarPipeline:
         assert record.levelno == logging.INFO and "skipped 4 frame(s)" in record.getMessage()
         assert len(vector_windows) >= 5
 
+    def test_score_job_counts_frames_taken_in_runs(self, nat_store):
+        """A capture of one frame size is walked in runs; the summary says how much."""
+        with PcapWriter(blob := io.BytesIO()) as writer:
+            for index in range(400):
+                writer.write_packet(Packet(index, 2, 3, 4))
+        summary, _ = self._job(nat_store, {"pcap_bytes": blob.getvalue()})
+        assert summary["packets"] == 400 and summary["frames_skipped"] == 0
+        assert 300 < summary["frames_in_runs"] < 400
+
     def test_capture_without_ipv4_says_why_it_scored_nothing(
         self, nat_distilled, nat_store, tmp_path, caplog
     ):
@@ -746,6 +755,7 @@ class TestColumnarPipeline:
             clean, _ = self._job(nat_store, {"synthetic": 20})
         assert (summary["packets"], summary["frames_skipped"], windows) == (0, 5, [])
         assert clean["frames_skipped"] == 0 and clean["packets"] == 20
+        assert summary["frames_in_runs"] == clean["frames_in_runs"] == 0
         assert len([r for r in caplog.records if r.name == "repro.scoring"]) == 1
 
     def test_signatures_event_reports_the_replay_work(self, nat_distilled, nat_store):

@@ -775,6 +775,7 @@ def test_score_accepts_a_nanosecond_pcap_and_reports_skipped_frames(server, tmp_
     assert final["state"] == "done", final.get("error")
     assert final["result"]["packets"] == 50
     assert final["result"]["frames_skipped"] == 1
+    assert 0 < final["result"]["frames_in_runs"] < 50  # 50 frames of one size
 
 
 def test_score_rejects_an_unreadable_pcap_container_at_submit(server, tmp_path):

@@ -67,6 +67,8 @@ def _print_summary(summary: dict) -> None:
           f"{summary['windows']} window(s)")
     if summary["frames_skipped"]:
         print(f"  skipped {summary['frames_skipped']} frame(s): not IPv4, or truncated")
+    if summary["frames_in_runs"]:
+        print(f"  read {summary['frames_in_runs']} frame(s) in runs of equal length")
     for signature in summary["signatures"]:
         print(f"  {signature['hits']:>8}  {signature['label']}")
 
