@@ -14,10 +14,6 @@ describes:
    every address whose removal does not lower the probing time;
 3. classify every remaining candidate address by substituting it into ``S``
    and checking whether the probing time stays high.
-
-The discovery can be repeated over several "process runs" (different page
-mappings); only groups of addresses that stay co-resident in the same set
-across every run are retained, mirroring the paper's consistency filter.
 """
 
 from __future__ import annotations
@@ -89,59 +85,22 @@ class ContentionSets:
         )
 
 
+#: Seed of the shuffle that orders the probed pool.
+PROBE_SEED = 7
+
+
 def discover_contention_sets(
-    hierarchy: MemoryHierarchy,
-    addresses: list[int],
-    threshold: int | None = None,
-    repeats: int = 8,
-    max_sets: int | None = None,
-    runs: int = 1,
-    seed: int = 7,
+    hierarchy: MemoryHierarchy, addresses: list[int], repeats: int = 8
 ) -> ContentionSets:
     """Discover contention sets among ``addresses`` by probing.
 
-    ``threshold`` (δ) defaults to half the DRAM-vs-L3 gap times ``repeats``,
-    which cleanly separates "one extra DRAM trip per probe round" from
-    measurement noise.  With ``runs > 1`` the discovery is repeated under
-    fresh page mappings and only consistently co-resident groups are kept.
+    The threshold δ is half the DRAM-vs-L3 gap times ``repeats``, which
+    cleanly separates "one extra DRAM trip per probe round" from measurement
+    noise.
     """
-    if threshold is None:
-        gap = hierarchy.cycle_costs.dram - hierarchy.cycle_costs.l3_hit
-        threshold = (gap * repeats) // 2
-
-    per_run_sets: list[list[list[int]]] = []
-    original_seed = getattr(hierarchy, "_process_seed", 1)
-    for run in range(runs):
-        if runs > 1:
-            hierarchy.new_process_run(original_seed + run)
-        per_run_sets.append(
-            _discover_single_run(hierarchy, addresses, threshold, repeats, max_sets, seed + run)
-        )
-    if runs > 1:
-        hierarchy.new_process_run(original_seed)
-
-    if runs == 1:
-        sets = per_run_sets[0]
-    else:
-        sets = _consistent_sets(per_run_sets)
-
-    return ContentionSets(
-        associativity=hierarchy.l3_associativity,
-        line_size=hierarchy.config.line_size,
-        sets=sets,
-        source="probing",
-    )
-
-
-def _discover_single_run(
-    hierarchy: MemoryHierarchy,
-    addresses: list[int],
-    threshold: int,
-    repeats: int,
-    max_sets: int | None,
-    seed: int,
-) -> list[list[int]]:
-    rng = random.Random(seed)
+    gap = hierarchy.cycle_costs.dram - hierarchy.cycle_costs.l3_hit
+    threshold = (gap * repeats) // 2
+    rng = random.Random(PROBE_SEED)
     line_size = hierarchy.config.line_size
     # One representative address per cache line.
     pool: list[int] = []
@@ -159,14 +118,12 @@ def _discover_single_run(
     def probe(sample: list[int]) -> int:
         return hierarchy.probe_time(sample, repeats=repeats)
 
-    while remaining and (max_sets is None or len(discovered) < max_sets):
+    while remaining:
         # Step 1: grow S until probing time jumps by more than δ.
         working: list[int] = []
         previous_time = 0
         trigger_found = False
-        consumed = 0
         for address in remaining:
-            consumed += 1
             candidate_time = probe(working + [address])
             if working and candidate_time - previous_time > threshold:
                 working.append(address)
@@ -202,27 +159,9 @@ def _discover_single_run(
         claimed = set(contention_set)
         remaining = [a for a in remaining if a not in claimed]
 
-    return discovered
-
-
-def _consistent_sets(per_run_sets: list[list[list[int]]]) -> list[list[int]]:
-    """Keep only address groups that share a set in *every* run."""
-
-    def partition_of(sets: list[list[int]]) -> dict[int, int]:
-        mapping: dict[int, int] = {}
-        for set_id, group in enumerate(sets):
-            for address in group:
-                mapping[address] = set_id
-        return mapping
-
-    partitions = [partition_of(sets) for sets in per_run_sets]
-    common_addresses = set(partitions[0])
-    for partition in partitions[1:]:
-        common_addresses &= set(partition)
-
-    # Two addresses stay together only if they share a set in every run.
-    grouped: dict[tuple[int, ...], list[int]] = {}
-    for address in sorted(common_addresses):
-        signature = tuple(partition[address] for partition in partitions)
-        grouped.setdefault(signature, []).append(address)
-    return [group for group in grouped.values() if len(group) > 1]
+    return ContentionSets(
+        associativity=hierarchy.l3_associativity,
+        line_size=line_size,
+        sets=discovered,
+        source="probing",
+    )

@@ -6,8 +6,8 @@ The paper's evaluation machine is an Intel Xeon E5-2667v2: 32 KiB 8-way L1d,
 0–29 of virtual and physical addresses coincide (Fig. 1).  This module
 simulates that structure at configurable (scaled-down) sizes:
 
-* virtual pages are mapped to pseudo-random physical frames per "process
-  run" (so contention sets differ across runs, as on real hardware);
+* virtual pages are mapped to pseudo-random physical frames, keyed by the
+  machine seed and :data:`PROCESS_SEED` (a process run's page mapping);
 * the L3 slice is selected by a hidden XOR-parity hash of physical address
   bits, seeded per "machine" — analysis code must not read it directly, it
   must reverse-engineer contention sets by probing (§3.2);
@@ -103,6 +103,11 @@ class HierarchyStats:
     dram_accesses: int = 0
 
 
+#: Seed of the page mapping (with the machine seed): one process run's
+#: virtual-to-physical frame assignment.
+PROCESS_SEED = 1
+
+
 class MemoryHierarchy:
     """The simulated L1d/L2/L3/DRAM hierarchy with hidden L3 slicing."""
 
@@ -112,7 +117,6 @@ class MemoryHierarchy:
         self,
         config: HierarchyConfig | None = None,
         cycle_costs: CycleCosts = DEFAULT_CYCLE_COSTS,
-        process_seed: int = 1,
     ) -> None:
         self.config = config or HierarchyConfig()
         self.cycle_costs = cycle_costs
@@ -126,28 +130,12 @@ class MemoryHierarchy:
         self.__slice_masks = [
             self._machine_rng.getrandbits(34) << offset_bits for _ in range(slice_bits)
         ]
-        self._process_seed = process_seed
-        self._page_keys = self._derive_page_keys(process_seed)
+        page_rng = random.Random((self.config.machine_seed << 1) ^ PROCESS_SEED)
+        self._page_keys = page_rng.getrandbits(32) | 1, page_rng.getrandbits(32) | 1
         self.reset_caches()
         self.stats = HierarchyStats()
 
-    # -- process / machine lifecycle -------------------------------------------
-
-    def _derive_page_keys(self, seed: int) -> tuple[int, int]:
-        rng = random.Random((self.config.machine_seed << 1) ^ seed)
-        return rng.getrandbits(32) | 1, rng.getrandbits(32) | 1
-
-    def new_process_run(self, process_seed: int) -> None:
-        """Start a new "process run": fresh page mapping, cold caches.
-
-        Mirrors re-running the NF (or rebooting the machine): virtual pages
-        land on different physical frames, so L3 slice selection — and
-        therefore contention sets — changes for addresses that differ above
-        the page-offset bits.
-        """
-        self._process_seed = process_seed
-        self._page_keys = self._derive_page_keys(process_seed)
-        self.reset_caches()
+    # -- cache lifecycle ---------------------------------------------------------
 
     def reset_caches(self) -> None:
         """Cold-start every cache level (keeps the page mapping)."""
@@ -161,13 +149,13 @@ class MemoryHierarchy:
         self.stats = HierarchyStats()
 
     def snapshot(self) -> tuple:
-        """Capture resident lines, LRU order, statistics and the page mapping.
+        """Capture resident lines, LRU order and statistics.
 
         Costs what is resident, not the hierarchy's geometry: the config,
-        slice masks and page keys are immutable and shared, not copied.
+        slice masks and page mapping are immutable and not captured.
         """
         caches = [cache.snapshot() for cache in (self._l1, self._l2, *self._l3)]
-        return self._process_seed, self._page_keys, caches, replace(self.stats)
+        return caches, replace(self.stats)
 
     def restore(self, snapshot: tuple) -> None:
         """Return to a :meth:`snapshot` capture, in place.
@@ -175,7 +163,7 @@ class MemoryHierarchy:
         The hierarchy object and its ``stats`` object stay the ones callers
         hold; only their contents change.
         """
-        self._process_seed, self._page_keys, caches, stats = snapshot
+        caches, stats = snapshot
         for cache, state in zip((self._l1, self._l2, *self._l3), caches):
             cache.restore(state)
         vars(self.stats).update(vars(stats))

@@ -65,7 +65,11 @@ class CacheAccessDecision:
 
 @dataclass
 class CacheModelStats:
-    """Counters the analysis reports alongside each generated path."""
+    """One model's access counters (per state, copied on clone).
+
+    The analysis reports none of them; tests read them to check a model's
+    bookkeeping.
+    """
 
     accesses: int = 0
     hits: int = 0

@@ -60,12 +60,11 @@ def annotate_costs(
     entry: str,
     loop_bound: int = DEFAULT_LOOP_BOUND,
     cycle_costs: CycleCosts = DEFAULT_CYCLE_COSTS,
-    icfg: InterproceduralCFG | None = None,
 ) -> CostAnnotation:
     """Annotate every reachable instruction with its potential cost."""
     if loop_bound < 1:
         raise ValueError("loop bound M must be at least 1")
-    icfg = icfg or build_icfg(module)
+    icfg = build_icfg(module)
     annotation = CostAnnotation(
         module=module,
         icfg=icfg,

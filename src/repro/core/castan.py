@@ -67,9 +67,6 @@ _RAINBOW_TABLE_CACHE: dict[tuple[int, int], RainbowTable] = {}
 
 logger = logging.getLogger(__name__)
 
-#: Backtracking-node budget of every solve an analysis makes (the final
-#: solve and reconciliation); the distiller's solver uses it too.
-SOLVER_BUDGET = 8000
 #: Candidate keys tested per suppressed hash during reconciliation (§3.5).
 MAX_CANDIDATES_PER_HAVOC = 12
 #: Candidate addresses sampled per large region for the cache model.
@@ -232,7 +229,7 @@ class Castan:
 
         annotation = self._annotate(nf)
         cache_model, contention_sets = self._build_cache_model(nf)
-        solver = Solver(search_budget=SOLVER_BUDGET, seed=config.seed)
+        solver = Solver(seed=config.seed)
 
         packet_sets = make_packet_symbols(packet_count)
         defaults = symbol_defaults(packet_sets, nf.packet_defaults)

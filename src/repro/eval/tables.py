@@ -34,10 +34,10 @@ def format_table(title: str, rows: dict[str, dict[str, object]], columns: list[s
     return "\n".join(lines)
 
 
-def _collect(metric, nfs: tuple[str, ...] = EVALUATION_NF_NAMES) -> dict[str, dict[str, object]]:
+def _collect(metric) -> dict[str, dict[str, object]]:
     """Build rows[workload][nf] using ``metric(nf_name, workload_name)``."""
     rows: dict[str, dict[str, object]] = {w: {} for w in WORKLOAD_ROWS}
-    for nf_name in nfs:
+    for nf_name in EVALUATION_NF_NAMES:
         for workload_name in WORKLOAD_ROWS:
             value = metric(nf_name, workload_name)
             if value is not None:
@@ -48,22 +48,24 @@ def _collect(metric, nfs: tuple[str, ...] = EVALUATION_NF_NAMES) -> dict[str, di
 # -- Table 1: maximum throughput (Mpps) --------------------------------------------
 
 
-def table1_throughput(nfs: tuple[str, ...] = EVALUATION_NF_NAMES):
-    results = {name: throughput_results(name) for name in nfs}
+def table1_throughput():
+    results = {name: throughput_results(name) for name in EVALUATION_NF_NAMES}
 
     def metric(nf_name: str, workload_name: str):
         entry = results[nf_name].get(workload_name)
         return entry.max_rate_mpps if entry else None
 
-    rows = _collect(metric, nfs)
-    return rows, format_table("Table 1: maximum throughput (Mpps)", rows, list(nfs))
+    rows = _collect(metric)
+    return rows, format_table(
+        "Table 1: maximum throughput (Mpps)", rows, list(EVALUATION_NF_NAMES)
+    )
 
 
 # -- Table 2: median instructions retired per packet ----------------------------------
 
 
-def table2_instructions(nfs: tuple[str, ...] = EVALUATION_NF_NAMES):
-    results = {name: latency_results(name) for name in nfs}
+def table2_instructions():
+    results = {name: latency_results(name) for name in EVALUATION_NF_NAMES}
 
     def metric(nf_name: str, workload_name: str):
         entry = results[nf_name].get(workload_name)
@@ -71,15 +73,17 @@ def table2_instructions(nfs: tuple[str, ...] = EVALUATION_NF_NAMES):
             return None
         return int(entry.counter_summary.median_instructions)
 
-    rows = _collect(metric, nfs)
-    return rows, format_table("Table 2: median instructions retired per packet", rows, list(nfs))
+    rows = _collect(metric)
+    return rows, format_table(
+        "Table 2: median instructions retired per packet", rows, list(EVALUATION_NF_NAMES)
+    )
 
 
 # -- Table 3: median L3 misses per packet -----------------------------------------------
 
 
-def table3_l3_misses(nfs: tuple[str, ...] = EVALUATION_NF_NAMES):
-    results = {name: latency_results(name) for name in nfs}
+def table3_l3_misses():
+    results = {name: latency_results(name) for name in EVALUATION_NF_NAMES}
 
     def metric(nf_name: str, workload_name: str):
         entry = results[nf_name].get(workload_name)
@@ -87,16 +91,18 @@ def table3_l3_misses(nfs: tuple[str, ...] = EVALUATION_NF_NAMES):
             return None
         return int(entry.counter_summary.median_l3_misses)
 
-    rows = _collect(metric, nfs)
-    return rows, format_table("Table 3: median L3 misses per packet", rows, list(nfs))
+    rows = _collect(metric)
+    return rows, format_table(
+        "Table 3: median L3 misses per packet", rows, list(EVALUATION_NF_NAMES)
+    )
 
 
 # -- Table 4: CASTAN packets generated and analysis time ---------------------------------
 
 
-def table4_analysis(nfs: tuple[str, ...] = EVALUATION_NF_NAMES):
+def table4_analysis():
     rows: dict[str, dict[str, object]] = {}
-    for nf_name in nfs:
+    for nf_name in EVALUATION_NF_NAMES:
         result = castan_result(nf_name)
         rows[nf_name] = {
             "packets": result.packet_count,
@@ -118,9 +124,9 @@ def table4_analysis(nfs: tuple[str, ...] = EVALUATION_NF_NAMES):
 # -- Table 5: median latency deviation from NOP ---------------------------------------------
 
 
-def table5_deviation(nfs: tuple[str, ...] = EVALUATION_NF_NAMES):
+def table5_deviation():
     rows: dict[str, dict[str, object]] = {}
-    for nf_name in nfs:
+    for nf_name in EVALUATION_NF_NAMES:
         results = latency_results(nf_name)
         baseline = results["nop"]
         row: dict[str, object] = {}

@@ -62,15 +62,6 @@ _CMPOPS: dict[type[ast.cmpop], CmpKind] = {
     ast.GtE: CmpKind.UGE,
 }
 
-_NEGATED: dict[CmpKind, CmpKind] = {
-    CmpKind.EQ: CmpKind.NE,
-    CmpKind.NE: CmpKind.EQ,
-    CmpKind.ULT: CmpKind.UGE,
-    CmpKind.ULE: CmpKind.UGT,
-    CmpKind.UGT: CmpKind.ULE,
-    CmpKind.UGE: CmpKind.ULT,
-}
-
 #: The one hash a havoc may suppress, as the dialect text defines it.
 (_FLOW_HASH_DEF,) = ast.parse(FLOW_HASH_DIALECT_SOURCE).body
 FLOW_HASH_NAME = _FLOW_HASH_DEF.name

@@ -42,6 +42,17 @@ class CmpKind(enum.Enum):
     UGE = "uge"
 
 
+#: The predicate that holds exactly when the key does not.
+NEGATED_CMP = {
+    CmpKind.EQ: CmpKind.NE,
+    CmpKind.NE: CmpKind.EQ,
+    CmpKind.ULT: CmpKind.UGE,
+    CmpKind.ULE: CmpKind.UGT,
+    CmpKind.UGT: CmpKind.ULE,
+    CmpKind.UGE: CmpKind.ULT,
+}
+
+
 #: The 64-bit unsigned semantics of every operator, the one table both
 #: interpreters and every concrete evaluator of symbolic expressions use.
 #: Division is total: ``x / 0`` is all ones and ``x % 0`` is ``x``; a shift

@@ -1,8 +1,9 @@
 """Textual rendering of NFIL modules (the analogue of ``llvm-dis`` output).
 
-The printed form is intended for debugging and documentation: it is stable,
-human-readable and shows instruction uids so that ICFG cost annotations can
-be cross-referenced against the listing.
+The printed form is intended for debugging and documentation: it is stable
+and human-readable, and NF fingerprints hash it
+(:meth:`~repro.nf.base.NetworkFunction.fingerprint`), so it leaves out
+instruction uids.
 """
 
 from __future__ import annotations
@@ -10,19 +11,18 @@ from __future__ import annotations
 from repro.ir.module import Function, Module
 
 
-def print_function(function: Function, show_uids: bool = False) -> str:
+def print_function(function: Function) -> str:
     """Render one function as text."""
     lines = [f"func @{function.name}({', '.join('%' + p for p in function.params)}) {{"]
     for block in function.blocks:
         lines.append(f"{block.name}:")
         for instruction in block.instructions:
-            prefix = f"  [{instruction.uid:4d}] " if show_uids else "  "
-            lines.append(f"{prefix}{instruction}")
+            lines.append(f"  {instruction}")
     lines.append("}")
     return "\n".join(lines)
 
 
-def print_module(module: Module, show_uids: bool = False) -> str:
+def print_module(module: Module) -> str:
     """Render a whole module (regions first, then functions)."""
     lines = [f"; module {module.name}"]
     for region in module.regions.values():
@@ -32,5 +32,5 @@ def print_module(module: Module, show_uids: bool = False) -> str:
         )
     for function in module.functions.values():
         lines.append("")
-        lines.append(print_function(function, show_uids=show_uids))
+        lines.append(print_function(function))
     return "\n".join(lines)

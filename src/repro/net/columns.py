@@ -4,8 +4,9 @@ The columnar twin of :func:`repro.net.packet.parse_packet`, for consumers
 that want the five-tuple of every frame of a capture and nothing else (the
 stream scorer).  It reads the header bytes of all frames of one
 :meth:`~repro.net.pcap.PcapReader.chunks` buffer at their per-row offsets and
-never builds a :class:`~repro.net.packet.Packet`; a chunk entry that stands
-for a run of equal-length records is expanded to its rows with ``np.repeat``.
+never builds a :class:`~repro.net.packet.Packet`; the chunk's entries are
+expanded to one length per frame with ``np.repeat``, and the frame offsets
+follow from those lengths by one ``cumsum``.
 
 The accept/skip rules are ``parse_packet``'s, and a hypothesis differential
 in ``tests/test_net.py`` holds the two equal row for row:
@@ -35,28 +36,22 @@ from repro.symbex.expr import require_numpy
 _np = require_numpy()
 
 
-def parse_frame_columns(buffer: bytes, offsets: list[int], lengths: list[int], counts: list[int]):
+def parse_frame_columns(buffer: bytes, lengths: list[int], counts: list[int]):
     """Five-tuples of the parseable frames of one chunk, plus the skip count.
 
     Takes one :meth:`~repro.net.pcap.PcapReader.chunks` tuple: entry *i* is
-    ``counts[i]`` frames of ``lengths[i]`` bytes, the first at
-    ``offsets[i]`` and each next one ``RECORD_HEADER_BYTES + lengths[i]``
-    bytes after the one before.  Returns
-    ``(columns, skipped)``: a ``(5, kept)`` ``uint64`` matrix whose rows are
-    the fields in :attr:`~repro.net.packet.Packet.flow_tuple` order and
-    whose columns are the kept frames in capture order, and the number of
-    frames dropped.
+    ``counts[i]`` consecutive records with frames of ``lengths[i]`` bytes,
+    from the start of ``buffer`` on.  Returns ``(columns, skipped)``: a
+    ``(5, kept)`` ``uint64`` matrix whose rows are the fields in
+    :attr:`~repro.net.packet.Packet.flow_tuple` order and whose columns are
+    the kept frames in capture order, and the number of frames dropped.
     """
     data = _np.frombuffer(buffer, dtype=_np.uint8)
-    start = _np.array(offsets, dtype=_np.int64)
-    length = _np.array(lengths, dtype=_np.int64)
-    frames = len(counts)
-    if counts.count(1) != frames:  # some entries stand for runs: one row per frame
-        count = _np.array(counts, dtype=_np.int64)
-        frames = int(count.sum())
-        within = _np.arange(frames) - _np.repeat(_np.cumsum(count) - count, count)
-        start = _np.repeat(start, count) + within * _np.repeat(length + RECORD_HEADER_BYTES, count)
-        length = _np.repeat(length, count)
+    length = _np.repeat(_np.array(lengths, dtype=_np.int64), counts)
+    frames = len(length)
+    # A record ends where the next begins: each frame starts ``length`` bytes
+    # before the end of its record.
+    start = _np.cumsum(length + RECORD_HEADER_BYTES) - length
 
     def byte(at):
         return data[at].astype(_np.uint64)

@@ -64,8 +64,11 @@ CHUNK_BYTES = 1 << 20
 #: an unknown link type is a format error at open time, not a per-record one.
 SUPPORTED_LINKTYPES = frozenset({LINKTYPE_ETHERNET})
 
+#: Captured bytes per frame the writer keeps (and declares in its header).
+SNAPLEN = 65535
+
 #: Upper bound on a single record's captured length.  Real captures top out
-#: at the 64 KiB snaplen this writer uses; a larger claim is a corrupt or
+#: at the 64 KiB :data:`SNAPLEN` this writer uses; a larger claim is a corrupt or
 #: hostile length field and must not drive a giant allocation.
 MAX_RECORD_BYTES = 1 << 18
 
@@ -107,14 +110,13 @@ class PcapWriter:
                 writer.write_packet(packet)
     """
 
-    def __init__(self, target: str | Path | BinaryIO, snaplen: int = 65535) -> None:
+    def __init__(self, target: str | Path | BinaryIO) -> None:
         if isinstance(target, (str, Path)):
             self._stream: BinaryIO = open(target, "wb")
             self._owns_stream = True
         else:
             self._stream = target
             self._owns_stream = False
-        self._snaplen = snaplen
         self._clock_usec = 0  # the default clock, one microsecond per frame
         self._stream.write(
             _GLOBAL_HEADER.pack(
@@ -123,7 +125,7 @@ class PcapWriter:
                 PCAP_VERSION_MINOR,
                 0,  # thiszone
                 0,  # sigfigs
-                snaplen,
+                SNAPLEN,
                 LINKTYPE_ETHERNET,
             )
         )
@@ -141,15 +143,15 @@ class PcapWriter:
             microseconds = int(round((timestamp - seconds) * 1_000_000))
             if microseconds == 1_000_000:  # the fraction rounded up to a whole second
                 seconds, microseconds = seconds + 1, 0
-        captured = data[: self._snaplen]
+        captured = data[:SNAPLEN]
         self._stream.write(
             _RECORD_HEADER.pack(seconds, microseconds, len(captured), len(data))
         )
         self._stream.write(captured)
 
-    def write_packet(self, packet: Packet, timestamp: float | None = None) -> None:
-        """Serialise and write one :class:`Packet`."""
-        self.write_frame(packet.to_bytes(), timestamp)
+    def write_packet(self, packet: Packet) -> None:
+        """Serialise and write one :class:`Packet` on the default clock."""
+        self.write_frame(packet.to_bytes())
 
     def close(self) -> None:
         if self._owns_stream:
@@ -198,17 +200,17 @@ class PcapReader:
                 f"(supported: {sorted(SUPPORTED_LINKTYPES)})"
             )
 
-    def chunks(self) -> Iterator[tuple[bytes, list[int], list[int], list[int]]]:
-        """Walk the records: ``(buffer, offsets, lengths, counts)`` per bounded read.
+    def chunks(self) -> Iterator[tuple[bytes, list[int], list[int]]]:
+        """Walk the records: ``(buffer, lengths, counts)`` per bounded read.
 
         Entry *i* stands for ``counts[i]`` consecutive records of captured
-        length ``lengths[i]``, ``RECORD_HEADER_BYTES + lengths[i]`` bytes
-        apart; the first frame is ``buffer[offsets[i] : offsets[i] +
-        lengths[i]]`` and each record header is the 16 bytes before its
-        frame.  A record that straddles a read is carried into the next
-        buffer, so a buffer never exceeds ``CHUNK_BYTES`` plus one record.
-        Records before a malformed one are handed out before the error is
-        raised.
+        length ``lengths[i]``, each ``RECORD_HEADER_BYTES + lengths[i]``
+        bytes long.  The buffer starts at a record header and the entries
+        follow each other with no gap, so a frame starts
+        ``RECORD_HEADER_BYTES`` after the end of the records before it.  A
+        record that straddles a read is carried into the next buffer, so a
+        buffer never exceeds ``CHUNK_BYTES`` plus one record.  Records
+        before a malformed one are handed out before the error is raised.
 
         Records are walked one at a time in blocks of ``_RUN_PROBE_EVERY``.
         When a block ends on two records of one length and the record
@@ -227,7 +229,7 @@ class PcapReader:
         while True:
             data = self._stream.read(CHUNK_BYTES)
             buffer = pending + data
-            offsets, lengths, runs, error = [], [], {}, None
+            lengths, runs, error = [], {}, None
             position, end = 0, len(buffer)
             last = end - header_size  # the last offset a whole record header starts at
             while position <= last:
@@ -239,7 +241,6 @@ class PcapReader:
                     start = position + header_size
                     if start + length > end:
                         break
-                    offsets.append(start)
                     lengths.append(length)
                     position = start + length
                     if position > last:
@@ -255,18 +256,17 @@ class PcapReader:
                         field = length.to_bytes(4, byteorder)
                         count = _run_length(buffer, position, stride, field, end)
                         if count:
-                            runs[len(offsets)] = count
-                            offsets.append(position + header_size)
+                            runs[len(lengths)] = count
                             lengths.append(length)
                             position += count * stride
                             self.frames_in_runs += count
                     continue
                 break
-            if offsets:
-                counts = [1] * len(offsets)
+            if lengths:
+                counts = [1] * len(lengths)
                 for index, count in runs.items():
                     counts[index] = count
-                yield buffer, offsets, lengths, counts
+                yield buffer, lengths, counts
             pending = buffer[position:]
             if error is None and not data and pending:
                 have = len(pending)  # a whole header means the walk above read its ``length``
@@ -283,15 +283,17 @@ class PcapReader:
     def __iter__(self) -> Iterator[PcapRecord]:
         header_size = RECORD_HEADER_BYTES
         stamp = struct.Struct(self._endian + "II").unpack_from
-        for buffer, offsets, lengths, counts in self.chunks():
-            for first, length, count in zip(offsets, lengths, counts):
-                stride = header_size + length
-                for offset in range(first, first + count * stride, stride):
-                    seconds, fraction = stamp(buffer, offset - header_size)
+        for buffer, lengths, counts in self.chunks():
+            position = 0
+            for length, count in zip(lengths, counts):
+                for _ in range(count):
+                    seconds, fraction = stamp(buffer, position)
+                    position += header_size
                     yield PcapRecord(
                         timestamp=seconds + fraction / self._subsecond,
-                        data=buffer[offset : offset + length],
+                        data=buffer[position : position + length],
                     )
+                    position += length
 
     def close(self) -> None:
         if self._owns_stream:

@@ -158,11 +158,9 @@ def manual_dpi_workload(count: int) -> list[Packet]:
     return packets
 
 
-def build_dpi(
-    signatures: tuple[tuple[bytes, int], ...] = DEFAULT_SIGNATURES,
-) -> NetworkFunction:
-    """Build the pattern-trie DPI NF with the given signature set."""
-    nkids, child_byte, child_node, rule_of = build_dpi_trie(signatures)
+def build_dpi() -> NetworkFunction:
+    """Build the pattern-trie DPI NF over ``DEFAULT_SIGNATURES``."""
+    nkids, child_byte, child_node, rule_of = build_dpi_trie(DEFAULT_SIGNATURES)
     module = Module("dpi-trie")
     module.add_region("dpi_nkids", DPI_MAX_NODES, 8, initial=nkids)
     module.add_region("dpi_child_byte", DPI_MAX_NODES * DPI_FANOUT, 8, initial=child_byte)

@@ -32,12 +32,14 @@ def process(src_ip, dst_ip, src_port, dst_port, protocol):
 """
 
 
-def build_direct_lookup_table(routes: list[Route], bits: int = DIRECT_LOOKUP_BITS) -> dict[int, int]:
+def build_direct_lookup_table(routes: list[Route]) -> dict[int, int]:
     """Expand the route list into the flat array's non-zero initial entries.
 
-    Every route is truncated/expanded to ``bits`` bits of prefix; more
-    specific routes win, mirroring how the C NF builds its table at start-up.
+    Every route is truncated/expanded to ``DIRECT_LOOKUP_BITS`` bits of
+    prefix; more specific routes win, mirroring how the C NF builds its
+    table at start-up.
     """
+    bits = DIRECT_LOOKUP_BITS
     table: dict[int, int] = {}
     # Expand from least to most specific so that longer prefixes overwrite.
     for route in sorted(routes, key=lambda r: r.length):

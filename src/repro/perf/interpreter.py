@@ -37,6 +37,9 @@ from repro.perf.cycles import CycleCosts, DEFAULT_CYCLE_COSTS
 
 _OPERATORS = {**BINOP_FUNCS, **CMP_FUNCS}
 
+#: Instructions one packet may run before it is an :class:`ExecutionError`.
+MAX_INSTRUCTIONS_PER_PACKET = 2_000_000
+
 
 class ExecutionError(RuntimeError):
     """Raised when the concrete interpreter hits an illegal operation."""
@@ -76,13 +79,11 @@ class ConcreteInterpreter:
         entry: str,
         hierarchy: MemoryHierarchy | None = None,
         cycle_costs: CycleCosts = DEFAULT_CYCLE_COSTS,
-        max_instructions_per_packet: int = 2_000_000,
     ) -> None:
         self.module = module
         self.entry = entry
         self.hierarchy = hierarchy or MemoryHierarchy()
         self.cycle_costs = cycle_costs
-        self.max_instructions_per_packet = max_instructions_per_packet
         self._entry_function = module.get_function(entry)
         self._level_costs = {
             level: cycle_costs.memory_cost(level) for level in MemoryHierarchy.LEVELS
@@ -166,7 +167,7 @@ class ConcreteInterpreter:
         name, params, blocks = code.name, code.params, code.blocks
         registers = {param: arg & MACHINE_MASK for param, arg in zip(params, args)}
         memory = self._memory
-        budget = self.max_instructions_per_packet
+        budget = MAX_INSTRUCTIONS_PER_PACKET
         block = blocks[0]
         index = 0
         executed = 0

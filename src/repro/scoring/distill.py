@@ -44,7 +44,7 @@ from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 
 from repro.cache.hierarchy import MemoryHierarchy
-from repro.core.castan import SOLVER_BUDGET, CastanResult, rainbow_table
+from repro.core.castan import CastanResult, rainbow_table
 from repro.core.config import CastanConfig
 from repro.hashing.functions import FLOW_HASH_MASK, flow_hash16
 from repro.ir.instructions import CmpKind
@@ -105,6 +105,11 @@ AMPLIFY = 48
 #: Most flows a traffic-class scan generates and judges per column
 #: evaluation (its first chunk is the flows it wants, and chunks double).
 SCAN_CHUNK = 4096
+
+#: Random columnar batches the matching-flow miner scores at most, and the
+#: lanes in each.
+MINING_BATCHES = 32
+MINING_BATCH_SIZE = 65536
 
 
 @dataclass
@@ -292,8 +297,6 @@ def _mine_matching_columns(
     accept,
     needed,
     rng: random.Random,
-    batches: int = 32,
-    batch_size: int = 65536,
 ) -> int:
     """Mine matching flows by scoring random columnar batches.
 
@@ -305,10 +308,10 @@ def _mine_matching_columns(
     evaluator = column_evaluator(predicate)
 
     lanes = 0
-    for _ in range(batches):
-        columns = random_flow_columns(nf, batch_size, rng)
+    for _ in range(MINING_BATCHES):
+        columns = random_flow_columns(nf, MINING_BATCH_SIZE, rng)
         verdict = evaluator(columns)
-        lanes += batch_size
+        lanes += MINING_BATCH_SIZE
         for lane in _np.flatnonzero(verdict):
             accept(FlowKey(*(int(columns[name][lane]) for name in FlowKey._fields)))
             if needed() <= 0:
@@ -383,7 +386,7 @@ def synthesize_matching_flows(
     (``report.mined_lanes`` counts the mined lanes), and a scan of the
     traffic class tops up what mining missed.
     """
-    solver = Solver(search_budget=SOLVER_BUDGET, seed=config.seed)
+    solver = Solver(seed=config.seed)
     flows: list[FlowKey] = []
     seen = set(exclude)
 

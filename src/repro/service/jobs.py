@@ -10,9 +10,10 @@ plus the short-circuit every content-addressed system exists for:
 ``queued ──▶ done (cached=True)`` when the store already holds the job's
 address — a cache hit never enters the scheduler at all.
 
-Jobs carry their own event history (the ``rounds`` streamed so far,
+The service keeps each job's event history (the rounds streamed so far,
 status transitions, terminal summary), so a late stream subscriber can
-replay everything that already happened and then follow live.
+replay everything that already happened and then follow live; the record
+itself counts the rounds.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class JobRecord:
     max_attempts: int = 2
     error: str = ""
     cancel_requested: bool = False
-    rounds: list[dict] = field(default_factory=list)
+    rounds: int = 0
     result_summary: dict | None = None
     perf: dict | None = None
     submitted_at: float = field(default_factory=time.time)
@@ -86,7 +87,7 @@ class JobRecord:
             "cache_key": self.cache_key,
             "config_hash": self.config_hash,
             "nf_fingerprint": self.nf_fingerprint,
-            "rounds": len(self.rounds),
+            "rounds": self.rounds,
             "result": self.result_summary,
             "perf": self.perf,
             "submitted_at": self.submitted_at,

@@ -5,10 +5,10 @@ The synthesis service runs every job attempt in its own worker process
 analysis can be revoked without taking the server down.  A
 :class:`WorkerLease` is the server-side handle: it tracks the worker's
 heartbeats (the worker emits one on its progress queue every
-``heartbeat_interval`` seconds from a daemon thread, so a long solver round
-cannot be mistaken for a hang) and the job's wall-clock budget, and
-:meth:`~WorkerLease.revoke` tears the process down — ``terminate`` first,
-``kill`` if it refuses to die.
+:data:`~repro.service.worker.HEARTBEAT_INTERVAL` seconds from a daemon
+thread, so a long solver round cannot be mistaken for a hang) and the
+job's wall-clock budget, and :meth:`~WorkerLease.revoke` tears the process
+down — ``terminate`` first, ``kill`` if it refuses to die.
 
 The lease itself is transport-agnostic: it never reads the queue.  The
 owner drains events and calls :meth:`~WorkerLease.touch` on every one (any
@@ -21,6 +21,10 @@ from __future__ import annotations
 import multiprocessing
 import time
 from dataclasses import dataclass, field
+
+#: Seconds :meth:`WorkerLease.revoke` waits after ``terminate`` (and again
+#: after ``kill``) for the worker to exit.
+REVOKE_GRACE_SECONDS = 2.0
 
 
 def make_context() -> multiprocessing.context.BaseContext:
@@ -68,13 +72,13 @@ class WorkerLease:
     def alive(self) -> bool:
         return bool(self.process.is_alive())
 
-    def revoke(self, grace_seconds: float = 2.0) -> None:
-        """Tear the worker down: terminate, then kill after ``grace_seconds``."""
+    def revoke(self) -> None:
+        """Tear the worker down: terminate, then kill after :data:`REVOKE_GRACE_SECONDS`."""
         if not self.process.is_alive():
             self.process.join(timeout=0)
             return
         self.process.terminate()
-        self.process.join(timeout=grace_seconds)
+        self.process.join(timeout=REVOKE_GRACE_SECONDS)
         if self.process.is_alive():
             self.process.kill()
-            self.process.join(timeout=grace_seconds)
+            self.process.join(timeout=REVOKE_GRACE_SECONDS)

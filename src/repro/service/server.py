@@ -68,6 +68,10 @@ from repro.service.worker import run_job_worker
 #: Sentinel returned by the queue-poll helper when no event arrived.
 _NO_EVENT = object()
 
+#: Seconds one poll of a worker's progress queue blocks an executor thread:
+#: how soon a revoke or shutdown is noticed while the worker is silent.
+POLL_INTERVAL = 0.05
+
 #: How many finished (done / failed / cancelled) jobs the job table keeps.
 #: Past it the oldest-finished job is forgotten — record, event history and
 #: subscriber set — and ``GET /jobs/<id>`` answers 404 "expired".  The stored
@@ -101,17 +105,13 @@ class SynthesisService:
         max_concurrent_jobs: int = 2,
         job_timeout: float | None = 600.0,
         lease_timeout: float | None = 30.0,
-        heartbeat_interval: float = 1.0,
         max_attempts: int = 2,
-        poll_interval: float = 0.05,
     ) -> None:
         self.store = store
         self.max_concurrent_jobs = max(1, max_concurrent_jobs)
         self.job_timeout = job_timeout
         self.lease_timeout = lease_timeout
-        self.heartbeat_interval = heartbeat_interval
         self.max_attempts = max(1, max_attempts)
-        self.poll_interval = poll_interval
         self.jobs: dict[str, JobRecord] = {}
         self._submitted = 0
         # Ids of terminal jobs, oldest-finished first (a dict as ordered set).
@@ -375,7 +375,7 @@ class SynthesisService:
             progress = context.Queue()
             process = context.Process(
                 target=run_job_worker,
-                args=(progress, job, self.store, self.heartbeat_interval),
+                args=(progress, job, self.store),
                 daemon=True,
             )
             process.start()
@@ -408,7 +408,7 @@ class SynthesisService:
         import queue as queue_module
 
         try:
-            return progress.get(True, self.poll_interval)
+            return progress.get(True, POLL_INTERVAL)
         except queue_module.Empty:
             return _NO_EVENT
 
@@ -444,7 +444,7 @@ class SynthesisService:
                 continue
             if kind in ("round", "signatures", "window"):
                 if kind == "round":
-                    job.rounds.append(payload)
+                    job.rounds += 1
                 self._publish(job.job_id, {"event": kind, "job_id": job.job_id, kind: payload})
                 continue
             if kind == "error":

@@ -17,7 +17,7 @@ multiprocessing queue as ``(kind, payload)`` tuples:
 ``("window", dict)``
     one completed scoring window (score jobs);
 ``("heartbeat", float)``
-    proof of life from a daemon thread, every ``heartbeat_interval``
+    proof of life from a daemon thread, every :data:`HEARTBEAT_INTERVAL`
     seconds — so the server's :class:`~repro.service.lease.WorkerLease`
     can tell a long solver round from a wedged worker;
 ``("done", {"result": dict, "perf": dict | None})``
@@ -34,13 +34,16 @@ import time
 import traceback
 from dataclasses import asdict
 
+#: Seconds between two heartbeats of a worker.
+HEARTBEAT_INTERVAL = 1.0
 
-def run_job_worker(queue, job, store, heartbeat_interval: float = 1.0) -> None:
+
+def run_job_worker(queue, job, store) -> None:
     """Process target: run ``job`` (a ``JobRecord``) and stream progress over ``queue``."""
     stop = threading.Event()
 
     def emit_heartbeats() -> None:
-        while not stop.wait(heartbeat_interval):
+        while not stop.wait(HEARTBEAT_INTERVAL):
             queue.put(("heartbeat", time.time()))
 
     beater = threading.Thread(target=emit_heartbeats, daemon=True)

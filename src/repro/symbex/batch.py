@@ -86,7 +86,6 @@ def run_beam_search(
     beam_width: int = DEFAULT_BEAM_WIDTH,
     max_states: int | None = None,
     deadline_seconds: float | None = None,
-    max_instructions_per_state: int = 100_000,
     round_max_states: int | None = None,
     strike_chunk_states: int = 32,
     max_pending_report: int | None = 512,
@@ -114,7 +113,6 @@ def run_beam_search(
             searcher_factory(),
             max_states=max_states,
             deadline_seconds=deadline_seconds,
-            max_instructions_per_state=max_instructions_per_state,
             max_pending_report=max_pending_report,
         )
 
@@ -150,7 +148,6 @@ def run_beam_search(
             searcher_factory(),
             max_states=budget,
             deadline_seconds=call_deadline(),
-            max_instructions_per_state=max_instructions_per_state,
             # The pending report is this scheduler's live frontier: never
             # truncate it mid-search (the cap is applied to the final
             # report only).

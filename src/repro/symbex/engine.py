@@ -59,6 +59,13 @@ if TYPE_CHECKING:  # pragma: no cover - avoid a package-level import cycle
 
 _LOOP_HEAD_PREFIXES = ("while.cond", "for.cond")
 
+#: Visits of one loop head in one frame after which a feasible exit edge is
+#: forced: a safety valve against runaway loops under optimistic feasibility.
+MAX_LOOP_ITERATIONS = 256
+
+#: Instructions one state may run between two forks before it is an error.
+MAX_INSTRUCTIONS_PER_STATE = 100_000
+
 #: The engine's operator table: each operator builds (and folds) an expression.
 _OPERATORS = {
     **{kind: partial(make_binop, kind) for kind in BinOpKind},
@@ -146,7 +153,6 @@ class SymbolicEngine:
         solver: Solver | None = None,
         cycle_costs: CycleCosts = DEFAULT_CYCLE_COSTS,
         defaults: dict[str, int] | None = None,
-        max_loop_iterations: int = 256,
         stage_entries: dict[str, str] | None = None,
     ) -> None:
         self.module = module
@@ -167,7 +173,6 @@ class SymbolicEngine:
         self.solver = solver or Solver()
         self.cycle_costs = cycle_costs
         self.defaults = dict(defaults or {})
-        self.max_loop_iterations = max_loop_iterations
 
         self._entry_function = module.get_function(entry)
         if packet_args and len(self._entry_function.params) != len(packet_args[0]):
@@ -221,7 +226,6 @@ class SymbolicEngine:
         searcher: Searcher,
         max_states: int | None = None,
         deadline_seconds: float | None = None,
-        max_instructions_per_state: int = 100_000,
         max_pending_report: int | None = 512,
         initial_states: list[ExecutionState] | None = None,
         stop_at_packet: int | None = None,
@@ -281,7 +285,7 @@ class SymbolicEngine:
                     break
                 state = searcher.pop()
                 stats.states_explored += 1
-                for outcome in self.execute_until_fork(state, max_instructions_per_state):
+                for outcome in self.execute_until_fork(state):
                     if outcome.status is StateStatus.RUNNING:
                         self._update_priority(outcome)
                         searcher.add(outcome)
@@ -316,9 +320,7 @@ class SymbolicEngine:
 
     # -- single-state execution -----------------------------------------------------
 
-    def execute_until_fork(
-        self, state: ExecutionState, max_instructions: int = 100_000
-    ) -> list[ExecutionState]:
+    def execute_until_fork(self, state: ExecutionState) -> list[ExecutionState]:
         """Run ``state`` until it forks, completes, or errors.
 
         Returns every state that needs classification by the caller: the
@@ -326,6 +328,7 @@ class SymbolicEngine:
         """
         collected: list[ExecutionState] = []
         executed = 0
+        max_instructions = MAX_INSTRUCTIONS_PER_STATE
         functions = self._functions
         stats = self._stats
         while state.status is StateStatus.RUNNING:
@@ -555,9 +558,7 @@ class SymbolicEngine:
         if is_loop_head:
             visits = frame.loop_visits.get(frame.block, 0) + 1
             frame.loop_visits[frame.block] = visits
-            if visits > self.max_loop_iterations and feasible_false:
-                # Safety valve against runaway loops under optimistic
-                # feasibility: force the exit edge.
+            if visits > MAX_LOOP_ITERATIONS and feasible_false:
                 feasible_true = False
 
         if not feasible_true and not feasible_false:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import importlib.util
 
-from repro.ir.instructions import BINOP_FUNCS, CMP_FUNCS, BinOpKind, CmpKind
+from repro.ir.instructions import BINOP_FUNCS, CMP_FUNCS, NEGATED_CMP, BinOpKind, CmpKind
 from repro.ir.values import MACHINE_BITS, MACHINE_MASK
 from repro.symbex.memo import BoundedMemo, clear_memos
 
@@ -417,16 +417,6 @@ for _name, _op in (
 del _name, _op
 
 
-_NEGATED_PRED = {
-    CmpKind.EQ: CmpKind.NE,
-    CmpKind.NE: CmpKind.EQ,
-    CmpKind.ULT: CmpKind.UGE,
-    CmpKind.ULE: CmpKind.UGT,
-    CmpKind.UGT: CmpKind.ULE,
-    CmpKind.UGE: CmpKind.ULT,
-}
-
-
 def make_cmp(pred: CmpKind, lhs: Expr, rhs: Expr) -> Expr:
     """Build a comparison with constant folding."""
     if isinstance(lhs, Const) and isinstance(rhs, Const):
@@ -448,7 +438,7 @@ def make_cmp(pred: CmpKind, lhs: Expr, rhs: Expr) -> Expr:
         if keep_inner is True:
             return lhs
         if keep_inner is False:
-            return CmpExpr(_NEGATED_PRED[lhs.pred], lhs.lhs, lhs.rhs)
+            return CmpExpr(NEGATED_CMP[lhs.pred], lhs.lhs, lhs.rhs)
     if lhs is rhs:
         if pred in (CmpKind.EQ, CmpKind.ULE, CmpKind.UGE):
             return TRUE
@@ -484,7 +474,7 @@ def expr_not(value: Expr) -> Expr:
     if isinstance(value, Const):
         return FALSE if value.value else TRUE
     if isinstance(value, CmpExpr):
-        return CmpExpr(_NEGATED_PRED[value.pred], value.lhs, value.rhs)
+        return CmpExpr(NEGATED_CMP[value.pred], value.lhs, value.rhs)
     return make_cmp(CmpKind.EQ, value, Const(0))
 
 

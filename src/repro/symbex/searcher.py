@@ -50,6 +50,10 @@ class Searcher:
         return type(self).__name__
 
 
+#: Priority bonus of a state marked as a preferred loop iteration.
+LOOP_ITERATION_BONUS = 1
+
+
 class CastanSearcher(Searcher):
     """Max-cost priority search (the paper's directed heuristic).
 
@@ -61,15 +65,14 @@ class CastanSearcher(Searcher):
     so that, all else being equal, the engine keeps deepening loops.
     """
 
-    def __init__(self, loop_iteration_bonus: int = 1) -> None:
+    def __init__(self) -> None:
         self._heap: list[tuple[int, int, ExecutionState]] = []
         self._counter = itertools.count()
-        self.loop_iteration_bonus = loop_iteration_bonus
 
     def _entry(self, state: ExecutionState) -> tuple[int, int, ExecutionState]:
         priority = state.priority
         if state.preferred_loop_iteration:
-            priority += self.loop_iteration_bonus
+            priority += LOOP_ITERATION_BONUS
         # Python's heapq is a min-heap: negate priority; negate the counter
         # so that, on ties, the most recently added state pops first.  The
         # counter is unique, so entries are totally ordered without ever
@@ -159,7 +162,7 @@ SEARCHERS = {
 _SEEDED_SEARCHERS = frozenset({"random"})
 
 
-def make_searcher(name: str, seed: int | None = None, **kwargs) -> Searcher:
+def make_searcher(name: str, seed: int | None = None) -> Searcher:
     """Instantiate a searcher by name (``castan``, ``dfs``, ``bfs``, ``random``).
 
     ``seed`` is forwarded to searchers that are randomised (currently
@@ -171,8 +174,8 @@ def make_searcher(name: str, seed: int | None = None, **kwargs) -> Searcher:
     except KeyError:
         raise ValueError(f"unknown searcher {name!r}; options: {sorted(SEARCHERS)}") from None
     if seed is not None and name in _SEEDED_SEARCHERS:
-        kwargs["seed"] = seed
-    return factory(**kwargs)
+        return factory(seed=seed)
+    return factory()
 
 
 def select_beam(states: list[ExecutionState], width: int) -> list[ExecutionState]:

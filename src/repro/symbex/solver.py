@@ -66,6 +66,13 @@ _INVERT_MEMO = BoundedMemo("invert")
 #: Rounds cap for one propagation pass (``Solver._propagate_rounds``).
 _MAX_ROUNDS = 32
 
+#: Backtracking-node budget of every model search (an analysis's final solve
+#: and reconciliation, the distiller's solves); spent, it answers ``unknown``.
+SOLVER_BUDGET = 8000
+
+#: Concrete values :meth:`_Domain.candidates` offers per symbol.
+CANDIDATES_PER_SYMBOL = 12
+
 
 @dataclass
 class Model:
@@ -156,8 +163,9 @@ class _Domain:
             self.hi = min(self.hi, hi)
         return self.lo <= self.hi
 
-    def candidates(self, rng: random.Random, limit: int = 12) -> list[int]:
+    def candidates(self, rng: random.Random) -> list[int]:
         """Concrete values to try during backtracking, most promising first."""
+        limit = CANDIDATES_PER_SYMBOL
         sym_mask = self.symbol.mask
         known_mask = self.known_mask
         known_bits = self.known_value & known_mask
@@ -255,8 +263,7 @@ class _TrackedDomains:
 class Solver:
     """Bit-vector constraint solver (see module docstring)."""
 
-    def __init__(self, search_budget: int = 6000, seed: int = 0xCA57A) -> None:
-        self.search_budget = search_budget
+    def __init__(self, seed: int = 0xCA57A) -> None:
         self._seed = seed
 
     # -- public API ----------------------------------------------------------
@@ -334,10 +341,13 @@ class Solver:
         return SolverResult(status="sat", model=model)
 
     def quick_feasible(self, constraints: list[Expr]) -> bool:
-        """Cheap feasibility filter used at branch points.
+        """Cheap feasibility filter over a whole constraint list, from scratch.
 
-        Runs propagation only: returns ``False`` only when a definite
-        contradiction is found, ``True`` otherwise (possibly optimistically).
+        No analysis code calls it: the engine asks a
+        :class:`~repro.symbex.incremental.SolverContext` at branch points, and
+        tests hold the context's answers to this one.  Runs propagation
+        only: returns ``False`` only when a definite contradiction is found,
+        ``True`` otherwise (possibly optimistically).
         """
         constraints = [simplify(c) for c in constraints]
         symbols = self._collect_symbols(constraints)
@@ -908,7 +918,7 @@ class Solver:
                 bucket = by_symbol.get(name)
                 if bucket is not None:
                     bucket.append(constraint)
-        budget = [self.search_budget]
+        budget = [SOLVER_BUDGET]
         return self._backtrack(
             unassigned, 0, unresolved, by_symbol, assignment, domains, rng, budget, preferred
         )

@@ -134,9 +134,7 @@ class ExecutionState:
         self.packet_metrics: list[PacketMetrics] = []
         self._packet_start_snapshot = self._counters_snapshot()
 
-        # Havoc records and packet return actions.
         self.havoc_records: list[HavocRecord] = []
-        self.packet_actions: list[Expr] = []
 
         self._fresh_symbol_counter = 0
 
@@ -177,7 +175,6 @@ class ExecutionState:
         child.packet_metrics = list(self.packet_metrics)
         child._packet_start_snapshot = dict(self._packet_start_snapshot)
         child.havoc_records = list(self.havoc_records)
-        child.packet_actions = list(self.packet_actions)
         child._fresh_symbol_counter = self._fresh_symbol_counter
         child.stage_costs = dict(self.stage_costs)
         child.active_stage = self.active_stage
@@ -318,7 +315,6 @@ class ExecutionState:
                 action=action_value,
             )
         )
-        self.packet_actions.append(action)
         self.packets_processed += 1
 
     # -- debugging ---------------------------------------------------------------------

@@ -9,57 +9,46 @@ and the measurement jitter of the hardware timestamps.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
-from repro.cache.hierarchy import HierarchyConfig, MemoryHierarchy
+from repro.cache.hierarchy import MemoryHierarchy
 from repro.net.packet import Packet
 from repro.nf.base import NetworkFunction
 from repro.perf.counters import PacketCounters
-from repro.perf.cycles import CycleCosts, DEFAULT_CYCLE_COSTS
+from repro.perf.cycles import DEFAULT_CYCLE_COSTS
 from repro.perf.interpreter import ConcreteInterpreter
 
 
-@dataclass
-class TestbedConfig:
-    """Fixed parameters of the simulated testbed.
+#: Everything between the traffic generator's timestamping NIC and the NF's
+#: first instruction (and back): PCIe, DMA, driver, DPDK rx/tx, serialisation
+#: delay.  Calibrated so the NOP latency lands near the paper's ~4.3 µs NOP
+#: curve; identical for every workload, so relative comparisons are unaffected.
+WIRE_OVERHEAD_NS = 4280.0
 
-    ``wire_overhead_ns`` models everything between the traffic generator's
-    timestamping NIC and the NF's first instruction (and back): PCIe, DMA,
-    driver, DPDK rx/tx, serialisation delay.  It is calibrated so the NOP
-    latency lands near the paper's ~4.3 µs NOP curve, and it is identical
-    for every workload, so relative comparisons are unaffected.
-    ``base_service_ns`` is the per-packet DPDK/driver cost that bounds
-    throughput; it is calibrated so the NOP NF forwards ~3.45 Mpps.
-    """
+#: Standard deviation of the hardware timestamps' measurement jitter.
+JITTER_NS = 45.0
 
-    __test__ = False  # "Test*" by name only: keep pytest from collecting it
+#: Per-packet DPDK/driver cost that bounds throughput; calibrated so the NOP
+#: NF forwards ~3.45 Mpps.
+BASE_SERVICE_NS = 289.0
 
-    hierarchy: HierarchyConfig = field(default_factory=HierarchyConfig)
-    cycle_costs: CycleCosts = DEFAULT_CYCLE_COSTS
-    wire_overhead_ns: float = 4280.0
-    jitter_ns: float = 45.0
-    base_service_ns: float = 289.0
-    queue_capacity: int = 256
-    loss_threshold: float = 0.01
-    seed: int = 99
+#: Seed of the jitter generator, re-seeded by :meth:`DeviceUnderTest.reset`.
+JITTER_SEED = 99
 
 
 class DeviceUnderTest:
-    """One NF deployed on the simulated testbed machine."""
+    """One NF deployed on the simulated testbed machine (default hierarchy and
+    cycle costs)."""
 
-    def __init__(self, nf: NetworkFunction, config: TestbedConfig | None = None) -> None:
+    def __init__(self, nf: NetworkFunction) -> None:
         self.nf = nf
-        self.config = config or TestbedConfig()
-        self.hierarchy = MemoryHierarchy(self.config.hierarchy, cycle_costs=self.config.cycle_costs)
-        self.interpreter = ConcreteInterpreter(
-            nf.module, nf.entry, hierarchy=self.hierarchy, cycle_costs=self.config.cycle_costs
-        )
-        self._rng = random.Random(self.config.seed)
+        self.hierarchy = MemoryHierarchy()
+        self.interpreter = ConcreteInterpreter(nf.module, nf.entry, hierarchy=self.hierarchy)
+        self._rng = random.Random(JITTER_SEED)
 
     def reset(self) -> None:
         """Fresh NF state and cold caches (a new measurement run)."""
         self.interpreter.reset()
-        self._rng = random.Random(self.config.seed)
+        self._rng = random.Random(JITTER_SEED)
 
     # -- per-packet processing ----------------------------------------------------
 
@@ -69,13 +58,13 @@ class DeviceUnderTest:
 
     def nf_time_ns(self, counters: PacketCounters) -> float:
         """Time spent inside the NF proper for one packet."""
-        return self.config.cycle_costs.cycles_to_ns(counters.cycles)
+        return DEFAULT_CYCLE_COSTS.cycles_to_ns(counters.cycles)
 
     def end_to_end_latency_ns(self, counters: PacketCounters) -> float:
         """TG-to-TG latency: wire/driver overhead + NF time + timestamp jitter."""
-        jitter = self._rng.gauss(0.0, self.config.jitter_ns)
-        return max(0.0, self.config.wire_overhead_ns + self.nf_time_ns(counters) + jitter)
+        jitter = self._rng.gauss(0.0, JITTER_NS)
+        return max(0.0, WIRE_OVERHEAD_NS + self.nf_time_ns(counters) + jitter)
 
     def service_time_ns(self, counters: PacketCounters) -> float:
         """Per-packet service time bounding throughput (DPDK cost + NF time)."""
-        return self.config.base_service_ns + self.nf_time_ns(counters)
+        return BASE_SERVICE_NS + self.nf_time_ns(counters)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from repro.nf.base import NetworkFunction
 from repro.perf.counters import CounterSummary, PacketCounters, aggregate_counters
 from repro.testbed.cdf import CDF
-from repro.testbed.dut import DeviceUnderTest, TestbedConfig
+from repro.testbed.dut import DeviceUnderTest
 from repro.workloads.generators import Workload
 
 #: Number of packets replayed per latency measurement (the paper replays
@@ -30,6 +30,12 @@ DEFAULT_REPLAY_PACKETS = 3000
 
 #: Step (Mpps) of the throughput search's bisection and of its step-down.
 RATE_RESOLUTION_MPPS = 0.01
+
+#: Packets the DUT's rx queue holds before it drops.
+QUEUE_CAPACITY = 256
+
+#: Loss fraction at or above which an offered rate is not loss-free (1 %).
+LOSS_THRESHOLD = 0.01
 
 
 @dataclass
@@ -72,11 +78,10 @@ class ThroughputResult:
 def measure_latency(
     nf: NetworkFunction,
     workload: Workload,
-    config: TestbedConfig | None = None,
     replay_packets: int = DEFAULT_REPLAY_PACKETS,
 ) -> LatencyResult:
     """Replay ``workload`` and collect the end-to-end latency CDF."""
-    dut = DeviceUnderTest(nf, config)
+    dut = DeviceUnderTest(nf)
     dut.reset()
     result = LatencyResult(nf_name=nf.name, workload_name=workload.name)
     for packet in workload.looped(replay_packets):
@@ -88,9 +93,7 @@ def measure_latency(
     return result
 
 
-def _loss_fraction_at_rate(
-    service_times_ns: list[float], rate_mpps: float, queue_capacity: int
-) -> float:
+def _loss_fraction_at_rate(service_times_ns: list[float], rate_mpps: float) -> float:
     """Simulate a fixed-size rx queue fed at ``rate_mpps``; return loss."""
     if rate_mpps <= 0:
         return 0.0
@@ -107,7 +110,7 @@ def _loss_fraction_at_rate(
         # Retire completed packets from the queue.
         while queue_free_at and queue_free_at[0] <= now:
             queue_free_at.popleft()
-        if len(queue_free_at) >= queue_capacity:
+        if len(queue_free_at) >= QUEUE_CAPACITY:
             dropped += 1
             continue
         start = max(now, server_free_at)
@@ -119,12 +122,10 @@ def _loss_fraction_at_rate(
 def measure_throughput(
     nf: NetworkFunction,
     workload: Workload,
-    config: TestbedConfig | None = None,
     replay_packets: int = DEFAULT_REPLAY_PACKETS,
 ) -> ThroughputResult:
     """Find the highest offered rate with less than 1 % packet loss."""
-    config = config or TestbedConfig()
-    dut = DeviceUnderTest(nf, config)
+    dut = DeviceUnderTest(nf)
     dut.reset()
     service_times = [
         dut.service_time_ns(dut.process(packet)) for packet in workload.looped(replay_packets)
@@ -134,11 +135,10 @@ def measure_throughput(
     # bisect below that bound, letting the queue simulation account for
     # loss caused by service-time variability.
     low, high = 0.05, 1000.0 / mean_service
-    threshold = config.loss_threshold
     while high - low > RATE_RESOLUTION_MPPS:
         mid = (low + high) / 2.0
-        loss = _loss_fraction_at_rate(service_times, mid, config.queue_capacity)
-        if loss < threshold:
+        loss = _loss_fraction_at_rate(service_times, mid)
+        if loss < LOSS_THRESHOLD:
             low = mid
         else:
             high = mid
@@ -147,10 +147,10 @@ def measure_throughput(
     # the threshold.  Step the reported rate down until the loss actually
     # measured at it is below the threshold, so "max loss-free rate" holds.
     rate = round(low, 2)
-    loss = _loss_fraction_at_rate(service_times, rate, config.queue_capacity)
-    while loss >= threshold and rate > RATE_RESOLUTION_MPPS:
+    loss = _loss_fraction_at_rate(service_times, rate)
+    while loss >= LOSS_THRESHOLD and rate > RATE_RESOLUTION_MPPS:
         rate = round(rate - RATE_RESOLUTION_MPPS, 6)
-        loss = _loss_fraction_at_rate(service_times, rate, config.queue_capacity)
+        loss = _loss_fraction_at_rate(service_times, rate)
     return ThroughputResult(
         nf_name=nf.name,
         workload_name=workload.name,

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 from repro.net.packet import FlowKey, IPProtocol, Packet
 from repro.nf.base import NetworkFunction
-from repro.workloads.zipf import DEFAULT_ZIPF_EXPONENT, zipf_flow_counts
+from repro.workloads.zipf import ZIPF_EXPONENT, zipf_flow_counts
 
 WORKLOAD_NAMES = (
     "1-packet",
@@ -158,7 +158,7 @@ def make_zipfian_workload(
         name="zipfian",
         packets=packets,
         description=(
-            f"Zipfian (s={DEFAULT_ZIPF_EXPONENT}) traffic: "
+            f"Zipfian (s={ZIPF_EXPONENT}) traffic: "
             f"{num_packets} packets, {num_flows} flows."
         ),
     )

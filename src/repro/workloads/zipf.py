@@ -9,36 +9,26 @@ from __future__ import annotations
 
 import random
 
-DEFAULT_ZIPF_EXPONENT = 1.26
+ZIPF_EXPONENT = 1.26
 
 
-def zipf_weights(num_ranks: int, exponent: float = DEFAULT_ZIPF_EXPONENT) -> list[float]:
-    """Unnormalised Zipf weights for ranks 1..num_ranks."""
+def zipf_weights(num_ranks: int) -> list[float]:
+    """Unnormalised Zipf weights (exponent :data:`ZIPF_EXPONENT`) for ranks 1..num_ranks."""
     if num_ranks <= 0:
         return []
-    return [1.0 / (rank ** exponent) for rank in range(1, num_ranks + 1)]
+    return [1.0 / (rank**ZIPF_EXPONENT) for rank in range(1, num_ranks + 1)]
 
 
-def zipf_sample(
-    num_samples: int,
-    num_ranks: int,
-    exponent: float = DEFAULT_ZIPF_EXPONENT,
-    seed: int = 0,
-) -> list[int]:
+def zipf_sample(num_samples: int, num_ranks: int, seed: int = 0) -> list[int]:
     """Draw ``num_samples`` ranks (0-based) from a Zipf distribution."""
-    weights = zipf_weights(num_ranks, exponent)
+    weights = zipf_weights(num_ranks)
     rng = random.Random(seed)
     return rng.choices(range(num_ranks), weights=weights, k=num_samples)
 
 
-def zipf_flow_counts(
-    num_packets: int,
-    num_flows: int,
-    exponent: float = DEFAULT_ZIPF_EXPONENT,
-    seed: int = 0,
-) -> list[int]:
+def zipf_flow_counts(num_packets: int, num_flows: int, seed: int = 0) -> list[int]:
     """Packets per flow rank such that the total is exactly ``num_packets``."""
-    samples = zipf_sample(num_packets, num_flows, exponent, seed)
+    samples = zipf_sample(num_packets, num_flows, seed)
     counts = [0] * num_flows
     for rank in samples:
         counts[rank] += 1

@@ -8,6 +8,7 @@ from collections import Counter, OrderedDict
 
 import pytest
 
+from repro.cache import hierarchy as hierarchy_module
 from repro.cache.contention import ContentionSets, discover_contention_sets
 from repro.cache.hierarchy import HierarchyConfig, MemoryHierarchy
 from repro.cache.model import (
@@ -189,12 +190,11 @@ class TestHierarchy:
         vaddr = 5 * 4096 + 123
         assert hierarchy.virtual_to_physical(vaddr) % 4096 == 123
 
-    def test_translation_changes_across_process_runs(self):
-        hierarchy = tiny_hierarchy()
+    def test_translation_changes_across_process_runs(self, monkeypatch):
         vaddr = 7 * 4096
-        first = hierarchy.virtual_to_physical(vaddr)
-        hierarchy.new_process_run(99)
-        assert hierarchy.virtual_to_physical(vaddr) != first
+        first = tiny_hierarchy().virtual_to_physical(vaddr)
+        monkeypatch.setattr(hierarchy_module, "PROCESS_SEED", 99)
+        assert tiny_hierarchy().virtual_to_physical(vaddr) != first
 
     def test_snapshot_restores_levels_and_stats_in_place(self):
         hierarchy = tiny_hierarchy()
@@ -206,7 +206,7 @@ class TestHierarchy:
         levels = [hierarchy.access(address) for address in addresses[150:]]
         stats = hierarchy.stats
         after = (stats.accesses, stats.l1_hits, stats.l2_hits, stats.l3_hits, stats.dram_accesses)
-        hierarchy.new_process_run(7)  # a different page mapping, cold caches
+        hierarchy.reset_caches()  # cold caches, fresh statistics
         stats = hierarchy.stats
         hierarchy.restore(snapshot)
         assert hierarchy.stats is stats and stats.accesses == 150
@@ -276,7 +276,7 @@ class TestContentionDiscovery:
         # hash is the only thing separating them into contention sets.
         stride = hierarchy.config.l3_sets_per_slice * 64
         addresses = [i * stride for i in range(48)]
-        discovered = discover_contention_sets(hierarchy, addresses, repeats=6, max_sets=2)
+        discovered = discover_contention_sets(hierarchy, addresses, repeats=6)
         assert discovered.set_count >= 1
         for group in discovered.sets:
             keys = {hierarchy.oracle_contention_key(a) for a in group}

@@ -18,13 +18,13 @@ from pathlib import Path
 import pytest
 
 import repro.core.castan as castan_module
-import repro.scoring.distill as distill_module
+import repro.symbex.engine as engine_module
+import repro.symbex.solver as solver_module
 from repro.cfg.costs import annotate_costs
 from repro.core.config import CONFIG_HASH_VERSION, CastanConfig
 from repro.hashing.rainbow import FLOW_TABLE_CHAIN_LENGTH, build_flow_rainbow_table
 from repro.perf.cycles import CycleCosts
 from repro.symbex.batch import run_beam_search
-from repro.symbex.engine import SymbolicEngine
 
 #: sha256 of the canonical form of the all-defaults config.  If this test
 #: fails after an intentional change to CastanConfig (new field, changed
@@ -176,15 +176,9 @@ V7_FIELD_VALUES = {
         lambda: [_default_of(build_flow_rainbow_table, "chain_length"), FLOW_TABLE_CHAIN_LENGTH],
     ),
     "max_candidates_per_havoc": (12, lambda: [castan_module.MAX_CANDIDATES_PER_HAVOC]),
-    "max_instructions_per_state": (
-        100_000,
-        lambda: [
-            _default_of(SymbolicEngine.run, "max_instructions_per_state"),
-            _default_of(run_beam_search, "max_instructions_per_state"),
-        ],
-    ),
-    "max_loop_iterations": (256, lambda: [_default_of(SymbolicEngine, "max_loop_iterations")]),
-    "solver_budget": (8000, lambda: [castan_module.SOLVER_BUDGET, distill_module.SOLVER_BUDGET]),
+    "max_instructions_per_state": (100_000, lambda: [engine_module.MAX_INSTRUCTIONS_PER_STATE]),
+    "max_loop_iterations": (256, lambda: [engine_module.MAX_LOOP_ITERATIONS]),
+    "solver_budget": (8000, lambda: [solver_module.SOLVER_BUDGET]),
 }
 
 

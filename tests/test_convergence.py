@@ -143,7 +143,7 @@ def _scripted_run(completions: dict[int, int], chunk: int | None = 4):
     engine = SymbolicEngine(get_nf("nop").module, get_nf("nop").entry, [])
     pops = itertools.count(1)
 
-    def step(state, _max_instructions):
+    def step(state):
         outcomes = [state]
         cost = completions.get(next(pops))
         if cost is not None:

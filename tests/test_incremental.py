@@ -22,6 +22,7 @@ from repro.ir.instructions import BinOpKind, CmpKind
 from repro.ir.module import Module
 from repro.nf.registry import available_nfs, get_nf
 from repro.symbex import incremental
+from repro.symbex import engine as engine_module
 from repro.symbex import solver as solver_module
 from repro.symbex.engine import SymbolicEngine
 from repro.symbex.expr import (
@@ -97,9 +98,9 @@ def assert_stream_equivalent(stream):
 class TestDifferentialEngineStreams:
     """Replay constraint streams recorded from real symbolic executions."""
 
-    def collect_streams(self, source, regions=None, max_states=200, **engine_kwargs):
+    def collect_streams(self, source, regions=None, max_states=200):
         module = make_module(source, regions)
-        engine = SymbolicEngine(module, "process", [packet_symbols()], **engine_kwargs)
+        engine = SymbolicEngine(module, "process", [packet_symbols()])
         stats = engine.run(CastanSearcher(), max_states=max_states)
         states = stats.completed_states + stats.pending_states
         streams = [list(state.constraints) for state in states if state.constraints]
@@ -143,7 +144,8 @@ def process(src_ip, dst_ip, src_port, dst_port, protocol):
         for stream in streams:
             assert_stream_equivalent(stream)
 
-    def test_symbolic_loop_bound_paths(self):
+    def test_symbolic_loop_bound_paths(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "MAX_LOOP_ITERATIONS", 8)
         streams = self.collect_streams(
             """
 def process(src_ip, dst_ip, src_port, dst_port, protocol):
@@ -153,7 +155,6 @@ def process(src_ip, dst_ip, src_port, dst_port, protocol):
     return i
 """,
             max_states=40,
-            max_loop_iterations=8,
         )
         for stream in streams:
             assert_stream_equivalent(stream)
@@ -393,7 +394,7 @@ def process(src_ip, dst_ip, src_port, dst_port, protocol):
         )
         engine = SymbolicEngine(module, "process", [packet_symbols()])
         stats = engine.run(CastanSearcher(), max_states=50)
-        actions = sorted(state.packet_actions[0].value for state in stats.completed_states)
+        actions = sorted(state.packet_metrics[0].action for state in stats.completed_states)
         assert actions == [1, 11]
         assert all(state.status is StateStatus.COMPLETED for state in stats.completed_states)
 

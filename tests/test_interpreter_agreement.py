@@ -24,6 +24,7 @@ from repro.net.packet import Packet
 from repro.nf.registry import NF_NAMES, get_nf
 from repro.perf.cycles import DEFAULT_CYCLE_COSTS, CycleCosts
 from repro.perf.interpreter import ConcreteInterpreter
+from repro.symbex import engine as engine_module
 from repro.symbex.engine import SymbolicEngine
 from repro.symbex.expr import Const
 from repro.workloads.generators import make_manual_workload, make_zipfian_workload
@@ -91,7 +92,7 @@ def _compare_stream(nf_name: str, costs: CycleCosts, packets: list[Packet]) -> i
         cycle_costs=costs,
     )
     state = engine.make_initial_state()
-    outcomes = engine.execute_until_fork(state, max_instructions=10**7)
+    outcomes = engine.execute_until_fork(state)
     first_havoc = min((r.packet_index for r in state.havoc_records), default=len(packets))
     # Constant packets run to the end, or fork on a havoc's symbol.
     assert len(state.packet_metrics) >= first_havoc
@@ -133,7 +134,9 @@ def _compare_stream(nf_name: str, costs: CycleCosts, packets: list[Packet]) -> i
     "costs", [DEFAULT_CYCLE_COSTS, DISTINCT_CYCLE_COSTS], ids=["default", "distinct"]
 )
 @pytest.mark.parametrize("nf_name", NF_NAMES)
-def test_interpreters_agree_on_concrete_packets(nf_name, costs):
+def test_interpreters_agree_on_concrete_packets(nf_name, costs, monkeypatch):
+    # A whole constant stream runs without a fork: lift the per-state budget.
+    monkeypatch.setattr(engine_module, "MAX_INSTRUCTIONS_PER_STATE", 10**7)
     compared = sum(_compare_stream(nf_name, costs, s) for s in _streams(nf_name).values())
     if nf_name in HAVOC_ON_FIRST_PACKET:
         assert compared == 0, "the havoc moved: drop the NF from HAVOC_ON_FIRST_PACKET"

@@ -28,6 +28,7 @@ from repro.ir.module import Module
 from repro.ir.values import Register
 from repro.net.packet import Packet
 from repro.nf.registry import NF_NAMES, get_nf
+from repro.perf import interpreter as interpreter_module
 from repro.perf.interpreter import ConcreteInterpreter, ExecutionError
 from repro.scoring.replay import PrimedReplay
 from repro.testbed.dut import DeviceUnderTest
@@ -149,8 +150,9 @@ def _module(build) -> Module:
     ids=["register", "load-bounds", "store-bounds", "depth", "unreachable", "fall-off",
          "fall-off-at-budget", "budget"],
 )
-def test_execution_errors(build, budget, message):
-    interpreter = ConcreteInterpreter(_module(build), "f", max_instructions_per_packet=budget)
+def test_execution_errors(build, budget, message, monkeypatch):
+    monkeypatch.setattr(interpreter_module, "MAX_INSTRUCTIONS_PER_PACKET", budget)
+    interpreter = ConcreteInterpreter(_module(build), "f")
     with pytest.raises(ExecutionError, match=message):
         interpreter.call_function("f", [7])
 
@@ -206,8 +208,8 @@ def test_restore_undoes_writes_and_evictions(nat_replay):
         interpreter.process_packet(Packet(*flow))
     disturbed_memory, disturbed_caches = interpreter.snapshot_state()
     assert disturbed_memory != memory  # the NAT inserted flows ...
-    evictions = [state[3] for state in caches[2]]  # per-level (sets, hits, misses, evictions)
-    assert [state[3] for state in disturbed_caches[2]] > evictions  # ... and evicted lines
+    evictions = [state[3] for state in caches[0]]  # per-level (sets, hits, misses, evictions)
+    assert [state[3] for state in disturbed_caches[0]] > evictions  # ... and evicted lines
     assert replay.probe_costs(probes) == expected
 
 

@@ -83,7 +83,9 @@ class TestBeamDifferential:
         assert mono_best.status is StateStatus.COMPLETED
         assert beam_best.status is StateStatus.COMPLETED
         assert beam_best.current_cost == mono_best.current_cost
-        assert [a for a in beam_best.packet_actions] == [a for a in mono_best.packet_actions]
+        assert [m.action for m in beam_best.packet_metrics] == [
+            m.action for m in mono_best.packet_metrics
+        ]
 
     def test_beam_records_round_stats(self):
         stats = run_beam_search(

@@ -326,8 +326,8 @@ class TestPcapVariants:
         # Every frame is handed out exactly once, whatever the cut.
         cut = [
             buffer[offset : offset + length]
-            for buffer, offsets, lengths, counts in PcapReader(io.BytesIO(blob)).chunks()
-            for offset, length in expand_entries(offsets, lengths, counts)
+            for buffer, lengths, counts in PcapReader(io.BytesIO(blob)).chunks()
+            for offset, length in expand_entries(lengths, counts)
         ]
         assert cut == frames
 
@@ -343,13 +343,17 @@ class TestPcapVariants:
 # -- the record walker -----------------------------------------------------------------
 
 
-def expand_entries(offsets, lengths, counts):
-    """The ``(offset, length)`` of every record a chunk's entries stand for."""
-    return [
-        (offset + index * (RECORD_HEADER_BYTES + length), length)
-        for offset, length, count in zip(offsets, lengths, counts)
-        for index in range(count)
-    ]
+def expand_entries(lengths, counts):
+    """The ``(offset, length)`` of every frame a chunk's entries stand for.
+
+    The entries are consecutive records from the start of the buffer on.
+    """
+    records, position = [], 0
+    for length, count in zip(lengths, counts):
+        for _ in range(count):
+            records.append((position + RECORD_HEADER_BYTES, length))
+            position += RECORD_HEADER_BYTES + length
+    return records
 
 
 def reference_walk(blob):
@@ -398,9 +402,9 @@ def run_walk(blob):
     reader = PcapReader(io.BytesIO(blob))
     chunks, error = [], None
     try:
-        for buffer, offsets, lengths, counts in reader.chunks():
-            assert len(offsets) == len(lengths) == len(counts) and min(counts) >= 1
-            chunks.append((buffer, expand_entries(offsets, lengths, counts)))
+        for buffer, lengths, counts in reader.chunks():
+            assert len(lengths) == len(counts) and min(counts) >= 1
+            chunks.append((buffer, expand_entries(lengths, counts)))
     except PcapFormatError as exc:
         error = str(exc)
     return chunks, error, reader.frames_in_runs
@@ -472,10 +476,10 @@ class TestRecordWalker:
         blob = capture(frames, endian)
         reader = PcapReader(io.BytesIO(blob))
         chunks = list(reader.chunks())
-        ((buffer, offsets, lengths, counts),) = chunks
-        assert len(offsets) < 100 and sum(counts) == 5000
+        ((buffer, lengths, counts),) = chunks
+        assert len(lengths) < 100 and sum(counts) == 5000
         assert reader.frames_in_runs == sum(count for count in counts if count > 1) > 4800
-        records = expand_entries(offsets, lengths, counts)
+        records = expand_entries(lengths, counts)
         assert [buffer[at : at + length] for at, length in records] == frames
 
     @pytest.mark.parametrize("columnar", [False, True])
@@ -579,7 +583,7 @@ class TestColumnarIngest:
     @given(frames=st.lists(_frames, max_size=12))
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_parser_equals_parse_packet_row_for_row(self, frames):
-        (chunk,) = list(PcapReader(io.BytesIO(capture(frames))).chunks()) or [(b"", [], [], [])]
+        (chunk,) = list(PcapReader(io.BytesIO(capture(frames))).chunks()) or [(b"", [], [])]
         columns, skipped = parse_frame_columns(*chunk)
         rows, reference_skipped = reference_rows(frames)
         assert list(zip(*columns.tolist())) == rows

@@ -39,6 +39,7 @@ from repro.net.pcap import PcapWriter, packets_to_pcap_bytes
 from repro.nf.registry import get_nf
 from repro.perf.cycles import CycleCosts
 from repro.perf.interpreter import ConcreteInterpreter
+import repro.scoring.distill as distill_module
 from repro.scoring.distill import (
     SCAN_CHUNK,
     DistillReport,
@@ -260,9 +261,9 @@ def _calibration_state(nf, signature: AdversarialSignature):
         if flow not in priming and signature.matches(flow._asdict()):
             matching.append(flow)
 
-    _mine_matching_columns(
-        nf, signature.predicate, accept, lambda: 8 - len(matching), rng, batches=24
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(distill_module, "MINING_BATCHES", 24)
+        _mine_matching_columns(nf, signature.predicate, accept, lambda: 8 - len(matching), rng)
     # Top-up: scan the traffic class directly.
     for fields in _random_fields(nf, 20_000, rng):
         if len(matching) >= 8:

@@ -36,8 +36,9 @@ from repro.nf.registry import get_nf
 from repro.service.client import ServiceClient, ServiceError
 import repro.service.http as http_module
 from repro.service.http import serve
+import repro.service.lease as lease_module
 from repro.service.lease import WorkerLease, make_context
-from repro.service.server import SynthesisService
+from repro.service.server import POLL_INTERVAL, SynthesisService
 from repro.service.store import ResultStore, canonical_result_digest, perf_record, result_key
 from repro.service.worker import run_job_worker
 
@@ -300,6 +301,7 @@ def test_submit_stream_and_cache_hit_identity(server):
     final = events[-1]["job"]
     assert final["state"] == "done"
     assert final["attempts"] == 1
+    assert final["rounds"] == kinds.count("round")
     # the end event says why the search stopped: 40 states of beam ran out
     assert final["result"]["stop_reason"] == final["perf"]["stop_reason"] == "budget"
 
@@ -886,7 +888,6 @@ def test_job_timeout_revokes_a_running_score_job(scored):
 
 
 def test_shutdown_revokes_a_running_score_job_promptly(scored):
-    poll_interval = 0.05
     timing: dict = {}
 
     async def scenario(service):
@@ -900,10 +901,10 @@ def test_shutdown_revokes_a_running_score_job_promptly(scored):
         timing["start"] = start
         return worker
 
-    worker = _run_service(scored.service.store, scenario, poll_interval=poll_interval)
+    worker = _run_service(scored.service.store, scenario)
     loop_closed = time.monotonic() - timing["start"]
-    assert timing["shutdown"] < 10 * poll_interval
-    assert loop_closed < 20 * poll_interval  # asyncio.run joins no thread running the job
+    assert timing["shutdown"] < 10 * POLL_INTERVAL
+    assert loop_closed < 20 * POLL_INTERVAL  # asyncio.run joins no thread running the job
     assert not worker.is_alive()
 
 
@@ -1041,7 +1042,7 @@ def test_lease_revoke_kills_the_worker():
     process = _make_sleeper()
     lease = WorkerLease(process, job_timeout=None, lease_timeout=None)
     assert lease.alive()
-    lease.revoke(grace_seconds=0.5)
+    lease.revoke()
     assert not lease.alive()
 
 
@@ -1054,11 +1055,12 @@ def _stubborn_worker(ready) -> None:
         time.sleep(60)
 
 
-def test_lease_revoke_escalates_to_kill_when_terminate_is_ignored():
+def test_lease_revoke_escalates_to_kill_when_terminate_is_ignored(monkeypatch):
     """A worker that shrugs off SIGTERM still dies — by SIGKILL, after the
     grace period."""
     import signal
 
+    monkeypatch.setattr(lease_module, "REVOKE_GRACE_SECONDS", 0.5)
     context = make_context()
     ready = context.Event()
     process = context.Process(target=_stubborn_worker, args=(ready,), daemon=True)
@@ -1067,7 +1069,7 @@ def test_lease_revoke_escalates_to_kill_when_terminate_is_ignored():
         assert ready.wait(20), "stubborn worker never reported ready"
         lease = WorkerLease(process, job_timeout=None, lease_timeout=None)
         start = time.monotonic()
-        lease.revoke(grace_seconds=0.5)
+        lease.revoke()
         elapsed = time.monotonic() - start
         assert not lease.alive()
         assert elapsed >= 0.4  # terminate was ignored for the full grace window

@@ -13,6 +13,7 @@ from repro.frontend.compiler import compile_nf
 from repro.hashing.functions import FLOW_HASH_BITS
 from repro.ir.module import Module
 from repro.nf.registry import NF_NAMES, get_nf
+from repro.symbex import engine as engine_module
 from repro.symbex.engine import SymbolicEngine
 from repro.symbex.expr import Const, Sym
 from repro.symbex.searcher import (
@@ -240,7 +241,7 @@ def process(src_ip, dst_ip, src_port, dst_port, protocol):
         engine = SymbolicEngine(module, "process", [packet_symbols(0), packet_symbols(1), packet_symbols(2)])
         stats = engine.run(CastanSearcher(), max_states=10)
         best = stats.best_state()
-        assert [a.value for a in best.packet_actions] == [0, 1, 2]
+        assert [m.action for m in best.packet_metrics] == [0, 1, 2]
         assert len(best.packet_metrics) == 3
 
     def test_concrete_branches_do_not_fork(self):
@@ -256,7 +257,7 @@ def process(src_ip, dst_ip, src_port, dst_port, protocol):
         stats = engine.run(CastanSearcher(), max_states=50)
         assert stats.forks == 0
         assert len(stats.completed_states) == 1
-        assert stats.completed_states[0].packet_actions[0] == Const(6)
+        assert stats.completed_states[0].packet_metrics[0].action == 6
 
     def test_havoc_creates_records_and_fresh_symbols(self):
         source = """
@@ -286,10 +287,10 @@ def process(src_ip, dst_ip, src_port, dst_port, protocol):
         module = make_module(source)
         engine = SymbolicEngine(module, "process", [packet_symbols()])
         stats = engine.run(CastanSearcher(), max_states=100)
-        actions = {state.packet_actions[0].value for state in stats.completed_states}
+        actions = {state.packet_metrics[0].action for state in stats.completed_states}
         assert 99 not in actions
 
-    def test_loop_iteration_budget_guard(self):
+    def test_loop_iteration_budget_guard(self, monkeypatch):
         # A loop whose bound is symbolic: the engine must not run away.
         source = """
 def process(src_ip, dst_ip, src_port, dst_port, protocol):
@@ -299,7 +300,8 @@ def process(src_ip, dst_ip, src_port, dst_port, protocol):
     return i
 """
         module = make_module(source)
-        engine = SymbolicEngine(module, "process", [packet_symbols()], max_loop_iterations=16)
+        monkeypatch.setattr(engine_module, "MAX_LOOP_ITERATIONS", 16)
+        engine = SymbolicEngine(module, "process", [packet_symbols()])
         stats = engine.run(CastanSearcher(), max_states=60)
         assert stats.states_explored <= 60
         assert stats.completed_states  # some paths completed despite the guard
@@ -347,11 +349,10 @@ class TestEngineBudgetAndPickle:
         [(1, 1, 1), (3, 1, 3), (7, 1, 7), (19, 2, 57)],
     )
     def test_instruction_budget_errors_at_the_pinned_instruction(
-        self, budget, error_states, instructions
+        self, budget, error_states, instructions, monkeypatch
     ):
-        stats = _run_from_sid_zero(
-            _evaluation_engine("lpm-patricia"), max_instructions_per_state=budget
-        )
+        monkeypatch.setattr(engine_module, "MAX_INSTRUCTIONS_PER_STATE", budget)
+        stats = _run_from_sid_zero(_evaluation_engine("lpm-patricia"))
         assert stats.error_states == error_states
         assert stats.instructions_executed == instructions
 

@@ -9,9 +9,15 @@ from hypothesis import strategies as st
 
 from repro.nf.common import VIP_ADDRESS
 from repro.nf.registry import NF_NAMES, get_nf
+from repro.testbed import measure
 from repro.testbed.cdf import CDF
-from repro.testbed.dut import DeviceUnderTest, TestbedConfig
-from repro.testbed.measure import _loss_fraction_at_rate, measure_latency, measure_throughput
+from repro.testbed.dut import WIRE_OVERHEAD_NS, DeviceUnderTest
+from repro.testbed.measure import (
+    LOSS_THRESHOLD,
+    _loss_fraction_at_rate,
+    measure_latency,
+    measure_throughput,
+)
 from repro.workloads.generators import (
     _flow_for_index,
     make_castan_workload,
@@ -189,8 +195,7 @@ class TestTestbed:
     def test_latency_includes_wire_overhead(self, lpm_nf):
         workload = make_one_packet_workload(lpm_nf)
         result = measure_latency(lpm_nf, workload, replay_packets=200)
-        config = TestbedConfig()
-        assert result.median_latency_ns > config.wire_overhead_ns
+        assert result.median_latency_ns > WIRE_OVERHEAD_NS
         assert result.replayed_packets == 200
 
     def test_nop_is_fastest(self):
@@ -238,12 +243,11 @@ class TestTestbed:
         alone cannot guarantee this)."""
         nf = get_nf(nf_name)
         workload = make_unirand_workload(nf, num_packets=300)
-        config = TestbedConfig()
-        result = measure_throughput(nf, workload, config=config, replay_packets=300)
-        assert result.loss_at_max < config.loss_threshold
+        result = measure_throughput(nf, workload, replay_packets=300)
+        assert result.loss_at_max < LOSS_THRESHOLD
         assert result.max_rate_mpps > 0
 
-    def test_loss_simulation_deque_matches_reference(self):
+    def test_loss_simulation_deque_matches_reference(self, monkeypatch):
         """The O(1) deque retirement must behave exactly like the old O(n)
         list-filter implementation."""
 
@@ -266,9 +270,10 @@ class TestTestbed:
                 queue_free_at.append(server_free_at)
             return dropped / max(1, len(service_times_ns))
 
+        monkeypatch.setattr(measure, "QUEUE_CAPACITY", 32)
         rng = random.Random(42)
         service_times = [rng.uniform(100.0, 4000.0) for _ in range(500)]
         for rate in (0.1, 0.5, 1.0, 2.5, 5.0, 10.0):
-            assert _loss_fraction_at_rate(service_times, rate, 32) == pytest.approx(
+            assert _loss_fraction_at_rate(service_times, rate) == pytest.approx(
                 reference_loss(service_times, rate, 32)
             )
