@@ -37,7 +37,7 @@ def main() -> int:
     hierarchy = MemoryHierarchy(CastanConfig().hierarchy)
     stride = hierarchy.config.l3_sets_per_slice * hierarchy.config.line_size
     pool = [table.base_address + i * stride for i in range(96)]
-    discovered = discover_contention_sets(hierarchy, pool, repeats=6)
+    discovered = discover_contention_sets(hierarchy, pool)
     print(f"Probing discovered {discovered.set_count} contention sets "
           f"(sizes: {discovered.set_sizes()})")
 

@@ -87,19 +87,19 @@ class ContentionSets:
 
 #: Seed of the shuffle that orders the probed pool.
 PROBE_SEED = 7
+#: Rounds of sequential reads per probe measurement.
+PROBE_REPEATS = 6
 
 
-def discover_contention_sets(
-    hierarchy: MemoryHierarchy, addresses: list[int], repeats: int = 8
-) -> ContentionSets:
+def discover_contention_sets(hierarchy: MemoryHierarchy, addresses: list[int]) -> ContentionSets:
     """Discover contention sets among ``addresses`` by probing.
 
-    The threshold δ is half the DRAM-vs-L3 gap times ``repeats``, which
-    cleanly separates "one extra DRAM trip per probe round" from measurement
-    noise.
+    The threshold δ is half the DRAM-vs-L3 gap times ``PROBE_REPEATS``,
+    which cleanly separates "one extra DRAM trip per probe round" from
+    measurement noise.
     """
     gap = hierarchy.cycle_costs.dram - hierarchy.cycle_costs.l3_hit
-    threshold = (gap * repeats) // 2
+    threshold = (gap * PROBE_REPEATS) // 2
     rng = random.Random(PROBE_SEED)
     line_size = hierarchy.config.line_size
     # One representative address per cache line.
@@ -116,7 +116,7 @@ def discover_contention_sets(
     remaining = list(pool)
 
     def probe(sample: list[int]) -> int:
-        return hierarchy.probe_time(sample, repeats=repeats)
+        return hierarchy.probe_time(sample, PROBE_REPEATS)
 
     while remaining:
         # Step 1: grow S until probing time jumps by more than δ.

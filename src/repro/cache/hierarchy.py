@@ -227,7 +227,7 @@ class MemoryHierarchy:
 
     # -- probing (the §3.2 measurement primitive) -------------------------------
 
-    def probe_time(self, addresses: list[int], repeats: int = 8) -> int:
+    def probe_time(self, addresses: list[int], repeats: int) -> int:
         """Simulated cycles to sequentially read ``addresses`` ``repeats`` times.
 
         The measurement uses a throwaway copy of the cache state so probing

@@ -191,9 +191,7 @@ class PcapReader:
         self._subsecond = _MAGICS.get(magic_le) or _MAGICS.get(magic_be)
         if not self._subsecond:
             raise PcapFormatError(f"bad pcap magic 0x{magic_le:08x}")
-        fields = struct.unpack(self._endian + "IHHiIII", header)
-        self.snaplen = fields[5]
-        self.linktype = fields[6]
+        self.linktype = struct.unpack(self._endian + "IHHiIII", header)[6]
         if self.linktype not in SUPPORTED_LINKTYPES:
             raise PcapFormatError(
                 f"unsupported pcap link type {self.linktype} "

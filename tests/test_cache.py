@@ -9,7 +9,7 @@ from collections import Counter, OrderedDict
 import pytest
 
 from repro.cache import hierarchy as hierarchy_module
-from repro.cache.contention import ContentionSets, discover_contention_sets
+from repro.cache.contention import PROBE_REPEATS, ContentionSets, discover_contention_sets
 from repro.cache.hierarchy import HierarchyConfig, MemoryHierarchy
 from repro.cache.model import (
     TOUCHED_ELEMENT_WINDOW,
@@ -230,10 +230,10 @@ class TestHierarchy:
             by_key.setdefault(hierarchy.oracle_contention_key(address), []).append(address)
         addresses = max(by_key.values(), key=len)
         ways = hierarchy.l3_associativity
-        fits = hierarchy.probe_time(addresses[:ways], repeats=6)
-        overflows = hierarchy.probe_time(addresses[: ways + 1], repeats=6)
+        fits = hierarchy.probe_time(addresses[:ways], PROBE_REPEATS)
+        overflows = hierarchy.probe_time(addresses[: ways + 1], PROBE_REPEATS)
         gap = hierarchy.cycle_costs.dram - hierarchy.cycle_costs.l3_hit
-        assert overflows - fits > gap * 3
+        assert overflows - fits > gap * PROBE_REPEATS // 2
 
     def test_bit_layout_description(self):
         text = tiny_hierarchy().config.describe_bit_layout()
@@ -276,7 +276,7 @@ class TestContentionDiscovery:
         # hash is the only thing separating them into contention sets.
         stride = hierarchy.config.l3_sets_per_slice * 64
         addresses = [i * stride for i in range(48)]
-        discovered = discover_contention_sets(hierarchy, addresses, repeats=6)
+        discovered = discover_contention_sets(hierarchy, addresses)
         assert discovered.set_count >= 1
         for group in discovered.sets:
             keys = {hierarchy.oracle_contention_key(a) for a in group}
